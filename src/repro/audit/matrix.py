@@ -4,7 +4,8 @@ Each cell is a short-horizon :func:`run_experiment` over one of three
 fabric shapes — a dumbbell (two racks through one spine), an incast rack
 (one ToR, foreground incast traffic), and the default two-pod Clos — for
 each transport scheme. A cell passes when its :class:`AuditReport` has
-zero violations; any violation is a bookkeeping bug.
+zero violations (any violation is a bookkeeping bug) and, at the pinned
+operating point, its replay digest equals :data:`GOLDEN_DIGESTS`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,34 @@ MATRIX_TOPOLOGIES: Dict[str, Tuple[ClosSpec, Dict[str, object]]] = {
     ),
 }
 
+#: the ``(sim_time_ns, seed, load)`` at which :data:`GOLDEN_DIGESTS` holds
+GOLDEN_POINT = (2 * MILLIS, 1, 0.5)
+
+#: (topology, scheme) -> (``EventDigest.total``, ``EventDigest.final()``) at
+#: :data:`GOLDEN_POINT`: every packet delivery of the cell, in order. This
+#: is the regression oracle for the engine, the credit pacers and the
+#: timers. A change that means to alter packet timing re-records the
+#: drifting rows from the ``got`` lines ``repro audit`` prints and bumps
+#: ``repro.experiments.cache.DEFAULT_CODE_SALT`` in the same commit; any other
+#: drift is a bug.
+GOLDEN_DIGESTS: Dict[Tuple[str, str], Tuple[int, int]] = {
+    ("dumbbell", "dctcp"): (14788, 0xacb8e4394fee4a83),
+    ("dumbbell", "naive"): (33207, 0x59046d247498ce9a),
+    ("dumbbell", "homa"): (12440, 0xcab473fe39daf8b7),
+    ("dumbbell", "ly"): (31285, 0x1ad892947739f5e7),
+    ("dumbbell", "flexpass"): (22870, 0x8eab075be2b8cbeb),
+    ("incast", "dctcp"): (18555, 0xa87b92f9c162e00f),
+    ("incast", "naive"): (36185, 0x14e83826974a9636),
+    ("incast", "homa"): (13818, 0x4d31b793e0c5afb9),
+    ("incast", "ly"): (36083, 0x178eb455e5563517),
+    ("incast", "flexpass"): (30873, 0x71d39fe88b3d3ad6),
+    ("clos", "dctcp"): (63833, 0x7f8a4771f058464e),
+    ("clos", "naive"): (136011, 0x54cee405b9e8dbd1),
+    ("clos", "homa"): (54545, 0x89849ef799308cd1),
+    ("clos", "ly"): (131212, 0xe127026ec4356d4f),
+    ("clos", "flexpass"): (96761, 0x07f2622659f9fc15),
+}
+
 
 @dataclass
 class MatrixCell:
@@ -51,10 +80,23 @@ class MatrixCell:
     flows: int = 0
     completed: int = 0
     aborted: bool = False
+    #: ``(total, final)`` of this run's event digest
+    digest: Tuple[int, int] = (0, 0)
+    #: the pinned ``(total, final)``; None away from :data:`GOLDEN_POINT`
+    expected: Optional[Tuple[int, int]] = None
+
+    @property
+    def drifted(self) -> bool:
+        return self.expected is not None and self.digest != self.expected
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.aborted
+        return not self.violations and not self.aborted and not self.drifted
+
+
+def golden_row(topology: str, scheme: str, digest: Tuple[int, int]) -> str:
+    """One :data:`GOLDEN_DIGESTS` row, as it is written in this file."""
+    return f'("{topology}", "{scheme}"): ({digest[0]}, 0x{digest[1]:016x}),'
 
 
 def matrix_config(scheme: str, topology: str, sim_time_ns: int = 2 * MILLIS,
@@ -87,11 +129,13 @@ def run_matrix(schemes: Sequence[str] = MATRIX_SCHEMES,
     """Run every (scheme, topology) cell and collect its audit outcome."""
     from repro.experiments.runner import run_experiment
 
+    pinned = (sim_time_ns, seed, load) == GOLDEN_POINT
     cells: List[MatrixCell] = []
     for topology in topologies:
         for scheme in schemes:
             cfg = matrix_config(scheme, topology, sim_time_ns=sim_time_ns,
-                                seed=seed, load=load)
+                                seed=seed, load=load,
+                                audit=AuditConfig(digest=True))
             res = run_experiment(cfg)
             report = res.audit
             cells.append(MatrixCell(
@@ -104,5 +148,9 @@ def run_matrix(schemes: Sequence[str] = MATRIX_SCHEMES,
                 flows=len(res.records),
                 completed=res.completed,
                 aborted=res.aborted,
+                digest=(report.digest.total, report.digest.final())
+                if report else (0, 0),
+                expected=GOLDEN_DIGESTS.get((topology, scheme))
+                if pinned else None,
             ))
     return cells

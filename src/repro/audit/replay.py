@@ -7,25 +7,15 @@ packed result pickled back) followed by an experiment-cache round-trip —
 and compares the rolling event digests. On a mismatch the first-divergence
 reporter re-runs both sides with raw-event capture pinned to the earliest
 divergent epoch and returns both event windows.
-
-``compare_engines`` reuses the same digest machinery across *engine
-backends* instead of execution paths: the same config runs once on the heap
-engine and once on the calendar engine, and the two event streams must be
-bit-identical. This is the acceptance oracle for any scheduler rewrite —
-both engines assign sequence numbers at schedule time and dispatch in exact
-``(time, seq)`` order, so even a reordering that would be invisible to
-aggregate metrics shows up as a digest divergence.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
-import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.audit.config import AuditConfig
 from repro.audit.digest import EventDigest
@@ -104,103 +94,6 @@ def replay_config(cfg, capture_on_divergence: bool = True) -> ReplayReport:
         captured = _audited(cfg, capture_epoch=epoch)
         report.events_a = _digest_of(_run_local(captured)).events
         report.events_b = _digest_of(_run_worker_and_cache(captured)).events
-    return report
-
-
-@contextlib.contextmanager
-def _engine_env(backend: str):
-    """Pin ``REPRO_SIM_ENGINE`` for the duration of one run."""
-    prev = os.environ.get("REPRO_SIM_ENGINE")
-    os.environ["REPRO_SIM_ENGINE"] = backend
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_SIM_ENGINE", None)
-        else:
-            os.environ["REPRO_SIM_ENGINE"] = prev
-
-
-def _run_backend(cfg, backend: str) -> "ExperimentResult":
-    with _engine_env(backend):
-        return _run_local(cfg)
-
-
-def compare_engines(cfg, backends: Sequence[str] = ("heap", "calendar"),
-                    capture_on_divergence: bool = True) -> ReplayReport:
-    """Run ``cfg`` once per engine backend and compare event digests.
-
-    Returns the same :class:`ReplayReport` shape as :func:`replay_config`,
-    with run A = ``backends[0]`` and run B = ``backends[1]``.
-    """
-    if len(backends) != 2:
-        raise ValueError(f"need exactly two backends, got {backends!r}")
-    cfg = _audited(cfg)
-    digest_a = _digest_of(_run_backend(cfg, backends[0]))
-    digest_b = _digest_of(_run_backend(cfg, backends[1]))
-    epoch = digest_a.first_divergence(digest_b)
-    if epoch is None:
-        return ReplayReport(match=True, total_events=digest_a.total,
-                            epochs=len(digest_a.epochs))
-    report = ReplayReport(
-        match=False, total_events=digest_a.total,
-        epochs=len(digest_a.epochs), divergence_epoch=epoch,
-        divergence_time_ns=epoch * digest_a.epoch_ns,
-    )
-    if capture_on_divergence:
-        captured = _audited(cfg, capture_epoch=epoch)
-        report.events_a = _digest_of(_run_backend(captured, backends[0])).events
-        report.events_b = _digest_of(_run_backend(captured, backends[1])).events
-    return report
-
-
-@contextlib.contextmanager
-def _credit_plane_env(plane: str):
-    """Pin ``REPRO_CREDIT_PLANE`` for the duration of one run."""
-    prev = os.environ.get("REPRO_CREDIT_PLANE")
-    os.environ["REPRO_CREDIT_PLANE"] = plane
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_CREDIT_PLANE", None)
-        else:
-            os.environ["REPRO_CREDIT_PLANE"] = prev
-
-
-def _run_plane(cfg, plane: str) -> "ExperimentResult":
-    with _credit_plane_env(plane):
-        return _run_local(cfg)
-
-
-def compare_credit_planes(cfg, planes: Sequence[str] = ("legacy", "wheel"),
-                          capture_on_divergence: bool = True) -> ReplayReport:
-    """Run ``cfg`` once per credit plane and compare event digests.
-
-    The acceptance oracle for the timer-wheel credit plane (DESIGN.md §6i):
-    batched jitter pre-draws, handle-free pacing posts, and wheel-filed
-    coarse timers must reproduce the legacy per-event plane's delivery
-    stream bit for bit. Same :class:`ReplayReport` shape as
-    :func:`compare_engines`, run A = ``planes[0]``, run B = ``planes[1]``.
-    """
-    if len(planes) != 2:
-        raise ValueError(f"need exactly two credit planes, got {planes!r}")
-    cfg = _audited(cfg)
-    digest_a = _digest_of(_run_plane(cfg, planes[0]))
-    digest_b = _digest_of(_run_plane(cfg, planes[1]))
-    epoch = digest_a.first_divergence(digest_b)
-    if epoch is None:
-        return ReplayReport(match=True, total_events=digest_a.total,
-                            epochs=len(digest_a.epochs))
-    report = ReplayReport(
-        match=False, total_events=digest_a.total,
-        epochs=len(digest_a.epochs), divergence_epoch=epoch,
-        divergence_time_ns=epoch * digest_a.epoch_ns,
-    )
-    if capture_on_divergence:
-        captured = _audited(cfg, capture_epoch=epoch)
-        report.events_a = _digest_of(_run_plane(captured, planes[0])).events
-        report.events_b = _digest_of(_run_plane(captured, planes[1])).events
     return report
 
 

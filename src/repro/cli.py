@@ -22,15 +22,14 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.audit.matrix import MATRIX_SCHEMES, MATRIX_TOPOLOGIES, run_matrix
-from repro.audit.replay import (
-    compare_credit_planes,
-    compare_engines,
-    format_replay_report,
-    replay_config,
+from repro.audit.matrix import (
+    MATRIX_SCHEMES,
+    MATRIX_TOPOLOGIES,
+    golden_row,
+    matrix_config,
+    run_matrix,
 )
-from repro.sim.engine import ENGINE_BACKENDS
-from repro.sim.timerwheel import CREDIT_PLANES
+from repro.audit.replay import format_replay_report, replay_config
 from repro.experiments.config import SchemeName
 from repro.metrics.telemetry import TelemetryConfig, TelemetrySeries
 from repro.experiments.figures import (
@@ -56,6 +55,7 @@ from repro.experiments.sweep import (
 )
 from repro.faults.plan import (
     FaultPlan,
+    FaultPlanError,
     LinkFailureSpec,
     LinkLossSpec,
     SiteFailureSpec,
@@ -418,23 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay", action="store_true",
         help="determinism cell: run the first scheme x topo twice (through "
              "worker pickling and a cache round-trip) and compare digests")
-    p_audit.add_argument(
-        "--engine", choices=sorted(ENGINE_BACKENDS), default=None,
-        help="pin the event-engine backend for this audit (exported as "
-             "REPRO_SIM_ENGINE so worker subprocesses inherit it)")
-    p_audit.add_argument(
-        "--compare-engines", action="store_true",
-        help="engine-equivalence matrix: run every scheme x topo cell once "
-             "per engine backend and require bit-identical event digests")
-    p_audit.add_argument(
-        "--credit-plane", choices=sorted(CREDIT_PLANES), default=None,
-        help="pin the credit-plane backend for this audit (exported as "
-             "REPRO_CREDIT_PLANE so worker subprocesses inherit it)")
-    p_audit.add_argument(
-        "--compare-credit-planes", action="store_true",
-        help="credit-plane equivalence matrix: run every scheme x topo "
-             "cell once per credit plane (legacy vs wheel) and require "
-             "bit-identical event digests")
     return parser
 
 
@@ -630,6 +613,15 @@ def _report_telemetry(series: TelemetrySeries, out_dir: str,
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except FaultPlanError as exc:
+        # A misaddressed plan is a usage error, found while the run is set up.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         for name in sorted(FIGURES):
             print(name)
@@ -1008,70 +1000,12 @@ def _run_workloads_sweep(args) -> int:
 def _run_audit(args) -> int:
     """The ``repro audit`` subcommand: invariant matrix or replay cell.
 
-    Exits nonzero on any invariant violation, aborted cell, or digest
-    divergence, so CI can gate on it directly.
+    Exits nonzero on any invariant violation, aborted cell, replay
+    divergence, or drift from the pinned golden digests, so CI can gate on
+    it directly.
     """
     horizon_ns = args.ms * MILLIS
-    if args.engine:
-        # Exported (not just passed down) so run_many worker subprocesses
-        # audit on the same backend as the parent.
-        os.environ["REPRO_SIM_ENGINE"] = args.engine
-    if args.credit_plane:
-        os.environ["REPRO_CREDIT_PLANE"] = args.credit_plane
-    if args.compare_credit_planes:
-        from repro.audit.matrix import matrix_config
-
-        failed = 0
-        rows = []
-        for topo in args.topos:
-            for scheme in args.schemes:
-                cfg = matrix_config(scheme, topo, sim_time_ns=horizon_ns,
-                                    seed=args.seed, load=args.load)
-                report = compare_credit_planes(cfg)
-                rows.append((topo, scheme,
-                             "MATCH" if report.match else "DIVERGED",
-                             report.total_events, report.epochs))
-                if not report.match:
-                    failed += 1
-                    print(f"\n{topo} x {scheme}:")
-                    print(format_replay_report(report))
-        print_table("Credit-plane digest-equivalence matrix (legacy vs wheel)",
-                    ("topology", "scheme", "digests", "events", "epochs"),
-                    rows)
-        if failed:
-            print(f"\n{failed}/{len(rows)} cells DIVERGED between "
-                  f"credit planes")
-            return 1
-        print(f"\nall {len(rows)} cells digest-identical across credit planes")
-        return 0
-    if args.compare_engines:
-        from repro.audit.matrix import matrix_config
-
-        failed = 0
-        rows = []
-        for topo in args.topos:
-            for scheme in args.schemes:
-                cfg = matrix_config(scheme, topo, sim_time_ns=horizon_ns,
-                                    seed=args.seed, load=args.load)
-                report = compare_engines(cfg)
-                rows.append((topo, scheme,
-                             "MATCH" if report.match else "DIVERGED",
-                             report.total_events, report.epochs))
-                if not report.match:
-                    failed += 1
-                    print(f"\n{topo} x {scheme}:")
-                    print(format_replay_report(report))
-        print_table("Engine digest-equivalence matrix (heap vs calendar)",
-                    ("topology", "scheme", "digests", "events", "epochs"),
-                    rows)
-        if failed:
-            print(f"\n{failed}/{len(rows)} cells DIVERGED between engines")
-            return 1
-        print(f"\nall {len(rows)} cells digest-identical across engines")
-        return 0
     if args.replay:
-        from repro.audit.matrix import matrix_config
-
         scheme, topo = args.schemes[0], args.topos[0]
         cfg = matrix_config(scheme, topo, sim_time_ns=horizon_ns,
                             seed=args.seed, load=args.load)
@@ -1087,18 +1021,24 @@ def _run_audit(args) -> int:
         (c.topology, c.scheme,
          "OK" if c.ok else ("ABORTED" if c.aborted else "FAIL"),
          c.checks, c.checkpoints, f"{c.completed}/{c.flows}",
-         len(c.violations))
+         len(c.violations), c.digest[0],
+         "-" if c.expected is None else ("DRIFT" if c.drifted else "MATCH"))
         for c in cells
     ]
     print_table("Invariant audit matrix",
                 ("topology", "scheme", "status", "checks", "checkpoints",
-                 "flows", "violations"),
+                 "flows", "violations", "events", "golden digest"),
                 rows)
     failed = [c for c in cells if not c.ok]
     for c in failed:
         print(f"\n{c.topology} x {c.scheme}:")
         for v in c.violations:
             print(f"  {v}")
+        if c.drifted:
+            print("  event digest drifted from repro.audit.matrix."
+                  "GOLDEN_DIGESTS")
+            print(f"  expected {golden_row(c.topology, c.scheme, c.expected)}")
+            print(f"  got      {golden_row(c.topology, c.scheme, c.digest)}")
     if failed:
         print(f"\n{len(failed)}/{len(cells)} cells FAILED")
         return 1

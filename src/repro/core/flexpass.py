@@ -114,7 +114,7 @@ class FlexPassSender:
         self.p_rtt = RttEstimator(min_rto_ns=params.min_rto_ns)
         self.p_timer = RetransmitTimer(sim, self.p_rtt, self._on_proactive_timeout)
         self._pmap: List[int] = []  # proactive seq -> segment idx
-        # Coarse watchdog (4 ms): wheel-backed on the default credit plane.
+        # Coarse watchdog (4 ms) on the shared timer wheel.
         self._request_timer = CoarseTimer(sim, self._request_timeout)
         self._got_credit = False
         self.done = False

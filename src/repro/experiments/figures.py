@@ -8,7 +8,6 @@ sweeps (Figures 10-18) live in :mod:`repro.experiments.sweep`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
@@ -48,8 +47,7 @@ _BIN_NS = 1 * MILLIS
 #
 # Every figure goes through the same audited launch path as the sweeps:
 # :func:`repro.experiments.scenarios.make_scheme_setup`'s launcher builders,
-# parameterized by a figure-scale ExperimentConfig. The old ``_launch_*``
-# helpers survive only as deprecated shims.
+# parameterized by a figure-scale ExperimentConfig.
 
 
 def _figure_cfg(scheme: SchemeName = SchemeName.FLEXPASS,
@@ -62,34 +60,6 @@ def _start(sim, launcher, spec, stats, done=None) -> None:
     """Create endpoints via a scenarios launcher and schedule the start."""
     sender = launcher(sim, spec, stats, done)
     sim.at(spec.start_ns, sender.start)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use repro.experiments.scenarios.{new}",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def _launch_dctcp(sim, spec, stats, done=None):
-    _deprecated("_launch_dctcp", "dctcp_launcher()")
-    _start(sim, dctcp_launcher(), spec, stats, done)
-
-
-def _launch_xp(sim, spec, stats, done=None, wq=1.0):
-    _deprecated("_launch_xp", "expresspass_launcher(cfg, ...)")
-    _start(sim, expresspass_launcher(_figure_cfg(), credit_fraction=wq,
-                                     shared_queue=True), spec, stats, done)
-
-
-def _launch_fp(sim, spec, stats, done=None, wq=0.5):
-    _deprecated("_launch_fp", "flexpass_launcher(cfg)")
-    _start(sim, flexpass_launcher(_figure_cfg(wq=wq)), spec, stats, done)
-
-
-def _launch_homa(sim, spec, stats, done=None):
-    _deprecated("_launch_homa", "homa_launcher(cfg)")
-    _start(sim, homa_launcher(_figure_cfg()), spec, stats, done)
 
 
 # ------------------------------------------------------------------ sampling

@@ -146,7 +146,6 @@ def default_chunksize(pending: int, processes: int) -> int:
 def run_many(
     configs: Sequence[ExperimentConfig],
     processes: Optional[int] = None,
-    retry_failed: bool = False,
     max_tasks_per_child: Optional[int] = DEFAULT_MAX_TASKS_PER_CHILD,
     cache: Optional[Union[ResultStore, str, os.PathLike]] = None,
     chunksize: Optional[int] = None,
@@ -168,8 +167,6 @@ def run_many(
     immediate retries). Transient failures — OOM kills, flaky I/O — often
     clear on retry; deterministic bugs fail every attempt and keep their
     :class:`FailedResult`, with ``attempts`` recording the total tries.
-    ``retry_failed=True`` is the legacy spelling of
-    ``max_retries=1, retry_base_s=0``.
 
     ``cache`` — a :class:`~repro.experiments.store.ResultStore`, a
     directory path, or a ``sqlite:`` spec (see
@@ -248,8 +245,6 @@ def run_many(
                         cache.put(configs[index], result)
                     note_done(index)
 
-    if retry_failed and max_retries is None:
-        max_retries = 1
     for rnd in range(1, (max_retries or 0) + 1):
         failed = [i for i, r in enumerate(results)
                   if isinstance(r, FailedResult)]

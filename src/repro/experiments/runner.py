@@ -27,7 +27,7 @@ from repro.metrics.telemetry import (
     TelemetrySeries,
 )
 from repro.net.topology import Clos
-from repro.sim.engine import make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.transports.base import FlowSpec, FlowStats
 from repro.workloads.arrivals import (
@@ -172,9 +172,7 @@ def run_experiment(cfg: ExperimentConfig,
                    sample_q1: bool = False) -> ExperimentResult:
     """Run one full simulation and collect results."""
     wall_start = time.monotonic()
-    # Engine backend resolves from REPRO_SIM_ENGINE so whole process trees
-    # (including run_many workers) can be flipped for A/B digest audits.
-    sim = make_simulator()
+    sim = Simulator()
     rng = RngRegistry(cfg.seed)
     setup = make_scheme_setup(cfg)
     clos = build_topology(sim, setup.queue_factory, cfg)

@@ -34,6 +34,7 @@ from repro.faults.models import (
 from repro.faults.plan import (
     FaultInjector,
     FaultPlan,
+    FaultPlanError,
     LinkFailureSpec,
     LinkLossSpec,
     SiteFailureSpec,
@@ -44,6 +45,7 @@ __all__ = [
     "FaultCounters",
     "FaultInjector",
     "FaultPlan",
+    "FaultPlanError",
     "FaultyLink",
     "GilbertElliottLoss",
     "KIND_ALIASES",

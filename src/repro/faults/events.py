@@ -11,7 +11,7 @@ of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.faults.counters import FaultCounters
 from repro.faults.link import FaultyLink, splice
@@ -50,12 +50,11 @@ def schedule_failure_events(
     """Wire Link{Down,Up}Events onto the simulator clock.
 
     Node names are resolved and links spliced eagerly, so a misaddressed
-    plan fails at setup time, not hours into a sweep.
+    plan fails at setup time with a ``ValueError``, not hours into a sweep.
     """
     counters = counters if counters is not None else FaultCounters()
     for event in events:
-        a = topo.node_by_name(event.a)
-        b = topo.node_by_name(event.b)
+        a, b = _cable_ends(topo, event.a, event.b)
         # Both directions of the cable share the run's fault counters.
         forward = splice(topo.port(a, b), counters=counters)
         reverse = splice(topo.port(b, a), counters=counters)
@@ -68,6 +67,23 @@ def schedule_failure_events(
         else:
             raise TypeError(f"not a failure event: {event!r}")
     return counters
+
+
+def _cable_ends(topo: "Topology", name_a: str,
+                name_b: str) -> Tuple["Node", "Node"]:
+    """The two nodes of the named a<->b cable, or why there is none."""
+    ends = []
+    for name in (name_a, name_b):
+        try:
+            ends.append(topo.node_by_name(name))
+        except KeyError:
+            raise ValueError(f"link failure {name_a} <-> {name_b}: "
+                             f"unknown node {name!r}") from None
+    a, b = ends
+    if b.id not in a.ports:
+        raise ValueError(f"link failure {name_a} <-> {name_b}: "
+                         f"no cable between them")
+    return a, b
 
 
 def _apply_down(

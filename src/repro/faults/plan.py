@@ -149,6 +149,10 @@ class SiteFailureSpec:
         return events
 
 
+class FaultPlanError(ValueError):
+    """A fault plan was applied to a topology it does not fit."""
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Everything the fault subsystem will do to one run."""
@@ -166,7 +170,18 @@ class FaultPlan:
 
     def apply(self, sim: "Simulator", topo: "Topology",
               rng: "RngRegistry") -> "FaultInjector":
-        """Splice loss models and schedule failures; returns the injector."""
+        """Splice loss models and schedule failures; returns the injector.
+
+        A plan that does not fit ``topo`` (unknown node or group, no such
+        cable, a pattern matching no link) raises :class:`FaultPlanError`.
+        """
+        try:
+            return self._apply(sim, topo, rng)
+        except ValueError as exc:
+            raise FaultPlanError(str(exc)) from exc
+
+    def _apply(self, sim: "Simulator", topo: "Topology",
+               rng: "RngRegistry") -> "FaultInjector":
         counters = FaultCounters()
         spliced: List[FaultyLink] = []
         # Deterministic port order: sort by name, independent of dict order.

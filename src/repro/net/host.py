@@ -56,10 +56,9 @@ class Host(Node):
 
     # _phost_allocator: lazily-attached per-host credit allocator singleton
     # (see transports/phost_credits.py); a named slot now that Host has no
-    # __dict__. _credit_plane: lazily-attached per-host CreditPlane registry
-    # (see transports/credit_plane.py), same pattern.
+    # __dict__.
     __slots__ = ("_senders", "_receivers", "stray_packets", "_nic",
-                 "_phost_allocator", "_credit_plane")
+                 "_phost_allocator")
 
     def __init__(self, sim: "Simulator", node_id: int, name: str) -> None:
         super().__init__(sim, node_id, name)

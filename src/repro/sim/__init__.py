@@ -1,20 +1,12 @@
 """Discrete-event simulation kernel.
 
 The kernel is deliberately tiny: an integer-nanosecond clock, an event
-calendar with cancellable handles (:mod:`repro.sim.engine` — a calendar-queue
-default plus a retained heap oracle), unit helpers for time and rate
-arithmetic (:mod:`repro.sim.units`), and named deterministic random streams
-(:mod:`repro.sim.rng`).
+calendar with cancellable handles (:mod:`repro.sim.engine`, a calendar
+queue), unit helpers for time and rate arithmetic (:mod:`repro.sim.units`),
+and named deterministic random streams (:mod:`repro.sim.rng`).
 """
 
-from repro.sim.engine import (
-    CalendarSimulator,
-    EventHandle,
-    HeapSimulator,
-    Simulator,
-    engine_backend,
-    make_simulator,
-)
+from repro.sim.engine import CalendarSimulator, EventHandle, Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import (
     GBPS,
@@ -33,10 +25,7 @@ from repro.sim.units import (
 __all__ = [
     "CalendarSimulator",
     "EventHandle",
-    "HeapSimulator",
     "Simulator",
-    "engine_backend",
-    "make_simulator",
     "RngRegistry",
     "GBPS",
     "MBPS",

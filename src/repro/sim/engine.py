@@ -1,26 +1,25 @@
-"""Event engines for the packet-level simulator.
+"""Event engine for the packet-level simulator.
 
-Two interchangeable backends implement the same scheduling surface
+:data:`Simulator` is :class:`~repro.sim.calendar.CalendarSimulator`, a
+calendar queue: a next-event slot, fixed-width bucket batches drained with
+one sort per bucket, and a heap of bucket ids for far-future timers (see
+:mod:`repro.sim.calendar`). Every run uses it; construct ``Simulator()``
+directly.
+
+:class:`HeapSimulator`, the classic ``heapq`` tuple-heap calendar, is kept
+only as the reference that ``tests/test_sim_engine_calendar.py`` runs
+randomized scheduling programs against. It implements the same surface
 (``at``/``after``/``call_soon``/``post``/``post_at``/``every``/``run``/
-``peek_time``/``pending``/``iter_pending``):
+``peek_time``/``pending``/``iter_pending``) and nothing selects it at run
+time.
 
-* :class:`CalendarSimulator` (the default, exported as :data:`Simulator`) —
-  a calendar queue: a next-event slot, fixed-width bucket batches drained
-  with one sort per bucket, and a heap of bucket ids for far-future timers.
-  See :mod:`repro.sim.calendar` for the design.
-* :class:`HeapSimulator` — the classic ``heapq`` tuple-heap calendar,
-  retained as the differential-testing oracle and as a fallback backend
-  (``REPRO_SIM_ENGINE=heap``) while the calendar engine bakes. The audit
-  subsystem's replay-digest matrix must be digest-identical across the two.
-
-Both backends hold ``(time, seq, payload)`` entries where the payload is an
+Both hold ``(time, seq, payload)`` entries where the payload is an
 :class:`EventHandle` for cancellable events (``at``/``after``) or a bare
 ``(fn, args)`` tuple for fire-and-forget ones (``post``/``post_at``), which
 skips one object allocation per event on the packet hot path. Cancellation
 is lazy (a cancelled handle stays stored and is skipped when popped), which
-is far cheaper than calendar surgery for the cancel-heavy workloads that
-transport retransmission timers produce. Two counters keep the laziness
-honest:
+is far cheaper than calendar surgery for cancel-heavy workloads. Two
+counters keep the laziness honest:
 
 * ``pending()`` never scans dispatch order: live events = stored entries
   minus a running count of cancelled-but-not-yet-popped entries;
@@ -38,9 +37,8 @@ Two ordering guarantees matter for correctness elsewhere in the stack:
 from __future__ import annotations
 
 import heapq
-import os
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.sim.calendar import CalendarSimulator
 from repro.sim.events import EventHandle, RepeatingEvent
@@ -51,15 +49,12 @@ __all__ = [
     "HeapSimulator",
     "RepeatingEvent",
     "Simulator",
-    "ENGINE_BACKENDS",
-    "engine_backend",
-    "make_simulator",
 ]
 
 
 class HeapSimulator:
     """A discrete-event simulator with an integer-nanosecond clock, backed
-    by a ``heapq`` tuple heap (the pre-calendar engine, kept as oracle)."""
+    by a ``heapq`` tuple heap (the reference engine for differential tests)."""
 
     #: between wall-clock checks, this many loop iterations run
     #: uninstrumented (iterations, not executed events: a purge of lazily
@@ -343,33 +338,5 @@ class HeapSimulator:
         return iter(self._heap)
 
 
-#: the default engine: the calendar queue
+#: the engine every run uses
 Simulator = CalendarSimulator
-
-#: backend name -> engine class (the ``REPRO_SIM_ENGINE`` vocabulary)
-ENGINE_BACKENDS: Dict[str, Type] = {
-    "calendar": CalendarSimulator,
-    "heap": HeapSimulator,
-}
-
-
-def engine_backend(backend: Optional[str] = None) -> str:
-    """Resolve the engine backend name: the explicit argument, else the
-    ``REPRO_SIM_ENGINE`` environment variable, else ``"calendar"``."""
-    name = backend or os.environ.get("REPRO_SIM_ENGINE") or "calendar"
-    if name not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {name!r}; choose from "
-            f"{sorted(ENGINE_BACKENDS)}")
-    return name
-
-
-def make_simulator(backend: Optional[str] = None):
-    """Build a simulator for ``backend`` (see :func:`engine_backend`).
-
-    The environment-variable override exists so whole execution trees —
-    including ``run_many`` worker subprocesses, which inherit the parent's
-    environment — can be flipped onto one backend, letting the audit CI run
-    its replay-digest matrix once per engine during the transition.
-    """
-    return ENGINE_BACKENDS[engine_backend(backend)]()

@@ -4,16 +4,16 @@ Credit-based transports churn two very different timer populations through
 the event engine:
 
 * **dense short-period timers** — one credit/grant emission per MTU per flow
-  (~8.4 µs at 40 Gbps). These are never cancelled in steady state; they are
-  handled by the per-host :class:`repro.transports.credit_plane.CreditPlane`
-  (handle-free ``post`` + generation guards), not by this wheel.
+  (~8.4 µs at 40 Gbps). These are never cancelled in steady state; the
+  pacers schedule them with handle-free ``Simulator.post`` and generation
+  guards (:mod:`repro.transports.crediting`), not through this wheel.
 * **coarse watchdog timers** — RTO-class retransmission timers (4 ms floor),
   Homa's regrant/announce retries, credit-request timeouts. These are armed
   and *cancelled constantly* (every ACK re-arms the retransmission timer)
-  but almost never fire. Routing them through ``Simulator.after`` costs an
-  :class:`~repro.sim.events.EventHandle` allocation plus a calendar entry
-  per arm, and the lazily-cancelled entries pressure the engine's
-  compaction machinery.
+  but almost never fire. Through ``Simulator.after`` each arm would cost an
+  :class:`~repro.sim.events.EventHandle` allocation plus a calendar entry,
+  and the lazily-cancelled entries would pressure the engine's compaction
+  machinery.
 
 The wheel absorbs the second population. Arming appends a
 :class:`WheelTimer` to a bucket list (O(1)); cancelling flips a flag (O(1),
@@ -24,49 +24,16 @@ cancelled timers, re-files far-future survivors into a finer level
 (the hierarchical cascade), and ``post_at``-schedules genuinely due timers
 at their *exact* deadlines — wheel granularity never rounds a firing time.
 
-Digest equivalence (DESIGN.md §6i). Replacing ``after``-based timers with
-wheel timers removes engine entries that, in the legacy plane, consumed
-sequence numbers at arm time. Removing (or adding, for meta-events)
-sequence allocations never reorders the *remaining* events — relative
-``(time, seq)`` order is preserved whenever the relative order of
-scheduling calls is preserved — and a timer that never fires inside the
-horizon is otherwise invisible. The one residual caveat: a wheel timer
-that *does* fire gets its engine sequence number at the tick meta-event
-instead of at arm time, so a firing that ties another event at the exact
-same nanosecond may dispatch in a different relative order than the legacy
-plane. RTO-class timers fire at estimator-derived instants where such ties
-do not arise in practice, and the audit matrix (2 ms horizon, 4 ms
-timer floors) is tie-free by construction.
-
-``REPRO_CREDIT_PLANE`` selects the plane (``wheel`` is the default;
-``legacy`` keeps every timer on ``Simulator.after`` as the equivalence
-oracle); :func:`credit_plane_backend` is the one resolver, mirroring
-:func:`repro.sim.engine.engine_backend`.
+Ordering caveat. A wheel timer that fires gets its engine sequence number
+at the tick meta-event, not at arm time, so a firing that ties another
+event at the exact same nanosecond dispatches after events scheduled
+between the arm and the tick. RTO-class timers fire at estimator-derived
+instants where such ties do not arise in practice.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-#: plane name -> description (the ``REPRO_CREDIT_PLANE`` vocabulary)
-CREDIT_PLANES: Tuple[str, ...] = ("wheel", "legacy")
-
-
-def credit_plane_backend(backend: Optional[str] = None) -> str:
-    """Resolve the credit-plane backend name: the explicit argument, else
-    the ``REPRO_CREDIT_PLANE`` environment variable, else ``"wheel"``."""
-    name = backend or os.environ.get("REPRO_CREDIT_PLANE") or "wheel"
-    if name not in CREDIT_PLANES:
-        raise ValueError(
-            f"unknown credit plane {name!r}; choose from "
-            f"{sorted(CREDIT_PLANES)}")
-    return name
-
-
-def wheel_enabled(backend: Optional[str] = None) -> bool:
-    """True when the timer-wheel credit plane is selected."""
-    return credit_plane_backend(backend) == "wheel"
+from typing import Any, Callable, Dict, List, Optional
 
 
 class WheelTimer:
@@ -269,52 +236,34 @@ class TimerWheel:
 
 
 class CoarseTimer:
-    """A single re-armable one-shot timer, plane-selected at construction.
+    """A single re-armable one-shot timer on the simulator's shared wheel.
 
-    The drop-in pattern shared by credit-request, announce and regrant
-    timers: ``arm(delay)`` (re)starts, ``cancel()`` stops, ``armed`` tells.
-    On the wheel plane arm/cancel never touch the engine; on the legacy
-    plane it is exactly the historical ``after`` + ``EventHandle.cancel``
-    sequence, preserved as the digest-equivalence oracle.
+    The pattern shared by retransmission, credit-request, announce and
+    regrant timers: ``arm(delay)`` (re)starts, ``cancel()`` stops, ``armed``
+    tells. Neither arm nor cancel touches the engine.
     """
 
-    __slots__ = ("_sim", "_fn", "_wheel", "_timer", "_handle")
+    __slots__ = ("_fn", "_wheel", "_timer")
 
-    def __init__(self, sim, fn: Callable[[], Any],
-                 plane: Optional[str] = None) -> None:
-        self._sim = sim
+    def __init__(self, sim, fn: Callable[[], Any]) -> None:
         self._fn = fn
-        self._wheel = TimerWheel.for_sim(sim) if wheel_enabled(plane) else None
+        self._wheel = TimerWheel.for_sim(sim)
         self._timer: Optional[WheelTimer] = None
-        self._handle = None
 
     @property
     def armed(self) -> bool:
-        if self._wheel is not None:
-            return self._timer is not None
-        return self._handle is not None
+        return self._timer is not None
 
     def arm(self, delay: int) -> None:
         """(Re)start the timer ``delay`` ns from now."""
         self.cancel()
-        if self._wheel is not None:
-            self._timer = self._wheel.arm(delay, self._fire_wheel)
-        else:
-            self._handle = self._sim.after(delay, self._fire_legacy)
+        self._timer = self._wheel.arm(delay, self._fire)
 
     def cancel(self) -> None:
-        if self._wheel is not None:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
-        elif self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    def _fire_wheel(self) -> None:
+    def _fire(self) -> None:
         self._timer = None
-        self._fn()
-
-    def _fire_legacy(self) -> None:
-        self._handle = None
         self._fn()

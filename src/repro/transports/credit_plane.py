@@ -1,66 +1,47 @@
-"""Per-host credit plane: batched jitter draws and handle-free pacing.
+"""Batched jitter draws for credit pacing.
 
-On the legacy plane every :class:`~repro.transports.crediting.CreditPacer`
-self-reschedules through ``Simulator.after`` — one cancellable
-:class:`~repro.sim.events.EventHandle` allocation per credit packet, and a
-``cancel()`` pair on every stop. At 40 Gbps a single flow emits a credit
-every ~8.4 µs; a 192-host Clos at full load runs thousands of concurrent
-pacers, so the *credit plane* churns the event engine harder than the data
-plane it authorizes.
+At 40 Gbps a single flow emits a credit every ~8.4 µs, and a 192-host Clos
+at full load runs thousands of concurrent pacers, so the credit pacers
+churn the event engine harder than the data plane they authorize. Two
+things keep each emission cheap:
 
-The wheel plane (``REPRO_CREDIT_PLANE=wheel``, the default) makes three
-changes, none of which may move a single event in time:
-
-* **handle-free emission** — each emission schedules its successor with
-  ``Simulator.post`` (a bare ``(fn, args)`` tuple, no handle allocation) at
-  the *same call site* the legacy plane calls ``after``, so the engine
-  assigns the identical ``(time, seq)``. ``stop()`` bumps a generation
-  counter instead of cancelling; a posted event from a stale generation
-  fires as a no-op, exactly as a lazily-cancelled handle would have been
-  skipped.
 * **batched jitter draws** — each flow's :class:`CreditTrain` pre-draws
-  ``BATCH`` jitter factors per refill from the *same per-flow RNG in the
-  same order* as per-credit draws, so the jittered credit train is
-  bit-identical to the legacy plane's.
+  ``BATCH`` jitter factors per refill from the flow's own RNG, in the same
+  order as one draw per credit would.
 * **cached base interval** — the invariant
   ``CREDIT_WIRE_BYTES * 8 * SECONDS / rate_bps`` base is re-derived only
-  when the feedback loop actually changes ``rate_bps`` (both planes; the
-  division is deterministic, so the cached value is the recomputed value).
+  when the feedback loop actually changes ``rate_bps`` (the division is
+  deterministic, so the cached value is the recomputed value).
 
-:class:`CreditPlane` is the per-host registry tying this together: every
-active pacer on a host registers here, the plane hands out trains and
-counts the host's credit-plane load (``active``/``emitted``), and the
-coarse watchdog timers that ride along (request/announce/regrant, RTO) go
-to the simulator's shared :class:`~repro.sim.timerwheel.TimerWheel`.
+The pacers themselves (:mod:`repro.transports.crediting`,
+:mod:`repro.transports.phost_credits`, Homa's grant pump) schedule each
+emission's successor with handle-free ``Simulator.post``; their coarse
+watchdog timers ride the simulator's shared
+:class:`~repro.sim.timerwheel.TimerWheel`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.net.packet import CREDIT_WIRE_BYTES
-from repro.sim.timerwheel import credit_plane_backend, wheel_enabled
 from repro.sim.units import SECONDS
 
 if TYPE_CHECKING:  # pragma: no cover
     import random
 
-    from repro.net.host import Host
-
-__all__ = ["CreditPlane", "CreditTrain", "credit_plane_backend",
-           "wheel_enabled"]
+__all__ = ["CreditTrain"]
 
 
 class CreditTrain:
     """Precomputed jittered credit intervals for one flow.
 
     Jitter factors are drawn ``BATCH`` at a time from the flow's own RNG —
-    the draw *sequence* is identical to drawing one factor per credit, so
-    the emitted train matches the legacy plane bit for bit. The base
-    interval is cached per rate; a rate change re-derives it, which also
-    re-prices every not-yet-consumed draw (intervals are computed one
-    emission ahead, so the remaining train always reflects the live rate,
-    matching legacy semantics exactly).
+    the draw *sequence* is identical to drawing one factor per credit (the
+    scalar oracle in ``tests/test_timerwheel.py``). The base interval is
+    cached per rate; a rate change re-derives it, which also re-prices
+    every not-yet-consumed draw (intervals are computed one emission
+    ahead, so the remaining train always reflects the live rate).
     """
 
     __slots__ = ("_rng", "_draws", "_idx", "_base_ns", "_base_rate")
@@ -89,54 +70,3 @@ class CreditTrain:
             idx = 0
         self._idx = idx + 1
         return max(1, int(self._base_ns * draws[idx]))
-
-
-class CreditPlane:
-    """Registry of one host's active credit pacers (wheel plane).
-
-    Each pacer owns its :class:`CreditTrain` (the RNG is a per-flow
-    property seeded at pacer construction); the plane tracks which trains
-    are live on this host and aggregates credit-plane load counters that
-    the paper-scale Clos benchmark reports.
-    """
-
-    __slots__ = ("sim", "host", "_trains", "registered_total", "emitted")
-
-    def __init__(self, sim, host: "Host") -> None:
-        self.sim = sim
-        self.host = host
-        self._trains: Dict[int, Optional[CreditTrain]] = {}
-        self.registered_total = 0
-        #: credits emitted through this plane (all flows)
-        self.emitted = 0
-
-    @classmethod
-    def for_host(cls, sim, host: "Host") -> "CreditPlane":
-        """The host's singleton plane (created on first use)."""
-        plane = getattr(host, "_credit_plane", None)
-        if plane is None:
-            plane = cls(sim, host)
-            host._credit_plane = plane
-        return plane
-
-    @property
-    def active(self) -> int:
-        """Pacers currently running on this host."""
-        return len(self._trains)
-
-    def register(self, flow_id: int,
-                 train: Optional[CreditTrain] = None) -> None:
-        """Attach a starting pacer's train.
-
-        Unjittered pacers (pHost's per-host allocator) register with no
-        train — they still count toward the host's active-pacer load.
-        """
-        self._trains[flow_id] = train
-        self.registered_total += 1
-
-    def unregister(self, flow_id: int) -> None:
-        """Detach a stopping pacer (tolerates stop-before-start)."""
-        self._trains.pop(flow_id, None)
-
-    def note_emitted(self) -> None:
-        self.emitted += 1

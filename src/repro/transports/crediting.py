@@ -6,37 +6,25 @@ controller, and runs the controller's periodic update. The owner decides
 when to start and stop (FlexPass stops as soon as reassembly completes,
 regardless of which sub-flow delivered the bytes).
 
-Two credit planes (``REPRO_CREDIT_PLANE``, see
-:mod:`repro.transports.credit_plane`):
-
-* ``wheel`` (default) — the pacer registers with its host's
-  :class:`~repro.transports.credit_plane.CreditPlane`, draws jitter in
-  batches through a :class:`~repro.transports.credit_plane.CreditTrain`,
-  and self-reschedules with handle-free ``Simulator.post`` guarded by a
-  generation counter (``stop()`` bumps the generation; stale posted events
-  fire as no-ops).
-* ``legacy`` — the original per-credit ``Simulator.after`` + ``cancel()``
-  pacing, kept as a digest-equivalence oracle. Same RNG, same call sites,
-  so both planes schedule identical ``(time, seq)`` event streams.
-
-Both planes cache the base inter-credit gap
-(``CREDIT_WIRE_BYTES * 8 * SECONDS / rate_bps``) and re-derive it only
-when the feedback loop changes ``rate_bps``.
+The pacer draws jitter in batches through a
+:class:`~repro.transports.credit_plane.CreditTrain` and self-reschedules
+with handle-free ``Simulator.post`` guarded by a generation counter:
+``stop()`` bumps the generation, and posted events from a stale generation
+fire as no-ops.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.net.packet import CREDIT_WIRE_BYTES, Dscp, Packet, PacketKind, alloc_packet
 from repro.transports.credit_feedback import CreditFeedback, FeedbackParams
-from repro.transports.credit_plane import CreditPlane, CreditTrain, wheel_enabled
-from repro.sim.units import SECONDS
+from repro.transports.credit_plane import CreditTrain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
     from repro.transports.base import FlowStats
 
 
@@ -57,28 +45,16 @@ class CreditPacer:
         )
         self.update_period_ns = update_period_ns
         self._credit_seq = 0
-        self._credit_timer: Optional["EventHandle"] = None
-        self._period_timer: Optional["EventHandle"] = None
         self.running = False
         # ExpressPass jitters credit pacing; without it, same-rate pacers
         # phase-lock against the token-bucket limiters and one flow's
         # credits lose the race indefinitely. Seeded per flow: runs stay
         # deterministic.
-        self._jitter = random.Random(flow_id * 2654435761 % (1 << 31))
-        # Cached base gap for the legacy plane (S-hoist); the wheel plane
-        # caches inside its CreditTrain.
-        self._base_rate = 0.0
-        self._base_ns = 0.0
+        self._train = CreditTrain(
+            random.Random(flow_id * 2654435761 % (1 << 31)))
         # Generation guard for handle-free posts: stop() bumps it, stale
-        # events no-op. Plays the role legacy cancel() plays.
+        # events no-op.
         self._gen = 0
-        if wheel_enabled():
-            self._plane: Optional[CreditPlane] = CreditPlane.for_host(
-                sim, receiver_host)
-            self._train: Optional[CreditTrain] = CreditTrain(self._jitter)
-        else:
-            self._plane = None
-            self._train = None
 
     # ----------------------------------------------------------- control
 
@@ -87,32 +63,15 @@ class CreditPacer:
             return
         self.running = True
         self.stats.credit_rate_bps = self.feedback.rate_bps
-        plane = self._plane
-        if plane is not None:
-            plane.register(self.flow_id, self._train)
-            self._gen += 1
-            gen = self._gen
-            self._send_credit_wheel(gen)
-            self.sim.post(self.update_period_ns, self._on_period_wheel, gen)
-        else:
-            self._send_credit()
-            self._period_timer = self.sim.after(
-                self.update_period_ns, self._on_period)
+        self._gen += 1
+        gen = self._gen
+        self._send_credit(gen)
+        self.sim.post(self.update_period_ns, self._on_period, gen)
 
     def stop(self) -> None:
         self.running = False
         self.stats.credit_rate_bps = 0.0
-        plane = self._plane
-        if plane is not None:
-            self._gen += 1
-            plane.unregister(self.flow_id)
-            return
-        if self._credit_timer is not None:
-            self._credit_timer.cancel()
-            self._credit_timer = None
-        if self._period_timer is not None:
-            self._period_timer.cancel()
-            self._period_timer = None
+        self._gen += 1
 
     # ------------------------------------------------------------ inputs
 
@@ -121,14 +80,9 @@ class CreditPacer:
 
     # ---------------------------------------------------------- internal
 
-    def _interval_ns(self) -> int:
-        rate = self.feedback.rate_bps
-        if rate != self._base_rate:
-            self._base_rate = rate
-            self._base_ns = CREDIT_WIRE_BYTES * 8 * SECONDS / rate
-        return max(1, int(self._base_ns * self._jitter.uniform(0.5, 1.5)))
-
-    def _emit_credit(self) -> None:
+    def _send_credit(self, gen: int) -> None:
+        if gen != self._gen or not self.running:
+            return
         credit = alloc_packet(
             PacketKind.CREDIT, self.flow_id, self.host.id, self.sender_id,
             CREDIT_WIRE_BYTES, dscp=Dscp.CREDIT, seq=self._credit_seq,
@@ -137,35 +91,11 @@ class CreditPacer:
         self.stats.credits_sent += 1
         self.feedback.note_credit_sent()
         self.host.send(credit)
-
-    # -- legacy plane ---------------------------------------------------
-
-    def _send_credit(self) -> None:
-        self._credit_timer = None
-        if not self.running:
-            return
-        self._emit_credit()
-        self._credit_timer = self.sim.after(self._interval_ns(), self._send_credit)
-
-    def _on_period(self) -> None:
-        self._period_timer = None
-        if not self.running:
-            return
-        self.stats.credit_rate_bps = self.feedback.on_period()
-        self._period_timer = self.sim.after(self.update_period_ns, self._on_period)
-
-    # -- wheel plane ----------------------------------------------------
-
-    def _send_credit_wheel(self, gen: int) -> None:
-        if gen != self._gen or not self.running:
-            return
-        self._emit_credit()
-        self._plane.note_emitted()
         self.sim.post(self._train.next_interval_ns(self.feedback.rate_bps),
-                      self._send_credit_wheel, gen)
+                      self._send_credit, gen)
 
-    def _on_period_wheel(self, gen: int) -> None:
+    def _on_period(self, gen: int) -> None:
         if gen != self._gen or not self.running:
             return
         self.stats.credit_rate_bps = self.feedback.on_period()
-        self.sim.post(self.update_period_ns, self._on_period_wheel, gen)
+        self.sim.post(self.update_period_ns, self._on_period, gen)

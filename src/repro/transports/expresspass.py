@@ -73,7 +73,7 @@ class ExpressPassSender:
         self._lost_heap: List[int] = []
         self._lost_set: Set[int] = set()
         self._acked: Set[int] = set()
-        # Coarse watchdog (4 ms): wheel-backed on the default credit plane.
+        # Coarse watchdog (4 ms) on the shared timer wheel.
         self._request_timer = CoarseTimer(sim, self._request_timeout)
         self._got_credit = False
         self.done = False

@@ -28,13 +28,12 @@ from repro.net.packet import (
     data_wire_size,
 )
 from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
-from repro.transports.credit_plane import CreditPlane, wheel_enabled
 from repro.transports.sequencing import ReceiveScoreboard
 from repro.sim.timerwheel import CoarseTimer
 from repro.sim.units import GBPS, MICROS, MILLIS, SECONDS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -62,7 +61,7 @@ class HomaSender:
         self.params = params
         self.done = False
         self._heard_from_receiver = False
-        # Coarse watchdog (4 ms): wheel-backed on the default credit plane.
+        # Coarse watchdog (4 ms) on the shared timer wheel.
         self._announce_timer = CoarseTimer(sim, self._announce_retry)
         spec.src.register_sender(spec.flow_id, self)
 
@@ -130,16 +129,13 @@ class HomaReceiver:
         self.on_complete = on_complete
         self.scoreboard = ReceiveScoreboard()
         self._next_grant = (params.rtt_bytes + MSS - 1) // MSS  # after unscheduled
-        self._grant_timer: Optional["EventHandle"] = None
-        # Wheel plane: grant pacing is handle-free (post); _grant_pending
-        # replaces the legacy "_grant_timer is None" window-reopen test.
+        # Grant pacing is handle-free (post); True while a paced grant
+        # event is in flight, so arrivals don't start a second pump.
         self._grant_pending = False
         # The grant gap is invariant (line rate fixed): derive it once.
         self._grant_interval = max(
             1, int(data_wire_size(MSS) * 8 * SECONDS / params.grant_rate_bps))
         self._regrant_timer = CoarseTimer(sim, self._regrant)
-        self._plane: Optional[CreditPlane] = (
-            CreditPlane.for_host(sim, spec.dst) if wheel_enabled() else None)
         self._complete = False
         self._started = False
         spec.dst.register_receiver(spec.flow_id, self)
@@ -155,12 +151,10 @@ class HomaReceiver:
             self.stats.duplicate_bytes += pkt.payload
         if not self._started:
             self._started = True
-            if self._plane is not None:
-                self._plane.register(self.spec.flow_id)
             self._arm_regrant()
             if self._next_grant < self.spec.n_segments:
                 self._send_grant()
-        elif fresh and not self._grant_armed():
+        elif fresh and not self._grant_pending:
             # Window-limited granting: arrivals clock out further grants.
             self._send_grant()
         if self.scoreboard.received_count() == self.spec.n_segments:
@@ -168,30 +162,9 @@ class HomaReceiver:
 
     # ------------------------------------------------------------ grants
 
-    def _grant_interval_ns(self) -> int:
-        return self._grant_interval
-
-    def _grant_armed(self) -> bool:
-        if self._plane is not None:
-            return self._grant_pending
-        return self._grant_timer is not None
-
     def _send_grant(self) -> None:
-        """Synchronous grant entry (both planes); legacy timer callback."""
-        if self._plane is not None:
-            self._send_grant_wheel()
-            return
-        self._grant_timer = None
-        if self._complete or self._next_grant >= self.spec.n_segments:
-            return
-        granted_unreceived = self._next_grant - self.scoreboard.received_count()
-        if granted_unreceived * MSS >= self.params.grant_window_bytes:
-            return  # window full; the next fresh arrival re-opens it
-        self._emit_grant(self._next_grant)
-        self._next_grant += 1
-        self._grant_timer = self.sim.after(self._grant_interval_ns(), self._send_grant)
-
-    def _send_grant_wheel(self) -> None:
+        """Grant the next segment and pace the one after; also the paced
+        event's callback."""
         self._grant_pending = False
         if self._complete or self._next_grant >= self.spec.n_segments:
             return
@@ -200,9 +173,8 @@ class HomaReceiver:
             return  # window full; the next fresh arrival re-opens it
         self._emit_grant(self._next_grant)
         self._next_grant += 1
-        self._plane.note_emitted()
         self._grant_pending = True
-        self.sim.post(self._grant_interval, self._send_grant_wheel)
+        self.sim.post(self._grant_interval, self._send_grant)
 
     def _emit_grant(self, seq: int) -> None:
         grant = alloc_packet(
@@ -229,13 +201,8 @@ class HomaReceiver:
     def _finish(self) -> None:
         self._complete = True
         self.stats.complete_ns = self.sim.now
-        if self._grant_timer is not None:
-            self._grant_timer.cancel()
-            self._grant_timer = None
         self._grant_pending = False
         self._regrant_timer.cancel()
-        if self._plane is not None:
-            self._plane.unregister(self.spec.flow_id)
         # tell the sender it can forget the flow
         ack = alloc_packet(
             PacketKind.ACK, self.spec.flow_id, self.spec.dst.id, self.spec.src.id,

@@ -26,11 +26,10 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.net.packet import CREDIT_WIRE_BYTES, Dscp, Packet, PacketKind, alloc_packet
 from repro.sim.units import SECONDS
-from repro.transports.credit_plane import CreditPlane, wheel_enabled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
     from repro.transports.base import FlowStats
 
 
@@ -55,23 +54,17 @@ class PHostAllocator:
         self.host = host
         self.rate_bps = float(rate_bps)
         self._flows: "OrderedDict[int, _FlowEntry]" = OrderedDict()
-        self._timer: Optional["EventHandle"] = None
         self.tokens_sent = 0
         # The token gap is invariant (rate fixed at construction): derive
         # it once instead of per tick.
         self._interval = max(1, int(CREDIT_WIRE_BYTES * 8 * SECONDS / self.rate_bps))
-        # Wheel plane: handle-free post + generation guard replaces the
-        # cancellable timer. An armed-flag alone is not enough — after an
-        # unregister drains the host to empty, a stale in-flight tick must
-        # NOT serve a flow registered later (legacy cancels the timer, so
-        # the new flow is paced from registration + interval). The
-        # generation bump mirrors that cancel exactly.
+        # Ticks are handle-free posts. An armed flag alone is not enough:
+        # after an unregister drains the host to empty, a stale in-flight
+        # tick must NOT serve a flow registered later (the new flow is
+        # paced from registration + interval), so draining to empty also
+        # bumps the generation the tick carries.
         self._armed = False
         self._gen = 0
-        if wheel_enabled():
-            self._plane: Optional[CreditPlane] = CreditPlane.for_host(sim, host)
-        else:
-            self._plane = None
 
     # ------------------------------------------------------------ registry
 
@@ -91,57 +84,29 @@ class PHostAllocator:
             raise ValueError(f"flow {flow_id} already registered")
         entry = _FlowEntry(flow_id, sender_id, stats)
         self._flows[flow_id] = entry
-        if self._plane is not None:
-            self._plane.register(flow_id)
-        self._kick()
+        if not self._armed:
+            self._armed = True
+            self.sim.post(self._interval, self._tick, self._gen)
         return entry
 
     def unregister(self, flow_id: int) -> None:
         self._flows.pop(flow_id, None)
-        if self._plane is not None:
-            self._plane.unregister(flow_id)
-            if not self._flows and self._armed:
-                self._gen += 1
-                self._armed = False
-            return
-        if not self._flows and self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if not self._flows and self._armed:
+            self._gen += 1
+            self._armed = False
 
     # -------------------------------------------------------------- pacing
 
-    def _interval_ns(self) -> int:
-        return self._interval
-
-    def _kick(self) -> None:
-        if self._plane is not None:
-            if not self._armed:
-                self._armed = True
-                self.sim.post(self._interval, self._tick_wheel, self._gen)
-            return
-        if self._timer is None:
-            self._timer = self.sim.after(self._interval_ns(), self._tick)
-
-    def _tick(self) -> None:
-        self._timer = None
-        entry = self._next_active()
-        if entry is None:
-            return  # dormant until a registration wakes us
-        self._emit(entry)
-        self._timer = self.sim.after(self._interval_ns(), self._tick)
-
-    def _tick_wheel(self, gen: int) -> None:
+    def _tick(self, gen: int) -> None:
         if gen != self._gen:
-            return  # superseded by an unregister-to-empty (legacy: cancel)
+            return  # superseded by an unregister-to-empty
         self._armed = False
         entry = self._next_active()
         if entry is None:
             return  # dormant until a registration wakes us
         self._emit(entry)
-        if self._plane is not None:
-            self._plane.note_emitted()
         self._armed = True
-        self.sim.post(self._interval, self._tick_wheel, gen)
+        self.sim.post(self._interval, self._tick, gen)
 
     def _next_active(self) -> Optional[_FlowEntry]:
         """Round-robin over active flows (move chosen flow to the back)."""

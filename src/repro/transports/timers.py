@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.sim.timerwheel import TimerWheel, WheelTimer, wheel_enabled
+from repro.sim.timerwheel import CoarseTimer
 from repro.sim.units import MILLIS, SECONDS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
 
 
 class RttEstimator:
@@ -45,64 +45,40 @@ class RttEstimator:
 
 
 class RetransmitTimer:
-    """One retransmission timer with exponential backoff.
+    """Exponential backoff over one :class:`~repro.sim.timerwheel.CoarseTimer`.
 
     Re-armed on every ACK and almost never fired, this is the archetypal
-    cancel-heavy coarse timer: on the wheel credit plane (the default) it
-    lives on the simulator's shared :class:`~repro.sim.timerwheel.TimerWheel`
-    — O(1) arm and cancel, no engine entry per arm. The legacy plane keeps
-    the historical ``after`` + ``EventHandle.cancel`` path as the
-    digest-equivalence oracle (see DESIGN.md §6i).
+    cancel-heavy coarse timer, so arm and cancel stay off the event engine.
     """
 
     def __init__(self, sim: "Simulator", estimator: RttEstimator,
                  on_timeout: Callable[[], None]) -> None:
-        self._sim = sim
         self._est = estimator
         self._on_timeout = on_timeout
-        self._wheel = TimerWheel.for_sim(sim) if wheel_enabled() else None
-        self._timer: Optional[WheelTimer] = None
-        self._handle: Optional["EventHandle"] = None
+        self._timer = CoarseTimer(sim, self._fire)
         self._backoff = 1
 
     @property
     def armed(self) -> bool:
-        if self._wheel is not None:
-            return self._timer is not None
-        return self._handle is not None
+        return self._timer.armed
 
     def arm(self) -> None:
         """(Re)start the timer at the current RTO."""
-        self.cancel()
-        delay = min(self._est.rto_ns() * self._backoff, self._est.max_rto_ns)
-        if self._wheel is not None:
-            self._timer = self._wheel.arm(delay, self._fire_wheel)
-        else:
-            self._handle = self._sim.after(delay, self._fire)
+        self._timer.arm(
+            min(self._est.rto_ns() * self._backoff, self._est.max_rto_ns))
 
     def arm_if_idle(self) -> None:
-        if not self.armed:
+        if not self._timer.armed:
             self.arm()
 
     def cancel(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        self._timer.cancel()
 
     def on_progress(self) -> None:
         """Fresh ACK progress: reset backoff and restart."""
         self._backoff = 1
         self.arm()
 
-    def _fire_wheel(self) -> None:
-        self._timer = None
-        self._backoff = min(self._backoff * 2, 64)
-        self._on_timeout()
-
     def _fire(self) -> None:
-        self._handle = None
         self._backoff = min(self._backoff * 2, 64)
         self._on_timeout()

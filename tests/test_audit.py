@@ -2,7 +2,8 @@
 
 Covers: AuditConfig validation and cache keying, digest determinism and
 divergence localisation, every invariant tripping on a deliberately
-broken fixture, the replay harness, and the CI matrix plumbing.
+broken fixture, the replay harness, the CI matrix plumbing, and the pinned
+golden digests.
 """
 
 import pickle
@@ -17,7 +18,12 @@ from repro.audit import (
     EventDigest,
     InvariantAuditor,
 )
-from repro.audit.matrix import MATRIX_SCHEMES, MATRIX_TOPOLOGIES, run_matrix
+from repro.audit.matrix import (
+    GOLDEN_DIGESTS,
+    MATRIX_SCHEMES,
+    MATRIX_TOPOLOGIES,
+    run_matrix,
+)
 from repro.audit.replay import replay_config
 from repro.experiments.cache import config_key
 from repro.experiments.config import ExperimentConfig, SchemeName
@@ -330,3 +336,41 @@ class TestReplayAndMatrix:
         assert set(MATRIX_SCHEMES) == {"dctcp", "naive", "homa", "ly",
                                        "flexpass"}
         assert set(MATRIX_TOPOLOGIES) == {"dumbbell", "incast", "clos"}
+
+
+class TestGoldenDigests:
+    def test_table_covers_the_matrix(self):
+        assert set(GOLDEN_DIGESTS) == {(t, s) for t in MATRIX_TOPOLOGIES
+                                       for s in MATRIX_SCHEMES}
+
+    def test_flexpass_cells_reproduce_pinned_digests(self):
+        """One cell per fabric shape at the pinned operating point: every
+        delivery, in order, is what it was when the table was recorded."""
+        cells = run_matrix(schemes=("flexpass",))
+        assert [(c.topology, c.digest) for c in cells] == [
+            (t, GOLDEN_DIGESTS[(t, "flexpass")]) for t in MATRIX_TOPOLOGIES]
+        assert all(c.ok and c.expected is not None for c in cells)
+
+    def test_unpinned_point_is_not_checked(self):
+        (cell,) = run_matrix(schemes=("dctcp",), topologies=("dumbbell",),
+                             sim_time_ns=300 * MICROS)
+        assert cell.expected is None and not cell.drifted and cell.ok
+
+    def test_one_extra_delivery_fails_the_audit(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        freeze = DigestRecorder.freeze
+
+        def freeze_after_one_more(recorder):
+            recorder.record(2 * MILLIS, 0, 0, 0, 0)
+            return freeze(recorder)
+
+        monkeypatch.setattr(DigestRecorder, "freeze", freeze_after_one_more)
+        assert main(["audit", "--schemes", "dctcp",
+                     "--topos", "dumbbell"]) == 1
+        out = capsys.readouterr().out
+        total, final = GOLDEN_DIGESTS[("dumbbell", "dctcp")]
+        assert "DRIFT" in out
+        assert f'expected ("dumbbell", "dctcp"): ({total}, 0x{final:016x}),' \
+            in out
+        assert f'got      ("dumbbell", "dctcp"): ({total + 1}, 0x' in out

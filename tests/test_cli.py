@@ -45,6 +45,21 @@ class TestExecution:
         assert "Deployment sweep" in out
         assert "flexpass" in out
 
+    @pytest.mark.parametrize("flags,endpoints,reason", [
+        (["--fault-link-down", "nosuch", "tor0.0", "0.2"],
+         "nosuch <-> tor0.0", "unknown node 'nosuch'"),
+        (["--fault-link-down", "h0.0.0", "h0.0.1", "0.2"],
+         "h0.0.0 <-> h0.0.1", "no cable between them"),
+        (["--faults", "links=nosuch*,rate=0.1"],
+         "'nosuch*'", "matches no link"),
+    ])
+    def test_misaddressed_fault_plan_is_a_one_line_error(
+            self, capsys, flags, endpoints, reason):
+        assert main(["run", "--ms", "1", "--size-scale", "32"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert endpoints in err and reason in err
+
 
 EXAMPLE_SPEC = str(pathlib.Path(__file__).resolve().parents[1] /
                    "examples" / "regional_fabric.yaml")

@@ -335,7 +335,7 @@ class TestRetryPolicy:
         assert "no-such-workload" in res.error
 
     def test_run_many_retry_failed_compat(self):
-        (res,) = run_many([broken_config()], processes=1, retry_failed=True)
+        (res,) = run_many([broken_config()], processes=1, max_retries=1)
         assert isinstance(res, FailedResult)
         assert res.attempts == 2 and res.retried
 

@@ -262,7 +262,8 @@ class TestLinkFailureEvents:
         sim = Simulator()
         db = build_dumbbell(sim, flexpass_queue_factory(QueueSettings()),
                             DumbbellSpec(n_pairs=1))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="swL <-> nonexistent: unknown "
+                                             "node 'nonexistent'"):
             schedule_failure_events(sim, db.topo, [
                 LinkDownEvent(0, "swL", "nonexistent")])
 
@@ -425,7 +426,7 @@ class TestRunManyResilience:
         assert results[0].completed > 0
 
     def test_retry_marks_deterministic_failures(self):
-        results = run_many([_poison_cfg()], processes=1, retry_failed=True)
+        results = run_many([_poison_cfg()], processes=1, max_retries=1)
         assert isinstance(results[0], FailedResult)
         assert results[0].retried
 

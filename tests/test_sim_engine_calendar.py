@@ -1,12 +1,12 @@
 """Differential tests: the calendar engine against the heap-engine oracle.
 
-The two backends promise bit-identical scheduling semantics — same firing
-order (nondecreasing time, FIFO at equal instants via seq), same
-``pending()`` accounting, same ``peek_time()`` — so randomized scheduling
-programs are run on both and every observable is compared. The audit
-subsystem's replay-digest matrix covers the same contract end-to-end on real
-experiments; these tests cover it at the kernel surface, where shrinking a
-failure is cheap.
+The engine and its heap reference (``HeapSimulator``, kept for this file)
+promise bit-identical scheduling semantics — same firing order
+(nondecreasing time, FIFO at equal instants via seq), same ``pending()``
+accounting, same ``peek_time()`` — so randomized scheduling programs are run
+on both and every observable is compared. The audit subsystem's golden
+digests cover the same contract end-to-end on real experiments; these tests
+cover it at the kernel surface, where shrinking a failure is cheap.
 
 Also home to the watchdog stalled-purge regression test (both engines): the
 wall-clock check must key on loop iterations, not executed events, or a
@@ -19,12 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.calendar import CalendarSimulator
-from repro.sim.engine import (
-    ENGINE_BACKENDS,
-    HeapSimulator,
-    Simulator,
-    make_simulator,
-)
+from repro.sim.engine import HeapSimulator
 
 ENGINES = [HeapSimulator, CalendarSimulator]
 #: exercise bucket-boundary behavior: one tiny-bucket and one huge-bucket
@@ -277,30 +272,3 @@ class TestWatchdogStalledPurge:
             importlib.import_module(type(sim).__module__).time,
             "monotonic", boom)
         assert sim.run(max_events=100) == 10
-
-
-class TestBackendSelection:
-    def test_default_is_calendar(self):
-        assert Simulator is CalendarSimulator
-        assert isinstance(make_simulator(), CalendarSimulator)
-
-    def test_explicit_backend(self):
-        assert isinstance(make_simulator("heap"), HeapSimulator)
-        assert isinstance(make_simulator("calendar"), CalendarSimulator)
-
-    def test_env_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "heap")
-        assert isinstance(make_simulator(), HeapSimulator)
-        # An explicit argument beats the environment.
-        assert isinstance(make_simulator("calendar"), CalendarSimulator)
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            make_simulator("splay-tree")
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            make_simulator()
-
-    def test_registry_contents(self):
-        assert ENGINE_BACKENDS == {"calendar": CalendarSimulator,
-                                   "heap": HeapSimulator}

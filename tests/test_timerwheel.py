@@ -1,4 +1,4 @@
-"""Unit tests for the hierarchical timer wheel and the credit plane
+"""Unit tests for the hierarchical timer wheel and the batched credit train
 (repro.sim.timerwheel, repro.transports.credit_plane — DESIGN.md §6i)."""
 
 import random
@@ -7,39 +7,9 @@ import pytest
 
 from repro.net.packet import CREDIT_WIRE_BYTES
 from repro.sim.engine import Simulator
-from repro.sim.timerwheel import (
-    CREDIT_PLANES,
-    CoarseTimer,
-    TimerWheel,
-    credit_plane_backend,
-    wheel_enabled,
-)
+from repro.sim.timerwheel import CoarseTimer, TimerWheel
 from repro.sim.units import SECONDS
-from repro.transports.credit_plane import CreditPlane, CreditTrain
-
-
-# ----------------------------------------------------------- backend knob
-
-
-class TestBackendResolution:
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CREDIT_PLANE", "wheel")
-        assert credit_plane_backend("legacy") == "legacy"
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CREDIT_PLANE", "legacy")
-        assert credit_plane_backend() == "legacy"
-        assert not wheel_enabled()
-
-    def test_default_is_wheel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CREDIT_PLANE", raising=False)
-        assert credit_plane_backend() == "wheel"
-        assert wheel_enabled()
-
-    def test_unknown_plane_rejected(self):
-        with pytest.raises(ValueError):
-            credit_plane_backend("bogus")
-        assert set(CREDIT_PLANES) == {"wheel", "legacy"}
+from repro.transports.credit_plane import CreditTrain
 
 
 # ------------------------------------------------------------- the wheel
@@ -146,11 +116,10 @@ class TestTimerWheel:
 
 
 class TestCoarseTimer:
-    @pytest.mark.parametrize("plane", ["wheel", "legacy"])
-    def test_arm_fire_rearm_cancel(self, plane):
+    def test_arm_fire_rearm_cancel(self):
         sim = Simulator()
         fired = []
-        timer = CoarseTimer(sim, lambda: fired.append(sim.now), plane=plane)
+        timer = CoarseTimer(sim, lambda: fired.append(sim.now))
         assert not timer.armed
         timer.arm(100)
         assert timer.armed
@@ -166,12 +135,10 @@ class TestCoarseTimer:
 
     def test_wheel_plane_uses_shared_wheel(self):
         sim = Simulator()
-        timer = CoarseTimer(sim, lambda: None, plane="wheel")
+        timer = CoarseTimer(sim, lambda: None)
         timer.arm(1_000_000)
         assert TimerWheel.for_sim(sim).pending() == 1
-        legacy = CoarseTimer(sim, lambda: None, plane="legacy")
-        legacy.arm(1_000_000)
-        assert TimerWheel.for_sim(sim).pending() == 1  # legacy stays off-wheel
+        assert sim.pending() == 1  # the tick meta-event, not the timer
 
 
 # ---------------------------------------------------------- credit plane
@@ -179,7 +146,7 @@ class TestCoarseTimer:
 
 class TestCreditTrain:
     def test_draw_sequence_matches_scalar_oracle(self):
-        """The batched train must replay the legacy per-credit draws bit
+        """The batched train must replay one-draw-per-credit pacing bit
         for bit: same RNG, same order, same max(1, int(...)) pricing —
         across multiple BATCH refills."""
         seed = 1 * 2654435761 % (1 << 31)
@@ -206,45 +173,3 @@ class TestCreditTrain:
         assert intervals == oracle
         # halving the rate doubles the base: later draws are repriced
         assert train._base_rate == 7.5e9
-
-
-class TestPlaneEquivalence:
-    def test_digest_identical_legacy_vs_wheel_on_tiny_cell(self):
-        """The PR's core proof obligation, at test scale: one audited
-        FlexPass cell replayed under both planes produces bit-identical
-        event digests (the full 15-cell matrix runs in CI via
-        ``repro audit --compare-credit-planes``)."""
-        from repro.audit.replay import compare_credit_planes
-        from tests.test_audit import audit_cfg
-
-        report = compare_credit_planes(audit_cfg())
-        assert report.match, (report.divergence_epoch, report.events_a,
-                              report.events_b)
-        assert report.total_events > 0
-
-
-class _FakeHost:
-    def __init__(self):
-        self._credit_plane = None
-
-
-class TestCreditPlane:
-    def test_for_host_is_singleton_per_host(self):
-        sim = Simulator()
-        h1, h2 = _FakeHost(), _FakeHost()
-        assert CreditPlane.for_host(sim, h1) is CreditPlane.for_host(sim, h1)
-        assert CreditPlane.for_host(sim, h1) is not CreditPlane.for_host(sim, h2)
-
-    def test_register_unregister_and_counters(self):
-        plane = CreditPlane(Simulator(), _FakeHost())
-        train = CreditTrain(random.Random(1))
-        plane.register(1, train)
-        plane.register(2)  # trainless (pHost-style) registration
-        assert plane.active == 2 and plane.registered_total == 2
-        plane.unregister(1)
-        plane.unregister(1)  # tolerant double-stop
-        plane.unregister(99)  # and stop-before-start
-        assert plane.active == 1
-        plane.note_emitted()
-        plane.note_emitted()
-        assert plane.emitted == 2

@@ -164,9 +164,11 @@ class TestRetransmitTimer:
     def test_arm_if_idle_does_not_restart(self):
         sim = Simulator()
         est = RttEstimator(min_rto_ns=4 * MILLIS)
-        timer = RetransmitTimer(sim, est, lambda: None)
+        fired = []
+        timer = RetransmitTimer(sim, est, lambda: fired.append(sim.now))
         timer.arm()
-        h1 = timer._handle or timer._timer  # whichever plane is active
         sim.run(until=1 * MILLIS)
+        assert timer.armed
         timer.arm_if_idle()
-        assert (timer._handle or timer._timer) is h1
+        sim.run(until=10 * MILLIS)
+        assert fired == [4 * MILLIS]  # the deadline set at t=0, not t=1 ms

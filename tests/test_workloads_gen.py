@@ -468,9 +468,9 @@ class TestAdapterStreamIdentity:
 
         from repro.experiments.runner import build_flow_specs, build_topology
         from repro.experiments.scenarios import make_scheme_setup
-        from repro.sim.engine import make_simulator
+        from repro.sim.engine import Simulator
 
-        sim = make_simulator()
+        sim = Simulator()
         setup = make_scheme_setup(cfg)
         clos = build_topology(sim, setup.queue_factory, cfg)
         specs, _ = build_flow_specs(cfg, clos, RngRegistry(cfg.seed))

@@ -35,7 +35,7 @@ from repro.net.packet import Dscp, Packet, PacketKind  # noqa: E402
 from repro.net.queues import PacketQueue, QueueConfig  # noqa: E402
 from repro.net.scheduler import PortScheduler, QueueSchedule  # noqa: E402
 from repro.net.topology import DumbbellSpec, build_dumbbell  # noqa: E402
-from repro.sim.engine import ENGINE_BACKENDS, make_simulator  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
 
 
 def _single_queue_factory(name, rate_bps, is_host_nic):
@@ -56,7 +56,7 @@ class _Recorder:
 
 def scenario_dispatch(n_events: int) -> dict:
     """Pure engine: schedule/execute ``n_events`` chained events."""
-    sim = make_simulator()
+    sim = Simulator()
     count = [0]
 
     def tick():
@@ -75,7 +75,7 @@ def scenario_dispatch(n_events: int) -> dict:
 
 def scenario_forwarding(n_packets: int) -> dict:
     """Fabric: push ``n_packets`` across a 3-hop dumbbell path."""
-    sim = make_simulator()
+    sim = Simulator()
     db = build_dumbbell(sim, _single_queue_factory, DumbbellSpec(n_pairs=1))
     rec = _Recorder()
     db.receivers[0].register_receiver(1, rec)
@@ -103,7 +103,7 @@ def scenario_telemetry(n_packets: int) -> dict:
     from repro.metrics.telemetry import TelemetrySampler
     from repro.sim.units import MILLIS
 
-    sim = make_simulator()
+    sim = Simulator()
     db = build_dumbbell(sim, _single_queue_factory, DumbbellSpec(n_pairs=1))
     rec = _Recorder()
     db.receivers[0].register_receiver(1, rec)
@@ -143,7 +143,7 @@ def scenario_audit(n_packets: int) -> dict:
     from repro.audit import AuditConfig, InvariantAuditor
     from repro.sim.units import MILLIS
 
-    sim = make_simulator()
+    sim = Simulator()
     db = build_dumbbell(sim, _single_queue_factory, DumbbellSpec(n_pairs=1))
     rec = _Recorder()
     db.receivers[0].register_receiver(1, rec)
@@ -389,14 +389,7 @@ def main(argv=None) -> int:
                     help="pstats sort key for --profile output")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="merge results into a BENCH_engine.json file")
-    ap.add_argument("--engine", choices=sorted(ENGINE_BACKENDS), default=None,
-                    help="event-engine backend (default: REPRO_SIM_ENGINE "
-                         "or the calendar engine); exported to the "
-                         "environment so sweep workers inherit it")
     args = ap.parse_args(argv)
-
-    if args.engine:
-        os.environ["REPRO_SIM_ENGINE"] = args.engine
 
     if args.scenario == "all":
         # "experiment" is a profiling target (a full run_experiment, ~15 s);
