@@ -32,7 +32,9 @@ from repro.net.packet import (
     alloc_packet,
     data_wire_size,
 )
-from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
+from repro.transports.base import (
+    CompletionCallback, FlowSpec, FlowStats, SegmentPayloads,
+)
 from repro.transports.congestion import DctcpWindow, DctcpWindowParams
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
 from repro.transports.crediting import CreditPacer
@@ -95,9 +97,7 @@ class FlexPassSender:
         self.spec = spec
         self.stats = stats
         self.params = params
-        self.buffer = SendBuffer(
-            [spec.segment_payload(i) for i in range(spec.n_segments)]
-        )
+        self.buffer = SendBuffer(SegmentPayloads(spec))
         # reactive sub-flow machinery (its own sequence space)
         if params.reactive_algorithm == "dctcp":
             self.window = DctcpWindow(params.reactive_window)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 
 class SegmentState(enum.IntEnum):
@@ -61,53 +61,73 @@ class SendBuffer:
     data), then the oldest unacked ``SENT_REACTIVE`` segment ("proactive
     retransmission" — the tail-latency optimization). The reactive sub-flow
     only ever takes ``PENDING`` segments.
+
+    A :class:`Segment` object exists only once the segment is first picked
+    or marked; an index that was never touched *is* ``PENDING``. A flow's
+    set-up and memory therefore follow the bytes it has sent, not its size.
     """
 
-    def __init__(self, payloads: List[int]) -> None:
+    def __init__(self, payloads: Sequence[int]) -> None:
         if not payloads:
             raise ValueError("a flow needs at least one segment")
-        self.segments = [Segment(i, p) for i, p in enumerate(payloads)]
+        self._payloads = payloads
+        self._n = len(payloads)
+        #: the segments touched so far, by index
+        self.segments: Dict[int, Segment] = {}
         self._next_pending = 0
-        self._back_pending = len(payloads) - 1
+        self._back_pending = self._n - 1
         self._lost_heap: List[int] = []
         self._reactive_heap: List[int] = []  # candidates for proactive rtx
         self.n_acked = 0
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return self._n
 
     @property
     def all_acked(self) -> bool:
-        return self.n_acked == len(self.segments)
+        return self.n_acked == self._n
 
     def state_of(self, idx: int) -> SegmentState:
-        return self.segments[idx].state
+        seg = self.segments.get(idx)
+        if seg is not None:
+            return seg.state
+        if not 0 <= idx < self._n:
+            raise IndexError(f"segment {idx} out of range")
+        return SegmentState.PENDING
+
+    def _materialize(self, idx: int) -> Segment:
+        """The segment at ``idx``, created ``PENDING`` on first use."""
+        if not 0 <= idx < self._n:
+            raise IndexError(f"segment {idx} out of range")
+        seg = self.segments[idx] = Segment(idx, self._payloads[idx])
+        return seg
 
     # ------------------------------------------------------------- picks
 
-    def _advance_pending(self) -> None:
-        segs = self.segments
-        while self._next_pending < len(segs) and (
-            segs[self._next_pending].state != SegmentState.PENDING
-        ):
-            self._next_pending += 1
-
     def peek_pending(self) -> Optional[Segment]:
         """Lowest-index PENDING segment, or None."""
-        self._advance_pending()
-        if self._next_pending < len(self.segments):
-            return self.segments[self._next_pending]
+        segs = self.segments
+        idx = self._next_pending
+        while idx < self._n:
+            seg = segs.get(idx)
+            if seg is None or seg.state == SegmentState.PENDING:
+                self._next_pending = idx
+                return seg or self._materialize(idx)
+            idx += 1
+        self._next_pending = idx
         return None
 
     def peek_pending_back(self) -> Optional[Segment]:
         """Highest-index PENDING segment (the RC3 variant's reactive pick)."""
         segs = self.segments
-        while self._back_pending >= 0 and (
-            segs[self._back_pending].state != SegmentState.PENDING
-        ):
-            self._back_pending -= 1
-        if self._back_pending >= 0:
-            return segs[self._back_pending]
+        idx = self._back_pending
+        while idx >= 0:
+            seg = segs.get(idx)
+            if seg is None or seg.state == SegmentState.PENDING:
+                self._back_pending = idx
+                return seg or self._materialize(idx)
+            idx -= 1
+        self._back_pending = idx
         return None
 
     def peek_lost(self) -> Optional[Segment]:
@@ -130,13 +150,10 @@ class SendBuffer:
             heapq.heappop(heap)
         return None
 
-    def has_pending_or_lost(self) -> bool:
-        return self.peek_lost() is not None or self.peek_pending() is not None
-
     # ------------------------------------------------------- transitions
 
     def mark_sent_reactive(self, idx: int, reactive_seq: int) -> None:
-        seg = self.segments[idx]
+        seg = self.segments.get(idx) or self._materialize(idx)
         if seg.state != SegmentState.PENDING:
             raise ValueError(
                 f"segment {idx}: reactive sub-flow may only send PENDING "
@@ -147,7 +164,7 @@ class SendBuffer:
         heapq.heappush(self._reactive_heap, idx)
 
     def mark_sent_proactive(self, idx: int, proactive_seq: int) -> None:
-        seg = self.segments[idx]
+        seg = self.segments.get(idx) or self._materialize(idx)
         if seg.state not in _TO_PROACTIVE_OK:
             raise ValueError(
                 f"segment {idx}: cannot send via proactive from {seg.state.name}"
@@ -158,7 +175,7 @@ class SendBuffer:
     def mark_lost(self, idx: int) -> bool:
         """Record a detected loss. Returns False if already ACKED/LOST (a
         stale detection), True if the segment newly entered LOST."""
-        seg = self.segments[idx]
+        seg = self.segments.get(idx) or self._materialize(idx)
         if seg.state in (SegmentState.ACKED, SegmentState.LOST):
             return False
         if seg.state == SegmentState.PENDING:
@@ -169,7 +186,7 @@ class SendBuffer:
 
     def mark_acked(self, idx: int) -> bool:
         """Returns True if the segment was newly acked."""
-        seg = self.segments[idx]
+        seg = self.segments.get(idx) or self._materialize(idx)
         if seg.state == SegmentState.ACKED:
             return False
         if seg.state == SegmentState.PENDING:
@@ -182,6 +199,7 @@ class SendBuffer:
 
     def state_counts(self) -> dict:
         counts = {s: 0 for s in SegmentState}
-        for seg in self.segments:
+        for seg in self.segments.values():
             counts[seg.state] += 1
+        counts[SegmentState.PENDING] += self._n - len(self.segments)
         return counts

@@ -210,14 +210,16 @@ def homa_queue_factory(n_prios: int = 8):
         schedules = []
         classifier: Dict[int, int] = {}
         for p in range(n_prios):
-            q = PacketQueue(QueueConfig(name=f"prio{p}"))
+            # prio 0 carries DCTCP and needs its ECN signal
+            q = PacketQueue(QueueConfig(
+                name=f"prio{p}",
+                ecn_threshold_bytes=65 * KB if p == 0 else None,
+            ))
             schedules.append(QueueSchedule(q, priority=p, weight=1.0))
             classifier[Dscp.HOMA_BASE + p] = p
         for d in (Dscp.LEGACY, Dscp.CREDIT, Dscp.PROACTIVE_DATA,
                   Dscp.REACTIVE_DATA, Dscp.FLEX_CONTROL):
             classifier[d.value] = 0
-        # give the DCTCP queue its ECN signal
-        schedules[0].queue.config.ecn_threshold_bytes = 65 * KB
         return schedules, classifier
 
     return factory

@@ -56,33 +56,13 @@ class SharedBuffer:
             raise RuntimeError("shared buffer accounting went negative")
 
 
-class UnlimitedBuffer:
-    """A no-op buffer for host NICs, which model deep sender queues."""
+class UnlimitedBuffer(SharedBuffer):
+    """The buffer of a host NIC, which models deep sender queues: a
+    :class:`SharedBuffer` whose capacity and threshold never bind, so every
+    packet is admitted while occupancy is still accounted (a release that
+    was never admitted raises, as on a switch)."""
 
-    __slots__ = ("used", "drops")
-
-    capacity = 1 << 62
-    alpha = 1.0
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self.used = 0
-        self.drops = 0
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.used
-
-    def threshold(self) -> float:
-        return float(self.capacity)
-
-    def try_admit(self, queue_bytes: int, pkt_bytes: int) -> bool:
-        self.used += pkt_bytes
-        return True
-
-    def release(self, pkt_bytes: int) -> None:
-        # Same guard as SharedBuffer: a negative occupancy means a packet
-        # was released twice (or released without being admitted), and
-        # letting it go silently negative masks the double-release.
-        self.used -= pkt_bytes
-        if self.used < 0:
-            raise RuntimeError("shared buffer accounting went negative")
+        super().__init__(1 << 62, alpha=1.0)

@@ -6,18 +6,27 @@ classified by DSCP into one of the port's queues, passes per-queue admission
 threshold), and finally waits for the two-level scheduler to pick it. The
 port serializes exactly one packet at a time onto its link.
 
-Hot-path structure (PR 3): transmissions are *coalesced* — at transmit start
-the port schedules the packet's arrival at the far end as one event
-(``link.carry_after``) and only schedules a second "wire free" event when
-something will actually need the wire at that instant (backlog remains, or a
-monitor wants the exact serialization-end callback). A pass-through packet on
-an idle port therefore costs one scheduled event per hop instead of two.
+Every port shape — the paper's paced credit queue over DWRR data queues
+(§4.1), the naive two-queue port, a single FIFO — runs the same two
+functions per hop: :meth:`EgressPort.enqueue`, and :meth:`EgressPort._serve`
+calling :meth:`PortScheduler.next`. ``enqueue`` applies admission, the buffer
+charge, ECN marking, the FIFO append and the ``QueueStats`` updates inline
+against the queue's own fields; the rules are those of
+``PacketQueue.admit/push`` and ``SharedBuffer.try_admit``, which stay as the
+readable form ``tests/test_net_port_flat.py`` compares against. "Is anything
+queued" is read off the queues' deques.
 
-Burst dequeue (PR 7): on a pacer-free, monitor-free port a backlog drains in
-bursts of up to :data:`EgressPort.BURST` packets per serve event — each
-packet's far-end arrival is scheduled at its own cumulative serialization
-end, so wire timing is unchanged, but the port pays one Python-level serve
-event per burst instead of one per packet (DESIGN.md §6h).
+Transmissions are *coalesced*: at transmit start the port schedules the
+packet's arrival at the far end as one event (``link.carry_after``) and posts
+a wire-free event — ``_serve`` itself — only when something will need the
+wire at that instant (backlog remains, or a monitor wants the exact
+serialization-end callback). Wire occupancy is a timestamp, ``_free_at``.
+Two shortcuts sit on that path, each explained where it is taken:
+*cut-through* in ``enqueue`` (idle wire, drained port, unpaced queue, no
+monitors) and *burst dequeue* in ``_serve`` (no pacer on any queue, no
+monitors). A wake armed for a token-starved paced queue is cancelled by every
+enqueue and armed afresh, never kept (see ``enqueue``).
+
 Shared-buffer bytes are released when the packet leaves its queue (transmit
 start): the buffer tracks *queued* bytes, the serializer slot is free
 (DESIGN.md §6d).
@@ -28,12 +37,14 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.link import Link
-from repro.net.packet import Packet
+from repro.net.packet import Color, Packet
 from repro.net.scheduler import PortScheduler, QueueSchedule
 from repro.sim.units import tx_time_ns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import EventHandle, Simulator
+
+_RED = int(Color.RED)
 
 #: Called with (now_ns, packet) when a packet finishes serializing.
 TxMonitor = Callable[[int, Packet], None]
@@ -43,10 +54,9 @@ class EgressPort:
     """An output port: classifier + queues + scheduler + serializer."""
 
     __slots__ = ("sim", "name", "rate_bps", "buffer", "scheduler", "_queues",
-                 "classifier", "link", "monitors", "dropped_unclassified",
-                 "_wake_handle", "_serve_pending", "_free_at", "_tx_cache",
-                 "_sched_next", "_has_backlog", "_q_unpaced", "_multi",
-                 "_batch_ok", "_buf_admit", "_buf_release", "_next_batch")
+                 "classifier", "link", "monitors", "_wake_handle",
+                 "_serve_pending", "_free_at", "_tx_cache", "_sched_next",
+                 "_fifos", "_q_unpaced", "_ct_rr", "_rr_pos", "_batch_ok")
 
     #: max packets committed to the wire per serve event (burst dequeue)
     BURST = 8
@@ -74,26 +84,26 @@ class EgressPort:
         self.classifier = classifier
         self.link = link
         self.monitors: List[TxMonitor] = []
-        self.dropped_unclassified = 0
         self._wake_handle: Optional["EventHandle"] = None
-        #: a "serve the next packet" event is queued (wire busy + work waiting)
+        #: a ``_serve`` event is queued (wire busy + work waiting)
         self._serve_pending = False
         #: the wire is serializing until this instant
         self._free_at = 0
         #: serialization delay per wire size — few distinct sizes per run
         self._tx_cache: Dict[int, int] = {}
-        #: bound-method caches; the scheduler and buffer never change after
-        #: construction (link splicing swaps ``self.link``, never these)
+        #: the scheduler never changes after construction (link splicing
+        #: swaps ``self.link``, never this)
         self._sched_next = self.scheduler.next
-        self._has_backlog = self.scheduler.has_backlog
-        self._next_batch = self.scheduler.next_batch
-        self._buf_admit = buffer.try_admit
-        self._buf_release = buffer.release
+        #: every queue's deque: "is the port drained" is read off these
+        self._fifos = self.scheduler.fifos
         #: per-queue-index flag: eligible for cut-through (no pacer)
         self._q_unpaced = [s.pacer is None for s in schedules]
-        self._multi = len(schedules) > 1
-        #: burst dequeue is valid only on a fully pacer-free port
-        self._batch_ok = self.scheduler.unpaced
+        #: what a cut-through stores into the scheduler's DWRR positions
+        self._ct_rr = self.scheduler.cut_through_rr
+        self._rr_pos = self.scheduler.rr_pos
+        #: burst dequeue is valid only on a fully pacer-free port, where
+        #: ``next(now)`` does not depend on ``now``
+        self._batch_ok = all(self._q_unpaced)
 
     @property
     def busy(self) -> bool:
@@ -112,27 +122,78 @@ class EgressPort:
                 f"port {self.name}: no queue configured for DSCP {pkt.dscp}"
             )
         queue = self._queues[qidx]
+        st = queue.stats
+        size = pkt.size
+        occupancy = queue.byte_count + size
+        red = pkt.color == _RED
+        # Per-queue admission: selective (color-aware) drop, then the cap.
+        if not queue.trivial_admit:
+            limit = queue._sel_drop
+            if limit is not None and red and queue.red_bytes + size > limit:
+                st.dropped_selective += 1
+                return False
+            limit = queue._cap
+            if limit is not None and occupancy > limit:
+                st.dropped_cap += 1
+                return False
+        # Shared buffer: hard capacity, then the dynamic threshold
+        # (``UnlimitedBuffer`` carries a capacity and alpha that never bind).
+        buf = self.buffer
+        used = buf.used
+        free = buf.capacity - used
+        if size > free or occupancy > buf.alpha * free:
+            buf.drops += 1
+            st.dropped_buffer += 1
+            return False
+        # DCTCP marking: the occupancy *including* this packet exceeds K.
+        if queue._marking and pkt.ecn_capable:
+            k = queue._mark_k
+            if k is None:
+                queue._maybe_mark(pkt)  # RED ramp
+            elif occupancy > k:
+                pkt.ce = True
+                st.ecn_marked += 1
+        st.enqueued += 1
+        st.bytes_enqueued += size
+        if occupancy > st.max_bytes:
+            st.max_bytes = occupancy
+        if red:
+            red_bytes = queue.red_bytes + size
+            if red_bytes > st.max_red_bytes:
+                st.max_red_bytes = red_bytes
         now = self.sim._now
-        if (not queue._fifo and not self._serve_pending
-                and now >= self._free_at
-                and self._q_unpaced[qidx] and not self.monitors
-                and not (self._multi and self._has_backlog())):
-            # Cut-through: idle wire, fully drained port, unpaced target
-            # queue, no exact tx-end observers — transmit right away without
-            # a FIFO round trip or a scheduler visit. Admission, stats, and
-            # ECN marking are byte-identical to the queued path (zero
-            # residence time), and with every queue empty the scheduler
-            # could only have picked this packet anyway.
-            return self._cut_through(qidx, queue, pkt)
-        if not (queue.trivial_admit or queue.admit(pkt)):
-            return False
-        if not self._buf_admit(queue.byte_count, pkt.size):
-            queue.count_buffer_drop()
-            return False
-        queue.push(pkt)
+        if (not self._serve_pending and now >= self._free_at
+                and self._q_unpaced[qidx] and not self.monitors):
+            for fifo in self._fifos:
+                if fifo:
+                    break
+            else:
+                # Cut-through: idle wire, fully drained port, unpaced target
+                # queue, no exact tx-end observers — transmit right away
+                # without a FIFO round trip or a scheduler visit. The packet
+                # has zero residence time, so it is never charged to the
+                # buffer, and with every queue empty the scheduler could
+                # only have picked this packet anyway.
+                st.dequeued += 1
+                rr = self._ct_rr[qidx]
+                if rr is not None:
+                    self._rr_pos[rr[0]] = rr[1]
+                txt = self._tx_cache.get(size)
+                if txt is None:
+                    txt = self._tx_cache[size] = tx_time_ns(size, self.rate_bps)
+                self._free_at = now + txt
+                self.link.carry_after(txt, pkt)
+                return True
+        queue._fifo.append(pkt)
+        queue.byte_count = occupancy
+        if red:
+            queue.red_bytes = red_bytes
+        buf.used = used + size
         if self._wake_handle is not None:
-            # A new packet can beat a paced queue's projected wake time;
-            # re-evaluate from scratch.
+            # A new packet can beat a paced queue's projected wake time.
+            # The wake is re-armed from scratch, never kept: its sequence
+            # number decides same-instant ties against packet arrivals, and
+            # an older one would reorder them.
             self._wake_handle.cancel()
             self._wake_handle = None
         if not self._serve_pending:
@@ -143,46 +204,10 @@ class EgressPort:
                 # in-flight packet left an empty backlog behind): arm the
                 # serve event this packet now needs.
                 self._serve_pending = True
-                self.sim.post_at(self._free_at, self._serve_event)
-        return True
-
-    def _cut_through(self, qidx: int, queue, pkt: Packet) -> bool:
-        """Admit-and-transmit for a packet meeting an idle, empty port."""
-        if not (queue.trivial_admit or queue.admit(pkt)):
-            return False
-        size = pkt.size
-        buf = self.buffer
-        # Same two checks as ``SharedBuffer.try_admit``, but the pool is
-        # never charged: the packet leaves its queue the instant it enters.
-        free = buf.capacity - buf.used
-        if size > free or size > buf.alpha * free:
-            buf.drops += 1
-            queue.count_buffer_drop()
-            return False
-        queue.record_transit(pkt)
-        if self._multi:
-            self.scheduler.note_cut_through(qidx)
-        txt = self._tx_cache.get(size)
-        if txt is None:
-            txt = tx_time_ns(size, self.rate_bps)
-            self._tx_cache[size] = txt
-        self._free_at = self.sim._now + txt
-        self.link.carry_after(txt, pkt)
+                self.sim.post_at(self._free_at, self._serve)
         return True
 
     # ------------------------------------------------------------------ TX
-
-    def _kick(self) -> None:
-        """(Re)start the transmit loop if the wire is idle."""
-        if self._wake_handle is not None:
-            self._wake_handle.cancel()
-            self._wake_handle = None
-        if not self._serve_pending and self.sim._now >= self._free_at:
-            self._serve()
-
-    def _serve_event(self) -> None:
-        self._serve_pending = False
-        self._serve()
 
     def _on_wake(self) -> None:
         self._wake_handle = None
@@ -190,23 +215,28 @@ class EgressPort:
             self._serve()
 
     def _serve(self) -> None:
-        """Start the next transmission(s). Call only when the wire is idle."""
+        """Start the next transmission(s). Runs only when the wire is idle:
+        called directly, or as the posted wire-free event."""
+        self._serve_pending = False
         sim = self.sim
         now = sim._now
-        pkt, wake = self._sched_next(now)
+        sched_next = self._sched_next
+        pkt, wake = sched_next(now)
         if pkt is None:
             if wake is not None:
-                self._wake_handle = sim.at(max(wake, now), self._on_wake)
+                self._wake_handle = sim.at(wake, self._on_wake)
             return
         size = pkt.size
         tx_cache = self._tx_cache
         txt = tx_cache.get(size)
         if txt is None:
-            txt = tx_time_ns(size, self.rate_bps)
-            tx_cache[size] = txt
+            txt = tx_cache[size] = tx_time_ns(size, self.rate_bps)
         # The packet left its queue: its bytes stop counting against the
         # shared buffer now (the buffer limits *queued* bytes).
-        self._buf_release(size)
+        buf = self.buffer
+        buf.used -= size
+        if buf.used < 0:
+            raise RuntimeError("shared buffer accounting went negative")
         if self.monitors:
             # Exact serialization-end semantics for monitors: a dedicated
             # tx-done event fires them at the moment the wire goes idle.
@@ -216,7 +246,7 @@ class EgressPort:
             return
         link = self.link
         link.carry_after(txt, pkt)
-        if self._batch_ok and self._has_backlog():
+        if self._batch_ok:
             # Burst dequeue: commit up to BURST packets back-to-back onto
             # the wire in ONE serve event instead of one event per packet.
             # Each packet's arrival is scheduled at its own serialization
@@ -226,25 +256,29 @@ class EgressPort:
             # burst start. Valid only because this port has no pacers (the
             # scheduler's pick sequence is time-independent) and no
             # monitors (no exact per-packet tx-end observers).
-            buf_release = self._buf_release
-            for pkt in self._next_batch(now, self.BURST - 1):
+            for _ in range(self.BURST - 1):
+                pkt, _ = sched_next(now)
+                if pkt is None:
+                    break
                 size = pkt.size
                 ptxt = tx_cache.get(size)
                 if ptxt is None:
-                    ptxt = tx_time_ns(size, self.rate_bps)
-                    tx_cache[size] = ptxt
-                buf_release(size)
+                    ptxt = tx_cache[size] = tx_time_ns(size, self.rate_bps)
+                buf.used -= size
+                if buf.used < 0:
+                    raise RuntimeError("shared buffer accounting went negative")
                 txt += ptxt
                 link.carry_after(txt, pkt)
         self._free_at = now + txt
-        if self._has_backlog():
-            self._serve_pending = True
-            sim.post(txt, self._serve_event)
+        for fifo in self._fifos:
+            if fifo:
+                self._serve_pending = True
+                sim.post(txt, self._serve)
+                break
         # else: coalesced fast path — no tx-done event; the next enqueue
         # (or nothing) decides what happens when the wire frees.
 
     def _tx_done(self, pkt: Packet) -> None:
-        self._serve_pending = False
         now = self.sim.now
         for monitor in self.monitors:
             monitor(now, pkt)
@@ -254,7 +288,7 @@ class EgressPort:
     # ------------------------------------------------------------- helpers
 
     def backlog_bytes(self) -> int:
-        return self.scheduler.total_backlog()
+        return sum(q.byte_count for q in self._queues)
 
     def queue(self, idx: int):
-        return self.scheduler.queue(idx)
+        return self._queues[idx]

@@ -13,20 +13,26 @@ A :class:`PacketQueue` implements the paper's per-queue switch features:
 
 Shared-buffer dynamic thresholds live one level up (:mod:`repro.net.buffering`)
 because they need switch-wide state.
+
+``admit``/``push``/``pop`` state those rules readably; the per-packet path
+(:mod:`repro.net.port`, :mod:`repro.net.scheduler`) applies them inline
+against this queue's fields, and ``tests/test_net_port_flat.py`` holds the
+two forms equal.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.net.packet import Color, Packet
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueueConfig:
-    """Configuration of one egress queue."""
+    """Configuration of one egress queue. Frozen: the queue caches its
+    thresholds at construction, so a later edit could only go unnoticed."""
 
     name: str = "q"
     #: Static byte cap; ``None`` means only the shared buffer limits growth.
@@ -59,29 +65,31 @@ class PacketQueue:
     """A FIFO byte queue with ECN marking and selective dropping."""
 
     __slots__ = ("config", "stats", "_fifo", "byte_count", "red_bytes",
-                 "_mark_rng", "_backlog_watcher", "_marking", "trivial_admit")
+                 "_mark_rng", "_marking", "_mark_k", "_cap", "_sel_drop",
+                 "trivial_admit", "_starved_until")
 
     def __init__(self, config: QueueConfig, mark_rng=None) -> None:
         self.config = config
         self.stats = QueueStats()
+        #: never rebound: the port and scheduler hold aliases of this deque
         self._fifo: Deque[Packet] = deque()
         self.byte_count = 0
         self.red_bytes = 0
         self._mark_rng = mark_rng  # only needed when red_max_bytes is set
-        self._backlog_watcher = None
-        #: precomputed so the per-push path skips a call when ECN is off
+        # Thresholds as the inlined per-packet path reads them.
         self._marking = config.ecn_threshold_bytes is not None
-        #: with no cap and no selective threshold, admit() is identically
-        #: True — the egress port skips the call on its per-packet path
-        self.trivial_admit = (config.capacity_bytes is None
-                              and config.selective_drop_bytes is None)
-
-    def set_backlog_watcher(self, watcher) -> None:
-        """Register ``watcher(nonempty: bool)``, called on every transition
-        between empty and non-empty. A scheduler uses this to keep per-class
-        backlog counts without scanning its queues on each dequeue; a queue
-        supports at most one watcher (re-registering replaces it)."""
-        self._backlog_watcher = watcher
+        #: hard marking threshold; ``None`` with ``_marking`` set means a
+        #: RED ramp, which goes through :meth:`_maybe_mark`
+        self._mark_k = (None if config.red_max_bytes is not None
+                        else config.ecn_threshold_bytes)
+        self._cap = config.capacity_bytes
+        self._sel_drop = config.selective_drop_bytes
+        #: with no cap and no selective threshold, admit() is identically True
+        self.trivial_admit = self._cap is None and self._sel_drop is None
+        #: pacer memo, owned by the scheduler that paces this queue: the
+        #: head packet lacks tokens until this instant (0 = nothing known).
+        #: Every pop clears it, since a pop changes the head and spends tokens.
+        self._starved_until = 0
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -114,8 +122,6 @@ class PacketQueue:
         if self._marking and pkt.ecn_capable:
             self._maybe_mark(pkt)
         self._fifo.append(pkt)
-        if len(self._fifo) == 1 and self._backlog_watcher is not None:
-            self._backlog_watcher(True)
         self.byte_count += pkt.size
         if pkt.color == Color.RED:
             self.red_bytes += pkt.size
@@ -130,40 +136,12 @@ class PacketQueue:
     def pop(self) -> Packet:
         """Dequeue the head packet."""
         pkt = self._fifo.popleft()
-        if not self._fifo and self._backlog_watcher is not None:
-            self._backlog_watcher(False)
+        self._starved_until = 0
         self.byte_count -= pkt.size
         if pkt.color == Color.RED:
             self.red_bytes -= pkt.size
         self.stats.dequeued += 1
         return pkt
-
-    def count_buffer_drop(self) -> None:
-        """Record a drop decided by the shared-buffer manager."""
-        self.stats.dropped_buffer += 1
-
-    def record_transit(self, pkt: Packet) -> None:
-        """Account for a packet that passes straight through this queue with
-        zero residence time (the egress port's cut-through fast path).
-
-        Produces exactly the counters and ECN marking a ``push`` followed by
-        an immediate ``pop`` would, without touching the FIFO or the
-        backlog watcher (the queue never becomes non-empty).
-        """
-        if self._marking and pkt.ecn_capable:
-            self._maybe_mark(pkt)
-        size = pkt.size
-        st = self.stats
-        st.enqueued += 1
-        st.dequeued += 1
-        st.bytes_enqueued += size
-        occupancy = self.byte_count + size
-        if occupancy > st.max_bytes:
-            st.max_bytes = occupancy
-        if pkt.color == Color.RED:
-            red = self.red_bytes + size
-            if red > st.max_red_bytes:
-                st.max_red_bytes = red
 
     def _maybe_mark(self, pkt: Packet) -> None:
         cfg = self.config

@@ -63,6 +63,29 @@ class TokenBucket:
             raise RuntimeError("token bucket overdrawn; call can_send first")
         self._units -= need
 
+    def take(self, now_ns: int, nbytes: int) -> int:
+        """Spend ``nbytes`` if the bucket covers them and return 0; otherwise
+        spend nothing and return the eligible instant (always ``> now_ns``).
+
+        Exactly ``consume`` when ``can_send`` holds and ``eligible_at`` when
+        it does not, in one refill: what the egress scheduler calls per paced
+        serve, with that triple as the reference the tests compare it to.
+        """
+        units = self._units
+        if now_ns > self._last_ns:
+            units += (now_ns - self._last_ns) * self.rate_bps
+            cap = self.bucket_bytes * _UNITS_PER_BYTE
+            if units > cap:
+                units = cap
+            self._last_ns = now_ns
+        need = nbytes * _UNITS_PER_BYTE
+        if units >= need:
+            self._units = units - need
+            return 0
+        self._units = units
+        rate = self.rate_bps
+        return now_ns + (need - units + rate - 1) // rate
+
     def eligible_at(self, now_ns: int, nbytes: int) -> int:
         """Earliest time at which ``nbytes`` tokens will be available.
 

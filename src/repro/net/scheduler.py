@@ -10,12 +10,24 @@ whenever the wire goes idle. The call returns either a packet, or the
 earliest future time at which one *could* become eligible (a paced queue
 waiting for tokens), or neither (everything empty).
 
-``next`` runs once per transmitted packet, so it allocates nothing: each
-priority class keeps a backlog counter that the member queues update on the
-empty/non-empty transitions of ``push``/``pop`` (see
-:meth:`repro.net.queues.PacketQueue.set_backlog_watcher`), and the DWRR loop
-catches a starved small-weight queue up in O(1) bulk steps instead of one
-quantum per pass (see :meth:`_serve_dwrr`).
+``next`` runs once per transmitted packet and is one flat function on every
+common port shape: it reads backlog straight off the member queues' deques,
+dequeues inline (the same field updates as :meth:`PacketQueue.pop`), and
+pays one fused :meth:`TokenBucket.take` per paced serve. Only a DWRR class
+whose members are all backlogged (or that has more than two members) leaves
+it, for the round loop of :meth:`_serve_dwrr`, which catches a starved
+small-weight queue up in O(1) bulk steps instead of one quantum per pass.
+
+**Pacer memo.** When a paced queue's head lacks tokens, ``take`` reports the
+instant ``T`` at which the bucket will cover it, and the scheduler records
+``T`` on the queue. Until ``T`` a serve that meets that head costs one
+comparison. The memo is exact, not a heuristic: the bucket is integer and
+path-independent, so with nobody spending from it the answer at any instant
+before ``T`` is still ``T``; and the only events that spend its tokens or
+change the queue's head are pops of that queue, each of which clears the
+memo. A pacer therefore belongs to exactly one queue. (A head larger than
+the bucket depth can never be covered; it is not memoized, so such a
+misconfigured port keeps its old re-probing behaviour.)
 """
 
 from __future__ import annotations
@@ -24,13 +36,15 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.net.packet import MSS, DATA_HEADER_BYTES, Packet
+from repro.net.packet import MSS, DATA_HEADER_BYTES, Color, Packet
 from repro.net.queues import PacketQueue
 from repro.net.ratelimit import TokenBucket
 
 #: DWRR quantum granted per round at weight 1.0 — one full-size data packet,
 #: so weighted shares converge within a few rounds.
 _BASE_QUANTUM = MSS + DATA_HEADER_BYTES
+
+_RED = int(Color.RED)
 
 
 @dataclass
@@ -46,23 +60,28 @@ class QueueSchedule:
     pacer: Optional[TokenBucket] = None
 
 
-class _DwrrState:
-    __slots__ = ("deficit",)
+class _Member:
+    """One queue as ``next`` sees it: the schedule row, flattened, plus the
+    queue's DWRR deficit."""
 
-    def __init__(self) -> None:
+    __slots__ = ("queue", "fifo", "stats", "pacer", "weight", "quantum",
+                 "deficit")
+
+    def __init__(self, sched: QueueSchedule) -> None:
+        self.queue = sched.queue
+        self.fifo = sched.queue._fifo
+        self.stats = sched.queue.stats
+        self.pacer = sched.pacer
+        self.weight = sched.weight
+        self.quantum = _BASE_QUANTUM * sched.weight
         self.deficit = 0.0
 
 
 class PortScheduler:
-    """Strict-priority + DWRR scheduler over a fixed set of queues.
+    """Strict-priority + DWRR scheduler over a fixed set of queues."""
 
-    The scheduler takes ownership of its queues' backlog watcher slot; a
-    :class:`PacketQueue` can belong to at most one scheduler.
-    """
-
-    __slots__ = ("_schedules", "_classes", "_dwrr", "_rr_pos", "_backlog",
-                 "_class_of", "_pos_of", "_sole_idx", "_sole_queue",
-                 "_sole_unpaced", "unpaced")
+    __slots__ = ("_schedules", "_classes", "fifos", "rr_pos",
+                 "cut_through_rr")
 
     def __init__(self, schedules: List[QueueSchedule]) -> None:
         if not schedules:
@@ -74,48 +93,30 @@ class PortScheduler:
                     f"(a zero-weight queue would never accumulate deficit)"
                 )
         self._schedules = schedules
-        # Group queue indices by priority, best priority first.
-        prios = sorted({s.priority for s in schedules})
-        self._classes: List[List[int]] = [
-            [i for i, s in enumerate(schedules) if s.priority == p] for p in prios
-        ]
-        self._dwrr = [_DwrrState() for _ in schedules]
-        self._rr_pos = [0] * len(self._classes)
-        # Per-class count of non-empty member queues, maintained by watcher
-        # callbacks on the queues' empty/non-empty transitions so ``next``
-        # never scans (or allocates a list of) the members.
-        self._backlog = [0] * len(self._classes)
-        for class_idx, members in enumerate(self._classes):
-            for i in members:
-                q = schedules[i].queue
-                if not q.empty:
-                    self._backlog[class_idx] += 1
-                q.set_backlog_watcher(self._make_watcher(class_idx))
-        #: reverse maps for :meth:`note_cut_through`
-        self._class_of = [0] * len(schedules)
-        self._pos_of = [0] * len(schedules)
-        for class_idx, members in enumerate(self._classes):
-            for pos, i in enumerate(members):
-                self._class_of[i] = class_idx
-                self._pos_of[i] = pos
-        #: fast path: the ubiquitous single-queue port skips classing entirely
-        self._sole_idx: Optional[int] = 0 if len(schedules) == 1 else None
-        self._sole_queue: Optional[PacketQueue] = (
-            schedules[0].queue if len(schedules) == 1 else None
-        )
-        self._sole_unpaced = (self._sole_queue is not None
-                              and schedules[0].pacer is None)
-        #: no queue is paced anywhere: ``next(now)`` is time-independent,
-        #: which is what makes batched dequeue (:meth:`next_batch`) valid
-        self.unpaced = all(s.pacer is None for s in schedules)
-
-    def _make_watcher(self, class_idx: int):
-        backlog = self._backlog
-
-        def watcher(nonempty: bool) -> None:
-            backlog[class_idx] += 1 if nonempty else -1
-
-        return watcher
+        members = [_Member(s) for s in schedules]
+        #: every queue's deque, for the backlog test (the port reads it too)
+        self.fifos = tuple(m.fifo for m in members)
+        #: per priority class, best first: (class index, its sole member or
+        #: None, all members)
+        self._classes = []
+        #: per class: the member position the next DWRR round starts at
+        self.rr_pos = []
+        #: per queue index: ``(class index, rr position)`` to store into
+        #: ``rr_pos`` when a packet cuts through that queue on an otherwise
+        #: empty port — the state a one-packet serve would leave, the DWRR
+        #: position advanced past the served queue — or ``None`` for a class
+        #: of one. (Deficits need no touch-up: every queue was empty, so
+        #: every deficit was already forfeited to zero, and a serve that
+        #: immediately drains its queue resets its own deficit as well.)
+        self.cut_through_rr: List[Optional[Tuple[int, int]]] = [None] * len(schedules)
+        for ci, prio in enumerate(sorted({s.priority for s in schedules})):
+            idxs = [i for i, s in enumerate(schedules) if s.priority == prio]
+            rows = tuple(members[i] for i in idxs)
+            self._classes.append((ci, rows[0] if len(rows) == 1 else None, rows))
+            self.rr_pos.append(0)
+            if len(idxs) > 1:
+                for pos, i in enumerate(idxs):
+                    self.cut_through_rr[i] = (ci, (pos + 1) % len(idxs))
 
     @property
     def queues(self) -> List[PacketQueue]:
@@ -127,19 +128,10 @@ class PortScheduler:
         (read-only view for instrumentation such as telemetry)."""
         return tuple(self._schedules)
 
-    def queue(self, idx: int) -> PacketQueue:
-        return self._schedules[idx].queue
-
-    def total_backlog(self) -> int:
-        return sum(s.queue.byte_count for s in self._schedules)
-
     def has_backlog(self) -> bool:
-        """True when any queue holds at least one packet. O(#classes), no
-        allocation — the egress port calls this once per transmission."""
-        if self._sole_queue is not None:
-            return not self._sole_queue.empty
-        for count in self._backlog:
-            if count:
+        """True when any queue holds at least one packet."""
+        for fifo in self.fifos:
+            if fifo:
                 return True
         return False
 
@@ -147,92 +139,87 @@ class PortScheduler:
         """Pick the next packet to transmit.
 
         Returns ``(packet, None)`` when a packet is ready, ``(None, t)`` when
-        the only backlogged queues are paced and become eligible at ``t``,
-        and ``(None, None)`` when all queues are empty.
+        the only backlogged queues are paced and become eligible at ``t``
+        (always later than ``now_ns``), and ``(None, None)`` when all queues
+        are empty.
         """
-        if self._sole_unpaced:
-            # Single unpaced queue (every switch port in the legacy/baseline
-            # configs): a bare pop, no classing, no pacer bookkeeping.
-            q = self._sole_queue
-            if q._fifo:
-                return q.pop(), None
-            return None, None
-        if self._sole_idx is not None:
-            return self._serve_single(self._sole_idx, now_ns)
         wake: Optional[int] = None
-        backlog = self._backlog
-        for class_idx, members in enumerate(self._classes):
-            if not backlog[class_idx]:
-                continue
-            if len(members) == 1:
-                pkt, class_wake = self._serve_single(members[0], now_ns)
+        for ci, m, members in self._classes:
+            if m is not None:
+                # ---- a class of one: strict priority, optionally paced
+                fifo = m.fifo
+                if not fifo:
+                    continue
+                q = m.queue
+                pacer = m.pacer
+                if pacer is not None:
+                    t = q._starved_until
+                    if now_ns >= t:
+                        size = fifo[0].size
+                        t = pacer.take(now_ns, size)
+                        if t and size <= pacer.bucket_bytes:
+                            q._starved_until = t
+                    if t:
+                        # Backlogged-but-paced does NOT block lower classes:
+                        # the port stays work-conserving (§4.1 — data may
+                        # use the wire while credits wait for tokens).
+                        if wake is None or t < wake:
+                            wake = t
+                        continue
+                    q._starved_until = 0
             else:
-                pkt, class_wake = self._serve_dwrr(class_idx, members, now_ns)
-            if pkt is not None:
-                return pkt, None
-            if class_wake is not None and (wake is None or class_wake < wake):
-                wake = class_wake
-            # A higher-priority class that is backlogged-but-paced does NOT
-            # block lower classes: the port stays work-conserving (§4.1 —
-            # data may use the wire while credits wait for tokens).
+                # ---- a DWRR class
+                if len(members) == 2:
+                    m, idle = members
+                    pos = 0
+                    if not m.fifo:
+                        if not idle.fifo:
+                            continue
+                        m, idle = idle, m
+                        pos = 1
+                    elif idle.fifo:
+                        m = None  # both backlogged
+                if m is None or m.pacer is not None:
+                    pkt, t = self._serve_dwrr(ci, members, now_ns)
+                    if pkt is not None:
+                        return pkt, None
+                    if t is not None and (wake is None or t < wake):
+                        wake = t
+                    continue
+                # Solo backlog: with one member empty, the round loop
+                # degenerates — the empty queue forfeits its deficit every
+                # round while the survivor accumulates quanta until its head
+                # is covered. Both effects have closed forms; the resulting
+                # deficits and rr position are bit-identical to running the
+                # rounds one by one.
+                idle.deficit = 0.0
+                fifo = m.fifo
+                q = m.queue
+                size = fifo[0].size
+                d = m.deficit
+                if d < size:
+                    quantum = m.quantum
+                    d += math.ceil((size - d) / quantum) * quantum
+                if len(fifo) == 1:
+                    m.deficit = 0.0
+                    self.rr_pos[ci] = 1 - pos
+                else:
+                    m.deficit = d - size
+                    self.rr_pos[ci] = pos
+            # ---- dequeue: the field updates of ``PacketQueue.pop``
+            pkt = fifo.popleft()
+            size = pkt.size
+            q.byte_count -= size
+            if pkt.color == _RED:
+                q.red_bytes -= size
+            m.stats.dequeued += 1
+            return pkt, None
         return None, wake
 
-    def note_cut_through(self, idx: int) -> None:
-        """Reproduce the state a one-packet serve through an otherwise-empty
-        port would leave: the DWRR position advances past the served queue.
-        (Deficits need no touch-up — every queue was empty, so every deficit
-        was already forfeited to zero, and a serve that immediately drains
-        its queue resets the survivor's deficit to zero as well.)"""
-        class_idx = self._class_of[idx]
-        members = self._classes[class_idx]
-        n = len(members)
-        if n > 1:
-            self._rr_pos[class_idx] = (self._pos_of[idx] + 1) % n
-
-    def next_batch(self, now_ns: int, limit: int) -> List[Packet]:
-        """Dequeue up to ``limit`` ready packets at one instant.
-
-        Valid only on a pacer-free scheduler (``unpaced``): without pacers,
-        :meth:`next` depends on queue state alone — never on ``now_ns`` —
-        so repeated calls at a fixed instant pick exactly the packets that
-        consecutive single dequeues at later instants would have picked.
-        With a pacer in play that equivalence breaks (tokens accrue between
-        transmissions), so the egress port never batches a paced port.
-        """
-        q = self._sole_queue
-        if q is not None and self._sole_unpaced:
-            # The ubiquitous single-queue port: bare pops, no classing.
-            batch = []
-            while q._fifo and len(batch) < limit:
-                batch.append(q.pop())
-            return batch
-        batch = []
-        while len(batch) < limit:
-            pkt, _ = self.next(now_ns)
-            if pkt is None:
-                break
-            batch.append(pkt)
-        return batch
-
-    def _serve_single(
-        self, idx: int, now_ns: int
-    ) -> Tuple[Optional[Packet], Optional[int]]:
-        sched = self._schedules[idx]
-        q = sched.queue
-        head = q.head()
-        if head is None:
-            return None, None
-        pacer = sched.pacer
-        if pacer is not None:
-            if not pacer.can_send(now_ns, head.size):
-                return None, pacer.eligible_at(now_ns, head.size)
-            pacer.consume(now_ns, head.size)
-        return q.pop(), None
-
     def _serve_dwrr(
-        self, class_idx: int, members: List[int], now_ns: int
+        self, class_idx: int, members: Tuple[_Member, ...], now_ns: int
     ) -> Tuple[Optional[Packet], Optional[int]]:
-        """One-packet-at-a-time Deficit Round Robin.
+        """One-packet-at-a-time Deficit Round Robin, the general case.
 
         Empty queues forfeit their deficit (classic DRR), so an idle
         transport cannot bank credit and later burst past its weight.
@@ -248,90 +235,58 @@ class PortScheduler:
         either some queue's head becomes serveable, or every backlogged
         queue is paced-and-short-of-tokens and a wake time is returned.
         """
-        pos = self._rr_pos[class_idx]
+        pos = self.rr_pos[class_idx]
         n = len(members)
         wake: Optional[int] = None
-        schedules = self._schedules
-        dwrr = self._dwrr
-        if n == 2:
-            # Solo-backlog fast path: with one member empty, the round loop
-            # below degenerates — the empty queue forfeits its deficit every
-            # round while the survivor accumulates quanta until its head is
-            # covered. Both effects have closed forms, so compute them
-            # directly; the resulting deficits and rr position are
-            # bit-identical to running the rounds one by one.
-            i0, i1 = members
-            f0 = schedules[i0].queue._fifo
-            f1 = schedules[i1].queue._fifo
-            if bool(f0) != bool(f1):
-                solo, idle = (i0, i1) if f0 else (i1, i0)
-                sched = schedules[solo]
-                if sched.pacer is None:
-                    dwrr[idle].deficit = 0.0
-                    state = dwrr[solo]
-                    q = sched.queue
-                    size = q.head().size
-                    d = state.deficit
-                    if d < size:
-                        quantum = _BASE_QUANTUM * sched.weight
-                        d += math.ceil((size - d) / quantum) * quantum
-                    state.deficit = d - size
-                    pkt = q.pop()
-                    pos = members.index(solo)
-                    if q.empty:
-                        state.deficit = 0.0
-                        pos += 1
-                    self._rr_pos[class_idx] = pos % n
-                    return pkt, None
         while True:
             progressed = False  # any deficit grew this round
             for _ in range(n):
-                idx = members[pos % n]
-                sched = schedules[idx]
-                q = sched.queue
-                state = dwrr[idx]
-                head = q.head()
-                if head is None:
-                    state.deficit = 0.0
+                m = members[pos % n]
+                fifo = m.fifo
+                if not fifo:
+                    m.deficit = 0.0
                     pos += 1
                     continue
-                if state.deficit < head.size:
-                    state.deficit += _BASE_QUANTUM * sched.weight
+                size = fifo[0].size
+                if m.deficit < size:
+                    m.deficit += m.quantum
                     progressed = True
                     pos += 1
                     continue
-                pacer = sched.pacer
+                pacer = m.pacer
                 if pacer is not None:
-                    if not pacer.can_send(now_ns, head.size):
-                        t = pacer.eligible_at(now_ns, head.size)
+                    q = m.queue
+                    t = q._starved_until
+                    if now_ns >= t:
+                        t = pacer.take(now_ns, size)
+                        if t and size <= pacer.bucket_bytes:
+                            q._starved_until = t
+                    if t:
                         if wake is None or t < wake:
                             wake = t
                         pos += 1
                         continue
-                    pacer.consume(now_ns, head.size)
-                state.deficit -= head.size
-                pkt = q.pop()
-                if q.empty:
-                    state.deficit = 0.0
+                m.deficit -= size
+                pkt = m.queue.pop()
+                if not fifo:
+                    m.deficit = 0.0
                     pos += 1
-                self._rr_pos[class_idx] = pos % n
+                self.rr_pos[class_idx] = pos % n
                 return pkt, None
             if not progressed:
                 # Every backlogged queue already holds enough deficit but is
                 # paced and short of tokens: report the earliest wake time.
-                self._rr_pos[class_idx] = pos % n
+                self.rr_pos[class_idx] = pos % n
                 return None, wake
             # Bulk catch-up: the smallest number of further whole rounds any
             # backlogged queue needs before its deficit covers its head.
             rounds: Optional[int] = None
-            for idx in members:
-                sched = schedules[idx]
-                head = sched.queue.head()
-                if head is None:
+            for m in members:
+                if not m.fifo:
                     continue
-                need = head.size - dwrr[idx].deficit
+                need = m.fifo[0].size - m.deficit
                 if need <= 0:
-                    if sched.pacer is None:
+                    if m.pacer is None:
                         # An unpaced queue that crossed its head size after
                         # its visit this round serves on the very next one:
                         # there are no empty rounds to skip.
@@ -341,7 +296,7 @@ class PortScheduler:
                     # instant no matter how many rounds pass — it does not
                     # bound the jump.
                     continue
-                r = math.ceil(need / (_BASE_QUANTUM * sched.weight))
+                r = math.ceil(need / m.quantum)
                 if rounds is None or r < rounds:
                     rounds = r
             if rounds is not None and rounds > 1:
@@ -351,9 +306,6 @@ class PortScheduler:
                 # ``rounds`` none of them crosses its head size early, so the
                 # jump is exactly equivalent to running the rounds one by one.
                 extra = rounds - 1
-                for idx in members:
-                    sched = schedules[idx]
-                    head = sched.queue.head()
-                    state = dwrr[idx]
-                    if head is not None and state.deficit < head.size:
-                        state.deficit += extra * _BASE_QUANTUM * sched.weight
+                for m in members:
+                    if m.fifo and m.deficit < m.fifo[0].size:
+                        m.deficit += extra * _BASE_QUANTUM * m.weight

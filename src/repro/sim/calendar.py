@@ -64,11 +64,12 @@ class CalendarSimulator:
     #: the calendar *and* they make up at least half of it
     COMPACT_MIN_CANCELLED = 256
 
-    #: default bucket width exponent: 2**14 ns = ~16.4 us per bucket.
-    #: Swept empirically (DESIGN.md §6h): narrower buckets pay one
-    #: sort+advance per handful of events; wider ones buy nothing until
-    #: the per-bucket sort grows noticeable around 2**18.
-    BUCKET_BITS = 14
+    #: default bucket width exponent: 2**10 ns = ~1 us per bucket.
+    #: Swept on the four benchmark workloads (DESIGN.md §6h). An event
+    #: scheduled into the bucket being drained costs an ``insort`` whose
+    #: memmove grows with the bucket, and at 192 hosts a 16 us bucket holds
+    #: ~28k events; below ~1 us the per-bucket sort+advance overhead wins.
+    BUCKET_BITS = 10
 
     def __init__(self, bucket_bits: Optional[int] = None) -> None:
         if bucket_bits is None:

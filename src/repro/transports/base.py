@@ -7,6 +7,7 @@ and the flow completes when the receiver has every unique byte.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
@@ -49,6 +50,23 @@ class FlowSpec:
         if idx == self.n_segments - 1:
             return self.size_bytes - idx * MSS
         return MSS
+
+
+class SegmentPayloads(Sequence):
+    """``FlowSpec.segment_payload`` as a sequence: a sender can size its
+    state by ``len`` and look payloads up on demand without holding one
+    entry per segment of a flow it may never finish."""
+
+    __slots__ = ("_spec",)
+
+    def __init__(self, spec: FlowSpec) -> None:
+        self._spec = spec
+
+    def __len__(self) -> int:
+        return self._spec.n_segments
+
+    def __getitem__(self, idx: int) -> int:
+        return self._spec.segment_payload(idx)
 
 
 @dataclass

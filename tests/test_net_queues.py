@@ -132,25 +132,6 @@ class TestEcnMarking:
         assert p.ce
 
 
-class TestBacklogWatcher:
-    def test_transitions_fire_watcher(self):
-        q = PacketQueue(QueueConfig())
-        events = []
-        q.set_backlog_watcher(events.append)
-        q.push(mk_pkt())       # empty -> nonempty
-        q.push(mk_pkt())       # still nonempty: no event
-        q.pop()                # still nonempty: no event
-        q.pop()                # nonempty -> empty
-        q.push(mk_pkt())       # empty -> nonempty again
-        assert events == [True, False, True]
-
-    def test_no_watcher_is_fine(self):
-        q = PacketQueue(QueueConfig())
-        q.push(mk_pkt())
-        q.pop()
-        assert q.empty
-
-
 class TestSelectiveDropping:
     def test_red_dropped_over_threshold(self):
         q = PacketQueue(QueueConfig(selective_drop_bytes=2000))

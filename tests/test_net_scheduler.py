@@ -199,31 +199,37 @@ class TestDwrrSmallWeights:
             mk_sched((1, -1.0, None))
 
 
-class TestBacklogCache:
-    def test_backlog_counters_track_queue_transitions(self):
+class TestBacklog:
+    """Backlog is read off the queues themselves, so it is right whatever
+    the queues held before the scheduler existed."""
+
+    def test_has_backlog_tracks_queue_contents(self):
         sched, (q0, q1, q2) = mk_sched(
             (0, 1.0, None), (1, 1.0, None), (1, 1.0, None))
-        assert sched._backlog == [0, 0]
+        assert not sched.has_backlog()
+        q2.push(mk_pkt())
+        assert sched.has_backlog()
         q0.push(mk_pkt())
         q1.push(mk_pkt())
-        assert sched._backlog == [1, 1]
-        q2.push(mk_pkt())
-        assert sched._backlog == [1, 2]
+        served = 0
         while sched.next(0)[0] is not None:
-            pass
-        assert sched._backlog == [0, 0]
+            served += 1
+            assert sched.has_backlog() == (served < 3)
+        assert served == 3
 
-    def test_queue_nonempty_at_construction_is_counted(self):
+    def test_queue_nonempty_at_construction_is_served(self):
         q = PacketQueue(QueueConfig())
-        q.push(Packet(PacketKind.DATA, 1, 0, 1, 1500, dscp=Dscp.LEGACY))
+        first = Packet(PacketKind.DATA, 1, 0, 1, 1500, dscp=Dscp.LEGACY)
+        q.push(first)
         sched = PortScheduler([
             QueueSchedule(q, priority=0),
             QueueSchedule(PacketQueue(QueueConfig()), priority=1),
         ])
-        assert sched._backlog == [1, 0]
+        assert sched.has_backlog()
         pkt, _ = sched.next(0)
-        assert pkt is not None
-        assert sched._backlog == [0, 0]
+        assert pkt is first
+        assert not sched.has_backlog()
+        assert sched.next(0) == (None, None)
 
 
 class TestPacedQueue:

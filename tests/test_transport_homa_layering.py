@@ -2,6 +2,7 @@
 
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import homa_queue_factory, naive_queue_factory
+from repro.net.packet import Dscp, Packet, PacketKind
 from repro.net.topology import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
@@ -64,6 +65,28 @@ class TestHoma:
         assert done.flow_ids == {1}
         assert stats.credits_sent > 0
         assert stats.delivered_bytes == 2 * MB
+
+    def test_dctcp_queue_of_priority_port_marks_above_65kb(self):
+        """Regression: the threshold used to be written into the queue's
+        config after the queue had decided it never marks, so prio 0 (the
+        DCTCP queue, footnote 3) queued 158 kB without one CE mark."""
+        sim = Simulator()
+        db = build_dumbbell(sim, homa_queue_factory(), DumbbellSpec(n_pairs=1))
+        port = db.bottleneck
+        pkts = [Packet(PacketKind.DATA, 1, db.senders[0].id, db.receivers[0].id,
+                       1584, dscp=Dscp.LEGACY, ecn_capable=True)
+                for _ in range(100)]
+        for pkt in pkts:
+            assert port.enqueue(pkt)
+        # The first packet cuts through; packet i (i >= 1) is the i-th in
+        # the queue and is marked once i * 1584 exceeds 65 kB.
+        unmarked = 1 + 65 * KB // 1584
+        assert [p.ce for p in pkts] == [False] * unmarked + [True] * (100 - unmarked)
+        prio0 = port.queue(0)
+        assert prio0.config.ecn_threshold_bytes == 65 * KB
+        assert prio0.stats.ecn_marked == 100 - unmarked
+        assert all(port.queue(p).config.ecn_threshold_bytes is None
+                   for p in range(1, 8))
 
     def _run_contest(self, factory, homa_params, ms=25):
         sim = Simulator()
