@@ -7,12 +7,14 @@ the naïve rollout degrades both tail and average FCT.
 
 from repro.experiments.config import SchemeName
 from repro.experiments.sweep import deployment_sweep, fig10_rows, print_grid
+from repro.workloads import TrafficConfig
 
 from benchmarks.common import BENCH_DEPLOYMENTS, bench_config_large, run_once
 
 
 def test_bench_fig11(benchmark):
-    base = bench_config_large(foreground_fraction=0.1)
+    base = bench_config_large(
+        traffic=TrafficConfig.paper(foreground_fraction=0.1))
     grid = run_once(
         benchmark, deployment_sweep, base,
         (SchemeName.NAIVE, SchemeName.FLEXPASS), BENCH_DEPLOYMENTS,

@@ -14,8 +14,9 @@ Run:  python examples/north_south.py [--ns-fraction 0.18]
 import argparse
 
 from repro.experiments.config import ExperimentConfig, SchemeName
-from repro.experiments.runner import build_flow_specs, run_experiment
+from repro.experiments.runner import flow_specs, pump_flows
 from repro.experiments.scenarios import make_scheme_setup
+from repro.metrics.fct import FlowRecord, summarize
 from repro.metrics.summary import print_table
 from repro.net.topology import ClosSpec, build_clos
 from repro.sim.engine import Simulator
@@ -44,24 +45,21 @@ def main() -> None:
     rng = RngRegistry(cfg.seed)
     setup = make_scheme_setup(cfg)
     clos = build_clos(sim, setup.queue_factory, cfg.clos)
-    specs, _ = build_flow_specs(cfg, clos, rng)
     ns_rng = rng.stream("north-south")
-    for spec in specs:
-        if ns_rng.random() < args.ns_fraction:
-            spec.group = "legacy"
-            spec.scheme = "dctcp"
+
+    def with_north_south(flows):
+        for spec, children in flows:
+            if ns_rng.random() < args.ns_fraction:
+                spec.group = "legacy"
+                spec.scheme = "dctcp"
+            yield spec, children
 
     live = {}
-    for spec in specs:
-        def launch(s=spec):
-            live[s.flow_id] = (s, setup.launch(sim, s, None))
-        sim.at(spec.start_ns, launch)
+    pump_flows(sim, with_north_south(flow_specs(cfg, clos, rng)), setup, live,
+               cfg.sim_time_ns)
     sim.run(until=cfg.sim_time_ns)
 
-    from repro.metrics.fct import FlowRecord, summarize
-
-    records = [FlowRecord.from_flow(s, st) for s, (st) in
-               ((s, st) for s, st in live.values())]
+    records = [FlowRecord.from_flow(s, st) for s, st in live.values()]
     cutoff = cfg.scaled_cutoff_bytes()
     fp = summarize(records, small_cutoff_bytes=cutoff, group="new")
     ns = summarize(records, small_cutoff_bytes=cutoff, group="legacy")

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.audit.config import AuditConfig
 from repro.net.topology import ClosSpec
 from repro.sim.units import MILLIS
+from repro.workloads.gen import TrafficConfig
 
 #: the five transport schemes the matrix exercises (enum values)
 MATRIX_SCHEMES = ("dctcp", "naive", "homa", "ly", "flexpass")
@@ -30,7 +31,7 @@ MATRIX_TOPOLOGIES: Dict[str, Tuple[ClosSpec, Dict[str, object]]] = {
     # one rack fanning into one ToR, with foreground incast bursts
     "incast": (
         ClosSpec(n_pods=1, aggs_per_pod=1, tors_per_pod=1, hosts_per_tor=6),
-        {"foreground_fraction": 0.3},
+        {"traffic": TrafficConfig.paper(foreground_fraction=0.3)},
     ),
     # the default two-pod Clos the figure sweeps run on
     "clos": (
@@ -50,21 +51,21 @@ GOLDEN_POINT = (2 * MILLIS, 1, 0.5)
 #: ``repro.experiments.cache.DEFAULT_CODE_SALT`` in the same commit; any other
 #: drift is a bug.
 GOLDEN_DIGESTS: Dict[Tuple[str, str], Tuple[int, int]] = {
-    ("dumbbell", "dctcp"): (14788, 0xacb8e4394fee4a83),
-    ("dumbbell", "naive"): (33207, 0x59046d247498ce9a),
-    ("dumbbell", "homa"): (12440, 0xcab473fe39daf8b7),
-    ("dumbbell", "ly"): (31285, 0x1ad892947739f5e7),
-    ("dumbbell", "flexpass"): (22870, 0x8eab075be2b8cbeb),
-    ("incast", "dctcp"): (18555, 0xa87b92f9c162e00f),
-    ("incast", "naive"): (36185, 0x14e83826974a9636),
-    ("incast", "homa"): (13818, 0x4d31b793e0c5afb9),
-    ("incast", "ly"): (36083, 0x178eb455e5563517),
-    ("incast", "flexpass"): (30873, 0x71d39fe88b3d3ad6),
-    ("clos", "dctcp"): (63833, 0x7f8a4771f058464e),
-    ("clos", "naive"): (136011, 0x54cee405b9e8dbd1),
-    ("clos", "homa"): (54545, 0x89849ef799308cd1),
-    ("clos", "ly"): (131212, 0xe127026ec4356d4f),
-    ("clos", "flexpass"): (96761, 0x07f2622659f9fc15),
+    ("dumbbell", "dctcp"): (17407, 0xd426b4ba8c324ffe),
+    ("dumbbell", "naive"): (34868, 0x6314ab41aa5793eb),
+    ("dumbbell", "homa"): (16091, 0x530af3926979db12),
+    ("dumbbell", "ly"): (32374, 0x746a9010a292b391),
+    ("dumbbell", "flexpass"): (24646, 0x2f49f55f99f23598),
+    ("incast", "dctcp"): (18395, 0x52db23345cdad285),
+    ("incast", "naive"): (35726, 0xf5228e285366910e),
+    ("incast", "homa"): (15742, 0x66afeec0c37418f2),
+    ("incast", "ly"): (35466, 0xfe204d8eb98b3d45),
+    ("incast", "flexpass"): (29972, 0xc7f4d430a3795495),
+    ("clos", "dctcp"): (75243, 0x350317dcd7711ac7),
+    ("clos", "naive"): (142317, 0xc8fb5d8f87692ba1),
+    ("clos", "homa"): (74849, 0xa1e0563952eb9c2b),
+    ("clos", "ly"): (135682, 0x6c5dac6cdd511f1f),
+    ("clos", "flexpass"): (115622, 0x64718ee31b57b85b),
 }
 
 

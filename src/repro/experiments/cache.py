@@ -48,7 +48,7 @@ from repro.experiments.store import ResultStore
 
 #: Bump whenever simulation semantics change, so stale results cannot leak
 #: across PRs. ``REPRO_CACHE_SALT`` overrides (emergency invalidation).
-DEFAULT_CODE_SALT = "sim-v9"  # PR 10: realized-mean lambda + traffic block join the config key
+DEFAULT_CODE_SALT = "sim-v10"  # PR 14: every run streams cfg.traffic; default sources draw from traffic.bg / traffic.fg
 
 
 def canonicalize(value) -> object:

@@ -21,7 +21,7 @@ from repro.faults.plan import FaultPlan
 from repro.metrics.telemetry import TelemetryConfig
 from repro.net.topology import ClosSpec
 from repro.sim.units import GBPS, KB, MICROS, MILLIS
-from repro.workloads.gen import SourceConfig, TrafficConfig
+from repro.workloads.gen import TrafficConfig
 
 
 class SchemeName(str, enum.Enum):
@@ -75,22 +75,17 @@ class ExperimentConfig:
     deployment: float = 1.0
     workload: str = "websearch"
     load: float = 0.5
-    #: fraction of traffic volume that is foreground incast (0 = Fig 10)
-    foreground_fraction: float = 0.0
-    foreground_request_bytes: int = 8 * KB
     sim_time_ns: int = 60 * MILLIS
     seed: int = 1
     clos: ClosSpec = field(default_factory=ClosSpec)
     #: declarative fabric (overrides ``clos`` when set); content-hashes into
     #: the cache key like every other field. See :mod:`repro.net.fabric`.
     topology_spec: Optional["TopologySpec"] = None
-    #: locality matrix for declarative fabrics: fraction of traffic kept
-    #: within the sender's region (None = uniform all-to-all)
-    locality_intra: Optional[float] = None
-    #: composed streaming traffic (None = legacy Poisson + incast path);
-    #: when set, ``workload``/``foreground_fraction`` act only as defaults
-    #: inside the block. See :mod:`repro.workloads.gen` and DESIGN.md §6k.
-    traffic: Optional[TrafficConfig] = None
+    #: the run's traffic sources (default: one uniform Poisson ``bg``
+    #: source); ``workload``, ``load`` and ``size_scale`` are the defaults
+    #: each source resolves against. ``TrafficConfig.paper`` builds the
+    #: §6.2 incast/locality variants. See DESIGN.md §6k.
+    traffic: TrafficConfig = field(default_factory=TrafficConfig)
     queues: QueueSettings = field(default_factory=QueueSettings)
     #: divide workload flow sizes by this factor (keeps flow *count* high at
     #: Python-simulation scale; the small-flow FCT cutoff scales with it)

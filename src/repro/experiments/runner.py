@@ -1,16 +1,17 @@
 """Experiment runner: build, generate, simulate, measure.
 
 ``run_experiment(cfg)`` wires a Clos fabric with the scheme's queue
-configuration, assigns upgraded racks, generates background (and optional
-foreground incast) traffic, simulates to the horizon, and returns an
-:class:`ExperimentResult` with per-flow records and switch counters.
+configuration, assigns upgraded racks, streams ``cfg.traffic`` into the
+simulator (:func:`flow_specs` feeding :func:`pump_flows`), simulates to the
+horizon, and returns an :class:`ExperimentResult` with per-flow records and
+switch counters.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.audit.invariants import AuditReport, InvariantAuditor
 from repro.experiments.config import ExperimentConfig, SchemeName
@@ -30,15 +31,8 @@ from repro.net.topology import Clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.transports.base import FlowSpec, FlowStats
-from repro.workloads.arrivals import (
-    GroupedPoissonTraffic,
-    PoissonTraffic,
-    TrafficSpec,
-)
 from repro.workloads.deployment import DeploymentPlan
-from repro.workloads.distributions import workload_cdf
-from repro.workloads.gen import TrafficSource, build_sources, merge_sources
-from repro.workloads.incast import IncastTraffic
+from repro.workloads.gen import TrafficSpec, build_sources, merge_sources
 
 
 @dataclass
@@ -93,54 +87,6 @@ class ExperimentResult:
         return sum(r.timeouts for r in self.records)
 
 
-def build_flow_specs(cfg: ExperimentConfig, clos: Clos,
-                     rng: RngRegistry) -> Tuple[List[FlowSpec], DeploymentPlan]:
-    """Generate all flow specs (background + foreground) with groups set."""
-    deployment = 0.0 if cfg.scheme == SchemeName.DCTCP else cfg.deployment
-    plan = DeploymentPlan(clos.racks(), deployment, rng.stream("deployment"))
-    cdf = workload_cdf(cfg.workload)
-    rate_bps = cfg.reference_rate_bps
-    groups = _locality_groups(cfg, clos)
-    if groups is not None:
-        traffic: PoissonTraffic = GroupedPoissonTraffic(
-            groups, cdf, cfg.load, rate_bps, cfg.sim_time_ns,
-            rng.stream("arrivals"), intra_fraction=cfg.locality_intra,
-            size_scale=cfg.size_scale,
-        )
-    else:
-        traffic = PoissonTraffic(
-            clos.hosts, cdf, cfg.load, rate_bps, cfg.sim_time_ns,
-            rng.stream("arrivals"), size_scale=cfg.size_scale,
-        )
-    raw: List[TrafficSpec] = traffic.generate()
-    if cfg.foreground_fraction > 0:
-        bg_bytes_per_ns = cfg.load * len(clos.hosts) * rate_bps / 8 / 1e9
-        incast = IncastTraffic(
-            clos.hosts, cfg.foreground_request_bytes, flows_per_sender=4,
-            background_bytes_per_ns=bg_bytes_per_ns,
-            foreground_fraction=cfg.foreground_fraction,
-            sim_time_ns=cfg.sim_time_ns, rng=rng.stream("incast"),
-            first_flow_id=len(raw) + 1,
-        )
-        raw.extend(incast.generate())
-    specs = []
-    for t in raw:
-        group = plan.flow_group(t.src, t.dst)
-        scheme_label = cfg.scheme.value if group == "new" else "dctcp"
-        specs.append(FlowSpec(
-            t.flow_id, t.src, t.dst, t.size_bytes, t.start_ns,
-            scheme=scheme_label, group=group, role=t.role,
-        ))
-    return specs, plan
-
-
-def _locality_groups(cfg: ExperimentConfig, clos) -> Optional[List[List]]:
-    """Host groups for the locality matrix, or None for uniform traffic."""
-    if cfg.locality_intra is None:
-        return None
-    return _fabric_groups(clos)
-
-
 def _fabric_groups(clos) -> List[List]:
     """The fabric's natural host partition.
 
@@ -156,16 +102,72 @@ def _fabric_groups(clos) -> List[List]:
     return groups
 
 
-def build_traffic_sources(cfg: ExperimentConfig,
-                          clos: Clos) -> List[TrafficSource]:
-    """Instantiate ``cfg.traffic`` against this run's fabric."""
-    if cfg.traffic is None:
-        raise ValueError("config has no traffic block")
-    return build_sources(
+#: one top-level flow and its dependent children (coflow replies), whose
+#: ``start_ns`` is an offset from the parent's completion until released
+LabelledFlow = Tuple[FlowSpec, Tuple[FlowSpec, ...]]
+
+
+def flow_specs(cfg: ExperimentConfig, clos: Clos,
+               rng: RngRegistry) -> Iterator[LabelledFlow]:
+    """Stream ``cfg.traffic`` against this fabric as labelled flows.
+
+    Top-level flows come in start order, each with its deployment group
+    and scheme label set (a flow is "new" only when both endpoints sit in
+    upgraded racks). Constant memory: nothing is held but the merge heads.
+    """
+    deployment = 0.0 if cfg.scheme == SchemeName.DCTCP else cfg.deployment
+    plan = DeploymentPlan(clos.racks(), deployment, rng.stream("deployment"))
+    sources = build_sources(
         cfg.traffic, clos.hosts, _fabric_groups(clos),
         load=cfg.load, rate_bps=cfg.reference_rate_bps,
         sim_time_ns=cfg.sim_time_ns, size_scale=cfg.size_scale,
         default_workload=cfg.workload)
+    new_scheme = cfg.scheme.value
+
+    def label(t: TrafficSpec) -> FlowSpec:
+        group = plan.flow_group(t.src, t.dst)
+        return FlowSpec(t.flow_id, t.src, t.dst, t.size_bytes, t.start_ns,
+                        scheme=new_scheme if group == "new" else "dctcp",
+                        group=group, role=t.role)
+
+    for t in merge_sources(sources, rng):
+        yield label(t), tuple(map(label, t.children)) if t.children else ()
+
+
+def pump_flows(sim: Simulator, flows: Iterator[LabelledFlow],
+               setup: SchemeSetup, live: Dict[int, Tuple[FlowSpec, FlowStats]],
+               horizon_ns: int) -> None:
+    """Launch ``flows`` into ``sim``, recording each in ``live``.
+
+    Exactly one arrival event is pending at a time, so memory stays
+    constant however many flows the horizon holds. Children are released
+    from their parent's completion callback. A flow that would start at or
+    past ``horizon_ns`` is never launched, child or not: it could not
+    start, and would only read as a censored record.
+    """
+    pending_children: Dict[int, Tuple[FlowSpec, ...]] = {}
+
+    def launch(spec: FlowSpec) -> None:
+        live[spec.flow_id] = (spec, setup.launch(sim, spec, on_complete))
+
+    def on_complete(spec: FlowSpec, stats: FlowStats) -> None:
+        for child in pending_children.pop(spec.flow_id, ()):
+            child.start_ns += sim.now
+            if child.start_ns < horizon_ns:
+                launch(child)
+
+    def on_arrival(spec: FlowSpec, children: Tuple[FlowSpec, ...]) -> None:
+        if children:
+            pending_children[spec.flow_id] = children
+        launch(spec)
+        pump()
+
+    def pump() -> None:
+        spec, children = next(flows, (None, ()))
+        if spec is not None and spec.start_ns < horizon_ns:
+            sim.at(spec.start_ns, on_arrival, spec, children)
+
+    pump()
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -176,64 +178,15 @@ def run_experiment(cfg: ExperimentConfig,
     rng = RngRegistry(cfg.seed)
     setup = make_scheme_setup(cfg)
     clos = build_topology(sim, setup.queue_factory, cfg)
-    specs = None
-    if cfg.traffic is None:
-        specs, _plan = build_flow_specs(cfg, clos, rng)
 
     fault_counters = FaultCounters()
     if cfg.faults is not None and not cfg.faults.empty:
         injector = cfg.faults.apply(sim, clos.topo, rng)
         fault_counters = injector.counters
 
+    # Records are built at the horizon from the stats objects in ``live``.
     live: Dict[int, Tuple[FlowSpec, FlowStats]] = {}
-    # Dependent flows (coflow replies) keyed by parent id, released on the
-    # parent's completion callback; always empty on the legacy path.
-    pending_children: Dict[int, Tuple[TrafficSpec, ...]] = {}
-
-    def on_complete(spec: FlowSpec, stats: FlowStats) -> None:
-        # Records are built at the horizon from the shared stats objects;
-        # the eager work here is releasing this flow's dependent children
-        # (their start_ns is a relative offset from completion time).
-        children = pending_children.pop(spec.flow_id, None)
-        if children:
-            for child in children:
-                arrive(child, sim.now + child.start_ns)
-
-    def launch(spec: FlowSpec) -> None:
-        stats = setup.launch(sim, spec, on_complete)
-        live[spec.flow_id] = (spec, stats)
-
-    if specs is not None:
-        # Legacy path: the materialized flow list is scheduled up front.
-        for spec in specs:
-            sim.at(spec.start_ns, launch, spec)
-    else:
-        # Streaming path: pull one spec at a time from the merged source
-        # stream, keeping exactly one pending arrival event in the engine —
-        # constant memory regardless of how many flows the horizon holds.
-        deployment = 0.0 if cfg.scheme == SchemeName.DCTCP else cfg.deployment
-        plan = DeploymentPlan(clos.racks(), deployment,
-                              rng.stream("deployment"))
-        stream = merge_sources(build_traffic_sources(cfg, clos), rng)
-
-        def arrive(t: TrafficSpec, start_ns: int) -> None:
-            group = plan.flow_group(t.src, t.dst)
-            scheme_label = cfg.scheme.value if group == "new" else "dctcp"
-            if t.children:
-                pending_children[t.flow_id] = t.children
-            launch(FlowSpec(t.flow_id, t.src, t.dst, t.size_bytes, start_ns,
-                            scheme=scheme_label, group=group, role=t.role))
-
-        def pump() -> None:
-            t = next(stream, None)
-            if t is not None and t.start_ns < cfg.sim_time_ns:
-                sim.at(t.start_ns, on_arrival, t)
-
-        def on_arrival(t: TrafficSpec) -> None:
-            arrive(t, t.start_ns)
-            pump()
-
-        pump()
+    pump_flows(sim, flow_specs(cfg, clos, rng), setup, live, cfg.sim_time_ns)
 
     sampler = _attach_telemetry(sim, cfg, clos, live, sample_q1)
     auditor = _attach_audit(sim, cfg, clos, live)

@@ -41,6 +41,7 @@ from repro.transports.expresspass import (
 )
 from repro.transports.homa import HomaParams, HomaReceiver, HomaSender
 from repro.transports.layering import LayeringParams, LayeringReceiver, LayeringSender
+from repro.workloads.gen import TrafficConfig
 
 #: Every DSCP the classifier must map somewhere.
 ALL_DSCPS: List[int] = [d.value for d in Dscp] + [
@@ -428,7 +429,8 @@ def regional_fabric_config(spec, scheme: SchemeName = SchemeName.FLEXPASS,
     spec.validate()
     params = dict(
         scheme=SchemeName(scheme), topology_spec=spec, load=load,
-        sim_time_ns=sim_time_ns, seed=seed, locality_intra=locality_intra,
+        sim_time_ns=sim_time_ns, seed=seed,
+        traffic=TrafficConfig.paper(locality_intra=locality_intra),
     )
     params.update(overrides)
     return ExperimentConfig(**params)

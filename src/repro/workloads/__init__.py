@@ -1,15 +1,11 @@
-"""Traffic generation: flow-size distributions, arrivals, incast, deployment.
+"""Traffic generation: flow-size distributions, streaming sources, deployment.
 
-The streaming generator suite lives in :mod:`repro.workloads.gen`; the
-legacy classes (:class:`PoissonTraffic` and friends) are thin adapters
-over it.
+Size models live in :mod:`repro.workloads.distributions`, the arrival
+processes, pair pickers, sources and the declarative ``TrafficConfig`` in
+:mod:`repro.workloads.gen`, rack-granularity deployment in
+:mod:`repro.workloads.deployment`.
 """
 
-from repro.workloads.arrivals import (
-    GroupedPoissonTraffic,
-    PoissonTraffic,
-    TrafficSpec,
-)
 from repro.workloads.deployment import DeploymentPlan
 from repro.workloads.distributions import (
     BimodalSizes,
@@ -35,6 +31,7 @@ from repro.workloads.gen import (
     StreamDigest,
     TrafficConfig,
     TrafficSource,
+    TrafficSpec,
     UniformPairs,
     build_sources,
     merge_sources,
@@ -42,12 +39,8 @@ from repro.workloads.gen import (
     stub_groups,
     stub_hosts,
 )
-from repro.workloads.incast import IncastTraffic
 
 __all__ = [
-    "PoissonTraffic",
-    "GroupedPoissonTraffic",
-    "TrafficSpec",
     "DeploymentPlan",
     "EmpiricalCdf",
     "SizeModel",
@@ -56,8 +49,7 @@ __all__ = [
     "BimodalSizes",
     "WORKLOADS",
     "workload_cdf",
-    "IncastTraffic",
-    # streaming generator suite
+    "TrafficSpec",
     "ArrivalProcess",
     "PoissonArrivals",
     "ParetoArrivals",

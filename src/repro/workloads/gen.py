@@ -1,4 +1,4 @@
-"""Streaming, composable traffic generation (ROADMAP item 4).
+"""Streaming, composable traffic generation.
 
 Every traffic source is a :class:`TrafficSource`: a named, *streaming*
 iterator of :class:`TrafficSpec`s in nondecreasing start order, constant
@@ -11,10 +11,8 @@ streams from :class:`repro.sim.rng.RngRegistry`, so:
   perturbs another's flows;
 * **constant memory** — nothing is materialized; ``heapq.merge`` holds one
   pending spec per source;
-* **exact adapter equivalence** — the legacy classes in
-  :mod:`repro.workloads.arrivals` / :mod:`repro.workloads.incast` are thin
-  wrappers over these building blocks, consuming the identical RNG draw
-  sequence per flow (gap, then pair, then size) as the pre-suite loops.
+* **fixed draw order** — each flow consumes its stream as gap, then pair,
+  then size, so a source's flows are pinned by digest in the tests.
 
 Building blocks: size models live in
 :mod:`repro.workloads.distributions`; here are the interarrival processes
@@ -24,10 +22,10 @@ grouped-locality, full locality matrix), and the sources themselves
 children released on parent completion).
 
 Declarative configuration: :class:`TrafficConfig` (a frozen block of
-:class:`SourceConfig`\\ s, every field cache-canonicalizable) plugs into
-``ExperimentConfig.traffic``; :func:`build_sources` turns it into live
-sources and the runner pumps the merged stream lazily into the simulator.
-See DESIGN.md §6k.
+:class:`SourceConfig`\\ s, every field cache-canonicalizable) is
+``ExperimentConfig.traffic`` — the only way a run describes its traffic;
+:func:`build_sources` turns it into live sources and the runner pumps the
+merged stream lazily into the simulator. See DESIGN.md §6k.
 """
 
 from __future__ import annotations
@@ -124,8 +122,7 @@ class ArrivalProcess:
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals: one exponential draw per flow.
 
-    The gap is drawn as ``rng.exponential(1.0 / rate)`` — the exact call
-    the legacy generators made, so adapters stay stream-identical.
+    The gap is drawn as ``rng.exponential(1.0 / rate)``.
     """
 
     def gaps(self, rng: np.random.Generator) -> Iterator[float]:
@@ -220,10 +217,10 @@ class PairPicker:
 
 
 class UniformPairs(PairPicker):
-    """Uniform all-to-all pairs — the legacy ``PoissonTraffic`` pick.
+    """Uniform all-to-all pairs (the paper's §6.2 background pick).
 
-    Draw order per pair: src index, then dst index over ``n - 1`` with the
-    classic skip-self bump. Byte-identical to the pre-suite loop.
+    Draw order per pair: src index over ``n``, then dst index over
+    ``n - 1`` bumped past the source.
     """
 
     def __init__(self, hosts: Sequence["Host"]) -> None:
@@ -245,9 +242,11 @@ class UniformPairs(PairPicker):
 
 class GroupedPairs(PairPicker):
     """Two-level locality: stay inside the sender's group with probability
-    ``intra_fraction`` — the legacy ``GroupedPoissonTraffic`` pick, draw
-    order and degradation rules included (singleton group must leave;
-    single group must stay).
+    ``intra_fraction``.
+
+    Draw order per pair: src index, the intra/inter coin, then the dst
+    index within the chosen side. A singleton group must leave and a
+    single group must stay, whatever the coin says.
     """
 
     def __init__(self, groups: Sequence[Sequence["Host"]],
@@ -392,9 +391,8 @@ class TrafficSource:
 class OpenLoopSource(TrafficSource):
     """Open-loop unicast flows: arrivals x pairs x sizes.
 
-    RNG draw order per flow — gap, then pair, then size — matches the
-    legacy ``PoissonTraffic`` loop exactly, including drawing (and
-    discarding) the gap that crosses the horizon.
+    RNG draw order per flow: gap, then pair, then size. The gap that
+    crosses the horizon is drawn and discarded; nothing is drawn after it.
     """
 
     def __init__(self, name: str, pairs: PairPicker, sizes: SizeModel,
@@ -438,7 +436,8 @@ class IncastSource(TrafficSource):
 
     Each event picks one receiver; every other host sends
     ``flows_per_sender`` requests of ``request_bytes`` at the same instant.
-    Loop and draw order match the legacy ``IncastTraffic`` generator.
+    RNG draw order per event: gap, then receiver index; senders are
+    enumerated in host order, so ids are contiguous within an event.
     """
 
     def __init__(self, name: str, hosts: Sequence["Host"],
@@ -662,15 +661,43 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    """Composable traffic block for ``ExperimentConfig.traffic``.
+    """The traffic of one run: ``ExperimentConfig.traffic``.
 
-    When set, the runner streams flows from these sources (merged by
-    start time) instead of the legacy PoissonTraffic/IncastTraffic path;
-    ``foreground_fraction`` is ignored — express incast as a source.
+    The runner streams flows from these sources, merged by start time.
+    The default is the paper's Figure 10 traffic: one uniform Poisson
+    ``bg`` source at the experiment's full load.
     """
 
     sources: Tuple[SourceConfig, ...] = field(
         default_factory=lambda: (SourceConfig(),))
+
+    @classmethod
+    def paper(cls, foreground_fraction: float = 0.0,
+              locality_intra: Optional[float] = None) -> "TrafficConfig":
+        """The §6.2 traffic: Poisson background plus optional incast.
+
+        ``foreground_fraction`` is the share of *total* bytes sent by the
+        synchronized-incast ``fg`` source (0.1 in Figure 11). Background
+        load stays the experiment's ``load``, so the incast source gets
+        ``load_share = f / (1 - f)`` on top of it. ``locality_intra``
+        keeps that fraction of background flows inside the sender's group
+        (region or rack); ``None`` is uniform all-to-all.
+        """
+        if not 0.0 <= foreground_fraction < 1.0:
+            raise ValueError(f"foreground_fraction must be in [0,1), got "
+                             f"{foreground_fraction}")
+        locality = "uniform"
+        if locality_intra is not None:
+            if not 0.0 <= locality_intra <= 1.0:
+                raise ValueError(f"locality_intra must be in [0,1], got "
+                                 f"{locality_intra}")
+            locality = f"grouped:intra={float(locality_intra)!r}"
+        sources = [SourceConfig(locality=locality)]
+        if foreground_fraction > 0.0:
+            sources.append(SourceConfig(
+                name="fg", kind="incast", role="fg",
+                load_share=foreground_fraction / (1.0 - foreground_fraction)))
+        return cls(tuple(sources))
 
 
 def _parse_spec(spec: str) -> Tuple[str, Dict[str, str], List[str]]:
@@ -806,7 +833,11 @@ def build_sources(traffic: TrafficConfig, hosts: Sequence["Host"],
     Each source's arrival rate is set so its *realized* offered bytes are
     ``load_share * load`` of aggregate access capacity — rates divide by
     the realized (truncated/clamped) mean, not the analytic one.
+    ``load`` 1.0 is offered load equal to access capacity, the paper-scale
+    full-load point; open-loop rates stay finite there, so it is legal.
     """
+    if not 0.0 < load <= 1.0:
+        raise ValueError(f"load must be in (0,1], got {load}")
     if not traffic.sources:
         raise ValueError("TrafficConfig needs at least one source")
     sources: List[TrafficSource] = []

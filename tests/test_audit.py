@@ -27,7 +27,7 @@ from repro.audit.matrix import (
 from repro.audit.replay import replay_config
 from repro.experiments.cache import config_key
 from repro.experiments.config import ExperimentConfig, SchemeName
-from repro.experiments.runner import build_flow_specs, run_experiment
+from repro.experiments.runner import flow_specs, pump_flows, run_experiment
 from repro.experiments.scenarios import make_scheme_setup
 from repro.net.packet import alloc_packet, free_packet
 from repro.net.topology import ClosSpec, build_clos
@@ -60,14 +60,8 @@ def run_audited(cfg, perturb=None):
     rng = RngRegistry(cfg.seed)
     setup = make_scheme_setup(cfg)
     clos = build_clos(sim, setup.queue_factory, cfg.clos)
-    specs, _plan = build_flow_specs(cfg, clos, rng)
     live = {}
-
-    def launch(spec):
-        live[spec.flow_id] = (spec, setup.launch(sim, spec, lambda s, st: None))
-
-    for spec in specs:
-        sim.at(spec.start_ns, launch, spec)
+    pump_flows(sim, flow_specs(cfg, clos, rng), setup, live, cfg.sim_time_ns)
     auditor = InvariantAuditor(sim, clos.topo, live, config=cfg.audit)
     auditor.install(cfg.sim_time_ns)
     sim.run(until=cfg.sim_time_ns)

@@ -1,9 +1,11 @@
 """Integration tests for the experiment harness (config, runner, sweeps)."""
 
+import itertools
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
-from repro.experiments.runner import build_flow_specs, run_experiment
+from repro.experiments.runner import flow_specs, run_experiment
 from repro.experiments.scenarios import (
     flexpass_queue_factory,
     make_scheme_setup,
@@ -22,6 +24,13 @@ from repro.net.topology import ClosSpec, build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import GBPS, KB, MILLIS
+from repro.workloads.distributions import workload_cdf
+from repro.workloads.gen import (
+    OpenLoopSource,
+    PoissonArrivals,
+    TrafficConfig,
+    UniformPairs,
+)
 
 
 def tiny_cfg(**overrides):
@@ -85,36 +94,59 @@ class TestQueueFactories:
 
 
 class TestBuildFlowSpecs:
+    """``flow_specs``: the run's traffic as labelled ``FlowSpec``s."""
+
+    @staticmethod
+    def _clos(cfg):
+        return build_clos(Simulator(), make_scheme_setup(cfg).queue_factory,
+                          cfg.clos)
+
+    def _specs(self, cfg):
+        return [spec for spec, _children in
+                flow_specs(cfg, self._clos(cfg), RngRegistry(cfg.seed))]
+
     def test_groups_assigned_by_deployment(self):
-        cfg = tiny_cfg(deployment=0.5)
-        sim = Simulator()
-        setup = make_scheme_setup(cfg)
-        clos = build_clos(sim, setup.queue_factory, cfg.clos)
-        specs, plan = build_flow_specs(cfg, clos, RngRegistry(cfg.seed))
+        specs = self._specs(tiny_cfg(deployment=0.5))
         assert specs
-        groups = {s.group for s in specs}
-        assert groups == {"new", "legacy"}
+        assert {s.group for s in specs} == {"new", "legacy"}
+        # rack granularity: a host pair always lands in the same group,
+        # and the scheme label follows the group
+        by_pair = {}
         for s in specs:
-            assert s.group == plan.flow_group(s.src, s.dst)
+            assert by_pair.setdefault((s.src.id, s.dst.id), s.group) == s.group
+            assert s.scheme == ("flexpass" if s.group == "new" else "dctcp")
 
     def test_dctcp_scheme_all_legacy(self):
-        cfg = tiny_cfg(scheme=SchemeName.DCTCP, deployment=1.0)
-        sim = Simulator()
-        setup = make_scheme_setup(cfg)
-        clos = build_clos(sim, setup.queue_factory, cfg.clos)
-        specs, _ = build_flow_specs(cfg, clos, RngRegistry(cfg.seed))
+        specs = self._specs(tiny_cfg(scheme=SchemeName.DCTCP, deployment=1.0))
         assert all(s.group == "legacy" for s in specs)
 
     def test_foreground_flows_tagged(self):
-        cfg = tiny_cfg(foreground_fraction=0.1, sim_time_ns=10 * MILLIS)
-        sim = Simulator()
-        setup = make_scheme_setup(cfg)
-        clos = build_clos(sim, setup.queue_factory, cfg.clos)
-        specs, _ = build_flow_specs(cfg, clos, RngRegistry(cfg.seed))
-        roles = {s.role for s in specs}
-        assert roles == {"bg", "fg"}
-        assert all(s.size_bytes == cfg.foreground_request_bytes
-                   for s in specs if s.role == "fg")
+        specs = self._specs(tiny_cfg(
+            traffic=TrafficConfig.paper(foreground_fraction=0.1),
+            sim_time_ns=10 * MILLIS))
+        assert {s.role for s in specs} == {"bg", "fg"}
+        assert all(s.size_bytes == 8 * KB for s in specs if s.role == "fg")
+
+    def test_default_traffic_is_the_bg_source(self):
+        """The default config's flows are ``OpenLoopSource("bg",
+        UniformPairs, ...)`` drawn on ``rng.stream("traffic.bg")``."""
+        cfg = tiny_cfg()
+        clos = self._clos(cfg)
+        cdf = workload_cdf(cfg.workload)
+        offered = cfg.load * len(clos.hosts) * cfg.clos.rate_bps / 8.0 / 1e9
+        source = OpenLoopSource(
+            "bg", UniformPairs(clos.hosts), cdf,
+            PoissonArrivals(offered / cdf.realized_mean_bytes(cfg.size_scale)),
+            cfg.sim_time_ns, size_scale=cfg.size_scale)
+        want = source.flows(RngRegistry(cfg.seed).stream("traffic.bg"))
+        got = flow_specs(cfg, clos, RngRegistry(cfg.seed))
+        n = 0
+        for (spec, children), t in zip(got, itertools.islice(want, 50)):
+            assert (spec.flow_id, spec.src, spec.dst, spec.size_bytes,
+                    spec.start_ns, spec.role, children) == \
+                (t.flow_id, t.src, t.dst, t.size_bytes, t.start_ns, "bg", ())
+            n += 1
+        assert n == 50
 
 
 class TestRunExperiment:

@@ -355,7 +355,7 @@ class TestFaultsByOntologyName:
 
 class TestRegionalScenario:
     def test_locality_matrix_biases_traffic(self):
-        from repro.experiments.runner import build_flow_specs
+        from repro.experiments.runner import flow_specs
         from repro.sim.rng import RngRegistry
 
         spec = TopologySpec.from_dict(small_spec_dict())
@@ -367,7 +367,8 @@ class TestRegionalScenario:
                                          locality_intra=frac)
             handle = build_topology(
                 Simulator(), make_scheme_setup(cfg).queue_factory, cfg)
-            specs, _ = build_flow_specs(cfg, handle, RngRegistry(cfg.seed))
+            specs = [spec for spec, _children in
+                     flow_specs(cfg, handle, RngRegistry(cfg.seed))]
             region = {h.name: spec.region_of(h.name) for h in handle.hosts}
             intra = sum(1 for s in specs
                         if region[s.src.name] == region[s.dst.name])

@@ -10,7 +10,6 @@ from repro.net.topology import ClosSpec, build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import GBPS, KB, MILLIS
-from repro.workloads.arrivals import PoissonTraffic
 from repro.workloads.deployment import DeploymentPlan
 from repro.workloads.distributions import (
     CACHEFOLLOWER,
@@ -20,7 +19,13 @@ from repro.workloads.distributions import (
     EmpiricalCdf,
     workload_cdf,
 )
-from repro.workloads.incast import IncastTraffic
+from repro.workloads.gen import (
+    SOURCE_ID_STRIDE,
+    SourceConfig,
+    TrafficConfig,
+    build_sources,
+    merge_sources,
+)
 
 from tests.test_net_port_topology import single_queue_factory
 
@@ -29,6 +34,16 @@ def small_clos(sim=None):
     return build_clos(sim or Simulator(), single_queue_factory,
                       ClosSpec(n_pods=2, aggs_per_pod=1, tors_per_pod=2,
                                hosts_per_tor=2))
+
+
+def paper_sources(hosts, foreground_fraction=0.0, load=0.5, sim_ms=20,
+                  size_scale=4.0, workload="websearch"):
+    """The §6.2 traffic block instantiated on ``hosts`` at 10 Gbps."""
+    return build_sources(
+        TrafficConfig.paper(foreground_fraction=foreground_fraction),
+        hosts, [hosts], load=load, rate_bps=10 * GBPS,
+        sim_time_ns=sim_ms * MILLIS, size_scale=size_scale,
+        default_workload=workload)
 
 
 class TestEmpiricalCdf:
@@ -145,10 +160,9 @@ class TestMeanBytesClosedForm:
         what ``sample`` actually returns, not the analytic mean of the
         continuous law — the offered-load bias fix."""
         clos = small_clos()
-        rng = RngRegistry(1).stream("arrivals")
-        traffic = PoissonTraffic(clos.hosts, DATAMINING, 0.6, 10 * GBPS,
-                                 MILLIS, rng, size_scale=4.0)
-        lam = traffic.arrival_rate_per_ns()
+        bg, = paper_sources(clos.hosts, load=0.6, sim_ms=1,
+                            workload="datamining")
+        lam = bg.arrivals.rate_per_ns
         mean_bits = DATAMINING.realized_mean_bytes(4.0) * 8.0
         expected = 0.6 * len(clos.hosts) * 10 * GBPS / mean_bits / 1e9
         assert lam == pytest.approx(expected, rel=1e-12)
@@ -215,12 +229,11 @@ class TestRealizedMean:
         clamp bites. The fixed λ realizes the nominal load exactly."""
         clos = small_clos()
         scale = 4096.0
-        rng = RngRegistry(1).stream("arrivals")
-        traffic = PoissonTraffic(clos.hosts, CACHEFOLLOWER, 0.6, 10 * GBPS,
-                                 MILLIS, rng, size_scale=scale)
+        bg, = paper_sources(clos.hosts, load=0.6, sim_ms=1, size_scale=scale,
+                            workload="cachefollower")
         capacity = len(clos.hosts) * 10 * GBPS / 8.0 / 1e9  # bytes/ns
         realized = CACHEFOLLOWER.realized_mean_bytes(scale)
-        empirical = traffic.arrival_rate_per_ns() * realized / capacity
+        empirical = bg.arrivals.rate_per_ns * realized / capacity
         assert empirical == pytest.approx(0.6, rel=1e-9)
         lam_old = 0.6 * capacity / CACHEFOLLOWER.mean_bytes(scale)
         overshoot = lam_old * realized / capacity
@@ -306,77 +319,88 @@ class TestSampleManyProperty:
 
 
 class TestPoissonTraffic:
-    def _traffic(self, load=0.5, sim_ms=20, seed=1):
+    """The default ``bg`` source of ``build_sources``: Poisson arrivals,
+    uniform pairs, workload-CDF sizes."""
+
+    def _flows(self, load=0.5, sim_ms=20, seed=1):
         clos = small_clos()
-        rng = RngRegistry(seed).stream("arrivals")
-        return clos, PoissonTraffic(clos.hosts, WEBSEARCH, load, 10 * GBPS,
-                                    sim_ms * MILLIS, rng, size_scale=4.0)
+        bg, = paper_sources(clos.hosts, load=load, sim_ms=sim_ms)
+        return clos, list(bg.flows(RngRegistry(seed).stream("traffic.bg")))
 
     def test_offered_load_close_to_target(self):
-        clos, traffic = self._traffic(load=0.5, sim_ms=50)
-        flows = traffic.generate()
+        clos, flows = self._flows(load=0.5, sim_ms=50)
         total_bits = sum(f.size_bytes for f in flows) * 8
         capacity_bits = len(clos.hosts) * 10 * GBPS * 0.05
         measured = total_bits / capacity_bits
         assert 0.35 < measured < 0.65
 
     def test_arrivals_sorted_and_within_horizon(self):
-        _, traffic = self._traffic()
-        flows = traffic.generate()
+        _, flows = self._flows()
         starts = [f.start_ns for f in flows]
         assert starts == sorted(starts)
         assert all(0 <= s < 20 * MILLIS for s in starts)
 
     def test_src_dst_distinct(self):
-        _, traffic = self._traffic()
-        assert all(f.src.id != f.dst.id for f in traffic.generate())
+        _, flows = self._flows()
+        assert all(f.src.id != f.dst.id for f in flows)
 
     def test_flow_ids_unique_and_sequential(self):
-        _, traffic = self._traffic()
-        ids = [f.flow_id for f in traffic.generate()]
+        _, flows = self._flows()
+        ids = [f.flow_id for f in flows]
         assert ids == list(range(1, len(ids) + 1))
 
     def test_deterministic_for_seed(self):
-        _, t1 = self._traffic(seed=5)
-        _, t2 = self._traffic(seed=5)
-        f1, f2 = t1.generate(), t2.generate()
+        _, f1 = self._flows(seed=5)
+        _, f2 = self._flows(seed=5)
         assert [(f.size_bytes, f.start_ns) for f in f1] == \
                [(f.size_bytes, f.start_ns) for f in f2]
 
-    def test_invalid_load_raises(self):
-        clos = small_clos()
-        rng = RngRegistry(1).stream("x")
-        with pytest.raises(ValueError):
-            PoissonTraffic(clos.hosts, WEBSEARCH, 0.0, 10 * GBPS, MILLIS, rng)
-        with pytest.raises(ValueError):
-            PoissonTraffic(clos.hosts, WEBSEARCH, 1.01, 10 * GBPS, MILLIS, rng)
-
     def test_full_load_is_legal(self):
         # load 1.0 is the paper-scale saturation operating point
-        clos = small_clos()
-        rng = RngRegistry(1).stream("x")
-        traffic = PoissonTraffic(clos.hosts, WEBSEARCH, 1.0, 10 * GBPS,
-                                 MILLIS, rng)
-        assert traffic.arrival_rate_per_ns() > 0
+        bg, = paper_sources(small_clos().hosts, load=1.0, sim_ms=1)
+        assert bg.arrivals.rate_per_ns > 0
 
-    def test_core_load_factor(self):
-        assert PoissonTraffic.core_load_factor(4, 2.0) == pytest.approx(1.5)
-        assert PoissonTraffic.core_load_factor(1, 3.0) == 0.0
+
+class TestInputChecks:
+    """The one place each input is checked: ``build_sources`` for the
+    load, ``TrafficConfig.paper`` for its two fractions."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("load", 0.0), ("load", 1.01),
+        ("foreground_fraction", -0.1), ("foreground_fraction", 1.0),
+        ("locality_intra", -0.01), ("locality_intra", 1.5),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be in"):
+            if field == "load":
+                paper_sources(small_clos().hosts, load=value)
+            else:
+                TrafficConfig.paper(**{field: value})
+
+    def test_paper_block_shape(self):
+        assert TrafficConfig.paper() == TrafficConfig()
+        bg, fg = TrafficConfig.paper(foreground_fraction=0.1,
+                                     locality_intra=0.8).sources
+        assert (bg.name, bg.kind, bg.locality, bg.load_share) == \
+            ("bg", "open", "grouped:intra=0.8", 1.0)
+        assert (fg.name, fg.kind, fg.role) == ("fg", "incast", "fg")
+        # fg / (fg + bg) == 0.1 with the background share left at 1
+        assert fg.load_share / (fg.load_share + bg.load_share) == \
+            pytest.approx(0.1)
 
 
 class TestIncast:
+    """The ``fg`` source of ``TrafficConfig.paper(foreground_fraction=f)``."""
+
     def _incast(self, fraction=0.1, sim_ms=50):
         clos = small_clos()
-        rng = RngRegistry(2).stream("incast")
-        return clos, IncastTraffic(
-            clos.hosts, request_bytes=8 * KB, flows_per_sender=4,
-            background_bytes_per_ns=5.0, foreground_fraction=fraction,
-            sim_time_ns=sim_ms * MILLIS, rng=rng, first_flow_id=1000,
-        )
+        sources = paper_sources(clos.hosts, foreground_fraction=fraction,
+                                sim_ms=sim_ms)
+        return clos, list(merge_sources(sources, RngRegistry(2)))
 
     def test_event_structure(self):
-        clos, incast = self._incast()
-        flows = incast.generate()
+        clos, flows = self._incast()
+        flows = [f for f in flows if f.role == "fg"]
         assert flows, "expected at least one incast event"
         by_start = {}
         for f in flows:
@@ -388,47 +412,38 @@ class TestIncast:
             receivers = {f.dst.id for f in batch}
             assert len(receivers) == 1
             assert all(f.size_bytes == 8 * KB for f in batch)
-            assert all(f.role == "fg" for f in batch)
 
     def test_volume_fraction(self):
-        clos, incast = self._incast(fraction=0.1, sim_ms=200)
-        flows = incast.generate()
-        fg_bytes = sum(f.size_bytes for f in flows)
-        bg_bytes = 5.0 * 200 * MILLIS
+        """Realised fg / (fg + bg) byte share tracks the requested
+        fraction: the incast source rides on top of an unchanged
+        background load."""
+        _, flows = self._incast(fraction=0.1, sim_ms=200)
+        fg_bytes = sum(f.size_bytes for f in flows if f.role == "fg")
+        bg_bytes = sum(f.size_bytes for f in flows if f.role == "bg")
         measured = fg_bytes / (fg_bytes + bg_bytes)
         assert 0.05 < measured < 0.2
 
     def test_zero_fraction_no_events(self):
-        _, incast = self._incast(fraction=0.0)
-        assert incast.generate() == []
+        _, flows = self._incast(fraction=0.0)
+        assert flows and all(f.role == "bg" for f in flows)
 
     def test_flow_ids_start_at_offset(self):
-        _, incast = self._incast()
-        flows = incast.generate()
-        assert min(f.flow_id for f in flows) == 1000
+        """The second source numbers its flows from its own id stride, so
+        ids never depend on how many background flows were drawn."""
+        _, flows = self._incast()
+        assert min(f.flow_id for f in flows if f.role == "fg") == \
+            SOURCE_ID_STRIDE + 1
 
     @pytest.mark.parametrize("n_hosts", [0, 1])
     def test_fewer_than_two_hosts_rejected(self, n_hosts):
-        """A sender pool of < 2 hosts used to reach ``integers(0, 0)``
-        (ZeroDivisionError deep in the sampler at generate() time); it
-        must fail loudly at construction instead."""
-        rng = RngRegistry(2).stream("incast")
+        """A sender pool of < 2 hosts must fail loudly when the source is
+        built, not as a ZeroDivisionError deep in the rate math."""
         hosts = [_FakeHost(i) for i in range(n_hosts)]
+        incast_only = TrafficConfig((SourceConfig(name="fg", kind="incast"),))
         with pytest.raises(ValueError, match="at least 2 hosts"):
-            IncastTraffic(hosts, request_bytes=8 * KB, flows_per_sender=4,
-                          background_bytes_per_ns=5.0,
-                          foreground_fraction=0.1, sim_time_ns=MILLIS,
-                          rng=rng, first_flow_id=1)
-
-    def test_single_host_legal_when_fraction_zero(self):
-        # No incast events will ever fire, so a degenerate pool is fine.
-        rng = RngRegistry(2).stream("incast")
-        incast = IncastTraffic([_FakeHost(0)], request_bytes=8 * KB,
-                               flows_per_sender=4,
-                               background_bytes_per_ns=5.0,
-                               foreground_fraction=0.0,
-                               sim_time_ns=MILLIS, rng=rng, first_flow_id=1)
-        assert incast.generate() == []
+            build_sources(incast_only, hosts, [hosts], load=0.5,
+                          rate_bps=10 * GBPS, sim_time_ns=MILLIS,
+                          size_scale=1.0)
 
 
 class _FakeHost:

@@ -1,11 +1,11 @@
 """Tests for the streaming traffic-generation suite (repro.workloads.gen).
 
 Covers the generator protocol (constant memory, seed stability, flow-id
-strides), composition (merge isolation), the legacy-adapter
-stream-identity contract (pre-suite digest re-pin), the parametric
-distributions/arrival processes/locality matrices, coflow child release
-through a real experiment, spec-string parsing, and cache keying of the
-``TrafficConfig`` block. See DESIGN.md §6k.
+strides), composition (merge isolation), pinned flow streams of the §6.2
+sources (draw order), the parametric distributions/arrival
+processes/locality matrices, coflow child release through a real
+experiment (and the horizon rule for replies), spec-string parsing, and
+cache keying of the ``TrafficConfig`` block. See DESIGN.md §6k.
 """
 
 import itertools
@@ -339,6 +339,29 @@ class TestCoflowSource:
                              if r.role == "req" and r.completed)
         assert roles["reply"] <= completed_reqs
 
+    def test_reply_past_the_horizon_is_not_launched(self):
+        """A reply whose ``now + think_ns`` lands at or past the horizon
+        follows the rule for top-level arrivals: it is never launched, so
+        it cannot show up as a never-started, censored record."""
+        from repro.experiments.config import ExperimentConfig, SchemeName
+        from repro.net.topology import ClosSpec
+
+        think_ns = 600_000
+        cfg = ExperimentConfig(
+            scheme=SchemeName.DCTCP, deployment=0.0, load=0.3,
+            sim_time_ns=MILLIS, size_scale=8.0, seed=1,
+            clos=ClosSpec(n_pods=1, aggs_per_pod=1, tors_per_pod=2,
+                          hosts_per_tor=3),
+            traffic=TrafficConfig(sources=(
+                SourceConfig(name="jobs", kind="coflow", fanout=2,
+                             think_ns=think_ns),)),
+        )
+        records = run_experiment(cfg).records
+        replies = [r for r in records if r.role == "reply"]
+        assert replies, "some requests finish early enough to be answered"
+        assert all(think_ns <= r.start_ns < cfg.sim_time_ns for r in replies)
+        assert all(r.start_ns >= 0 for r in records)
+
 
 class TestParsers:
     def test_parse_sizes_variants(self):
@@ -397,7 +420,7 @@ class TestParsers:
 
     def test_build_sources_rate_targets_realized_load(self):
         """An open source's λ x realized mean must equal its share of the
-        offered byte rate — the same invariant the adapters now obey."""
+        offered byte rate."""
         traffic = TrafficConfig(sources=(SourceConfig(load_share=1.0),))
         src, = build_sources(
             traffic, stub_hosts(8), stub_groups(8, 2), load=0.5,
@@ -411,31 +434,33 @@ class TestParsers:
 class TestTrafficConfigCacheKey:
     def test_traffic_block_keys_the_cache(self):
         base = default_sweep_config()
-        with_traffic = default_sweep_config(
-            traffic=TrafficConfig(sources=(SourceConfig(),)))
         variant = default_sweep_config(
             traffic=TrafficConfig(sources=(
                 SourceConfig(arrivals="onoff:on_us=50,off_us=200"),)))
-        keys = {config_key(base), config_key(with_traffic),
-                config_key(variant)}
-        assert len(keys) == 3
-        assert config_key(with_traffic) == config_key(
-            default_sweep_config(
-                traffic=TrafficConfig(sources=(SourceConfig(),))))
+        mixed = default_sweep_config(
+            traffic=TrafficConfig.paper(foreground_fraction=0.1))
+        assert len({config_key(base), config_key(variant),
+                    config_key(mixed)}) == 3
+        # the default block is a value, not a separate "unset" state
+        assert config_key(base) == config_key(default_sweep_config(
+            traffic=TrafficConfig(sources=(SourceConfig(),))))
 
 
 class TestAdapterStreamIdentity:
-    """The legacy generators are now thin adapters over gen.*: with the
-    pre-fix analytic λ pinned back in, they must reproduce the exact
-    pre-suite flow streams (digests captured before the refactor).
+    """Pinned flow streams of the §6.2 sources, each on an explicit
+    ``np.random.Generator``: ``OpenLoopSource`` draws gap, pair, size per
+    flow (uniform and grouped pickers), ``IncastSource`` draws gap,
+    receiver per event. The digests were recorded from the materialised
+    Poisson/incast loops that preceded the sources and have reproduced
+    bit-for-bit ever since; any change to a source's draw order moves them.
 
-    The offered-load fix intentionally changed λ, so the *shipped*
-    digests differ — these pins prove the only behavioral delta is that
-    one documented rate correction. See DESIGN.md §6k.
+    The pins are of the sources, not of ``build_sources``: they use the
+    arrival rates, generators and id numbering they were recorded with
+    (analytic-mean λ, foreground ids after the background's), all passed
+    in explicitly below.
     """
 
-    # (config cell, flow count, sha256) captured at the pre-refactor
-    # commit with the digest recipe in _digest below.
+    # (scheme, audit topology) -> (flow count, sha256) under _digest below
     PINS = {
         ("dctcp", "dumbbell"):
             (123, "c88de0d5dbe1ba2bf63a070236bcd854"
@@ -450,44 +475,61 @@ class TestAdapterStreamIdentity:
     REGIONAL_PIN = (910, "0d1505277469f2e2913bccf459f0f380"
                          "c69b03b89e37c9e4b44e1145ebb27b11")
 
-    @pytest.fixture
-    def analytic_lambda(self, monkeypatch):
-        from repro.workloads.arrivals import PoissonTraffic
-
-        def old_lambda(self):
-            mean_bits = self.cdf.mean_bytes(self.size_scale) * 8.0
-            offered_bps = self.load * len(self.hosts) * self.rate_bps
-            return offered_bps / mean_bits / 1e9
-
-        monkeypatch.setattr(PoissonTraffic, "arrival_rate_per_ns",
-                            old_lambda)
-
     @staticmethod
-    def _digest(cfg):
+    def _digest(cfg, foreground_fraction=0.0, intra=None):
         import hashlib
 
-        from repro.experiments.runner import build_flow_specs, build_topology
-        from repro.experiments.scenarios import make_scheme_setup
+        from repro.experiments.scenarios import (build_topology,
+                                                 make_scheme_setup)
         from repro.sim.engine import Simulator
+        from repro.workloads.deployment import DeploymentPlan
+        from repro.workloads.distributions import workload_cdf
 
-        sim = Simulator()
-        setup = make_scheme_setup(cfg)
-        clos = build_topology(sim, setup.queue_factory, cfg)
-        specs, _ = build_flow_specs(cfg, clos, RngRegistry(cfg.seed))
+        clos = build_topology(Simulator(),
+                              make_scheme_setup(cfg).queue_factory, cfg)
+        rng = RngRegistry(cfg.seed)
+        deployment = 0.0 if cfg.scheme.value == "dctcp" else cfg.deployment
+        plan = DeploymentPlan(clos.racks(), deployment,
+                              rng.stream("deployment"))
+        hosts, cdf = clos.hosts, workload_cdf(cfg.workload)
+        offered_bps = cfg.load * len(hosts) * cfg.reference_rate_bps
+        lam = offered_bps / (cdf.mean_bytes(cfg.size_scale) * 8.0) / 1e9
+        if intra is None:
+            pairs = UniformPairs(hosts)
+        else:
+            regions = sorted(clos.hosts_by_region().items())
+            pairs = GroupedPairs([members for _, members in regions], intra)
+        flows = list(OpenLoopSource(
+            "bg", pairs, cdf, PoissonArrivals(lam), cfg.sim_time_ns,
+            size_scale=cfg.size_scale).flows(rng.stream("arrivals")))
+        if foreground_fraction > 0.0:
+            bg_bytes_per_ns = offered_bps / 8 / 1e9
+            fg_bytes_per_ns = (bg_bytes_per_ns * foreground_fraction
+                               / (1.0 - foreground_fraction))
+            event_bytes = (len(hosts) - 1) * 4 * 8 * KB
+            flows += IncastSource(
+                "fg", hosts, 8 * KB, 4,
+                PoissonArrivals(fg_bytes_per_ns / event_bytes),
+                cfg.sim_time_ns, first_flow_id=len(flows) + 1,
+            ).flows(rng.stream("incast"))
         h = hashlib.sha256()
-        for s in specs:
-            h.update(f"{s.flow_id},{s.src.id},{s.dst.id},{s.size_bytes},"
-                     f"{s.start_ns},{s.scheme},{s.group},{s.role};".encode())
-        return len(specs), h.hexdigest()
+        for t in flows:
+            group = plan.flow_group(t.src, t.dst)
+            scheme = cfg.scheme.value if group == "new" else "dctcp"
+            h.update(f"{t.flow_id},{t.src.id},{t.dst.id},{t.size_bytes},"
+                     f"{t.start_ns},{scheme},{group},{t.role};".encode())
+        return len(flows), h.hexdigest()
 
     @pytest.mark.parametrize("scheme,topo", sorted(PINS))
-    def test_matrix_cells_reproduce(self, analytic_lambda, scheme, topo):
+    def test_matrix_cells_reproduce(self, scheme, topo):
         from repro.audit.matrix import matrix_config
 
         cfg = matrix_config(scheme, topo, sim_time_ns=2_000_000)
-        assert self._digest(cfg) == self.PINS[(scheme, topo)]
+        fg = 0.3 if topo == "incast" else 0.0
+        assert self._digest(cfg, foreground_fraction=fg) == \
+            self.PINS[(scheme, topo)]
 
-    def test_regional_grouped_cell_reproduces(self, analytic_lambda):
+    def test_regional_grouped_cell_reproduces(self):
         from pathlib import Path
 
         from repro.experiments.scenarios import regional_fabric_config
@@ -496,7 +538,7 @@ class TestAdapterStreamIdentity:
             "regional_fabric.yaml"
         cfg = regional_fabric_config(str(yaml_path), size_scale=16.0,
                                      sim_time_ns=2_000_000)
-        assert self._digest(cfg) == self.REGIONAL_PIN
+        assert self._digest(cfg, intra=0.8) == self.REGIONAL_PIN
 
 
 class TestIncastSourceValidation:

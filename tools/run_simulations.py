@@ -39,6 +39,7 @@ from repro.experiments.sweep import default_sweep_config  # noqa: E402
 from repro.metrics.telemetry import TelemetryConfig  # noqa: E402
 from repro.net.topology import ClosSpec  # noqa: E402
 from repro.sim.units import MILLIS  # noqa: E402
+from repro.workloads import TrafficConfig  # noqa: E402
 
 DEPLOYMENTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 SCHEMES = (SchemeName.DCTCP, SchemeName.NAIVE, SchemeName.OWF,
@@ -61,16 +62,15 @@ def build_grid(base: ExperimentConfig) -> List[Tuple[str, ExperimentConfig]]:
                 f"e1_{scheme.value}_{int(dep * 100):03d}",
                 base.with_(scheme=scheme, deployment=dep),
             ))
-    # E2: mixed traffic (Figure 11)
-    grid.append(("e2_dctcp_000", base.with_(scheme=SchemeName.DCTCP,
-                                            deployment=0.0,
-                                            foreground_fraction=0.1)))
+    # E2: mixed traffic (Figure 11): 10% of bytes are foreground incast
+    mixed = base.with_(traffic=TrafficConfig.paper(foreground_fraction=0.1))
+    grid.append(("e2_dctcp_000", mixed.with_(scheme=SchemeName.DCTCP,
+                                             deployment=0.0)))
     for scheme in (SchemeName.NAIVE, SchemeName.FLEXPASS):
         for dep in nonzero:
             grid.append((
                 f"e2_{scheme.value}_{int(dep * 100):03d}",
-                base.with_(scheme=scheme, deployment=dep,
-                           foreground_fraction=0.1),
+                mixed.with_(scheme=scheme, deployment=dep),
             ))
     # E3: load sweep (Figure 14)
     for load in (0.1, 0.4, 0.7):
@@ -176,8 +176,7 @@ def main() -> int:
         if isinstance(res, FailedResult):
             # One broken experiment must not lose the other results.
             index_rows.append([eid, cfg.scheme.value, cfg.deployment,
-                               cfg.load, cfg.foreground_fraction,
-                               cfg.workload, 0, 0, "FAILED"])
+                               cfg.load, cfg.workload, 0, 0, "FAILED"])
             print(f"  {eid}: FAILED ({res.error})")
             continue
         path = os.path.join(args.out, f"fct_{eid}.csv")
@@ -195,8 +194,7 @@ def main() -> int:
             res.telemetry.write_json(
                 os.path.join(args.out, f"telemetry_{eid}.json"))
         index_rows.append([eid, cfg.scheme.value, cfg.deployment, cfg.load,
-                           cfg.foreground_fraction, cfg.workload,
-                           len(res.records), res.completed,
+                           cfg.workload, len(res.records), res.completed,
                            f"{res.wall_seconds:.1f}"])
         print(f"  {eid}: {res.completed}/{len(res.records)} flows, "
               f"{res.wall_seconds:.1f}s")
@@ -208,8 +206,7 @@ def main() -> int:
     with open(os.path.join(args.out, "index.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["experiment", "scheme", "deployment", "load",
-                    "fg_fraction", "workload", "flows", "completed",
-                    "wall_s"])
+                    "workload", "flows", "completed", "wall_s"])
         w.writerows(index_rows)
     print(f"wrote {len(grid)} result files + index.csv to {args.out}/")
     if audit_failures:
