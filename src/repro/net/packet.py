@@ -164,14 +164,17 @@ def data_wire_size(payload_bytes: int) -> int:
 _POISON = -0x7D15EA5E  # "poisoned"
 
 
+_new_packet = Packet.__new__
+
+
 class PacketPool:
     """A freelist of :class:`Packet` objects for the simulation hot path.
 
     A simulation at Clos-sweep scale churns through millions of packets whose
     lifetime is a handful of events (host TX -> a few queues -> receiver
     sink). Recycling them through a pool skips the allocator on the hottest
-    path; ``acquire`` re-runs ``Packet.__init__`` so a reused packet is
-    indistinguishable from a fresh one.
+    path; ``acquire`` rewrites every field ``Packet.__init__`` sets, so a
+    reused packet is indistinguishable from a fresh one.
 
     Ownership rules (see DESIGN.md §6d):
 
@@ -213,9 +216,25 @@ class PacketPool:
         src: int,
         dst: int,
         size: int,
-        **kwargs,
+        *,
+        payload: int = 0,
+        dscp: int = Dscp.LEGACY,
+        color: int = Color.GREEN,
+        ecn_capable: bool = False,
+        seq: int = -1,
+        flow_seq: int = -1,
+        ack: int = -1,
+        sack: Tuple[int, ...] = (),
+        subflow: int = 0,
+        sent_at: int = -1,
+        meta: Optional[int] = None,
     ) -> Packet:
-        """Check a packet out of the pool (or allocate a fresh one)."""
+        """Check a packet out of the pool (or allocate a fresh one).
+
+        Takes the fields of ``Packet.__init__`` and stores them here, so the
+        per-packet TX path is this one frame: no ``**kwargs`` dict, no
+        ``__init__`` call.
+        """
         self.acquired += 1
         free = self._free
         if free:
@@ -226,9 +245,25 @@ class PacketPool:
                     "packet pool corruption: a pooled packet was mutated "
                     "after release (use-after-release)"
                 )
-            Packet.__init__(pkt, kind, flow_id, src, dst, size, **kwargs)
         else:
-            pkt = Packet(kind, flow_id, src, dst, size, **kwargs)
+            pkt = _new_packet(Packet)
+        pkt.kind = kind
+        pkt.flow_id = flow_id
+        pkt.src = src
+        pkt.dst = dst
+        pkt.size = size
+        pkt.payload = payload
+        pkt.dscp = dscp
+        pkt.color = color
+        pkt.ecn_capable = ecn_capable
+        pkt.ce = False
+        pkt.seq = seq
+        pkt.flow_seq = flow_seq
+        pkt.ack = ack
+        pkt.sack = sack
+        pkt.subflow = subflow
+        pkt.sent_at = sent_at
+        pkt.meta = meta
         pkt._pooled = True
         return pkt
 
@@ -283,12 +318,9 @@ def packet_pool() -> PacketPool:
     return _DEFAULT_POOL
 
 
-def alloc_packet(
-    kind: PacketKind, flow_id: int, src: int, dst: int, size: int, **kwargs
-) -> Packet:
-    """Acquire a packet from the default pool — drop-in for ``Packet(...)``
-    on transport TX paths."""
-    return _DEFAULT_POOL.acquire(kind, flow_id, src, dst, size, **kwargs)
+#: Acquire a packet from the default pool — drop-in for ``Packet(...)`` on
+#: transport TX paths. Bound directly, so an allocation is one frame.
+alloc_packet = _DEFAULT_POOL.acquire
 
 
 def free_packet(pkt: Packet) -> None:

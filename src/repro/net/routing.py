@@ -43,22 +43,51 @@ def compute_next_hops(
 ) -> Dict[int, Dict[int, Tuple[int, ...]]]:
     """All equal-cost next hops toward each destination.
 
-    ``adjacency`` maps node id -> neighbor ids. Returns
+    ``adjacency`` maps node id -> neighbor ids (undirected: both ends list
+    each other). Returns
     ``next_hops[node][dst] = (neighbor ids on shortest paths, sorted)``.
+
+    A destination with exactly one neighbor (a single-homed host) is one hop
+    further than that neighbor from everywhere else, so every node's next
+    hops toward it are its next hops toward the neighbor: one BFS per ToR
+    serves all the hosts on it.
     """
     next_hops: Dict[int, Dict[int, Tuple[int, ...]]] = {n: {} for n in adjacency}
+    via_tables: Dict[int, Dict[int, Tuple[int, ...]]] = {}
     for dst in destinations:
-        dist = _bfs_distances(adjacency, dst)
-        for node, neighbors in adjacency.items():
-            if node == dst:
-                continue
-            d = dist.get(node)
-            if d is None:
-                continue  # unreachable; scenario wiring error surfaces later
-            hops = tuple(sorted(nb for nb in neighbors if dist.get(nb) == d - 1))
-            if hops:
+        neighbors = adjacency[dst]
+        if len(neighbors) != 1:
+            for node, hops in _hops_toward(adjacency, dst).items():
                 next_hops[node][dst] = hops
+            continue
+        via = neighbors[0]
+        table = via_tables.get(via)
+        if table is None:
+            table = via_tables[via] = _hops_toward(adjacency, via)
+        for node, hops in table.items():
+            if node != dst:
+                next_hops[node][dst] = hops
+        next_hops[via][dst] = (dst,)
     return next_hops
+
+
+def _hops_toward(
+    adjacency: Dict[int, List[int]], dst: int
+) -> Dict[int, Tuple[int, ...]]:
+    """Sorted shortest-path next hops toward ``dst`` from every other node
+    that can reach it."""
+    dist = _bfs_distances(adjacency, dst)
+    table: Dict[int, Tuple[int, ...]] = {}
+    for node, neighbors in adjacency.items():
+        if node == dst:
+            continue
+        d = dist.get(node)
+        if d is None:
+            continue  # unreachable; scenario wiring error surfaces later
+        hops = tuple(sorted(nb for nb in neighbors if dist.get(nb) == d - 1))
+        if hops:
+            table[node] = hops
+    return table
 
 
 def _bfs_distances(adjacency: Dict[int, List[int]], src: int) -> Dict[int, int]:

@@ -26,11 +26,16 @@ class Switch(Node):
     per-packet path never recomputes ECMP for single-path destinations and
     never chases ``ports[peer]`` dict lookups: destinations with one next
     hop map straight to their egress port, multi-hop destinations to a tuple
-    of ports indexed by the symmetric ECMP hash.
+    of ports indexed by the symmetric ECMP hash. The hash is a pure function
+    of the packet's ``(flow_id, src, dst)`` for a given table, so the member
+    it picks is memoized under that key until the next ``install_routes``.
     """
 
     __slots__ = ("buffer", "next_hops", "ecmp_salt", "routing_failures",
-                 "_route_single", "_route_multi")
+                 "_route_single", "_route_multi", "_ecmp_memo")
+
+    #: the memo is emptied when it reaches this many flow directions
+    ECMP_MEMO_MAX = 4096
 
     def __init__(
         self, sim: "Simulator", node_id: int, name: str, buffer: "SharedBuffer"
@@ -40,13 +45,16 @@ class Switch(Node):
         #: destination host id -> sorted tuple of next-hop peer node ids
         self.next_hops: Dict[int, Tuple[int, ...]] = {}
         #: fabric tier (ToR=1, agg=2, core=3): decorrelates ECMP decisions
-        #: across tiers while keeping forward/reverse paths mirrored.
+        #: across tiers while keeping forward/reverse paths mirrored. Set
+        #: by the builders before routes are installed.
         self.ecmp_salt = 0
         self.routing_failures = 0
         #: dst -> egress port, for destinations with exactly one next hop
         self._route_single: Dict[int, "EgressPort"] = {}
         #: dst -> tuple of egress ports (ECMP members, sorted by peer id)
         self._route_multi: Dict[int, Tuple["EgressPort", ...]] = {}
+        #: (flow_id, src, dst) -> the ECMP member that flow direction hashes to
+        self._ecmp_memo: Dict[Tuple[int, int, int], "EgressPort"] = {}
 
     def install_routes(self, next_hops: Dict[int, Tuple[int, ...]]) -> None:
         """Set the next-hop table and rebuild the per-packet fast tables."""
@@ -61,19 +69,27 @@ class Switch(Node):
                 multi[dst] = tuple(ports[peer] for peer in hops)
         self._route_single = single
         self._route_multi = multi
+        self._ecmp_memo = {}
 
     def receive(self, pkt: "Packet") -> None:
         dst = pkt.dst
         port = self._route_single.get(dst)
         if port is None:
-            choices = self._route_multi.get(dst)
-            if choices is None:
-                # Indicates broken topology wiring; make it loud in stats but
-                # do not crash a long sweep for one stray packet.
-                self.routing_failures += 1
-                free_packet(pkt)
-                return
-            port = choices[ecmp_index(pkt.flow_id, pkt.src, dst, len(choices),
-                                      self.ecmp_salt)]
+            memo = self._ecmp_memo
+            key = (pkt.flow_id, pkt.src, dst)
+            port = memo.get(key)
+            if port is None:
+                choices = self._route_multi.get(dst)
+                if choices is None:
+                    # Indicates broken topology wiring; make it loud in stats
+                    # but do not crash a long sweep for one stray packet.
+                    self.routing_failures += 1
+                    free_packet(pkt)
+                    return
+                port = choices[ecmp_index(pkt.flow_id, pkt.src, dst,
+                                          len(choices), self.ecmp_salt)]
+                if len(memo) >= self.ECMP_MEMO_MAX:
+                    memo.clear()
+                memo[key] = port
         if not port.enqueue(pkt):
             free_packet(pkt)  # dropped at admission; the queue counted it

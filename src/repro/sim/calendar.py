@@ -3,24 +3,28 @@
 The heap engine (:class:`repro.sim.engine.HeapSimulator`) pays a sift of the
 whole calendar on every push and pop. Credit-based transports are uniquely
 timer-heavy — ExpressPass-style pacing schedules one credit event per MTU per
-flow — so that per-event ``heapq`` cost dominates the hot loop. This engine
-replaces it with a three-tier calendar, cheapest structure first:
+flow, so thousands of entries are always waiting — and that per-event
+``heapq`` cost dominates the hot loop. This engine is a one-tier calendar:
 
-* **next-event slot** — the single soonest pending event lives in three
-  scalar fields. Scheduling compares against the slot once; dispatch reads
-  it without touching any container. Chained workloads (each event schedules
-  its successor) never leave this tier, and never pay a heap sift.
-* **active batch** — the bucket currently being drained, sorted once per
-  drain into a plain list popped from the end (entries are stored key-negated
-  so ascending C-tuple order puts the soonest event last). One ``list.sort``
-  amortizes the ordering cost over the whole bucket instead of one sift per
-  event. Events scheduled into the region still being drained are placed by
-  ``bisect.insort`` — C code, and an append when they land at the batch tail.
 * **future buckets** — fixed-width buckets (``2**bucket_bits`` ns) held in a
-  dict keyed by bucket id, with a small overflow heap of *bucket ids* (not
-  events) deciding which bucket drains next. Scheduling into the future is an
-  O(1) list append; a far-future timer costs one heap push of an int only
-  when it opens a new bucket.
+  dict keyed by bucket id, with a small heap of *bucket ids* (not events)
+  deciding which bucket drains next. Scheduling into the future is an O(1)
+  list append; a far-future timer costs one heap push of an int only when it
+  opens a new bucket.
+* **active batch** — the bucket being drained, sorted once per drain and
+  popped from the end (entries are stored key-negated so ascending C-tuple
+  order puts the soonest event last). One ``list.sort`` amortizes the
+  ordering cost over the whole bucket instead of one sift per event. Events
+  scheduled into the region already being drained are placed by
+  ``bisect.insort`` — C code, and an append when they land at the batch tail.
+
+Every entry is one flat tuple, ``(-t, -seq, fn, args)`` for a fire-and-forget
+event or ``(-t, -seq, None, handle)`` for a cancellable one, so ``post``
+allocates a single tuple and dispatch is ``pop`` then ``fn(*args)``. There is
+no next-event slot in front of the batch: with thousands of entries stored
+the next event is already the batch's tail, and a slot costs three attribute
+writes per dispatch and a compare per schedule to keep up (DESIGN.md §6h has
+the numbers).
 
 Ordering guarantees are identical to the heap engine, and are enforced by a
 differential property test against it (``tests/test_sim_engine_calendar.py``)
@@ -32,13 +36,19 @@ plus the audit subsystem's replay-digest matrix:
 
 Cancellation stays lazy (a cancelled handle is skipped at dispatch), with the
 same compaction rule as the heap engine: when cancelled entries reach
-``COMPACT_MIN_CANCELLED`` and at least half of everything stored, every tier
-is filtered in place so cancel-heavy timer workloads cannot grow the calendar
-unboundedly.
+``COMPACT_MIN_CANCELLED`` and at least half of everything stored, the batch
+and the buckets are filtered in place so cancel-heavy timer workloads cannot
+grow the calendar unboundedly.
+
+``run`` raises the garbage collector's gen-0 threshold to ``RUN_GC_GEN0`` for
+its own duration. Calendar entries are container tuples that by design
+outlive a young collection, so at the default threshold the collector
+re-scans the live calendar every 700 allocations and frees nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from bisect import insort
 from heapq import heappop, heappush
@@ -50,10 +60,20 @@ from repro.sim.events import EventHandle, RepeatingEvent
 #: are stored inline at the (hot) scheduling sites instead.
 _new_handle = EventHandle.__new__
 
+#: gen-0 threshold (container allocations between young collections) while
+#: ``run`` drains the calendar; the interpreter default is 700
+RUN_GC_GEN0 = 50_000
+
+#: negated horizon of a run without ``until``: no entry's ``-t`` is below it
+_NO_HORIZON = float("-inf")
+
+#: ``(-t, -seq, fn, args)``, or ``(-t, -seq, None, EventHandle)``
+_Entry = Tuple[int, int, Optional[Callable[..., Any]], Any]
+
 
 class CalendarSimulator:
     """A discrete-event simulator with an integer-nanosecond clock, backed
-    by a calendar queue (next-event slot + bucketed batches + id heap)."""
+    by a calendar queue (bucketed batches + a heap of bucket ids)."""
 
     #: between wall-clock checks, this many loop iterations run
     #: uninstrumented (iterations, not executed events: a purge of lazily
@@ -84,14 +104,11 @@ class CalendarSimulator:
         self._running = False
         self.aborted = False
         self.abort_reason = ""
-        # --- tier 1: the next-event slot (global minimum when non-empty)
-        self._slot_t: Optional[int] = None
-        self._slot_seq: int = 0
-        self._slot_ev: Any = None
-        # --- tier 2: the active batch, key-negated ascending (soonest last)
-        self._active: List[Tuple[int, int, Any]] = []
-        # --- tier 3: future buckets + the id heap deciding drain order
-        self._buckets: Dict[int, List[Tuple[int, int, Any]]] = {}
+        #: the active batch, key-negated ascending (soonest last). The list
+        #: is never rebound, so a run loop's local alias stays the live one.
+        self._active: List[_Entry] = []
+        #: future buckets + the id heap deciding drain order
+        self._buckets: Dict[int, List[_Entry]] = {}
         self._bucket_ids: List[int] = []
         #: entries with bucket id <= _cur_b belong to the active batch
         self._cur_b: int = -1
@@ -129,26 +146,25 @@ class CalendarSimulator:
         handle.args = args
         handle.cancelled = False
         handle._sim = self
-        st = self._slot_t
-        if st is None:
-            self._slot_t = time
-            self._slot_seq = seq
-            self._slot_ev = handle
-        elif time < st:
-            self._store(st, self._slot_seq, self._slot_ev)
-            self._slot_t = time
-            self._slot_seq = seq
-            self._slot_ev = handle
+        # Filing, inlined at all four entry points (a shared helper costs a
+        # Python frame per event). Bucket ids up to _cur_b are the region
+        # being drained: keep the active batch sorted. Later ones append.
+        b = time >> self._bits
+        if b <= self._cur_b:
+            insort(self._active, (-time, -seq, None, handle))
+            return handle
+        lst = self._buckets.get(b)
+        if lst is None:
+            self._buckets[b] = [(-time, -seq, None, handle)]
+            heappush(self._bucket_ids, b)
         else:
-            self._store(time, seq, handle)
+            lst.append((-time, -seq, None, handle))
         return handle
 
     def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` nanoseconds."""
         if delay < 0:
             raise ValueError(f"delay must be nonnegative, got {delay}")
-        # Fully inlined: this is the hottest cancellable entry point and an
-        # extra Python frame per timer is measurable.
         t = self._now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -159,28 +175,16 @@ class CalendarSimulator:
         handle.args = args
         handle.cancelled = False
         handle._sim = self
-        st = self._slot_t
-        if st is None:
-            self._slot_t = t
-            self._slot_seq = seq
-            self._slot_ev = handle
-            return handle
-        if t < st:
-            self._store(st, self._slot_seq, self._slot_ev)
-            self._slot_t = t
-            self._slot_seq = seq
-            self._slot_ev = handle
-            return handle
         b = t >> self._bits
         if b <= self._cur_b:
-            insort(self._active, (-t, -seq, handle))
+            insort(self._active, (-t, -seq, None, handle))
             return handle
         lst = self._buckets.get(b)
         if lst is None:
-            self._buckets[b] = [(-t, -seq, handle)]
+            self._buckets[b] = [(-t, -seq, None, handle)]
             heappush(self._bucket_ids, b)
         else:
-            lst.append((-t, -seq, handle))
+            lst.append((-t, -seq, None, handle))
         return handle
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -191,37 +195,27 @@ class CalendarSimulator:
         """Schedule a *fire-and-forget* event after ``delay`` nanoseconds.
 
         Like :meth:`after` but returns no handle and cannot be cancelled:
-        the calendar entry is a plain ``(fn, args)`` tuple instead of an
+        the calendar entry carries ``fn`` and ``args`` itself instead of an
         :class:`EventHandle`, which skips one object allocation per event.
         Packet deliveries and port serve events — the bulk of all events in
         a packet-forwarding run — are never cancelled, so they take this
         path. Use :meth:`after` for anything a timer might cancel.
         """
+        if delay < 0:
+            raise ValueError(f"delay must be nonnegative, got {delay}")
         t = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        st = self._slot_t
-        if st is None:
-            self._slot_t = t
-            self._slot_seq = seq
-            self._slot_ev = (fn, args)
-            return
-        if t < st:
-            self._store(st, self._slot_seq, self._slot_ev)
-            self._slot_t = t
-            self._slot_seq = seq
-            self._slot_ev = (fn, args)
-            return
         b = t >> self._bits
         if b <= self._cur_b:
-            insort(self._active, (-t, -seq, (fn, args)))
+            insort(self._active, (-t, -seq, fn, args))
             return
         lst = self._buckets.get(b)
         if lst is None:
-            self._buckets[b] = [(-t, -seq, (fn, args))]
+            self._buckets[b] = [(-t, -seq, fn, args)]
             heappush(self._bucket_ids, b)
         else:
-            lst.append((-t, -seq, (fn, args)))
+            lst.append((-t, -seq, fn, args))
 
     def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
         """Absolute-time variant of :meth:`post` (see :meth:`at`)."""
@@ -232,18 +226,16 @@ class CalendarSimulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        st = self._slot_t
-        if st is None:
-            self._slot_t = time
-            self._slot_seq = seq
-            self._slot_ev = (fn, args)
-        elif time < st:
-            self._store(st, self._slot_seq, self._slot_ev)
-            self._slot_t = time
-            self._slot_seq = seq
-            self._slot_ev = (fn, args)
+        b = time >> self._bits
+        if b <= self._cur_b:
+            insort(self._active, (-time, -seq, fn, args))
+            return
+        lst = self._buckets.get(b)
+        if lst is None:
+            self._buckets[b] = [(-time, -seq, fn, args)]
+            heappush(self._bucket_ids, b)
         else:
-            self._store(time, seq, (fn, args))
+            lst.append((-time, -seq, fn, args))
 
     def every(self, period: int, fn: Callable[[], Any],
               until: Optional[int] = None) -> RepeatingEvent:
@@ -256,26 +248,10 @@ class CalendarSimulator:
         """
         return RepeatingEvent(self, period, fn, until)
 
-    def _store(self, t: int, seq: int, ev: Any) -> None:
-        """File an entry that is *not* the global minimum into its tier."""
-        b = t >> self._bits
-        if b <= self._cur_b:
-            # The bucket being drained (or an instant the drain region has
-            # already reached): keep the active batch sorted.
-            insort(self._active, (-t, -seq, ev))
-            return
-        lst = self._buckets.get(b)
-        if lst is None:
-            self._buckets[b] = [(-t, -seq, ev)]
-            heappush(self._bucket_ids, b)
-        else:
-            lst.append((-t, -seq, ev))
-
-    # ------------------------------------------------------------ refill
-
-    def _advance_slot(self) -> None:
-        """Refill the slot when the active batch is empty: pop the next
-        non-empty bucket, sort it into dispatch order, make it active."""
+    def _advance(self) -> bool:
+        """With the active batch empty: pop the next non-empty bucket, sort
+        it into dispatch order and make it the batch. False when no bucket
+        is left, i.e. the calendar is empty."""
         ids = self._bucket_ids
         buckets = self._buckets
         while ids:
@@ -284,27 +260,10 @@ class CalendarSimulator:
             if lst is None:
                 continue  # stale id: the bucket was emptied by compaction
             self._cur_b = b
-            if len(lst) > 1:
-                lst.sort()
-            e = lst.pop()
-            self._active = lst
-            self._slot_t = -e[0]
-            self._slot_seq = -e[1]
-            self._slot_ev = e[2]
-            return
-        self._slot_t = None
-        self._slot_ev = None
-
-    def _refill_slot(self) -> None:
-        """Move the next pending entry (if any) into the slot."""
-        active = self._active
-        if active:
-            e = active.pop()
-            self._slot_t = -e[0]
-            self._slot_seq = -e[1]
-            self._slot_ev = e[2]
-        else:
-            self._advance_slot()
+            lst.sort()
+            self._active.extend(lst)
+            return True
+        return False
 
     # ------------------------------------------------------ cancellation
 
@@ -318,30 +277,18 @@ class CalendarSimulator:
         self._compact()
 
     def _stored(self) -> int:
-        """Entries held across all tiers, cancelled ones included."""
-        n = len(self._active) + (self._slot_t is not None)
-        buckets = self._buckets
-        if buckets:
-            n += sum(map(len, buckets.values()))
-        return n
+        """Entries held in the batch and the buckets, cancelled included."""
+        return len(self._active) + sum(map(len, self._buckets.values()))
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every tier (the slot purges itself
-        on dispatch). In-place slice assignment keeps a run loop's local
-        alias of the active batch valid."""
-        live = lambda e: type(e[2]) is tuple or not e[2].cancelled  # noqa: E731
-        active = self._active
-        active[:] = [e for e in active if live(e)]
-        buckets = self._buckets
-        for b in list(buckets):
-            lst = buckets[b]
-            lst[:] = [e for e in lst if live(e)]
-            if not lst:
-                # The stale id stays in the id heap; _advance_slot skips it.
-                del buckets[b]
-        ev = self._slot_ev
-        self._cancelled = int(ev is not None and type(ev) is not tuple
-                              and ev.cancelled)
+        """Drop cancelled entries from the batch and every bucket, in place
+        (the active batch is never rebound)."""
+        for lst in (self._active, *self._buckets.values()):
+            lst[:] = [e for e in lst
+                      if e[2] is not None or not e[3].cancelled]
+        # Stale ids stay in the id heap; _advance skips them.
+        self._buckets = {b: lst for b, lst in self._buckets.items() if lst}
+        self._cancelled = 0
 
     # ------------------------------------------------------------- running
 
@@ -365,56 +312,42 @@ class CalendarSimulator:
         self._running = True
         self.aborted = False
         self.abort_reason = ""
-        if until is None and max_events is None and wall_clock_s is None:
-            return self._run_fast()
-        if max_events is None and wall_clock_s is None:
-            return self._run_until(until)
-        return self._run_guarded(until, max_events, wall_clock_s)
+        thresholds = gc.get_threshold()
+        if 0 < thresholds[0] < RUN_GC_GEN0:  # 0 means the collector is off
+            gc.set_threshold(RUN_GC_GEN0, *thresholds[1:])
+        try:
+            if max_events is None and wall_clock_s is None:
+                return self._run_until(until)
+            return self._run_guarded(until, max_events, wall_clock_s)
+        finally:
+            gc.set_threshold(*thresholds)
+            self._running = False
 
-    def _run_fast(self) -> int:
-        """Drain the calendar with no horizon and no watchdog — the hot path."""
+    def _run_until(self, until: Optional[int]) -> int:
+        """Drain up to the horizon (if any) with none of the watchdog
+        bookkeeping — the hot path."""
+        stop = _NO_HORIZON if until is None else -until
+        active = self._active
+        advance = self._advance
         executed = 0
         try:
-            active = self._active
-            while True:
-                t = self._slot_t
-                if t is None:
+            while active or advance():
+                e = active.pop()
+                if e[0] < stop:  # -t < -until: beyond the horizon
+                    active.append(e)
                     break
-                ev = self._slot_ev
-                # Inline slot refill (the method-call version costs ~15% on
-                # chained workloads). The local alias can only go stale
-                # empty: _advance_slot is the sole rebinder of _active and
-                # runs only when the batch is drained, so a non-empty local
-                # is always the live list.
-                if active:
-                    e = active.pop()
-                    self._slot_t = -e[0]
-                    self._slot_seq = -e[1]
-                    self._slot_ev = e[2]
-                else:
-                    active = self._active  # resync a stale (empty) alias
-                    if active:
-                        e = active.pop()
-                        self._slot_t = -e[0]
-                        self._slot_seq = -e[1]
-                        self._slot_ev = e[2]
-                    elif self._bucket_ids:
-                        self._advance_slot()
-                        active = self._active
-                    else:
-                        self._slot_t = None
-                        self._slot_ev = None
-                if type(ev) is tuple:  # handle-free event (``post``)
-                    self._now = t
-                    fn, args = ev
-                    fn(*args)
+                fn = e[2]
+                if fn is not None:  # handle-free event (``post``)
+                    self._now = -e[0]
+                    fn(*e[3])
                     executed += 1
                     continue
+                ev = e[3]
                 fn = ev.fn
                 if fn is None:  # lazily-cancelled entry
                     self._cancelled -= 1
                     continue
-                self._now = t
+                self._now = -e[0]
                 args = ev.args
                 ev.fn = None
                 ev.args = ()
@@ -422,58 +355,7 @@ class CalendarSimulator:
                 executed += 1
         finally:
             self._events_run += executed
-            self._running = False
-        return executed
-
-    def _run_until(self, until: int) -> int:
-        """Horizon-only run: like :meth:`_run_fast` plus a single time check
-        per event, with none of the watchdog bookkeeping."""
-        executed = 0
-        try:
-            active = self._active
-            while True:
-                t = self._slot_t
-                if t is None or t > until:
-                    break
-                ev = self._slot_ev
-                if active:
-                    e = active.pop()
-                    self._slot_t = -e[0]
-                    self._slot_seq = -e[1]
-                    self._slot_ev = e[2]
-                else:
-                    active = self._active
-                    if active:
-                        e = active.pop()
-                        self._slot_t = -e[0]
-                        self._slot_seq = -e[1]
-                        self._slot_ev = e[2]
-                    elif self._bucket_ids:
-                        self._advance_slot()
-                        active = self._active
-                    else:
-                        self._slot_t = None
-                        self._slot_ev = None
-                if type(ev) is tuple:  # handle-free event (``post``)
-                    self._now = t
-                    fn, args = ev
-                    fn(*args)
-                    executed += 1
-                    continue
-                fn = ev.fn
-                if fn is None:  # lazily-cancelled entry
-                    self._cancelled -= 1
-                    continue
-                self._now = t
-                args = ev.args
-                ev.fn = None
-                ev.args = ()
-                fn(*args)
-                executed += 1
-        finally:
-            self._events_run += executed
-            self._running = False
-        if self._now < until:
+        if until is not None and self._now < until:
             self._now = until
         return executed
 
@@ -487,14 +369,13 @@ class CalendarSimulator:
         # cancelled entries executes nothing yet must still reach the
         # wall-clock check (see the heap engine for the original bug).
         next_wall_check = self.WALL_CHECK_INTERVAL
+        active = self._active
         try:
-            while True:
-                t = self._slot_t
-                if t is None:
-                    break
-                ev = self._slot_ev
-                plain = type(ev) is tuple
-                purge = not plain and ev.fn is None
+            while active or self._advance():
+                e = active[-1]
+                t = -e[0]
+                fn = e[2]
+                purge = fn is None and e[3].fn is None
                 if not purge:
                     if until is not None and t > until:
                         break
@@ -515,23 +396,22 @@ class CalendarSimulator:
                             f"exhausted after {executed} events"
                         )
                         break
+                active.pop()
                 if purge:
                     self._cancelled -= 1
-                    self._refill_slot()
                     continue
-                self._refill_slot()
                 self._now = t
-                if plain:
-                    fn, args = ev
-                else:
+                if fn is None:
+                    ev = e[3]
                     fn, args = ev.fn, ev.args
                     ev.fn = None
                     ev.args = ()
+                else:
+                    args = e[3]
                 fn(*args)
                 executed += 1
         finally:
             self._events_run += executed
-            self._running = False
         if until is not None and self._now < until and not self.aborted:
             self._now = until
         return executed
@@ -541,28 +421,24 @@ class CalendarSimulator:
     def peek_time(self) -> Optional[int]:
         """Time of the next pending event, or ``None`` if the calendar is
         empty. Cancelled entries at the front are purged on the way."""
-        while True:
-            t = self._slot_t
-            if t is None:
-                return None
-            ev = self._slot_ev
-            if type(ev) is tuple or not ev.cancelled:
-                return t
+        active = self._active
+        while active or self._advance():
+            e = active[-1]
+            if e[2] is not None or not e[3].cancelled:
+                return -e[0]
+            active.pop()
             self._cancelled -= 1
-            self._refill_slot()
+        return None
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return self._stored() - self._cancelled
 
     def iter_pending(self) -> Iterator[Tuple[int, int, Any]]:
-        """Iterate stored ``(time, seq, event)`` entries across all tiers,
-        lazily-cancelled ones included (callers skip them, exactly as they
-        skipped cancelled heap entries). Dispatch order is NOT implied."""
-        if self._slot_t is not None:
-            yield (self._slot_t, self._slot_seq, self._slot_ev)
-        for e in self._active:
-            yield (-e[0], -e[1], e[2])
-        for lst in self._buckets.values():
-            for e in lst:
-                yield (-e[0], -e[1], e[2])
+        """Iterate stored ``(time, seq, event)`` entries, ``event`` being an
+        :class:`EventHandle` or a ``(fn, args)`` tuple; lazily-cancelled ones
+        are included (callers skip them, exactly as they skipped cancelled
+        heap entries). Dispatch order is NOT implied."""
+        for lst in (self._active, *self._buckets.values()):
+            for nt, nseq, fn, arg in lst:
+                yield (-nt, -nseq, arg if fn is None else (fn, arg))

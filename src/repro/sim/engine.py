@@ -1,10 +1,10 @@
 """Event engine for the packet-level simulator.
 
 :data:`Simulator` is :class:`~repro.sim.calendar.CalendarSimulator`, a
-calendar queue: a next-event slot, fixed-width bucket batches drained with
-one sort per bucket, and a heap of bucket ids for far-future timers (see
-:mod:`repro.sim.calendar`). Every run uses it; construct ``Simulator()``
-directly.
+one-tier calendar queue: fixed-width time buckets, a heap of bucket ids for
+far-future timers, and the bucket being drained held as one sorted batch
+popped from the end (see :mod:`repro.sim.calendar`). Every run uses it;
+construct ``Simulator()`` directly.
 
 :class:`HeapSimulator`, the classic ``heapq`` tuple-heap calendar, is kept
 only as the reference that ``tests/test_sim_engine_calendar.py`` runs
@@ -13,13 +13,15 @@ randomized scheduling programs against. It implements the same surface
 ``peek_time``/``pending``/``iter_pending``) and nothing selects it at run
 time.
 
-Both hold ``(time, seq, payload)`` entries where the payload is an
-:class:`EventHandle` for cancellable events (``at``/``after``) or a bare
-``(fn, args)`` tuple for fire-and-forget ones (``post``/``post_at``), which
-skips one object allocation per event on the packet hot path. Cancellation
-is lazy (a cancelled handle stays stored and is skipped when popped), which
-is far cheaper than calendar surgery for cancel-heavy workloads. Two
-counters keep the laziness honest:
+Both accept cancellable events (``at``/``after``, which return an
+:class:`EventHandle`) and fire-and-forget ones (``post``/``post_at``, which
+skip the handle allocation on the packet hot path), refuse to schedule into
+the past, and list what they hold through ``iter_pending`` as
+``(time, seq, payload)`` with an :class:`EventHandle` or a bare
+``(fn, args)`` tuple as the payload; how entries are stored is each engine's
+own business. Cancellation is lazy (a cancelled handle stays stored and is
+skipped when popped), which is far cheaper than calendar surgery for
+cancel-heavy workloads. Two counters keep the laziness honest:
 
 * ``pending()`` never scans dispatch order: live events = stored entries
   minus a running count of cancelled-but-not-yet-popped entries;
@@ -127,6 +129,8 @@ class HeapSimulator:
         a packet-forwarding run — are never cancelled, so they take this
         path. Use :meth:`after` for anything a timer might cancel.
         """
+        if delay < 0:
+            raise ValueError(f"delay must be nonnegative, got {delay}")
         t = self._now + delay
         seq = self._seq
         self._seq = seq + 1

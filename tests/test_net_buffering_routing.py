@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.buffering import SharedBuffer, UnlimitedBuffer
-from repro.net.routing import compute_next_hops, ecmp_index
+from repro.net.routing import (
+    _bfs_distances,
+    compute_next_hops,
+    edge_key,
+    ecmp_index,
+    filter_adjacency,
+)
 
 
 class TestSharedBuffer:
@@ -103,6 +109,82 @@ class TestRouting:
         adj = {0: [1], 1: [0], 2: []}
         nh = compute_next_hops(adj, destinations=[2])
         assert 2 not in nh[0]
+
+
+def _next_hops_per_destination(adjacency, destinations):
+    """The reference: one BFS per destination, nothing shared."""
+    next_hops = {n: {} for n in adjacency}
+    for dst in destinations:
+        dist = _bfs_distances(adjacency, dst)
+        for node, neighbors in adjacency.items():
+            d = dist.get(node)
+            if node == dst or d is None:
+                continue
+            hops = tuple(sorted(nb for nb in neighbors if dist.get(nb) == d - 1))
+            if hops:
+                next_hops[node][dst] = hops
+    return next_hops
+
+
+@st.composite
+def _fabrics(draw):
+    """(adjacency over surviving edges, host ids): a random switch graph,
+    hosts hung off it with one uplink (most), two, or none, and a random
+    subset of all the edges taken down, so some single-homed hosts lose
+    their only link and some dual-homed ones become single-homed."""
+    n_sw = draw(st.integers(1, 7))
+    edges = {edge_key(a, b) for a, b in draw(st.lists(
+        st.tuples(st.integers(0, n_sw - 1), st.integers(0, n_sw - 1)),
+        max_size=14)) if a != b}
+    hosts = []
+    for uplinks in draw(st.lists(
+            st.lists(st.integers(0, n_sw - 1), max_size=2, unique=True),
+            min_size=1, max_size=8)):
+        host = n_sw + len(hosts)
+        hosts.append(host)
+        edges |= {edge_key(host, sw) for sw in uplinks}
+    adjacency = {n: [] for n in range(n_sw + len(hosts))}
+    for a, b in sorted(edges):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    down = draw(st.sets(st.sampled_from(sorted(edges)), max_size=4)
+                if edges else st.just(set()))
+    return filter_adjacency(adjacency, frozenset(down)), hosts
+
+
+class TestSharedBfs:
+    """``compute_next_hops`` serves every single-homed destination from one
+    BFS of its only neighbor; the tables must equal the per-destination form."""
+
+    @given(_fabrics())
+    def test_equals_per_destination_form(self, fabric):
+        adjacency, hosts = fabric
+        assert (compute_next_hops(adjacency, hosts)
+                == _next_hops_per_destination(adjacency, hosts))
+
+    def test_host_whose_only_link_is_down(self):
+        # tor 0 -- hosts 2, 3;  tor 1 -- host 4;  tors linked; 0-3 down.
+        adj = {0: [1, 2, 3], 1: [0, 4], 2: [0], 3: [0], 4: [1]}
+        nh = compute_next_hops(filter_adjacency(adj, frozenset({(0, 3)})),
+                               [2, 3, 4])
+        assert nh[4] == {2: (1,)} and nh[1] == {2: (0,), 4: (4,)}
+        assert all(3 not in table for table in nh.values())
+        assert nh[3] == {}
+
+    def test_siblings_share_one_bfs(self, monkeypatch):
+        from repro.net import routing
+        calls = []
+        real = routing._bfs_distances
+        monkeypatch.setattr(routing, "_bfs_distances",
+                            lambda adj, src: calls.append(src) or real(adj, src))
+        # two tors with three hosts each, one dual-homed host (8)
+        adj = {0: [1, 2, 3, 4, 8], 1: [0, 5, 6, 7, 8], 2: [0], 3: [0],
+               4: [0], 5: [1], 6: [1], 7: [1], 8: [0, 1]}
+        hosts = [2, 3, 4, 5, 6, 7, 8]
+        nh = routing.compute_next_hops(adj, hosts)
+        assert sorted(calls) == [0, 1, 8]
+        assert nh == _next_hops_per_destination(adj, hosts)
+        assert nh[2][8] == (0,) and nh[5][2] == (1,) and nh[5][8] == (1,)
 
 
 class TestEcmpHash:

@@ -13,6 +13,7 @@ import pytest
 from repro.net.buffering import SharedBuffer
 from repro.net.link import Link
 from repro.net.packet import (
+    Color,
     Dscp,
     Packet,
     PacketKind,
@@ -79,6 +80,24 @@ class TestPoolBasics:
         assert (p2.flow_id, p2.src, p2.dst, p2.size, p2.ack) == (2, 5, 6, 84, 3)
         assert p2.seq == -1 and p2.ce is False  # fully re-inited
         assert pool.reused == 1
+
+    def test_acquire_matches_packet_init_in_every_slot(self):
+        """``acquire`` stores the fields itself instead of calling
+        ``Packet.__init__``; fresh or reused, the two must agree."""
+        args = (PacketKind.ACK, 9, 3, 4, 84)
+        for kwargs in ({}, dict(payload=7, dscp=Dscp.CREDIT, color=Color.RED,
+                                ecn_capable=True, seq=5, flow_seq=6, ack=8,
+                                sack=(10, 12), subflow=1, sent_at=99, meta=1)):
+            ref = Packet(*args, **kwargs)
+            pool = PacketPool()
+            fresh = pool.acquire(*args, **kwargs)
+            fresh.ce = True
+            pool.release(fresh)
+            reused = pool.acquire(*args, **kwargs)
+            assert reused is fresh
+            for slot in Packet.__slots__:
+                if slot != "_pooled":
+                    assert getattr(reused, slot) == getattr(ref, slot), slot
 
     def test_release_of_hand_built_packet_is_noop(self):
         pool = PacketPool()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import CalendarSimulator, HeapSimulator, Simulator
 
 
 def test_events_fire_in_time_order():
@@ -88,6 +88,25 @@ def test_negative_delay_raises():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.after(-1, lambda: None)
+
+
+@pytest.mark.parametrize("make_sim", [CalendarSimulator, HeapSimulator])
+def test_post_negative_delay_raises(make_sim):
+    """Regression: ``post`` took a negative delay and filed the event in the
+    past, so it ran with the clock rewound (``b`` below saw ``now == 50``
+    after ``a`` ran at 100); ``after``, ``at`` and ``post_at`` all raised."""
+    sim = make_sim()
+    seen = []
+
+    def a():
+        seen.append(("a", sim.now))
+        with pytest.raises(ValueError):
+            sim.post(-50, seen.append, "b")
+
+    sim.post(100, a)
+    sim.run()
+    assert seen == [("a", 100)]
+    assert sim.now == 100 and sim.pending() == 0
 
 
 def test_call_soon_runs_after_current_event():

@@ -8,17 +8,25 @@ on both and every observable is compared. The audit subsystem's golden
 digests cover the same contract end-to-end on real experiments; these tests
 cover it at the kernel surface, where shrinking a failure is cheap.
 
+The calendar is one tier (a sorted active batch fed from time buckets), so
+the programs also stop mid-run at ``run(until=...)`` horizons that fall
+inside a bucket or behind one already made active, schedule from outside a
+callback just past the clock (an earlier bucket than the one being
+drained), and resume. ``run`` also retunes the garbage collector for its
+own duration; the last class checks it always puts the thresholds back.
+
 Also home to the watchdog stalled-purge regression test (both engines): the
 wall-clock check must key on loop iterations, not executed events, or a
 cancel-dominated calendar purges forever without ever consulting the clock.
 """
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.calendar import CalendarSimulator
+from repro.sim.calendar import RUN_GC_GEN0, CalendarSimulator
 from repro.sim.engine import HeapSimulator
 
 ENGINES = [HeapSimulator, CalendarSimulator]
@@ -31,12 +39,19 @@ CALENDAR_VARIANTS = [
 ]
 
 
-def _run_program(make_sim, seed: int, n_roots: int):
+def _run_program(make_sim, seed: int, n_roots: int, horizons=()):
     """Interpret one randomized scheduling program; return its full trace.
 
     The program's own random stream (``random.Random(seed)``) is consumed
     inside event callbacks, so any dispatch-order divergence between engines
     derails the stream and shows up as a trace mismatch immediately.
+
+    Each entry of ``horizons`` is one ``run(until=now + h)`` segment. After
+    it the program (sometimes) peeks, which makes the calendar engine turn
+    the next bucket into the active batch, and schedules one more event
+    within 3 us of the clock: with 4 ns or 1 us buckets that is an earlier
+    bucket than the active one, with the 2**30 ns bucket it is the middle
+    of the only one. The final ``run()`` drains the rest.
     """
     sim = make_sim()
     rnd = random.Random(seed)
@@ -82,7 +97,18 @@ def _run_program(make_sim, seed: int, n_roots: int):
             sim.post(d, make_cb(f"r{i}", 0))
         else:
             sim.at(d, make_cb(f"r{i}", 0))
-    executed = sim.run()
+    executed = 0
+    for i, h in enumerate(horizons):
+        executed += sim.run(until=sim.now + h)
+        trace.append(("stop", sim.now, executed, sim.pending()))
+        if rnd.randrange(2):
+            trace.append(("peek", sim.peek_time()))
+        d = rnd.randrange(0, 3_000)
+        if rnd.randrange(2):
+            sim.post(d, make_cb(f"s{i}", 1), i)
+        else:
+            cancellable.append(sim.at(sim.now + d, make_cb(f"s{i}", 1)))
+    executed += sim.run()
     trace.append(("end", sim.now, executed, sim.pending(), sim.events_run))
     return trace
 
@@ -94,6 +120,15 @@ class TestDifferentialRandomPrograms:
         oracle = _run_program(HeapSimulator, seed, n_roots)
         for make_sim in CALENDAR_VARIANTS:
             assert _run_program(make_sim, seed, n_roots) == oracle
+
+    @given(seed=st.integers(0, 2**32 - 1), n_roots=st.integers(1, 25),
+           horizons=st.lists(st.integers(0, 80_000), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_stop_schedule_resume_traces_identical(self, seed, n_roots,
+                                                   horizons):
+        oracle = _run_program(HeapSimulator, seed, n_roots, horizons)
+        for make_sim in CALENDAR_VARIANTS:
+            assert _run_program(make_sim, seed, n_roots, horizons) == oracle
 
     @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(0, 150_000))
     @settings(max_examples=40, deadline=None)
@@ -174,7 +209,8 @@ class TestOrderingEdgeCases:
     @pytest.mark.parametrize("make_sim", CALENDAR_VARIANTS)
     def test_callback_scheduling_earlier_than_stored(self, make_sim):
         """A callback scheduling an event sooner than everything stored must
-        see it fire next (slot displacement correctness)."""
+        see it fire next: it lands at the tail of the active batch, ahead of
+        the batch's own entries and of every later bucket."""
         def run(factory):
             sim = factory()
             trace = []
@@ -202,19 +238,33 @@ class TestOrderingEdgeCases:
             return trace
         assert run(make_sim) == run(HeapSimulator)
 
-    def test_iter_pending_covers_all_tiers(self):
+    def test_iter_pending_covers_batch_and_buckets(self):
         sim = CalendarSimulator(bucket_bits=4)
-        h1 = sim.at(1, lambda: None)          # slot
-        sim.post(5, lambda: None)             # active/bucket region
-        sim.at(10_000, lambda: None)          # future bucket
-        h2 = sim.after(90_000, lambda: None)  # far-future bucket
-        h2.cancel()                           # cancelled entries included
-        entries = sorted(sim.iter_pending())
-        assert [t for t, _, _ in entries] == [1, 5, 10_000, 90_000]
-        seqs = [s for _, s, _ in entries]
-        assert seqs == sorted(seqs) == list(range(4))
+        fn = lambda *a: None  # noqa: E731
+        h1 = sim.at(1, fn)                  # first bucket
+        sim.post(5, fn, "x", 2)             # same bucket
+        sim.at(10_000, fn)                  # future bucket
+        h2 = sim.after(90_000, fn)          # far-future bucket
+        h2.cancel()                         # cancelled entries included
+
+        def check(expected_times, first_seq):
+            entries = sorted(sim.iter_pending(), key=lambda e: e[:2])
+            assert [t for t, _, _ in entries] == expected_times
+            seqs = [s for _, s, _ in entries]
+            assert seqs == list(range(first_seq, 4))
+            return entries
+
+        entries = check([1, 5, 10_000, 90_000], 0)
+        # The public shape: a handle for at/after, (fn, args) for post.
+        assert entries[0][2] is h1 and entries[3][2] is h2
+        assert entries[1][2] == (fn, ("x", 2))
         assert sim.pending() == 3
         assert h1.time == 1
+        # Stop inside the first bucket: what it still holds sits in the
+        # active batch, not in a bucket, and must be listed all the same.
+        assert sim.run(until=3) == 1
+        check([5, 10_000, 90_000], 1)
+        assert sim.pending() == 2
 
 
 class TestWatchdogStalledPurge:
@@ -272,3 +322,57 @@ class TestWatchdogStalledPurge:
             importlib.import_module(type(sim).__module__).time,
             "monotonic", boom)
         assert sim.run(max_events=100) == 10
+
+
+class TestRunRestoresCollector:
+    """``run`` raises the collector's gen-0 threshold while it drains; every
+    way out of it must put back exactly what it found."""
+
+    @pytest.fixture(autouse=True)
+    def _odd_thresholds(self):
+        before = gc.get_threshold()
+        gc.set_threshold(701, 11, 13)
+        yield
+        gc.set_threshold(*before)
+
+    def test_raised_inside_restored_after(self):
+        sim = CalendarSimulator()
+        seen = []
+        sim.post(5, lambda: seen.append(gc.get_threshold()))
+        sim.run()
+        assert seen == [(RUN_GC_GEN0, 11, 13)]
+        assert gc.get_threshold() == (701, 11, 13)
+
+    def test_restored_when_a_callback_raises(self):
+        sim = CalendarSimulator()
+
+        def boom():
+            raise KeyError("boom")
+
+        sim.post(5, boom)
+        sim.post(9, lambda: None)
+        with pytest.raises(KeyError):
+            sim.run(until=100)
+        assert gc.get_threshold() == (701, 11, 13)
+        # The engine is usable again: not left marked as running.
+        assert sim.run() == 1
+
+    def test_restored_when_the_watchdog_aborts(self):
+        sim = CalendarSimulator()
+
+        def forever():
+            sim.post(1, forever)
+
+        sim.post(1, forever)
+        sim.run(max_events=50)
+        assert sim.aborted
+        assert gc.get_threshold() == (701, 11, 13)
+
+    def test_a_disabled_or_higher_threshold_is_left_alone(self):
+        sim = CalendarSimulator()
+        for mine in ((0, 11, 13), (10**7, 11, 13)):
+            gc.set_threshold(*mine)
+            seen = []
+            sim.post(1, lambda: seen.append(gc.get_threshold()))
+            sim.run()
+            assert seen == [mine] and gc.get_threshold() == mine
