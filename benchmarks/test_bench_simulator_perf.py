@@ -292,8 +292,8 @@ def test_bench_packet_pool(benchmark):
 
 
 def test_bench_sweep_throughput(benchmark):
-    """Sweep: stream a batch of tiny Clos experiments through run_many
-    (imap_unordered + packed records), the figure-sweep execution path."""
+    """Sweep: a batch of tiny Clos experiments through run_many (the
+    pooled sweep loop + packed records), the figure-sweep execution path."""
     from repro.experiments.config import ExperimentConfig, SchemeName
     from repro.experiments.parallel import FailedResult, run_many
 

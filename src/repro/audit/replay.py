@@ -1,18 +1,19 @@
 """Deterministic-replay harness: the same config must produce the same
 event stream, bit for bit, through every execution path we ship.
 
-``replay_config`` runs a config twice — once in-process, once through the
-``run_many`` worker entry point in a real subprocess (config pickled over,
-packed result pickled back) followed by an experiment-cache round-trip —
-and compares the rolling event digests. On a mismatch the first-divergence
-reporter re-runs both sides with raw-event capture pinned to the earliest
-divergent epoch and returns both event windows.
+``replay_config`` runs a config twice — once in-process, once the way a
+pooled sweep runs it: pickled into a real worker process, run by the sweep
+loop's own pool task, written to a result store by that worker and read
+back out of the store — and compares the rolling event digests. On a
+mismatch the first-divergence reporter re-runs both sides with raw-event
+capture pinned to the earliest divergent epoch and returns both event
+windows.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
+import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
@@ -49,24 +50,25 @@ def _run_local(cfg) -> "ExperimentResult":
 
 
 def _run_worker_and_cache(cfg) -> "ExperimentResult":
-    """Run through the exact machinery a sweep uses: pickle the config into
-    a worker subprocess, unpack the packed result, then round-trip it
-    through the on-disk experiment cache."""
-    from repro.experiments.cache import ExperimentCache
-    from repro.experiments.parallel import _indexed_worker, _unpack
+    """Run through the exact machinery a sweep uses: the loop's pool task
+    in a worker subprocess, which stores the result; then read the store."""
+    from repro.experiments.fabric import FailedResult, _pool_cell
+    from repro.experiments.store import open_store
 
-    cfg = pickle.loads(pickle.dumps(cfg))
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=1) as pool:
-        _idx, stripped, packed = pool.apply(_indexed_worker, ((0, cfg),))
-    result = _unpack(stripped, packed)
     with tempfile.TemporaryDirectory() as tmp:
-        cache = ExperimentCache(tmp)
-        cache.put(cfg, result)
-        cached = cache.get(cfg)
-    if cached is None:
-        raise RuntimeError("cache round-trip lost the result")
-    return cached
+        spec = os.path.join(tmp, "replay.db")
+        with multiprocessing.get_context().Pool(processes=1) as pool:
+            outcome = pool.apply(
+                _pool_cell, ((0, cfg, 1, spec, None, None, 0.0),))
+        if isinstance(outcome, FailedResult):
+            raise RuntimeError(f"replay worker failed: {outcome.error}\n"
+                               f"{outcome.traceback}")
+        store = open_store(spec)
+        stored = store.get(cfg)
+        store.close()
+    if stored is None:
+        raise RuntimeError("store round-trip lost the result")
+    return stored
 
 
 def _digest_of(result) -> EventDigest:
@@ -102,7 +104,7 @@ def format_replay_report(report: ReplayReport) -> str:
     if report.match:
         return (f"replay OK: {report.total_events} deliveries across "
                 f"{report.epochs} epochs, digests identical through "
-                f"worker pickling and cache round-trip")
+                f"worker pickling and store round-trip")
     lines = [
         f"replay DIVERGED at epoch {report.divergence_epoch} "
         f"(t={report.divergence_time_ns}ns): "

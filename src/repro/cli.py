@@ -40,9 +40,19 @@ from repro.experiments.figures import (
     fig08_incast,
     fig09_coexistence,
 )
+from repro.experiments.fabric import (
+    FabricConfig,
+    JournalError,
+    SweepFabric,
+    sweep_status,
+)
+from repro.experiments.parallel import FailedResult, run_many
 from repro.experiments.runner import run_experiment
+from repro.experiments.store import open_store
 from repro.experiments.sweep import (
+    SweepCell,
     default_sweep_config,
+    deployment_grid,
     deployment_sweep,
     fig05a_rc3_comparison,
     fig10_rows,
@@ -276,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "action", nargs="?", choices=("start", "resume", "status"),
         default=None,
-        help="omit for an inline in-process sweep; 'start' shards the grid "
-             "through the durable fabric (journal + result store, "
-             "kill-safe), 'resume' continues a killed or partial sweep, "
-             "'status' inspects the journal without running anything")
+        help="omit for an inline sweep (same grid, same loop, no journal); "
+             "'start' runs it under the durable fabric (journal + result "
+             "store, kill-safe), 'resume' continues a killed or partial "
+             "sweep, 'status' inspects the journal without running anything")
     p_sweep.add_argument("--schemes", nargs="+",
                          default=["naive", "owf", "ly", "flexpass"])
     p_sweep.add_argument("--deployments", type=float, nargs="+",
@@ -332,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="FRACTION",
                         help="fraction of traffic kept inside the sender's "
                              "region (-1 disables the locality matrix)")
-    p_topo.add_argument("--cache", metavar="DIR", default=".sim-cache",
-                        help="experiment cache directory ('none' disables); "
-                             "identical spec+config is served from it")
+    p_topo.add_argument("--store", metavar="SPEC", default=".sim-cache.db",
+                        help="result store, sqlite:PATH or a file path "
+                             "('none' disables); identical spec+config is "
+                             "served from it")
     _add_fault_args(p_topo, ontology=True)
 
     p_wl = sub.add_parser(
@@ -417,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--replay", action="store_true",
         help="determinism cell: run the first scheme x topo twice (through "
-             "worker pickling and a cache round-trip) and compare digests")
+             "worker pickling and a result-store round-trip) and compare "
+             "digests")
     return parser
 
 
@@ -428,9 +440,9 @@ def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
                    help="journal directory: the durable work queue and the "
                         "unit of resume (required for start/resume/status)")
     g.add_argument("--store", metavar="SPEC", default=None,
-                   help="result store: a directory, or sqlite:PATH / *.db "
-                        "for the concurrent-writer SQLite backend "
-                        "(default: <journal>/store)")
+                   help="result store: sqlite:PATH or a file path, one "
+                        "SQLite file safe for concurrent writers "
+                        "(default: <journal>/store.db)")
     g.add_argument("--loads", type=float, nargs="+", default=None,
                    help="grid loads (default: the single --load)")
     g.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -449,8 +461,6 @@ def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _fabric_from_args(args):
-    from repro.experiments.fabric import FabricConfig, SweepFabric
-
     if not args.journal:
         raise SystemExit(f"repro sweep {args.action}: --journal DIR is "
                          f"required")
@@ -471,66 +481,40 @@ def _fabric_from_args(args):
     )
 
 
-def _fabric_grid(args) -> List:
-    """The durable-sweep grid: seeds x loads x schemes x deployments.
-
-    Mirrors :func:`repro.experiments.sweep.deployment_sweep`: the
-    0%-deployment point degenerates to pure DCTCP for every scheme, so it
-    is emitted as the *same* DCTCP config — the fabric's content-hash
-    dedup then simulates it once per (seed, load) and serves the rest
-    from the store.
-    """
+def _sweep_grid(args) -> List:
+    """The ``repro sweep`` grid, inline or durable: seeds x loads x
+    :func:`repro.experiments.sweep.deployment_grid`."""
     base = _base_config(args)
     schemes = [SchemeName(s) for s in args.schemes]
-    loads = args.loads if args.loads else [args.load]
-    seeds = args.seeds if args.seeds else [args.seed]
-    configs = []
-    for seed in seeds:
-        for load in loads:
-            for scheme in schemes:
-                for dep in args.deployments:
-                    if dep == 0.0:
-                        cfg = base.with_(scheme=SchemeName.DCTCP,
-                                         deployment=0.0, load=load,
-                                         seed=seed)
-                    else:
-                        cfg = base.with_(scheme=scheme, deployment=dep,
-                                         load=load, seed=seed)
-                    configs.append(cfg)
-    return configs
+    return [cfg
+            for seed in (args.seeds or [args.seed])
+            for load in (args.loads or [args.load])
+            for cfg in deployment_grid(base.with_(load=load, seed=seed),
+                                       schemes, args.deployments)]
 
 
-def _print_fabric_results(results, report) -> None:
-    from repro.experiments.parallel import FailedResult
-    from repro.experiments.sweep import SweepCell
-
+def _print_sweep(title: str, results) -> None:
+    """One row per cell, failed cells included."""
     rows = []
     for res in results:
         cfg = res.config
+        head = (cfg.scheme.value, f"{cfg.deployment:.0%}", cfg.load, cfg.seed)
         if isinstance(res, FailedResult):
-            rows.append((cfg.scheme.value, f"{cfg.deployment:.0%}",
-                         cfg.load, cfg.seed, "FAILED", "-",
-                         f"{res.error[:40]} (x{res.attempts})"))
+            rows.append(head + ("FAILED", "-", "-", "-",
+                                f"{res.error[:40]} (x{res.attempts})"))
         else:
             cell = SweepCell.from_result(res)
-            rows.append((cfg.scheme.value, f"{cfg.deployment:.0%}",
-                         cfg.load, cfg.seed, cell.p99_small_ms,
-                         cell.avg_all_ms, cell.censored))
-    print_table(
-        f"Durable sweep {report.sweep_id} [{report.status}]",
-        ("scheme", "deployed", "load", "seed", "p99 small (ms)",
-         "avg (ms)", "censored / error"),
-        rows)
-    print(f"\ncells: {report.completed}/{report.total} completed, "
-          f"{report.executed} simulated, {report.store_hits} store hits, "
-          f"{report.retries} retries, {report.expired_leases} expired "
-          f"leases, {report.wall_seconds:.1f}s wall")
-    print(f"store: {report.store}")
+            rows.append(head + (cell.p99_small_ms, cell.p99_small_legacy_ms,
+                                cell.p99_small_new_ms, cell.avg_all_ms,
+                                cell.censored))
+    print_table(title,
+                ("scheme", "deployed", "load", "seed", "p99 small (ms)",
+                 "legacy p99", "upgraded p99", "avg (ms)",
+                 "censored / error"),
+                rows)
 
 
 def _run_sweep_fabric(args) -> int:
-    from repro.experiments.fabric import JournalError, sweep_status
-
     if args.action == "status":
         if not args.journal:
             raise SystemExit("repro sweep status: --journal DIR is required")
@@ -554,13 +538,19 @@ def _run_sweep_fabric(args) -> int:
     fabric = _fabric_from_args(args)
     try:
         if args.action == "start":
-            results = fabric.run(_fabric_grid(args))
+            results = fabric.run(_sweep_grid(args))
         else:  # resume: grid comes from the journal snapshot
             results = fabric.run()
     except JournalError as exc:
         raise SystemExit(f"repro sweep {args.action}: {exc}")
     report = fabric.last_report
-    _print_fabric_results(results, report)
+    _print_sweep(f"Durable sweep {report.sweep_id} [{report.status}]",
+                 results)
+    print(f"\ncells: {report.completed}/{report.total} completed, "
+          f"{report.executed} simulated, {report.store_hits} store hits, "
+          f"{report.retries} retries, {report.expired_leases} expired "
+          f"leases, {report.wall_seconds:.1f}s wall")
+    print(f"store: {report.store}")
     print(f"completion report: {fabric.journal.report_path}")
     return 0 if report.status == "complete" else 1
 
@@ -632,22 +622,20 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         if args.action is not None:
             return _run_sweep_fabric(args)
-        base = _base_config(args)
-        schemes = tuple(SchemeName(s) for s in args.schemes)
-        grid = deployment_sweep(base, schemes, tuple(args.deployments))
-        print_grid("Deployment sweep", fig10_rows(grid),
-                   ("scheme", "deployed", "p99 small (ms)", "avg (ms)",
-                    "censored"))
-        print_grid("By traffic group", fig12_rows(grid),
-                   ("scheme", "deployed", "legacy p99", "upgraded p99"))
-        return 0
+        results = run_many(_sweep_grid(args), processes=args.processes)
+        _print_sweep("Deployment sweep", results)
+        return int(any(isinstance(r, FailedResult) for r in results))
     if args.command == "run":
         base = _base_config(args)
+        # The Q1 rows need port series; --telemetry asks for (and exports)
+        # more than those.
         cfg = base.with_(scheme=SchemeName(args.scheme),
                          deployment=args.deployment,
-                         telemetry=_telemetry_config(args))
-        res = run_experiment(cfg, sample_q1=True)
+                         telemetry=_telemetry_config(args)
+                         or TelemetryConfig.ports_only(base.sim_time_ns))
+        res = run_experiment(cfg)
         s_all, s_small = res.fct(), res.fct(small=True)
+        q1_avg_kb, q1_p90_kb, _, _ = res.q1_occupancy_kb()
         rows = [
             ("flows completed", f"{res.completed}/{len(res.records)}"),
             ("flows censored (no FCT)", s_all.censored),
@@ -655,8 +643,8 @@ def _dispatch(args) -> int:
             ("p99 small FCT (ms)", s_small.p99_ms),
             ("small flows censored", s_small.censored),
             ("timeouts", res.total_timeouts),
-            ("Q1 avg (kB)", res.q1_avg_kb),
-            ("Q1 p90 (kB)", res.q1_p90_kb),
+            ("Q1 avg (kB)", q1_avg_kb),
+            ("Q1 p90 (kB)", q1_p90_kb),
             ("selective drops", res.counters.dropped_selective),
             ("ECN marks", res.counters.ecn_marked),
             ("events simulated", res.events_run),
@@ -679,7 +667,7 @@ def _dispatch(args) -> int:
             ("metric", "value"),
             rows,
         )
-        if res.telemetry is not None:
+        if args.telemetry:
             _report_telemetry(res.telemetry, args.telemetry_out)
         return 0
     if args.command == "clos":
@@ -695,7 +683,6 @@ def _dispatch(args) -> int:
 
 def _run_topo(args) -> int:
     """The ``repro topo`` subcommand: validate/show/run a declarative spec."""
-    from repro.experiments.cache import ExperimentCache
     from repro.experiments.scenarios import regional_fabric_config
     from repro.net.fabric import TopologySpecError, load_topology_spec
 
@@ -755,15 +742,19 @@ def _run_topo(args) -> int:
         deployment=args.deployment, faults=faults,
         max_events=args.max_events, max_wall_seconds=args.max_wall_seconds,
     )
-    cache = None if args.cache == "none" else ExperimentCache(args.cache)
-    res = cache.get(cfg) if cache is not None else None
-    cached = res is not None
-    if cached:
-        print(f"served from experiment cache ({cache.describe()})")
-    else:
-        res = run_experiment(cfg)
-        if cache is not None and cache.put(cfg, res):
-            print(f"cached result in {cache.describe()}")
+    try:
+        store = None if args.store == "none" else open_store(args.store)
+    except ValueError as exc:  # --store names a directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    (res,) = run_many([cfg], cache=store)
+    if isinstance(res, FailedResult):
+        print(f"error: {res.error}", file=sys.stderr)
+        return 1
+    if store is not None and store.hits:
+        print(f"served from experiment cache ({store.spec})")
+    elif store is not None and store.stores:
+        print(f"cached result in {store.spec}")
     s_all, s_small = res.fct(), res.fct(small=True)
     rows = [
         ("fabric", f"{spec.name}: {len(spec.hosts())} hosts / "
@@ -967,34 +958,35 @@ def _run_workloads(args) -> int:
 
 def _run_workloads_sweep(args) -> int:
     """load x locality x burstiness grid across schemes."""
-    loads = args.loads if args.loads else [args.load]
-    localities = args.localities if args.localities else [args.locality]
-    arrival_specs = args.arrival_grid if args.arrival_grid \
-        else [args.arrivals]
-    rows = []
-    for load in loads:
-        for locality in localities:
-            for arrivals in arrival_specs:
+    labels, grid = [], []
+    for load in args.loads or [args.load]:
+        for locality in args.localities or [args.locality]:
+            for arrivals in args.arrival_grid or [args.arrivals]:
                 ns = argparse.Namespace(**vars(args))
                 ns.load, ns.locality, ns.arrivals = load, locality, arrivals
                 traffic = _workloads_traffic(ns)
                 for scheme in args.schemes:
-                    cfg = default_sweep_config(
+                    labels.append((scheme, load, locality, arrivals))
+                    grid.append(default_sweep_config(
                         scheme=SchemeName(scheme),
                         deployment=0.0 if scheme == "dctcp" else 1.0,
                         load=load, seed=args.seed,
                         sim_time_ns=args.ms * MILLIS,
                         size_scale=args.size_scale,
-                        workload=args.workload, traffic=traffic)
-                    res = run_experiment(cfg)
-                    s_all, s_small = res.fct(), res.fct(small=True)
-                    rows.append((scheme, load, locality, arrivals,
-                                 f"{res.completed}/{len(res.records)}",
-                                 s_small.p99_ms, s_all.avg_ms))
+                        workload=args.workload, traffic=traffic))
+    results = run_many(grid)
+    rows = []
+    for label, res in zip(labels, results):
+        if isinstance(res, FailedResult):
+            rows.append(label + ("FAILED", "-", res.error[:40]))
+        else:
+            rows.append(label + (f"{res.completed}/{len(res.records)}",
+                                 res.fct(small=True).p99_ms,
+                                 res.fct().avg_ms))
     print_grid("workloads sweep", rows,
                ("scheme", "load", "locality", "arrivals", "flows",
                 "p99 small (ms)", "avg (ms)"))
-    return 0
+    return int(any(isinstance(r, FailedResult) for r in results))
 
 
 def _run_audit(args) -> int:

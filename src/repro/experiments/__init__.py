@@ -5,9 +5,10 @@ an :class:`ExperimentConfig` (with an optional :class:`TelemetryConfig`),
 run it with :func:`run_experiment` or fan out with :func:`run_many`, and
 read the :class:`ExperimentResult` (including its packed
 :class:`TelemetrySeries`). Scheme wiring for custom topologies goes through
-:func:`make_scheme_setup`. Durable, kill-resumable sweeps go through
-:class:`SweepFabric` (or ``run_many(coordinator=...)``) against a
-:class:`ResultStore` backend opened with :func:`open_store`. Anything
+:func:`make_scheme_setup`. Results persist in a :class:`ResultStore` (one
+SQLite file, opened with :func:`open_store`, passed to ``run_many`` as
+``cache=``); durable, kill-resumable sweeps run the same loop under a
+journal through :class:`SweepFabric`. Anything
 imported from the submodules directly (``repro.experiments.runner`` etc.)
 is internal and may move without notice; see README for the documented
 surface.
@@ -35,7 +36,7 @@ from repro.experiments.scenarios import (
     regional_fabric_config,
     run_regional_fabric,
 )
-from repro.experiments.store import ResultStore, SqliteStore, open_store
+from repro.experiments.store import ResultStore, open_store
 from repro.metrics.telemetry import TelemetryConfig, TelemetrySeries
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "SweepFabric",
     "sweep_status",
     "ResultStore",
-    "SqliteStore",
     "open_store",
 ]
 

@@ -1,10 +1,15 @@
-"""Durable sweep fabric: persistent work queue, leases, crash-resume.
+"""The sweep loop, and the journal that makes it durable.
 
-``run_many`` streams a config grid through a process pool — fast, but a
-killed host, a wedged worker, or a full disk loses the whole run. The
-fabric (DESIGN.md §6g) makes thousand-cell sweeps — the paper's Figs
-10–11 deployment grids and every load × locality × burstiness crossover
-study beyond them — survivable:
+A sweep is a list of configs (a *grid*); a cell is one config. One loop —
+:func:`run_cells` — runs every grid in the repo: it collapses cells with
+equal content keys into one simulation, serves what the result store
+already holds, dispatches at most ``processes`` cells at a time, harvests,
+re-queues a failure after a seeded backoff and exhausts it after
+``max_retries``. ``run_many`` is that loop with nothing else;
+:class:`SweepFabric` hands it a :class:`SweepJournal`, which makes
+thousand-cell sweeps — the paper's Figs 10–11 deployment grids and every
+load × locality × burstiness study beyond them — survive ``kill -9``
+(DESIGN.md §6g):
 
 * **Persistent work queue.** Cell states (``pending → leased →
   done/failed``) live in an append-only JSONL journal beside a pickled
@@ -15,25 +20,22 @@ study beyond them — survivable:
   flight.
 * **Leases + heartbeats.** A dispatched cell carries a wall-clock lease;
   the worker heartbeats while simulating. A dead or stalled worker's
-  lease expires and the coordinator re-queues the cell (consuming one
+  lease expires and the loop re-queues the cell (consuming one
   attempt, so a config that wedges every worker still terminates).
 * **Bounded retries.** Failures re-queue with seeded exponential backoff
-  + jitter (:func:`repro.experiments.parallel.retry_delay_s`) up to
-  ``max_retries`` extra attempts, then the cell is *exhausted*: the
-  sweep still completes, returning a :class:`FailedResult` in that slot
-  and listing the cell in the machine-readable
-  :class:`CompletionReport`.
-* **Backend-abstracted results.** Workers write results straight into a
-  :class:`repro.experiments.store.ResultStore` (local directory or
-  WAL-mode SQLite) and check it before simulating — so a resumed sweep
-  recomputes zero stored cells, duplicate configs in one grid (every
-  scheme's 0 %-deployment point hashes identically) simulate once, and
-  multiple hosts sharing a store dedup across the fleet.
+  + jitter (:func:`retry_delay_s`) up to ``max_retries`` extra attempts,
+  then the cell is *exhausted*: the sweep still completes, returning a
+  :class:`FailedResult` in that slot and listing the cell in the
+  machine-readable :class:`CompletionReport`.
+* **Results in the store.** A worker writes its clean result into the
+  :class:`repro.experiments.store.ResultStore` before its ``done`` line,
+  so a resumed sweep recomputes zero stored cells and multiple sweeps
+  sharing a store reuse each other's cells.
 
 The journal directory is the unit of resume::
 
     fabric = SweepFabric("sweeps/fig10", store="sqlite:results.db")
-    results = fabric.run(configs)          # or run_many(configs, coordinator=fabric)
+    results = fabric.run(configs)
     # ... kill -9 anywhere above, then later:
     results = SweepFabric("sweeps/fig10").run()   # picks up where it died
 
@@ -44,24 +46,24 @@ The journal directory is the unit of resume::
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+import logging
 import multiprocessing
 import os
+import pickle
+import queue
+import random
 import threading
 import time
-from collections import deque
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.experiments.cache import DEFAULT_CODE_SALT, config_key
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    DEFAULT_MAX_TASKS_PER_CHILD,
-    FailedResult,
-    _worker,
-    retry_delay_s,
-)
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.store import (
     ResultStore,
     StoreSpec,
@@ -69,8 +71,6 @@ from repro.experiments.store import (
     encode_result,
     open_store,
 )
-
-import logging
 
 logger = logging.getLogger(__name__)
 
@@ -90,14 +90,69 @@ DONE = "done"
 EXHAUSTED = "exhausted"
 
 
+#: Pool workers are replaced after this many simulations, bounding the
+#: damage a slow memory leak in any one config can do to a long sweep.
+DEFAULT_MAX_TASKS_PER_CHILD = 16
+
+#: Progress is logged at least this often (seconds) while cells complete.
+PROGRESS_LOG_PERIOD_S = 10.0
+
+#: Jitter fraction for retry backoff: each delay is stretched by up to
+#: this much, seeded, so retrying cells never re-synchronize.
+RETRY_JITTER = 0.5
+
+
 class JournalError(RuntimeError):
     """The journal is missing, unreadable, or does not match the grid."""
+
+
+@dataclass
+class FailedResult:
+    """A config that raised instead of producing an ExperimentResult.
+
+    Sweeps receive one of these *in position* (the result list always has
+    exactly ``len(configs)`` entries) so downstream tables can report the
+    hole instead of the whole run crashing. The stamps identify *where*
+    and *how long* the attempt ran: an OOM-killed or wedged worker shows
+    a foreign pid and a long wall clock, a deterministic config bug fails
+    fast in every attempt.
+    """
+
+    config: ExperimentConfig
+    error: str       # repr of the exception
+    traceback: str   # full formatted traceback from the worker
+    retried: bool = False
+    #: total executions attempted for this config (1 = never retried)
+    attempts: int = 1
+    #: pid of the worker process the *last* attempt ran in
+    worker_pid: int = 0
+    #: wall-clock seconds the last attempt ran before failing
+    wall_seconds: float = 0.0
+
+    @property
+    def failed(self) -> bool:
+        return True
+
+
+def retry_delay_s(attempt: int, base_s: float, seed: int, token) -> float:
+    """Deterministic exponential backoff with jitter for retry ``attempt``
+    (1-based) of the cell identified by ``token``.
+
+    ``base_s * 2**(attempt-1)``, stretched by up to :data:`RETRY_JITTER`
+    from an rng seeded on ``(seed, token, attempt)`` — reproducible across
+    runs and hosts, yet distinct per cell so a burst of failures does not
+    retry in lockstep.
+    """
+    if base_s <= 0:
+        return 0.0
+    rng = random.Random(f"{seed}:{token}:{attempt}")
+    return base_s * (2 ** (attempt - 1)) * (1.0 + RETRY_JITTER * rng.random())
 
 
 def append_line(path: Union[str, Path], obj: dict, sync: bool = False) -> None:
     """Append one JSON line with a single ``O_APPEND`` write.
 
-    Safe for concurrent writers (coordinator + every worker heartbeat
+    Safe for concurrent writers (the loop + every worker heartbeat
     thread): each line is one ``write(2)`` call well under the atomic
     append size. ``sync`` fsyncs — used for verdict lines whose loss
     would cost a re-execution.
@@ -115,7 +170,8 @@ def append_line(path: Union[str, Path], obj: dict, sync: bool = False) -> None:
 
 @dataclass
 class FabricConfig:
-    """Execution policy for a durable sweep (picklable, journal-free)."""
+    """Execution policy of the sweep loop (picklable). ``lease_s`` and
+    ``heartbeat_s`` only act under a journal: heartbeats travel through it."""
 
     #: worker processes (None = one per CPU, capped by pending cells)
     processes: Optional[int] = None
@@ -131,7 +187,8 @@ class FabricConfig:
     heartbeat_s: float = 5.0
     #: recycle pool workers after this many cells (leak containment)
     max_tasks_per_child: Optional[int] = DEFAULT_MAX_TASKS_PER_CHILD
-    #: coordinator poll period while cells are in flight
+    #: how often the loop looks at leases and backoffs while cells are in
+    #: flight (a finished cell wakes it at once)
     poll_s: float = 0.05
 
 
@@ -154,7 +211,7 @@ class CellState:
 
 @dataclass
 class CompletionReport:
-    """Machine-readable outcome of one coordinator invocation."""
+    """Machine-readable outcome of one :meth:`SweepFabric.run`."""
 
     sweep_id: str
     status: str                    # "complete" | "partial"
@@ -219,13 +276,6 @@ class SweepJournal:
         store entries even if the surrounding code bumps the default
         salt mid-campaign.
         """
-        import pickle
-
-        from repro.experiments.cache import (
-            DEFAULT_CODE_SALT,
-            config_key,
-        )
-
         if self.exists():
             raise JournalError(f"journal already exists at {self.dir}; "
                                f"resume it or choose a fresh directory")
@@ -258,8 +308,6 @@ class SweepJournal:
     # -------------------------------------------------------------- load
 
     def load_grid(self) -> dict:
-        import pickle
-
         if not self.exists():
             raise JournalError(f"no sweep journal at {self.dir} "
                                f"(expected {GRID_NAME} + {JOURNAL_NAME})")
@@ -275,8 +323,6 @@ class SweepJournal:
     def verify_grid(self, grid: dict) -> None:
         """Re-key the snapshot's configs and compare: catches config
         canonicalization drift that would silently mis-key the store."""
-        from repro.experiments.cache import config_key
-
         keys = [config_key(cfg, grid["salt"]) for cfg in grid["configs"]]
         if keys != grid["keys"]:
             raise JournalError(
@@ -287,6 +333,38 @@ class SweepJournal:
 
     def append(self, obj: dict, sync: bool = False) -> None:
         append_line(self.journal_path, obj, sync=sync)
+
+    def renew_leases(self, tail_pos: int,
+                     outstanding: Dict[int, Tuple[float, int]],
+                     lease_s: float) -> int:
+        """Read the lines appended since byte ``tail_pos``; a worker's
+        heartbeat (or ``run`` line) renews the ``(deadline, attempt)``
+        lease of its cell in ``outstanding``. Returns the new position."""
+        try:
+            size = self.journal_path.stat().st_size
+        except OSError:
+            return tail_pos
+        if size <= tail_pos:
+            return tail_pos
+        with open(self.journal_path, "rb") as fh:
+            fh.seek(tail_pos)
+            chunk = fh.read(size - tail_pos)
+        # Only consume complete lines; a partially-flushed tail waits.
+        end = chunk.rfind(b"\n")
+        if end < 0:
+            return tail_pos
+        for line in chunk[:end].splitlines():
+            try:
+                op = json.loads(line)
+            except ValueError:
+                continue
+            if op.get("op") in ("hb", "run") and op.get("cell") in outstanding:
+                _, attempt = outstanding[op["cell"]]
+                # A heartbeat of a superseded attempt is a zombie's.
+                if op.get("attempt") in (None, attempt):
+                    outstanding[op["cell"]] = (
+                        op.get("t", time.time()) + lease_s, attempt)
+        return tail_pos + end + 1
 
     def replay(self, n_cells: int, lease_s: float) -> List[CellState]:
         """Fold the journal into per-cell states.
@@ -367,7 +445,7 @@ class SweepJournal:
         return cells
 
 
-# ---------------------------------------------------------------- worker
+# ------------------------------------------------------------- the cell
 
 
 def _heartbeat_loop(journal_path: str, index: int, pid: int, attempt: int,
@@ -380,72 +458,284 @@ def _heartbeat_loop(journal_path: str, index: int, pid: int, attempt: int,
             pass
 
 
-def _fabric_cell(item: Tuple) -> Tuple[int, str, object]:
-    """Pool task: execute one cell against the shared store + journal.
+def run_cell(index: int, cfg: ExperimentConfig, attempt: int,
+             store: Optional[ResultStore] = None,
+             journal_path: Optional[str] = None, heartbeat_s: float = 5.0,
+             ) -> Union[ExperimentResult, FailedResult]:
+    """Execute one cell: simulate, contain and stamp a failure, put a
+    clean result in the store. Under a journal it also writes the ``run``
+    line, heartbeats while simulating, and fsyncs the verdict line — after
+    the store write, so a ``done`` cell is a stored cell.
 
-    Returns ``(index, verdict, payload)`` where verdict is ``"done"``
-    (payload None — the parent reads the store), ``"inline"`` (payload is
-    the encoded result: the store refused or failed the write, so the
-    bytes ride back over the pipe instead of being lost), or ``"failed"``
-    (payload is the stamped :class:`FailedResult`).
+    Runs in the caller's process on the serial path and inside
+    :func:`_pool_cell` in a pool worker.
     """
-    index, cfg, store_spec, salt, journal_path, heartbeat_s, attempt = item
     pid = os.getpid()
     start = time.monotonic()
-    store = open_store(store_spec, salt=salt)
-    try:
-        hit = store.get(cfg)
-        if hit is not None:
-            append_line(journal_path,
-                        {"op": "done", "cell": index, "pid": pid,
-                         "attempt": attempt, "cached": True,
-                         "t": time.time()}, sync=True)
-            return index, "done", None
-        append_line(journal_path,
-                    {"op": "run", "cell": index, "pid": pid,
-                     "attempt": attempt, "t": time.time()})
-        stop = threading.Event()
+    stop = threading.Event()
+    hb = None
+    if journal_path is not None:
+        append_line(journal_path, {"op": "run", "cell": index, "pid": pid,
+                                   "attempt": attempt, "t": time.time()})
         hb = threading.Thread(
             target=_heartbeat_loop,
             args=(journal_path, index, pid, attempt, heartbeat_s, stop),
             daemon=True)
         hb.start()
-        try:
-            result = _worker(cfg)
-        finally:
+    try:
+        result = run_experiment(cfg)
+    except Exception as exc:  # noqa: BLE001 - the whole point is containment
+        result = FailedResult(
+            config=cfg, error=repr(exc), traceback=traceback.format_exc(),
+            retried=attempt > 1, attempts=attempt, worker_pid=pid,
+            wall_seconds=time.monotonic() - start)
+    finally:
+        if hb is not None:
             stop.set()
             hb.join(timeout=heartbeat_s + 1.0)
-        wall = time.monotonic() - start
-        if isinstance(result, FailedResult):
-            result.attempts = attempt
-            result.retried = attempt > 1
-            result.worker_pid = pid
-            result.wall_seconds = wall
-            append_line(journal_path,
-                        {"op": "fail", "cell": index, "pid": pid,
-                         "attempt": attempt, "error": result.error,
-                         "tb": result.traceback[-MAX_JOURNAL_TB:],
-                         "wall_s": wall, "t": time.time()}, sync=True)
-            return index, "failed", result
-        stored = store.put(cfg, result)
+    if isinstance(result, FailedResult):
+        verdict = {"op": "fail", "error": result.error,
+                   "tb": result.traceback[-MAX_JOURNAL_TB:]}
+    else:
+        verdict = {"op": "done", "cached": False,
+                   "stored": store is not None and store.put(cfg, result)}
+    if journal_path is not None:
         append_line(journal_path,
-                    {"op": "done", "cell": index, "pid": pid,
-                     "attempt": attempt, "cached": False, "stored": stored,
-                     "wall_s": wall, "t": time.time()}, sync=True)
-        if stored:
-            return index, "done", None
-        # Aborted result or store write failure: the store has nothing,
-        # so the payload must cross the pipe or the work is lost.
-        return index, "inline", encode_result(result)
+                    dict(verdict, cell=index, pid=pid, attempt=attempt,
+                         wall_s=time.monotonic() - start, t=time.time()),
+                    sync=True)
+    return result
+
+
+def _pool_cell(item: Tuple) -> Union[bytes, FailedResult]:
+    """Pool task: :func:`run_cell` in a worker process, on the worker's own
+    store handle (opened from the spec), its clean result packed for the
+    pipe with the store's own encoding."""
+    index, cfg, attempt, store_spec, salt, journal_path, heartbeat_s = item
+    store = (open_store(store_spec, salt=salt) if store_spec is not None
+             else None)
+    try:
+        result = run_cell(index, cfg, attempt, store, journal_path,
+                          heartbeat_s)
     finally:
-        store.close()
+        if store is not None:
+            store.close()
+    return (encode_result(result) if isinstance(result, ExperimentResult)
+            else result)
 
 
-# ------------------------------------------------------------ coordinator
+# ------------------------------------------------------------- the loop
+
+
+def run_cells(configs: Sequence[ExperimentConfig],
+              store: Optional[ResultStore], policy: FabricConfig,
+              progress: Optional[Callable[[int, int], None]] = None,
+              journal: Optional[SweepJournal] = None,
+              ) -> Tuple[List[Union[ExperimentResult, FailedResult]], dict]:
+    """Drive every cell of a grid to a verdict; returns ``(results,
+    counts)`` with one result per config, in config order.
+
+    Cells with equal content keys are one simulation: the first is the
+    key's *leader*, the rest receive the leader's verdict (the same
+    object). A key the store already holds is served from it; the others
+    are dispatched — at most ``policy.processes`` at a time, in-process
+    when that is one — and a failed or expired attempt re-queues after
+    :func:`retry_delay_s` until ``policy.max_retries`` is spent.
+
+    ``journal`` adds durability and nothing else: the loop starts from the
+    journal's replayed state, appends a line per transition, and expires
+    the lease of a cell whose worker stopped heartbeating. Without one
+    the only file touched is the store's.
+    """
+    total = len(configs)
+    salt = store.salt if store is not None else None
+    keys = [config_key(cfg, salt) for cfg in configs]
+    groups: Dict[str, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    states = (journal.replay(total, policy.lease_s) if journal is not None
+              else [CellState(i) for i in range(total)])
+    journal_path = (os.fspath(journal.journal_path) if journal is not None
+                    else None)
+    results: List[Optional[Union[ExperimentResult, FailedResult]]] = (
+        [None] * total)
+    counts = {"executed": 0, "store_hits": 0, "retries": 0,
+              "expired_leases": 0, "duplicate_executions": 0}
+    done = 0
+    last_log = time.monotonic()
+
+    def log(sync: bool = False, **line) -> None:
+        if journal is not None:
+            journal.append(dict(line, t=time.time()), sync=sync)
+
+    def settle(lead: int, result, cached: bool = False) -> None:
+        """Hand the leader's verdict to every cell of its key."""
+        nonlocal done, last_log
+        for i in groups[keys[lead]]:
+            results[i] = result
+            st = states[i]
+            if isinstance(result, FailedResult):
+                if st.status != EXHAUSTED:
+                    log(True, op="exhausted", cell=i,
+                        attempts=result.attempts)
+            elif st.status != DONE and (cached or i != lead):
+                # The leader's own ``done`` line is its worker's.
+                log(True, op="done", cell=i, attempt=st.attempts + 1,
+                    cached=True)
+            done += 1
+            if progress is not None:
+                progress(done, total)
+        now = time.monotonic()
+        if done == total or now - last_log >= PROGRESS_LOG_PERIOD_S:
+            last_log = now
+            logger.info("sweep progress: %d/%d cells done (%d failed)",
+                        done, total, sum(isinstance(r, FailedResult)
+                                         for r in results))
+
+    # What is already decided: stored keys, and (on resume) exhausted ones.
+    ready: List[Tuple[float, int, int, float]] = []  # (at, cell, attempt, delay)
+    for members in groups.values():
+        lead = members[0]
+        st = states[lead]
+        hit = store.get(configs[lead]) if store is not None else None
+        if hit is not None:
+            counts["store_hits"] += len(members)
+            settle(lead, hit, cached=True)
+        elif st.status == EXHAUSTED:
+            settle(lead, FailedResult(
+                config=configs[lead], error=st.error or "exhausted retries",
+                traceback=st.traceback, retried=st.attempts > 1,
+                attempts=st.attempts, worker_pid=st.worker_pid,
+                wall_seconds=st.wall_seconds))
+        else:
+            if st.status == DONE:  # the journal says done, the store lost it
+                log(op="requeue", cell=lead, attempt=st.attempts + 1)
+            # PENDING — and LEASED: a lease can only be live if another
+            # loop is running this journal, which is unsupported; after
+            # kill -9 every leased cell is dead. The interrupted attempt
+            # produced no verdict, so it is not charged.
+            ready.append((0.0, lead, st.attempts + 1, 0.0))
+    heapq.heapify(ready)
+
+    def harvest(i: int, attempt: int, outcome) -> None:
+        """Fold one attempt's outcome into the results or the queue."""
+        if isinstance(outcome, FailedResult) and attempt <= policy.max_retries:
+            counts["retries"] += 1
+            delay = retry_delay_s(attempt, policy.retry_base_s,
+                                  policy.retry_seed, i)
+            log(op="requeue", cell=i, attempt=attempt + 1,
+                delay_s=round(delay, 3))
+            heapq.heappush(
+                ready, (time.monotonic() + delay, i, attempt + 1, delay))
+        else:
+            settle(i, outcome)
+
+    def gave_up(i: int, attempt: int, error: str) -> FailedResult:
+        return FailedResult(config=configs[i], error=error, traceback="",
+                            retried=attempt > 1, attempts=attempt)
+
+    processes = policy.processes or os.cpu_count() or 1
+    processes = max(1, min(processes, len(ready)))
+    pool = (multiprocessing.Pool(processes=processes,
+                                 maxtasksperchild=policy.max_tasks_per_child)
+            if processes > 1 else None)
+    store_spec = store.spec if store is not None else None
+    outstanding: Dict[int, Tuple[float, int]] = {}  # cell -> (deadline, attempt)
+    finished: queue.SimpleQueue = queue.SimpleQueue()  # (cell, attempt, outcome)
+    tail_pos = journal.journal_path.stat().st_size if journal is not None else 0
+
+    def dispatch(i: int, attempt: int) -> None:
+        pool.apply_async(
+            _pool_cell, ((i, configs[i], attempt, store_spec, salt,
+                          journal_path, policy.heartbeat_s),),
+            callback=lambda out: finished.put((i, attempt, out)),
+            error_callback=lambda exc: finished.put((i, attempt, exc)))
+
+    try:
+        while ready or outstanding:
+            # Dispatch ready cells whose backoff has elapsed — but never
+            # more than there are workers, so the lease clock starts when
+            # a worker can actually pick the task up. Dispatching the
+            # whole backlog at once would start every lease at submit
+            # time and falsely expire any cell whose pool-queue wait
+            # exceeded lease_s.
+            while ready and len(outstanding) < processes:
+                ready_at, i, attempt, delay = ready[0]
+                if ready_at > time.monotonic():
+                    if pool is not None:
+                        break  # the wait below covers the backoff
+                    time.sleep(delay)  # nothing else can run meanwhile
+                heapq.heappop(ready)
+                deadline = time.time() + policy.lease_s
+                log(op="lease", cell=i, attempt=attempt, deadline=deadline)
+                counts["executed"] += 1
+                if pool is None:
+                    # Lease expiry is moot (nothing can monitor the
+                    # in-process cell), but the lease line keeps the
+                    # journal format identical.
+                    harvest(i, attempt, run_cell(
+                        i, configs[i], attempt, store, journal_path,
+                        policy.heartbeat_s))
+                else:
+                    outstanding[i] = (deadline, attempt)
+                    dispatch(i, attempt)
+            if pool is None:
+                continue
+
+            try:
+                i, attempt, outcome = finished.get(timeout=policy.poll_s)
+            except queue.Empty:
+                pass
+            else:
+                if outstanding.get(i, (0.0, 0))[1] != attempt:
+                    # An expired attempt cannot be cancelled and ran to
+                    # completion anyway. Its verdict is superseded (the
+                    # re-queued attempt owns the cell; replay skips it by
+                    # attempt number), though the result it stored still
+                    # serves a later sweep.
+                    counts["duplicate_executions"] += 1
+                    logger.info("expired attempt %d of cell %d completed "
+                                "anyway; verdict discarded", attempt, i)
+                else:
+                    del outstanding[i]
+                    if isinstance(outcome, bytes):
+                        outcome = decode_result(outcome)
+                    elif isinstance(outcome, BaseException):
+                        # The task itself never raises; this is pool-level
+                        # breakage (unpicklable payload, dead machinery).
+                        outcome = gave_up(i, attempt,
+                                          f"pool failure: {outcome!r}")
+                    harvest(i, attempt, outcome)
+
+            if journal is None:
+                continue
+            # Worker heartbeats renew their cell's lease; a lease that
+            # runs out means the worker is dead or stalled.
+            tail_pos = journal.renew_leases(tail_pos, outstanding,
+                                            policy.lease_s)
+            now_wall = time.time()
+            for i in [i for i, (dl, _) in outstanding.items()
+                      if dl < now_wall]:
+                _, attempt = outstanding.pop(i)
+                counts["expired_leases"] += 1
+                log(True, op="expire", cell=i, attempt=attempt)
+                logger.warning(
+                    "lease expired for cell %d (attempt %d) — worker "
+                    "dead or stalled; re-queueing", i, attempt)
+                harvest(i, attempt, gave_up(
+                    i, attempt, "lease expired (worker dead or stalled)"))
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+    return results, counts  # type: ignore[return-value]
+
+
+# ----------------------------------------------------------- the fabric
 
 
 class SweepFabric:
-    """Durable sweep coordinator over a journal directory.
+    """:func:`run_cells` over a journal directory: the durable sweep.
 
     First ``run(configs)`` creates the journal; any later ``run()`` —
     same process or a fresh one after ``kill -9`` — resumes it. The
@@ -467,14 +757,21 @@ class SweepFabric:
 
     # ------------------------------------------------------------- setup
 
+    def _open_store(self, spec: StoreSpec, salt: Optional[str]) -> ResultStore:
+        try:
+            return open_store(spec, salt=salt)
+        except ValueError as exc:
+            # A journal started before the directory format was retired
+            # records a directory store; say so instead of failing inside
+            # sqlite3. Passing ``store=`` resumes against a new file.
+            raise JournalError(f"sweep at {self.journal.dir}: {exc}") from exc
+
     def _open(self, configs: Optional[Sequence[ExperimentConfig]]):
         """Create or resume the journal; returns (grid, store)."""
         if self.journal.exists():
             grid = self.journal.load_grid()
             self.journal.verify_grid(grid)
             if configs is not None:
-                from repro.experiments.cache import config_key
-
                 salt = grid["salt"]
                 if [config_key(c, salt) for c in configs] != grid["keys"]:
                     raise JournalError(
@@ -500,10 +797,9 @@ class SweepFabric:
                 raise JournalError(
                     f"no sweep to resume at {self.journal.dir}; pass "
                     f"configs to start one")
-            seed_store = open_store(
+            seed_store = self._open_store(
                 self._store_arg if self._store_arg is not None
-                else self.journal.dir / "store",
-                salt=self._salt_arg)
+                else self.journal.dir / "store.db", self._salt_arg)
             sweep_id = self.journal.create(configs, seed_store.spec,
                                            salt=self._salt_arg)
             seed_store.close()
@@ -511,85 +807,20 @@ class SweepFabric:
             logger.info("sweep %s created: %d cells -> %s",
                         sweep_id, len(configs), seed_store.spec)
         # Always reopen from the journal's spec with its pinned salt —
-        # even when a live ResultStore was passed in — so parent-side
+        # even when a live ResultStore was passed in — so the loop's
         # lookups key identically to the workers'.
-        store = open_store(grid["store"], salt=grid["salt"])
-        return grid, store
+        return grid, self._open_store(grid["store"], grid["salt"])
 
     # --------------------------------------------------------------- run
 
     def run(self, configs: Optional[Sequence[ExperimentConfig]] = None,
-            processes: Optional[int] = None,
             progress: Optional[Callable[[int, int], None]] = None,
             ) -> List[Union[ExperimentResult, FailedResult]]:
         t_start = time.monotonic()
-        cfg = self.config
         grid, store = self._open(configs)
-        cells: List[ExperimentConfig] = grid["configs"]
         keys: List[str] = grid["keys"]
-        total = len(cells)
-        states = self.journal.replay(total, cfg.lease_s)
-        journal_start = self.journal.journal_path.stat().st_size
-
-        results: List[Optional[Union[ExperimentResult, FailedResult]]] = (
-            [None] * total)
-        executed = 0
-        store_hits = 0
-        retries = 0
-        expired = 0
-        duplicates = 0
-
-        # Resume pre-pass: harvest finished cells, re-queue the dead.
-        ready: deque = deque()  # (ready_at_monotonic, index, attempt)
-        now_mono = time.monotonic()
-        for st in states:
-            i = st.index
-            if st.status == DONE:
-                res = store.get(cells[i])
-                if res is not None:
-                    results[i] = res
-                    store_hits += 1
-                    continue
-                # Journal says done but the store lost it — re-queue.
-                self.journal.append({"op": "requeue", "cell": i,
-                                     "attempt": st.attempts + 1,
-                                     "t": time.time()})
-                st.status = PENDING
-            if st.status == EXHAUSTED:
-                # A superseded attempt may have finished after the cell
-                # was written off (expiry cannot cancel a running worker)
-                # and stored a valid result — serve it rather than
-                # re-reporting a failure that self-healed.
-                res = store.get(cells[i])
-                if res is not None:
-                    self.journal.append(
-                        {"op": "done", "cell": i, "attempt": st.attempts + 1,
-                         "cached": True, "t": time.time()}, sync=True)
-                    results[i] = res
-                    continue
-                results[i] = self._failed_from_state(cells[i], st)
-                continue
-            # PENDING — and LEASED: a lease can only be live if another
-            # coordinator is running this journal, which is unsupported;
-            # after kill -9 every leased cell is dead. The interrupted
-            # attempt produced no verdict, so it is not charged.
-            ready.append((now_mono, i, st.attempts + 1))
-
-        done_count = sum(1 for r in results if r is not None)
-        if progress is not None and done_count:
-            progress(done_count, total)
-        if ready:
-            if processes is None:
-                processes = cfg.processes
-            if processes is None:
-                processes = os.cpu_count() or 1
-            processes = max(1, min(processes, len(ready)))
-            retries, expired, duplicates = self._execute(
-                ready, cells, keys, grid, store, results, processes,
-                progress, done_count)
-        executed, cached_dones = self._journal_counts(journal_start)
-        store_hits += cached_dones
-
+        results, counts = run_cells(grid["configs"], store, self.config,
+                                    progress, journal=self.journal)
         failed_cells = [
             {"index": i, "key": keys[i], "error": r.error,
              "attempts": r.attempts, "worker_pid": r.worker_pid,
@@ -599,17 +830,13 @@ class SweepFabric:
         report = CompletionReport(
             sweep_id=grid["sweep_id"],
             status="partial" if failed_cells else "complete",
-            total=total,
-            completed=total - len(failed_cells),
+            total=len(results),
+            completed=len(results) - len(failed_cells),
             failed=failed_cells,
-            executed=executed,
-            store_hits=store_hits,
-            retries=retries,
-            expired_leases=expired,
             wall_seconds=round(time.monotonic() - t_start, 3),
             store=grid["store"],
-            duplicate_executions=duplicates,
             store_stats=store.stats(),
+            **counts,
         )
         report.write(self.journal.report_path)
         self.journal.append({"op": "complete", "status": report.status,
@@ -619,293 +846,10 @@ class SweepFabric:
         self.last_report = report
         logger.info("sweep %s %s: %d/%d cells, %d executed, %d store hits, "
                     "%d retries, %d expired leases",
-                    report.sweep_id, report.status, report.completed, total,
-                    executed, store_hits, retries, expired)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    # ----------------------------------------------------- execution loop
-
-    def _execute(self, ready, cells, keys, grid, store, results,
-                 processes, progress, done_count):
-        """Drive pending cells to a verdict; returns ``(retries, expired,
-        duplicates)`` — execution/hit counts are read back from the
-        journal, which both serial and pooled paths append identically."""
-        cfg = self.config
-        total = len(cells)
-        journal_path = os.fspath(self.journal.journal_path)
-        retries = expired = 0
-        attempts_cap = cfg.max_retries + 1
-
-        def make_item(i, attempt):
-            return (i, cells[i], grid["store"], grid["salt"], journal_path,
-                    cfg.heartbeat_s, attempt)
-
-        def note(i):
-            nonlocal done_count
-            done_count += 1
-            if progress is not None:
-                progress(done_count, total)
-
-        def harvest(i, verdict, payload, attempt):
-            """Fold one worker verdict into results/queue state."""
-            nonlocal retries
-            if verdict == "done":
-                res = store.get(cells[i])
-                if res is None:
-                    # done but unreadable (e.g. torn by a dying disk):
-                    # treat like a lease failure and re-queue.
-                    if self._requeue_or_exhaust(
-                            i, attempt, "store entry unreadable after done",
-                            ready, results, cells, note):
-                        retries += 1
-                    return None
-                results[i] = res
-                note(i)
-            elif verdict == "inline":
-                results[i] = decode_result(payload)
-                note(i)
-            else:  # failed
-                if attempt < attempts_cap:
-                    retries += 1
-                    delay = retry_delay_s(attempt, cfg.retry_base_s,
-                                          cfg.retry_seed, i)
-                    self.journal.append(
-                        {"op": "requeue", "cell": i, "attempt": attempt + 1,
-                         "delay_s": round(delay, 3), "t": time.time()})
-                    ready.append((time.monotonic() + delay, i, attempt + 1))
-                else:
-                    self.journal.append(
-                        {"op": "exhausted", "cell": i, "attempts": attempt,
-                         "t": time.time()}, sync=True)
-                    results[i] = payload
-                    note(i)
-            return None
-
-        if processes <= 1:
-            # Serial path: same journal discipline, no pool. Lease expiry
-            # is moot (nothing can monitor the in-process worker), but the
-            # lease lines keep the journal format identical.
-            while ready:
-                ready_at, i, attempt = min(ready)
-                ready.remove((ready_at, i, attempt))
-                delay = ready_at - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                self.journal.append(
-                    {"op": "lease", "cell": i, "attempt": attempt,
-                     "deadline": time.time() + cfg.lease_s,
-                     "t": time.time()})
-                _, verdict, payload = _fabric_cell(make_item(i, attempt))
-                harvest(i, verdict, payload, attempt)
-            return retries, expired, 0
-
-        outstanding: Dict[int, Tuple] = {}  # i -> (async, deadline, attempt)
-        inflight_keys: Dict[str, int] = {}
-        # Expired-but-uncancellable tasks: apply_async gives no way to
-        # revoke a dispatched cell, so an expired attempt may still be
-        # queued or running. Its verdict is superseded (harvest ignores
-        # it, replay skips it by attempt number), but we keep the handle
-        # to count attempts that completed anyway — duplicate executions.
-        zombies: List[Tuple[int, object]] = []
-        duplicates = 0
-        tail_pos = self.journal.journal_path.stat().st_size
-        pool = multiprocessing.Pool(
-            processes=processes, maxtasksperchild=cfg.max_tasks_per_child)
-        try:
-            while ready or outstanding:
-                now = time.monotonic()
-                # Dispatch ready cells whose backoff has elapsed — but
-                # never more than the pool has workers, so the lease
-                # clock starts when a worker can actually pick the task
-                # up. Dispatching the whole backlog at once would start
-                # every lease at submit time and falsely expire any cell
-                # whose pool-queue wait exceeded lease_s. Duplicate
-                # content hashes (e.g. the shared 0%-deployment point)
-                # defer behind their in-flight leader and then hit the
-                # store instead of simulating twice.
-                deferred = deque()
-                while ready and len(outstanding) < processes:
-                    ready_at, i, attempt = min(ready)
-                    if ready_at > now:
-                        break
-                    ready.remove((ready_at, i, attempt))
-                    leader = inflight_keys.get(keys[i])
-                    if leader is not None and leader != i:
-                        deferred.append((ready_at, i, attempt))
-                        continue
-                    self.journal.append(
-                        {"op": "lease", "cell": i, "attempt": attempt,
-                         "deadline": time.time() + cfg.lease_s,
-                         "t": time.time()})
-                    async_res = pool.apply_async(_fabric_cell,
-                                                 (make_item(i, attempt),))
-                    outstanding[i] = (async_res, time.time() + cfg.lease_s,
-                                      attempt)
-                    inflight_keys[keys[i]] = i
-                ready.extend(deferred)
-
-                # Tail the journal for worker heartbeats: each renews its
-                # cell's lease.
-                tail_pos = self._renew_leases(tail_pos, outstanding,
-                                              cfg.lease_s)
-
-                # Harvest completions.
-                for i in [i for i, (ar, _, _) in outstanding.items()
-                          if ar.ready()]:
-                    ar, _, attempt = outstanding.pop(i)
-                    if inflight_keys.get(keys[i]) == i:
-                        del inflight_keys[keys[i]]
-                    try:
-                        index, verdict, payload = ar.get()
-                    except Exception as exc:  # noqa: BLE001 - pool plumbing
-                        # The task itself never raises; this is pool-level
-                        # breakage (unpicklable payload, dead machinery).
-                        if self._requeue_or_exhaust(
-                                i, attempt, f"pool failure: {exc!r}",
-                                ready, results, cells, note):
-                            retries += 1
-                        continue
-                    harvest(i, verdict, payload, attempt)
-
-                # Expire dead leases. The task itself cannot be
-                # cancelled; it becomes a zombie whose verdict is
-                # superseded by the expire line.
-                now_wall = time.time()
-                for i in [i for i, (_, dl, _) in outstanding.items()
-                          if dl < now_wall]:
-                    ar, _, attempt = outstanding.pop(i)
-                    if inflight_keys.get(keys[i]) == i:
-                        del inflight_keys[keys[i]]
-                    expired += 1
-                    zombies.append((i, ar))
-                    self.journal.append(
-                        {"op": "expire", "cell": i, "attempt": attempt,
-                         "t": now_wall}, sync=True)
-                    logger.warning(
-                        "lease expired for cell %d (attempt %d) — worker "
-                        "dead or stalled; re-queueing", i, attempt)
-                    if self._requeue_or_exhaust(
-                            i, attempt,
-                            "lease expired (worker dead or stalled)",
-                            ready, results, cells, note):
-                        retries += 1
-
-                # Reap zombies that ran to completion despite expiry:
-                # their verdict is discarded (the re-queued attempt owns
-                # the cell now), but a successful zombie's store write
-                # still serves later attempts, and the count surfaces in
-                # the report as duplicate_executions.
-                if zombies:
-                    still = []
-                    for zi, zar in zombies:
-                        if zar.ready():
-                            duplicates += 1
-                            logger.info(
-                                "expired attempt for cell %d completed "
-                                "anyway; verdict discarded", zi)
-                        else:
-                            still.append((zi, zar))
-                    zombies = still
-
-                if ready or outstanding:
-                    time.sleep(cfg.poll_s)
-        finally:
-            pool.terminate()
-            pool.join()
-        return retries, expired, duplicates
-
-    # ----------------------------------------------------------- helpers
-
-    def _requeue_or_exhaust(self, i, attempt, error, ready, results, cells,
-                            note=None) -> bool:
-        """Re-queue the cell for another attempt if its budget allows
-        (returns True), else record it exhausted (returns False)."""
-        cfg = self.config
-        if attempt < cfg.max_retries + 1:
-            delay = retry_delay_s(attempt, cfg.retry_base_s, cfg.retry_seed,
-                                  i)
-            self.journal.append(
-                {"op": "requeue", "cell": i, "attempt": attempt + 1,
-                 "delay_s": round(delay, 3), "t": time.time()})
-            ready.append((time.monotonic() + delay, i, attempt + 1))
-            return True
-        self.journal.append(
-            {"op": "exhausted", "cell": i, "attempts": attempt,
-             "t": time.time()}, sync=True)
-        results[i] = FailedResult(
-            config=cells[i], error=error, traceback="",
-            retried=attempt > 1, attempts=attempt)
-        if note is not None:
-            note(i)
-        return False
-
-    def _renew_leases(self, tail_pos: int, outstanding: Dict[int, Tuple],
-                      lease_s: float) -> int:
-        """Read journal lines appended since ``tail_pos``; worker
-        heartbeats (and ``run`` lines) renew their cell's lease."""
-        try:
-            size = self.journal.journal_path.stat().st_size
-        except OSError:
-            return tail_pos
-        if size <= tail_pos:
-            return tail_pos
-        with open(self.journal.journal_path, "rb") as fh:
-            fh.seek(tail_pos)
-            chunk = fh.read(size - tail_pos)
-        # Only consume complete lines; a partially-flushed tail waits.
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return tail_pos
-        for line in chunk[:end].splitlines():
-            try:
-                op = json.loads(line)
-            except ValueError:
-                continue
-            if op.get("op") in ("hb", "run"):
-                i = op.get("cell")
-                if i in outstanding:
-                    ar, _, attempt = outstanding[i]
-                    line_attempt = op.get("attempt")
-                    if line_attempt is not None and line_attempt != attempt:
-                        continue  # zombie heartbeat from a superseded attempt
-                    outstanding[i] = (ar, op.get("t", time.time()) + lease_s,
-                                      attempt)
-        return tail_pos + end + 1
-
-    def _journal_counts(self, since: int) -> Tuple[int, int]:
-        """(simulations started, store-served completions) appended to the
-        journal after byte offset ``since`` — i.e. by this invocation."""
-        runs = cached = 0
-        try:
-            with open(self.journal.journal_path, "rb") as fh:
-                fh.seek(since)
-                raw = fh.read()
-        except OSError:
-            return 0, 0
-        for line in raw.splitlines():
-            try:
-                op = json.loads(line)
-            except ValueError:
-                continue
-            if op.get("op") == "run":
-                runs += 1
-            elif op.get("op") == "done" and op.get("cached"):
-                cached += 1
-        return runs, cached
-
-    @staticmethod
-    def _failed_from_state(config: ExperimentConfig,
-                           st: CellState) -> FailedResult:
-        return FailedResult(
-            config=config,
-            error=st.error or "exhausted retries",
-            traceback=st.traceback,
-            retried=st.attempts > 1,
-            attempts=st.attempts,
-            worker_pid=st.worker_pid,
-            wall_seconds=st.wall_seconds,
-        )
+                    report.sweep_id, report.status, report.completed,
+                    report.total, report.executed, report.store_hits,
+                    report.retries, report.expired_leases)
+        return results
 
 
 # ------------------------------------------------------------ status API

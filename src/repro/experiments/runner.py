@@ -22,11 +22,7 @@ from repro.experiments.scenarios import (
 )
 from repro.faults.counters import FaultCounters
 from repro.metrics.fct import FctSummary, FlowRecord, summarize
-from repro.metrics.telemetry import (
-    TelemetryConfig,
-    TelemetrySampler,
-    TelemetrySeries,
-)
+from repro.metrics.telemetry import TelemetrySampler, TelemetrySeries
 from repro.net.topology import Clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -56,10 +52,6 @@ class ExperimentResult:
     events_run: int
     wall_seconds: float
     routing_failures: int = 0
-    q1_avg_kb: float = 0.0
-    q1_p90_kb: float = 0.0
-    q1_avg_red_kb: float = 0.0
-    q1_p90_red_kb: float = 0.0
     #: everything the fault injector did to this run (zeros when clean)
     fault_counters: FaultCounters = field(default_factory=FaultCounters)
     #: True when a watchdog stopped the run early; records are then partial
@@ -85,6 +77,33 @@ class ExperimentResult:
     @property
     def total_timeouts(self) -> int:
         return sum(r.timeouts for r in self.records)
+
+    def q1_occupancy_kb(self) -> Tuple[float, float, float, float]:
+        """The §6.2 'bounded queue' numbers — (avg, p90, avg red, p90 red)
+        of Q1 depth in kB over every sampled ``port.*.q1`` series — or
+        zeros when the run's telemetry sampled no port (see
+        :meth:`TelemetryConfig.ports_only`)."""
+        import numpy as np
+
+        depth: List[float] = []
+        red: List[float] = []
+        for name in (self.telemetry.names() if self.telemetry is not None
+                     else ()):
+            if name.startswith("port.") and name.endswith(".q1.depth_bytes"):
+                vals = self.telemetry.values(name)
+                depth.extend(vals)
+                # A queue without selective dropping has no red series:
+                # its reactive-red occupancy is zero by construction.
+                red_name = name[:-len("depth_bytes")] + "red_bytes"
+                red.extend(self.telemetry.values(red_name)
+                           if red_name in self.telemetry
+                           else [0.0] * len(vals))
+        if not depth:
+            return 0.0, 0.0, 0.0, 0.0
+        return (float(np.mean(depth)) / 1000,
+                float(np.percentile(depth, 90)) / 1000,
+                float(np.mean(red)) / 1000,
+                float(np.percentile(red, 90)) / 1000)
 
 
 def _fabric_groups(clos) -> List[List]:
@@ -170,9 +189,10 @@ def pump_flows(sim: Simulator, flows: Iterator[LabelledFlow],
     pump()
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   sample_q1: bool = False) -> ExperimentResult:
-    """Run one full simulation and collect results."""
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run one full simulation and collect results. The result is a
+    function of ``cfg`` alone, which is what lets a store key it by
+    ``config_key(cfg)``."""
     wall_start = time.monotonic()
     sim = Simulator()
     rng = RngRegistry(cfg.seed)
@@ -188,7 +208,7 @@ def run_experiment(cfg: ExperimentConfig,
     live: Dict[int, Tuple[FlowSpec, FlowStats]] = {}
     pump_flows(sim, flow_specs(cfg, clos, rng), setup, live, cfg.sim_time_ns)
 
-    sampler = _attach_telemetry(sim, cfg, clos, live, sample_q1)
+    sampler = _attach_telemetry(sim, cfg, clos, live)
     auditor = _attach_audit(sim, cfg, clos, live)
 
     sim.run(until=cfg.sim_time_ns, max_events=cfg.max_events,
@@ -210,13 +230,7 @@ def run_experiment(cfg: ExperimentConfig,
     if auditor is not None:
         result.audit = auditor.finalize()
     if sampler is not None:
-        series = sampler.freeze()
-        if cfg.telemetry is not None:
-            # Only an explicit request ships the series back to the caller;
-            # the implicit sample_q1 sampler exists for the scalars below.
-            result.telemetry = series
-        if sample_q1:
-            _fill_q1_stats(result, series, clos)
+        result.telemetry = sampler.freeze()
     return result
 
 
@@ -238,33 +252,17 @@ def _attach_audit(sim: Simulator, cfg: ExperimentConfig, clos: Clos,
 
 
 def _attach_telemetry(sim: Simulator, cfg: ExperimentConfig, clos: Clos,
-                      live, sample_q1: bool) -> Optional[TelemetrySampler]:
-    """Build and start the run's telemetry sampler (or None when off).
-
-    ``sample_q1`` alone synthesizes a minimal port-only config so the
-    legacy q1 occupancy scalars keep working without telemetry enabled.
-    """
+                      live) -> Optional[TelemetrySampler]:
+    """Build and start the run's telemetry sampler (or None when off)."""
     tcfg = cfg.telemetry
-    if tcfg is not None and not tcfg.enabled:
-        tcfg = None
-    if tcfg is None:
-        if not sample_q1:
-            return None
-        # Bound generously: never overwrite within the horizon, so the q1
-        # percentiles see every sample exactly like the old QueueSampler.
-        tcfg = TelemetryConfig(
-            max_samples=cfg.sim_time_ns // 100_000 + 8,
-            flows="none", links=False, pool=False, credit=False,
-        )
-    ports_mode = tcfg.ports
-    if sample_q1 and ports_mode == "none":
-        ports_mode = "tor_uplinks"
+    if tcfg is None or not tcfg.enabled:
+        return None
     sampler = TelemetrySampler(sim, interval_ns=tcfg.interval_ns,
                                max_samples=tcfg.max_samples,
                                until_ns=cfg.sim_time_ns)
-    if ports_mode == "all":
+    if tcfg.ports == "all":
         watched = [p for sw in clos.topo.switches for p in sw.ports.values()]
-    elif ports_mode == "tor_uplinks":
+    elif tcfg.ports == "tor_uplinks":
         watched = list(clos.tor_uplinks())
     else:
         watched = []
@@ -280,31 +278,6 @@ def _attach_telemetry(sim: Simulator, cfg: ExperimentConfig, clos: Clos,
                             credit=tcfg.credit)
     sampler.start()
     return sampler
-
-
-def _fill_q1_stats(result: ExperimentResult, series: TelemetrySeries,
-                   clos: Clos) -> None:
-    """Legacy q1 occupancy scalars, computed from the sampled series."""
-    import numpy as np
-
-    all_bytes: List[float] = []
-    all_red: List[float] = []
-    for port in clos.tor_uplinks():
-        depth = f"port.{port.name}.q1.depth_bytes"
-        red = f"port.{port.name}.q1.red_bytes"
-        if depth in series:
-            vals = series.values(depth)
-            all_bytes.extend(vals)
-            # A queue without selective dropping has no red series; the old
-            # sampler recorded constant zeros for it — reproduce that.
-            all_red.extend(series.values(red) if red in series
-                           else [0.0] * len(vals))
-    if all_bytes:
-        result.q1_avg_kb = float(np.mean(all_bytes)) / 1000
-        result.q1_p90_kb = float(np.percentile(all_bytes, 90)) / 1000
-    if all_red:
-        result.q1_avg_red_kb = float(np.mean(all_red)) / 1000
-        result.q1_p90_red_kb = float(np.percentile(all_red, 90)) / 1000
 
 
 def _collect_counters(clos: Clos) -> SwitchCounters:

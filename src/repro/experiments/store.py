@@ -1,15 +1,11 @@
-"""Result-store backends for sweeps: one interface, pluggable persistence.
+"""The result store: one SQLite file of experiment results, keyed by config.
 
-PR 3 introduced the content-addressed :class:`ExperimentCache` — a
-directory of pickles keyed by config hash. The sweep fabric (DESIGN.md
-§6g) needs the same contract behind different media: a local directory
-for single-host runs, and a single SQLite file (WAL mode) that many
-worker *processes* — or many hosts sharing a filesystem — can write
-concurrently. This module defines that contract and the SQLite backend;
-the directory backend stays in :mod:`repro.experiments.cache` and simply
-inherits :class:`ResultStore`.
+Every sweep path — ``run_many(cache=...)``, :class:`SweepFabric`, ``repro
+topo run --store`` — keeps its results in a :class:`ResultStore`: a
+single WAL-mode SQLite file that many worker *processes* (or hosts sharing
+a filesystem) write concurrently and that ships as one artefact.
 
-Contract (every backend):
+Contract:
 
 * Keys come from :func:`repro.experiments.cache.config_key` — the salted
   content hash of the full config — so a result stored by any process on
@@ -20,21 +16,18 @@ Contract (every backend):
 * ``put`` refuses failures and aborted results (they must re-run), and a
   *write* failure (full disk, read-only mount, locked database) degrades
   loudly-but-nonfatally: a warning log + ``write_errors`` counter, return
-  ``False``, sweep continues. See ISSUE 6 satellite on silent torn
-  writes.
-* The payload is the same pickle both backends use —
-  ``(result-with-records-stripped, PackedFlowRecords)`` — so migrating a
-  store between backends is a byte copy of payloads.
+  ``False``, sweep continues.
+* The payload is ``(result-with-records-stripped, PackedFlowRecords)``,
+  pickled — the same bytes a worker sends its parent over the pipe.
 
 ``open_store`` parses user-facing specs::
 
-    open_store("results/.store")          -> ExperimentCache (directory)
-    open_store("sqlite:results/sweep.db") -> SqliteStore
-    open_store("results/sweep.db")        -> SqliteStore (by suffix)
+    open_store("sqlite:results/sweep.db") -> ResultStore
+    open_store("results/sweep.db")        -> ResultStore (a bare file path)
     open_store(existing_store)            -> unchanged
 
 Worker processes receive the *spec string* (picklable, connection-free)
-and open their own backend; SQLite connections never cross ``fork``.
+and open their own handle; SQLite connections never cross ``fork``.
 """
 
 from __future__ import annotations
@@ -49,24 +42,21 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
+from repro.experiments.cache import config_key
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.fct import PackedFlowRecords
 
 logger = logging.getLogger(__name__)
 
-#: ``type(store).__name__``-independent spec prefix for the SQLite backend.
+#: Optional spec prefix; ``sqlite:PATH`` and a bare ``PATH`` are the same store.
 SQLITE_PREFIX = "sqlite:"
-
-#: File suffixes that make a bare path mean "SQLite file", not "directory".
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
 
 def encode_result(result: ExperimentResult) -> bytes:
     """Serialize a clean result to the canonical payload bytes.
 
-    Flow records are packed into typed columns first (tens of thousands of
-    dataclasses become a handful of contiguous buffers), exactly as on the
-    worker→parent hop.
+    Flow records are packed into typed columns first: tens of thousands of
+    dataclasses become a handful of contiguous buffers.
     """
     packed = PackedFlowRecords.pack(result.records)
     stripped = dataclasses.replace(result, records=[])
@@ -91,111 +81,6 @@ DECODE_ERRORS = (pickle.UnpicklingError, ValueError, EOFError,
 
 
 class ResultStore:
-    """Interface + shared bookkeeping for experiment-result backends.
-
-    Subclasses implement ``_read(key) -> bytes | None`` and
-    ``_write(key, payload) -> None`` (raising ``OSError`` /
-    ``sqlite3.Error`` on media failure); this base class supplies keying,
-    encode/decode, the never-cache-failures rule, loud-but-nonfatal write
-    degradation, and hit/miss/store counters.
-    """
-
-    #: spec string that reopens this store in another process (set by
-    #: subclasses; used by the sweep fabric to hand stores to workers).
-    spec: str = ""
-
-    def __init__(self, salt: Optional[str] = None):
-        self.salt = salt
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.skipped = 0       # puts refused (failed/aborted results)
-        self.write_errors = 0  # puts that hit a media error (disk full, ...)
-
-    # ------------------------------------------------------------- keying
-
-    def key(self, config) -> str:
-        from repro.experiments.cache import config_key
-
-        return config_key(config, self.salt)
-
-    # ----------------------------------------------------------- get/put
-
-    def get(self, config) -> Optional[ExperimentResult]:
-        """Return the stored result for ``config``, or None on a miss."""
-        payload = self._read(self.key(config))
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            result = decode_result(payload)
-        except DECODE_ERRORS:
-            # A torn or stale-schema entry reads as a miss; the fresh run
-            # will overwrite it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, config, result) -> bool:
-        """Store a clean result; returns True iff it was durably written.
-
-        Failed and aborted results are never stored — they are exactly the
-        runs a retry might fix. A media error (disk full, read-only mount,
-        database locked past its timeout) is *not* raised: the sweep keeps
-        its in-memory result and every incident is logged and counted, so
-        a dying disk degrades loudly instead of silently recomputing
-        forever.
-        """
-        if not isinstance(result, ExperimentResult) or result.aborted:
-            self.skipped += 1
-            return False
-        key = self.key(config)
-        try:
-            self._write(key, encode_result(result))
-        except (OSError, sqlite3.Error) as exc:
-            self.write_errors += 1
-            logger.warning(
-                "result-store write failed (%d so far) for key %s on %s: %s "
-                "— result kept in memory; this config will recompute next "
-                "sweep", self.write_errors, key[:12], self.describe(), exc)
-            return False
-        self.stores += 1
-        return True
-
-    # ------------------------------------------------- subclass interface
-
-    def _read(self, key: str) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def _write(self, key: str, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Human-readable location, for logs and reports."""
-        return self.spec or type(self).__name__
-
-    def close(self) -> None:
-        """Release any handles; stores are reopenable from ``spec``."""
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "skipped": self.skipped,
-            "write_errors": self.write_errors,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<{type(self).__name__} {self.describe()} hits={self.hits} "
-                f"misses={self.misses} stores={self.stores} "
-                f"write_errors={self.write_errors}>")
-
-
-class SqliteStore(ResultStore):
     """Single-file SQLite result store, safe for concurrent writers.
 
     WAL journaling lets readers proceed while a writer commits; a generous
@@ -206,15 +91,26 @@ class SqliteStore(ResultStore):
     hash of the config that produced them).
 
     Connections are opened lazily per ``(process, thread)`` and never
-    shared across ``fork`` — workers reconstruct the store from its spec
-    string.
+    shared across ``fork`` — workers reconstruct the store from its
+    ``spec`` string.
     """
 
     def __init__(self, path: Union[str, Path], salt: Optional[str] = None,
                  timeout_s: float = 30.0):
-        super().__init__(salt)
         self.path = Path(path)
+        if self.path.is_dir():
+            raise ValueError(
+                f"result store {self.path} is a directory: the directory "
+                f"store format was retired, results live in one SQLite "
+                f"file — name a file (e.g. {self.path / 'store.db'})")
+        self.salt = salt
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.skipped = 0       # puts refused (failed/aborted results)
+        self.write_errors = 0  # puts that hit a media error (disk full, ...)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        #: spec string that reopens this store in another process
         self.spec = f"{SQLITE_PREFIX}{self.path}"
         self.timeout_s = timeout_s
         self._local = threading.local()
@@ -248,36 +144,82 @@ class SqliteStore(ResultStore):
             self._local.conn = conn
         return conn
 
-    def _read(self, key: str) -> Optional[bytes]:
+    def key(self, config) -> str:
+        return config_key(config, self.salt)
+
+    # ----------------------------------------------------------- get/put
+
+    def get(self, config) -> Optional[ExperimentResult]:
+        """Return the stored result for ``config``, or None on a miss."""
+        key = self.key(config)
         try:
             row = self._conn().execute(
-                "SELECT payload FROM results WHERE key = ?", (key,)
-            ).fetchone()
-        except sqlite3.Error:
-            # A locked or corrupted database reads as a miss (same contract
-            # as a torn directory entry); writes will surface the problem.
-            return None
-        return row[0] if row else None
+                "SELECT payload FROM results WHERE key = ?", (key,)).fetchone()
+            # A torn or stale-schema entry reads as a miss; the fresh run
+            # will overwrite it. So does a locked or corrupted database:
+            # writes will surface the problem.
+            result = decode_result(row[0]) if row else None
+        except DECODE_ERRORS + (sqlite3.Error,):
+            result = None
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
 
-    def _write(self, key: str, payload: bytes) -> None:
-        conn = self._conn()
-        with conn:  # one transaction per result; atomic under concurrency
-            conn.execute(
-                "INSERT OR REPLACE INTO results "
-                "(key, created_s, n_bytes, payload) VALUES (?, ?, ?, ?)",
-                (key, time.time(), len(payload), sqlite3.Binary(payload)),
-            )
+    def put(self, config, result) -> bool:
+        """Store a clean result; returns True iff it was durably written.
 
-    def describe(self) -> str:
-        return self.spec
+        Failed and aborted results are never stored — they are exactly the
+        runs a retry might fix. A media error (disk full, read-only mount,
+        database locked past its timeout) is *not* raised: the sweep keeps
+        its in-memory result and every incident is logged and counted, so
+        a dying disk degrades loudly instead of silently recomputing
+        forever.
+        """
+        if not isinstance(result, ExperimentResult) or result.aborted:
+            self.skipped += 1
+            return False
+        key = self.key(config)
+        payload = encode_result(result)
+        try:
+            with self._conn() as conn:  # one transaction per result
+                conn.execute(
+                    "INSERT OR REPLACE INTO results "
+                    "(key, created_s, n_bytes, payload) VALUES (?, ?, ?, ?)",
+                    (key, time.time(), len(payload), sqlite3.Binary(payload)))
+        except (OSError, sqlite3.Error) as exc:
+            self.write_errors += 1
+            logger.warning(
+                "result-store write failed (%d so far) for key %s on %s: %s "
+                "— result kept in memory; this config will recompute next "
+                "sweep", self.write_errors, key[:12], self.spec, exc)
+            return False
+        self.stores += 1
+        return True
 
     def close(self) -> None:
+        """Release this thread's handle; the store reopens on next use."""
         conn = getattr(self._local, "conn", None)
         if conn is not None and os.getpid() == self._pid:
             conn.close()
             self._local.conn = None
 
-    # ------------------------------------------------------------- extras
+    # -------------------------------------------------------------- stats
+
+    def stats(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "skipped": self.skipped,
+            "write_errors": self.write_errors,
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<ResultStore {self.spec} hits={self.hits} "
+                f"misses={self.misses} stores={self.stores} "
+                f"write_errors={self.write_errors}>")
 
     def __len__(self) -> int:
         return self._conn().execute(
@@ -292,19 +234,12 @@ StoreSpec = Union[str, os.PathLike, ResultStore]
 
 
 def open_store(spec: StoreSpec, salt: Optional[str] = None) -> ResultStore:
-    """Open a result store from a user-facing spec (idempotent on stores).
-
-    ``sqlite:PATH`` or a bare path ending in ``.db``/``.sqlite[3]`` opens
-    :class:`SqliteStore`; any other path opens the directory-backed
-    :class:`~repro.experiments.cache.ExperimentCache`.
-    """
+    """Open a result store from a user-facing spec (idempotent on stores):
+    ``sqlite:PATH`` or a bare file path. An existing directory — the
+    retired one-pickle-per-key format — raises ``ValueError``."""
     if isinstance(spec, ResultStore):
         return spec
-    from repro.experiments.cache import ExperimentCache
-
     text = os.fspath(spec)
     if text.startswith(SQLITE_PREFIX):
-        return SqliteStore(text[len(SQLITE_PREFIX):], salt=salt)
-    if text.endswith(SQLITE_SUFFIXES):
-        return SqliteStore(text, salt=salt)
-    return ExperimentCache(text, salt=salt)
+        text = text[len(SQLITE_PREFIX):]
+    return ResultStore(text, salt=salt)

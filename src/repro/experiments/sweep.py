@@ -1,20 +1,23 @@
 """Deployment/parameter sweeps: Figures 5, 10-18 and the §6.2 queue study.
 
-A *sweep* runs :func:`repro.experiments.runner.run_experiment` over a grid
-and distills each run into a :class:`SweepCell`. One grid of runs feeds
-Figures 10, 12, and 13 (they are different projections of the same data),
-mirroring how the paper's artifact derives several figures from one batch
-of ns-2 runs.
+A *sweep* builds its grid as a list of configs, runs it through
+:func:`repro.experiments.parallel.run_many` (so every sweep uses the CPUs
+and simulates equal configs once) and distills each run into a
+:class:`SweepCell`. One grid of runs feeds Figures 10, 12, and 13 (they
+are different projections of the same data), mirroring how the paper's
+artifact derives several figures from one batch of ns-2 runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig, SchemeName
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.parallel import FailedResult, run_many
+from repro.experiments.runner import ExperimentResult
 from repro.metrics.summary import format_table
+from repro.metrics.telemetry import TelemetryConfig
 from repro.net.topology import ClosSpec
 from repro.sim.units import MILLIS
 
@@ -73,6 +76,10 @@ class SweepCell:
     @classmethod
     def from_result(cls, res: ExperimentResult) -> "SweepCell":
         cfg = res.config
+        every, small = res.fct(), res.fct(small=True)
+        new = res.fct(small=True, group="new")
+        legacy = res.fct(small=True, group="legacy")
+        q1_avg, q1_p90, q1_avg_red, q1_p90_red = res.q1_occupancy_kb()
         return cls(
             scheme=cfg.scheme.value,
             deployment=cfg.deployment,
@@ -80,19 +87,19 @@ class SweepCell:
             workload=cfg.workload,
             flows=len(res.records),
             completed=res.completed,
-            censored=res.fct().censored,
-            censored_small=res.fct(small=True).censored,
-            avg_all_ms=res.fct().avg_ms,
-            p99_small_ms=res.fct(small=True).p99_ms,
-            p99_small_new_ms=res.fct(small=True, group="new").p99_ms,
-            p99_small_legacy_ms=res.fct(small=True, group="legacy").p99_ms,
-            stddev_small_new_ms=res.fct(small=True, group="new").stddev_ms,
-            stddev_small_legacy_ms=res.fct(small=True, group="legacy").stddev_ms,
+            censored=every.censored,
+            censored_small=small.censored,
+            avg_all_ms=every.avg_ms,
+            p99_small_ms=small.p99_ms,
+            p99_small_new_ms=new.p99_ms,
+            p99_small_legacy_ms=legacy.p99_ms,
+            stddev_small_new_ms=new.stddev_ms,
+            stddev_small_legacy_ms=legacy.stddev_ms,
             timeouts=res.total_timeouts,
-            q1_avg_kb=res.q1_avg_kb,
-            q1_p90_kb=res.q1_p90_kb,
-            q1_avg_red_kb=res.q1_avg_red_kb,
-            q1_p90_red_kb=res.q1_p90_red_kb,
+            q1_avg_kb=q1_avg,
+            q1_p90_kb=q1_p90,
+            q1_avg_red_kb=q1_avg_red,
+            q1_p90_red_kb=q1_p90_red,
             dropped_selective=res.counters.dropped_selective,
             proactive_rtx=sum(r.proactive_retransmissions for r in res.records),
             duplicate_bytes=sum(r.duplicate_bytes for r in res.records),
@@ -103,32 +110,53 @@ class SweepCell:
 GridKey = Tuple[str, float]
 
 
+def deployment_grid(base: ExperimentConfig,
+                    schemes: Sequence[SchemeName] = SWEEP_SCHEMES,
+                    deployments: Sequence[float] = DEPLOYMENTS,
+                    ) -> List[ExperimentConfig]:
+    """The Figure 10/12/13 grid as configs, scheme-major.
+
+    At deployment 0.0 every scheme degenerates to pure DCTCP, so that cell
+    is the *same* DCTCP config for every scheme: the sweep loop simulates
+    equal configs once.
+    """
+    return [base.with_(scheme=SchemeName.DCTCP, deployment=0.0) if dep == 0.0
+            else base.with_(scheme=scheme, deployment=dep)
+            for scheme in schemes for dep in deployments]
+
+
+def _run_grid(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
+    """Run a grid to completion; a cell that raised re-raises here, with
+    the worker's traceback, because a figure cannot be drawn with a hole."""
+    results = run_many(configs)
+    for res in results:
+        if isinstance(res, FailedResult):
+            raise RuntimeError(f"sweep cell failed: {res.error}\n"
+                               f"{res.traceback}")
+    return results
+
+
+def _cells(configs: Sequence[ExperimentConfig]) -> List[SweepCell]:
+    """One :class:`SweepCell` per config; cells that shared a simulation
+    share the projection too."""
+    cells: Dict[int, SweepCell] = {}
+    out = []
+    for res in _run_grid(configs):
+        if id(res) not in cells:
+            cells[id(res)] = SweepCell.from_result(res)
+        out.append(cells[id(res)])
+    return out
+
+
 def deployment_sweep(base: ExperimentConfig,
                      schemes: Sequence[SchemeName] = SWEEP_SCHEMES,
                      deployments: Sequence[float] = DEPLOYMENTS,
-                     sample_q1: bool = False) -> Dict[GridKey, SweepCell]:
-    """Run the Figure 10/12/13 grid: schemes x deployment fractions.
-
-    At deployment 0.0 every scheme degenerates to pure DCTCP, so that point
-    is run once and shared.
-    """
-    grid: Dict[GridKey, SweepCell] = {}
-    baseline: Optional[SweepCell] = None
-    for scheme in schemes:
-        for dep in deployments:
-            if dep == 0.0:
-                if baseline is None:
-                    cfg = base.with_(scheme=SchemeName.DCTCP, deployment=0.0)
-                    baseline = SweepCell.from_result(
-                        run_experiment(cfg, sample_q1=sample_q1)
-                    )
-                grid[(scheme.value, 0.0)] = baseline
-                continue
-            cfg = base.with_(scheme=scheme, deployment=dep)
-            grid[(scheme.value, dep)] = SweepCell.from_result(
-                run_experiment(cfg, sample_q1=sample_q1)
-            )
-    return grid
+                     ) -> Dict[GridKey, SweepCell]:
+    """Run the Figure 10/12/13 grid: schemes x deployment fractions."""
+    labels = [(scheme.value, dep)
+              for scheme in schemes for dep in deployments]
+    return dict(zip(labels,
+                    _cells(deployment_grid(base, schemes, deployments))))
 
 
 # ------------------------------------------------------------- projections
@@ -177,12 +205,12 @@ def fig14_load_sweep(base: ExperimentConfig,
                                                       SchemeName.FLEXPASS),
                      ) -> Dict[Tuple[str, float, float], SweepCell]:
     """Figure 14: 99p small-flow FCT vs deployment under different loads."""
-    out: Dict[Tuple[str, float, float], SweepCell] = {}
-    for load in loads:
-        grid = deployment_sweep(base.with_(load=load), schemes, deployments)
-        for (scheme, dep), cell in grid.items():
-            out[(scheme, load, dep)] = cell
-    return out
+    labels = [(scheme.value, load, dep) for load in loads
+              for scheme in schemes for dep in deployments]
+    grid = [cfg for load in loads
+            for cfg in deployment_grid(base.with_(load=load), schemes,
+                                       deployments)]
+    return dict(zip(labels, _cells(grid)))
 
 
 # ----------------------------------------------------------- Figures 15/16
@@ -195,12 +223,12 @@ def fig15_16_workloads(base: ExperimentConfig,
                        deployments: Sequence[float] = (0.0, 0.5, 1.0),
                        ) -> Dict[Tuple[str, str, float], SweepCell]:
     """Figures 15 & 16: the deployment sweep across four realistic workloads."""
-    out: Dict[Tuple[str, str, float], SweepCell] = {}
-    for wl in workloads:
-        grid = deployment_sweep(base.with_(workload=wl), schemes, deployments)
-        for (scheme, dep), cell in grid.items():
-            out[(wl, scheme, dep)] = cell
-    return out
+    labels = [(wl, scheme.value, dep) for wl in workloads
+              for scheme in schemes for dep in deployments]
+    grid = [cfg for wl in workloads
+            for cfg in deployment_grid(base.with_(workload=wl), schemes,
+                                       deployments)]
+    return dict(zip(labels, _cells(grid)))
 
 
 # ---------------------------------------------------------------- Figure 17
@@ -213,18 +241,12 @@ def fig17_seldrop_sweep(base: ExperimentConfig,
 
     Returns (threshold_kB, p99_small_ms, avg_all_ms) per point.
     """
-    out = []
-    for kb in thresholds_kb:
-        qs = base.queues.__class__(
-            wq=base.queues.wq,
-            q1_ecn_bytes=base.queues.q1_ecn_bytes,
-            q1_seldrop_bytes=kb * 1000,
-            q2_ecn_bytes=base.queues.q2_ecn_bytes,
-        )
-        cfg = base.with_(scheme=SchemeName.FLEXPASS, deployment=1.0, queues=qs)
-        cell = SweepCell.from_result(run_experiment(cfg))
-        out.append((kb, cell.p99_small_ms, cell.avg_all_ms))
-    return out
+    cells = _cells([
+        base.with_(scheme=SchemeName.FLEXPASS, deployment=1.0,
+                   queues=replace(base.queues, q1_seldrop_bytes=kb * 1000))
+        for kb in thresholds_kb])
+    return [(kb, cell.p99_small_ms, cell.avg_all_ms)
+            for kb, cell in zip(thresholds_kb, cells)]
 
 
 # ---------------------------------------------------------------- Figure 18
@@ -239,27 +261,16 @@ def fig18_wq_sweep(base: ExperimentConfig,
     Returns (wq, max_legacy_p99_degradation, p99_small_at_full) per point.
     Degradation is relative to the all-DCTCP baseline.
     """
-    baseline = SweepCell.from_result(run_experiment(
-        base.with_(scheme=SchemeName.DCTCP, deployment=0.0)
-    ))
-    out = []
+    grid = [base.with_(scheme=SchemeName.DCTCP, deployment=0.0)]
     for wq in wqs:
-        qs = base.queues.__class__(
-            wq=wq,
-            q1_ecn_bytes=base.queues.q1_ecn_bytes,
-            q1_seldrop_bytes=base.queues.q1_seldrop_bytes,
-            q2_ecn_bytes=base.queues.q2_ecn_bytes,
-        )
-        mid = SweepCell.from_result(run_experiment(
-            base.with_(scheme=SchemeName.FLEXPASS, deployment=mid_deployment,
-                       queues=qs)
-        ))
-        full = SweepCell.from_result(run_experiment(
-            base.with_(scheme=SchemeName.FLEXPASS, deployment=1.0, queues=qs)
-        ))
-        degradation = (mid.p99_small_legacy_ms / baseline.p99_small_ms) - 1.0
-        out.append((wq, degradation, full.p99_small_ms))
-    return out
+        queues = replace(base.queues, wq=wq)
+        grid += [base.with_(scheme=SchemeName.FLEXPASS, deployment=dep,
+                            queues=queues)
+                 for dep in (mid_deployment, 1.0)]
+    baseline, *cells = _cells(grid)
+    return [(wq, mid.p99_small_legacy_ms / baseline.p99_small_ms - 1.0,
+             full.p99_small_ms)
+            for wq, mid, full in zip(wqs, cells[0::2], cells[1::2])]
 
 
 # ----------------------------------------------------------------- Figure 5
@@ -276,12 +287,13 @@ def fig05a_rc3_comparison(base: ExperimentConfig) -> List[Fig5aResult]:
     """Figure 5(a): FlexPass vs RC3-style flow splitting — comparable tail
     FCT, much smaller reordering buffer for FlexPass."""
     out = []
-    for scheme in (SchemeName.FLEXPASS, SchemeName.FLEXPASS_RC3):
-        res = run_experiment(base.with_(scheme=scheme, deployment=1.0))
+    for res in _run_grid([base.with_(scheme=scheme, deployment=1.0)
+                         for scheme in (SchemeName.FLEXPASS,
+                                        SchemeName.FLEXPASS_RC3)]):
         completed = [r for r in res.records if r.completed]
         reorder = ([r.max_reorder_bytes for r in completed] or [0])
         out.append(Fig5aResult(
-            scheme.value,
+            res.config.scheme.value,
             res.fct(small=True).p99_ms,
             sum(reorder) / len(reorder) / 1000,
         ))
@@ -305,12 +317,10 @@ def queue_occupancy_study(base: ExperimentConfig,
                           ) -> List[Tuple[float, float, float, float, float]]:
     """The §6.2 'Bounded queue' numbers: Q1 occupancy avg/p90 (total and
     reactive-red) at mid and full deployment."""
-    out = []
-    for dep in deployments:
-        cell = SweepCell.from_result(run_experiment(
-            base.with_(scheme=SchemeName.FLEXPASS, deployment=dep),
-            sample_q1=True,
-        ))
-        out.append((dep, cell.q1_avg_kb, cell.q1_p90_kb,
-                    cell.q1_avg_red_kb, cell.q1_p90_red_kb))
-    return out
+    sampled = base.with_(
+        scheme=SchemeName.FLEXPASS,
+        telemetry=TelemetryConfig.ports_only(base.sim_time_ns))
+    cells = _cells([sampled.with_(deployment=dep) for dep in deployments])
+    return [(dep, cell.q1_avg_kb, cell.q1_p90_kb,
+             cell.q1_avg_red_kb, cell.q1_p90_red_kb)
+            for dep, cell in zip(deployments, cells)]

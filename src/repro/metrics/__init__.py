@@ -1,5 +1,5 @@
-"""Measurement: FCT records, throughput time series, queue occupancy,
-benchmark baselines."""
+"""Measurement: FCT records, telemetry time series, starvation, benchmark
+baselines."""
 
 from repro.metrics.bench import (
     compare_to_baseline,
@@ -7,14 +7,13 @@ from repro.metrics.bench import (
     record_bench,
 )
 from repro.metrics.fct import FctSummary, FlowRecord, summarize
-from repro.metrics.queueing import QueueSampler
 from repro.metrics.telemetry import (
     RingBuffer,
     TelemetryConfig,
     TelemetrySampler,
     TelemetrySeries,
 )
-from repro.metrics.throughput import ThroughputMonitor, starvation_fraction
+from repro.metrics.throughput import starvation_fraction
 from repro.metrics.tracing import PacketTracer, TraceEvent
 
 __all__ = [
@@ -24,12 +23,10 @@ __all__ = [
     "FctSummary",
     "FlowRecord",
     "summarize",
-    "QueueSampler",
     "RingBuffer",
     "TelemetryConfig",
     "TelemetrySampler",
     "TelemetrySeries",
-    "ThroughputMonitor",
     "starvation_fraction",
     "PacketTracer",
     "TraceEvent",

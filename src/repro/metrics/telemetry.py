@@ -150,13 +150,21 @@ class TelemetryConfig:
         if self.flows not in ("scheme", "flow", "none"):
             raise ValueError(f"unknown flows mode {self.flows!r}")
 
+    @classmethod
+    def ports_only(cls, horizon_ns: int) -> "TelemetryConfig":
+        """Per-queue series of the ToR uplinks and nothing else, with a
+        ring that holds every tick of the horizon — what the §6.2 queue
+        occupancy percentiles need (no sample may be overwritten)."""
+        return cls(max_samples=horizon_ns // cls.interval_ns + 8,
+                   flows="none", links=False, pool=False, credit=False)
+
 
 class TelemetrySeries:
     """Frozen sampler output: named, typed, packed time-series columns.
 
     Plain data end to end — two typed arrays per series — so it pickles
-    compactly across the ``run_many`` worker boundary and in experiment-
-    cache entries, exactly like ``PackedFlowRecords``.
+    compactly across the ``run_many`` worker boundary and in result-store
+    entries, exactly like ``PackedFlowRecords``.
     """
 
     __slots__ = ("interval_ns", "_kinds", "_times", "_values", "overwritten")

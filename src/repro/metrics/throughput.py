@@ -1,67 +1,14 @@
-"""Binned throughput time series and starvation measurement.
+"""Starvation measurement over a binned throughput series.
 
-A :class:`ThroughputMonitor` hooks an egress port's transmit-completion
-callback and bins transmitted bytes per category (e.g., per transport or
-per sub-flow). :func:`starvation_fraction` computes the paper's starvation
-metric — the fraction of time a transport's bandwidth sits below 20% of
-link capacity (Figure 9c).
+:func:`starvation_fraction` computes the paper's starvation metric — the
+fraction of time a transport's bandwidth sits below 20% of link capacity
+(Figure 9c). The series themselves come from telemetry: the figures bin
+goodput through :meth:`TelemetrySampler.add_counter_map`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, List, Optional
-
-from repro.net.packet import Packet
-from repro.net.port import EgressPort
-from repro.sim.units import SECONDS
-
-#: maps a transmitted packet to a category name (or None to ignore it)
-Classifier = Callable[[Packet], Optional[str]]
-
-
-class ThroughputMonitor:
-    """Per-category transmitted bytes in fixed time bins on one port."""
-
-    def __init__(self, port: EgressPort, classify: Classifier,
-                 bin_ns: int = 1_000_000) -> None:
-        if bin_ns <= 0:
-            raise ValueError("bin size must be positive")
-        self.port = port
-        self.classify = classify
-        self.bin_ns = bin_ns
-        self.bins: Dict[str, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-        port.monitors.append(self._on_tx)
-
-    def _on_tx(self, now_ns: int, pkt: Packet) -> None:
-        category = self.classify(pkt)
-        if category is None:
-            return
-        self.bins[category][now_ns // self.bin_ns] += pkt.size
-
-    # ------------------------------------------------------------ queries
-
-    def categories(self) -> List[str]:
-        return sorted(self.bins)
-
-    def total_bytes(self, category: str) -> int:
-        return sum(self.bins[category].values())
-
-    def series_gbps(self, category: str, until_ns: int) -> List[float]:
-        """Throughput per bin in Gbit/s from t=0 to ``until_ns``."""
-        n_bins = max(1, until_ns // self.bin_ns)
-        out = []
-        bins = self.bins.get(category, {})
-        for b in range(n_bins):
-            bits = bins.get(b, 0) * 8
-            out.append(bits / self.bin_ns)  # bits per ns == Gbit/s
-        return out
-
-    def utilization(self, until_ns: int) -> float:
-        """All-category bytes transmitted over capacity."""
-        total_bits = 8 * sum(self.total_bytes(c) for c in self.bins)
-        capacity_bits = self.port.rate_bps * until_ns / SECONDS
-        return total_bits / capacity_bits if capacity_bits > 0 else 0.0
+from typing import List
 
 
 def starvation_fraction(series_gbps: List[float], capacity_gbps: float,

@@ -88,10 +88,10 @@ class TestTopoCommand:
         assert "wan" in out
 
     def test_run_with_auto_backbone_fault_and_cache(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
+        cache = str(tmp_path / "cache.db")
         argv = ["topo", "run", EXAMPLE_SPEC, "--scheme", "flexpass",
                 "--faults", "--ms", "1", "--size-scale", "32",
-                "--cache", cache]
+                "--store", cache]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "backbone link CORE-SYD-01<->CORE-MEL-01 down" in first
@@ -102,7 +102,7 @@ class TestTopoCommand:
 
     def test_run_fault_site(self, capsys):
         argv = ["topo", "run", EXAMPLE_SPEC, "--ms", "1",
-                "--size-scale", "32", "--cache", "none",
+                "--size-scale", "32", "--store", "none",
                 "--fault-site", "DC-MEL-01", "0.3", "0.6"]
         assert main(argv) == 0
         assert "reroutes" in capsys.readouterr().out

@@ -1,6 +1,6 @@
-"""Experiment cache: keying, invalidation, and the run_many integration.
+"""Result caching: keying, invalidation, and the run_many integration.
 
-The cache must never serve a wrong result (any config perturbation or code
+The store must never serve a wrong result (any config perturbation or code
 salt change produces a different key), must never cache failures, and a
 cached sweep must be indistinguishable from a fresh one — identical records
 and identical summaries, in config order.
@@ -8,18 +8,16 @@ and identical summaries, in config order.
 
 import dataclasses
 import random
+import sqlite3
 
 import pytest
 
-from repro.experiments.cache import (
-    DEFAULT_CODE_SALT,
-    ExperimentCache,
-    config_key,
-)
+from repro.experiments.cache import DEFAULT_CODE_SALT, config_key
 from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
+import repro.experiments.fabric as fabric_mod
 from repro.experiments.parallel import FailedResult, run_many
-import repro.experiments.parallel as parallel_mod
 from repro.experiments.runner import ExperimentResult, SwitchCounters
+from repro.experiments.store import open_store
 from repro.faults.plan import FaultPlan, LinkLossSpec
 from repro.metrics.fct import FlowRecord, PackedFlowRecords
 from repro.sim.units import MILLIS
@@ -105,7 +103,18 @@ class TestConfigKey:
         assert config_key(cfg) != default_key
 
 
+class _FullDisk(sqlite3.Connection):
+    """A connection whose every INSERT hits a full disk."""
+
+    def execute(self, sql, *args):
+        if sql.lstrip().startswith("INSERT"):
+            raise sqlite3.OperationalError("database or disk is full")
+        return super().execute(sql, *args)
+
+
 class TestExperimentCache:
+    """The ``cache=`` contract, through ``open_store`` on a bare path."""
+
     def _result(self, cfg, aborted=False):
         return ExperimentResult(
             config=cfg, records=make_records(40), counters=SwitchCounters(),
@@ -114,7 +123,7 @@ class TestExperimentCache:
         )
 
     def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
+        cache = open_store(tmp_path / "r.db")
         cfg = tiny_config()
         assert cache.get(cfg) is None
         result = self._result(cfg)
@@ -127,21 +136,21 @@ class TestExperimentCache:
                                  "skipped": 0, "write_errors": 0}
 
     def test_perturbed_config_misses(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
+        cache = open_store(tmp_path / "r.db")
         cfg = tiny_config()
         cache.put(cfg, self._result(cfg))
         assert cache.get(cfg.with_(seed=99)) is None
 
     def test_salt_bump_invalidates(self, tmp_path):
         cfg = tiny_config()
-        old = ExperimentCache(tmp_path, salt="code-v1")
+        old = open_store(tmp_path / "r.db", salt="code-v1")
         old.put(cfg, self._result(cfg))
         assert old.get(cfg) is not None
-        new = ExperimentCache(tmp_path, salt="code-v2")
+        new = open_store(tmp_path / "r.db", salt="code-v2")
         assert new.get(cfg) is None
 
     def test_failed_result_never_cached(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
+        cache = open_store(tmp_path / "r.db")
         cfg = tiny_config()
         failed = FailedResult(config=cfg, error="boom", traceback="tb")
         assert not cache.put(cfg, failed)
@@ -149,16 +158,17 @@ class TestExperimentCache:
         assert cache.skipped == 1
 
     def test_aborted_result_never_cached(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
+        cache = open_store(tmp_path / "r.db")
         cfg = tiny_config()
         assert not cache.put(cfg, self._result(cfg, aborted=True))
         assert cache.get(cfg) is None
 
     def test_torn_entry_reads_as_miss(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
+        cache = open_store(tmp_path / "r.db")
         cfg = tiny_config()
         cache.put(cfg, self._result(cfg))
-        cache.path(cfg).write_bytes(b"\x80garbage")
+        with sqlite3.connect(tmp_path / "r.db") as conn:
+            conn.execute("UPDATE results SET payload = ?", (b"\x80garbage",))
         assert cache.get(cfg) is None
 
     def test_write_failure_is_loud_but_nonfatal(self, tmp_path, monkeypatch,
@@ -167,13 +177,12 @@ class TestExperimentCache:
         silently: put() returns False, counts the incident, and warns."""
         import logging
 
-        cache = ExperimentCache(tmp_path)
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *a, **kw: real_connect(*a, factory=_FullDisk, **kw))
+        cache = open_store(tmp_path / "r.db")
         cfg = tiny_config()
-
-        def full_disk(key, payload):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(cache, "_write", full_disk)
         with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
             assert cache.put(cfg, self._result(cfg)) is False
         assert cache.write_errors == 1
@@ -181,10 +190,8 @@ class TestExperimentCache:
         assert "write failed" in caplog.text
         # The sweep-facing contract: run_many keeps going and still
         # returns the in-memory result.
-        monkeypatch.setattr(ExperimentCache, "_write",
-                            lambda self, key, payload: full_disk(key, payload))
         results = run_many([tiny_config(seed=7)], processes=1,
-                           cache=str(tmp_path / "doomed"))
+                           cache=str(tmp_path / "doomed.db"))
         assert not isinstance(results[0], FailedResult)
 
 
@@ -207,24 +214,24 @@ class TestRunManyStreaming:
     def test_cached_rerun_skips_simulation(self, tmp_path, monkeypatch):
         """Second run over the same configs must not simulate at all."""
         configs = [tiny_config(seed=s) for s in (1, 2, 3)]
-        cache = ExperimentCache(tmp_path)
+        cache = open_store(tmp_path / "r.db")
         first = run_many(configs, processes=1, cache=cache)
         assert cache.stores == len(configs)
 
         def explode(cfg):
             raise AssertionError("simulated despite cache hit")
 
-        monkeypatch.setattr(parallel_mod, "_worker", explode)
+        monkeypatch.setattr(fabric_mod, "run_experiment", explode)
         second = run_many(configs, processes=1, cache=cache)
         assert cache.hits == len(configs)
         for a, b in zip(first, second):
             assert a.records == b.records
             assert a.fct().avg_ms == b.fct().avg_ms
 
-    def test_cache_accepts_directory_path(self, tmp_path):
+    def test_cache_accepts_bare_file_path(self, tmp_path):
         configs = [tiny_config(seed=1)]
-        run_many(configs, processes=1, cache=str(tmp_path / "cache"))
-        assert any((tmp_path / "cache").rglob("*.pkl"))
+        run_many(configs, processes=1, cache=str(tmp_path / "cache.db"))
+        assert len(open_store(f"sqlite:{tmp_path}/cache.db")) == 1
 
     @pytest.mark.slow
     def test_32_config_sweep_cache_round(self, tmp_path):
@@ -235,9 +242,9 @@ class TestRunManyStreaming:
             for seed in range(1, 17) for load in (0.2, 0.4)
         ]
         assert len(configs) == 32
-        cache = ExperimentCache(tmp_path)
+        cache = open_store(tmp_path / "r.db")
         first = run_many(configs, cache=cache)
-        assert cache.stores == 32
+        assert len(cache) == 32  # whichever process computed a cell stored it
         assert not any(isinstance(r, FailedResult) for r in first)
         second = run_many(configs, cache=cache)
         assert cache.hits == 32

@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+import repro.experiments.sweep as sweep_mod
+from repro.experiments.cache import config_key
 from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
 from repro.experiments.runner import flow_specs, run_experiment
 from repro.experiments.scenarios import (
@@ -18,7 +20,10 @@ from repro.experiments.sweep import (
     deployment_sweep,
     fig10_rows,
     fig12_rows,
+    fig17_seldrop_sweep,
+    fig18_wq_sweep,
 )
+from repro.metrics.telemetry import TelemetryConfig
 from repro.net.packet import Dscp
 from repro.net.topology import ClosSpec, build_clos
 from repro.sim.engine import Simulator
@@ -176,12 +181,33 @@ class TestRunExperiment:
             assert res.completed > 0, scheme
 
     def test_q1_sampling(self):
-        res = run_experiment(tiny_cfg(scheme=SchemeName.FLEXPASS), sample_q1=True)
+        cfg = tiny_cfg(scheme=SchemeName.FLEXPASS)
+        res = run_experiment(cfg.with_(
+            telemetry=TelemetryConfig.ports_only(cfg.sim_time_ns)))
+        q1_avg_kb, q1_p90_kb, q1_avg_red_kb, _ = res.q1_occupancy_kb()
         # p90 can legitimately sit below the mean for heavy-tailed samples;
         # just require sampling to have produced sane numbers.
-        assert res.q1_avg_kb >= 0.0
-        assert res.q1_p90_kb >= 0.0
-        assert res.q1_avg_red_kb <= res.q1_avg_kb + 1e-9
+        assert q1_avg_kb >= 0.0
+        assert q1_p90_kb >= 0.0
+        assert q1_avg_red_kb <= q1_avg_kb + 1e-9
+
+    def test_same_key_means_same_result(self):
+        """A result is a function of its config: sampling Q1 costs extra
+        events, so it must be asked for on the config, where the key sees
+        it, and two runs of one config must agree to the event."""
+        plain = tiny_cfg(scheme=SchemeName.FLEXPASS, deployment=1.0,
+                         sim_time_ns=1 * MILLIS)
+        sampled = plain.with_(
+            telemetry=TelemetryConfig.ports_only(plain.sim_time_ns))
+        assert config_key(plain) != config_key(sampled)
+        q1 = {}
+        for name, cfg in (("plain", plain), ("sampled", sampled)):
+            a, b = run_experiment(cfg), run_experiment(cfg)
+            assert a.events_run == b.events_run
+            assert a.q1_occupancy_kb() == b.q1_occupancy_kb()
+            q1[name] = a.q1_occupancy_kb()
+        assert q1["plain"] == (0.0, 0.0, 0.0, 0.0)
+        assert q1["sampled"][0] > 0.0
 
     def test_fct_filters(self):
         res = run_experiment(tiny_cfg())
@@ -209,6 +235,31 @@ class TestSweep:
         rows10 = fig10_rows(grid)
         rows12 = fig12_rows(grid)
         assert len(rows10) == len(rows12) == 2
+
+    @pytest.mark.parametrize("sweep,knob", [
+        (fig17_seldrop_sweep, "q1_seldrop_bytes"),
+        (fig18_wq_sweep, "wq"),
+    ])
+    def test_parameter_sweeps_keep_the_other_queue_settings(
+            self, monkeypatch, sweep, knob):
+        """Figs 17/18 vary one QueueSettings field; every other field of
+        the base — here a non-default credit buffer — reaches every cell."""
+        class Seen(Exception):
+            pass
+
+        def spy(configs):
+            raise Seen(configs)
+
+        monkeypatch.setattr(sweep_mod, "run_many", spy)
+        base = tiny_cfg(queues=QueueSettings(credit_buffer_bytes=4000,
+                                             q2_ecn_bytes=77_000))
+        with pytest.raises(Seen) as seen:
+            sweep(base)
+        (configs,) = seen.value.args
+        assert len(configs) >= 4
+        assert {c.queues.credit_buffer_bytes for c in configs} == {4000}
+        assert {c.queues.q2_ecn_bytes for c in configs} == {77_000}
+        assert len({getattr(c.queues, knob) for c in configs}) >= 4
 
     def test_default_sweep_config_overridable(self):
         cfg = default_sweep_config(load=0.7, seed=9)

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import ExperimentCache, config_key
+import repro.experiments.fabric as fabric_mod
+from repro.experiments.cache import config_key
 from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.fabric import (
     DONE,
@@ -33,15 +34,16 @@ from repro.experiments.fabric import (
     SweepFabric,
     SweepJournal,
     append_line,
+    retry_delay_s,
     sweep_status,
 )
-from repro.experiments.parallel import (
-    FailedResult,
-    retry_delay_s,
-    run_many,
+from repro.experiments.parallel import FailedResult, run_many
+from repro.experiments.runner import (
+    ExperimentResult,
+    SwitchCounters,
+    run_experiment,
 )
-from repro.experiments.runner import ExperimentResult, SwitchCounters
-from repro.experiments.store import SqliteStore, open_store
+from repro.experiments.store import ResultStore, open_store
 from repro.metrics.fct import FlowRecord
 from repro.sim.units import MILLIS
 
@@ -78,7 +80,7 @@ def synthetic_result(cfg, n_records=5, aborted=False):
 
 class TestSqliteStore:
     def test_roundtrip_and_miss(self, tmp_path):
-        store = SqliteStore(tmp_path / "r.db")
+        store = ResultStore(tmp_path / "r.db")
         cfg = tiny_config()
         assert store.get(cfg) is None
         assert store.put(cfg, synthetic_result(cfg))
@@ -90,7 +92,7 @@ class TestSqliteStore:
         assert len(store) == 1
 
     def test_never_stores_failures_or_aborts(self, tmp_path):
-        store = SqliteStore(tmp_path / "r.db")
+        store = ResultStore(tmp_path / "r.db")
         cfg = tiny_config()
         failed = FailedResult(config=cfg, error="boom", traceback="tb")
         assert not store.put(cfg, failed)
@@ -100,14 +102,14 @@ class TestSqliteStore:
 
     def test_salt_partitions_keys(self, tmp_path):
         cfg = tiny_config()
-        old = SqliteStore(tmp_path / "r.db", salt="code-v1")
+        old = ResultStore(tmp_path / "r.db", salt="code-v1")
         old.put(cfg, synthetic_result(cfg))
         assert old.get(cfg) is not None
-        new = SqliteStore(tmp_path / "r.db", salt="code-v2")
+        new = ResultStore(tmp_path / "r.db", salt="code-v2")
         assert new.get(cfg) is None
 
     def test_torn_payload_reads_as_miss(self, tmp_path):
-        store = SqliteStore(tmp_path / "r.db")
+        store = ResultStore(tmp_path / "r.db")
         cfg = tiny_config()
         store.put(cfg, synthetic_result(cfg))
         with sqlite3.connect(store.path) as conn:
@@ -118,7 +120,7 @@ class TestSqliteStore:
     def test_missing_module_payload_reads_as_miss(self, tmp_path):
         """A payload pickled against a since-moved module is a stale-schema
         entry: it must read as a miss, not raise out of get()."""
-        store = SqliteStore(tmp_path / "r.db")
+        store = ResultStore(tmp_path / "r.db")
         cfg = tiny_config()
         store.put(cfg, synthetic_result(cfg))
         # Protocol-0 GLOBAL opcode referencing a module that no longer
@@ -130,27 +132,38 @@ class TestSqliteStore:
         assert store.misses == 1
 
     def test_write_error_is_counted_not_raised(self, tmp_path, monkeypatch):
-        store = SqliteStore(tmp_path / "r.db")
+        store = ResultStore(tmp_path / "r.db")
         cfg = tiny_config()
 
-        def locked(key, payload):
+        def locked():
             raise sqlite3.OperationalError("database is locked")
 
-        monkeypatch.setattr(store, "_write", locked)
+        monkeypatch.setattr(store, "_conn", locked)
         assert store.put(cfg, synthetic_result(cfg)) is False
         assert store.write_errors == 1
 
     def test_open_store_spec_parsing(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "dir")), ExperimentCache)
-        assert isinstance(open_store(f"sqlite:{tmp_path}/a.db"), SqliteStore)
-        assert isinstance(open_store(str(tmp_path / "b.db")), SqliteStore)
-        assert isinstance(open_store(str(tmp_path / "c.sqlite3")),
-                          SqliteStore)
-        store = SqliteStore(tmp_path / "d.db")
+        prefixed = open_store(f"sqlite:{tmp_path}/a.db")
+        assert prefixed.path == tmp_path / "a.db"
+        bare = open_store(tmp_path / "b.results")  # any file name will do
+        assert bare.spec == f"sqlite:{tmp_path}/b.results"
+        assert (tmp_path / "a.db").is_file()
+        assert (tmp_path / "b.results").is_file()
+        store = ResultStore(tmp_path / "d.db")
         assert open_store(store) is store
 
+    @pytest.mark.parametrize("prefix", ["", "sqlite:"],
+                             ids=["bare-path", "sqlite-prefix"])
+    def test_open_store_rejects_a_directory(self, tmp_path, prefix):
+        """The retired one-pickle-per-key layout was a directory; naming
+        one must say so up front, not fail inside sqlite3."""
+        (tmp_path / "old-cache" / "ab").mkdir(parents=True)
+        with pytest.raises(ValueError,
+                           match="directory store format was retired"):
+            open_store(f"{prefix}{tmp_path}/old-cache")
+
     def test_spec_reopens_equivalent_store(self, tmp_path):
-        store = SqliteStore(tmp_path / "r.db")
+        store = ResultStore(tmp_path / "r.db")
         cfg = tiny_config()
         store.put(cfg, synthetic_result(cfg))
         again = open_store(store.spec)
@@ -159,7 +172,7 @@ class TestSqliteStore:
 
 def _hammer(path, start, count, barrier):
     """Concurrent-writer worker: put `count` results, read some back."""
-    store = SqliteStore(path)
+    store = ResultStore(path)
     barrier.wait()  # maximize write overlap across processes
     for i in range(start, start + count):
         cfg = tiny_config(seed=i % 24 + 1)  # overlapping keys across procs
@@ -175,7 +188,7 @@ class TestSqliteConcurrentWriters:
         """Four processes writing overlapping keys into one WAL database:
         every write lands, every read decodes, no corruption."""
         path = str(tmp_path / "shared.db")
-        SqliteStore(path).close()  # create schema up front
+        ResultStore(path).close()  # create schema up front
         barrier = multiprocessing.Barrier(4)
         procs = [
             multiprocessing.Process(target=_hammer,
@@ -187,7 +200,7 @@ class TestSqliteConcurrentWriters:
         for p in procs:
             p.join(timeout=60)
             assert p.exitcode == 0
-        store = SqliteStore(path)
+        store = ResultStore(path)
         assert len(store) == 24  # seeds collapse onto 24 distinct configs
         for seed in range(1, 25):
             got = store.get(tiny_config(seed=seed))
@@ -340,10 +353,8 @@ class TestRetryPolicy:
         assert res.attempts == 2 and res.retried
 
     def test_run_many_backoff_sleeps_seeded(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
         napped = []
-        monkeypatch.setattr(parallel_mod.time, "sleep", napped.append)
+        monkeypatch.setattr(fabric_mod.time, "sleep", napped.append)
         run_many([broken_config()], processes=1, max_retries=2,
                  retry_base_s=0.25, retry_seed=11)
         assert napped == [retry_delay_s(1, 0.25, 11, 0),
@@ -355,6 +366,48 @@ class TestRetryPolicy:
         assert res.worker_pid == os.getpid()  # serial path runs in-process
         assert res.wall_seconds >= 0.0
         assert res.attempts == 1 and not res.retried
+
+
+# -------------------------------------------------------------- the loop
+
+
+class TestOneLoop:
+    """``run_cells`` is the only loop: with or without a journal, in-process
+    or pooled, a grid gets the same verdicts in the same slots."""
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("journaled", [False, True],
+                             ids=["no-journal", "journal"])
+    def test_same_verdicts_in_every_mode(self, tmp_path, journaled,
+                                         processes):
+        clean = tiny_config(seed=5)
+        configs = [clean, broken_config(seed=2), tiny_config(seed=5)]
+        store = open_store(tmp_path / "r.db")
+        journal = None
+        if journaled:
+            journal = SweepJournal(tmp_path / "journal")
+            journal.create(configs, store.spec)
+        policy = FabricConfig(processes=processes, max_retries=2,
+                              heartbeat_s=0.2)
+        results, counts = fabric_mod.run_cells(configs, store, policy,
+                                               journal=journal)
+        direct = run_experiment(clean)
+        assert results[0].records == direct.records
+        assert results[0].events_run == direct.events_run
+        assert results[2] is results[0]  # the duplicate shares the verdict
+        broken = results[1]
+        assert isinstance(broken, FailedResult)
+        assert broken.attempts == policy.max_retries + 1 and broken.retried
+        assert "no-such-workload" in broken.error
+        # One simulation for the two equal cells, three attempts at the
+        # broken one; only the clean result reaches the store.
+        assert counts["executed"] == 1 + 3
+        assert counts["retries"] == 2
+        assert len(store) == 1
+        if journaled:
+            states = journal.replay(len(configs), policy.lease_s)
+            assert [st.status for st in states] == [DONE, EXHAUSTED, DONE]
+            assert sum(st.executions for st in states) == 1 + 3
 
 
 # ------------------------------------------------------------ the fabric
@@ -460,21 +513,28 @@ class TestFabric:
         with pytest.raises(JournalError, match="no sweep to resume"):
             SweepFabric(tmp_path / "nope").run()
 
-    def test_run_many_coordinator_delegation(self, tmp_path):
-        configs = [tiny_config(seed=s) for s in (1, 2)]
-        fabric = self.fabric(tmp_path)
-        results = run_many(configs, coordinator=fabric)
-        assert len(results) == 2
-        assert fabric.last_report is not None
-        assert fabric.last_report.status == "complete"
-
-    def test_directory_store_backend(self, tmp_path):
+    def test_default_store_is_one_file_in_the_journal(self, tmp_path):
         fabric = SweepFabric(tmp_path / "journal",
-                             store=str(tmp_path / "dirstore"),
                              config=FabricConfig(processes=1))
-        results = fabric.run([tiny_config(seed=1)])
-        assert not isinstance(results[0], FailedResult)
-        assert any((tmp_path / "dirstore").rglob("*.pkl"))
+        fabric.run([tiny_config(seed=1)])
+        assert fabric.last_report.store == f"sqlite:{tmp_path}/journal/store.db"
+        assert len(open_store(tmp_path / "journal" / "store.db")) == 1
+
+    def test_resume_rejects_a_recorded_directory_store(self, tmp_path):
+        """A journal started before the directory format was retired names
+        a directory in its grid.pkl: resuming it is a precise JournalError,
+        and an explicit ``store=`` resumes it against a new file."""
+        (tmp_path / "journal" / "store").mkdir(parents=True)
+        configs = [tiny_config(seed=1)]
+        SweepJournal(tmp_path / "journal").create(
+            configs, str(tmp_path / "journal" / "store"))
+        with pytest.raises(JournalError,
+                           match="directory store format was retired"):
+            SweepFabric(tmp_path / "journal").run()
+        resumed = SweepFabric(tmp_path / "journal",
+                              store=f"sqlite:{tmp_path}/fresh.db",
+                              config=FabricConfig(processes=1))
+        assert not isinstance(resumed.run()[0], FailedResult)
 
     def test_sweep_status_reflects_journal(self, tmp_path):
         configs = [tiny_config(seed=1), broken_config(seed=2)]
@@ -556,9 +616,7 @@ class TestFabric:
         its lease deadline; the retry stalls too, so the sweep terminates
         with an exhausted cell instead of hanging. The pool-task patch
         reaches the workers because Linux pools fork."""
-        import repro.experiments.fabric as fabric_mod
-
-        monkeypatch.setattr(fabric_mod, "_fabric_cell", _stalled_cell)
+        monkeypatch.setattr(fabric_mod, "_pool_cell", _stalled_cell)
         # Two cells: a single pending cell clamps the pool to one process
         # and takes the serial path, which has no leases to expire.
         configs = [tiny_config(seed=1), tiny_config(seed=2)]

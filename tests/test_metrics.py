@@ -1,18 +1,15 @@
-"""Unit tests for FCT summaries, throughput monitoring, queue sampling."""
+"""Unit tests for FCT summaries, the starvation metric and table formatting."""
 
 import math
 
 import pytest
 
 from repro.metrics.fct import FctSummary, FlowRecord, completion_ratio, summarize
-from repro.metrics.queueing import QueueSampler
 from repro.metrics.summary import format_table
-from repro.metrics.throughput import ThroughputMonitor, starvation_fraction
-from repro.net.packet import Dscp, Packet, PacketKind
-from repro.net.queues import PacketQueue, QueueConfig
+from repro.metrics.throughput import starvation_fraction
 from repro.net.topology import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
-from repro.sim.units import KB, MILLIS
+from repro.sim.units import KB
 from repro.transports.base import FlowSpec, FlowStats
 
 from tests.test_net_port_topology import single_queue_factory
@@ -106,51 +103,6 @@ class TestSummarize:
         assert not censored.completed
 
 
-class TestThroughputMonitor:
-    def _port_with_traffic(self):
-        sim = Simulator()
-        db = build_dumbbell(sim, single_queue_factory, DumbbellSpec(n_pairs=1))
-
-        def classify(pkt):
-            return "a" if pkt.flow_id == 1 else "b"
-
-        mon = ThroughputMonitor(db.bottleneck, classify, bin_ns=1 * MILLIS)
-        return sim, db, mon
-
-    def test_bins_accumulate_bytes(self):
-        sim, db, mon = self._port_with_traffic()
-        for i in range(10):
-            db.senders[0].send(Packet(PacketKind.DATA, 1, db.senders[0].id,
-                                      db.receivers[0].id, 1000, dscp=Dscp.LEGACY))
-        sim.run()
-        assert mon.total_bytes("a") == 10_000
-
-    def test_series_length_matches_horizon(self):
-        sim, db, mon = self._port_with_traffic()
-        db.senders[0].send(Packet(PacketKind.DATA, 1, db.senders[0].id,
-                                  db.receivers[0].id, 1000, dscp=Dscp.LEGACY))
-        sim.run()
-        series = mon.series_gbps("a", 5 * MILLIS)
-        assert len(series) == 5
-        assert series[0] > 0
-        assert all(v == 0 for v in series[1:])
-
-    def test_classifier_none_ignored(self):
-        sim = Simulator()
-        db = build_dumbbell(sim, single_queue_factory, DumbbellSpec(n_pairs=1))
-        mon = ThroughputMonitor(db.bottleneck, lambda pkt: None)
-        db.senders[0].send(Packet(PacketKind.DATA, 1, db.senders[0].id,
-                                  db.receivers[0].id, 1000, dscp=Dscp.LEGACY))
-        sim.run()
-        assert mon.categories() == []
-
-    def test_invalid_bin(self):
-        sim = Simulator()
-        db = build_dumbbell(sim, single_queue_factory, DumbbellSpec(n_pairs=1))
-        with pytest.raises(ValueError):
-            ThroughputMonitor(db.bottleneck, lambda p: "x", bin_ns=0)
-
-
 class TestStarvationFraction:
     def test_all_above_threshold(self):
         assert starvation_fraction([5.0] * 10, 10.0) == 0.0
@@ -172,36 +124,6 @@ class TestStarvationFraction:
 
     def test_all_zero_is_fully_starved(self):
         assert starvation_fraction([0.0] * 5, 10.0) == 1.0
-
-
-class TestQueueSampler:
-    def test_samples_on_period(self):
-        sim = Simulator()
-        q = PacketQueue(QueueConfig())
-        sampler = QueueSampler(sim, q, period_ns=1 * MILLIS, until_ns=5 * MILLIS)
-        q.push(Packet(PacketKind.DATA, 1, 0, 1, 3000, dscp=Dscp.LEGACY))
-        sim.run(until=10 * MILLIS)
-        assert len(sampler.samples_bytes) == 5
-        assert sampler.avg_kb() == pytest.approx(3.0)
-        assert sampler.max_kb() == pytest.approx(3.0)
-
-    def test_red_bytes_tracked(self):
-        from repro.net.packet import Color
-
-        sim = Simulator()
-        q = PacketQueue(QueueConfig())
-        sampler = QueueSampler(sim, q, period_ns=MILLIS, until_ns=2 * MILLIS)
-        q.push(Packet(PacketKind.DATA, 1, 0, 1, 2000, dscp=Dscp.LEGACY,
-                      color=Color.RED))
-        sim.run(until=5 * MILLIS)
-        assert sampler.avg_red_kb() == pytest.approx(2.0)
-        assert sampler.p90_red_kb() == pytest.approx(2.0)
-
-    def test_invalid_period(self):
-        sim = Simulator()
-        q = PacketQueue(QueueConfig())
-        with pytest.raises(ValueError):
-            QueueSampler(sim, q, period_ns=0)
 
 
 class TestFormatTable:

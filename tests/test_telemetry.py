@@ -346,9 +346,9 @@ class TestExperimentIntegration:
 
     def test_run_many_and_cache_roundtrip(self, tmp_path):
         cfg = tiny_cfg(telemetry=TelemetryConfig(interval_ns=100_000))
-        fresh = run_many([cfg], processes=2, cache=str(tmp_path))
+        fresh = run_many([cfg], processes=2, cache=str(tmp_path / "r.db"))
         assert not isinstance(fresh[0], FailedResult)
         assert fresh[0].telemetry is not None
-        cached = run_many([cfg], processes=2, cache=str(tmp_path))
+        cached = run_many([cfg], processes=2, cache=str(tmp_path / "r.db"))
         assert cached[0].telemetry == fresh[0].telemetry
         assert cached[0].records == fresh[0].records

@@ -7,15 +7,14 @@ runs them — parallelized across CPUs — and writes one ``fct_<id>.csv`` per
 experiment into the results directory, plus an ``index.csv`` mapping
 experiment ids to parameters.
 
-    python tools/run_simulations.py --out results/ [--ms 10] [--paper-scale] \
-        [--cache .sim-cache]
+    python tools/run_simulations.py --out results/ [--ms 10] [--paper-scale]
 
 Long campaigns should run through the durable sweep fabric (DESIGN.md
-§6g): ``--store`` (directory, or ``sqlite:PATH`` for the concurrent-
-writer SQLite backend) executes the grid under a persistent journal in
-``<out>/sweep-journal`` with per-cell leases and bounded retries, and
-``--resume`` continues a killed or partial run without recomputing any
-stored cell::
+§6g): ``--store sqlite:PATH`` keeps every result in one SQLite file and
+executes the grid under a persistent journal in ``<out>/sweep-journal``
+with per-cell leases and bounded retries; a re-run over the same store
+simulates only what it does not hold, and ``--resume`` continues a killed
+or partial run without recomputing any stored cell::
 
     python tools/run_simulations.py --out results/ --store sqlite:results/sweep.db
     # ... kill -9, power loss, OOM ...
@@ -35,7 +34,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.audit import AuditConfig  # noqa: E402
 from repro.experiments.config import ExperimentConfig, SchemeName  # noqa: E402
 from repro.experiments.parallel import FailedResult, run_many  # noqa: E402
-from repro.experiments.sweep import default_sweep_config  # noqa: E402
+from repro.experiments.sweep import (  # noqa: E402
+    default_sweep_config,
+    deployment_grid,
+)
 from repro.metrics.telemetry import TelemetryConfig  # noqa: E402
 from repro.net.topology import ClosSpec  # noqa: E402
 from repro.sim.units import MILLIS  # noqa: E402
@@ -47,44 +49,29 @@ SCHEMES = (SchemeName.DCTCP, SchemeName.NAIVE, SchemeName.OWF,
 
 
 def build_grid(base: ExperimentConfig) -> List[Tuple[str, ExperimentConfig]]:
-    """(experiment id, config) for every simulation in Figures 10-14."""
-    grid: List[Tuple[str, ExperimentConfig]] = []
-    nonzero = [d for d in DEPLOYMENTS if d > 0.0]
-    # E1: background-only transition (Figures 10, 12, 13). The 0% point is
-    # scheme-independent (pure DCTCP), so it runs once.
-    grid.append(("e1_dctcp_000", base.with_(scheme=SchemeName.DCTCP,
-                                            deployment=0.0)))
-    for scheme in SCHEMES:
-        if scheme == SchemeName.DCTCP:
-            continue
-        for dep in nonzero:
-            grid.append((
-                f"e1_{scheme.value}_{int(dep * 100):03d}",
-                base.with_(scheme=scheme, deployment=dep),
-            ))
-    # E2: mixed traffic (Figure 11): 10% of bytes are foreground incast
-    mixed = base.with_(traffic=TrafficConfig.paper(foreground_fraction=0.1))
-    grid.append(("e2_dctcp_000", mixed.with_(scheme=SchemeName.DCTCP,
-                                             deployment=0.0)))
-    for scheme in (SchemeName.NAIVE, SchemeName.FLEXPASS):
-        for dep in nonzero:
-            grid.append((
-                f"e2_{scheme.value}_{int(dep * 100):03d}",
-                mixed.with_(scheme=scheme, deployment=dep),
-            ))
-    # E3: load sweep (Figure 14)
-    for load in (0.1, 0.4, 0.7):
-        tag = f"l{int(load * 100):02d}"
-        grid.append((f"e3_dctcp_{tag}_000",
-                     base.with_(scheme=SchemeName.DCTCP, deployment=0.0,
-                                load=load)))
-        for scheme in (SchemeName.NAIVE, SchemeName.FLEXPASS):
-            for dep in nonzero:
-                grid.append((
-                    f"e3_{scheme.value}_{tag}_{int(dep * 100):03d}",
-                    base.with_(scheme=scheme, deployment=dep, load=load),
-                ))
-    return grid
+    """(experiment id, config) for every simulation in Figures 10-14.
+
+    Each family is a ``deployment_grid``; its 0% cell is the same pure-DCTCP
+    config for every scheme, so it gets one id and runs once.
+    """
+    transition = (SchemeName.NAIVE, SchemeName.FLEXPASS)
+    families = [
+        # E1: background-only transition (Figures 10, 12, 13)
+        ("e1", "", base, [s for s in SCHEMES if s != SchemeName.DCTCP]),
+        # E2: mixed traffic (Figure 11): 10% of bytes are foreground incast
+        ("e2", "", base.with_(
+            traffic=TrafficConfig.paper(foreground_fraction=0.1)), transition),
+    ] + [
+        # E3: load sweep (Figure 14)
+        ("e3", f"l{int(load * 100):02d}_", base.with_(load=load), transition)
+        for load in (0.1, 0.4, 0.7)
+    ]
+    grid: Dict[str, ExperimentConfig] = {}
+    for family, tag, family_base, schemes in families:
+        for cfg in deployment_grid(family_base, schemes, DEPLOYMENTS):
+            grid.setdefault(f"{family}_{cfg.scheme.value}_{tag}"
+                            f"{int(cfg.deployment * 100):03d}", cfg)
+    return list(grid.items())
 
 
 def main() -> int:
@@ -95,13 +82,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size-scale", type=float, default=8.0)
     parser.add_argument("--processes", type=int, default=None)
-    parser.add_argument("--cache", metavar="DIR", default=None,
-                        help="experiment-cache directory: re-runs only "
-                             "simulate configs not already stored there")
     parser.add_argument("--store", metavar="SPEC", default=None,
                         help="run through the durable sweep fabric with "
-                             "this result store (directory or sqlite:PATH); "
-                             "survives kill -9 via --resume")
+                             "this result store (sqlite:PATH or a file "
+                             "path); re-runs simulate only what it lacks, "
+                             "and survive kill -9 via --resume")
     parser.add_argument("--resume", action="store_true",
                         help="resume the fabric journal in <out> (implies "
                              "the fabric path; grid flags must match the "
@@ -168,7 +153,7 @@ def main() -> int:
               f"(report: {fabric.journal.report_path})")
     else:
         results = run_many(configs, processes=args.processes,
-                           max_retries=args.max_retries, cache=args.cache)
+                           max_retries=args.max_retries)
 
     index_rows = []
     audit_failures: List[str] = []
