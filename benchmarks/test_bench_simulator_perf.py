@@ -20,7 +20,7 @@ from repro.metrics.bench import record_bench
 from repro.net.packet import Dscp, Packet, PacketKind
 from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.scheduler import PortScheduler, QueueSchedule
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 
 from tests.test_net_port_topology import Recorder, single_queue_factory

@@ -18,7 +18,7 @@ from repro.experiments.runner import flow_specs, pump_flows
 from repro.experiments.scenarios import make_scheme_setup
 from repro.metrics.fct import FlowRecord, summarize
 from repro.metrics.summary import print_table
-from repro.net.topology import ClosSpec, build_clos
+from repro.net import ClosSpec, build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MILLIS

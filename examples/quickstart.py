@@ -12,7 +12,7 @@ from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
 from repro.metrics.summary import print_table
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

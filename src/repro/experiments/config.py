@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    from repro.net.fabric.spec import TopologySpec
+from typing import Optional
 
 from repro.audit.config import AuditConfig
 from repro.faults.plan import FaultPlan
 from repro.metrics.telemetry import TelemetryConfig
+from repro.net.fabric import TopologySpec
 from repro.net.topology import ClosSpec
 from repro.sim.units import GBPS, KB, MICROS, MILLIS
 from repro.workloads.gen import TrafficConfig
@@ -80,7 +78,7 @@ class ExperimentConfig:
     clos: ClosSpec = field(default_factory=ClosSpec)
     #: declarative fabric (overrides ``clos`` when set); content-hashes into
     #: the cache key like every other field. See :mod:`repro.net.fabric`.
-    topology_spec: Optional["TopologySpec"] = None
+    topology_spec: Optional[TopologySpec] = None
     #: the run's traffic sources (default: one uniform Poisson ``bg``
     #: source); ``workload``, ``load`` and ``size_scale`` are the defaults
     #: each source resolves against. ``TrafficConfig.paper`` builds the
@@ -112,9 +110,8 @@ class ExperimentConfig:
     def reference_rate_bps(self) -> int:
         """Host access rate the scheme parameters are derived from.
 
-        Equals ``clos.rate_bps`` for the enum-named topologies (keeping
-        their audit digests unchanged); declarative fabrics derive it from
-        their host access links.
+        ``clos.rate_bps`` when the fabric is ``clos``; a declared
+        ``topology_spec`` derives it from its host access links.
         """
         if self.topology_spec is not None:
             return self.topology_spec.access_rate_bps()

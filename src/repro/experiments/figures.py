@@ -27,7 +27,7 @@ from repro.experiments.scenarios import (
 from repro.metrics.summary import format_table
 from repro.metrics.telemetry import TelemetrySampler
 from repro.metrics.throughput import starvation_fraction
-from repro.net.topology import (
+from repro.net import (
     DumbbellSpec,
     StarSpec,
     build_dumbbell,

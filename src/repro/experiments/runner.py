@@ -23,7 +23,7 @@ from repro.experiments.scenarios import (
 from repro.faults.counters import FaultCounters
 from repro.metrics.fct import FctSummary, FlowRecord, summarize
 from repro.metrics.telemetry import TelemetrySampler, TelemetrySeries
-from repro.net.topology import Clos
+from repro.net.fabric import FabricHandle
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.transports.base import FlowSpec, FlowStats
@@ -106,16 +106,10 @@ class ExperimentResult:
                 float(np.percentile(red, 90)) / 1000)
 
 
-def _fabric_groups(clos) -> List[List]:
-    """The fabric's natural host partition.
-
-    Declarative fabrics group by region (falling back to racks when the
-    spec has no regions); the hand-built topologies group by rack.
-    """
-    groups: List[List] = []
-    if hasattr(clos, "hosts_by_region"):
-        by_region = clos.hosts_by_region()
-        groups = [members for _, members in sorted(by_region.items())]
+def _fabric_groups(clos: FabricHandle) -> List[List]:
+    """The fabric's natural host partition: by region, falling back to
+    racks when the spec names fewer than two regions (every Clos)."""
+    groups = [members for _, members in sorted(clos.hosts_by_region().items())]
     if len(groups) < 2:
         groups = clos.racks()
     return groups
@@ -126,7 +120,7 @@ def _fabric_groups(clos) -> List[List]:
 LabelledFlow = Tuple[FlowSpec, Tuple[FlowSpec, ...]]
 
 
-def flow_specs(cfg: ExperimentConfig, clos: Clos,
+def flow_specs(cfg: ExperimentConfig, clos: FabricHandle,
                rng: RngRegistry) -> Iterator[LabelledFlow]:
     """Stream ``cfg.traffic`` against this fabric as labelled flows.
 
@@ -234,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _attach_audit(sim: Simulator, cfg: ExperimentConfig, clos: Clos,
+def _attach_audit(sim: Simulator, cfg: ExperimentConfig, clos: FabricHandle,
                   live) -> Optional[InvariantAuditor]:
     """Build and arm the run's invariant auditor (or None when off).
 
@@ -251,7 +245,7 @@ def _attach_audit(sim: Simulator, cfg: ExperimentConfig, clos: Clos,
     return auditor
 
 
-def _attach_telemetry(sim: Simulator, cfg: ExperimentConfig, clos: Clos,
+def _attach_telemetry(sim: Simulator, cfg: ExperimentConfig, clos: FabricHandle,
                       live) -> Optional[TelemetrySampler]:
     """Build and start the run's telemetry sampler (or None when off)."""
     tcfg = cfg.telemetry
@@ -280,7 +274,7 @@ def _attach_telemetry(sim: Simulator, cfg: ExperimentConfig, clos: Clos,
     return sampler
 
 
-def _collect_counters(clos: Clos) -> SwitchCounters:
+def _collect_counters(clos: FabricHandle) -> SwitchCounters:
     agg = SwitchCounters()
     for sw in clos.topo.switches:
         for port in sw.ports.values():

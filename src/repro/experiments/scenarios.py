@@ -25,6 +25,13 @@ from repro.core.variants import (
     alt_queue_params,
 )
 from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
+from repro.net.fabric import (
+    FabricHandle,
+    TopologySpec,
+    build_from_spec,
+    clos_to_topology_spec,
+    load_topology_spec,
+)
 from repro.net.packet import Dscp
 from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.ratelimit import TokenBucket
@@ -392,18 +399,14 @@ def make_scheme_setup(cfg: ExperimentConfig) -> SchemeSetup:
     raise ValueError(f"unknown scheme {scheme}")
 
 
-def build_topology(sim, make_queues, cfg: ExperimentConfig):
-    """Resolve the config's fabric through the topology registry.
-
-    A declarative ``cfg.topology_spec`` builds the "fabric" kind; otherwise
-    the classic "clos" kind builds from ``cfg.clos``. Either way the handle
-    duck-types :class:`repro.net.topology.Clos` for the runner.
-    """
-    from repro.net.topology import build
-
-    if cfg.topology_spec is not None:
-        return build("fabric", sim, make_queues, cfg.topology_spec)
-    return build("clos", sim, make_queues, cfg.clos)
+def build_topology(sim, make_queues, cfg: ExperimentConfig) -> FabricHandle:
+    """Build the config's fabric: ``cfg.topology_spec`` when one is declared,
+    else ``cfg.clos`` emitted as a spec. Both go through
+    :func:`repro.net.fabric.build_from_spec`, the one builder."""
+    spec = cfg.topology_spec
+    if spec is None:
+        spec = clos_to_topology_spec(cfg.clos)
+    return build_from_spec(sim, make_queues, spec)
 
 
 # --------------------------------------------------------------------------
@@ -422,8 +425,6 @@ def regional_fabric_config(spec, scheme: SchemeName = SchemeName.FLEXPASS,
     sender's region (WAN backbones carry the rest); None is uniform
     all-to-all.
     """
-    from repro.net.fabric import TopologySpec, load_topology_spec
-
     if not isinstance(spec, TopologySpec):
         spec = load_topology_spec(spec)
     spec.validate()

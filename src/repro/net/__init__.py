@@ -7,16 +7,13 @@ multi-queue scheduling (strict priority + DWRR), RED/ECN marking, color-aware
 selective dropping, shared-buffer dynamic thresholds, and token-bucket credit
 rate limiting — the switch feature set §4.1 and §5 of the paper require.
 
-The stable public API is what ``__all__`` lists below. Topologies resolve
-through a registry (:func:`build` / :func:`register_topology`): the classic
-shapes ("dumbbell", "star", "clos") register here, and the declarative
-ontology loader (:mod:`repro.net.fabric`, lazily imported) registers the
-"fabric" kind — its names (``TopologySpec``, ``build_from_spec``,
-``load_topology_spec``, ...) are importable from this package too. Anything
-imported from other submodules directly is internal and may move.
+The stable public API is what ``__all__`` lists below. Every topology is a
+``TopologySpec`` wired by :func:`build_from_spec`: a declarative fabric loads
+as one (:func:`load_topology_spec`), and the paper's three shapes
+(``DumbbellSpec`` / ``StarSpec`` / ``ClosSpec``) are emitted as one by
+``build_dumbbell`` / ``build_star`` / ``build_clos``. Anything imported from
+other submodules directly is internal and may move.
 """
-
-import importlib
 
 from repro.net.packet import (
     ACK_WIRE_BYTES,
@@ -35,20 +32,28 @@ from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.scheduler import PortScheduler, QueueSchedule
 from repro.net.switch import Switch
 from repro.net.topology import (
-    Clos,
     ClosSpec,
     Dumbbell,
     DumbbellSpec,
     Star,
     StarSpec,
     Topology,
-    build,
+)
+from repro.net.fabric import (
+    FabricHandle,
+    LinkSpec,
+    NodeSpec,
+    SiteSpec,
+    TopologySpec,
+    TopologySpecError,
     build_clos,
     build_dumbbell,
+    build_from_spec,
     build_star,
-    register_topology,
-    spec_class,
-    topology_kinds,
+    clos_to_topology_spec,
+    dumbbell_to_topology_spec,
+    load_topology_spec,
+    star_to_topology_spec,
 )
 
 __all__ = [
@@ -69,54 +74,23 @@ __all__ = [
     "QueueSchedule",
     "Switch",
     "Topology",
-    "Clos",
     "ClosSpec",
     "Dumbbell",
     "DumbbellSpec",
     "Star",
     "StarSpec",
-    "build",
-    "build_clos",
-    "build_dumbbell",
-    "build_star",
-    "register_topology",
-    "spec_class",
-    "topology_kinds",
-    # provided lazily by repro.net.fabric (see __getattr__)
     "FabricHandle",
     "LinkSpec",
     "NodeSpec",
     "SiteSpec",
     "TopologySpec",
     "TopologySpecError",
+    "build_clos",
+    "build_dumbbell",
     "build_from_spec",
+    "build_star",
     "clos_to_topology_spec",
+    "dumbbell_to_topology_spec",
     "load_topology_spec",
+    "star_to_topology_spec",
 ]
-
-#: submodules reachable lazily as attributes (``repro.net.routing`` etc.)
-_SUBMODULES = ("buffering", "fabric", "host", "link", "node", "packet",
-               "port", "queues", "ratelimit", "routing", "scheduler",
-               "switch", "topology")
-
-#: names forwarded from repro.net.fabric on first access, so importing
-#: repro.net stays cheap for users who never touch declarative topologies
-_FABRIC_NAMES = frozenset({
-    "FabricHandle", "LinkSpec", "NodeSpec", "SiteSpec", "TopologySpec",
-    "TopologySpecError", "build_from_spec", "clos_to_topology_spec",
-    "load_topology_spec",
-})
-
-
-def __getattr__(name):
-    if name in _FABRIC_NAMES:
-        value = getattr(importlib.import_module("repro.net.fabric"), name)
-        globals()[name] = value
-        return value
-    if name in _SUBMODULES:
-        return importlib.import_module(f"repro.net.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_SUBMODULES) | set(globals()))

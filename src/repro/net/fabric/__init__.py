@@ -1,11 +1,20 @@
-"""Declarative topology ingestion: the ontology, loaders, and builder.
+"""Topologies as data: the ontology, its loaders, and the one builder.
 
-Importing this package registers the "fabric" topology kind, so
-``repro.net.topology.build("fabric", sim, make_queues, spec)`` works — the
-registry also imports it lazily on first use of that kind.
+:mod:`.spec` is the declarative ``TopologySpec`` (YAML / JSON / CSV / dict);
+:mod:`.build` wires any spec into a routed fabric and holds the emitters that
+express the paper's dumbbell, star and Clos shapes as specs.
 """
 
-from repro.net.fabric.build import FabricHandle, build_from_spec, clos_to_topology_spec
+from repro.net.fabric.build import (
+    FabricHandle,
+    build_clos,
+    build_dumbbell,
+    build_from_spec,
+    build_star,
+    clos_to_topology_spec,
+    dumbbell_to_topology_spec,
+    star_to_topology_spec,
+)
 from repro.net.fabric.spec import (
     LinkSpec,
     NodeSpec,
@@ -16,7 +25,6 @@ from repro.net.fabric.spec import (
     parse_delay_ns,
     parse_rate_bps,
 )
-from repro.net.topology import register_topology
 
 __all__ = [
     "FabricHandle",
@@ -25,12 +33,14 @@ __all__ = [
     "SiteSpec",
     "TopologySpec",
     "TopologySpecError",
+    "build_clos",
+    "build_dumbbell",
     "build_from_spec",
+    "build_star",
     "clos_to_topology_spec",
+    "dumbbell_to_topology_spec",
     "load_topology_spec",
     "parse_delay_ns",
     "parse_rate_bps",
+    "star_to_topology_spec",
 ]
-
-# replace=True keeps importlib.reload / repeated imports idempotent.
-register_topology("fabric", TopologySpec, build_from_spec, replace=True)

@@ -195,7 +195,8 @@ class TopologySpec:
     # -------------------------------------------------------- validation
 
     def validate(self) -> "TopologySpec":
-        """Check referential integrity; return self so calls chain."""
+        """Check referential integrity and that every host hangs off exactly
+        one switch; return self so calls chain."""
         if not self.nodes:
             raise TopologySpecError("topology has no nodes")
         site_names = set()
@@ -223,6 +224,9 @@ class TopologySpec:
                 raise TopologySpecError(
                     f"node {node.name!r}: buffer_bytes must be positive, "
                     f"got {node.buffer_bytes}")
+        host_links = {n.name: 0 for n in self.nodes if n.kind == "host"}
+        if not host_links:
+            raise TopologySpecError("topology has no hosts")
         if not self.links:
             raise TopologySpecError("topology has no links")
         seen_edges = set()
@@ -244,6 +248,18 @@ class TopologySpec:
             if link.delay_ns <= 0:
                 raise TopologySpecError(
                     f"link {link.label}: delay must be positive, got {link.delay_ns}")
+            if link.a in host_links and link.b in host_links:
+                raise TopologySpecError(
+                    f"link {link.label} joins two hosts (a host attaches "
+                    f"to a switch)")
+            for end in (link.a, link.b):
+                if end in host_links:
+                    host_links[end] += 1
+        for host, n_links in host_links.items():
+            if n_links != 1:
+                raise TopologySpecError(
+                    f"host {host!r} has {n_links} links (a host attaches to "
+                    f"the fabric by exactly one)")
         return self
 
     # ----------------------------------------------------- serialization

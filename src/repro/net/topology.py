@@ -1,24 +1,26 @@
-"""Topology construction: dumbbell, star (incast / two-to-one), 3-tier Clos.
+"""The wired network and the three shapes the paper evaluates on.
 
-A :class:`Topology` owns the nodes and wiring. Queue configuration is
+A :class:`Topology` owns the nodes and wiring; its ``add_host`` /
+``add_switch`` / ``connect`` / ``finalize`` primitives have one caller,
+:func:`repro.net.fabric.build_from_spec`. Queue configuration is
 scheme-specific (FlexPass needs three queues, the naïve scheme one data
-queue, Homa eight priorities, …), so builders take a ``make_queues`` factory
-provided by :mod:`repro.experiments.scenarios` and apply it uniformly to
-every port — host NICs included, per the paper's "the NIC is a special type
-of edge switch" deployment note.
+queue, Homa eight priorities, …), so a topology takes a ``make_queues``
+factory provided by :mod:`repro.experiments.scenarios` and applies it
+uniformly to every port — host NICs included, per the paper's "the NIC is a
+special type of edge switch" deployment note.
 
-Builders are looked up through a **registry** keyed by topology kind
-(:func:`register_topology` / :func:`build`): the classic shapes register
-here ("dumbbell", "star", "clos"), and the declarative ontology loader
-(:mod:`repro.net.fabric`) registers as just another kind ("fabric"), so
-scenario code resolves every fabric the same way.
+The shapes are parameters, not wiring: :class:`DumbbellSpec`,
+:class:`StarSpec` and :class:`ClosSpec` say how big and how fast, and
+:mod:`repro.net.fabric.build` turns each into a ``TopologySpec`` and builds
+it (``build_dumbbell`` / ``build_star`` / ``build_clos``, importable from
+:mod:`repro.net`). :class:`Dumbbell` and :class:`Star` are the named views
+those builders hand back.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.buffering import SharedBuffer, UnlimitedBuffer
 from repro.net.host import Host
@@ -29,7 +31,7 @@ from repro.net.routing import compute_next_hops, edge_key, filter_adjacency
 from repro.net.scheduler import QueueSchedule
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
-from repro.sim.units import GBPS, MB, MICROS
+from repro.sim.units import GBPS, MICROS
 
 #: ``make_queues(port_name, rate_bps, is_host_nic) -> (schedules, classifier)``
 QueueFactory = Callable[[str, int, bool], Tuple[List[QueueSchedule], Dict[int, int]]]
@@ -177,83 +179,7 @@ class Topology:
         src.attach_port(dst.id, port)
 
 
-# ----------------------------------------------------------- the registry
-
-
-@dataclass(frozen=True)
-class RegisteredTopology:
-    """One buildable topology kind: its spec dataclass and builder."""
-
-    kind: str
-    spec_cls: Type
-    #: builder(sim, make_queues, spec) -> handle (Dumbbell/Star/Clos/...)
-    builder: Callable
-
-
-#: kind -> registration; the classic shapes register at import time below,
-#: other modules extend via :func:`register_topology`.
-_REGISTRY: Dict[str, RegisteredTopology] = {}
-
-#: kinds provided by modules that register on import (resolved on demand so
-#: ``build("fabric", ...)`` works without an explicit fabric import).
-_LAZY_KINDS: Dict[str, str] = {"fabric": "repro.net.fabric"}
-
-
-def register_topology(kind: str, spec_cls: Type, builder: Callable,
-                      replace: bool = False) -> None:
-    """Register a buildable topology kind.
-
-    ``builder(sim, make_queues, spec)`` must accept a ``spec_cls`` instance
-    and return a handle exposing at least ``topo``, ``hosts``, ``racks()``
-    and ``tor_uplinks()`` (the contract the experiment runner drives).
-    Registering an existing kind without ``replace=True`` is an error.
-    """
-    if not replace and kind in _REGISTRY:
-        raise ValueError(f"topology kind {kind!r} is already registered")
-    _REGISTRY[kind] = RegisteredTopology(kind, spec_cls, builder)
-
-
-def registered_topology(kind: str) -> RegisteredTopology:
-    """Resolve a registration, importing lazily-provided kinds on demand."""
-    entry = _REGISTRY.get(kind)
-    if entry is None and kind in _LAZY_KINDS:
-        importlib.import_module(_LAZY_KINDS[kind])
-        entry = _REGISTRY.get(kind)
-    if entry is None:
-        raise KeyError(
-            f"unknown topology kind {kind!r}; registered kinds: "
-            f"{', '.join(topology_kinds())}")
-    return entry
-
-
-def topology_kinds() -> Tuple[str, ...]:
-    """All buildable kinds (including lazily-registered ones)."""
-    return tuple(sorted(set(_REGISTRY) | set(_LAZY_KINDS)))
-
-
-def spec_class(kind: str) -> Type:
-    """The spec dataclass a kind's builder consumes."""
-    return registered_topology(kind).spec_cls
-
-
-def build(kind: str, sim: Simulator, make_queues: QueueFactory, spec=None):
-    """Build a topology of ``kind`` through the registry.
-
-    ``spec=None`` builds the kind's default spec. The spec's type is
-    checked against the registration so a ClosSpec handed to "dumbbell"
-    fails loudly instead of producing a half-wired fabric.
-    """
-    entry = registered_topology(kind)
-    if spec is None:
-        spec = entry.spec_cls()
-    elif not isinstance(spec, entry.spec_cls):
-        raise TypeError(
-            f"topology kind {kind!r} takes a {entry.spec_cls.__name__}, "
-            f"got {type(spec).__name__}")
-    return entry.builder(sim, make_queues, spec)
-
-
-# --------------------------------------------------------------- builders
+# ----------------------------------------------------------------- shapes
 
 
 @dataclass
@@ -283,26 +209,6 @@ class Dumbbell:
         return self.topo.port(self.left, self.right)
 
 
-def _build_dumbbell(
-    sim: Simulator, make_queues: QueueFactory, spec: DumbbellSpec
-) -> Dumbbell:
-    topo = Topology(sim, make_queues)
-    left = topo.add_switch("swL", spec.buffer_bytes, spec.buffer_alpha)
-    right = topo.add_switch("swR", spec.buffer_bytes, spec.buffer_alpha)
-    topo.connect(left, right, spec.bottleneck_bps or spec.rate_bps, spec.link_delay_ns)
-    senders, receivers = [], []
-    host_delay = spec.link_delay_ns + spec.host_delay_ns
-    for i in range(spec.n_pairs):
-        s = topo.add_host(f"s{i}")
-        r = topo.add_host(f"r{i}")
-        topo.connect(s, left, spec.rate_bps, host_delay)
-        topo.connect(r, right, spec.rate_bps, host_delay)
-        senders.append(s)
-        receivers.append(r)
-    topo.finalize()
-    return Dumbbell(topo, senders, receivers, left, right)
-
-
 @dataclass
 class StarSpec:
     """Hosts on a single switch — the testbed's two-to-one and incast shape."""
@@ -324,19 +230,6 @@ class Star:
     def downlink(self, host: Host) -> EgressPort:
         """The switch port facing ``host`` (the incast bottleneck)."""
         return self.topo.port(self.switch, host)
-
-
-def _build_star(sim: Simulator, make_queues: QueueFactory, spec: StarSpec) -> Star:
-    topo = Topology(sim, make_queues)
-    switch = topo.add_switch("sw", spec.buffer_bytes, spec.buffer_alpha)
-    hosts = []
-    delay = spec.link_delay_ns + spec.host_delay_ns
-    for i in range(spec.n_hosts):
-        h = topo.add_host(f"h{i}")
-        topo.connect(h, switch, spec.rate_bps, delay)
-        hosts.append(h)
-    topo.finalize()
-    return Star(topo, hosts, switch)
 
 
 @dataclass
@@ -366,120 +259,11 @@ class ClosSpec:
 
     @classmethod
     def paper_scale(cls) -> "ClosSpec":
-        from repro.sim.units import GBPS as _G
-
         return cls(
             n_pods=8,
             aggs_per_pod=2,
             tors_per_pod=4,
             hosts_per_tor=6,
             cores_per_group=4,
-            rate_bps=40 * _G,
+            rate_bps=40 * GBPS,
         )
-
-
-@dataclass
-class Clos:
-    topo: Topology
-    cores: List[Switch]
-    aggs: List[List[Switch]]  # per pod
-    tors: List[List[Switch]]  # per pod
-    hosts_by_tor: Dict[int, List[Host]]  # ToR switch id -> hosts
-    spec: ClosSpec
-
-    @property
-    def hosts(self) -> List[Host]:
-        return self.topo.hosts
-
-    def rack_of(self, host: Host) -> int:
-        """Index of the host's rack (ToR) in generation order."""
-        for rack_idx, (tor_id, members) in enumerate(sorted(self.hosts_by_tor.items())):
-            if host in members:
-                return rack_idx
-        raise ValueError(f"host {host.name} not in any rack")
-
-    def racks(self) -> List[List[Host]]:
-        return [members for _, members in sorted(self.hosts_by_tor.items())]
-
-    def tor_uplinks(self) -> List[EgressPort]:
-        """ToR -> Agg ports: the paper's 'core load' measurement points."""
-        ports = []
-        for pod_tors, pod_aggs in zip(self.tors, self.aggs):
-            for tor in pod_tors:
-                for agg in pod_aggs:
-                    ports.append(self.topo.port(tor, agg))
-        return ports
-
-
-def _build_clos(
-    sim: Simulator, make_queues: QueueFactory, spec: ClosSpec
-) -> Clos:
-    topo = Topology(sim, make_queues)
-    n_cores = spec.aggs_per_pod * spec.cores_per_group
-    cores = [
-        topo.add_switch(f"core{c}", spec.buffer_bytes, spec.buffer_alpha)
-        for c in range(n_cores)
-    ]
-    aggs: List[List[Switch]] = []
-    tors: List[List[Switch]] = []
-    hosts_by_tor: Dict[int, List[Host]] = {}
-    host_delay = spec.link_delay_ns + spec.host_delay_ns
-    for core in cores:
-        core.ecmp_salt = 3
-    for p in range(spec.n_pods):
-        pod_aggs = [
-            topo.add_switch(f"agg{p}.{a}", spec.buffer_bytes, spec.buffer_alpha)
-            for a in range(spec.aggs_per_pod)
-        ]
-        pod_tors = [
-            topo.add_switch(f"tor{p}.{t}", spec.buffer_bytes, spec.buffer_alpha)
-            for t in range(spec.tors_per_pod)
-        ]
-        for agg in pod_aggs:
-            agg.ecmp_salt = 2
-        for tor in pod_tors:
-            tor.ecmp_salt = 1
-        # Each agg position `a` uplinks to its core group.
-        for a, agg in enumerate(pod_aggs):
-            group = cores[a * spec.cores_per_group : (a + 1) * spec.cores_per_group]
-            for core in group:
-                topo.connect(agg, core, spec.rate_bps, spec.link_delay_ns)
-        # Every ToR connects to every agg in its pod.
-        for t, tor in enumerate(pod_tors):
-            for agg in pod_aggs:
-                topo.connect(tor, agg, spec.rate_bps, spec.link_delay_ns)
-            members = []
-            for h in range(spec.hosts_per_tor):
-                host = topo.add_host(f"h{p}.{t}.{h}")
-                topo.connect(host, tor, spec.rate_bps, host_delay)
-                members.append(host)
-            hosts_by_tor[tor.id] = members
-        aggs.append(pod_aggs)
-        tors.append(pod_tors)
-    topo.finalize()
-    return Clos(topo, cores, aggs, tors, hosts_by_tor, spec)
-
-
-# The classic shapes are just registry entries; the public build_* names
-# are thin shims kept for callers that predate the registry.
-register_topology("dumbbell", DumbbellSpec, _build_dumbbell)
-register_topology("star", StarSpec, _build_star)
-register_topology("clos", ClosSpec, _build_clos)
-
-
-def build_dumbbell(
-    sim: Simulator, make_queues: QueueFactory, spec: Optional[DumbbellSpec] = None
-) -> Dumbbell:
-    return build("dumbbell", sim, make_queues, spec)
-
-
-def build_star(
-    sim: Simulator, make_queues: QueueFactory, spec: Optional[StarSpec] = None
-) -> Star:
-    return build("star", sim, make_queues, spec)
-
-
-def build_clos(
-    sim: Simulator, make_queues: QueueFactory, spec: Optional[ClosSpec] = None
-) -> Clos:
-    return build("clos", sim, make_queues, spec)

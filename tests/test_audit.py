@@ -30,7 +30,7 @@ from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.runner import flow_specs, pump_flows, run_experiment
 from repro.experiments.scenarios import make_scheme_setup
 from repro.net.packet import alloc_packet, free_packet
-from repro.net.topology import ClosSpec, build_clos
+from repro.net import ClosSpec, build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MICROS, MILLIS

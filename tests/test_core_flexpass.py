@@ -5,7 +5,7 @@ import pytest
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
 from repro.experiments.scenarios import flexpass_queue_factory
-from repro.net.topology import DumbbellSpec, StarSpec, build_dumbbell, build_star
+from repro.net import DumbbellSpec, StarSpec, build_dumbbell, build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

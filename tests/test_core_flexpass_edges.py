@@ -13,7 +13,7 @@ from repro.core.flexpass import (
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
 from repro.net.packet import Packet, PacketKind
-from repro.net.topology import DumbbellSpec, StarSpec, build_dumbbell, build_star
+from repro.net import DumbbellSpec, StarSpec, build_dumbbell, build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

@@ -11,7 +11,7 @@ from repro.core.variants import (
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
 from repro.net.packet import Color, Dscp
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

@@ -5,7 +5,7 @@ import numpy as np
 from repro.net.buffering import SharedBuffer
 from repro.net.routing import ecmp_index
 from repro.net.switch import Switch
-from repro.net.topology import ClosSpec, build_clos
+from repro.net import ClosSpec, build_clos
 from repro.sim.engine import Simulator
 from repro.sim.units import MILLIS
 
@@ -31,14 +31,15 @@ def test_flows_spread_across_core_links():
         src.send(Packet(PacketKind.DATA, flow, src.id, dst.id, 1584,
                         dscp=Dscp.LEGACY))
     sim.run()
+    cores = [clos.node(f"core{c}") for c in range(4)]
     core_counts = []
-    for core in clos.cores:
+    for core in cores:
         pkts = sum(p.link.packets_delivered for p in core.ports.values())
         core_counts.append(pkts)
     used = [c for c in core_counts if c > 0]
-    assert len(used) == len(clos.cores), f"unused core links: {core_counts}"
+    assert len(used) == len(cores), f"unused core links: {core_counts}"
     # no single core carries more than ~2.5x its fair share of 200 flows
-    assert max(core_counts) < 2.5 * n_flows / len(clos.cores)
+    assert max(core_counts) < 2.5 * n_flows / len(cores)
 
 
 def test_single_flow_stays_on_one_path():
@@ -61,8 +62,8 @@ def test_single_flow_stays_on_one_path():
     assert [p.seq for p in rec.packets] == list(range(50))  # in order
     # exactly one core saw this flow
     carrying = [
-        c for c in clos.cores
-        if any(p.link.packets_delivered > 0 for p in c.ports.values())
+        core for core in (clos.node(f"core{i}") for i in range(4))
+        if any(p.link.packets_delivered > 0 for p in core.ports.values())
     ]
     assert len(carrying) == 1
 

@@ -25,7 +25,7 @@ from repro.experiments.sweep import (
 )
 from repro.metrics.telemetry import TelemetryConfig
 from repro.net.packet import Dscp
-from repro.net.topology import ClosSpec, build_clos
+from repro.net import ClosSpec, build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import GBPS, KB, MILLIS

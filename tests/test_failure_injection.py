@@ -13,7 +13,7 @@ from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
 from repro.faults import splice_lossy as _splice
 from repro.net.packet import PacketKind
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

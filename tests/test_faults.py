@@ -25,7 +25,7 @@ from repro.faults import (
 )
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.net.packet import Packet, PacketKind
-from repro.net.topology import ClosSpec, DumbbellSpec, build_clos, build_dumbbell
+from repro.net import ClosSpec, DumbbellSpec, build_clos, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import GBPS, MB, MILLIS
@@ -234,8 +234,8 @@ class TestLinkFailureEvents:
                         hosts_per_tor=1)
         clos = build_clos(sim, flexpass_queue_factory(QueueSettings(wq=0.5)),
                           spec)
-        tor = clos.tors[0][0]
-        agg = clos.aggs[0][0]
+        tor = clos.node("tor0.0")
+        agg = clos.node("agg0.0")
         hops_before = dict(tor.next_hops)
         done = Completions()
         src, dst = clos.hosts[0], clos.hosts[1]

@@ -7,7 +7,7 @@ import pytest
 from repro.metrics.fct import FctSummary, FlowRecord, completion_ratio, summarize
 from repro.metrics.summary import format_table
 from repro.metrics.throughput import starvation_fraction
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import KB
 from repro.transports.base import FlowSpec, FlowStats

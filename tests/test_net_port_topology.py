@@ -5,7 +5,7 @@ import pytest
 from repro.net.packet import Dscp, Packet, PacketKind
 from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.scheduler import QueueSchedule
-from repro.net.topology import (
+from repro.net import (
     ClosSpec,
     DumbbellSpec,
     StarSpec,
@@ -124,9 +124,9 @@ class TestClos:
         sim = Simulator()
         clos = build_clos(sim, single_queue_factory, spec)
         assert len(clos.hosts) == 192
-        assert len(clos.cores) == 8
-        assert sum(len(p) for p in clos.aggs) == 16
-        assert sum(len(p) for p in clos.tors) == 32
+        names = [sw.name for sw in clos.topo.switches]
+        for tier, count in (("core", 8), ("agg", 16), ("tor", 32)):
+            assert sum(name.startswith(tier) for name in names) == count
 
     def test_tor_oversubscription_ratio(self):
         spec = ClosSpec.paper_scale()
@@ -164,7 +164,9 @@ class TestClos:
         sim.run()
         assert len(rec.packets) == 1
         core_bytes = sum(
-            p.link.bytes_delivered for c in clos.cores for p in c.ports.values()
+            p.link.bytes_delivered
+            for c in (clos.node("core0"), clos.node("core1"))
+            for p in c.ports.values()
         )
         assert core_bytes > 0
 

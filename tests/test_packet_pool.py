@@ -24,7 +24,7 @@ from repro.net.packet import (
 )
 from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.scheduler import PortScheduler
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import EventHandle, Simulator
 
 from tests.test_net_port_topology import single_queue_factory

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

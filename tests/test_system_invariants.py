@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

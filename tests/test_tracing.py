@@ -5,7 +5,7 @@ from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
 from repro.metrics.tracing import PacketTracer
 from repro.net.packet import PacketKind
-from repro.net.topology import ClosSpec, DumbbellSpec, build_clos, build_dumbbell
+from repro.net import ClosSpec, DumbbellSpec, build_clos, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

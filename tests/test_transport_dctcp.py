@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.topology import DumbbellSpec, StarSpec, build_dumbbell, build_star
+from repro.net import DumbbellSpec, StarSpec, build_dumbbell, build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

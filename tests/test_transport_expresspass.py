@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.packet import Dscp
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

@@ -3,7 +3,7 @@
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import homa_queue_factory, naive_queue_factory
 from repro.net.packet import Dscp, Packet, PacketKind
-from repro.net.topology import DumbbellSpec, build_dumbbell
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.topology import ClosSpec, build_clos
+from repro.net import ClosSpec, build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import GBPS, KB, MILLIS

@@ -34,7 +34,7 @@ from repro.metrics.bench import record_bench  # noqa: E402
 from repro.net.packet import Dscp, Packet, PacketKind  # noqa: E402
 from repro.net.queues import PacketQueue, QueueConfig  # noqa: E402
 from repro.net.scheduler import PortScheduler, QueueSchedule  # noqa: E402
-from repro.net.topology import DumbbellSpec, build_dumbbell  # noqa: E402
+from repro.net import DumbbellSpec, build_dumbbell  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
 

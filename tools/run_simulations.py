@@ -39,7 +39,7 @@ from repro.experiments.sweep import (  # noqa: E402
     deployment_grid,
 )
 from repro.metrics.telemetry import TelemetryConfig  # noqa: E402
-from repro.net.topology import ClosSpec  # noqa: E402
+from repro.net import ClosSpec, load_topology_spec  # noqa: E402
 from repro.sim.units import MILLIS  # noqa: E402
 from repro.workloads import TrafficConfig  # noqa: E402
 
@@ -116,8 +116,6 @@ def main() -> int:
     if args.paper_scale:
         overrides.update(clos=ClosSpec.paper_scale(), size_scale=1.0)
     if args.topo_spec:
-        from repro.net.fabric import load_topology_spec
-
         overrides["topology_spec"] = load_topology_spec(args.topo_spec)
     if args.telemetry:
         overrides["telemetry"] = TelemetryConfig()
