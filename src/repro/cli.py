@@ -166,7 +166,18 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="192-host 40G Clos, unscaled sizes (slow)")
 
 
+class _ConfigError(Exception):
+    """The flags describe no valid config; ``main`` prints it as one
+    ``error:`` line instead of letting the run die on it later."""
+
+
+def _check_load(load: float) -> None:
+    if not 0.0 < load <= 1.0:
+        raise _ConfigError(f"load must be in (0,1], got {load}")
+
+
 def _base_config(args):
+    _check_load(args.load)
     overrides = dict(
         load=args.load, sim_time_ns=args.ms * MILLIS, seed=args.seed,
         workload=args.workload, size_scale=args.size_scale,
@@ -605,8 +616,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except FaultPlanError as exc:
-        # A misaddressed plan is a usage error, found while the run is set up.
+    except (FaultPlanError, _ConfigError) as exc:
+        # Usage errors: a misaddressed plan is found while the run is set
+        # up, a bad flag value while the subcommand builds its config.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -788,11 +800,14 @@ def _run_clos(args) -> int:
     """The ``repro clos`` subcommand: §6.2 paper-scale deployment run."""
     from repro.experiments.scenarios import paper_scale_config
 
-    cfg = paper_scale_config(
-        hosts=args.hosts, full_load=args.full_load,
-        scheme=SchemeName(args.scheme), sim_time_ns=args.ms * MILLIS,
-        seed=args.seed, deployment=args.deployment,
-    )
+    try:
+        cfg = paper_scale_config(
+            hosts=args.hosts, full_load=args.full_load,
+            scheme=SchemeName(args.scheme), sim_time_ns=args.ms * MILLIS,
+            seed=args.seed, deployment=args.deployment,
+        )
+    except ValueError as exc:  # --hosts is not a whole number of pods
+        raise _ConfigError(exc) from None
     res = run_experiment(cfg)
     s_all, s_small = res.fct(), res.fct(small=True)
     ev_rate = res.events_run / res.wall_seconds if res.wall_seconds else 0.0
@@ -847,6 +862,7 @@ def _workloads_sources(args, sim_time_ns: int):
     """Instantiate the composition against the stub fabric."""
     from repro.workloads.gen import build_sources, stub_groups
 
+    _check_load(args.load)
     groups = stub_groups(args.hosts, args.groups)
     hosts = [h for g in groups for h in g]
     return build_sources(
@@ -996,6 +1012,7 @@ def _run_audit(args) -> int:
     divergence, or drift from the pinned golden digests, so CI can gate on
     it directly.
     """
+    _check_load(args.load)
     horizon_ns = args.ms * MILLIS
     if args.replay:
         scheme, topo = args.schemes[0], args.topos[0]

@@ -1,11 +1,5 @@
-"""Measurement: FCT records, telemetry time series, starvation, benchmark
-baselines."""
+"""Measurement: FCT records, telemetry time series, starvation, packet traces."""
 
-from repro.metrics.bench import (
-    compare_to_baseline,
-    load_baseline,
-    record_bench,
-)
 from repro.metrics.fct import FctSummary, FlowRecord, summarize
 from repro.metrics.telemetry import (
     RingBuffer,
@@ -17,9 +11,6 @@ from repro.metrics.throughput import starvation_fraction
 from repro.metrics.tracing import PacketTracer, TraceEvent
 
 __all__ = [
-    "compare_to_baseline",
-    "load_baseline",
-    "record_bench",
     "FctSummary",
     "FlowRecord",
     "summarize",

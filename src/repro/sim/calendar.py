@@ -1,10 +1,10 @@
 """Calendar-queue event engine: the default discrete-event scheduler.
 
-The heap engine (:class:`repro.sim.engine.HeapSimulator`) pays a sift of the
-whole calendar on every push and pop. Credit-based transports are uniquely
-timer-heavy — ExpressPass-style pacing schedules one credit event per MTU per
-flow, so thousands of entries are always waiting — and that per-event
-``heapq`` cost dominates the hot loop. This engine is a one-tier calendar:
+A ``heapq`` of events pays a sift of the whole calendar on every push and
+pop. Credit-based transports are uniquely timer-heavy — ExpressPass-style
+pacing schedules one credit event per MTU per flow, so thousands of entries
+are always waiting — and that per-event ``heapq`` cost would dominate the hot
+loop. This engine is a one-tier calendar:
 
 * **future buckets** — fixed-width buckets (``2**bucket_bits`` ns) held in a
   dict keyed by bucket id, with a small heap of *bucket ids* (not events)
@@ -26,16 +26,17 @@ the next event is already the batch's tail, and a slot costs three attribute
 writes per dispatch and a compare per schedule to keep up (DESIGN.md §6h has
 the numbers).
 
-Ordering guarantees are identical to the heap engine, and are enforced by a
-differential property test against it (``tests/test_sim_engine_calendar.py``)
-plus the audit subsystem's replay-digest matrix:
+The ordering guarantees are those of a plain event heap, and are enforced by
+a differential property test against one (``tests/heap_oracle.py``, driven by
+``tests/test_sim_engine_calendar.py``) plus the audit subsystem's
+replay-digest matrix:
 
 * events fire in nondecreasing time order;
 * events scheduled for the same instant fire in FIFO scheduling order
   (a monotonically increasing sequence number breaks ties).
 
-Cancellation stays lazy (a cancelled handle is skipped at dispatch), with the
-same compaction rule as the heap engine: when cancelled entries reach
+Cancellation is lazy (a cancelled handle is skipped at dispatch), with one
+compaction rule: when cancelled entries reach
 ``COMPACT_MIN_CANCELLED`` and at least half of everything stored, the batch
 and the buckets are filtered in place so cancel-heavy timer workloads cannot
 grow the calendar unboundedly.
@@ -367,7 +368,7 @@ class CalendarSimulator:
                     if wall_clock_s is not None else None)
         # Keyed on loop iterations, not executed events: a purge of lazily
         # cancelled entries executes nothing yet must still reach the
-        # wall-clock check (see the heap engine for the original bug).
+        # wall-clock check (TestWatchdogStalledPurge holds it).
         next_wall_check = self.WALL_CHECK_INTERVAL
         active = self._active
         try:

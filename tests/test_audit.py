@@ -172,8 +172,14 @@ class TestCleanRuns:
         assert res.audit.digest is None  # digest off by default
 
     def test_disabled_audit_attaches_nothing(self):
-        res = run_experiment(audit_cfg(audit=None))
-        assert res.audit is None
+        """No config and a disabled one take the runner's real attach gate
+        to the same run: no report, and not one event or record apart (a
+        checkpoint timer would show in ``events_run``)."""
+        off = run_experiment(audit_cfg(audit=None))
+        disabled = run_experiment(audit_cfg(audit=AuditConfig(enabled=False)))
+        assert off.audit is None and disabled.audit is None
+        assert off.events_run == disabled.events_run > 0
+        assert off.records == disabled.records
 
     def test_digest_recorded_when_enabled(self):
         cfg = audit_cfg(audit=AuditConfig(digest=True,

@@ -60,6 +60,31 @@ class TestExecution:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert endpoints in err and reason in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        pytest.param(["clos", "--hosts", "7", "--ms", "1"],
+                     "hosts must be a positive multiple of 24",
+                     id="clos-hosts-7"),
+        pytest.param(["run", "--scheme", "flexpass", "--ms", "1",
+                      "--load", "0"],
+                     "load must be in (0,1], got 0.0", id="run-load-0"),
+        pytest.param(["run", "--scheme", "flexpass", "--ms", "1",
+                      "--load", "1.5"],
+                     "load must be in (0,1], got 1.5", id="run-load-1.5"),
+        pytest.param(["audit", "--schemes", "flexpass", "--topos",
+                      "dumbbell", "--load", "0"],
+                     "load must be in (0,1], got 0.0", id="audit-load-0"),
+        pytest.param(["workloads", "describe", "--load", "0"],
+                     "load must be in (0,1], got 0.0", id="workloads-load-0"),
+    ])
+    def test_bad_config_flag_is_a_one_line_error(self, capsys, argv, reason):
+        """A flag value no config can be built from is reported before
+        anything runs, not as a traceback from inside the run."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and reason in captured.err
+
 
 EXAMPLE_SPEC = str(pathlib.Path(__file__).resolve().parents[1] /
                    "examples" / "regional_fabric.yaml")

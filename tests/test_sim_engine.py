@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import CalendarSimulator, HeapSimulator, Simulator
+from repro.sim.engine import CalendarSimulator, Simulator
+from tests.heap_oracle import HeapSimulator
 
 
 def test_events_fire_in_time_order():

@@ -1,7 +1,7 @@
 """Differential tests: the calendar engine against the heap-engine oracle.
 
-The engine and its heap reference (``HeapSimulator``, kept for this file)
-promise bit-identical scheduling semantics — same firing order
+The engine and its heap reference (``tests/heap_oracle.py``) promise
+bit-identical scheduling semantics — same firing order
 (nondecreasing time, FIFO at equal instants via seq), same ``pending()``
 accounting, same ``peek_time()`` — so randomized scheduling programs are run
 on both and every observable is compared. The audit subsystem's golden
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.calendar import RUN_GC_GEN0, CalendarSimulator
-from repro.sim.engine import HeapSimulator
+from tests.heap_oracle import HeapSimulator
 
 ENGINES = [HeapSimulator, CalendarSimulator]
 #: exercise bucket-boundary behavior: one tiny-bucket and one huge-bucket

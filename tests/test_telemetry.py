@@ -25,9 +25,11 @@ from repro.metrics.telemetry import (
     TelemetrySeries,
     sparkline,
 )
+from repro.net import DumbbellSpec, build_dumbbell
 from repro.net.topology import ClosSpec
 from repro.sim.engine import Simulator
 from repro.sim.units import MILLIS
+from tests.test_net_port_topology import Recorder, mk_data, single_queue_factory
 
 
 def tiny_cfg(**overrides):
@@ -214,6 +216,46 @@ class TestSampler:
         assert series.num_samples("g") == 16
         assert series.times("g") == list(range(9850, 10_001, 10))
         assert series.overwritten["g"] == 1000 - 16
+
+
+def _forward(n, with_sampler):
+    """Drain ``n`` packets across a 1-pair dumbbell, optionally under the
+    watch surface the runner installs (switch ports + link util + pool
+    gauges at the default 100 us cadence, for the whole ~1.27 us/packet
+    drain plus a margin). Returns (events run, packets delivered, ticks)."""
+    sim = Simulator()
+    db = build_dumbbell(sim, single_queue_factory, DumbbellSpec(n_pairs=1))
+    rec = Recorder()
+    src, dst = db.senders[0], db.receivers[0]
+    dst.register_receiver(1, rec)
+    sampler = None
+    if with_sampler:
+        sampler = TelemetrySampler(sim, interval_ns=100_000,
+                                   until_ns=n * 1584 * 8 // 10 + 2 * MILLIS)
+        for sw in db.topo.switches:
+            for port in sw.ports.values():
+                sampler.watch_port(port)
+                sampler.watch_link(port)
+        sampler.watch_pool()
+        sampler.start()
+    for _ in range(n):
+        src.send(mk_data(1, src.id, dst.id))
+    sim.run()
+    return sim.events_run, len(rec.packets), sampler.ticks if sampler else 0
+
+
+class TestSamplerCost:
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_sampler_adds_one_event_per_tick_not_per_packet(self, n):
+        """Telemetry reads counters per tick: the events it adds to a run
+        are exactly its ticks, however many packets cross the watched
+        ports. A per-packet schedule, or a port hook that turns the
+        coalesced-TX fast path off, breaks the equality at once."""
+        plain_events, plain_delivered, _ = _forward(n, with_sampler=False)
+        events, delivered, ticks = _forward(n, with_sampler=True)
+        assert plain_delivered == delivered == n
+        assert ticks > 0
+        assert events - plain_events == ticks
 
 
 class TestSeries:
