@@ -12,7 +12,6 @@ number and discards redundant copies.
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.core.segments import SegmentState, SendBuffer
 from repro.core.variants import (
-    Rc3SplitParams,
     Rc3SplitReceiver,
     Rc3SplitSender,
     alt_queue_params,
@@ -24,7 +23,6 @@ __all__ = [
     "FlexPassSender",
     "SegmentState",
     "SendBuffer",
-    "Rc3SplitParams",
     "Rc3SplitReceiver",
     "Rc3SplitSender",
     "alt_queue_params",

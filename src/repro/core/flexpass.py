@@ -13,6 +13,12 @@ Each data packet carries two sequence numbers (MPTCP-style): the per-flow
 sequence used for reassembly and the per-sub-flow sequence used for
 congestion control and loss detection. The receiver ACKs every packet in
 its sub-flow's space and discards redundant copies at reassembly.
+
+Shared with the other transports, not re-implemented here: the credit
+request handshake and pacer (:mod:`repro.transports.crediting`), the
+per-sub-flow ACK/SACK scoreboards, the per-packet ACK and the reorder gauge
+(:mod:`repro.transports.sequencing`), and the RTO
+(:mod:`repro.transports.timers`).
 """
 
 from __future__ import annotations
@@ -23,10 +29,8 @@ from typing import List, Optional, TYPE_CHECKING
 from repro.core.segments import SegmentState, SendBuffer
 from repro.net.packet import (
     ACK_WIRE_BYTES,
-    CREDIT_WIRE_BYTES,
     Color,
     Dscp,
-    MSS,
     Packet,
     PacketKind,
     alloc_packet,
@@ -37,14 +41,15 @@ from repro.transports.base import (
 )
 from repro.transports.congestion import DctcpWindow, DctcpWindowParams
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
-from repro.transports.crediting import CreditPacer
-from repro.transports.sequencing import ReceiveScoreboard, SenderScoreboard
+from repro.transports.crediting import CreditPacer, CreditRequest
+from repro.transports.sequencing import (
+    ReceiveScoreboard, SenderScoreboard, send_ack, track_reorder,
+)
 from repro.transports.timers import RetransmitTimer, RttEstimator
-from repro.sim.timerwheel import CoarseTimer
 from repro.sim.units import GBPS, MICROS, MILLIS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
 
 #: sub-flow ids carried in Packet.subflow
 PROACTIVE = 0
@@ -114,9 +119,8 @@ class FlexPassSender:
         self.p_rtt = RttEstimator(min_rto_ns=params.min_rto_ns)
         self.p_timer = RetransmitTimer(sim, self.p_rtt, self._on_proactive_timeout)
         self._pmap: List[int] = []  # proactive seq -> segment idx
-        # Coarse watchdog (4 ms) on the shared timer wheel.
-        self._request_timer = CoarseTimer(sim, self._request_timeout)
-        self._got_credit = False
+        self.request = CreditRequest(sim, spec, stats, params.ctrl_dscp,
+                                     params.request_timeout_ns)
         self.done = False
         spec.src.register_sender(spec.flow_id, self)
 
@@ -124,7 +128,7 @@ class FlexPassSender:
 
     def start(self) -> None:
         self.stats.start_ns = self.sim.now
-        self._send_request()
+        self.request.send()
         if self.params.enable_reactive:
             # Unlike the proactive sub-flow, the reactive sub-flow can use
             # the first RTT before any credit arrives (§4.2 / Aeolus [20]).
@@ -133,23 +137,6 @@ class FlexPassSender:
     @property
     def all_acked(self) -> bool:
         return self.buffer.all_acked
-
-    # ----------------------------------------------------- credit request
-
-    def _send_request(self) -> None:
-        req = alloc_packet(
-            PacketKind.CREDIT_REQUEST, self.spec.flow_id,
-            self.spec.src.id, self.spec.dst.id, CREDIT_WIRE_BYTES,
-            dscp=self.params.ctrl_dscp, meta=self.spec.size_bytes,
-        )
-        self.spec.src.send(req)
-        self._request_timer.arm(self.params.request_timeout_ns)
-
-    def _request_timeout(self) -> None:
-        if self.done or self._got_credit:
-            return
-        self.stats.request_retries += 1
-        self._send_request()
 
     # -------------------------------------------------------------- demux
 
@@ -163,14 +150,15 @@ class FlexPassSender:
                 self._on_proactive_ack(pkt)
             else:
                 self._on_reactive_ack(pkt)
+            if self.buffer.all_acked:
+                self._finish()
 
     # ------------------------------------------------- proactive sub-flow
 
     def _on_credit(self, credit: Packet) -> None:
         self.stats.credits_received += 1
-        if not self._got_credit:
-            self._got_credit = True
-            self._request_timer.cancel()
+        if self.request.pending:
+            self.request.cancel()
         seg, kind = self._pick_for_proactive()
         if seg is None:
             self.stats.credits_wasted += 1
@@ -212,8 +200,8 @@ class FlexPassSender:
     def _on_proactive_ack(self, pkt: Packet) -> None:
         if pkt.meta is not None and pkt.sent_at >= 0:
             self.p_rtt.update(self.sim.now - pkt.sent_at)
-        sack = pkt.sack + (pkt.seq,) if pkt.seq >= 0 else pkt.sack
-        newly_acked, newly_lost = self.p_scoreboard.on_ack(pkt.ack, sack)
+        newly_acked, newly_lost = self.p_scoreboard.on_ack(
+            pkt.ack, pkt.sack, pkt.seq)
         for pseq in newly_acked:
             idx = self._pmap[pseq]
             seg = self.buffer.segments[idx]
@@ -224,18 +212,11 @@ class FlexPassSender:
                 self.r_scoreboard.remove(seg.last_reactive_seq)
         if self.r_scoreboard.in_flight == 0:
             self.r_timer.cancel()
-        for pseq in newly_lost:
-            idx = self._pmap[pseq]
-            seg = self.buffer.segments[idx]
-            # Only the *latest* proactive copy's fate matters.
-            if (seg.state == SegmentState.SENT_PROACTIVE
-                    and seg.last_proactive_seq == pseq):
-                self.buffer.mark_lost(idx)
+        self._mark_lost(PROACTIVE, newly_lost)
         if newly_acked:
             self.p_timer.on_progress()
         if self.p_scoreboard.in_flight == 0:
             self.p_timer.cancel()
-        self._after_ack()
 
     def _on_proactive_timeout(self) -> None:
         """§4.3 recovery timer: non-congestion proactive losses. Declare the
@@ -243,14 +224,9 @@ class FlexPassSender:
         if self.done or self.all_acked:
             return
         self.stats.timeouts += 1
-        for pseq in self.p_scoreboard.declare_all_lost():
-            idx = self._pmap[pseq]
-            seg = self.buffer.segments[idx]
-            if (seg.state == SegmentState.SENT_PROACTIVE
-                    and seg.last_proactive_seq == pseq):
-                self.buffer.mark_lost(idx)
-        if self._request_timer is None:
-            self._send_request()
+        self._mark_lost(PROACTIVE, self.p_scoreboard.declare_all_lost())
+        if not self.request.pending:
+            self.request.send()
 
     # -------------------------------------------------- reactive sub-flow
 
@@ -291,8 +267,8 @@ class FlexPassSender:
             on_rtt = getattr(self.window, "on_rtt_sample", None)
             if on_rtt is not None:
                 on_rtt(float(sample))  # delay-based reactive variant
-        sack = pkt.sack + (pkt.seq,) if pkt.seq >= 0 else pkt.sack
-        newly_acked, newly_lost = self.r_scoreboard.on_ack(pkt.ack, sack)
+        newly_acked, newly_lost = self.r_scoreboard.on_ack(
+            pkt.ack, pkt.sack, pkt.seq)
         for rseq in newly_acked:
             idx = self._rmap[rseq]
             seg = self.buffer.segments[idx]
@@ -307,18 +283,12 @@ class FlexPassSender:
             # and keep sliding the window edge (§4.2) — the scoreboard already
             # removed the lost seqs from the in-flight set.
             self.window.on_loss()
-            for rseq in newly_lost:
-                idx = self._rmap[rseq]
-                seg = self.buffer.segments[idx]
-                if (seg.state == SegmentState.SENT_REACTIVE
-                        and seg.last_reactive_seq == rseq):
-                    self.buffer.mark_lost(idx)
+            self._mark_lost(REACTIVE, newly_lost)
         if newly_acked and self.params.enable_reactive_rto:
             self.r_timer.on_progress()
         if self.r_scoreboard.in_flight == 0:
             self.r_timer.cancel()
         self._pump_reactive()
-        self._after_ack()
 
     def _on_reactive_timeout(self) -> None:
         """Ablation-only backstop: the proactive sub-flow recovers reactive
@@ -326,26 +296,31 @@ class FlexPassSender:
         if self.done or self.all_acked or not self.params.enable_reactive_rto:
             return
         self.stats.timeouts += 1
-        for rseq in self.r_scoreboard.declare_all_lost():
-            idx = self._rmap[rseq]
-            seg = self.buffer.segments[idx]
-            if (seg.state == SegmentState.SENT_REACTIVE
-                    and seg.last_reactive_seq == rseq):
-                self.buffer.mark_lost(idx)
+        self._mark_lost(REACTIVE, self.r_scoreboard.declare_all_lost())
         self.window.on_timeout()
         self._pump_reactive()
 
     # ------------------------------------------------------------- common
 
-    def _after_ack(self) -> None:
-        if self.all_acked and not self.done:
-            self._finish()
+    def _mark_lost(self, subflow: int, seqs: List[int]) -> None:
+        """Sub-flow seqs detected lost -> ``LOST`` segments. Only the
+        *latest* copy's fate matters: a segment re-sent since (on either
+        sub-flow), acked, or already lost stays as it is."""
+        proactive = subflow == PROACTIVE
+        seq_map = self._pmap if proactive else self._rmap
+        sent_state = (SegmentState.SENT_PROACTIVE if proactive
+                      else SegmentState.SENT_REACTIVE)
+        for seq in seqs:
+            seg = self.buffer.segments[seq_map[seq]]
+            last = seg.last_proactive_seq if proactive else seg.last_reactive_seq
+            if seg.state == sent_state and last == seq:
+                self.buffer.mark_lost(seg.idx)
 
     def _finish(self) -> None:
         self.done = True
         self.r_timer.cancel()
         self.p_timer.cancel()
-        self._request_timer.cancel()
+        self.request.cancel()
         self.spec.src.unregister_sender(self.spec.flow_id)
 
 
@@ -400,10 +375,13 @@ class FlexPassReceiver:
         if pkt.subflow == PROACTIVE:
             self.pacer.note_data_received(pkt.meta if pkt.meta is not None else -1)
             self.p_board.add(pkt.seq)
-            self._send_ack(pkt, PROACTIVE, self.p_board)
+            send_ack(self.spec, self.params.ack_dscp, self.p_board, pkt,
+                     PROACTIVE)
         else:
             self.r_board.add(pkt.seq)
-            self._send_ack(pkt, REACTIVE, self.r_board)
+            # its per-packet CE echo feeds the sender's DCTCP loop
+            send_ack(self.spec, self.params.ack_dscp, self.r_board, pkt,
+                     REACTIVE)
         fresh = self.flow_board.add(pkt.flow_seq)
         if fresh:
             self.stats.delivered_bytes += pkt.payload
@@ -411,32 +389,13 @@ class FlexPassReceiver:
                 self.stats.proactive_bytes += pkt.payload
             else:
                 self.stats.reactive_bytes += pkt.payload
-            self._track_reorder()
+            track_reorder(self.stats, self.flow_board)
             if self.flow_board.received_count() == self.spec.n_segments:
                 self._finish()
         else:
             # Redundant copy (e.g., proactive retransmission raced the
             # reactive original): discard at reassembly (§4.2).
             self.stats.duplicate_bytes += pkt.payload
-
-    def _track_reorder(self) -> None:
-        held = self.flow_board.received_count() - self.flow_board.cum
-        reorder_bytes = held * MSS
-        if reorder_bytes > self.stats.max_reorder_bytes:
-            self.stats.max_reorder_bytes = reorder_bytes
-
-    # -------------------------------------------------------------- acks
-
-    def _send_ack(self, data: Packet, subflow: int, board: ReceiveScoreboard) -> None:
-        ack = alloc_packet(
-            PacketKind.ACK, self.spec.flow_id, self.spec.dst.id, self.spec.src.id,
-            ACK_WIRE_BYTES, dscp=self.params.ack_dscp,
-            ack=board.cum, sack=board.sack(),
-            seq=data.seq, subflow=subflow, sent_at=data.sent_at, meta=1,
-        )
-        if subflow == REACTIVE:
-            ack.ce = data.ce  # per-packet CE echo feeds the DCTCP loop
-        self.spec.dst.send(ack)
 
     def _send_summary_acks(self) -> None:
         for subflow, board in ((PROACTIVE, self.p_board), (REACTIVE, self.r_board)):

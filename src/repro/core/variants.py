@@ -14,23 +14,16 @@ Two alternatives the paper considers and rejects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.net.packet import Color, Dscp
 
 
-@dataclass
-class Rc3SplitParams(FlexPassParams):
-    """FlexPass with RC3's front/back split: no proactive retransmission of
-    reactive data (the loops never overlap by construction)."""
-
-    def __post_init__(self) -> None:
-        self.enable_proactive_rtx = False
-
-
 class Rc3SplitSender(FlexPassSender):
-    """Proactive from the front, reactive from the back (RC3 [33])."""
+    """Proactive from the front, reactive from the back (RC3 [33]). The two
+    loops never overlap by construction, so its params switch proactive
+    retransmission off (``replace(params, enable_proactive_rtx=False)``)."""
 
     def _next_reactive_segment(self):
         return self.buffer.peek_pending_back()

@@ -6,7 +6,7 @@ scenarios can swap schemes without touching traffic generation.
 FlexPass itself lives in :mod:`repro.core` and composes the machinery here.
 """
 
-from repro.transports.base import FlowSpec, FlowStats, TransportParams
+from repro.transports.base import FlowSpec, FlowStats
 from repro.transports.dctcp import DctcpParams, DctcpReceiver, DctcpSender
 from repro.transports.expresspass import (
     ExpressPassParams,
@@ -19,7 +19,6 @@ from repro.transports.layering import LayeringReceiver, LayeringSender
 __all__ = [
     "FlowSpec",
     "FlowStats",
-    "TransportParams",
     "DctcpParams",
     "DctcpReceiver",
     "DctcpSender",

@@ -109,13 +109,3 @@ class FlowStats:
 
 #: Invoked by the receiver endpoint the moment the last unique byte arrives.
 CompletionCallback = Callable[[FlowSpec, FlowStats], None]
-
-
-@dataclass
-class TransportParams:
-    """Knobs common to every transport; schemes extend this."""
-
-    #: DSCP of data / ack / control packets — set per deployment scheme so
-    #: the same transport code can live in different switch queues.
-    data_dscp: int = 4  # Dscp.LEGACY
-    ack_dscp: int = 4

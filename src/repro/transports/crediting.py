@@ -1,4 +1,6 @@
-"""Receiver-side credit pacing, shared by ExpressPass and FlexPass.
+"""The two ends of the credit loop, shared by ExpressPass, Layering and
+FlexPass: the sender's :class:`CreditRequest` handshake and the receiver's
+:class:`CreditPacer`.
 
 A :class:`CreditPacer` emits credit packets toward a flow's sender at the
 rate chosen by a :class:`~repro.transports.credit_feedback.CreditFeedback`
@@ -20,12 +22,49 @@ from typing import TYPE_CHECKING
 
 from repro.net.packet import CREDIT_WIRE_BYTES, Dscp, Packet, PacketKind, alloc_packet
 from repro.transports.credit_feedback import CreditFeedback, FeedbackParams
+from repro.sim.timerwheel import CoarseTimer
 from repro.transports.credit_plane import CreditTrain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
     from repro.sim.engine import Simulator
-    from repro.transports.base import FlowStats
+    from repro.transports.base import FlowSpec, FlowStats
+
+
+class CreditRequest:
+    """Sender side of the handshake: ask the receiver for credits, and ask
+    again every ``timeout_ns`` (a coarse watchdog on the shared timer wheel)
+    until the owner cancels — on the first credit, or when the flow is done.
+    ``pending`` is True exactly while a retry is armed."""
+
+    __slots__ = ("spec", "stats", "dscp", "timeout_ns", "pending", "_timer")
+
+    def __init__(self, sim: "Simulator", spec: "FlowSpec", stats: "FlowStats",
+                 dscp: int, timeout_ns: int) -> None:
+        self.spec = spec
+        self.stats = stats
+        self.dscp = dscp
+        self.timeout_ns = timeout_ns
+        self.pending = False
+        self._timer = CoarseTimer(sim, self._retry)
+
+    def send(self) -> None:
+        spec = self.spec
+        req = alloc_packet(
+            PacketKind.CREDIT_REQUEST, spec.flow_id, spec.src.id, spec.dst.id,
+            CREDIT_WIRE_BYTES, dscp=self.dscp, meta=spec.size_bytes,
+        )
+        spec.src.send(req)
+        self._timer.arm(self.timeout_ns)
+        self.pending = True
+
+    def cancel(self) -> None:
+        self._timer.cancel()
+        self.pending = False
+
+    def _retry(self) -> None:
+        self.stats.request_retries += 1
+        self.send()
 
 
 class CreditPacer:

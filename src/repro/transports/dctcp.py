@@ -4,16 +4,19 @@ Window-based, ACK-clocked, ECN-driven. The receiver sends one cumulative
 ACK (with SACK) per data packet and echoes the CE bit per packet; the sender
 runs :class:`repro.transports.congestion.DctcpWindow`, SACK-based fast
 retransmission, and an RTO with a 4 ms floor (§6 settings).
+
+:class:`DctcpLoop` is that loop on its own (window, RTT estimator, RTO) over
+one :class:`~repro.transports.sequencing.RetransmitQueue`: ``DctcpSender``
+clocks it with ACKs, :class:`~repro.transports.layering.LayeringSender`
+gates a credit-clocked sender with it.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.net.packet import (
-    ACK_WIRE_BYTES,
     Color,
     Dscp,
     Packet,
@@ -23,7 +26,9 @@ from repro.net.packet import (
 )
 from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
 from repro.transports.congestion import DctcpWindow, DctcpWindowParams
-from repro.transports.sequencing import ReceiveScoreboard, SenderScoreboard
+from repro.transports.sequencing import (
+    ReceiveScoreboard, RetransmitQueue, send_ack, track_reorder,
+)
 from repro.transports.timers import RetransmitTimer, RttEstimator
 from repro.sim.units import MILLIS
 
@@ -44,6 +49,48 @@ class DctcpParams:
     ecn_capable: bool = True
 
 
+class DctcpLoop:
+    """The DCTCP control loop over one :class:`RetransmitQueue`."""
+
+    def __init__(self, sim: "Simulator", queue: RetransmitQueue,
+                 window: DctcpWindowParams, min_rto_ns: int,
+                 resume: Optional[Callable[[], None]] = None) -> None:
+        self.sim = sim
+        self.queue = queue
+        self.window = DctcpWindow(window)
+        self.rtt = RttEstimator(min_rto_ns=min_rto_ns)
+        self.timer = RetransmitTimer(sim, self.rtt, self._on_timeout)
+        #: what sends again after a timeout; None when something else
+        #: (a credit) clocks the sender
+        self._resume = resume
+
+    @property
+    def window_open(self) -> bool:
+        return self.queue.scoreboard.in_flight < self.window.allowed_in_flight()
+
+    def on_ack(self, ack: Packet) -> None:
+        """One ACK's feedback: RTT sample, per-seq window growth with the
+        CE echo, one window cut per loss event, RTO restart on progress."""
+        if ack.meta is not None and ack.sent_at >= 0:
+            self.rtt.update(self.sim.now - ack.sent_at)
+        queue = self.queue
+        newly_acked, newly_lost = queue.on_ack(ack)
+        for seq in newly_acked:
+            self.window.on_ack(seq, ack.ce, queue.next_new)
+        if newly_lost:
+            self.window.on_loss()
+        if newly_acked:
+            self.timer.on_progress()
+
+    def _on_timeout(self) -> None:
+        self.queue.stats.timeouts += 1
+        self.queue.on_timeout()
+        self.window.on_timeout()
+        if self._resume is not None:
+            self._resume()
+        self.timer.arm()
+
+
 class DctcpSender:
     """Sender endpoint of one DCTCP flow."""
 
@@ -53,14 +100,9 @@ class DctcpSender:
         self.spec = spec
         self.stats = stats
         self.params = params
-        self.window = DctcpWindow(params.window)
-        self.scoreboard = SenderScoreboard(dupthresh=params.dupthresh)
-        self.rtt = RttEstimator(min_rto_ns=params.min_rto_ns)
-        self.timer = RetransmitTimer(sim, self.rtt, self._on_timeout)
-        self._next_new = 0
-        self._lost_heap: List[int] = []
-        self._lost_set: Set[int] = set()
-        self._acked: Set[int] = set()
+        self.queue = RetransmitQueue(spec.n_segments, stats, params.dupthresh)
+        self.loop = DctcpLoop(sim, self.queue, params.window,
+                              params.min_rto_ns, resume=self._pump)
         self.done = False
         spec.src.register_sender(spec.flow_id, self)
 
@@ -72,36 +114,19 @@ class DctcpSender:
 
     @property
     def all_acked(self) -> bool:
-        return len(self._acked) == self.spec.n_segments
+        return self.queue.all_acked
 
     # ---------------------------------------------------------- transmit
 
-    def _in_flight(self) -> int:
-        return self.scoreboard.in_flight
-
     def _pump(self) -> None:
         """Send while the window allows; lost segments go first."""
-        n = self.spec.n_segments
-        while self._in_flight() < self.window.allowed_in_flight():
-            seq = self._next_to_send()
+        while self.loop.window_open:
+            seq = self.queue.next_seq()
             if seq is None:
                 break
             self._transmit(seq)
-        if self.scoreboard.in_flight > 0:
-            self.timer.arm_if_idle()
-
-    def _next_to_send(self) -> Optional[int]:
-        while self._lost_heap:
-            seq = heapq.heappop(self._lost_heap)
-            if seq in self._lost_set:
-                self._lost_set.discard(seq)
-                self.stats.retransmissions += 1
-                return seq
-        if self._next_new < self.spec.n_segments:
-            seq = self._next_new
-            self._next_new += 1
-            return seq
-        return None
+        if self.queue.scoreboard.in_flight > 0:
+            self.loop.timer.arm_if_idle()
 
     def _transmit(self, seq: int) -> None:
         p = self.params
@@ -112,7 +137,7 @@ class DctcpSender:
             dscp=p.data_dscp, color=p.data_color, ecn_capable=p.ecn_capable,
             seq=seq, flow_seq=seq, sent_at=self.sim.now,
         )
-        self.scoreboard.on_send(seq, self.sim.now)
+        self.queue.on_send(seq, self.sim.now)
         self.stats.packets_sent += 1
         self.spec.src.send(pkt)
 
@@ -121,43 +146,13 @@ class DctcpSender:
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind != PacketKind.ACK or self.done:
             return
-        if pkt.meta is not None and pkt.sent_at >= 0:
-            self.rtt.update(self.sim.now - pkt.sent_at)
-        sack = pkt.sack + (pkt.seq,) if pkt.seq >= 0 else pkt.sack
-        newly_acked, newly_lost = self.scoreboard.on_ack(pkt.ack, sack)
-        for seq in newly_acked:
-            self._acked.add(seq)
-            self._lost_set.discard(seq)
-            self.window.on_ack(seq, pkt.ce, self._next_new)
-        if newly_lost:
-            self.window.on_loss()
-            for seq in newly_lost:
-                if seq not in self._acked and seq not in self._lost_set:
-                    self._lost_set.add(seq)
-                    heapq.heappush(self._lost_heap, seq)
-        if newly_acked:
-            self.timer.on_progress()
-        if self.all_acked:
-            self._finish()
+        self.loop.on_ack(pkt)
+        if self.queue.all_acked:
+            self.done = True
+            self.loop.timer.cancel()
+            self.spec.src.unregister_sender(self.spec.flow_id)
             return
         self._pump()
-
-    def _on_timeout(self) -> None:
-        if self.done or self.all_acked:
-            return
-        self.stats.timeouts += 1
-        for seq in self.scoreboard.declare_all_lost():
-            if seq not in self._acked and seq not in self._lost_set:
-                self._lost_set.add(seq)
-                heapq.heappush(self._lost_heap, seq)
-        self.window.on_timeout()
-        self._pump()
-        self.timer.arm()
-
-    def _finish(self) -> None:
-        self.done = True
-        self.timer.cancel()
-        self.spec.src.unregister_sender(self.spec.flow_id)
 
 
 class DctcpReceiver:
@@ -181,27 +176,11 @@ class DctcpReceiver:
         if fresh:
             self.stats.delivered_bytes += pkt.payload
             self.stats.reactive_bytes += pkt.payload
-            self._track_reorder()
+            track_reorder(self.stats, self.scoreboard)
         else:
             self.stats.duplicate_bytes += pkt.payload
-        self._send_ack(pkt)
+        send_ack(self.spec, self.params.ack_dscp, self.scoreboard, pkt)
         if fresh and self.scoreboard.received_count() == self.spec.n_segments:
             self.stats.complete_ns = self.sim.now
             if self.on_complete is not None:
                 self.on_complete(self.spec, self.stats)
-
-    def _track_reorder(self) -> None:
-        held = self.scoreboard.received_count() - self.scoreboard.cum
-        reorder_bytes = held * 1500  # MSS-granularity estimate
-        if reorder_bytes > self.stats.max_reorder_bytes:
-            self.stats.max_reorder_bytes = reorder_bytes
-
-    def _send_ack(self, data: Packet) -> None:
-        ack = alloc_packet(
-            PacketKind.ACK, self.spec.flow_id, self.spec.dst.id, self.spec.src.id,
-            ACK_WIRE_BYTES, dscp=self.params.ack_dscp,
-            ack=self.scoreboard.cum, sack=self.scoreboard.sack(),
-            seq=data.seq, sent_at=data.sent_at, meta=1,  # meta=1: RTT-sampleable
-        )
-        ack.ce = data.ce  # per-packet CE echo
-        self.spec.dst.send(ack)

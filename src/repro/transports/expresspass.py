@@ -11,17 +11,20 @@ This implementation adds the ACK-based loss recovery FlexPass layers on top
 dupack detection, credit-triggered retransmission, and a credit-request
 timer. Plain ExpressPass in a clean network never exercises these paths;
 the *naïve deployment* scheme (shared queue with DCTCP) does.
+
+Shared, not owned: what to send comes from a
+:class:`~repro.transports.sequencing.RetransmitQueue`, the request
+handshake and the credit pacing from :mod:`repro.transports.crediting`.
+``_pick_segment``, ``_transmit``, ``_on_ack`` and ``_finish`` are the hooks
+``LayeringSender`` replaces.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.net.packet import (
-    ACK_WIRE_BYTES,
-    CREDIT_WIRE_BYTES,
     Color,
     Dscp,
     Packet,
@@ -31,13 +34,14 @@ from repro.net.packet import (
 )
 from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
-from repro.transports.crediting import CreditPacer
-from repro.transports.sequencing import ReceiveScoreboard, SenderScoreboard
-from repro.sim.timerwheel import CoarseTimer
+from repro.transports.crediting import CreditPacer, CreditRequest
+from repro.transports.sequencing import (
+    ReceiveScoreboard, RetransmitQueue, send_ack,
+)
 from repro.sim.units import GBPS, MICROS, MILLIS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -68,14 +72,10 @@ class ExpressPassSender:
         self.spec = spec
         self.stats = stats
         self.params = params
-        self.scoreboard = SenderScoreboard(dupthresh=params.dupthresh)
-        self._next_new = 0
-        self._lost_heap: List[int] = []
-        self._lost_set: Set[int] = set()
-        self._acked: Set[int] = set()
-        # Coarse watchdog (4 ms) on the shared timer wheel.
-        self._request_timer = CoarseTimer(sim, self._request_timeout)
-        self._got_credit = False
+        self.queue = RetransmitQueue(spec.n_segments, stats, params.dupthresh)
+        self.request = CreditRequest(sim, spec, stats, params.ctrl_dscp,
+                                     params.request_timeout_ns)
+        self._on_ack = self.queue.on_ack  # what an ACK feeds
         self.done = False
         spec.src.register_sender(spec.flow_id, self)
 
@@ -83,28 +83,11 @@ class ExpressPassSender:
 
     def start(self) -> None:
         self.stats.start_ns = self.sim.now
-        self._send_request()
+        self.request.send()
 
     @property
     def all_acked(self) -> bool:
-        return len(self._acked) == self.spec.n_segments
-
-    # ------------------------------------------------------------- setup
-
-    def _send_request(self) -> None:
-        req = alloc_packet(
-            PacketKind.CREDIT_REQUEST, self.spec.flow_id,
-            self.spec.src.id, self.spec.dst.id, CREDIT_WIRE_BYTES,
-            dscp=self.params.ctrl_dscp, meta=self.spec.size_bytes,
-        )
-        self.spec.src.send(req)
-        self._request_timer.arm(self.params.request_timeout_ns)
-
-    def _request_timeout(self) -> None:
-        if self.done or self._got_credit:
-            return
-        self.stats.request_retries += 1
-        self._send_request()
+        return self.queue.all_acked
 
     # ------------------------------------------------------------ credits
 
@@ -115,42 +98,26 @@ class ExpressPassSender:
             self._on_credit(pkt)
         elif pkt.kind == PacketKind.ACK:
             self._on_ack(pkt)
+            if self.queue.all_acked:
+                self._finish()
 
     def _on_credit(self, credit: Packet) -> None:
         self.stats.credits_received += 1
-        if not self._got_credit:
-            self._got_credit = True
-            self._request_timer.cancel()
+        if self.request.pending:
+            self.request.cancel()
         seq = self._pick_segment()
         if seq is None:
             self.stats.credits_wasted += 1
             return
         self.stats.credited_sends += 1
-        self._transmit(seq, credit_echo=credit.seq)
+        self._transmit(seq, credit.seq)
 
     def _pick_segment(self) -> Optional[int]:
-        # 1. retransmit detected losses
-        while self._lost_heap:
-            seq = heapq.heappop(self._lost_heap)
-            if seq in self._lost_set:
-                self._lost_set.discard(seq)
-                self.stats.retransmissions += 1
-                return seq
-        # 2. new data
-        if self._next_new < self.spec.n_segments:
-            seq = self._next_new
-            self._next_new += 1
-            return seq
-        # 3. tail-loss shield: speculatively resend the oldest unacked
-        # segment (the receiver only credits while it is missing data, so a
-        # credit arriving here means something is still outstanding).
-        oldest = self.scoreboard.oldest_outstanding()
-        if oldest is not None:
-            self.stats.retransmissions += 1
-            return oldest
-        return None
+        """Detected losses, then new data, then the tail-loss shield."""
+        seq = self.queue.next_seq()
+        return seq if seq is not None else self.queue.resend_oldest()
 
-    def _transmit(self, seq: int, credit_echo: int = -1) -> None:
+    def _transmit(self, seq: int, credit_echo: int) -> None:
         p = self.params
         pkt = alloc_packet(
             PacketKind.DATA, self.spec.flow_id, self.spec.src.id, self.spec.dst.id,
@@ -159,29 +126,13 @@ class ExpressPassSender:
             dscp=p.data_dscp, color=p.data_color, ecn_capable=p.data_ecn_capable,
             seq=seq, flow_seq=seq, sent_at=self.sim.now, meta=credit_echo,
         )
-        if self.scoreboard.sent_at(seq) is None:
-            self.scoreboard.on_send(seq, self.sim.now)
+        self.queue.on_send(seq, self.sim.now)
         self.stats.packets_sent += 1
         self.spec.src.send(pkt)
 
-    # --------------------------------------------------------------- acks
-
-    def _on_ack(self, pkt: Packet) -> None:
-        sack = pkt.sack + (pkt.seq,) if pkt.seq >= 0 else pkt.sack
-        newly_acked, newly_lost = self.scoreboard.on_ack(pkt.ack, sack)
-        for seq in newly_acked:
-            self._acked.add(seq)
-            self._lost_set.discard(seq)
-        for seq in newly_lost:
-            if seq not in self._acked and seq not in self._lost_set:
-                self._lost_set.add(seq)
-                heapq.heappush(self._lost_heap, seq)
-        if self.all_acked:
-            self._finish()
-
     def _finish(self) -> None:
         self.done = True
-        self._request_timer.cancel()
+        self.request.cancel()
         self.spec.src.unregister_sender(self.spec.flow_id)
 
 
@@ -223,19 +174,9 @@ class ExpressPassReceiver:
             self.stats.proactive_bytes += pkt.payload
         else:
             self.stats.duplicate_bytes += pkt.payload
-        self._send_ack(pkt)
+        send_ack(self.spec, self.params.ack_dscp, self.scoreboard, pkt)
         if fresh and self.scoreboard.received_count() == self.spec.n_segments:
             self._finish()
-
-    def _send_ack(self, data: Packet) -> None:
-        ack = alloc_packet(
-            PacketKind.ACK, self.spec.flow_id, self.spec.dst.id, self.spec.src.id,
-            ACK_WIRE_BYTES, dscp=self.params.ack_dscp,
-            ack=self.scoreboard.cum, sack=self.scoreboard.sack(),
-            seq=data.seq, sent_at=data.sent_at, meta=1,
-        )
-        ack.ce = data.ce
-        self.spec.dst.send(ack)
 
     def _finish(self) -> None:
         self._complete = True

@@ -6,32 +6,29 @@ room. Data shares the legacy queue and is ECN-capable, so the window reacts
 to legacy congestion and starvation is avoided — but, as §6.2 shows, the
 window needlessly throttles transmissions even on idle links, wasting the
 credits that arrive while the window is closed.
+
+Nothing here is its own machinery: the sender is
+:class:`~repro.transports.expresspass.ExpressPassSender` with a
+:class:`~repro.transports.dctcp.DctcpLoop` gating it, and the receiver is
+the ExpressPass receiver.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
-from repro.net.packet import (
-    CREDIT_WIRE_BYTES,
-    Color,
-    Dscp,
-    Packet,
-    PacketKind,
-    alloc_packet,
-    data_wire_size,
-)
+from repro.net.packet import Dscp
 from repro.transports.base import FlowSpec, FlowStats
-from repro.transports.congestion import DctcpWindow, DctcpWindowParams
-from repro.transports.expresspass import ExpressPassParams, ExpressPassReceiver
-from repro.transports.sequencing import SenderScoreboard
-from repro.transports.timers import RetransmitTimer, RttEstimator
+from repro.transports.congestion import DctcpWindowParams
+from repro.transports.dctcp import DctcpLoop
+from repro.transports.expresspass import (
+    ExpressPassParams, ExpressPassReceiver, ExpressPassSender,
+)
 from repro.sim.units import MILLIS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -49,151 +46,29 @@ class LayeringParams(ExpressPassParams):
         self.data_ecn_capable = True
 
 
-class LayeringSender:
+class LayeringSender(ExpressPassSender):
     """Credit-clocked, window-gated sender."""
 
     def __init__(self, sim: "Simulator", spec: FlowSpec, stats: FlowStats,
                  params: LayeringParams) -> None:
-        self.sim = sim
-        self.spec = spec
-        self.stats = stats
-        self.params = params
-        self.window = DctcpWindow(params.window)
-        self.scoreboard = SenderScoreboard(dupthresh=params.dupthresh)
-        self.rtt = RttEstimator(min_rto_ns=params.min_rto_ns)
-        self.timer = RetransmitTimer(sim, self.rtt, self._on_timeout)
-        self._next_new = 0
-        self._lost_heap: List[int] = []
-        self._lost_set: Set[int] = set()
-        self._acked: Set[int] = set()
-        self._request_timer: Optional["EventHandle"] = None
-        self._got_credit = False
-        self.done = False
-        spec.src.register_sender(spec.flow_id, self)
-
-    def start(self) -> None:
-        self.stats.start_ns = self.sim.now
-        self._send_request()
-
-    @property
-    def all_acked(self) -> bool:
-        return len(self._acked) == self.spec.n_segments
-
-    def _send_request(self) -> None:
-        req = alloc_packet(
-            PacketKind.CREDIT_REQUEST, self.spec.flow_id,
-            self.spec.src.id, self.spec.dst.id, CREDIT_WIRE_BYTES,
-            dscp=self.params.ctrl_dscp, meta=self.spec.size_bytes,
-        )
-        self.spec.src.send(req)
-        self._request_timer = self.sim.after(
-            self.params.request_timeout_ns, self._request_timeout
-        )
-
-    def _request_timeout(self) -> None:
-        self._request_timer = None
-        if self.done or self._got_credit:
-            return
-        self.stats.request_retries += 1
-        self._send_request()
-
-    def on_packet(self, pkt: Packet) -> None:
-        if self.done:
-            return
-        if pkt.kind == PacketKind.CREDIT:
-            self._on_credit(pkt)
-        elif pkt.kind == PacketKind.ACK:
-            self._on_ack(pkt)
-
-    def _on_credit(self, credit: Packet) -> None:
-        self.stats.credits_received += 1
-        if not self._got_credit:
-            self._got_credit = True
-            if self._request_timer is not None:
-                self._request_timer.cancel()
-                self._request_timer = None
-        # The layering gate: credits arriving while the window is full are
-        # simply wasted — the root cause of LY's underutilization (§6.2).
-        if self.scoreboard.in_flight >= self.window.allowed_in_flight():
-            self.stats.credits_wasted += 1
-            return
-        seq = self._pick_segment()
-        if seq is None:
-            self.stats.credits_wasted += 1
-            return
-        self.stats.credited_sends += 1
-        self._transmit(seq, credit_echo=credit.seq)
+        super().__init__(sim, spec, stats, params)
+        self.loop = DctcpLoop(sim, self.queue, params.window, params.min_rto_ns)
+        self._on_ack = self.loop.on_ack
 
     def _pick_segment(self) -> Optional[int]:
-        while self._lost_heap:
-            seq = heapq.heappop(self._lost_heap)
-            if seq in self._lost_set:
-                self._lost_set.discard(seq)
-                self.stats.retransmissions += 1
-                return seq
-        if self._next_new < self.spec.n_segments:
-            seq = self._next_new
-            self._next_new += 1
-            return seq
-        oldest = self.scoreboard.oldest_outstanding()
-        if oldest is not None:
-            self.stats.retransmissions += 1
-            return oldest
-        return None
+        # The layering gate: credits arriving while the window is full are
+        # simply wasted — the root cause of LY's underutilization (§6.2).
+        if not self.loop.window_open:
+            return None
+        return super()._pick_segment()
 
-    def _transmit(self, seq: int, credit_echo: int = -1) -> None:
-        p = self.params
-        pkt = alloc_packet(
-            PacketKind.DATA, self.spec.flow_id, self.spec.src.id, self.spec.dst.id,
-            data_wire_size(self.spec.segment_payload(seq)),
-            payload=self.spec.segment_payload(seq),
-            dscp=p.data_dscp, color=Color.GREEN, ecn_capable=p.data_ecn_capable,
-            seq=seq, flow_seq=seq, sent_at=self.sim.now, meta=credit_echo,
-        )
-        if self.scoreboard.sent_at(seq) is None:
-            self.scoreboard.on_send(seq, self.sim.now)
-        self.stats.packets_sent += 1
-        self.spec.src.send(pkt)
-        self.timer.arm_if_idle()
-
-    def _on_ack(self, pkt: Packet) -> None:
-        if pkt.meta is not None and pkt.sent_at >= 0:
-            self.rtt.update(self.sim.now - pkt.sent_at)
-        sack = pkt.sack + (pkt.seq,) if pkt.seq >= 0 else pkt.sack
-        newly_acked, newly_lost = self.scoreboard.on_ack(pkt.ack, sack)
-        for seq in newly_acked:
-            self._acked.add(seq)
-            self._lost_set.discard(seq)
-            self.window.on_ack(seq, pkt.ce, self._next_new)
-        if newly_lost:
-            self.window.on_loss()
-            for seq in newly_lost:
-                if seq not in self._acked and seq not in self._lost_set:
-                    self._lost_set.add(seq)
-                    heapq.heappush(self._lost_heap, seq)
-        if newly_acked:
-            self.timer.on_progress()
-        if self.all_acked:
-            self._finish()
-
-    def _on_timeout(self) -> None:
-        if self.done or self.all_acked:
-            return
-        self.stats.timeouts += 1
-        for seq in self.scoreboard.declare_all_lost():
-            if seq not in self._acked and seq not in self._lost_set:
-                self._lost_set.add(seq)
-                heapq.heappush(self._lost_heap, seq)
-        self.window.on_timeout()
-        self.timer.arm()
+    def _transmit(self, seq: int, credit_echo: int) -> None:
+        super()._transmit(seq, credit_echo)
+        self.loop.timer.arm_if_idle()
 
     def _finish(self) -> None:
-        self.done = True
-        self.timer.cancel()
-        if self._request_timer is not None:
-            self._request_timer.cancel()
-            self._request_timer = None
-        self.spec.src.unregister_sender(self.spec.flow_id)
+        self.loop.timer.cancel()
+        super()._finish()
 
 
 class LayeringReceiver(ExpressPassReceiver):

@@ -4,11 +4,24 @@ Segments are numbered 0..n-1 in each sequence space. FlexPass uses three
 spaces per flow (flow space for reassembly, one space per sub-flow for
 congestion control and loss detection), exactly like MPTCP's data/sub-flow
 split (§4.2). The classes here are space-agnostic.
+
+What is shared, and lives only here: the receiver's scoreboard, per-packet
+ACK (:func:`send_ack`) and reorder gauge (:func:`track_reorder`) for the
+DCTCP / ExpressPass / FlexPass receivers; the sender's ACK/SACK scoreboard
+(every sender) and the single-space :class:`RetransmitQueue` that DCTCP,
+ExpressPass and Layering pick their next seq from. FlexPass keeps its
+per-segment state in :class:`repro.core.segments.SendBuffer` instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import heapq
+from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+
+from repro.net.packet import ACK_WIRE_BYTES, MSS, Packet, PacketKind, alloc_packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.transports.base import FlowSpec, FlowStats
 
 
 class ReceiveScoreboard:
@@ -41,9 +54,6 @@ class ReceiveScoreboard:
             self._ooo.add(seq)
         return True
 
-    def has(self, seq: int) -> bool:
-        return seq < self._cum or seq in self._ooo
-
     def sack(self) -> Tuple[int, ...]:
         """Out-of-order seqs above cum, capped to the *highest* few.
 
@@ -58,6 +68,29 @@ class ReceiveScoreboard:
 
     def received_count(self) -> int:
         return self._cum + len(self._ooo)
+
+
+def send_ack(spec: "FlowSpec", dscp: int, board: ReceiveScoreboard,
+             data: Packet, subflow: int = 0) -> None:
+    """ACK one data packet in ``board``'s space: cum + SACK, plus the
+    packet's own seq, send timestamp (``meta=1``: RTT-sampleable) and CE
+    bit echoed. Only ECN-capable data is ever marked, so the echo is inert
+    on a credit-scheduled sub-flow."""
+    ack = alloc_packet(
+        PacketKind.ACK, spec.flow_id, spec.dst.id, spec.src.id,
+        ACK_WIRE_BYTES, dscp=dscp, ack=board.cum, sack=board.sack(),
+        seq=data.seq, subflow=subflow, sent_at=data.sent_at, meta=1,
+    )
+    ack.ce = data.ce
+    spec.dst.send(ack)
+
+
+def track_reorder(stats: "FlowStats", board: ReceiveScoreboard) -> None:
+    """Raise ``stats.max_reorder_bytes`` to the bytes ``board`` holds above
+    its cumulative point (an MSS-granularity estimate)."""
+    reorder_bytes = (board.received_count() - board.cum) * MSS
+    if reorder_bytes > stats.max_reorder_bytes:
+        stats.max_reorder_bytes = reorder_bytes
 
 
 class SenderScoreboard:
@@ -88,9 +121,6 @@ class SenderScoreboard:
     def in_flight(self) -> int:
         return len(self._outstanding)
 
-    def outstanding_seqs(self) -> List[int]:
-        return sorted(self._outstanding)
-
     def oldest_outstanding(self) -> Optional[int]:
         return min(self._outstanding) if self._outstanding else None
 
@@ -99,8 +129,11 @@ class SenderScoreboard:
 
     # ---------------------------------------------------------------- acks
 
-    def on_ack(self, cum: int, sack: Iterable[int]) -> Tuple[List[int], List[int]]:
+    def on_ack(self, cum: int, sack: Iterable[int],
+               echo: int = -1) -> Tuple[List[int], List[int]]:
         """Process an ACK. Returns ``(newly_acked, newly_lost)`` seq lists.
+        ``echo`` is the seq of the data packet a per-packet ACK answers
+        (``Packet.seq``); it counts as one more SACK entry.
 
         ``newly_acked`` reports every seq newly known to be delivered — even
         one previously declared lost (a spurious loss detection, or the
@@ -108,6 +141,8 @@ class SenderScoreboard:
         authoritative, and callers must be able to cancel pending
         retransmissions for such seqs.
         """
+        if echo >= 0:
+            sack = (*sack, echo)
         newly_acked: List[int] = []
         news_above: List[int] = []
         if cum > self._cum:
@@ -165,3 +200,82 @@ class SenderScoreboard:
 
     def is_acked(self, seq: int) -> bool:
         return seq < self._cum or seq in self._acked
+
+
+class RetransmitQueue:
+    """What a single-space sender transmits next, and what an ACK changes.
+
+    A :class:`SenderScoreboard`, the next never-sent seq, and the detected
+    losses awaiting retransmission: a min-heap with lazy deletion, where
+    ``_lost_set`` says which heap entries are still wanted (a seq
+    acknowledged while it waits is only dropped from the set).
+    """
+
+    __slots__ = ("scoreboard", "stats", "n_segments", "next_new",
+                 "_lost_heap", "_lost_set", "_acked")
+
+    def __init__(self, n_segments: int, stats: "FlowStats",
+                 dupthresh: int = 3) -> None:
+        self.scoreboard = SenderScoreboard(dupthresh=dupthresh)
+        self.stats = stats
+        self.n_segments = n_segments
+        self.next_new = 0
+        self._lost_heap: List[int] = []
+        self._lost_set: Set[int] = set()
+        self._acked: Set[int] = set()
+
+    @property
+    def all_acked(self) -> bool:
+        return len(self._acked) == self.n_segments
+
+    def next_seq(self) -> Optional[int]:
+        """The seq to transmit now: the lowest detected loss (counted as a
+        retransmission), else new data, else None."""
+        while self._lost_heap:
+            seq = heapq.heappop(self._lost_heap)
+            if seq in self._lost_set:
+                self._lost_set.discard(seq)
+                self.stats.retransmissions += 1
+                return seq
+        if self.next_new < self.n_segments:
+            seq = self.next_new
+            self.next_new += 1
+            return seq
+        return None
+
+    def resend_oldest(self) -> Optional[int]:
+        """Tail-loss shield of a credit-clocked sender with nothing else to
+        send: the oldest unacked seq again, speculatively (the receiver only
+        credits while it is missing data)."""
+        oldest = self.scoreboard.oldest_outstanding()
+        if oldest is not None:
+            self.stats.retransmissions += 1
+        return oldest
+
+    def on_send(self, seq: int, now_ns: int) -> None:
+        """``seq`` goes on the wire. A speculative resend of a seq still in
+        flight keeps its first send time and dupack count."""
+        if self.scoreboard.sent_at(seq) is None:
+            self.scoreboard.on_send(seq, now_ns)
+
+    def on_ack(self, ack: Packet) -> Tuple[List[int], List[int]]:
+        """Feed one ACK. Returns the scoreboard's ``(newly_acked,
+        newly_lost)``; the lost seqs are queued for :meth:`next_seq`."""
+        newly_acked, newly_lost = self.scoreboard.on_ack(
+            ack.ack, ack.sack, ack.seq)
+        for seq in newly_acked:
+            self._acked.add(seq)
+            self._lost_set.discard(seq)
+        if newly_lost:
+            self._queue_lost(newly_lost)
+        return newly_acked, newly_lost
+
+    def on_timeout(self) -> None:
+        """Retransmission timeout: everything in flight is presumed lost."""
+        self._queue_lost(self.scoreboard.declare_all_lost())
+
+    def _queue_lost(self, seqs: List[int]) -> None:
+        for seq in seqs:
+            if seq not in self._acked and seq not in self._lost_set:
+                self._lost_set.add(seq)
+                heapq.heappush(self._lost_heap, seq)

@@ -101,6 +101,27 @@ class TestProactiveLossRecovery:
         assert done.flow_ids == {1}
         assert stats.request_retries >= 1
 
+    def test_dropped_final_ack_is_recovered_by_a_re_request(self):
+        """Proactive-only: the receiver completes and stops crediting, and
+        the one ACK it emits after that is dropped. The §4.3 recovery timer
+        must re-request so the receiver re-sends its summary ACKs."""
+        sim, db, stats, done, sender = setup_flexpass(
+            size=30 * KB, enable_reactive=False)
+        dropped = []
+
+        def drop_acks_after_completion(pkt):
+            if pkt.kind == PacketKind.ACK and stats.completed and not dropped:
+                dropped.append(pkt.seq)
+                return True
+            return False
+
+        _splice(db.receivers[0].nic_port, drop_acks_after_completion)
+        sim.run(until=200 * MILLIS)
+        assert done.flow_ids == {1} and len(dropped) == 1
+        assert sender.done and sender.all_acked
+        assert 1 not in db.senders[0]._senders
+        assert stats.timeouts == 1
+
     def test_random_loss_storm_still_completes_exactly_once(self):
         """5% random loss on the bottleneck in both directions: everything
         still completes, and reassembly never double-delivers."""

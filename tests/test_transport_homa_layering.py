@@ -7,8 +7,11 @@ from repro.net import DumbbellSpec, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats
+from repro.faults import splice_lossy
+from repro.transports.congestion import DctcpWindowParams
 from repro.transports.credit_feedback import CREDIT_PER_DATA
 from repro.transports.dctcp import DctcpParams, DctcpReceiver, DctcpSender
+from repro.transports.expresspass import ExpressPassSender
 from repro.transports.homa import HomaParams, HomaReceiver, HomaSender
 from repro.transports.layering import LayeringParams, LayeringReceiver, LayeringSender
 
@@ -150,6 +153,51 @@ class TestLayering:
         stats = launch_ly(sim, spec, done)
         sim.run(until=60 * MILLIS)
         assert stats.credits_wasted > 0
+
+    def test_layering_with_an_open_window_is_expresspass(self):
+        """LY is the ExpressPass sender plus a window gate: with a window
+        that can never close, both senders put the same DATA packets on the
+        NIC at the same instants, through two mid-flow losses and their
+        dupack recovery."""
+        params = LayeringParams(
+            max_credit_rate_bps=10 * GBPS * CREDIT_PER_DATA,
+            window=DctcpWindowParams(init_cwnd=1 << 19, min_cwnd=1 << 19))
+
+        def wire_trace(sender_cls):
+            sim = Simulator()
+            db = build_dumbbell(sim, naive_queue_factory(QueueSettings()),
+                                DumbbellSpec(n_pairs=1))
+            done = Completions()
+            spec = FlowSpec(1, db.senders[0], db.receivers[0], 600 * KB, 0,
+                            scheme="ly")
+            stats = FlowStats()
+            LayeringReceiver(sim, spec, stats, params, on_complete=done)
+            sender = sender_cls(sim, spec, stats, params)
+            sim.at(0, sender.start)
+            trace, dropped = [], set()
+
+            def record(pkt):
+                if pkt.kind == PacketKind.DATA:
+                    trace.append((sim.now, pkt.seq))
+                return False
+
+            def drop_once(pkt):
+                if (pkt.kind == PacketKind.DATA and pkt.seq in (40, 200)
+                        and pkt.seq not in dropped):
+                    dropped.add(pkt.seq)
+                    return True
+                return False
+
+            splice_lossy(db.senders[0].nic_port, record)
+            splice_lossy(db.bottleneck, drop_once)
+            sim.run(until=60 * MILLIS)
+            assert done.flow_ids == {1} and sender.done
+            assert stats.retransmissions >= 2 and stats.timeouts == 0
+            return trace
+
+        ly, xp = wire_trace(LayeringSender), wire_trace(ExpressPassSender)
+        assert len(ly) > 400
+        assert ly == xp
 
     def test_does_not_starve_dctcp(self):
         """Unlike naïve ExpressPass, LY's window reacts to legacy ECN marks

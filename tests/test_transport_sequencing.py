@@ -1,8 +1,15 @@
 """Unit + property tests for sequence-space bookkeeping."""
 
-from hypothesis import given, settings, strategies as st
+from types import SimpleNamespace
 
-from repro.transports.sequencing import ReceiveScoreboard, SenderScoreboard
+from hypothesis import example, given, settings, strategies as st
+
+from repro.transports.base import FlowStats
+from repro.transports.sequencing import (
+    ReceiveScoreboard, RetransmitQueue, SenderScoreboard,
+)
+
+from tests.retransmit_oracle import ParentBookkeeping
 
 
 class TestReceiveScoreboard:
@@ -163,3 +170,88 @@ class TestSenderScoreboard:
                 assert s not in sb._outstanding
         for s in reported_acked:
             assert sb.is_acked(s)
+
+
+class TestRetransmitQueue:
+    """Differential test against the three-field bookkeeping the senders
+    carried before the queue (``tests/retransmit_oracle.py``)."""
+
+    #: (op, which in-network packet, is the ACK it triggers lost)
+    OPS = st.lists(
+        st.tuples(st.sampled_from(["send", "send", "deliver", "deliver",
+                                   "drop", "timeout"]),
+                  st.integers(0, 15), st.booleans()),
+        min_size=30, max_size=120,
+    )
+
+    @given(n=st.integers(1, 14), credited=st.booleans(),
+           sack_limit=st.sampled_from([1, 16]), ops=OPS)
+    # The tail-loss shield resends seq 0 with two dupacks counted; a third
+    # must still declare it lost (a restamped send would start from zero).
+    @example(n=5, credited=True, sack_limit=16,
+             ops=[("send", 0, False)] * 5 + [("deliver", 1, False)] * 2
+             + [("send", 0, False), ("deliver", 1, False), ("send", 0, False)])
+    # With a one-entry SACK list the ACK for seq 2 reports only seq 3: its
+    # own seq must count as acknowledged too.
+    @example(n=6, credited=False, sack_limit=1,
+             ops=[("send", 0, False)] * 4
+             + [("deliver", 3, False), ("deliver", 2, False)])
+    @settings(max_examples=100, deadline=None)
+    def test_same_picks_as_the_parent_bookkeeping(self, n, credited,
+                                                  sack_limit, ops):
+        """Random interleavings of send / ACK(cum, sack, seq) / timeout over
+        a modelled receiver and a reordering, lossy network: the queue
+        returns the parent's seq at every step, counts the same
+        retransmissions, agrees on ``all_acked`` and never picks an
+        acknowledged seq. ``credited`` selects the credit-clocked sender's
+        form (tail-loss shield, first-send-time kept); ``sack_limit=1``
+        makes the ACK's own seq news its SACK list does not carry."""
+        new_stats, old_stats = FlowStats(), FlowStats()
+        queue = RetransmitQueue(n, new_stats, dupthresh=3)
+        oracle = ParentBookkeeping(n, old_stats, dupthresh=3)
+        receiver = ReceiveScoreboard(sack_limit)
+        network = []  # seqs in flight towards the receiver
+        for now, (op, which, ack_lost) in enumerate(ops):
+            if op == "send":
+                if credited:
+                    seq = queue.next_seq()
+                    if seq is None:
+                        seq = queue.resend_oldest()
+                    expected = oracle.pick_segment()
+                else:
+                    seq, expected = queue.next_seq(), oracle.next_to_send()
+                assert seq == expected
+                if seq is None:
+                    continue
+                assert not queue.scoreboard.is_acked(seq)
+                queue.on_send(seq, now)
+                if credited:
+                    oracle.transmit_credited(seq, now)
+                else:
+                    oracle.transmit_windowed(seq, now)
+                network.append(seq)
+            elif op == "timeout":
+                queue.on_timeout()
+                oracle.on_timeout()
+            elif network:
+                seq = network.pop(which % len(network))
+                if op == "deliver":
+                    receiver.add(seq)
+                    if not ack_lost:
+                        ack = SimpleNamespace(ack=receiver.cum,
+                                              sack=receiver.sack(), seq=seq)
+                        assert queue.on_ack(ack) == oracle.on_ack(ack)
+            assert new_stats.retransmissions == old_stats.retransmissions
+            assert queue.all_acked == oracle.all_acked
+            assert queue.next_new == oracle._next_new
+            assert queue.scoreboard.in_flight == oracle.scoreboard.in_flight
+
+    def test_timeout_requeues_everything_in_flight_lowest_first(self):
+        stats = FlowStats()
+        queue = RetransmitQueue(4, stats)
+        for now in range(3):
+            queue.on_send(queue.next_seq(), now)
+        queue.on_ack(SimpleNamespace(ack=0, sack=(1,), seq=1))
+        queue.on_timeout()
+        assert [queue.next_seq() for _ in range(4)] == [0, 2, 3, None]
+        assert stats.retransmissions == 2 and not queue.all_acked
