@@ -1,15 +1,15 @@
 """Durable sweep fabric overhead (not a paper figure).
 
-The fabric adds journalling (fsynced verdict lines), per-cell leases and
-heartbeats, and a shared result store on top of the plain ``run_many``
-pool. That robustness must stay cheap: this bench runs the same tiny
-Clos grid through both paths and bounds the wall-clock ratio, and checks
-that a second ``run()`` over a complete journal is pure store reads — no
-simulation.
+The fabric adds a row per cell in the store's ``cells`` table (lease,
+heartbeats and verdict as SQL statements) on top of the plain
+``run_many`` pool. That robustness must stay cheap: this bench runs the
+same tiny Clos grid through both paths and bounds the wall-clock ratio,
+and checks that a second ``run()`` over a complete sweep is pure store
+reads — no simulation.
 
 The assertion is a loose guard against the fabric becoming accidentally
-serial or the journal becoming a hot-path fsync storm — not a tight perf
-gate, since the grid is tiny and the cell wall time dominates.
+serial or its bookkeeping becoming a hot-path write storm — not a tight
+perf gate, since the grid is tiny and the cell wall time dominates.
 """
 
 import time
@@ -40,7 +40,7 @@ def test_bench_fabric_overhead(benchmark, tmp_path):
         plain_s = time.perf_counter() - t0
         assert not any(isinstance(r, FailedResult) for r in plain)
 
-        # Fabric path: journal + leases + SQLite store, cold.
+        # Fabric path: cell rows + leases + SQLite store, cold.
         fabric = SweepFabric(tmp_path / "journal",
                              store=f"sqlite:{tmp_path}/results.db",
                              config=FabricConfig(heartbeat_s=1.0))
@@ -50,7 +50,7 @@ def test_bench_fabric_overhead(benchmark, tmp_path):
         assert fabric.last_report.status == "complete"
         assert fabric.last_report.executed == N_CELLS
 
-        # Resume over a complete journal: store reads only.
+        # Resume over a complete sweep: store reads only.
         resumed = SweepFabric(tmp_path / "journal")
         resumed.run()
         assert resumed.last_report.executed == 0

@@ -52,6 +52,7 @@ def _run_local(cfg) -> "ExperimentResult":
 def _run_worker_and_cache(cfg) -> "ExperimentResult":
     """Run through the exact machinery a sweep uses: the loop's pool task
     in a worker subprocess, which stores the result; then read the store."""
+    from repro.experiments.cache import config_key
     from repro.experiments.fabric import FailedResult, _pool_cell
     from repro.experiments.store import open_store
 
@@ -59,7 +60,7 @@ def _run_worker_and_cache(cfg) -> "ExperimentResult":
         spec = os.path.join(tmp, "replay.db")
         with multiprocessing.get_context().Pool(processes=1) as pool:
             outcome = pool.apply(
-                _pool_cell, ((0, cfg, 1, spec, None, None, 0.0),))
+                _pool_cell, ((0, cfg, config_key(cfg), 1, spec, None, None),))
         if isinstance(outcome, FailedResult):
             raise RuntimeError(f"replay worker failed: {outcome.error}\n"
                                f"{outcome.traceback}")

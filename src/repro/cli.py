@@ -30,7 +30,7 @@ from repro.audit.matrix import (
     run_matrix,
 )
 from repro.audit.replay import format_replay_report, replay_config
-from repro.experiments.config import SchemeName
+from repro.experiments.config import ConfigError, SchemeName
 from repro.metrics.telemetry import TelemetryConfig, TelemetrySeries
 from repro.experiments.figures import (
     failure_recovery,
@@ -166,18 +166,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="192-host 40G Clos, unscaled sizes (slow)")
 
 
-class _ConfigError(Exception):
-    """The flags describe no valid config; ``main`` prints it as one
-    ``error:`` line instead of letting the run die on it later."""
-
-
-def _check_load(load: float) -> None:
-    if not 0.0 < load <= 1.0:
-        raise _ConfigError(f"load must be in (0,1], got {load}")
-
-
 def _base_config(args):
-    _check_load(args.load)
     overrides = dict(
         load=args.load, sim_time_ns=args.ms * MILLIS, seed=args.seed,
         workload=args.workload, size_scale=args.size_scale,
@@ -297,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "action", nargs="?", choices=("start", "resume", "status"),
         default=None,
-        help="omit for an inline sweep (same grid, same loop, no journal); "
-             "'start' runs it under the durable fabric (journal + result "
+        help="omit for an inline sweep (same grid, same loop, no cell "
+             "rows); 'start' runs it durably (cell state kept in the result "
              "store, kill-safe), 'resume' continues a killed or partial "
-             "sweep, 'status' inspects the journal without running anything")
+             "sweep, 'status' reads its cells without running anything")
     p_sweep.add_argument("--schemes", nargs="+",
                          default=["naive", "owf", "ly", "flexpass"])
     p_sweep.add_argument("--deployments", type=float, nargs="+",
@@ -448,12 +437,13 @@ def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group(
         "durable sweep fabric (start/resume/status)")
     g.add_argument("--journal", metavar="DIR", default=None,
-                   help="journal directory: the durable work queue and the "
-                        "unit of resume (required for start/resume/status)")
+                   help="sweep directory: the unit of resume, holding a "
+                        "pointer to the sweep's cells and its report "
+                        "(required for start/resume/status)")
     g.add_argument("--store", metavar="SPEC", default=None,
-                   help="result store: sqlite:PATH or a file path, one "
-                        "SQLite file safe for concurrent writers "
-                        "(default: <journal>/store.db)")
+                   help="result store, which also holds the sweep's cells: "
+                        "sqlite:PATH or a file path, one SQLite file safe "
+                        "for concurrent writers (default: <journal>/store.db)")
     g.add_argument("--loads", type=float, nargs="+", default=None,
                    help="grid loads (default: the single --load)")
     g.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -472,9 +462,6 @@ def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _fabric_from_args(args):
-    if not args.journal:
-        raise SystemExit(f"repro sweep {args.action}: --journal DIR is "
-                         f"required")
     return SweepFabric(
         args.journal,
         store=args.store,
@@ -526,13 +513,19 @@ def _print_sweep(title: str, results) -> None:
 
 
 def _run_sweep_fabric(args) -> int:
+    if not args.journal:
+        raise SystemExit(f"repro sweep {args.action}: --journal DIR is "
+                         f"required")
+    fabric = _fabric_from_args(args)
+    try:
+        if args.action == "status":
+            status = sweep_status(args.journal)
+        else:  # resume passes no grid: the sweep's rows hold it
+            results = fabric.run(_sweep_grid(args)
+                                 if args.action == "start" else None)
+    except JournalError as exc:
+        raise SystemExit(f"repro sweep {args.action}: {exc}")
     if args.action == "status":
-        if not args.journal:
-            raise SystemExit("repro sweep status: --journal DIR is required")
-        try:
-            status = sweep_status(args.journal, lease_s=args.lease_s)
-        except JournalError as exc:
-            raise SystemExit(f"repro sweep status: {exc}")
         print_table(
             f"Sweep {status['sweep_id']} @ {args.journal}",
             ("field", "value"),
@@ -545,15 +538,6 @@ def _run_sweep_fabric(args) -> int:
             print(f"  exhausted cell {cell['index']} "
                   f"(x{cell['attempts']}): {cell['error']}")
         return 0
-
-    fabric = _fabric_from_args(args)
-    try:
-        if args.action == "start":
-            results = fabric.run(_sweep_grid(args))
-        else:  # resume: grid comes from the journal snapshot
-            results = fabric.run()
-    except JournalError as exc:
-        raise SystemExit(f"repro sweep {args.action}: {exc}")
     report = fabric.last_report
     _print_sweep(f"Durable sweep {report.sweep_id} [{report.status}]",
                  results)
@@ -562,7 +546,7 @@ def _run_sweep_fabric(args) -> int:
           f"{report.retries} retries, {report.expired_leases} expired "
           f"leases, {report.wall_seconds:.1f}s wall")
     print(f"store: {report.store}")
-    print(f"completion report: {fabric.journal.report_path}")
+    print(f"completion report: {fabric.report_path}")
     return 0 if report.status == "complete" else 1
 
 
@@ -616,9 +600,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (FaultPlanError, _ConfigError) as exc:
+    except (FaultPlanError, ConfigError) as exc:
         # Usage errors: a misaddressed plan is found while the run is set
-        # up, a bad flag value while the subcommand builds its config.
+        # up, a bad flag value when the subcommand builds its config —
+        # before any sweep directory or store file exists.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -807,7 +792,7 @@ def _run_clos(args) -> int:
             seed=args.seed, deployment=args.deployment,
         )
     except ValueError as exc:  # --hosts is not a whole number of pods
-        raise _ConfigError(exc) from None
+        raise ConfigError(exc) from None
     res = run_experiment(cfg)
     s_all, s_small = res.fct(), res.fct(small=True)
     ev_rate = res.events_run / res.wall_seconds if res.wall_seconds else 0.0
@@ -862,13 +847,15 @@ def _workloads_sources(args, sim_time_ns: int):
     """Instantiate the composition against the stub fabric."""
     from repro.workloads.gen import build_sources, stub_groups
 
-    _check_load(args.load)
     groups = stub_groups(args.hosts, args.groups)
     hosts = [h for g in groups for h in g]
-    return build_sources(
-        _workloads_traffic(args), hosts, groups, load=args.load,
-        rate_bps=args.rate_gbps * 1e9, sim_time_ns=sim_time_ns,
-        size_scale=args.size_scale, default_workload=args.workload)
+    try:
+        return build_sources(
+            _workloads_traffic(args), hosts, groups, load=args.load,
+            rate_bps=args.rate_gbps * 1e9, sim_time_ns=sim_time_ns,
+            size_scale=args.size_scale, default_workload=args.workload)
+    except ValueError as exc:  # e.g. --load outside (0, 1]
+        raise ConfigError(exc) from None
 
 
 def _run_workloads(args) -> int:
@@ -1012,7 +999,6 @@ def _run_audit(args) -> int:
     divergence, or drift from the pinned golden digests, so CI can gate on
     it directly.
     """
-    _check_load(args.load)
     horizon_ns = args.ms * MILLIS
     if args.replay:
         scheme, topo = args.schemes[0], args.topos[0]

@@ -7,8 +7,8 @@ read the :class:`ExperimentResult` (including its packed
 :class:`TelemetrySeries`). Scheme wiring for custom topologies goes through
 :func:`make_scheme_setup`. Results persist in a :class:`ResultStore` (one
 SQLite file, opened with :func:`open_store`, passed to ``run_many`` as
-``cache=``); durable, kill-resumable sweeps run the same loop under a
-journal through :class:`SweepFabric`. Anything
+``cache=``); durable, kill-resumable sweeps run the same loop through
+:class:`SweepFabric`, which keeps their cell state in the same file. Anything
 imported from the submodules directly (``repro.experiments.runner`` etc.)
 is internal and may move without notice; see README for the documented
 surface.

@@ -35,6 +35,10 @@ class SchemeName(str, enum.Enum):
     HOMA = "homa"            # receiver-driven baseline sharing legacy queues
 
 
+class ConfigError(ValueError):
+    """A config no run can be built from, found when it is built."""
+
+
 @dataclass
 class QueueSettings:
     """Per-port queue parameters (§6.1 testbed / §6.2 simulation values).
@@ -102,6 +106,10 @@ class ExperimentConfig:
     max_events: Optional[int] = None
     #: watchdog: abort after this much real time in seconds (None = off)
     max_wall_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.load <= 1.0:
+            raise ConfigError(f"load must be in (0,1], got {self.load}")
 
     def scaled_cutoff_bytes(self) -> int:
         return max(1, int(self.small_flow_cutoff_bytes / self.size_scale))

@@ -1,4 +1,4 @@
-"""``run_many``: the sweep loop with no journal.
+"""``run_many``: the sweep loop with no cell rows.
 
 The paper's artifact notes that "as each simulation runs in a single
 thread, the given script automatically leverages multiple CPUs to
@@ -19,8 +19,9 @@ the repo runs through — and returns what it returns:
   without simulating and fresh clean results are written to it by the
   process that computed them.
 
-It touches no file but the store's. :class:`SweepFabric` is the same loop
-under a journal, for sweeps that must survive ``kill -9``.
+It touches no table but the store's ``results``, and hashes each config
+once. :class:`SweepFabric` is the same loop that also records every
+cell's state in the store, for sweeps that must survive ``kill -9``.
 """
 
 from __future__ import annotations

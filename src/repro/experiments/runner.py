@@ -106,6 +106,34 @@ class ExperimentResult:
                 float(np.percentile(red, 90)) / 1000)
 
 
+@dataclass
+class FailedResult:
+    """A config that raised instead of producing an ExperimentResult.
+
+    Sweeps receive one of these *in position* (the result list always has
+    exactly ``len(configs)`` entries) so downstream tables can report the
+    hole instead of the whole run crashing. The stamps identify *where*
+    and *how long* the attempt ran: an OOM-killed or wedged worker shows
+    a foreign pid and a long wall clock, a deterministic config bug fails
+    fast in every attempt.
+    """
+
+    config: ExperimentConfig
+    error: str       # repr of the exception
+    traceback: str   # full formatted traceback from the worker
+    retried: bool = False
+    #: total executions attempted for this config (1 = never retried)
+    attempts: int = 1
+    #: pid of the worker process the *last* attempt ran in
+    worker_pid: int = 0
+    #: wall-clock seconds the last attempt ran before failing
+    wall_seconds: float = 0.0
+
+    @property
+    def failed(self) -> bool:
+        return True
+
+
 def _fabric_groups(clos: FabricHandle) -> List[List]:
     """The fabric's natural host partition: by region, falling back to
     racks when the spec names fewer than two regions (every Clos)."""

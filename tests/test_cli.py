@@ -175,3 +175,39 @@ class TestWorkloadsCommand:
         with pytest.raises(SystemExit):
             main(["workloads", "describe", "--incast-share", "0.7",
                   "--coflow-share", "0.5"])
+
+
+class TestLoadValidation:
+    """``load`` is checked where a config is built, so every subcommand
+    that builds one refuses an impossible load before any sweep
+    directory or store file exists."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep", "--loads", "0", "--ms", "1", "--schemes",
+                      "flexpass", "--deployments", "1.0"],
+                     id="sweep-loads-0"),
+        pytest.param(["sweep", "start", "--journal", "j", "--loads", "0",
+                      "--ms", "1", "--schemes", "flexpass",
+                      "--deployments", "1.0"],
+                     id="sweep-start-loads-0"),
+        pytest.param(["topo", "run", EXAMPLE_SPEC, "--load", "0", "--ms",
+                      "1"],
+                     id="topo-run-load-0"),
+    ])
+    def test_bad_load_creates_nothing(self, tmp_path, monkeypatch, capsys,
+                                      argv):
+        monkeypatch.chdir(tmp_path)  # where the default store would go
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: load must be in (0,1], got 0.0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_refuses_bad_load(self):
+        from repro.experiments.config import ConfigError, ExperimentConfig
+
+        for load in (0.0, -0.1, 1.5):
+            with pytest.raises(ConfigError, match="load must be in"):
+                ExperimentConfig(load=load)
+        with pytest.raises(ValueError):
+            ExperimentConfig().with_(load=0.0)

@@ -1,16 +1,20 @@
-"""Durable sweep fabric: journal, stores, leases, retries, crash-resume.
+"""Durable sweep fabric: the cells table, stores, leases, retries,
+crash-resume.
 
-The acceptance scenario (ISSUE 6): kill -9 a ≥32-cell sweep mid-flight,
-resume it, and get (a) zero re-execution of completed cells and (b) a
-merged result set byte-identical to an uninterrupted run; a sweep with
-permanently failing cells must still terminate with a partial-completion
-report naming them.
+The acceptance scenario: kill -9 a ≥32-cell sweep mid-flight, resume it,
+and get (a) zero re-execution of completed cells and (b) a merged result
+set byte-identical to an uninterrupted run; a sweep with permanently
+failing cells must still terminate with a partial-completion report
+naming them. Cell state is inspected where it lives: the store's
+``cells`` table.
 """
 
+import collections
 import json
 import multiprocessing
 import os
 import pickle
+import random
 import signal
 import sqlite3
 import subprocess
@@ -21,19 +25,14 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.fabric as fabric_mod
+import repro.experiments.store as store_mod
 from repro.experiments.cache import config_key
 from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.fabric import (
-    DONE,
-    EXHAUSTED,
-    LEASED,
-    PENDING,
     CompletionReport,
     FabricConfig,
     JournalError,
     SweepFabric,
-    SweepJournal,
-    append_line,
     retry_delay_s,
     sweep_status,
 )
@@ -43,7 +42,15 @@ from repro.experiments.runner import (
     SwitchCounters,
     run_experiment,
 )
-from repro.experiments.store import ResultStore, open_store
+from repro.experiments.store import (
+    DONE,
+    EXHAUSTED,
+    LEASED,
+    PENDING,
+    ResultStore,
+    SweepCells,
+    open_store,
+)
 from repro.metrics.fct import FlowRecord
 from repro.sim.units import MILLIS
 
@@ -73,6 +80,30 @@ def synthetic_result(cfg, n_records=5, aborted=False):
                             counters=SwitchCounters(), events_run=99,
                             wall_seconds=0.01, aborted=aborted,
                             abort_reason="watchdog" if aborted else "")
+
+
+Row = collections.namedtuple(
+    "Row", "idx state attempt executions lease_until worker_pid error")
+
+
+def cell_table(path, sweep_id=None):
+    """The rows of the ``cells`` table at ``path`` (one sweep's if named),
+    read over a connection of the test's own."""
+    sql = f"SELECT {', '.join(Row._fields)} FROM cells"
+    args = ()
+    if sweep_id is not None:
+        sql, args = sql + " WHERE sweep_id = ?", (sweep_id,)
+    conn = sqlite3.connect(path)
+    try:
+        return [Row(*r) for r in conn.execute(sql + " ORDER BY idx", args)]
+    finally:
+        conn.close()
+
+
+def sweep_table(journal_dir):
+    """A durable sweep's rows, found through its directory's pointer."""
+    pointer = json.loads((Path(journal_dir) / "sweep.json").read_text())
+    return cell_table(pointer["store"].split(":", 1)[1], pointer["sweep_id"])
 
 
 # ----------------------------------------------------------------- stores
@@ -212,114 +243,237 @@ class TestSqliteConcurrentWriters:
         assert integrity == "ok"
 
 
-# ---------------------------------------------------------------- journal
+# ------------------------------------------------------------ cells table
+
+
+def new_cells(tmp_path, n, sweep_id="s1"):
+    store = ResultStore(tmp_path / "r.db")
+    configs = [tiny_config(seed=s) for s in range(1, n + 1)]
+    cells = SweepCells(store, sweep_id)
+    cells.create([store.key(c) for c in configs], configs)
+    return store, cells, configs
 
 
 class TestJournal:
+    """The sweep's record: rows of the store's ``cells`` table, one SQL
+    statement per transition."""
+
     def test_create_then_replay_all_pending(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j")
-        configs = [tiny_config(seed=s) for s in (1, 2)]
-        sweep_id = journal.create(configs, "store-spec")
-        assert journal.exists() and len(sweep_id) == 12
-        states = journal.replay(2, lease_s=30)
-        assert [s.status for s in states] == [PENDING, PENDING]
-        grid = journal.load_grid()
-        assert grid["store"] == "store-spec"
-        assert grid["keys"] == [config_key(c, grid["salt"]) for c in configs]
+        store, cells, configs = new_cells(tmp_path, 2)
+        rows = cells.load()
+        assert [r.state for r in rows] == [PENDING, PENDING]
+        assert [r.key for r in rows] == [config_key(c, store.salt)
+                                         for c in configs]
+        assert [r.config for r in rows] == configs
 
     def test_create_twice_refuses(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j")
-        journal.create([tiny_config()], "s")
+        store, cells, configs = new_cells(tmp_path, 1)
         with pytest.raises(JournalError, match="already exists"):
-            journal.create([tiny_config()], "s")
+            cells.create([store.key(configs[0])], configs)
 
     def test_replay_state_machine(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j")
-        journal.create([tiny_config(seed=s) for s in range(1, 5)], "s")
-        t = time.time()
-        for op in [
-            {"op": "lease", "cell": 0, "attempt": 1, "deadline": t + 30},
-            {"op": "lease", "cell": 1, "attempt": 1, "deadline": t + 30},
-            {"op": "run", "cell": 1, "pid": 42, "attempt": 1, "t": t},
-            {"op": "done", "cell": 1, "cached": False, "wall_s": 0.5},
-            {"op": "lease", "cell": 2, "attempt": 1, "deadline": t + 30},
-            {"op": "fail", "cell": 2, "attempt": 1, "error": "E",
-             "tb": "TB", "pid": 7, "wall_s": 0.1},
-            {"op": "requeue", "cell": 2, "attempt": 2},
-            {"op": "lease", "cell": 3, "attempt": 3, "deadline": t + 30},
-            {"op": "exhausted", "cell": 3, "attempts": 3},
-        ]:
-            journal.append(op)
-        states = journal.replay(4, lease_s=30)
-        assert states[0].status == LEASED
-        assert states[1].status == DONE and states[1].executions == 1
-        assert states[2].status == PENDING and states[2].attempts == 1
-        assert states[2].error == "E" and states[2].worker_pid == 7
-        assert states[3].status == EXHAUSTED and states[3].attempts == 3
-
-    def test_torn_tail_line_is_skipped(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j")
-        journal.create([tiny_config()], "s")
-        journal.append({"op": "done", "cell": 0, "cached": False})
-        with open(journal.journal_path, "ab") as fh:
-            fh.write(b'{"op":"fail","cell":0,"err')  # crash mid-append
-        states = journal.replay(1, lease_s=30)
-        assert states[0].status == DONE
+        store, cells, configs = new_cells(tmp_path, 4)
+        assert cells.lease(0, 1, lease_s=30)
+        assert cells.lease(1, 1, lease_s=30)
+        cells.started(1, 1, pid=42, lease_s=30)
+        assert store.put_by_key(store.key(configs[1]),
+                                synthetic_result(configs[1]),
+                                ("s1", 1, 1, 0.5))
+        assert cells.lease(2, 1, lease_s=30)
+        assert cells.fail(2, 1, FailedResult(configs[2], "E", "TB",
+                                             worker_pid=7, wall_seconds=0.1),
+                          max_retries=2)
+        assert cells.lease(3, 3, lease_s=30)
+        assert cells.fail(3, 3, FailedResult(configs[3], "E3", "",
+                                             attempts=3), max_retries=2)
+        rows = cell_table(store.path)
+        assert rows[0].state == LEASED
+        assert rows[1].state == DONE and rows[1].executions == 1
+        assert rows[2].state == PENDING and rows[2].attempt == 1
+        assert rows[2].error == "E" and rows[2].worker_pid == 7
+        assert rows[3].state == EXHAUSTED and rows[3].attempt == 3
 
     def test_heartbeat_extends_lease(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j")
-        journal.create([tiny_config()], "s")
+        store, cells, _ = new_cells(tmp_path, 1)
         t = time.time()
-        journal.append({"op": "lease", "cell": 0, "attempt": 1,
-                        "deadline": t + 5, "t": t})
-        journal.append({"op": "hb", "cell": 0, "pid": 1, "t": t + 100})
-        states = journal.replay(1, lease_s=5)
-        assert states[0].deadline == pytest.approx(t + 105)
+        assert cells.lease(0, 1, lease_s=5)
+        assert cells.heartbeat(0, 1, lease_s=100)
+        (row,) = cell_table(store.path)
+        assert row.lease_until == pytest.approx(t + 100, abs=5)
 
     def test_replay_ignores_stale_zombie_verdicts(self, tmp_path):
         """An expired attempt's worker cannot be cancelled; its late
-        `done`/`fail` lines (landing after `exhausted` or after the
-        retry's verdict) must not rewrite the cell's state."""
-        journal = SweepJournal(tmp_path / "j")
-        journal.create([tiny_config(seed=s) for s in (1, 2)], "s")
-        t = time.time()
-        for op in [
-            # cell 0: attempt 1 expires and the cell is exhausted; the
-            # zombie's late `done` must not flip the verdict.
-            {"op": "lease", "cell": 0, "attempt": 1, "deadline": t + 1},
-            {"op": "expire", "cell": 0, "attempt": 1},
-            {"op": "exhausted", "cell": 0, "attempts": 1},
-            {"op": "done", "cell": 0, "attempt": 1, "cached": False},
-            # cell 1: attempt 1 expires, attempt 2 succeeds; the zombie's
-            # late `fail` must not resurrect the failure.
-            {"op": "lease", "cell": 1, "attempt": 1, "deadline": t + 1},
-            {"op": "expire", "cell": 1, "attempt": 1},
-            {"op": "requeue", "cell": 1, "attempt": 2},
-            {"op": "lease", "cell": 1, "attempt": 2, "deadline": t + 1},
-            {"op": "done", "cell": 1, "attempt": 2, "cached": False},
-            {"op": "fail", "cell": 1, "attempt": 1, "error": "zombie"},
-        ]:
-            journal.append(op)
-        states = journal.replay(2, lease_s=30)
-        assert states[0].status == EXHAUSTED
-        assert states[0].stale_verdicts == 1
-        assert states[1].status == DONE
-        assert states[1].stale_verdicts == 1
+        verdicts (landing after the cell is exhausted or after the
+        retry's verdict) must not rewrite the cell's row."""
+        store, cells, configs = new_cells(tmp_path, 2)
+        keys = [store.key(c) for c in configs]
+        # cell 0: attempt 1 expires and the cell is exhausted; the
+        # zombie's late done must not flip the verdict.
+        assert cells.lease(0, 1, lease_s=-1.0)
+        assert cells.expire(max_retries=0, error="expired") == [(0, 1)]
+        (exhausted, _) = cell_table(store.path)
+        assert store.put_by_key(keys[0], synthetic_result(configs[0]),
+                                ("s1", 0, 1, 0.1))
+        assert cell_table(store.path)[0] == exhausted
+        assert exhausted.state == EXHAUSTED
+        # cell 1: attempt 1 expires, attempt 2 succeeds; the zombie's
+        # late fail must not resurrect the failure.
+        assert cells.lease(1, 1, lease_s=-1.0)
+        assert cells.expire(max_retries=1, error="expired") == [(1, 1)]
+        assert cells.lease(1, 2, lease_s=30)
+        store.put_by_key(keys[1], synthetic_result(configs[1]),
+                         ("s1", 1, 2, 0.1))
+        assert not cells.fail(1, 1, FailedResult(configs[1], "zombie", ""),
+                              max_retries=1)
+        assert cell_table(store.path)[1].state == DONE
 
     def test_verify_grid_catches_keying_drift(self, tmp_path):
-        journal = SweepJournal(tmp_path / "j")
-        journal.create([tiny_config()], "s")
-        grid = journal.load_grid()
-        grid["keys"] = ["0" * 64]
+        SweepFabric(tmp_path / "j", store=tmp_path / "r.db",
+                    config=FabricConfig(processes=1)).run([tiny_config()])
+        conn = sqlite3.connect(tmp_path / "r.db")
+        with conn:
+            conn.execute("UPDATE cells SET key = ?", ("0" * 64,))
+        conn.close()
         with pytest.raises(JournalError, match="no longer match"):
-            journal.verify_grid(grid)
+            SweepFabric(tmp_path / "j").run()
 
-    def test_append_line_is_one_json_line(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        append_line(path, {"op": "hb", "cell": 1})
-        append_line(path, {"op": "hb", "cell": 2}, sync=True)
-        lines = path.read_text().splitlines()
-        assert [json.loads(ln)["cell"] for ln in lines] == [1, 2]
+
+class TestCellsStateMachine:
+    """Seeded random interleavings of every transition a sweep's rows
+    see — lease, a worker's start / heartbeat / done / fail for the live
+    or a superseded attempt, a result write that fails, the loop
+    releasing a lease whose result was not stored, lease expiry, settling
+    a key, and kill -9 of the coordinator followed by resume, some of
+    whose workers survive it — with the table's invariants checked after
+    every step."""
+
+    MAX_RETRIES = 2
+    SEEDS = 40
+    STEPS = 60
+    # Weighted so that expired attempts are often still running when
+    # their cell is leased again.
+    OPS = (("lease",) * 4 + ("expire",) * 3 + ("settle", "resume")
+           + ("start", "heartbeat", "done", "fail", "release") * 2)
+
+    def test_invariants_hold_in_every_interleaving(self, tmp_path):
+        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        for seed in range(self.SEEDS):
+            self._interleave(ResultStore(tmp_path / f"{seed}.db"), configs,
+                             random.Random(seed), f"seed {seed}")
+
+    def _interleave(self, store, configs, rng, label):
+        cells = SweepCells(store, "s")
+        keys = [store.key(c) for c in configs]
+        cells.create(keys, configs)
+        workers = set()  # (cell, attempt) still running, live or superseded
+        for step in range(self.STEPS):
+            rows = cell_table(store.path)
+            op = rng.choice(self.OPS)
+            where = f"{label} step {step} ({op})"
+            lease_s = rng.choice([-1.0, 60.0])  # already expired, or not
+            if op == "lease":
+                pending = [r.idx for r in rows if r.state == PENDING]
+                if pending:
+                    i = rng.choice(pending)
+                    attempt = rows[i].attempt + 1
+                    assert cells.lease(i, attempt, lease_s), where
+                    workers.add((i, attempt))
+            elif op == "expire":
+                cells.expire(self.MAX_RETRIES, "lease expired")
+            elif op == "settle":
+                cells.settle(rng.choice(keys), None)
+            elif op == "resume":
+                # Most of the pool died with the loop; a survivor may
+                # share its attempt number with the cell's next lease.
+                workers = {w for w in workers if rng.random() < 0.3}
+                cells.load()
+                for before, now in zip(rows, cell_table(store.path)):
+                    if before.state == LEASED:  # re-queued, not charged
+                        assert now.state == PENDING, where
+                        assert now.attempt == before.attempt - 1, where
+                    else:
+                        assert now == before, where
+            elif workers:
+                live = {(r.idx, r.attempt) for r in rows if r.state == LEASED}
+                stale = sorted(workers - live)
+                # Superseded attempts get half the worker steps.
+                i, attempt = rng.choice(stale if stale and rng.random() < 0.5
+                                        else sorted(workers))
+                self._worker_step(store, cells, keys, configs, op, i,
+                                  attempt, lease_s, rng)
+                if op in ("done", "fail", "release"):
+                    workers.discard((i, attempt))
+                if (i, attempt) not in live:
+                    assert cell_table(store.path)[i] == rows[i], (
+                        f"{where}: superseded attempt {attempt} changed "
+                        f"cell {i}")
+            self._check_invariants(store, where)
+
+    def _worker_step(self, store, cells, keys, configs, op, i, attempt,
+                     lease_s, rng):
+        if op == "start":
+            cells.started(i, attempt, 100 + attempt, lease_s)
+        elif op == "heartbeat":
+            cells.heartbeat(i, attempt, lease_s)
+        elif op == "release":
+            cells.release(i, attempt)
+        elif op == "fail":
+            cells.fail(i, attempt,
+                       FailedResult(configs[i], "E", "TB", attempts=attempt,
+                                    worker_pid=100 + attempt),
+                       self.MAX_RETRIES)
+        else:
+            disk_full = rng.random() < 0.3
+            conn = store._conn()
+            if disk_full:
+                with conn:
+                    conn.execute(
+                        "CREATE TRIGGER disk_full BEFORE INSERT ON results "
+                        "BEGIN SELECT RAISE(ABORT, 'disk full'); END")
+            stored = store.put_by_key(keys[i], synthetic_result(configs[i]),
+                                      ("s", i, attempt, 0.1))
+            assert stored != disk_full
+            if disk_full:
+                with conn:
+                    conn.execute("DROP TRIGGER disk_full")
+
+    def test_failed_attempt_yields_to_a_survivors_result(self, tmp_path,
+                                                          monkeypatch):
+        """Resume re-leases an interrupted cell under the killed attempt's
+        number, so a worker that outlived the kill can commit ``done`` for
+        it. If the resumed attempt then fails, its ``fail`` changes no
+        row; the loop settles the cell with the survivor's stored result
+        instead of re-queueing a done cell."""
+        journal, cfg = tmp_path / "j", tiny_config()
+        survivor_result = synthetic_result(cfg)
+
+        def survivor_commits_then_raise(config):
+            pointer = json.loads((journal / "sweep.json").read_text())
+            survivor = open_store(pointer["store"], salt=pointer["salt"])
+            assert survivor.put_by_key(survivor.key(config), survivor_result,
+                                       (pointer["sweep_id"], 0, 1, 0.1))
+            survivor.close()
+            raise RuntimeError("resumed attempt fails")
+
+        monkeypatch.setattr(fabric_mod, "run_experiment",
+                            survivor_commits_then_raise)
+        fabric = SweepFabric(journal, store=tmp_path / "r.db",
+                             config=FabricConfig(processes=1, max_retries=2))
+        (res,) = fabric.run([cfg])
+        assert isinstance(res, ExperimentResult)
+        assert res.records == survivor_result.records
+        assert fabric.last_report.status == "complete"
+        assert fabric.last_report.executed == 1
+        assert fabric.last_report.retries == 0
+        (row,) = sweep_table(journal)
+        assert row.state == DONE and row.attempt == 1
+
+    def _check_invariants(self, store, where):
+        for state, attempt, stored in store._conn().execute(
+                "SELECT state, attempt, EXISTS (SELECT 1 FROM results "
+                "WHERE results.key = cells.key) FROM cells"):
+            assert state != DONE or stored, f"{where}: done without result"
+            assert attempt <= self.MAX_RETRIES + 1, where
 
 
 # ----------------------------------------------------- retries & backoff
@@ -383,14 +537,15 @@ class TestOneLoop:
         clean = tiny_config(seed=5)
         configs = [clean, broken_config(seed=2), tiny_config(seed=5)]
         store = open_store(tmp_path / "r.db")
-        journal = None
+        cells, grid = None, configs
         if journaled:
-            journal = SweepJournal(tmp_path / "journal")
-            journal.create(configs, store.spec)
+            cells = SweepCells(store, "s1")
+            cells.create([store.key(c) for c in configs], configs)
+            grid = cells.load()
         policy = FabricConfig(processes=processes, max_retries=2,
                               heartbeat_s=0.2)
-        results, counts = fabric_mod.run_cells(configs, store, policy,
-                                               journal=journal)
+        results, counts = fabric_mod.run_cells(grid, store, policy,
+                                               cells=cells)
         direct = run_experiment(clean)
         assert results[0].records == direct.records
         assert results[0].events_run == direct.events_run
@@ -405,16 +560,36 @@ class TestOneLoop:
         assert counts["retries"] == 2
         assert len(store) == 1
         if journaled:
-            states = journal.replay(len(configs), policy.lease_s)
-            assert [st.status for st in states] == [DONE, EXHAUSTED, DONE]
-            assert sum(st.executions for st in states) == 1 + 3
+            rows = cell_table(store.path)
+            assert [r.state for r in rows] == [DONE, EXHAUSTED, DONE]
+            assert sum(r.executions for r in rows) == 1 + 3
+
+    def test_run_many_hashes_each_config_once(self, tmp_path, monkeypatch):
+        """The key the loop groups a cell by is the key its result is read
+        and written under: one hash per config, cold and warm."""
+        calls = []
+
+        def counting_key(config, salt=None):
+            calls.append(config)
+            return config_key(config, salt)
+
+        monkeypatch.setattr(fabric_mod, "config_key", counting_key)
+        monkeypatch.setattr(store_mod, "config_key", counting_key)
+        configs = [tiny_config(seed=1), tiny_config(seed=2),
+                   tiny_config(seed=1)]
+        for _ in ("cold", "warm"):
+            calls.clear()
+            results = run_many(configs, processes=1,
+                               cache=tmp_path / "r.db")
+            assert len(calls) == len(configs)
+            assert results[0] is results[2]
 
 
 # ------------------------------------------------------------ the fabric
 
 
 def _stalled_cell(item):
-    """Pool-task stand-in for a wedged worker: no journal lines, no exit."""
+    """Pool-task stand-in for a wedged worker: no heartbeat, no exit."""
     time.sleep(600)
 
 
@@ -434,6 +609,7 @@ class TestFabric:
         assert [r.config.seed for r in results] == [1, 2, 3]
         assert not any(isinstance(r, FailedResult) for r in results)
         report = fabric.last_report
+        assert len(report.sweep_id) == 12
         assert report.status == "complete"
         assert report.total == 3 and report.completed == 3
         assert report.executed == 3 and report.failed == []
@@ -491,18 +667,6 @@ class TestFabric:
         assert res2[1].attempts == 2
         assert "no-such-workload" in res2[1].error
 
-    def test_store_loss_requeues_done_cells(self, tmp_path):
-        configs = [tiny_config(seed=s) for s in (1, 2)]
-        fabric = self.fabric(tmp_path)
-        first = fabric.run(configs)
-        os.unlink(tmp_path / "results.db")
-        resumed = SweepFabric(tmp_path / "journal",
-                              config=FabricConfig(processes=1))
-        res2 = resumed.run()
-        assert resumed.last_report.executed == 2
-        for a, b in zip(first, res2):
-            assert a.records == b.records
-
     def test_mismatched_grid_raises(self, tmp_path):
         fabric = self.fabric(tmp_path)
         fabric.run([tiny_config(seed=1)])
@@ -519,22 +683,75 @@ class TestFabric:
         fabric.run([tiny_config(seed=1)])
         assert fabric.last_report.store == f"sqlite:{tmp_path}/journal/store.db"
         assert len(open_store(tmp_path / "journal" / "store.db")) == 1
+        # Nothing that changes during a sweep lives outside the store.
+        assert {p.name for p in (tmp_path / "journal").iterdir()} <= {
+            "sweep.json", "report.json", "store.db", "store.db-wal",
+            "store.db-shm"}
 
-    def test_resume_rejects_a_recorded_directory_store(self, tmp_path):
-        """A journal started before the directory format was retired names
-        a directory in its grid.pkl: resuming it is a precise JournalError,
-        and an explicit ``store=`` resumes it against a new file."""
-        (tmp_path / "journal" / "store").mkdir(parents=True)
+    def test_resume_of_a_pre_change_journal_is_a_precise_error(
+            self, tmp_path):
+        """A journal of the retired format kept cell state in files beside
+        the store; resuming one says how to reuse its results instead."""
+        old = tmp_path / "journal"
+        old.mkdir()
+        (old / "grid.pkl").write_bytes(b"")
+        (old / "journal.jsonl").write_text('{"op":"init"}\n')
+        ResultStore(old / "store.db").close()
+        for fabric in (SweepFabric(old), self.fabric(tmp_path)):
+            with pytest.raises(JournalError) as err:
+                fabric.run()
+            assert "grid.pkl, journal.jsonl" in str(err.value)
+            assert "`repro sweep start` the same grid" in str(err.value)
+            assert f"{old / 'store.db'}" in str(err.value)
+        with pytest.raises(JournalError, match="retired format"):
+            sweep_status(old)
+
+    def test_deleted_store_is_a_precise_error(self, tmp_path):
+        """The store holds the sweep's cells: a sweep whose store file is
+        gone cannot resume, and says so instead of starting over."""
+        self.fabric(tmp_path).run([tiny_config(seed=1)])
+        os.unlink(tmp_path / "results.db")
+        for call in (lambda: SweepFabric(tmp_path / "journal").run(),
+                     lambda: sweep_status(tmp_path / "journal")):
+            with pytest.raises(JournalError, match="which is gone"):
+                call()
+        assert not (tmp_path / "results.db").exists()
+
+    def test_mismatched_store_on_resume_is_a_precise_error(self, tmp_path):
         configs = [tiny_config(seed=1)]
-        SweepJournal(tmp_path / "journal").create(
-            configs, str(tmp_path / "journal" / "store"))
+        self.fabric(tmp_path).run(configs)
+        elsewhere = SweepFabric(tmp_path / "journal",
+                                store=f"sqlite:{tmp_path}/other.db")
         with pytest.raises(JournalError,
-                           match="directory store format was retired"):
-            SweepFabric(tmp_path / "journal").run()
-        resumed = SweepFabric(tmp_path / "journal",
-                              store=f"sqlite:{tmp_path}/fresh.db",
-                              config=FabricConfig(processes=1))
-        assert not isinstance(resumed.run()[0], FailedResult)
+                           match="`repro sweep start` the grid with a fresh"):
+            elsewhere.run(configs)
+        assert not (tmp_path / "other.db").exists()
+        # The recorded store, however spelled, resumes.
+        same = SweepFabric(tmp_path / "journal", store=tmp_path / "results.db")
+        same.run()
+        assert same.last_report.store_hits == 1
+
+    def test_two_starts_of_one_grid_keep_their_own_rows(self, tmp_path):
+        """Two sweeps of one grid against one store: each has its own
+        rows; the second is served from the first's results and leaves
+        the first's rows as they were."""
+        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        store = f"sqlite:{tmp_path}/results.db"
+        first = SweepFabric(tmp_path / "a", store=store,
+                            config=FabricConfig(processes=1))
+        first.run(configs)
+        rows_a = sweep_table(tmp_path / "a")
+        second = SweepFabric(tmp_path / "b", store=store,
+                             config=FabricConfig(processes=1))
+        second.run(configs)
+        assert second.last_report.sweep_id != first.last_report.sweep_id
+        assert second.last_report.executed == 0
+        assert second.last_report.store_hits == 3
+        assert sweep_table(tmp_path / "a") == rows_a
+        rows_b = sweep_table(tmp_path / "b")
+        assert [r.state for r in rows_b] == [DONE] * 3
+        assert [r.executions for r in rows_b] == [0] * 3
+        assert len(cell_table(tmp_path / "results.db")) == 6
 
     def test_sweep_status_reflects_journal(self, tmp_path):
         configs = [tiny_config(seed=1), broken_config(seed=2)]
@@ -558,11 +775,21 @@ class TestFabric:
             assert a.records == b.records
             assert pickle.dumps(a.fct()) == pickle.dumps(b.fct())
 
-    def test_pool_dispatch_capped_at_pool_size(self, tmp_path):
+    def test_pool_dispatch_capped_at_pool_size(self, tmp_path, monkeypatch):
         """Leases are only taken when a worker slot is free. Dispatching
         the whole backlog at once would start every lease at submit time,
         so any cell whose pool-queue wait exceeded lease_s was falsely
         expired without ever running."""
+        inflight = []
+        lease = SweepCells.lease
+
+        def counted_lease(cells, idx, attempt, lease_s):
+            ok = lease(cells, idx, attempt, lease_s)
+            inflight.append(sum(r.state == LEASED for r in cell_table(
+                cells.store.path, cells.sweep_id)))
+            return ok
+
+        monkeypatch.setattr(SweepCells, "lease", counted_lease)
         configs = [tiny_config(seed=s) for s in range(1, 7)]
         fabric = SweepFabric(
             tmp_path / "journal", store=f"sqlite:{tmp_path}/r.db",
@@ -572,19 +799,10 @@ class TestFabric:
         assert report.status == "complete"
         assert report.expired_leases == 0
         assert report.duplicate_executions == 0
-        # Replay lease/verdict ordering from the journal: in-flight
-        # cells (leased, no verdict yet) never exceed the pool size.
-        inflight = 0
-        max_inflight = 0
-        journal_path = tmp_path / "journal" / "journal.jsonl"
-        for line in journal_path.read_bytes().splitlines():
-            op = json.loads(line)
-            if op.get("op") == "lease":
-                inflight += 1
-                max_inflight = max(max_inflight, inflight)
-            elif op.get("op") in ("done", "fail", "expire"):
-                inflight -= 1
-        assert max_inflight <= 2
+        # In-flight cells (leased, no verdict yet), counted in the table
+        # as each lease is taken, never exceed the pool size.
+        assert len(inflight) == len(configs)
+        assert max(inflight) <= 2
 
     def test_resume_serves_exhausted_cell_from_store(self, tmp_path):
         """A cell written off as exhausted whose zombie attempt later
@@ -594,8 +812,7 @@ class TestFabric:
         fabric = self.fabric(tmp_path, max_retries=0)
         results = fabric.run(configs)
         assert isinstance(results[1], FailedResult)
-        grid = SweepJournal(tmp_path / "journal").load_grid()
-        store = open_store(grid["store"], salt=grid["salt"])
+        store = open_store(f"sqlite:{tmp_path}/results.db")
         store.put(configs[1], synthetic_result(configs[1]))
         store.close()
         resumed = SweepFabric(tmp_path / "journal",
@@ -606,7 +823,7 @@ class TestFabric:
         assert report.status == "complete"
         assert report.executed == 0
         assert report.store_hits == 2
-        # The salvage is journaled: a further resume sees both cells DONE.
+        # The salvage is recorded: a further resume sees both cells DONE.
         status = sweep_status(tmp_path / "journal")
         assert status["by_status"] == {DONE: 2}
 
@@ -635,23 +852,45 @@ class TestFabric:
             assert res.attempts == 2
         assert report.status == "partial"
 
+    def test_unstored_result_releases_its_lease(self, tmp_path,
+                                                monkeypatch):
+        """A result the store does not keep (a watchdog abort here; a
+        failed write alike) leaves no ``done`` row, so the loop hands the
+        lease back: it must not expire later, while another cell still
+        runs, and the sweep completes. The patch reaches the workers
+        because Linux pools fork."""
+        real = fabric_mod.run_experiment
+
+        def slow_seed_2(cfg):
+            if cfg.seed == 2:
+                time.sleep(1.0)  # heartbeats keep this lease alive
+            return real(cfg)
+
+        monkeypatch.setattr(fabric_mod, "run_experiment", slow_seed_2)
+        configs = [tiny_config(seed=1, max_events=1), tiny_config(seed=2)]
+        fabric = SweepFabric(
+            tmp_path / "journal", store=f"sqlite:{tmp_path}/r.db",
+            config=FabricConfig(processes=2, max_retries=1, lease_s=0.3,
+                                heartbeat_s=0.05, poll_s=0.01))
+        aborted, slow = fabric.run(configs)
+        assert aborted.aborted and not slow.aborted
+        report = fabric.last_report
+        assert report.status == "complete" and report.completed == 2
+        assert report.expired_leases == 0 and report.executed == 2
+        # The aborted cell is pending again, uncharged: a resume re-runs it.
+        rows = sweep_table(tmp_path / "journal")
+        assert [(r.state, r.attempt) for r in rows] == [(PENDING, 0),
+                                                        (DONE, 1)]
+
 
 # ------------------------------------------------- kill -9 crash-resume
 
 
-def _journal_cell_counts(journal_path):
-    """(runs, dones) per cell from raw journal bytes."""
-    runs, dones = {}, {}
-    for line in Path(journal_path).read_bytes().splitlines():
-        try:
-            op = json.loads(line)
-        except ValueError:
-            continue
-        if op.get("op") == "run":
-            runs[op["cell"]] = runs.get(op["cell"], 0) + 1
-        elif op.get("op") == "done":
-            dones[op["cell"]] = dones.get(op["cell"], 0) + 1
-    return runs, dones
+def _done_and_executions(journal_dir):
+    """(cells done, executions per cell) from the sweep's rows."""
+    rows = sweep_table(journal_dir)
+    return ({r.idx for r in rows if r.state == DONE},
+            {r.idx: r.executions for r in rows})
 
 
 DRIVER = """
@@ -675,7 +914,7 @@ fabric.run(configs)
 
 @pytest.mark.slow
 class TestCrashResume:
-    """The ISSUE 6 acceptance scenario, end to end."""
+    """The kill -9 acceptance scenario, end to end."""
 
     def _configs(self):
         return [
@@ -695,7 +934,7 @@ class TestCrashResume:
                                 start_new_session=True,
                                 stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
-        journal_path = Path(journal_dir) / "journal.jsonl"
+        pointer = Path(journal_dir) / "sweep.json"
         deadline = time.time() + 120
         try:
             # Wait until the sweep is genuinely mid-flight: some cells
@@ -703,17 +942,17 @@ class TestCrashResume:
             while time.time() < deadline:
                 if proc.poll() is not None:
                     break
-                if journal_path.exists():
-                    _, dones = _journal_cell_counts(journal_path)
+                if pointer.exists():
+                    dones, _ = _done_and_executions(journal_dir)
                     if len(dones) >= 4:
                         break
                 time.sleep(0.02)
-            assert journal_path.exists(), "sweep never started"
+            assert pointer.exists(), "sweep never started"
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
-        runs_before, dones_before = _journal_cell_counts(journal_path)
+        dones_before, runs_before = _done_and_executions(journal_dir)
         assert dones_before, "nothing completed before the kill"
         interrupted_mid_flight = len(dones_before) < 32
 
@@ -727,18 +966,18 @@ class TestCrashResume:
         assert report.total == 32 and report.completed == 32
         assert not any(isinstance(r, FailedResult) for r in results)
 
-        # (a) zero re-execution of completed cells: a cell that reached
-        # `done` before the kill never gains another `run` line.
-        runs_after, dones_after = _journal_cell_counts(journal_path)
-        assert set(dones_after) == set(range(32))
+        # (a) zero re-execution of completed cells: a cell done before
+        # the kill never gains another execution.
+        dones_after, runs_after = _done_and_executions(journal_dir)
+        assert dones_after == set(range(32))
         for cell in dones_before:
-            assert runs_after.get(cell, 0) == runs_before.get(cell, 0), (
+            assert runs_after[cell] == runs_before[cell], (
                 f"cell {cell} was re-executed after resume")
         if interrupted_mid_flight:
             assert report.executed > 0  # the kill left real work behind
 
         # (b) byte-identical merge vs an uninterrupted run of the same
-        # grid into a fresh journal + store.
+        # grid into a fresh sweep directory + store.
         clean = SweepFabric(tmp_path / "journal-clean",
                             store=f"sqlite:{tmp_path}/clean.db",
                             config=FabricConfig(processes=2,

@@ -238,17 +238,18 @@ class TestStreamingProtocol:
         assert min(ids_by_source[1]) == SOURCE_ID_STRIDE + 1
 
     def test_constant_memory_at_scale(self):
-        """200k merged flows must stream without materializing: traced
-        allocation peak stays a few MB, not O(flows)."""
+        """20k merged flows must stream without materializing: the traced
+        allocation peak stays far below the ~4.8 MB the same 20k flows
+        take as a list. (CI's workloads smoke holds 1M flows to a budget.)"""
         sources = [_bg_source("a", 0.002),
                    _bg_source("b", 0.001, first_flow_id=SOURCE_ID_STRIDE + 1)]
         stream = merge_sources(sources, RngRegistry(9))
         tracemalloc.start()
-        digest = stream_digest(itertools.islice(stream, 200_000))
+        digest = stream_digest(itertools.islice(stream, 20_000))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert digest.flows == 200_000
-        assert peak < 5 * 1024 * 1024
+        assert digest.flows == 20_000
+        assert peak < 1 * 1024 * 1024
 
     def test_digest_counts_children(self):
         hosts = stub_hosts(6)

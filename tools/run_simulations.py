@@ -10,11 +10,11 @@ experiment ids to parameters.
     python tools/run_simulations.py --out results/ [--ms 10] [--paper-scale]
 
 Long campaigns should run through the durable sweep fabric (DESIGN.md
-§6g): ``--store sqlite:PATH`` keeps every result in one SQLite file and
-executes the grid under a persistent journal in ``<out>/sweep-journal``
-with per-cell leases and bounded retries; a re-run over the same store
-simulates only what it does not hold, and ``--resume`` continues a killed
-or partial run without recomputing any stored cell::
+§6g): ``--store sqlite:PATH`` keeps every result, and the state of every
+cell, in one SQLite file (the sweep directory ``<out>/sweep-journal``
+points to it) with per-cell leases and bounded retries; a re-run over the
+same store simulates only what it does not hold, and ``--resume``
+continues a killed or partial run without recomputing any stored cell::
 
     python tools/run_simulations.py --out results/ --store sqlite:results/sweep.db
     # ... kill -9, power loss, OOM ...
@@ -88,11 +88,11 @@ def main() -> int:
                              "path); re-runs simulate only what it lacks, "
                              "and survive kill -9 via --resume")
     parser.add_argument("--resume", action="store_true",
-                        help="resume the fabric journal in <out> (implies "
+                        help="resume the durable sweep in <out> (implies "
                              "the fabric path; grid flags must match the "
                              "original run)")
     parser.add_argument("--journal", metavar="DIR", default=None,
-                        help="fabric journal directory "
+                        help="durable sweep directory "
                              "(default: <out>/sweep-journal)")
     parser.add_argument("--max-retries", type=int, default=2,
                         help="extra attempts per failing config")
@@ -148,7 +148,7 @@ def main() -> int:
               f"{report.completed}/{report.total} cells, "
               f"{report.executed} simulated, {report.store_hits} store "
               f"hits, {report.retries} retries "
-              f"(report: {fabric.journal.report_path})")
+              f"(report: {fabric.report_path})")
     else:
         results = run_many(configs, processes=args.processes,
                            max_retries=args.max_retries)

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Chaos smoke for the durable sweep fabric: start, kill -9, resume.
 
-Starts a small ``repro sweep start`` grid in its own session, waits
-until some cells have completed, SIGKILLs the whole process group
-(coordinator and pool workers — the moral equivalent of the host dying
-mid-sweep), then resumes the journal and asserts the sweep completes.
-Exits non-zero if the resumed sweep is not complete.
+Starts a small ``repro sweep start`` grid in its own session, waits until
+the store's ``cells`` table shows some cells done, SIGKILLs the whole
+process group (coordinator and pool workers — the moral equivalent of the
+host dying mid-sweep), then resumes the sweep and asserts it completes
+without re-executing any cell that was done before the kill. Exits
+non-zero otherwise.
 
     python tools/sweep_kill_smoke.py --journal /tmp/sweep-journal \
         --store sqlite:/tmp/sweep.db
 
-Used by the ``sweep-resilience`` CI job; safe to run locally (the
-journal/store paths are wiped first).
+Used by the ``sweep-resilience`` CI job; safe to run locally (the sweep
+directory and store are wiped first).
 """
 
 import argparse
@@ -19,11 +20,29 @@ import json
 import os
 import shutil
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def cells(journal: str, store_path: str) -> dict:
+    """``{idx: (state, executions)}`` of the sweep's rows; empty until the
+    sweep has recorded them."""
+    try:
+        with open(os.path.join(journal, "sweep.json")) as fh:
+            sweep_id = json.load(fh)["sweep_id"]
+    except FileNotFoundError:
+        return {}
+    conn = sqlite3.connect(store_path)
+    try:
+        return {idx: (state, runs) for idx, state, runs in conn.execute(
+            "SELECT idx, state, executions FROM cells WHERE sweep_id = ?",
+            (sweep_id,))}
+    finally:
+        conn.close()
 
 
 def main() -> int:
@@ -52,11 +71,11 @@ def main() -> int:
          "--ms", str(args.ms), "--seeds", "2", "--loads", "0.3"],
         start_new_session=True, env=env)
 
-    journal = os.path.join(args.journal, "journal.jsonl")
     deadline = time.time() + args.timeout_s
     while time.time() < deadline and proc.poll() is None:
-        if (os.path.exists(journal) and open(journal, "rb").read()
-                .count(b'"op":"done"') >= args.min_done):
+        done = [i for i, (state, _) in cells(args.journal, store_path).items()
+                if state == "done"]
+        if len(done) >= args.min_done:
             break
         time.sleep(0.05)
     if proc.poll() is None:
@@ -65,6 +84,7 @@ def main() -> int:
     else:
         print("sweep finished before the kill; resume still checked")
     proc.wait()
+    before = cells(args.journal, store_path)
 
     status = subprocess.run(
         [sys.executable, "-m", "repro.cli", "sweep", "status",
@@ -83,6 +103,13 @@ def main() -> int:
         report = json.load(fh)
     if report["status"] != "complete":
         print(f"resumed sweep not complete: {report}", file=sys.stderr)
+        return 1
+    after = cells(args.journal, store_path)
+    rerun = [i for i, (state, runs) in before.items()
+             if state == "done" and after[i][1] != runs]
+    if rerun:
+        print(f"cells done before the kill were re-executed: {rerun}",
+              file=sys.stderr)
         return 1
     print(f"resume OK: {report['completed']}/{report['total']} cells, "
           f"{report['executed']} simulated after resume, "
