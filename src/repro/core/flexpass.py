@@ -41,7 +41,7 @@ from repro.transports.base import (
 )
 from repro.transports.congestion import DctcpWindow, DctcpWindowParams
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
-from repro.transports.crediting import CreditPacer, CreditRequest
+from repro.transports.crediting import FINISHED, CreditPacer, CreditRequest
 from repro.transports.sequencing import (
     ReceiveScoreboard, SenderScoreboard, send_ack, track_reorder,
 )
@@ -411,5 +411,6 @@ class FlexPassReceiver:
         self._complete = True
         self.stats.complete_ns = self.sim.now
         self.pacer.stop()
+        self.pacer = FINISHED
         if self.on_complete is not None:
             self.on_complete(self.spec, self.stats)

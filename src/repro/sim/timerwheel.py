@@ -8,8 +8,8 @@ the event engine:
   pacers schedule them with handle-free ``Simulator.post`` and generation
   guards (:mod:`repro.transports.crediting`), not through this wheel.
 * **coarse watchdog timers** — RTO-class retransmission timers (4 ms floor),
-  Homa's regrant/announce retries, credit-request timeouts. These are armed
-  and *cancelled constantly* (every ACK re-arms the retransmission timer)
+  Homa's regrant/announce retries, credit-request timeouts. These are
+  *re-armed constantly* (every ACK pushes the retransmission deadline out)
   but almost never fire. Through ``Simulator.after`` each arm would cost an
   :class:`~repro.sim.events.EventHandle` allocation plus a calendar entry,
   and the lazily-cancelled entries would pressure the engine's compaction
@@ -20,15 +20,17 @@ The wheel absorbs the second population. Arming appends a
 no engine traffic at all). The engine only hears about the wheel through
 **one meta-event per non-empty wheel tick** (``post_at`` at the tick
 boundary): when the meta-event fires it walks the due bucket, discards
-cancelled timers, re-files far-future survivors into a finer level
+cancelled timers, re-files survivors whose deadline lies past this tick
 (the hierarchical cascade), and ``post_at``-schedules genuinely due timers
 at their *exact* deadlines — wheel granularity never rounds a firing time.
+A :class:`CoarseTimer` re-armed later only moves its filed deadline.
 
-Ordering caveat. A wheel timer that fires gets its engine sequence number
-at the tick meta-event, not at arm time, so a firing that ties another
-event at the exact same nanosecond dispatches after events scheduled
-between the arm and the tick. RTO-class timers fire at estimator-derived
-instants where such ties do not arise in practice.
+Ordering caveat. Firing instants are exact, but a timer takes its engine
+sequence number at a tick meta-event, and one moved in place joins its new
+bucket when re-filed, not when re-armed. So a same-nanosecond tie between
+a re-filed timer and other events may dispatch in another order. RTO-class
+timers fire at estimator-derived instants where such ties do not arise in
+practice (no benchmark workload or golden cell fires a timeout at all).
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from typing import Any, Callable, Dict, List, Optional
 class WheelTimer:
     """One pending wheel timer. Cancel is a flag flip — no engine traffic."""
 
-    __slots__ = ("deadline", "fn", "args", "cancelled")
+    __slots__ = ("deadline", "fn", "args", "cancelled", "posted")
 
     def __init__(self, deadline: int, fn: Callable[..., Any], args: tuple) -> None:
         self.deadline = deadline
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
         self.cancelled = False
+        self.posted = False  # handed to the engine: deadline is final
 
     def cancel(self) -> None:
         """Prevent the timer from firing. Safe to call repeatedly and after
@@ -158,6 +161,7 @@ class TimerWheel:
             # Deadline inside the current level-0 tick: the wheel cannot
             # examine it in time, so hand it straight to the engine (its
             # exact-deadline firing path, skipping the bucket stage).
+            timer.posted = True
             self.sim.post_at(deadline, self._fire_one, timer)
             return
         shift = self._shifts[lvl]
@@ -201,15 +205,16 @@ class TimerWheel:
                     if timer.cancelled:
                         self.cancelled_total += 1
                         continue
-                    if lvl and (timer.deadline >> self._tick_bits) > (
+                    if (timer.deadline >> self._tick_bits) > (
                             now >> self._tick_bits):
-                        # Far survivor: cascade one level down (refile picks
-                        # the right level; never this bucket again since its
+                        # Far survivor or moved deadline: refile (picks the
+                        # right level; never this bucket again since its
                         # tick id at this level is no longer ahead of now).
                         self.cascades += 1
                         self._file(timer, now)
                     else:
                         # Due this tick: fire at the exact deadline.
+                        timer.posted = True
                         sim_post_at(timer.deadline, self._fire_one, timer)
         # Re-arm for the earliest remaining bucket across all levels.
         nxt: Optional[int] = None
@@ -240,7 +245,7 @@ class CoarseTimer:
 
     The pattern shared by retransmission, credit-request, announce and
     regrant timers: ``arm(delay)`` (re)starts, ``cancel()`` stops, ``armed``
-    tells. Neither arm nor cancel touches the engine.
+    tells. No arm or cancel touches the engine; a later re-arm moves it.
     """
 
     __slots__ = ("_fn", "_wheel", "_timer")
@@ -256,6 +261,11 @@ class CoarseTimer:
 
     def arm(self, delay: int) -> None:
         """(Re)start the timer ``delay`` ns from now."""
+        timer = self._timer
+        deadline = self._wheel.sim._now + delay
+        if timer and not timer.posted and deadline >= timer.deadline:
+            timer.deadline = deadline
+            return
         self.cancel()
         self._timer = self._wheel.arm(delay, self._fire)
 

@@ -34,7 +34,7 @@ from repro.net.packet import (
 )
 from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
-from repro.transports.crediting import CreditPacer, CreditRequest
+from repro.transports.crediting import FINISHED, CreditPacer, CreditRequest
 from repro.transports.sequencing import (
     ReceiveScoreboard, RetransmitQueue, send_ack,
 )
@@ -152,15 +152,13 @@ class ExpressPassReceiver:
             sim, spec.flow_id, spec.dst, spec.src.id, stats,
             params.max_credit_rate_bps, params.update_period_ns, params.feedback,
         )
-        self._complete = False
         spec.dst.register_receiver(spec.flow_id, self)
 
     # ------------------------------------------------------------ intake
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind == PacketKind.CREDIT_REQUEST:
-            if not self._complete:
-                self.pacer.start()
+            self.pacer.start()  # FINISHED once complete: a no-op
         elif pkt.kind == PacketKind.DATA:
             self._on_data(pkt)
 
@@ -179,8 +177,8 @@ class ExpressPassReceiver:
             self._finish()
 
     def _finish(self) -> None:
-        self._complete = True
         self.stats.complete_ns = self.sim.now
         self.pacer.stop()
+        self.pacer = FINISHED
         if self.on_complete is not None:
             self.on_complete(self.spec, self.stats)

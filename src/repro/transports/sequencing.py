@@ -99,7 +99,8 @@ class SenderScoreboard:
     A transmitted seq is declared lost once ``dupthresh`` seqs above it have
     been acknowledged after its transmission (RFC 6675-style), or when the
     retransmission timer fires. Callers learn about transitions through the
-    return values of :meth:`on_ack`.
+    return values of :meth:`on_ack`. ``_acked`` holds only the acked seqs
+    at or above ``cum`` (the rest it implies): O(window), not O(flow).
     """
 
     __slots__ = ("dupthresh", "_outstanding", "_acked", "_cum", "_dup_counts")
@@ -127,6 +128,10 @@ class SenderScoreboard:
     def sent_at(self, seq: int) -> Optional[int]:
         return self._outstanding.get(seq)
 
+    @property
+    def n_acked(self) -> int:
+        return self._cum + len(self._acked)
+
     # ---------------------------------------------------------------- acks
 
     def on_ack(self, cum: int, sack: Iterable[int],
@@ -150,8 +155,9 @@ class SenderScoreboard:
                 if seq in self._outstanding:
                     del self._outstanding[seq]
                     self._dup_counts.pop(seq, None)
-                if seq not in self._acked:
-                    self._acked.add(seq)
+                if seq in self._acked:
+                    self._acked.discard(seq)
+                else:
                     newly_acked.append(seq)
             self._cum = cum
             news_above.append(cum - 1)
@@ -205,14 +211,14 @@ class SenderScoreboard:
 class RetransmitQueue:
     """What a single-space sender transmits next, and what an ACK changes.
 
-    A :class:`SenderScoreboard`, the next never-sent seq, and the detected
-    losses awaiting retransmission: a min-heap with lazy deletion, where
-    ``_lost_set`` says which heap entries are still wanted (a seq
-    acknowledged while it waits is only dropped from the set).
+    A :class:`SenderScoreboard` (also the record of what is acked), the
+    next never-sent seq, and the detected losses awaiting retransmission: a
+    min-heap with lazy deletion, where ``_lost_set`` says which heap entries
+    are still wanted (an acked seq is only dropped from the set).
     """
 
     __slots__ = ("scoreboard", "stats", "n_segments", "next_new",
-                 "_lost_heap", "_lost_set", "_acked")
+                 "_lost_heap", "_lost_set")
 
     def __init__(self, n_segments: int, stats: "FlowStats",
                  dupthresh: int = 3) -> None:
@@ -222,11 +228,10 @@ class RetransmitQueue:
         self.next_new = 0
         self._lost_heap: List[int] = []
         self._lost_set: Set[int] = set()
-        self._acked: Set[int] = set()
 
     @property
     def all_acked(self) -> bool:
-        return len(self._acked) == self.n_segments
+        return self.scoreboard.n_acked == self.n_segments
 
     def next_seq(self) -> Optional[int]:
         """The seq to transmit now: the lowest detected loss (counted as a
@@ -264,7 +269,6 @@ class RetransmitQueue:
         newly_acked, newly_lost = self.scoreboard.on_ack(
             ack.ack, ack.sack, ack.seq)
         for seq in newly_acked:
-            self._acked.add(seq)
             self._lost_set.discard(seq)
         if newly_lost:
             self._queue_lost(newly_lost)
@@ -276,6 +280,6 @@ class RetransmitQueue:
 
     def _queue_lost(self, seqs: List[int]) -> None:
         for seq in seqs:
-            if seq not in self._acked and seq not in self._lost_set:
+            if not self.scoreboard.is_acked(seq) and seq not in self._lost_set:
                 self._lost_set.add(seq)
                 heapq.heappush(self._lost_heap, seq)

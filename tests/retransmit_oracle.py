@@ -1,5 +1,5 @@
 """The loss-recovery bookkeeping the single-space senders used to carry,
-kept as the reference for ``RetransmitQueue``.
+kept as the reference for ``RetransmitQueue`` and ``SenderScoreboard``.
 
 Before :class:`repro.transports.sequencing.RetransmitQueue` existed,
 ``DctcpSender``, ``ExpressPassSender`` and ``LayeringSender`` each held the
@@ -7,13 +7,127 @@ same ``_next_new`` / ``_lost_heap`` / ``_lost_set`` / ``_acked`` fields next
 to a ``SenderScoreboard`` and the same three blocks that maintain them.
 This is that code, transcribed verbatim from the three classes (method
 bodies unchanged; ``self.spec.n_segments`` spelled ``self.n_segments``).
-``tests/test_transport_sequencing.py`` drives it and the queue with one
-random send / ACK / timeout sequence.
+
+``SenderScoreboard`` below is the scoreboard as it was while it still kept
+every acked seq of the flow (the live one keeps only those above its
+cumulative point), copied verbatim; ``ParentBookkeeping`` runs on it.
+``tests/test_transport_sequencing.py`` drives each against its live
+counterpart with one random send / ACK / remove / timeout sequence.
 """
 
-import heapq
+from __future__ import annotations
 
-from repro.transports.sequencing import SenderScoreboard
+import heapq
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+
+class SenderScoreboard:
+    """Sender-side ACK/SACK processing with SACK-based loss detection.
+
+    A transmitted seq is declared lost once ``dupthresh`` seqs above it have
+    been acknowledged after its transmission (RFC 6675-style), or when the
+    retransmission timer fires. Callers learn about transitions through the
+    return values of :meth:`on_ack`.
+    """
+
+    __slots__ = ("dupthresh", "_outstanding", "_acked", "_cum", "_dup_counts")
+
+    def __init__(self, dupthresh: int = 3) -> None:
+        self.dupthresh = dupthresh
+        self._outstanding: Dict[int, int] = {}  # seq -> sent_at (ns)
+        self._acked: Set[int] = set()
+        self._cum = 0  # everything below is acked
+        self._dup_counts: Dict[int, int] = {}
+
+    # ------------------------------------------------------------- sending
+
+    def on_send(self, seq: int, now_ns: int) -> None:
+        self._outstanding[seq] = now_ns
+        self._dup_counts[seq] = 0
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._outstanding)
+
+    def oldest_outstanding(self) -> Optional[int]:
+        return min(self._outstanding) if self._outstanding else None
+
+    def sent_at(self, seq: int) -> Optional[int]:
+        return self._outstanding.get(seq)
+
+    # ---------------------------------------------------------------- acks
+
+    def on_ack(self, cum: int, sack: Iterable[int],
+               echo: int = -1) -> Tuple[List[int], List[int]]:
+        """Process an ACK. Returns ``(newly_acked, newly_lost)`` seq lists.
+        ``echo`` is the seq of the data packet a per-packet ACK answers
+        (``Packet.seq``); it counts as one more SACK entry.
+
+        ``newly_acked`` reports every seq newly known to be delivered — even
+        one previously declared lost (a spurious loss detection, or the
+        cumulative ACK of a retransmission): cumulative coverage is
+        authoritative, and callers must be able to cancel pending
+        retransmissions for such seqs.
+        """
+        if echo >= 0:
+            sack = (*sack, echo)
+        newly_acked: List[int] = []
+        news_above: List[int] = []
+        if cum > self._cum:
+            for seq in range(self._cum, cum):
+                if seq in self._outstanding:
+                    del self._outstanding[seq]
+                    self._dup_counts.pop(seq, None)
+                if seq not in self._acked:
+                    self._acked.add(seq)
+                    newly_acked.append(seq)
+            self._cum = cum
+            news_above.append(cum - 1)
+        for seq in sack:
+            if seq >= self._cum and seq not in self._acked:
+                self._acked.add(seq)
+                news_above.append(seq)
+                if seq in self._outstanding:
+                    del self._outstanding[seq]
+                    self._dup_counts.pop(seq, None)
+                newly_acked.append(seq)
+        newly_lost = self._detect_losses(news_above)
+        return newly_acked, newly_lost
+
+    def _detect_losses(self, news_above: List[int]) -> List[int]:
+        if not news_above or not self._outstanding:
+            return []
+        highest_news = max(news_above)
+        lost: List[int] = []
+        for seq in list(self._outstanding):
+            if seq < highest_news:
+                self._dup_counts[seq] = self._dup_counts.get(seq, 0) + 1
+                if self._dup_counts[seq] >= self.dupthresh:
+                    del self._outstanding[seq]
+                    self._dup_counts.pop(seq, None)
+                    lost.append(seq)
+        return sorted(lost)
+
+    def remove(self, seq: int) -> bool:
+        """Drop an in-flight entry that was implicitly acknowledged out of
+        band (e.g., the same FlexPass segment ACKed on the other sub-flow).
+        Returns True if the seq was outstanding."""
+        if seq in self._outstanding:
+            del self._outstanding[seq]
+            self._dup_counts.pop(seq, None)
+            self._acked.add(seq)
+            return True
+        return False
+
+    def declare_all_lost(self) -> List[int]:
+        """Timeout path: every in-flight seq is presumed lost."""
+        lost = sorted(self._outstanding)
+        self._outstanding.clear()
+        self._dup_counts.clear()
+        return lost
+
+    def is_acked(self, seq: int) -> bool:
+        return seq < self._cum or seq in self._acked
 
 
 class ParentBookkeeping:

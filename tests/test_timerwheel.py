@@ -140,6 +140,96 @@ class TestCoarseTimer:
         assert TimerWheel.for_sim(sim).pending() == 1
         assert sim.pending() == 1  # the tick meta-event, not the timer
 
+    def test_later_rearms_reuse_one_wheel_entry(self):
+        """The RTO pattern: every ACK pushes the deadline out. 10 000
+        re-arms file one wheel timer, which the wheel re-files each time a
+        bucket it sits in drains, and which fires once, at the last
+        deadline."""
+        sim = Simulator()
+        fired = []
+        timer = CoarseTimer(sim, lambda: fired.append(sim.now))
+        for i in range(10_000):
+            sim.post_at(i * 100, timer.arm, 4_000_000)
+        sim.run()
+        assert fired == [9_999 * 100 + 4_000_000]
+        wheel = TimerWheel.for_sim(sim)
+        assert wheel.armed_total == 1
+        # its first (level-0) bucket drained before the deadline it holds
+        assert wheel.cascades >= 1
+
+    def test_earlier_rearm_fires_at_the_earlier_deadline(self):
+        sim = Simulator()
+        fired = []
+        timer = CoarseTimer(sim, lambda: fired.append(sim.now))
+        timer.arm(4_000_000)
+        timer.arm(1_000_000)
+        sim.run()
+        assert fired == [1_000_000]
+        assert TimerWheel.for_sim(sim).armed_total == 2
+
+    def test_cancel_after_an_in_place_extension(self):
+        sim = Simulator()
+        timer = CoarseTimer(sim, lambda: pytest.fail("cancelled timer fired"))
+        timer.arm(1_000_000)
+        sim.post_at(500_000, timer.arm, 1_000_000)
+        sim.post_at(900_000, timer.cancel)
+        sim.run()
+        assert not timer.armed
+        assert TimerWheel.for_sim(sim).fired_total == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("geometry", [None, (4, 2, 3)])
+    def test_same_firings_as_cancel_and_file(self, seed, geometry):
+        """Seeded random arm / re-arm / cancel / advance scripts over eight
+        timers, against the parent's ``arm`` that cancels and files a new
+        wheel timer every time: with distinct deadlines, the same timers
+        fire at the same instants in the same order. The small geometry
+        (16 / 64 / 256 ns ticks) sends moved timers through every level."""
+        rng = random.Random(seed)
+        scale = 1 if geometry else 5_000
+        script, deadlines, now = [], set(), 0
+        for _ in range(400):
+            now += rng.randrange(0, 60) * scale
+            which = rng.randrange(8)
+            if rng.random() < 0.15:
+                script.append((now, which, None))
+                continue
+            delay = rng.randrange(1, 1_500) * scale
+            while now + delay in deadlines:
+                delay += 1
+            deadlines.add(now + delay)
+            script.append((now, which, delay))
+
+        def run(timer_cls):
+            sim = Simulator()
+            if geometry:
+                sim._timer_wheel = TimerWheel(sim, *geometry)
+            fired = []
+            timers = [timer_cls(sim, lambda i=i: fired.append((sim.now, i)))
+                      for i in range(8)]
+            for at, which, delay in script:
+                if delay is None:
+                    sim.post_at(at, timers[which].cancel)
+                else:
+                    sim.post_at(at, timers[which].arm, delay)
+            sim.run()
+            return fired
+
+        got = run(CoarseTimer)
+        assert got == run(CancelAndFileTimer)
+        assert len(got) > 8
+
+
+class CancelAndFileTimer(CoarseTimer):
+    """``CoarseTimer.arm`` as it was before re-arms moved the filed
+    deadline in place: always cancel, then file a new wheel timer."""
+
+    __slots__ = ()
+
+    def arm(self, delay: int) -> None:
+        self.cancel()
+        self._timer = self._wheel.arm(delay, self._fire)
+
 
 # ---------------------------------------------------------- credit plane
 

@@ -10,6 +10,7 @@ from repro.transports.sequencing import (
 )
 
 from tests.retransmit_oracle import ParentBookkeeping
+from tests.retransmit_oracle import SenderScoreboard as ParentScoreboard
 
 
 class TestReceiveScoreboard:
@@ -170,6 +171,83 @@ class TestSenderScoreboard:
                 assert s not in sb._outstanding
         for s in reported_acked:
             assert sb.is_acked(s)
+
+    #: (op, which seq / packet / earlier ACK, random bits)
+    OPS = st.lists(
+        st.tuples(st.sampled_from(["send", "send", "deliver", "deliver",
+                                   "replay", "drop", "remove", "timeout"]),
+                  st.integers(0, 15), st.integers(0, 7)),
+        min_size=30, max_size=120,
+    )
+
+    @given(n=st.integers(1, 14), sack_limit=st.sampled_from([1, 16]),
+           dupthresh=st.sampled_from([1, 3]), ops=OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_same_answers_as_the_parent_scoreboard(self, n, sack_limit,
+                                                   dupthresh, ops):
+        """The O(window) scoreboard against the one that kept every acked
+        seq of the flow (``tests/retransmit_oracle.py``), over random
+        send / ACK (cum, SACK, echo) / stale ACK / ``remove`` / timeout
+        sequences: the same ``(newly_acked, newly_lost)`` and the same
+        answer to every query at every step, with ``n_acked`` equal to the
+        size of the parent's full acked set."""
+        live = SenderScoreboard(dupthresh=dupthresh)
+        parent = ParentScoreboard(dupthresh=dupthresh)
+        receiver = ReceiveScoreboard(sack_limit)
+        network, acks, sent = [], [], set()
+        next_new = 0
+
+        def next_seq(sb):
+            # lowest seq sent, presumed lost and not acknowledged since;
+            # else new data
+            waiting = [s for s in sorted(sent) if not sb.is_acked(s)
+                       and sb.sent_at(s) is None]
+            return waiting[0] if waiting else (
+                next_new if next_new < n else None)
+
+        for now, (op, which, bits) in enumerate(ops):
+            if op == "send":
+                seq = next_seq(live)
+                assert seq == next_seq(parent)
+                if seq is None:
+                    continue
+                next_new = max(next_new, seq + 1)
+                sent.add(seq)
+                live.on_send(seq, now)
+                parent.on_send(seq, now)
+                network.append(seq)
+            elif op == "timeout":
+                assert live.declare_all_lost() == parent.declare_all_lost()
+            elif op == "remove":
+                # the same segment ACKed on FlexPass's other sub-flow
+                outstanding = sorted(s for s in sent
+                                     if live.sent_at(s) is not None)
+                if outstanding:
+                    seq = outstanding[which % len(outstanding)]
+                    assert live.remove(seq) == parent.remove(seq)
+            elif op == "replay":
+                if acks:
+                    cum, sack, echo = acks[which % len(acks)]
+                    assert live.on_ack(cum, sack, echo) == \
+                        parent.on_ack(cum, sack, echo)
+            elif network:
+                seq = network.pop(which % len(network))
+                if op == "deliver":
+                    receiver.add(seq)
+                    # an echo is the ACKed packet's own seq, or absent
+                    ack = (receiver.cum, receiver.sack(),
+                           -1 if bits & 4 else seq)
+                    acks.append(ack)
+                    if bits & 3:  # a quarter of the ACKs are lost
+                        assert live.on_ack(*ack) == parent.on_ack(*ack)
+            for s in sent:
+                assert live.is_acked(s) == parent.is_acked(s)
+            assert live.in_flight == parent.in_flight
+            assert live.oldest_outstanding() == parent.oldest_outstanding()
+            assert live.n_acked == len(parent._acked)
+            assert (live.n_acked == n) == all(parent.is_acked(s)
+                                              for s in range(n))
+            assert all(s >= live._cum for s in live._acked)
 
 
 class TestRetransmitQueue:
