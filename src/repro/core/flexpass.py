@@ -5,9 +5,9 @@ The sender runs two control loops over one shared :class:`SendBuffer`:
 * the **proactive sub-flow** transmits exactly one packet per arriving
   credit, choosing ``LOST`` > ``PENDING`` > ``SENT_REACTIVE`` (the last is
   "proactive retransmission", the tail-latency optimization);
-* the **reactive sub-flow** is a DCTCP window that only ever transmits
-  ``PENDING`` segments — it never retransmits; its detected losses are
-  handed to the proactive sub-flow.
+* the **reactive sub-flow** is a :class:`~repro.transports.dctcp.DctcpLoop`
+  that only ever transmits ``PENDING`` segments — it never retransmits;
+  its detected losses are handed to the proactive sub-flow.
 
 Each data packet carries two sequence numbers (MPTCP-style): the per-flow
 sequence used for reassembly and the per-sub-flow sequence used for
@@ -15,16 +15,18 @@ congestion control and loss detection. The receiver ACKs every packet in
 its sub-flow's space and discards redundant copies at reassembly.
 
 Shared with the other transports, not re-implemented here: the credit
-request handshake and pacer (:mod:`repro.transports.crediting`), the
-per-sub-flow ACK/SACK scoreboards, the per-packet ACK and the reorder gauge
-(:mod:`repro.transports.sequencing`), and the RTO
-(:mod:`repro.transports.timers`).
+request handshake and pacer (:mod:`repro.transports.crediting`), the DCTCP
+ACK feedback and RTO (:mod:`repro.transports.dctcp`), the ACK/SACK
+scoreboards, the per-packet ACK and the reorder gauge
+(:mod:`repro.transports.sequencing`). :class:`SubFlow` holds what ties
+the two sequence spaces to the one buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, TYPE_CHECKING
+from operator import attrgetter
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.segments import SegmentState, SendBuffer
 from repro.net.packet import (
@@ -39,9 +41,10 @@ from repro.net.packet import (
 from repro.transports.base import (
     CompletionCallback, FlowSpec, FlowStats, SegmentPayloads,
 )
-from repro.transports.congestion import DctcpWindow, DctcpWindowParams
+from repro.transports.congestion import DctcpWindowParams
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
 from repro.transports.crediting import FINISHED, CreditPacer, CreditRequest
+from repro.transports.dctcp import DctcpLoop
 from repro.transports.sequencing import (
     ReceiveScoreboard, SenderScoreboard, send_ack, track_reorder,
 )
@@ -82,15 +85,79 @@ class FlexPassParams:
     #: covers reactive tail losses (§4.2), which is how FlexPass achieves
     #: zero timeouts. Enable only to ablate that claim.
     enable_reactive_rto: bool = False
-    #: Reactive congestion controller: "dctcp" (the paper's choice), or the
-    #: §4.3-extensibility alternatives "reno" (loss-based) / "delay"
-    #: (latency-based). See repro.transports.reactive_variants.
-    reactive_algorithm: str = "dctcp"
-    #: Credit allocation for the proactive sub-flow: "expresspass" (the
-    #: paper's choice — per-flow pacing + per-link rate-limited credit
-    #: queues + loss feedback) or "phost" (per-host round-robin token
-    #: allocator; assumes a congestion-free core, §4.3 extensibility).
-    credit_allocator: str = "expresspass"
+
+
+#: per sub-flow id: the state a segment last sent on it is in, and where
+#: the segment records that copy's seq
+_SENT_STATE = (SegmentState.SENT_PROACTIVE, SegmentState.SENT_REACTIVE)
+_LAST_SEQ = (attrgetter("last_proactive_seq"), attrgetter("last_reactive_seq"))
+
+
+class SubFlow:
+    """One sub-flow's sequence space over the shared send buffer: its
+    scoreboard, its seq -> segment map, the implicit ack of a segment on
+    the other sub-flow, and "only the latest copy's loss counts". The
+    reactive instance is the queue its :class:`DctcpLoop` runs over.
+    """
+
+    __slots__ = ("buffer", "stats", "scoreboard", "other", "next_new",
+                 "_segs", "_sent_state", "_last_seq")
+
+    def __init__(self, buffer: SendBuffer, stats: FlowStats, dupthresh: int,
+                 subflow: int) -> None:
+        self.buffer = buffer
+        self.stats = stats
+        self.scoreboard = SenderScoreboard(dupthresh=dupthresh)
+        #: the other sub-flow of the same sender
+        self.other: Optional["SubFlow"] = None
+        self.next_new = 0  # the seq the next transmission gets
+        self._segs: List[int] = []  # seq -> segment idx
+        self._sent_state = _SENT_STATE[subflow]
+        self._last_seq = _LAST_SEQ[subflow]
+
+    def on_send(self, idx: int, now_ns: int) -> int:
+        """Segment ``idx`` goes out on this sub-flow; returns its seq."""
+        seq = self.next_new
+        self.next_new = seq + 1
+        self._segs.append(idx)
+        self.scoreboard.on_send(seq, now_ns)
+        return seq
+
+    def on_ack(self, ack: Packet) -> Tuple[List[int], List[int]]:
+        """Feed one ACK of this sub-flow. Acked segments are acked on both
+        sub-flows; detected losses become ``LOST`` segments. Returns the
+        scoreboard's ``(newly_acked, newly_lost)``."""
+        newly_acked, newly_lost = self.scoreboard.on_ack(
+            ack.ack, ack.sack, ack.seq)
+        buffer = self.buffer
+        segments = buffer.segments
+        other = self.other
+        for seq in newly_acked:
+            idx = self._segs[seq]
+            if buffer.mark_acked(idx):
+                other_seq = other._last_seq(segments[idx])
+                if other_seq >= 0:
+                    # Implicit cross-sub-flow ack: the other copy no longer
+                    # needs its own ACK (it may have been dropped) —
+                    # without this, a spurious RTO would fire at the tail.
+                    other.scoreboard.remove(other_seq)
+        if newly_lost:
+            self._mark_lost(newly_lost)
+        return newly_acked, newly_lost
+
+    def on_timeout(self) -> None:
+        """Every copy in flight on this sub-flow is presumed lost."""
+        self._mark_lost(self.scoreboard.declare_all_lost())
+
+    def _mark_lost(self, seqs: List[int]) -> None:
+        """Only the *latest* copy's fate matters: a segment re-sent since
+        (on either sub-flow), acked, or already lost stays as it is."""
+        buffer = self.buffer
+        segments = buffer.segments
+        for seq in seqs:
+            seg = segments[self._segs[seq]]
+            if seg.state == self._sent_state and self._last_seq(seg) == seq:
+                buffer.mark_lost(seg.idx)
 
 
 class FlexPassSender:
@@ -103,22 +170,17 @@ class FlexPassSender:
         self.stats = stats
         self.params = params
         self.buffer = SendBuffer(SegmentPayloads(spec))
-        # reactive sub-flow machinery (its own sequence space)
-        if params.reactive_algorithm == "dctcp":
-            self.window = DctcpWindow(params.reactive_window)
-        else:
-            from repro.transports.reactive_variants import make_reactive_window
-
-            self.window = make_reactive_window(params.reactive_algorithm)
-        self.r_scoreboard = SenderScoreboard(dupthresh=params.dupthresh)
-        self.r_rtt = RttEstimator(min_rto_ns=params.min_rto_ns)
-        self.r_timer = RetransmitTimer(sim, self.r_rtt, self._on_reactive_timeout)
-        self._rmap: List[int] = []  # reactive seq -> segment idx
-        # proactive sub-flow machinery (credit space)
-        self.p_scoreboard = SenderScoreboard(dupthresh=params.dupthresh)
+        self.proactive = SubFlow(self.buffer, stats, params.dupthresh, PROACTIVE)
+        self.reactive = SubFlow(self.buffer, stats, params.dupthresh, REACTIVE)
+        self.proactive.other = self.reactive
+        self.reactive.other = self.proactive
+        # reactive sub-flow: the DCTCP loop, whose RTO stays unarmed unless
+        # the enable_reactive_rto ablation arms it
+        self.loop = DctcpLoop(sim, self.reactive, params.reactive_window,
+                              params.min_rto_ns, resume=self._pump_reactive)
+        # proactive sub-flow: the credit-clocked §4.3 recovery timer
         self.p_rtt = RttEstimator(min_rto_ns=params.min_rto_ns)
         self.p_timer = RetransmitTimer(sim, self.p_rtt, self._on_proactive_timeout)
-        self._pmap: List[int] = []  # proactive seq -> segment idx
         self.request = CreditRequest(sim, spec, stats, params.ctrl_dscp,
                                      params.request_timeout_ns)
         self.done = False
@@ -145,13 +207,23 @@ class FlexPassSender:
             return
         if pkt.kind == PacketKind.CREDIT:
             self._on_credit(pkt)
-        elif pkt.kind == PacketKind.ACK:
-            if pkt.subflow == PROACTIVE:
-                self._on_proactive_ack(pkt)
-            else:
-                self._on_reactive_ack(pkt)
-            if self.buffer.all_acked:
-                self._finish()
+            return
+        if pkt.kind != PacketKind.ACK:
+            return
+        if pkt.subflow == PROACTIVE:
+            self._on_proactive_ack(pkt)
+        else:
+            self.loop.on_ack(pkt)
+        if self.buffer.all_acked:
+            self._finish()
+            return
+        # an ACK on either sub-flow may have emptied both
+        if self.proactive.scoreboard.in_flight == 0:
+            self.p_timer.cancel()
+        if self.reactive.scoreboard.in_flight == 0:
+            self.loop.timer.cancel()
+        if pkt.subflow == REACTIVE:
+            self._pump_reactive()
 
     # ------------------------------------------------- proactive sub-flow
 
@@ -168,10 +240,8 @@ class FlexPassSender:
             self.stats.retransmissions += 1
         elif kind == "reactive":
             self.stats.proactive_retransmissions += 1
-        pseq = len(self._pmap)
-        self._pmap.append(seg.idx)
+        pseq = self.proactive.on_send(seg.idx, self.sim.now)
         self.buffer.mark_sent_proactive(seg.idx, pseq)
-        self.p_scoreboard.on_send(pseq, self.sim.now)
         pkt = alloc_packet(
             PacketKind.DATA, self.spec.flow_id, self.spec.src.id, self.spec.dst.id,
             data_wire_size(seg.payload), payload=seg.payload,
@@ -200,31 +270,15 @@ class FlexPassSender:
     def _on_proactive_ack(self, pkt: Packet) -> None:
         if pkt.meta is not None and pkt.sent_at >= 0:
             self.p_rtt.update(self.sim.now - pkt.sent_at)
-        newly_acked, newly_lost = self.p_scoreboard.on_ack(
-            pkt.ack, pkt.sack, pkt.seq)
-        for pseq in newly_acked:
-            idx = self._pmap[pseq]
-            seg = self.buffer.segments[idx]
-            if self.buffer.mark_acked(idx) and seg.last_reactive_seq >= 0:
-                # Implicit cross-sub-flow ack: the reactive copy no longer
-                # needs a reactive ACK (it may have been dropped) — without
-                # this, a spurious reactive RTO would fire at the flow tail.
-                self.r_scoreboard.remove(seg.last_reactive_seq)
-        if self.r_scoreboard.in_flight == 0:
-            self.r_timer.cancel()
-        self._mark_lost(PROACTIVE, newly_lost)
+        newly_acked, _ = self.proactive.on_ack(pkt)
         if newly_acked:
             self.p_timer.on_progress()
-        if self.p_scoreboard.in_flight == 0:
-            self.p_timer.cancel()
 
     def _on_proactive_timeout(self) -> None:
         """§4.3 recovery timer: non-congestion proactive losses. Declare the
         outstanding copies lost and re-request credits to resume recovery."""
-        if self.done or self.all_acked:
-            return
         self.stats.timeouts += 1
-        self._mark_lost(PROACTIVE, self.p_scoreboard.declare_all_lost())
+        self.proactive.on_timeout()
         if not self.request.pending:
             self.request.send()
 
@@ -236,16 +290,16 @@ class FlexPassSender:
         return self.buffer.peek_pending()
 
     def _pump_reactive(self) -> None:
+        """Send ``PENDING`` segments while the DCTCP window allows; the
+        reactive sub-flow never retransmits, its losses go proactive."""
         if not self.params.enable_reactive:
             return
-        while self.r_scoreboard.in_flight < self.window.allowed_in_flight():
+        while self.loop.window_open:
             seg = self._next_reactive_segment()
             if seg is None:
                 break
-            rseq = len(self._rmap)
-            self._rmap.append(seg.idx)
+            rseq = self.reactive.on_send(seg.idx, self.sim.now)
             self.buffer.mark_sent_reactive(seg.idx, rseq)
-            self.r_scoreboard.on_send(rseq, self.sim.now)
             pkt = alloc_packet(
                 PacketKind.DATA, self.spec.flow_id,
                 self.spec.src.id, self.spec.dst.id,
@@ -257,68 +311,15 @@ class FlexPassSender:
             )
             self.stats.packets_sent += 1
             self.spec.src.send(pkt)
-        if self.params.enable_reactive_rto and self.r_scoreboard.in_flight > 0:
-            self.r_timer.arm_if_idle()
-
-    def _on_reactive_ack(self, pkt: Packet) -> None:
-        if pkt.meta is not None and pkt.sent_at >= 0:
-            sample = self.sim.now - pkt.sent_at
-            self.r_rtt.update(sample)
-            on_rtt = getattr(self.window, "on_rtt_sample", None)
-            if on_rtt is not None:
-                on_rtt(float(sample))  # delay-based reactive variant
-        newly_acked, newly_lost = self.r_scoreboard.on_ack(
-            pkt.ack, pkt.sack, pkt.seq)
-        for rseq in newly_acked:
-            idx = self._rmap[rseq]
-            seg = self.buffer.segments[idx]
-            if self.buffer.mark_acked(idx) and seg.last_proactive_seq >= 0:
-                # Implicit cross-sub-flow ack (see _on_proactive_ack).
-                self.p_scoreboard.remove(seg.last_proactive_seq)
-            self.window.on_ack(rseq, pkt.ce, len(self._rmap))
-        if self.p_scoreboard.in_flight == 0:
-            self.p_timer.cancel()
-        if newly_lost:
-            # Cut the window per DCTCP, mark segments for proactive recovery,
-            # and keep sliding the window edge (§4.2) — the scoreboard already
-            # removed the lost seqs from the in-flight set.
-            self.window.on_loss()
-            self._mark_lost(REACTIVE, newly_lost)
-        if newly_acked and self.params.enable_reactive_rto:
-            self.r_timer.on_progress()
-        if self.r_scoreboard.in_flight == 0:
-            self.r_timer.cancel()
-        self._pump_reactive()
-
-    def _on_reactive_timeout(self) -> None:
-        """Ablation-only backstop: the proactive sub-flow recovers reactive
-        tail losses, so FlexPass needs no reactive RTO (§4.2)."""
-        if self.done or self.all_acked or not self.params.enable_reactive_rto:
-            return
-        self.stats.timeouts += 1
-        self._mark_lost(REACTIVE, self.r_scoreboard.declare_all_lost())
-        self.window.on_timeout()
-        self._pump_reactive()
+        if (self.params.enable_reactive_rto
+                and self.reactive.scoreboard.in_flight > 0):
+            self.loop.timer.arm_if_idle()
 
     # ------------------------------------------------------------- common
 
-    def _mark_lost(self, subflow: int, seqs: List[int]) -> None:
-        """Sub-flow seqs detected lost -> ``LOST`` segments. Only the
-        *latest* copy's fate matters: a segment re-sent since (on either
-        sub-flow), acked, or already lost stays as it is."""
-        proactive = subflow == PROACTIVE
-        seq_map = self._pmap if proactive else self._rmap
-        sent_state = (SegmentState.SENT_PROACTIVE if proactive
-                      else SegmentState.SENT_REACTIVE)
-        for seq in seqs:
-            seg = self.buffer.segments[seq_map[seq]]
-            last = seg.last_proactive_seq if proactive else seg.last_reactive_seq
-            if seg.state == sent_state and last == seq:
-                self.buffer.mark_lost(seg.idx)
-
     def _finish(self) -> None:
         self.done = True
-        self.r_timer.cancel()
+        self.loop.timer.cancel()
         self.p_timer.cancel()
         self.request.cancel()
         self.spec.src.unregister_sender(self.spec.flow_id)
@@ -338,24 +339,11 @@ class FlexPassReceiver:
         self.flow_board = ReceiveScoreboard()  # per-flow space: reassembly
         self.p_board = ReceiveScoreboard()     # proactive sub-flow space
         self.r_board = ReceiveScoreboard()     # reactive sub-flow space
-        if params.credit_allocator == "phost":
-            from repro.transports.phost_credits import PHostCreditSource
-
-            self.pacer = PHostCreditSource(
-                sim, spec.flow_id, spec.dst, spec.src.id, stats,
-                params.max_credit_rate_bps,
-            )
-        elif params.credit_allocator == "expresspass":
-            self.pacer = CreditPacer(
-                sim, spec.flow_id, spec.dst, spec.src.id, stats,
-                params.max_credit_rate_bps, params.update_period_ns,
-                params.feedback,
-            )
-        else:
-            raise ValueError(
-                f"unknown credit allocator {params.credit_allocator!r}; "
-                "choose 'expresspass' or 'phost'"
-            )
+        self.pacer = CreditPacer(
+            sim, spec.flow_id, spec.dst, spec.src.id, stats,
+            params.max_credit_rate_bps, params.update_period_ns,
+            params.feedback,
+        )
         self._complete = False
         spec.dst.register_receiver(spec.flow_id, self)
 

@@ -54,11 +54,7 @@ assert len(_KIND_TO_SENDER) == len(PacketKind)
 class Host(Node):
     """A server with one uplink."""
 
-    # _phost_allocator: lazily-attached per-host credit allocator singleton
-    # (see transports/phost_credits.py); a named slot now that Host has no
-    # __dict__.
-    __slots__ = ("_senders", "_receivers", "stray_packets", "_nic",
-                 "_phost_allocator")
+    __slots__ = ("_senders", "_receivers", "stray_packets", "_nic")
 
     def __init__(self, sim: "Simulator", node_id: int, name: str) -> None:
         super().__init__(sim, node_id, name)

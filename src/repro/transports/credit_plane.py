@@ -13,10 +13,10 @@ things keep each emission cheap:
   when the feedback loop actually changes ``rate_bps`` (the division is
   deterministic, so the cached value is the recomputed value).
 
-The pacers themselves (:mod:`repro.transports.crediting`,
-:mod:`repro.transports.phost_credits`, Homa's grant pump) schedule each
-emission's successor with handle-free ``Simulator.post``; their coarse
-watchdog timers ride the simulator's shared
+The pacer itself (:class:`repro.transports.crediting.CreditPacer`, the
+one credit emitter) and Homa's grant pump schedule each emission's
+successor with handle-free ``Simulator.post``; their coarse watchdog
+timers ride the simulator's shared
 :class:`~repro.sim.timerwheel.TimerWheel`.
 """
 

@@ -8,7 +8,8 @@ retransmission, and an RTO with a 4 ms floor (§6 settings).
 :class:`DctcpLoop` is that loop on its own (window, RTT estimator, RTO) over
 one :class:`~repro.transports.sequencing.RetransmitQueue`: ``DctcpSender``
 clocks it with ACKs, :class:`~repro.transports.layering.LayeringSender`
-gates a credit-clocked sender with it.
+gates a credit-clocked sender with it, and FlexPass runs its reactive
+sub-flow on it over a :class:`~repro.core.flexpass.SubFlow`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class DctcpParams:
 class DctcpLoop:
     """The DCTCP control loop over one :class:`RetransmitQueue`."""
 
+    __slots__ = ("sim", "queue", "window", "rtt", "timer", "_resume")
+
     def __init__(self, sim: "Simulator", queue: RetransmitQueue,
                  window: DctcpWindowParams, min_rto_ns: int,
                  resume: Optional[Callable[[], None]] = None) -> None:
@@ -70,7 +73,9 @@ class DctcpLoop:
 
     def on_ack(self, ack: Packet) -> None:
         """One ACK's feedback: RTT sample, per-seq window growth with the
-        CE echo, one window cut per loss event, RTO restart on progress."""
+        CE echo, one window cut per loss event, and an RTO restart on
+        progress while the RTO runs (FlexPass's reactive RTO stays unarmed
+        unless its ablation arms it)."""
         if ack.meta is not None and ack.sent_at >= 0:
             self.rtt.update(self.sim.now - ack.sent_at)
         queue = self.queue
@@ -79,7 +84,7 @@ class DctcpLoop:
             self.window.on_ack(seq, ack.ce, queue.next_new)
         if newly_lost:
             self.window.on_loss()
-        if newly_acked:
+        if newly_acked and self.timer.armed:
             self.timer.on_progress()
 
     def _on_timeout(self) -> None:

@@ -10,7 +10,8 @@ ACK (:func:`send_ack`) and reorder gauge (:func:`track_reorder`) for the
 DCTCP / ExpressPass / FlexPass receivers; the sender's ACK/SACK scoreboard
 (every sender) and the single-space :class:`RetransmitQueue` that DCTCP,
 ExpressPass and Layering pick their next seq from. FlexPass keeps its
-per-segment state in :class:`repro.core.segments.SendBuffer` instead.
+per-segment state in :class:`repro.core.segments.SendBuffer` instead, and
+one scoreboard per sub-flow in :class:`repro.core.flexpass.SubFlow`.
 """
 
 from __future__ import annotations

@@ -154,6 +154,42 @@ class TestProactiveLossRecovery:
         assert sender.all_acked  # sender converged despite lost ACKs
 
 
+class TestReactiveTailLoss:
+    """A lost reactive tail leaves no later reactive ACK for dupack
+    detection. FlexPass recovers it by proactive retransmission, with no
+    timeout (§4.2); the ``enable_reactive_rto`` ablation needs its RTO."""
+
+    SIZE = 15 * 1500  # the initial window sends every segment reactively
+
+    def _run(self, **param_overrides):
+        sim, db, stats, done, sender = setup_flexpass(
+            size=self.SIZE, **param_overrides)
+        dropped = []
+
+        def drop_reactive_tail(pkt):
+            if (pkt.kind == PacketKind.DATA and pkt.subflow == 1
+                    and pkt.flow_seq == self.SIZE // 1500 - 1 and not dropped):
+                dropped.append(pkt.seq)
+                return True
+            return False
+
+        _splice(db.bottleneck, drop_reactive_tail)
+        sim.run(until=100 * MILLIS)
+        assert dropped
+        assert done.flow_ids == {1}
+        assert stats.delivered_bytes == self.SIZE
+        return stats
+
+    def test_rto_ablation_recovers_by_timeout(self):
+        stats = self._run(enable_proactive_rtx=False, enable_reactive_rto=True)
+        assert stats.timeouts >= 1
+
+    def test_proactive_retransmission_needs_no_timeout(self):
+        stats = self._run()
+        assert stats.timeouts == 0
+        assert stats.proactive_retransmissions >= 1
+
+
 class TestDctcpUnderLoss:
     def test_dctcp_survives_random_loss(self):
         sim = Simulator()

@@ -20,7 +20,6 @@ from repro.sim.units import MILLIS
 from repro.transports.crediting import CreditPacer
 from repro.transports.dctcp import DctcpSender
 from repro.transports.expresspass import ExpressPassReceiver, ExpressPassSender
-from repro.transports.phost_credits import PHostCreditSource
 
 
 RECEIVERS = (ExpressPassReceiver, FlexPassReceiver)
@@ -29,7 +28,7 @@ ENDPOINTS = RECEIVERS + (DctcpSender, ExpressPassSender, FlexPassSender)
 
 def _scoreboards(sender):
     if isinstance(sender, FlexPassSender):
-        return [sender.p_scoreboard, sender.r_scoreboard]
+        return [sender.proactive.scoreboard, sender.reactive.scoreboard]
     return [sender.queue.scoreboard]
 
 
@@ -80,8 +79,7 @@ def test_finished_flows_release_their_state(monkeypatch, scheme, deployment):
     finished = [r for r in snap["receivers"] if r.stats.completed]
     assert len(finished) > 20
     for receiver in finished:
-        assert not isinstance(receiver.pacer,
-                              (CreditPacer, PHostCreditSource))
+        assert not isinstance(receiver.pacer, CreditPacer)
 
     boards = [b for s in snap["senders"] for b in _scoreboards(s)]
     assert boards and any(b._cum for b in boards)
