@@ -6,7 +6,7 @@ Two demonstrations in a few seconds:
 1. **Link outage** — one FlexPass and one DCTCP flow share a dumbbell whose
    bottleneck link dies mid-transfer and is repaired 4 ms later. Packets in
    flight are destroyed, routes reconverge on both transitions, and both
-   flows complete exactly once (FlexPass via reactive retransmission and
+   flows complete (FlexPass via reactive retransmission and
    proactive retransmission, DCTCP via its RTO).
 
 2. **Seeded random loss** — a full Clos experiment run under a FaultPlan

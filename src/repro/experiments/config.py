@@ -27,6 +27,7 @@ class SchemeName(str, enum.Enum):
 
     DCTCP = "dctcp"          # baseline: nothing deployed
     NAIVE = "naive"          # ExpressPass dropped in beside legacy traffic
+    EXPRESSPASS = "expresspass"  # ExpressPass behind FlexPass's switch (Fig 8)
     OWF = "owf"              # oracle weighted fair queueing
     LAYERING = "ly"          # ExpressPass+ window overlay [45]
     FLEXPASS = "flexpass"

@@ -1,92 +1,81 @@
 """Per-figure reproduction harness (microbenchmarks: Figures 1, 5a, 7, 8, 9).
 
-Each ``figNN_*`` function builds the paper's scenario (scaled for pure-Python
-execution), runs it, and returns a small result object whose ``rows()`` /
+Each ``figNN_*`` function describes the paper's testbed scenario (scaled
+for pure-Python execution) as :class:`ExperimentConfig`\\ s — a dumbbell or
+star :class:`TopologySpec` carrying ``bulk`` traffic sources — runs them
+through :func:`repro.experiments.parallel.run_many`, and projects each
+:class:`ExperimentResult` into a small result object whose ``rows()`` /
 ``print_report()`` emit the same series the paper plots. The deployment
 sweeps (Figures 10-18) live in :mod:`repro.experiments.sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.counters import FaultCounters
-
-from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
-from repro.experiments.scenarios import (
-    dctcp_launcher,
-    expresspass_launcher,
-    flexpass_launcher,
-    flexpass_queue_factory,
-    homa_launcher,
-    homa_shared_queue_factory,
-    naive_queue_factory,
-)
+from repro.experiments.config import ExperimentConfig, SchemeName
+from repro.experiments.runner import ExperimentResult
+from repro.experiments.sweep import _run_grid
+from repro.faults import FaultCounters, FaultPlan, LinkFailureSpec
 from repro.metrics.summary import format_table
-from repro.metrics.telemetry import TelemetrySampler
+from repro.metrics.telemetry import TelemetryConfig
 from repro.metrics.throughput import starvation_fraction
 from repro.net import (
     DumbbellSpec,
     StarSpec,
-    build_dumbbell,
-    build_star,
+    dumbbell_to_topology_spec,
+    star_to_topology_spec,
 )
-from repro.sim.engine import Simulator
-from repro.sim.units import GBPS, KB, MB, MILLIS
-from repro.transports.base import FlowSpec, FlowStats
-
-RATE = 10 * GBPS
+from repro.net.fabric import TopologySpec
+from repro.sim.units import KB, MB, MILLIS
+from repro.workloads.gen import SourceConfig, TrafficConfig
 
 #: timeline resolution for the throughput figures (the paper plots 1 ms bins)
 _BIN_NS = 1 * MILLIS
 
 
-# ----------------------------------------------------------------- launchers
-#
-# Every figure goes through the same audited launch path as the sweeps:
-# :func:`repro.experiments.scenarios.make_scheme_setup`'s launcher builders,
-# parameterized by a figure-scale ExperimentConfig.
+# ------------------------------------------------------------------ configs
 
 
-def _figure_cfg(scheme: SchemeName = SchemeName.FLEXPASS,
-                wq: float = 0.5) -> ExperimentConfig:
-    """The config the figure topologies imply: 10 Gbps links, weight wq."""
-    return ExperimentConfig(scheme=scheme, queues=QueueSettings(wq=wq))
+def _bulk(name: str, hosts: Tuple[str, ...], size_bytes: int,
+          flows_per_sender: int = 1, legacy: bool = False) -> SourceConfig:
+    return SourceConfig(name=name, kind="bulk", hosts=hosts,
+                        request_bytes=size_bytes,
+                        flows_per_sender=flows_per_sender, legacy=legacy)
 
 
-def _start(sim, launcher, spec, stats, done=None) -> None:
-    """Create endpoints via a scenarios launcher and schedule the start."""
-    sender = launcher(sim, spec, stats, done)
-    sim.at(spec.start_ns, sender.start)
+def _config(scheme: SchemeName, topology: TopologySpec,
+            sources: Sequence[SourceConfig], horizon_ns: int,
+            **overrides) -> ExperimentConfig:
+    """A testbed config that samples per-scheme goodput in 1 ms bins and
+    nothing else."""
+    telemetry = TelemetryConfig(
+        interval_ns=_BIN_NS, max_samples=horizon_ns // _BIN_NS + 8,
+        ports="none", links=False, pool=False, credit=False)
+    return ExperimentConfig(scheme=scheme, topology_spec=topology,
+                            traffic=TrafficConfig(tuple(sources)),
+                            sim_time_ns=horizon_ns, telemetry=telemetry,
+                            **overrides)
 
 
-# ------------------------------------------------------------------ sampling
+def _pair_vs_dctcp(scheme: SchemeName, horizon_ns: int, flow_bytes: int,
+                   flows_each: int = 1, **overrides) -> ExperimentConfig:
+    """``scheme`` flows s0 -> r0 beside legacy DCTCP flows s1 -> r1, on a
+    10G dumbbell whose bottleneck is swL -> swR."""
+    dumbbell = dumbbell_to_topology_spec(DumbbellSpec(n_pairs=2))
+    return _config(scheme, dumbbell, (
+        _bulk("new", ("r0", "s0"), flow_bytes, flows_each),
+        _bulk("dctcp", ("r1", "s1"), flow_bytes, flows_each, legacy=True),
+    ), horizon_ns, **overrides)
 
 
-def _goodput_sampler(sim, cums: Callable[[], Dict[str, float]],
-                     horizon_ns: int) -> TelemetrySampler:
-    """Telemetry sampler recording per-category goodput, in Gbps per bin.
-
-    ``cums`` returns cumulative delivered bytes per category (all
-    categories, every call, so every series covers every bin); the counter
-    scale 8/bin turns per-bin byte deltas into Gbps.
-    """
-    sampler = TelemetrySampler(sim, interval_ns=_BIN_NS,
-                               max_samples=horizon_ns // _BIN_NS + 8,
-                               until_ns=horizon_ns)
-    sampler.add_counter_map(cums, scale=8.0 / _BIN_NS)
-    sampler.start()
-    return sampler
-
-
-def _series(sampler: TelemetrySampler, categories: Sequence[str],
-            horizon_ns: int) -> Dict[str, List[float]]:
-    tel = sampler.freeze()
-    return {c: (tel.aligned_values(c, horizon_ns) if c in tel
-                else [0.0] * max(1, horizon_ns // _BIN_NS))
-            for c in categories}
+def _gbps(res: ExperimentResult, series: Dict[str, str]) -> Dict[str, List[float]]:
+    """category -> Gbps per bin, from the run's ``scheme.*`` series."""
+    tel, horizon = res.telemetry, res.config.sim_time_ns
+    return {cat: ([bps / 1e9 for bps in tel.aligned_values(name, horizon)]
+                  if name in tel else [0.0] * max(1, horizon // _BIN_NS))
+            for cat, name in series.items()}
 
 
 # ------------------------------------------------------------------ Figure 1
@@ -122,31 +111,23 @@ class ThroughputFigure:
                            self.rows()))
 
 
+def _vs_dctcp(title: str, category: str,
+              cfg: ExperimentConfig) -> ThroughputFigure:
+    """Run ``cfg`` and name its upgraded flows' goodput ``category``."""
+    (res,) = _run_grid([cfg])
+    return ThroughputFigure(title, 1.0, _gbps(res, {
+        category: f"scheme.{cfg.scheme.value}.goodput_bps",
+        "dctcp": "scheme.dctcp.goodput_bps",
+    }), 10.0)
+
+
 def fig01a_expresspass_vs_dctcp(duration_ms: int = 40,
                                 flow_mb: int = 60) -> ThroughputFigure:
     """Figure 1(a): one ExpressPass flow starves one DCTCP flow on a 10G
     dumbbell when both share the data queue (naïve coexistence)."""
-    sim = Simulator()
-    cfg = _figure_cfg(SchemeName.NAIVE)
-    db = build_dumbbell(sim, naive_queue_factory(QueueSettings()),
-                        DumbbellSpec(n_pairs=2))
-    xp_stats, dc_stats = FlowStats(), FlowStats()
-    _start(sim, expresspass_launcher(cfg, credit_fraction=1.0, shared_queue=True),
-           FlowSpec(1, db.senders[0], db.receivers[0], flow_mb * MB, 0,
-                    scheme="expresspass"), xp_stats)
-    _start(sim, dctcp_launcher(),
-           FlowSpec(2, db.senders[1], db.receivers[1], flow_mb * MB, 0,
-                    scheme="dctcp"), dc_stats)
-    horizon = duration_ms * MILLIS
-    sampler = _goodput_sampler(sim, lambda: {
-        "expresspass": xp_stats.delivered_bytes,
-        "dctcp": dc_stats.delivered_bytes,
-    }, horizon)
-    sim.run(until=horizon)
-    return ThroughputFigure(
-        "Figure 1(a): ExpressPass vs DCTCP, shared queue",
-        1.0, _series(sampler, ("expresspass", "dctcp"), horizon), 10.0,
-    )
+    return _vs_dctcp(
+        "Figure 1(a): ExpressPass vs DCTCP, shared queue", "expresspass",
+        _pair_vs_dctcp(SchemeName.NAIVE, duration_ms * MILLIS, flow_mb * MB))
 
 
 def fig01b_homa_vs_dctcp(duration_ms: int = 40, n_each: int = 16,
@@ -154,39 +135,21 @@ def fig01b_homa_vs_dctcp(duration_ms: int = 40, n_each: int = 16,
     """Figure 1(b): 16 Homa flows starve 16 DCTCP flows when nothing
     isolates them — Homa grants at the full link capacity with no awareness
     of the reactive traffic, DCTCP backs off on the resulting marks."""
-    sim = Simulator()
-    cfg = _figure_cfg(SchemeName.HOMA)
-    db = build_dumbbell(sim, homa_shared_queue_factory(),
-                        DumbbellSpec(n_pairs=2))
-    homa_stats: List[FlowStats] = []
-    dctcp_stats: List[FlowStats] = []
-    launch_homa = homa_launcher(cfg)
-    launch_dctcp = dctcp_launcher()
-    fid = 0
-    for i in range(n_each):
-        fid += 1
-        st = FlowStats()
-        homa_stats.append(st)
-        _start(sim, launch_homa, FlowSpec(fid, db.senders[0], db.receivers[0],
-                                          flow_mb * MB, 0, scheme="homa"), st)
-        fid += 1
-        st = FlowStats()
-        dctcp_stats.append(st)
-        _start(sim, launch_dctcp, FlowSpec(fid, db.senders[1], db.receivers[1],
-                                           flow_mb * MB, 0, scheme="dctcp"), st)
-    horizon = duration_ms * MILLIS
-    sampler = _goodput_sampler(sim, lambda: {
-        "homa": sum(s.delivered_bytes for s in homa_stats),
-        "dctcp": sum(s.delivered_bytes for s in dctcp_stats),
-    }, horizon)
-    sim.run(until=horizon)
-    return ThroughputFigure(
-        "Figure 1(b): Homa vs DCTCP, no isolation",
-        1.0, _series(sampler, ("homa", "dctcp"), horizon), 10.0,
-    )
+    return _vs_dctcp(
+        "Figure 1(b): Homa vs DCTCP, no isolation", "homa",
+        _pair_vs_dctcp(SchemeName.HOMA, duration_ms * MILLIS, flow_mb * MB,
+                       flows_each=n_each))
 
 
 # ------------------------------------------------------------------ Figure 7
+
+
+#: Figure 7's scenarios: (FlexPass senders, DCTCP senders) into host h2
+_FIG07 = {
+    "one_flexpass": (("h0",), ()),
+    "two_flexpass": (("h0", "h1"), ()),
+    "dctcp_vs_flexpass": (("h0",), ("h1",)),
+}
 
 
 def fig07_subflow_throughput(scenario: str,
@@ -196,55 +159,21 @@ def fig07_subflow_throughput(scenario: str,
     ``scenario``: "one_flexpass" (a), "two_flexpass" (b), or
     "dctcp_vs_flexpass" (c).
     """
-    sim = Simulator()
-    cfg = _figure_cfg(SchemeName.FLEXPASS, wq=0.5)
-    star = build_star(sim, flexpass_queue_factory(QueueSettings(wq=0.5)),
-                      StarSpec(n_hosts=3))
-    receiver = star.hosts[2]
-    launch_fp = flexpass_launcher(cfg)
-    fp_stats: List[FlowStats] = []
-    dc_stats: List[FlowStats] = []
-    size = 50 * MB
-    if scenario == "one_flexpass":
-        fp_stats.append(FlowStats())
-        _start(sim, launch_fp, FlowSpec(1, star.hosts[0], receiver, size, 0,
-                                        scheme="flexpass", group="new"),
-               fp_stats[0])
-    elif scenario == "two_flexpass":
-        for i in (0, 1):
-            fp_stats.append(FlowStats())
-            _start(sim, launch_fp,
-                   FlowSpec(i + 1, star.hosts[i], receiver, size, 0,
-                            scheme="flexpass", group="new"), fp_stats[i])
-    elif scenario == "dctcp_vs_flexpass":
-        fp_stats.append(FlowStats())
-        _start(sim, launch_fp, FlowSpec(1, star.hosts[0], receiver, size, 0,
-                                        scheme="flexpass", group="new"),
-               fp_stats[0])
-        dc_stats.append(FlowStats())
-        _start(sim, dctcp_launcher(),
-               FlowSpec(2, star.hosts[1], receiver, size, 0, scheme="dctcp"),
-               dc_stats[0])
-    else:
+    if scenario not in _FIG07:
         raise ValueError(f"unknown scenario {scenario!r}")
-
-    def cums() -> Dict[str, float]:
-        out = {
-            "proactive": sum(s.proactive_bytes for s in fp_stats),
-            "reactive": sum(s.reactive_bytes for s in fp_stats),
-        }
-        if dc_stats:
-            out["dctcp"] = sum(s.delivered_bytes for s in dc_stats)
-        return out
-
-    horizon = duration_ms * MILLIS
-    sampler = _goodput_sampler(sim, cums, horizon)
-    sim.run(until=horizon)
-    categories = ["proactive", "reactive"] + (["dctcp"] if dc_stats else [])
-    return ThroughputFigure(
-        f"Figure 7 ({scenario})", 1.0,
-        _series(sampler, categories, horizon), 10.0,
-    )
+    fp_senders, dc_senders = _FIG07[scenario]
+    sources = [_bulk("flexpass", ("h2",) + fp_senders, 50 * MB)]
+    series = {"proactive": "scheme.flexpass.proactive_bps",
+              "reactive": "scheme.flexpass.reactive_bps"}
+    if dc_senders:
+        sources.append(_bulk("dctcp", ("h2",) + dc_senders, 50 * MB,
+                             legacy=True))
+        series["dctcp"] = "scheme.dctcp.goodput_bps"
+    (res,) = _run_grid([_config(
+        SchemeName.FLEXPASS, star_to_topology_spec(StarSpec(n_hosts=3)),
+        sources, duration_ms * MILLIS)])
+    return ThroughputFigure(f"Figure 7 ({scenario})", 1.0,
+                            _gbps(res, series), 10.0)
 
 
 # ------------------------------------------------------------------ Figure 8
@@ -273,47 +202,45 @@ class IncastFigure:
                            self.rows()))
 
 
+#: Figure 8's transports: DCTCP, and ExpressPass / FlexPass with every flow
+#: upgraded, all behind FlexPass's switch configuration (as on the testbed)
+_FIG08_SCHEMES = (SchemeName.DCTCP, SchemeName.EXPRESSPASS, SchemeName.FLEXPASS)
+_FIG08_SENDERS = 8
+
+
 def fig08_incast(n_flows_list: Sequence[int] = (8, 24, 48, 80),
                  response_kb: int = 64) -> IncastFigure:
     """Figure 8: 8-to-1 incast; DCTCP hits RTOs at high degree, ExpressPass
-    and FlexPass never do."""
-    cfg = _figure_cfg(wq=0.5)
-    schemes = {
-        "dctcp": (dctcp_launcher(),
-                  flexpass_queue_factory(QueueSettings(wq=0.5))),
-        "expresspass": (expresspass_launcher(cfg, credit_fraction=0.5,
-                                             shared_queue=True),
-                        flexpass_queue_factory(QueueSettings(wq=0.5))),
-        "flexpass": (flexpass_launcher(cfg),
-                     flexpass_queue_factory(QueueSettings(wq=0.5))),
-    }
-    fig = IncastFigure(list(n_flows_list),
-                       {s: [] for s in schemes}, {s: [] for s in schemes})
+    and FlexPass never do. Each degree must be a multiple of the 8 senders
+    (every sender contributes the same number of responses)."""
     for n in n_flows_list:
-        for name, (launch, factory) in schemes.items():
-            sim = Simulator()
-            star = build_star(sim, factory,
-                              StarSpec(n_hosts=9, buffer_bytes=2 * MB))
-            receiver = star.hosts[0]
-            stats_list = []
-            fid = 0
-            senders = star.hosts[1:]
-            for k in range(n):
-                fid += 1
-                src = senders[k % len(senders)]
-                spec = FlowSpec(fid, src, receiver, response_kb * KB, 0,
-                                scheme=name, group="new")
-                st = FlowStats()
-                stats_list.append(st)
-                _start(sim, launch, spec, st)
-            sim.run(until=400 * MILLIS)
-            fcts = [s.fct_ns() / 1e6 for s in stats_list if s.completed]
-            fig.tail_fct_ms[name].append(max(fcts) if fcts else float("inf"))
-            fig.timeouts[name].append(sum(s.timeouts for s in stats_list))
+        if n < 1 or n % _FIG08_SENDERS:
+            raise ValueError(f"incast degree {n} is not a positive multiple "
+                             f"of the {_FIG08_SENDERS} senders")
+    hosts = tuple(f"h{i}" for i in range(_FIG08_SENDERS + 1))
+    star = star_to_topology_spec(StarSpec(n_hosts=len(hosts),
+                                          buffer_bytes=2 * MB))
+    configs = [
+        _config(scheme, star, (_bulk("incast", hosts, response_kb * KB,
+                                     n // _FIG08_SENDERS),),
+                400 * MILLIS)
+        for n in n_flows_list for scheme in _FIG08_SCHEMES
+    ]
+    fig = IncastFigure(list(n_flows_list), {}, {})
+    for cfg, res in zip(configs, _run_grid(configs)):
+        fcts = [r.fct_ns / 1e6 for r in res.records if r.completed]
+        fig.tail_fct_ms.setdefault(cfg.scheme.value, []).append(
+            max(fcts) if fcts else float("inf"))
+        fig.timeouts.setdefault(cfg.scheme.value, []).append(
+            res.total_timeouts)
     return fig
 
 
 # ------------------------------------------------------------------ Figure 9
+
+
+#: Figure 9's new transports: ExpressPass with no isolation (a), FlexPass (b)
+_FIG09 = {"expresspass": SchemeName.NAIVE, "flexpass": SchemeName.FLEXPASS}
 
 
 def fig09_coexistence(scheme: str, duration_ms: int = 40,
@@ -321,34 +248,11 @@ def fig09_coexistence(scheme: str, duration_ms: int = 40,
     """Figure 9: one new-transport flow vs one DCTCP flow on a shared 10G
     bottleneck. ``scheme`` is "expresspass" (a) or "flexpass" (b); (c)'s
     starvation-time bars come from ``ThroughputFigure.starvation``."""
-    sim = Simulator()
-    if scheme == "expresspass":
-        factory = naive_queue_factory(QueueSettings())
-        launch = expresspass_launcher(_figure_cfg(SchemeName.NAIVE),
-                                      credit_fraction=1.0, shared_queue=True)
-    elif scheme == "flexpass":
-        factory = flexpass_queue_factory(QueueSettings(wq=0.5))
-        launch = flexpass_launcher(_figure_cfg(wq=0.5))
-    else:
+    if scheme not in _FIG09:
         raise ValueError(f"unknown scheme {scheme!r}")
-    db = build_dumbbell(sim, factory, DumbbellSpec(n_pairs=2))
-    new_stats, dc_stats = FlowStats(), FlowStats()
-    _start(sim, launch, FlowSpec(1, db.senders[0], db.receivers[0],
-                                 flow_mb * MB, 0, scheme=scheme, group="new"),
-           new_stats)
-    _start(sim, dctcp_launcher(),
-           FlowSpec(2, db.senders[1], db.receivers[1], flow_mb * MB, 0,
-                    scheme="dctcp"), dc_stats)
-    horizon = duration_ms * MILLIS
-    sampler = _goodput_sampler(sim, lambda: {
-        scheme: new_stats.delivered_bytes,
-        "dctcp": dc_stats.delivered_bytes,
-    }, horizon)
-    sim.run(until=horizon)
-    return ThroughputFigure(
-        f"Figure 9: {scheme} vs DCTCP", 1.0,
-        _series(sampler, (scheme, "dctcp"), horizon), 10.0,
-    )
+    return _vs_dctcp(
+        f"Figure 9: {scheme} vs DCTCP", scheme,
+        _pair_vs_dctcp(_FIG09[scheme], duration_ms * MILLIS, flow_mb * MB))
 
 
 # ------------------------------------------------- failure-recovery scenario
@@ -363,7 +267,7 @@ class FailureRecoveryReport:
     down_ms: float
     up_ms: float
     rows_: List[Tuple[object, ...]]
-    counters: "FaultCounters"
+    counters: FaultCounters
 
     def rows(self) -> List[Tuple[object, ...]]:
         return self.rows_
@@ -398,48 +302,30 @@ def failure_recovery(down_ms: float = 2.0, up_ms: float = 6.0,
     packets until the repair; routes reconverge on both transitions. The
     paper's claim (§4.3) is that FlexPass recovers non-congestion losses
     through the reactive sub-flow and proactive retransmission — DCTCP
-    recovers through its RTO — and both flows complete exactly once.
+    recovers through its RTO — and both flows complete.
     """
-    from repro.faults import LinkDownEvent, LinkUpEvent, schedule_failure_events
+    outage = LinkFailureSpec("swL", "swR", int(down_ms * MILLIS),
+                             int(up_ms * MILLIS))
+    (res,) = _run_grid([_pair_vs_dctcp(
+        SchemeName.FLEXPASS, horizon_ms * MILLIS, flow_mb * MB,
+        faults=FaultPlan(failures=(outage,)))])
 
-    sim = Simulator()
-    db = build_dumbbell(sim, flexpass_queue_factory(QueueSettings(wq=0.5)),
-                        DumbbellSpec(n_pairs=2))
-    completions: List[int] = []
-
-    def done(spec, stats):
-        completions.append(spec.flow_id)
-
-    fp_stats, dc_stats = FlowStats(), FlowStats()
-    _start(sim, flexpass_launcher(_figure_cfg(wq=0.5)),
-           FlowSpec(1, db.senders[0], db.receivers[0], flow_mb * MB, 0,
-                    scheme="flexpass", group="new"), fp_stats, done)
-    _start(sim, dctcp_launcher(),
-           FlowSpec(2, db.senders[1], db.receivers[1], flow_mb * MB, 0,
-                    scheme="dctcp"), dc_stats, done)
-
-    counters = schedule_failure_events(sim, db.topo, [
-        LinkDownEvent(int(down_ms * MILLIS), "swL", "swR"),
-        LinkUpEvent(int(up_ms * MILLIS), "swL", "swR"),
-    ])
-    sim.run(until=horizon_ms * MILLIS)
-
-    def row(name, flow_id, stats):
+    def row(r):
         return (
-            name,
-            f"{'yes' if completions.count(flow_id) == 1 else 'NO'}"
-            f" (x{completions.count(flow_id)})",
-            f"{stats.delivered_bytes / MB:.1f}",
-            f"{stats.fct_ns() / MILLIS:.2f}" if stats.completed else "-",
-            stats.retransmissions,
-            stats.proactive_retransmissions,
-            stats.timeouts,
+            r.scheme,
+            "yes" if r.completed else "NO",
+            # delivered bytes: the two sub-flows' bytes sum to them (audited)
+            f"{(r.proactive_bytes + r.reactive_bytes) / MB:.1f}",
+            f"{r.fct_ns / MILLIS:.2f}" if r.completed else "-",
+            r.retransmissions,
+            r.proactive_retransmissions,
+            r.timeouts,
         )
 
     return FailureRecoveryReport(
         title=(f"Failure recovery: bottleneck down at {down_ms} ms, "
                f"repaired at {up_ms} ms"),
         down_ms=down_ms, up_ms=up_ms,
-        rows_=[row("flexpass", 1, fp_stats), row("dctcp", 2, dc_stats)],
-        counters=counters,
+        rows_=[row(r) for r in sorted(res.records, key=lambda r: r.flow_id)],
+        counters=res.fault_counters,
     )

@@ -154,7 +154,8 @@ def flow_specs(cfg: ExperimentConfig, clos: FabricHandle,
 
     Top-level flows come in start order, each with its deployment group
     and scheme label set (a flow is "new" only when both endpoints sit in
-    upgraded racks). Constant memory: nothing is held but the merge heads.
+    upgraded racks and it is not ``legacy``). Constant memory: nothing is
+    held but the merge heads.
     """
     deployment = 0.0 if cfg.scheme == SchemeName.DCTCP else cfg.deployment
     plan = DeploymentPlan(clos.racks(), deployment, rng.stream("deployment"))
@@ -166,7 +167,7 @@ def flow_specs(cfg: ExperimentConfig, clos: FabricHandle,
     new_scheme = cfg.scheme.value
 
     def label(t: TrafficSpec) -> FlowSpec:
-        group = plan.flow_group(t.src, t.dst)
+        group = "legacy" if t.legacy else plan.flow_group(t.src, t.dst)
         return FlowSpec(t.flow_id, t.src, t.dst, t.size_bytes, t.start_ns,
                         scheme=new_scheme if group == "new" else "dctcp",
                         group=group, role=t.role)

@@ -6,8 +6,8 @@ Every deployment scheme in §6.2 is a pair of decisions:
    exist, their priorities/weights, credit rate limits, ECN and selective-
    dropping thresholds, and the DSCP -> queue classifier.
 2. **Which transport a "new" flow uses** (``launch``): legacy flows are
-   always DCTCP; upgraded flows are ExpressPass (naïve/oWF), Layering, or
-   FlexPass (and its §4.3 variants).
+   always DCTCP; upgraded flows are ExpressPass (naïve, oWF, or behind
+   FlexPass's switch), Layering, FlexPass (and its §4.3 variants), or Homa.
 
 :class:`SchemeSetup` bundles both so topology builders and traffic
 generators stay scheme-agnostic.
@@ -184,7 +184,7 @@ def owf_queue_factory(qs: QueueSettings, fraction: float):
     return factory
 
 
-def homa_shared_queue_factory(ecn_kb: int = 100):
+def homa_shared_queue_factory():
     """Figure 1(b) configuration: grants in a small strict-priority queue,
     Homa data and DCTCP sharing one ECN FIFO (no coexistence measures).
 
@@ -198,7 +198,7 @@ def homa_shared_queue_factory(ecn_kb: int = 100):
     def factory(name: str, rate_bps: int, is_host_nic: bool):
         grant_q = PacketQueue(QueueConfig(name="grants", capacity_bytes=10 * KB))
         data_q = PacketQueue(
-            QueueConfig(name="shared", ecn_threshold_bytes=ecn_kb * KB)
+            QueueConfig(name="shared", ecn_threshold_bytes=100 * KB)
         )
         schedules = [
             QueueSchedule(grant_q, priority=0, weight=1.0),
@@ -271,11 +271,11 @@ def dctcp_launcher():
     return launch
 
 
-def expresspass_launcher(cfg: ExperimentConfig, credit_fraction: float,
-                         shared_queue: bool):
+def expresspass_launcher(cfg: ExperimentConfig, credit_fraction: float):
     """ExpressPass endpoints credit-limited to ``credit_fraction`` of the
-    line rate; ``shared_queue`` remaps data/control DSCPs for configs where
-    new-transport traffic shares the legacy data queue."""
+    line rate. Data goes out as PROACTIVE_DATA and control as
+    FLEX_CONTROL; each queue factory's classifier decides which queue
+    that is."""
     rate = cfg.reference_rate_bps
 
     def launch(sim, spec, stats, on_complete):
@@ -283,14 +283,6 @@ def expresspass_launcher(cfg: ExperimentConfig, credit_fraction: float,
             max_credit_rate_bps=rate * credit_fraction * CREDIT_PER_DATA,
             update_period_ns=cfg.update_period_ns,
         )
-        if shared_queue:
-            # naïve scheme: data and control share the legacy queue's DSCP
-            params = replace(
-                params,
-                data_dscp=Dscp.PROACTIVE_DATA,  # classifier sends it to Q1 anyway
-                ack_dscp=Dscp.FLEX_CONTROL,
-                ctrl_dscp=Dscp.FLEX_CONTROL,
-            )
         ExpressPassReceiver(sim, spec, stats, params, on_complete=on_complete)
         return ExpressPassSender(sim, spec, stats, params)
 
@@ -365,15 +357,21 @@ def make_scheme_setup(cfg: ExperimentConfig) -> SchemeSetup:
     if scheme == SchemeName.NAIVE:
         return SchemeSetup(
             scheme, naive_queue_factory(qs),
-            expresspass_launcher(cfg, credit_fraction=1.0, shared_queue=True),
+            expresspass_launcher(cfg, credit_fraction=1.0),
             legacy,
+        )
+    if scheme == SchemeName.EXPRESSPASS:
+        # one switch configuration for every transport, as on the testbed
+        return SchemeSetup(
+            scheme, flexpass_queue_factory(qs),
+            expresspass_launcher(cfg, credit_fraction=qs.wq), legacy,
         )
     if scheme == SchemeName.OWF:
         # the oracle knows the true fraction of new-transport traffic
         fraction = max(cfg.deployment ** 2, 0.02)  # both endpoints upgraded
         return SchemeSetup(
             scheme, owf_queue_factory(qs, fraction),
-            expresspass_launcher(cfg, credit_fraction=fraction, shared_queue=False),
+            expresspass_launcher(cfg, credit_fraction=fraction),
             legacy,
         )
     if scheme == SchemeName.LAYERING:

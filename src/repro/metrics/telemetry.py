@@ -298,18 +298,16 @@ class _Probe:
 
 
 class _MapProbe:
-    """A dynamic probe family: ``fn() -> {label: value}``; series appear as
-    labels do (e.g. one goodput series per scheme seen in the run)."""
+    """A dynamic probe family: ``fn() -> {name: value}``; series appear as
+    names do (e.g. one goodput series per scheme seen in the run)."""
 
-    __slots__ = ("kind", "fn", "suffix", "scale", "last", "max_series",
+    __slots__ = ("kind", "fn", "scale", "last", "max_series",
                  "dropped_series")
 
     def __init__(self, kind: str, fn: Callable[[], Dict[str, float]],
-                 suffix: str, scale: float,
-                 max_series: Optional[int]) -> None:
+                 scale: float, max_series: Optional[int]) -> None:
         self.kind = kind
         self.fn = fn
-        self.suffix = suffix
         self.scale = scale
         self.last: Dict[str, float] = {}
         self.max_series = max_series
@@ -378,18 +376,17 @@ class TelemetrySampler:
         self._add_probe(_Probe(name, COUNTER, fn, [0.0], scale))
 
     def add_gauge_map(self, fn: Callable[[], Dict[str, float]],
-                      suffix: str = "",
                       max_series: Optional[int] = None) -> None:
-        """Gauge family: ``fn()`` returns ``{label: value}``; each label
-        becomes series ``label + suffix`` on first sight."""
-        self._maps.append(_MapProbe(GAUGE, fn, suffix, 1.0, max_series))
+        """Gauge family: ``fn()`` returns ``{name: value}``; each name
+        becomes a series on first sight."""
+        self._maps.append(_MapProbe(GAUGE, fn, 1.0, max_series))
 
     def add_counter_map(self, fn: Callable[[], Dict[str, float]],
-                        suffix: str = "", scale: float = 1.0,
+                        scale: float = 1.0,
                         max_series: Optional[int] = None) -> None:
-        """Counter family: per-label cumulative values, stored as scaled
-        per-tick deltas (labels start from an implicit 0 baseline)."""
-        self._maps.append(_MapProbe(COUNTER, fn, suffix, scale, max_series))
+        """Counter family: per-name cumulative values, stored as scaled
+        per-tick deltas (names start from an implicit 0 baseline)."""
+        self._maps.append(_MapProbe(COUNTER, fn, scale, max_series))
 
     # ------------------------------------------------------- watch helpers
 
@@ -441,23 +438,31 @@ class TelemetrySampler:
         ``flows_fn`` returns the current ``(FlowSpec, FlowStats)`` pairs —
         typically the runner's live-flow table. ``mode`` aggregates by
         scheme label, per flow (bounded by ``max_series``), or not at all
-        ("none": only the credit-rate gauges, if enabled).
+        ("none": only the credit-rate gauges, if enabled). Per scheme,
+        ``.proactive_bps`` + ``.reactive_bps`` split ``.goodput_bps``.
         """
         if mode not in ("scheme", "flow", "none"):
             raise ValueError(f"unknown flows mode {mode!r}")
         bps = 8e9 / self.interval_ns
 
-        if mode != "none":
+        if mode == "flow":
             def goodput() -> Dict[str, float]:
-                out: Dict[str, float] = {}
+                return {f"flow.{spec.flow_id}.goodput_bps":
+                        stats.delivered_bytes for spec, stats in flows_fn()}
+        elif mode == "scheme":
+            def goodput() -> Dict[str, float]:
+                sums: Dict[str, List[int]] = {}
                 for spec, stats in flows_fn():
-                    label = (f"scheme.{spec.scheme}" if mode == "scheme"
-                             else f"flow.{spec.flow_id}")
-                    out[label] = out.get(label, 0) + stats.delivered_bytes
-                return out
+                    acc = sums.setdefault(spec.scheme, [0, 0, 0])
+                    acc[0] += stats.delivered_bytes
+                    acc[1] += stats.proactive_bytes
+                    acc[2] += stats.reactive_bytes
+                return {f"scheme.{scheme}.{part}_bps": value
+                        for scheme, acc in sums.items() for part, value in
+                        zip(("goodput", "proactive", "reactive"), acc)}
 
-            self.add_counter_map(goodput, suffix=".goodput_bps", scale=bps,
-                                 max_series=max_series)
+        if mode != "none":
+            self.add_counter_map(goodput, scale=bps, max_series=max_series)
 
         if credit:
             def credit_rate() -> Dict[str, float]:
@@ -465,13 +470,13 @@ class TelemetrySampler:
                 for spec, stats in flows_fn():
                     if stats.completed or stats.credit_rate_bps <= 0:
                         continue
-                    label = (f"flow.{spec.flow_id}" if mode == "flow"
-                             else f"scheme.{spec.scheme}")
-                    out[label] = out.get(label, 0.0) + stats.credit_rate_bps
+                    name = (f"flow.{spec.flow_id}.credit_rate_bps"
+                            if mode == "flow"
+                            else f"scheme.{spec.scheme}.credit_rate_bps")
+                    out[name] = out.get(name, 0.0) + stats.credit_rate_bps
                 return out
 
-            self.add_gauge_map(credit_rate, suffix=".credit_rate_bps",
-                               max_series=max_series)
+            self.add_gauge_map(credit_rate, max_series=max_series)
 
     # ------------------------------------------------------------- running
 
@@ -505,8 +510,7 @@ class TelemetrySampler:
             append(now, value)
         for mp in self._maps:
             current = mp.fn()
-            for label, value in current.items():
-                name = label + mp.suffix
+            for name, value in current.items():
                 buf = bufs.get(name)
                 if buf is None:
                     if (mp.max_series is not None
@@ -515,11 +519,11 @@ class TelemetrySampler:
                         continue
                     buf = self._buffer(name, mp.kind)
                 if mp.kind == COUNTER:
-                    prev = mp.last.get(label, 0.0)
-                    mp.last[label] = value
+                    prev = mp.last.get(name, 0.0)
+                    mp.last[name] = value
                     value = (value - prev) * mp.scale
                 else:
-                    mp.last.setdefault(label, 0.0)
+                    mp.last.setdefault(name, 0.0)
                 buf.append(now, value)
 
     def freeze(self) -> TelemetrySeries:

@@ -3,7 +3,7 @@
 :func:`starvation_fraction` computes the paper's starvation metric — the
 fraction of time a transport's bandwidth sits below 20% of link capacity
 (Figure 9c). The series themselves come from telemetry: the figures bin
-goodput through :meth:`TelemetrySampler.add_counter_map`.
+goodput through the run's ``flows="scheme"`` goodput series.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.gen import (
     ArrivalProcess,
+    BulkSource,
     CoflowSource,
     GroupedPairs,
     IncastSource,
@@ -62,6 +63,7 @@ __all__ = [
     "OpenLoopSource",
     "IncastSource",
     "CoflowSource",
+    "BulkSource",
     "SourceConfig",
     "TrafficConfig",
     "StreamDigest",

@@ -19,7 +19,8 @@ Building blocks: size models live in
 (Poisson, heavy-tailed Pareto, ON/OFF-modulated), pair pickers (uniform,
 grouped-locality, full locality matrix), and the sources themselves
 (open-loop, synchronized incast, coflow/job scatter-gather with dependent
-children released on parent completion).
+children released on parent completion, and long-lived bulk flows between
+named hosts).
 
 Declarative configuration: :class:`TrafficConfig` (a frozen block of
 :class:`SourceConfig`\\ s, every field cache-canonicalizable) is
@@ -65,6 +66,7 @@ class TrafficSpec:
     ``children`` carries dependent flows (coflow/job replies): each child's
     ``start_ns`` is a *relative* offset in nanoseconds after the parent
     completes; the runner releases them through the flow-finish callback.
+    A ``legacy`` flow runs DCTCP whatever the deployment.
     """
 
     flow_id: int
@@ -74,6 +76,7 @@ class TrafficSpec:
     start_ns: int
     role: str = "bg"
     children: Tuple["TrafficSpec", ...] = ()
+    legacy: bool = False
 
 
 @dataclass(frozen=True)
@@ -567,6 +570,33 @@ class CoflowSource(TrafficSource):
                 f"req={self.request_bytes}B replies={self.sizes.describe()}")
 
 
+class BulkSource(TrafficSource):
+    """Long-lived bulk flows, all present from t = 0 (the testbed figures).
+
+    ``hosts[0]`` receives. In each of ``flows_per_sender`` rounds every
+    sender in ``hosts[1:]`` starts one ``size_bytes`` flow, in host order.
+    Nothing is drawn from the RNG stream.
+    """
+
+    def __init__(self, name: str, hosts: Sequence["Host"], size_bytes: int,
+                 flows_per_sender: int, role: str = "bg",
+                 legacy: bool = False, first_flow_id: int = 1) -> None:
+        self.name = name
+        self.hosts = list(hosts)
+        self.size_bytes = size_bytes
+        self.flows_per_sender = flows_per_sender
+        self.role = role
+        self.legacy = legacy
+        self.first_flow_id = first_flow_id
+
+    def flows(self, rng: np.random.Generator) -> Iterator[TrafficSpec]:
+        receiver, senders = self.hosts[0], self.hosts[1:]
+        for i in range(self.flows_per_sender * len(senders)):
+            yield TrafficSpec(self.first_flow_id + i, senders[i % len(senders)],
+                              receiver, self.size_bytes, 0, role=self.role,
+                              legacy=self.legacy)
+
+
 # ------------------------------------------------------------ composition
 
 
@@ -641,7 +671,7 @@ class SourceConfig:
     """
 
     name: str = "bg"
-    #: ``open`` (unicast open-loop), ``incast``, or ``coflow``
+    #: ``open`` (unicast open-loop), ``incast``, ``coflow``, or ``bulk``
     kind: str = "open"
     sizes: str = "empirical"
     arrivals: str = "poisson"
@@ -649,14 +679,18 @@ class SourceConfig:
     #: this source's share of the experiment's offered load
     load_share: float = 1.0
     role: str = "bg"
-    #: incast / coflow request size (unscaled, like foreground incast)
+    #: incast / coflow request size, bulk flow size (all unscaled)
     request_bytes: int = 8_000
-    #: incast: flows each sender contributes per event
+    #: incast: flows each sender contributes per event; bulk: rounds
     flows_per_sender: int = 4
     #: coflow: workers per job
     fanout: int = 4
     #: coflow: service delay between request completion and reply release
     think_ns: int = 0
+    #: bulk: host names, the receiver first and then the senders
+    hosts: Tuple[str, ...] = ()
+    #: bulk: the flows run DCTCP whatever the deployment
+    legacy: bool = False
 
 
 @dataclass(frozen=True)
@@ -846,6 +880,9 @@ def build_sources(traffic: TrafficConfig, hosts: Sequence["Host"],
             raise ValueError(
                 f"source {sc.name!r}: load_share must be positive, got "
                 f"{sc.load_share}")
+        if sc.kind != "bulk" and (sc.hosts or sc.legacy):
+            raise ValueError(f"source {sc.name!r}: hosts and legacy apply "
+                             f"to bulk sources only")
         first_id = i * SOURCE_ID_STRIDE + 1
         offered_bytes_per_ns = (sc.load_share * load * len(hosts)
                                 * rate_bps / 8.0 / 1e9)
@@ -869,6 +906,11 @@ def build_sources(traffic: TrafficConfig, hosts: Sequence["Host"],
                 sc.name, hosts, sc.request_bytes, sc.flows_per_sender,
                 parse_arrivals(sc.arrivals, rate), sim_time_ns,
                 role=sc.role or "fg", first_flow_id=first_id))
+        elif sc.kind == "bulk":
+            sources.append(BulkSource(
+                sc.name, _bulk_hosts(sc, hosts), sc.request_bytes,
+                sc.flows_per_sender, role=sc.role, legacy=sc.legacy,
+                first_flow_id=first_id))
         elif sc.kind == "coflow":
             probe = CoflowSource(
                 sc.name, hosts, sizes,
@@ -882,5 +924,22 @@ def build_sources(traffic: TrafficConfig, hosts: Sequence["Host"],
         else:
             raise ValueError(
                 f"source {sc.name!r}: unknown kind {sc.kind!r}; choose "
-                f"open, incast, or coflow")
+                f"open, incast, coflow, or bulk")
     return sources
+
+
+def _bulk_hosts(sc: SourceConfig, hosts: Sequence["Host"]) -> List["Host"]:
+    """Check a bulk source and resolve its host names against the fabric."""
+    if len(sc.hosts) < 2:
+        raise ValueError(
+            f"source {sc.name!r}: bulk needs a receiver and at least one "
+            f"sender in hosts, got {sc.hosts!r}")
+    if sc.request_bytes < 1 or sc.flows_per_sender < 1:
+        raise ValueError(
+            f"source {sc.name!r}: bulk needs request_bytes >= 1 and "
+            f"flows_per_sender >= 1")
+    by_name = {h.name: h for h in hosts}
+    for name in sc.hosts:
+        if name not in by_name:
+            raise ValueError(f"source {sc.name!r}: unknown host {name!r}")
+    return [by_name[name] for name in sc.hosts]

@@ -165,18 +165,18 @@ class TestSampler:
         sampler = TelemetrySampler(sim, interval_ns=100, until_ns=300)
 
         def fn():
-            out = {"a": float(state["a"])}
+            out = {"a.rate": float(state["a"])}
             if sim.now >= 200:
-                out["b"] = 7.0
+                out["b.rate"] = 7.0
             return out
 
-        sampler.add_counter_map(fn, suffix=".rate", scale=2.0)
+        sampler.add_counter_map(fn, scale=2.0)
         sampler.start()
         sim.at(150, lambda: state.update(a=3))
         sim.run()
         series = sampler.freeze()
         assert series.values("a.rate") == [0.0, 6.0, 0.0]
-        # label "b" starts from an implicit 0 baseline when it appears
+        # series "b.rate" starts from an implicit 0 baseline when it appears
         assert series.times("b.rate") == [200, 300]
         assert series.values("b.rate") == [14.0, 0.0]
 
@@ -394,3 +394,32 @@ class TestExperimentIntegration:
         cached = run_many([cfg], processes=2, cache=str(tmp_path / "r.db"))
         assert cached[0].telemetry == fresh[0].telemetry
         assert cached[0].records == fresh[0].records
+
+    def test_subflow_series_sum_to_goodput(self):
+        """Per scheme, the proactive and reactive series split the goodput
+        series bin by bin (Figure 7 reads the split)."""
+        from repro.net import dumbbell_to_topology_spec
+        from repro.workloads import SourceConfig, TrafficConfig
+
+        cfg = ExperimentConfig(
+            scheme=SchemeName.FLEXPASS, sim_time_ns=3 * MILLIS,
+            topology_spec=dumbbell_to_topology_spec(DumbbellSpec(n_pairs=2)),
+            traffic=TrafficConfig(sources=(
+                SourceConfig(name="fp", kind="bulk", hosts=("r0", "s0"),
+                             request_bytes=10_000_000, flows_per_sender=1),
+                SourceConfig(name="dc", kind="bulk", hosts=("r1", "s1"),
+                             request_bytes=10_000_000, flows_per_sender=1,
+                             legacy=True))),
+            telemetry=TelemetryConfig(ports="none", links=False, pool=False,
+                                      credit=False))
+        series = run_experiment(cfg).telemetry
+        for scheme in ("flexpass", "dctcp"):
+            total = series.values(f"scheme.{scheme}.goodput_bps")
+            proactive = series.values(f"scheme.{scheme}.proactive_bps")
+            reactive = series.values(f"scheme.{scheme}.reactive_bps")
+            assert len(total) == len(proactive) == len(reactive) == 30
+            for t, p, r in zip(total, proactive, reactive):
+                assert p + r == pytest.approx(t, rel=1e-12, abs=1e-6)
+        assert sum(series.values("scheme.flexpass.proactive_bps")) > 0
+        assert sum(series.values("scheme.flexpass.reactive_bps")) > 0
+        assert sum(series.values("scheme.dctcp.proactive_bps")) == 0

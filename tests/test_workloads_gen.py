@@ -559,3 +559,78 @@ class TestIncastSourceValidation:
                          flows_per_sender=0,
                          arrivals=PoissonArrivals(0.001),
                          sim_time_ns=MILLIS)
+
+
+class TestBulkSource:
+    """``kind="bulk"``: the testbed figures' long-lived flows."""
+
+    def _dumbbell_cfg(self, *sources, **overrides):
+        from repro.experiments.config import ExperimentConfig, SchemeName
+        from repro.net import DumbbellSpec, dumbbell_to_topology_spec
+
+        params = dict(
+            scheme=SchemeName.FLEXPASS, deployment=1.0, sim_time_ns=MILLIS,
+            topology_spec=dumbbell_to_topology_spec(DumbbellSpec(n_pairs=2)),
+            traffic=TrafficConfig(sources=sources))
+        params.update(overrides)
+        return ExperimentConfig(**params)
+
+    def _labelled(self, cfg):
+        from repro.experiments.runner import flow_specs
+        from repro.experiments.scenarios import (build_topology,
+                                                 make_scheme_setup)
+        from repro.sim.engine import Simulator
+
+        queues = make_scheme_setup(cfg).queue_factory
+        fabric = build_topology(Simulator(), queues, cfg)
+        return [spec for spec, _ in
+                flow_specs(cfg, fabric, RngRegistry(cfg.seed))]
+
+    def test_round_robin_from_time_zero(self):
+        cfg = self._dumbbell_cfg(SourceConfig(
+            name="b", kind="bulk", hosts=("r0", "s0", "s1"),
+            request_bytes=5 * KB, flows_per_sender=3))
+        specs = self._labelled(cfg)
+        assert [s.flow_id for s in specs] == [1, 2, 3, 4, 5, 6]
+        assert [s.src.name for s in specs] == ["s0", "s1"] * 3
+        assert {s.dst.name for s in specs} == {"r0"}
+        assert {s.start_ns for s in specs} == {0}
+        assert {s.size_bytes for s in specs} == {5 * KB}
+
+    def test_legacy_source_runs_dctcp_at_full_deployment(self):
+        cfg = self._dumbbell_cfg(
+            SourceConfig(name="new", kind="bulk", hosts=("r0", "s0"),
+                         request_bytes=KB, flows_per_sender=1),
+            SourceConfig(name="old", kind="bulk", hosts=("r1", "s1"),
+                         request_bytes=KB, flows_per_sender=1, legacy=True))
+        specs = self._labelled(cfg)
+        assert [(s.flow_id, s.group, s.scheme) for s in specs] == [
+            (1, "new", "flexpass"),
+            (SOURCE_ID_STRIDE + 1, "legacy", "dctcp")]
+
+    def test_draws_nothing_from_its_stream(self):
+        from repro.workloads.gen import BulkSource
+
+        rng = RngRegistry(3).stream("traffic.b")
+        before = rng.bit_generator.state
+        flows = list(BulkSource("b", stub_hosts(4), KB, 2).flows(rng))
+        assert len(flows) == 6
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("hosts,match", [
+        (("r0", "s9"), "source 'b': unknown host 's9'"),
+        (("r0",), "source 'b': bulk needs a receiver and at least one sender"),
+    ])
+    def test_bad_hosts_fail_before_the_run(self, hosts, match):
+        cfg = self._dumbbell_cfg(SourceConfig(
+            name="b", kind="bulk", hosts=hosts, request_bytes=KB))
+        with pytest.raises(ValueError, match=match):
+            run_experiment(cfg)
+
+    def test_hosts_and_legacy_are_bulk_only(self):
+        for bad in (SourceConfig(hosts=("h0", "h1")),
+                    SourceConfig(legacy=True)):
+            with pytest.raises(ValueError, match="bulk sources only"):
+                build_sources(TrafficConfig(sources=(bad,)), stub_hosts(4),
+                              stub_groups(4, 2), load=0.5, rate_bps=10 * GBPS,
+                              sim_time_ns=MILLIS, size_scale=1.0)
