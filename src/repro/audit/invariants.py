@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.audit.config import AuditConfig
 from repro.audit.digest import DigestRecorder, EventDigest, install_digest_taps
 from repro.core.segments import SegmentState
+from repro.metrics.tracing import TracedLink
 from repro.net.link import Link
 from repro.net.packet import Packet, packet_pool
 
@@ -213,24 +214,16 @@ class InvariantAuditor:
             if name in _LINK_EVENT_NAMES:
                 key = id(owner)
                 link_inflight[key] = link_inflight.get(key, 0) + 1
-            elif name == "_tx_done":
-                # Monitored ports hold the packet between transmit start
-                # (dequeue) and serialization end (link.carry).
-                link = getattr(owner, "link", None)
-                if link is not None:
-                    key = id(link)
-                    link_inflight[key] = link_inflight.get(key, 0) + 1
         return link_inflight, pooled
 
     def _check_links(self, link_inflight: Dict[int, int]) -> None:
         """Per-port packet conservation: dequeued = delivered + in-flight.
 
-        ``Link.carry`` counts delivery when the packet enters the wire (its
-        pending ``dst.receive`` event is already "delivered"), while
-        ``carry_after``/FaultyLink count at arrival — the heap scan only
-        tallies the latter, so the identity holds on both paths. Spliced
-        links may share one FaultCounters, so fault drops reconcile as one
-        global identity across all wrapped links.
+        Links count a delivery at arrival, so a packet between dequeue and
+        arrival is one pending delivery event of its link (the heap scan
+        tallies those). A traced link is read through to the link it wraps.
+        Spliced links may share one FaultCounters, so fault drops reconcile
+        as one global identity across all wrapped links.
         """
         wrapped_deq = wrapped_delivered = wrapped_inflight = 0
         wrapped_retained = 0
@@ -238,6 +231,8 @@ class InvariantAuditor:
         any_wrapped = False
         for port in self.topo.all_ports():
             link = port.link
+            if type(link) is TracedLink:
+                link = link.link
             dequeued = sum(q.stats.dequeued for q in port._queues)
             inflight = link_inflight.get(id(link), 0)
             if type(link) is Link:

@@ -11,7 +11,7 @@ path everything time-resolved goes through:
   counters the simulator already maintains (queue byte counts, drop/mark
   stats, link delivery counters, per-flow goodput), so the packet hot path
   gains zero work and the coalesced-TX / cut-through fast paths stay
-  enabled — unlike a ``port.monitors`` tap, which forces the slow path.
+  enabled.
 * :class:`RingBuffer` — bounded storage per series; a sampler left running
   for a long simulation overwrites its oldest samples instead of growing.
 * :class:`TelemetrySeries` — the frozen, picklable result: packed typed
@@ -319,9 +319,9 @@ class TelemetrySampler:
 
     Attach probes (directly or via the ``watch_*`` helpers), call
     :meth:`start`, run the simulation, then :meth:`freeze` the recorded
-    series. The sampler never touches ``port.monitors`` and installs no
-    per-packet hooks: each tick is a handful of attribute reads, so the
-    telemetry-on cost is proportional to probes x ticks, not packets (the
+    series. The sampler installs no per-packet hooks: each tick is a
+    handful of attribute reads, so the telemetry-on cost is proportional to
+    probes x ticks, not packets (the
     ``telemetry_overhead`` benchmark gates it below 5% on the forwarding
     bench).
     """

@@ -1,10 +1,18 @@
 """Packet tracing: per-flow event timelines for debugging and analysis.
 
-A :class:`PacketTracer` taps egress-port transmit completions across a set
-of nodes and records (time, port, kind, sub-flow, seq) tuples for chosen
-flows — the moral equivalent of ns-2's trace files, scoped to keep memory
-bounded. Useful for post-mortems ("where did segment 17's retransmission
-travel?") and for the timeline assertions in tests.
+A :class:`PacketTracer` records, for chosen flows, every packet the egress
+ports of a set of nodes put on the wire — (serialization-end time, port,
+kind, sub-flow, seq) tuples, the moral equivalent of ns-2's trace files,
+scoped to keep memory bounded. Useful for post-mortems ("where did segment
+17's retransmission travel?") and for the timeline assertions in tests.
+
+Tracing changes nothing about a run. Each watched port's link is wrapped in
+a :class:`TracedLink` (the pattern of :func:`repro.faults.link.splice`):
+the port hands it every packet at transmit start with the packet's
+serialization delay, the proxy records the exact serialization-end instant
+``now + extra_ns`` and forwards the call untouched. No event is scheduled,
+no port fast path is turned off, and FCTs, counters and audit digests are
+those of the untraced run.
 """
 
 from __future__ import annotations
@@ -37,14 +45,41 @@ class TraceEvent:
                 f"seq={self.seq} fseq={self.flow_seq}{mark}")
 
 
-class PacketTracer:
-    """Records every transmit completion of the watched flows.
+class TracedLink:
+    """A port's link with a recorder in front of it.
 
-    Installing a tracer forces every watched port onto its exact-tx-end
-    slow path, and a hook left behind would observe recycled pooled packets
-    whose fields belong to a *different* flow by the time it fires. Always
-    :meth:`close` the tracer when done with it — or use it as a context
-    manager, which uninstalls the hooks on exit:
+    ``carry_after(extra_ns, pkt)`` — the one call a port makes, at transmit
+    start — is recorded and forwarded; every other attribute, read or
+    written, is the wrapped link's.
+    """
+
+    __slots__ = ("link", "record")
+
+    def __init__(self, link, record) -> None:
+        object.__setattr__(self, "link", link)
+        #: called with (serialization-end instant, packet)
+        object.__setattr__(self, "record", record)
+
+    def carry_after(self, extra_ns: int, pkt: Packet) -> None:
+        link = self.link
+        self.record(link.sim.now + extra_ns, pkt)
+        link.carry_after(extra_ns, pkt)
+
+    def __getattr__(self, name):
+        return getattr(self.link, name)
+
+    def __setattr__(self, name, value) -> None:
+        setattr(self.link, name, value)
+
+
+class PacketTracer:
+    """Records every packet of the watched flows the watched ports send.
+
+    Events are in the order ports committed packets to the wire, each
+    stamped with its serialization end; one port's events are in time
+    order, and a packet's hops are in path order. Always :meth:`close` the
+    tracer when done with it, which gives every port back its own link — or
+    use it as a context manager, which does so on exit:
 
     >>> with PacketTracer(topo.nodes()) as tracer:
     ...     sim.run(until=horizon)
@@ -60,21 +95,21 @@ class PacketTracer:
         self.max_events = max_events
         self.events: List[TraceEvent] = []
         self.overflowed = False
-        self._hooks = []  # (port, hook) pairs, for uninstall
+        self._traced = []  # (port, TracedLink) pairs, for uninstall
         for node in nodes:
             for port in node.ports.values():
-                hook = self._make_hook(port.name)
-                port.monitors.append(hook)
-                self._hooks.append((port, hook))
+                traced = TracedLink(port.link, self._make_hook(port.name))
+                port.link = traced
+                self._traced.append((port, traced))
 
     def close(self) -> None:
-        """Uninstall every port hook. Idempotent; recorded events stay."""
-        for port, hook in self._hooks:
-            try:
-                port.monitors.remove(hook)
-            except ValueError:  # someone else already cleared the monitors
-                pass
-        self._hooks.clear()
+        """Give every port back the link it had. Idempotent; recorded
+        events stay. A port whose link was replaced since (a fault
+        splice wraps the traced link) is left as it is."""
+        for port, traced in self._traced:
+            if port.link is traced:
+                port.link = traced.link
+        self._traced.clear()
 
     def __enter__(self) -> "PacketTracer":
         return self
@@ -83,14 +118,14 @@ class PacketTracer:
         self.close()
 
     def _make_hook(self, port_name: str):
-        def hook(now_ns: int, pkt: Packet) -> None:
+        def hook(tx_end_ns: int, pkt: Packet) -> None:
             if self.flow_ids is not None and pkt.flow_id not in self.flow_ids:
                 return
             if len(self.events) >= self.max_events:
                 self.overflowed = True
                 return
             self.events.append(TraceEvent(
-                now_ns, port_name, PacketKind(pkt.kind).name,
+                tx_end_ns, port_name, PacketKind(pkt.kind).name,
                 pkt.flow_id, pkt.subflow, pkt.seq, pkt.flow_seq,
                 pkt.size, pkt.ce,
             ))

@@ -144,9 +144,6 @@ class TopologySpec:
 
     # ----------------------------------------------------------- queries
 
-    def node_names(self) -> Tuple[str, ...]:
-        return tuple(n.name for n in self.nodes)
-
     def hosts(self) -> Tuple[NodeSpec, ...]:
         return tuple(n for n in self.nodes if n.kind == "host")
 

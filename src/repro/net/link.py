@@ -24,19 +24,12 @@ class Link:
         self.packets_delivered = 0
         self.bytes_delivered = 0
 
-    def carry(self, pkt: "Packet") -> None:
-        """Propagate a fully-serialized packet to the far end."""
-        self.packets_delivered += 1
-        self.bytes_delivered += pkt.size
-        self.sim.post(self.delay_ns, self.dst.receive, pkt)
-
     def carry_after(self, extra_ns: int, pkt: "Packet") -> None:
         """Propagate ``pkt``, which finishes serializing ``extra_ns`` from now.
 
-        This is the coalesced fast path: the egress port calls it at
-        *transmit start*, folding serialization and propagation into one
-        scheduled event (arrival at ``now + extra_ns + delay_ns``) instead of
-        the serialize-then-propagate pair. :class:`repro.faults.link.FaultyLink`
+        The egress port calls it at *transmit start*, folding serialization
+        and propagation into one scheduled event (arrival at ``now +
+        extra_ns + delay_ns``). :class:`repro.faults.link.FaultyLink`
         overrides it to keep making its loss decisions at serialization end.
         """
         self.sim.post(extra_ns + self.delay_ns, self._deliver, pkt)

@@ -15,7 +15,6 @@ overhead including inter-frame gap), and credits/ACKs are minimum-size
 from __future__ import annotations
 
 import enum
-import os
 from typing import List, Optional, Tuple
 
 #: Maximum segment size — application payload bytes per data packet.
@@ -187,10 +186,10 @@ class PacketPool:
       drop/deliver sites can release unconditionally and hand-built test
       packets stay untouched.
 
-    In debug mode (``debug=True``, or ``REPRO_PACKET_POOL_DEBUG=1`` for the
-    default pool) released packets are *poisoned*: every header field is
-    stamped with an absurd sentinel so any use-after-release surfaces as a
-    loud nonsense value, and releasing the same packet twice raises.
+    In debug mode (``PacketPool(debug=True)``) released packets are
+    *poisoned*: every header field is stamped with an absurd sentinel so
+    any use-after-release surfaces as a loud nonsense value, and releasing
+    the same packet twice raises.
     """
 
     __slots__ = ("max_size", "debug", "_free", "acquired", "released",
@@ -308,9 +307,7 @@ class PacketPool:
 
 #: Process-wide default pool. Each worker process of a sweep gets its own
 #: copy (module state does not cross ``multiprocessing`` boundaries).
-_DEFAULT_POOL = PacketPool(
-    debug=bool(os.environ.get("REPRO_PACKET_POOL_DEBUG"))
-)
+_DEFAULT_POOL = PacketPool()
 
 
 def packet_pool() -> PacketPool:

@@ -18,14 +18,15 @@ queued" is read off the queues' deques.
 
 Transmissions are *coalesced*: at transmit start the port schedules the
 packet's arrival at the far end as one event (``link.carry_after``) and posts
-a wire-free event — ``_serve`` itself — only when something will need the
-wire at that instant (backlog remains, or a monitor wants the exact
-serialization-end callback). Wire occupancy is a timestamp, ``_free_at``.
-Two shortcuts sit on that path, each explained where it is taken:
-*cut-through* in ``enqueue`` (idle wire, drained port, unpaced queue, no
-monitors) and *burst dequeue* in ``_serve`` (no pacer on any queue, no
-monitors). A wake armed for a token-starved paced queue is cancelled by every
-enqueue and armed afresh, never kept (see ``enqueue``).
+a wire-free event — ``_serve`` itself — only when backlog remains to need
+the wire at that instant. Wire occupancy is a timestamp, ``_free_at``. Two
+shortcuts sit on that path, each explained where it is taken:
+*cut-through* in ``enqueue`` (idle wire, drained port, unpaced queue) and
+*burst dequeue* in ``_serve`` (no pacer on any queue). A wake armed for a
+token-starved paced queue is cancelled by every enqueue and armed afresh,
+never kept (see ``enqueue``). ``carry_after`` is the port's only call into
+its link, so whatever observes or perturbs the wire (a fault splice, a
+packet tracer) wraps ``port.link`` and leaves this path alone.
 
 Shared-buffer bytes are released when the packet leaves its queue (transmit
 start): the buffer tracks *queued* bytes, the serializer slot is free
@@ -34,7 +35,7 @@ start): the buffer tracks *queued* bytes, the serializer slot is free
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.link import Link
 from repro.net.packet import Color, Packet
@@ -46,15 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _RED = int(Color.RED)
 
-#: Called with (now_ns, packet) when a packet finishes serializing.
-TxMonitor = Callable[[int, Packet], None]
-
 
 class EgressPort:
     """An output port: classifier + queues + scheduler + serializer."""
 
     __slots__ = ("sim", "name", "rate_bps", "buffer", "scheduler", "_queues",
-                 "classifier", "link", "monitors", "_wake_handle",
+                 "classifier", "link", "_wake_handle",
                  "_serve_pending", "_free_at", "_tx_cache", "_sched_next",
                  "_fifos", "_q_unpaced", "_ct_rr", "_rr_pos", "_batch_ok")
 
@@ -83,7 +81,6 @@ class EgressPort:
         self._queues = self.scheduler.queues
         self.classifier = classifier
         self.link = link
-        self.monitors: List[TxMonitor] = []
         self._wake_handle: Optional["EventHandle"] = None
         #: a ``_serve`` event is queued (wire busy + work waiting)
         self._serve_pending = False
@@ -163,17 +160,17 @@ class EgressPort:
                 st.max_red_bytes = red_bytes
         now = self.sim._now
         if (not self._serve_pending and now >= self._free_at
-                and self._q_unpaced[qidx] and not self.monitors):
+                and self._q_unpaced[qidx]):
             for fifo in self._fifos:
                 if fifo:
                     break
             else:
                 # Cut-through: idle wire, fully drained port, unpaced target
-                # queue, no exact tx-end observers — transmit right away
-                # without a FIFO round trip or a scheduler visit. The packet
-                # has zero residence time, so it is never charged to the
-                # buffer, and with every queue empty the scheduler could
-                # only have picked this packet anyway.
+                # queue — transmit right away without a FIFO round trip or
+                # a scheduler visit. The packet has zero residence time, so
+                # it is never charged to the buffer, and with every queue
+                # empty the scheduler could only have picked this packet
+                # anyway.
                 st.dequeued += 1
                 rr = self._ct_rr[qidx]
                 if rr is not None:
@@ -237,13 +234,6 @@ class EgressPort:
         buf.used -= size
         if buf.used < 0:
             raise RuntimeError("shared buffer accounting went negative")
-        if self.monitors:
-            # Exact serialization-end semantics for monitors: a dedicated
-            # tx-done event fires them at the moment the wire goes idle.
-            self._free_at = now + txt
-            self._serve_pending = True
-            sim.post(txt, self._tx_done, pkt)
-            return
         link = self.link
         link.carry_after(txt, pkt)
         if self._batch_ok:
@@ -254,8 +244,7 @@ class EgressPort:
             # downstream arrival instant — is identical to serving them one
             # at a time; only the dequeue bookkeeping moves earlier, to the
             # burst start. Valid only because this port has no pacers (the
-            # scheduler's pick sequence is time-independent) and no
-            # monitors (no exact per-packet tx-end observers).
+            # scheduler's pick sequence is time-independent).
             for _ in range(self.BURST - 1):
                 pkt, _ = sched_next(now)
                 if pkt is None:
@@ -277,13 +266,6 @@ class EgressPort:
                 break
         # else: coalesced fast path — no tx-done event; the next enqueue
         # (or nothing) decides what happens when the wire frees.
-
-    def _tx_done(self, pkt: Packet) -> None:
-        now = self.sim.now
-        for monitor in self.monitors:
-            monitor(now, pkt)
-        self.link.carry(pkt)
-        self._serve()
 
     # ------------------------------------------------------------- helpers
 

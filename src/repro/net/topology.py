@@ -108,9 +108,6 @@ class Topology:
         else:
             self._down_edges.add(key)
 
-    def edge_is_up(self, a: Node, b: Node) -> bool:
-        return edge_key(a.id, b.id) not in self._down_edges
-
     def recompute_routes(self) -> None:
         """Reinstall ECMP next-hops over the surviving (up) edges."""
         self._install_routes()
@@ -145,10 +142,6 @@ class Topology:
 
     def all_ports(self) -> List[EgressPort]:
         return [p for node in self.nodes.values() for p in node.ports.values()]
-
-    def host_pairs(self) -> List[Tuple[Host, Host]]:
-        """All ordered pairs of distinct hosts (for traffic generation)."""
-        return [(a, b) for a in self.hosts for b in self.hosts if a.id != b.id]
 
     # ------------------------------------------------------------ internals
 

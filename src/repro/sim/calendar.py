@@ -26,10 +26,12 @@ the next event is already the batch's tail, and a slot costs three attribute
 writes per dispatch and a compare per schedule to keep up (DESIGN.md §6h has
 the numbers).
 
-The ordering guarantees are those of a plain event heap, and are enforced by
-a differential property test against one (``tests/heap_oracle.py``, driven by
-``tests/test_sim_engine_calendar.py``) plus the audit subsystem's
-replay-digest matrix:
+The ordering guarantees are those of one event list kept sorted by
+``(time, seq)``, and are enforced by a differential property test against
+exactly that list (the reference engine of
+``tests/test_sim_engine_calendar.py``, itself held by the ``calendar-*``
+mutants of ``tests/mutants/``) plus the audit subsystem's replay-digest
+matrix:
 
 * events fire in nondecreasing time order;
 * events scheduled for the same instant fire in FIFO scheduling order
@@ -187,10 +189,6 @@ class CalendarSimulator:
         else:
             lst.append((-t, -seq, None, handle))
         return handle
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` at the current instant (after current event)."""
-        return self.at(self._now, fn, *args)
 
     def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule a *fire-and-forget* event after ``delay`` nanoseconds.

@@ -4,8 +4,8 @@
 one-tier calendar queue (see :mod:`repro.sim.calendar`). Every run uses it;
 construct ``Simulator()`` directly.
 
-It accepts cancellable events (``at``/``after``/``call_soon``, which return
-an :class:`EventHandle`), fire-and-forget ones (``post``/``post_at``, which
+It accepts cancellable events (``at``/``after``, which return an
+:class:`EventHandle`), fire-and-forget ones (``post``/``post_at``, which
 skip the handle allocation on the packet hot path) and periodic ones
 (``every``, a :class:`RepeatingEvent`), refuses to schedule into the past,
 and lists what it holds through ``iter_pending``. Cancellation is lazy: a

@@ -1,10 +1,10 @@
-"""Scheduled-event objects shared by both engine backends.
+"""Scheduled-event objects of the event engine.
 
 :class:`EventHandle` is the cancellable calendar entry returned by
 ``Simulator.at``/``after``; :class:`RepeatingEvent` is the periodic wrapper
-behind ``Simulator.every``. Both are engine-agnostic: they only touch the
-simulator through its public scheduling surface plus the ``_note_cancel``
-bookkeeping hook every backend implements.
+behind ``Simulator.every``. Both only touch the simulator through its
+public scheduling surface plus its ``_note_cancel`` bookkeeping hook, so
+the reference engine of the engine tests drives them too.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ class EventHandle:
         self.fn = None
         self.args = ()
         self._sim._note_cancel()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

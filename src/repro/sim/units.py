@@ -49,11 +49,3 @@ def rate_to_bytes_per_ns(rate_bps: int) -> float:
     return rate_bps / 8.0 / SECONDS
 
 
-def ns_to_ms(t_ns: int) -> float:
-    """Convert nanoseconds to (float) milliseconds, for reporting."""
-    return t_ns / MILLIS
-
-
-def ns_to_us(t_ns: int) -> float:
-    """Convert nanoseconds to (float) microseconds, for reporting."""
-    return t_ns / MICROS

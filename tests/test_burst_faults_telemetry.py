@@ -5,15 +5,16 @@ wire in one serve event, with each packet's arrival scheduled at its own
 cumulative serialization end. These tests pin down the three properties
 that make that safe to compose with the rest of the system:
 
-* wire timing is bit-identical to serving packets one at a time (the
-  monitored per-packet path is the oracle), just with fewer events;
+* wire timing is bit-identical to serving packets one at a time (a port
+  whose queue has a pacer that never binds serves one packet per event),
+  just with fewer events;
 * a :class:`~repro.faults.link.FaultyLink` spliced under a bursting port
   still makes its fault decision at each packet's serialization end, so a
   mid-burst ``fail()`` destroys exactly the frames a real cable cut would
   — committed-but-unserialized frames included;
 * a :class:`~repro.metrics.telemetry.TelemetrySampler` watching the port
-  never installs a ``port.monitors`` tap, so telemetry-on runs keep the
-  burst path (and observe the same timeline).
+  leaves the port and its link as they were, so telemetry-on runs keep
+  the burst path (and observe the same timeline).
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.net.link import Link
 from repro.net.packet import Dscp, Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.queues import PacketQueue, QueueConfig
+from repro.net.ratelimit import TokenBucket
 from repro.net.scheduler import QueueSchedule
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, tx_time_ns
@@ -45,13 +47,13 @@ class _Sink:
         self.arrivals.append((self.sim.now, pkt))
 
 
-def _mk_port(sim, delay_ns=1000):
+def _mk_port(sim, delay_ns=1000, pacer=None):
     sink = _Sink(sim)
     link = Link(sim, sink, delay_ns)
     q = PacketQueue(QueueConfig(name="data"))
     port = EgressPort(
         sim, "tx", RATE, UnlimitedBuffer(),
-        [QueueSchedule(q, priority=0, weight=1.0)],
+        [QueueSchedule(q, priority=0, weight=1.0, pacer=pacer)],
         {Dscp.LEGACY.value: 0}, link,
     )
     return port, sink
@@ -81,22 +83,23 @@ class TestBurstDequeue:
             (i + 1) * SER + 1000 for i in range(12)
         ]
 
-    def test_burst_path_saves_events_against_monitored_oracle(self):
-        """A no-op monitor forces the per-packet slow path; timings must
-        match the burst run exactly, while the burst run spends fewer
-        scheduled events."""
-        def drain(monitored):
+    def test_burst_path_matches_one_packet_serving(self):
+        """A pacer a hundred times the line rate never holds a packet back
+        but turns burst dequeue off, so that port serves one packet per
+        event; timings must match the burst run exactly, while the burst
+        run spends fewer scheduled events."""
+        def drain(paced):
             sim = Simulator()
-            port, sink = _mk_port(sim)
-            if monitored:
-                port.monitors.append(lambda now, pkt: None)
+            pacer = TokenBucket(100 * RATE, 12 * SIZE) if paced else None
+            port, sink = _mk_port(sim, pacer=pacer)
+            assert port._batch_ok != paced
             for p in _pkts(12):
                 port.enqueue(p)
             sim.run()
             return [t for t, _ in sink.arrivals], sim.events_run
 
-        slow_times, slow_events = drain(monitored=True)
-        fast_times, fast_events = drain(monitored=False)
+        slow_times, slow_events = drain(paced=True)
+        fast_times, fast_events = drain(paced=False)
         assert fast_times == slow_times
         assert fast_events < slow_events
 
@@ -175,10 +178,11 @@ class TestTelemetryOnBurstPort:
     def test_watchers_install_no_monitors_and_keep_burst_path(self):
         sim = Simulator()
         port, _ = _mk_port(sim)
+        link = port.link
         sampler = TelemetrySampler(sim, interval_ns=500, until_ns=20_000)
         sampler.watch_port(port)
         sampler.watch_link(port)
-        assert port.monitors == []
+        assert port.link is link
         assert port._batch_ok
 
     def test_sampler_accounts_burst_drained_bytes_without_timing_skew(self):

@@ -1,12 +1,16 @@
-"""Differential tests: the calendar engine against the heap-engine oracle.
+"""Differential tests: the calendar engine against a sorted-list reference.
 
-The engine and its heap reference (``tests/heap_oracle.py``) promise
-bit-identical scheduling semantics — same firing order
-(nondecreasing time, FIFO at equal instants via seq), same ``pending()``
-accounting, same ``peek_time()`` — so randomized scheduling programs are run
-on both and every observable is compared. The audit subsystem's golden
-digests cover the same contract end-to-end on real experiments; these tests
-cover it at the kernel surface, where shrinking a failure is cheap.
+The engine's contract is that of one list of events kept sorted by
+``(time, seq)``: events fire in nondecreasing time order, events at one
+instant fire in scheduling (seq) order, a cancelled event never fires and
+stops counting in ``pending()``, ``peek_time()`` is the time of the first
+live event, and ``run(until=T)`` dispatches exactly the events at or before
+``T``. :class:`ReferenceEngine` below is that list and nothing more;
+randomized scheduling programs run on both and every observable is
+compared. The audit subsystem's golden digests cover the same contract
+end-to-end on real experiments; these tests cover it at the kernel surface,
+where shrinking a failure is cheap. Every ``calendar-*`` mutant in
+``tests/mutants/`` must turn them red (``python tools/mutants.py``).
 
 The calendar is one tier (a sorted active batch fed from time buckets), so
 the programs also stop mid-run at ``run(until=...)`` horizons that fall
@@ -15,28 +19,91 @@ callback just past the clock (an earlier bucket than the one being
 drained), and resume. ``run`` also retunes the garbage collector for its
 own duration; the last class checks it always puts the thresholds back.
 
-Also home to the watchdog stalled-purge regression test (both engines): the
-wall-clock check must key on loop iterations, not executed events, or a
+Also home to the watchdog stalled-purge regression test: the wall-clock
+check must key on loop iterations, not executed events, or a
 cancel-dominated calendar purges forever without ever consulting the clock.
 """
 
 import gc
 import random
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.calendar import RUN_GC_GEN0, CalendarSimulator
-from tests.heap_oracle import HeapSimulator
+from repro.sim.events import EventHandle, RepeatingEvent
 
-ENGINES = [HeapSimulator, CalendarSimulator]
 #: exercise bucket-boundary behavior: one tiny-bucket and one huge-bucket
-#: calendar run alongside the default, against the same oracle
+#: calendar run alongside the default, against the same reference
 CALENDAR_VARIANTS = [
     CalendarSimulator,
     lambda: CalendarSimulator(bucket_bits=2),
     lambda: CalendarSimulator(bucket_bits=30),
 ]
+
+
+class ReferenceEngine:
+    """The engine contract as one list sorted by ``(time, seq)``."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.events_run = 0
+        self.aborted = False
+        self._seq = 0
+        self._events = []  # (time, seq, EventHandle), sorted
+
+    def at(self, time, fn, *args):
+        if time < self.now:
+            raise ValueError("scheduled in the past")
+        handle = EventHandle(time, self._seq, fn, args, self)
+        insort(self._events, (time, self._seq, handle))
+        self._seq += 1
+        return handle
+
+    def after(self, delay, fn, *args):
+        if delay < 0:
+            raise ValueError("negative delay")
+        return self.at(self.now + delay, fn, *args)
+
+    post, post_at = after, at
+
+    def every(self, period, fn, until=None):
+        return RepeatingEvent(self, period, fn, until)
+
+    def _note_cancel(self) -> None:
+        pass
+
+    def _live(self):
+        return [e for e in self._events if not e[2].cancelled]
+
+    def pending(self) -> int:
+        return len(self._live())
+
+    def peek_time(self):
+        live = self._live()
+        return live[0][0] if live else None
+
+    def run(self, until=None, max_events=None) -> int:
+        self.aborted = False
+        executed = 0
+        while self.peek_time() is not None:
+            time, seq, handle = self._live()[0]
+            if until is not None and time > until:
+                break
+            if max_events is not None and executed >= max_events:
+                self.aborted = True
+                break
+            self._events.remove((time, seq, handle))
+            self.now = time
+            fn, args = handle.fn, handle.args
+            handle.fn, handle.args = None, ()  # a fired event cannot cancel
+            fn(*args)
+            executed += 1
+        self.events_run += executed
+        if until is not None and self.now < until and not self.aborted:
+            self.now = until
+        return executed
 
 
 def _run_program(make_sim, seed: int, n_roots: int, horizons=()):
@@ -117,18 +184,18 @@ class TestDifferentialRandomPrograms:
     @given(seed=st.integers(0, 2**32 - 1), n_roots=st.integers(1, 25))
     @settings(max_examples=60, deadline=None)
     def test_full_drain_traces_identical(self, seed, n_roots):
-        oracle = _run_program(HeapSimulator, seed, n_roots)
+        expected = _run_program(ReferenceEngine, seed, n_roots)
         for make_sim in CALENDAR_VARIANTS:
-            assert _run_program(make_sim, seed, n_roots) == oracle
+            assert _run_program(make_sim, seed, n_roots) == expected
 
     @given(seed=st.integers(0, 2**32 - 1), n_roots=st.integers(1, 25),
            horizons=st.lists(st.integers(0, 80_000), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_stop_schedule_resume_traces_identical(self, seed, n_roots,
                                                    horizons):
-        oracle = _run_program(HeapSimulator, seed, n_roots, horizons)
+        expected = _run_program(ReferenceEngine, seed, n_roots, horizons)
         for make_sim in CALENDAR_VARIANTS:
-            assert _run_program(make_sim, seed, n_roots, horizons) == oracle
+            assert _run_program(make_sim, seed, n_roots, horizons) == expected
 
     @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(0, 150_000))
     @settings(max_examples=40, deadline=None)
@@ -145,9 +212,9 @@ class TestDifferentialRandomPrograms:
             # perturbed ordering of what stayed behind.
             executed += sim.run()
             return trace, executed, sim.now
-        oracle = run(HeapSimulator)
+        expected = run(ReferenceEngine)
         for make_sim in CALENDAR_VARIANTS:
-            assert run(make_sim) == oracle
+            assert run(make_sim) == expected
 
     @given(seed=st.integers(0, 2**32 - 1), max_events=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -160,16 +227,16 @@ class TestDifferentialRandomPrograms:
                 sim.post(rnd.randrange(0, 100_000), trace.append, i)
             executed = sim.run(max_events=max_events)
             return trace, executed, sim.aborted, sim.pending()
-        oracle = run(HeapSimulator)
+        expected = run(ReferenceEngine)
         for make_sim in CALENDAR_VARIANTS:
-            assert run(make_sim) == oracle
+            assert run(make_sim) == expected
 
 
 class TestOrderingEdgeCases:
     @pytest.mark.parametrize("make_sim", CALENDAR_VARIANTS)
     def test_equal_instant_fifo_across_apis(self, make_sim):
         """Events landing on one instant from every scheduling API fire in
-        scheduling (seq) order, matching the oracle exactly."""
+        scheduling (seq) order, matching the reference exactly."""
         def run(factory):
             sim = factory()
             trace = []
@@ -181,10 +248,10 @@ class TestOrderingEdgeCases:
             sim.at(499, trace.append, "sooner")
             sim.run()
             return trace
-        assert run(make_sim) == run(HeapSimulator) == [
+        assert run(make_sim) == run(ReferenceEngine) == [
             "sooner", "at-early", "after", "post", "post_at", "at-late"]
 
-    @pytest.mark.parametrize("make_sim", ENGINES)
+    @pytest.mark.parametrize("make_sim", [CalendarSimulator])
     def test_cancel_same_instant_later_seq(self, make_sim):
         """A callback cancelling a same-instant, later-seq event must win:
         the victim was scheduled but not yet dispatched."""
@@ -221,12 +288,12 @@ class TestOrderingEdgeCases:
                 sim.at(t, trace.append, ("base", t))
             sim.run()
             return trace
-        assert run(make_sim) == run(HeapSimulator)
+        assert run(make_sim) == run(ReferenceEngine)
 
     @pytest.mark.parametrize("make_sim", CALENDAR_VARIANTS)
     def test_peek_inside_callback_consistent(self, make_sim):
         """peek_time() from inside a callback (which may force a bucket
-        advance mid-drain) must agree with the oracle."""
+        advance mid-drain) must agree with the reference."""
         def run(factory):
             sim = factory()
             trace = []
@@ -236,7 +303,7 @@ class TestOrderingEdgeCases:
                 sim.at(t, observer, t)
             sim.run()
             return trace
-        assert run(make_sim) == run(HeapSimulator)
+        assert run(make_sim) == run(ReferenceEngine)
 
     def test_iter_pending_covers_batch_and_buckets(self):
         sim = CalendarSimulator(bucket_bits=4)
@@ -272,7 +339,7 @@ class TestWatchdogStalledPurge:
     cancel-dominated calendar, even though no event executes (the old check
     keyed on ``executed`` and never fired)."""
 
-    @pytest.mark.parametrize("make_sim", ENGINES)
+    @pytest.mark.parametrize("make_sim", [CalendarSimulator])
     def test_purge_storm_trips_wall_clock(self, make_sim, monkeypatch):
         sim = make_sim()
         fired = []
@@ -308,7 +375,7 @@ class TestWatchdogStalledPurge:
         # The abort left live events pending; a fresh run drains them.
         assert sim.pending() == 7_000
 
-    @pytest.mark.parametrize("make_sim", ENGINES)
+    @pytest.mark.parametrize("make_sim", [CalendarSimulator])
     def test_wall_clock_not_checked_when_unarmed(self, make_sim, monkeypatch):
         """Without wall_clock_s the guarded loop must never call the clock
         (max_events alone arms no deadline)."""

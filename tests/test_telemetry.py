@@ -249,8 +249,8 @@ class TestSamplerCost:
     def test_sampler_adds_one_event_per_tick_not_per_packet(self, n):
         """Telemetry reads counters per tick: the events it adds to a run
         are exactly its ticks, however many packets cross the watched
-        ports. A per-packet schedule, or a port hook that turns the
-        coalesced-TX fast path off, breaks the equality at once."""
+        ports. A per-packet schedule, or a probe that turns a port's burst
+        dequeue off, breaks the equality at once."""
         plain_events, plain_delivered, _ = _forward(n, with_sampler=False)
         events, delivered, ticks = _forward(n, with_sampler=True)
         assert plain_delivered == delivered == n

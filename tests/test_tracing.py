@@ -1,13 +1,19 @@
 """Tests for the packet tracer, including path/symmetry assertions."""
 
+import pytest
+
+from repro.audit import AuditConfig
+from repro.audit.matrix import matrix_config
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
+from repro.experiments import runner
 from repro.experiments.config import QueueSettings
 from repro.experiments.scenarios import flexpass_queue_factory
-from repro.metrics.tracing import PacketTracer
+from repro.faults.link import splice
+from repro.metrics.tracing import PacketTracer, TracedLink
 from repro.net.packet import PacketKind
 from repro.net import ClosSpec, DumbbellSpec, build_clos, build_dumbbell
 from repro.sim.engine import Simulator
-from repro.sim.units import GBPS, KB, MILLIS
+from repro.sim.units import GBPS, KB, MICROS, MILLIS
 from repro.transports.base import FlowSpec, FlowStats
 from repro.transports.credit_feedback import CREDIT_PER_DATA
 from repro.transports.dctcp import DctcpParams, DctcpReceiver, DctcpSender
@@ -30,6 +36,12 @@ def run_traced_flexpass(size=100 * KB):
     sim.at(0, sender.start)
     sim.run(until=60 * MILLIS)
     return db, tracer, stats
+
+
+def _traced_ports(topo):
+    return [port for node in topo.nodes.values()
+            for port in node.ports.values()
+            if isinstance(port.link, TracedLink)]
 
 
 class TestTracer:
@@ -84,14 +96,10 @@ class TestTracer:
 
     def test_close_uninstalls_every_hook(self):
         db, tracer, _ = run_traced_flexpass()
-        assert any(port.monitors
-                   for node in db.topo.nodes.values()
-                   for port in node.ports.values())
+        assert _traced_ports(db.topo)
         recorded = len(tracer.events)
         tracer.close()
-        for node in db.topo.nodes.values():
-            for port in node.ports.values():
-                assert not port.monitors, f"{port.name} still hooked"
+        assert not _traced_ports(db.topo)
         # idempotent, and recorded events stay queryable
         tracer.close()
         assert len(tracer.events) == recorded
@@ -109,18 +117,56 @@ class TestTracer:
         with PacketTracer(db.topo.nodes.values()) as tracer:
             sim.run(until=20 * MILLIS)
         assert tracer.events
-        for node in db.topo.nodes.values():
-            for port in node.ports.values():
-                assert not port.monitors
+        assert not _traced_ports(db.topo)
 
-    def test_close_tolerates_externally_cleared_monitors(self):
+    def test_close_leaves_an_externally_relinked_port_alone(self):
+        """A fault splice after the tracer wraps the traced link; closing
+        the tracer must not strip the splice, and must unwrap the rest."""
         sim = Simulator()
         db = build_dumbbell(sim, single_queue_factory, DumbbellSpec(n_pairs=1))
+        plain = {port.name: port.link for port in db.topo.all_ports()}
         tracer = PacketTracer(db.topo.nodes.values())
-        for node in db.topo.nodes.values():
-            for port in node.ports.values():
-                port.monitors.clear()
-        tracer.close()  # must not raise
+        port = db.topo.all_ports()[0]
+        faulty = splice(port)
+        tracer.close()
+        assert port.link is faulty and type(faulty.inner) is TracedLink
+        for other in db.topo.all_ports()[1:]:
+            assert other.link is plain[other.name]
+
+
+class TestTracingChangesNothing:
+    """A tracer on every port is an observer: the run it watches schedules
+    the same events, completes the same flows at the same instants, counts
+    the same marks and drops, and audits to the same digest."""
+
+    @staticmethod
+    def _run(cfg, monkeypatch=None):
+        tracers = []
+        if monkeypatch is not None:
+            attach = runner._attach_telemetry
+
+            def trace_then_attach(sim, cfg, clos, live):
+                tracers.append(PacketTracer(clos.topo.nodes.values()))
+                return attach(sim, cfg, clos, live)
+
+            monkeypatch.setattr(runner, "_attach_telemetry",
+                                trace_then_attach)
+        return runner.run_experiment(cfg), tracers
+
+    @pytest.mark.parametrize("scheme, topology",
+                             [("homa", "dumbbell"), ("naive", "incast")])
+    def test_traced_run_is_the_untraced_run(self, monkeypatch, scheme,
+                                            topology):
+        cfg = matrix_config(scheme, topology, sim_time_ns=250 * MICROS,
+                            audit=AuditConfig(digest=True))
+        plain, _ = self._run(cfg)
+        traced, [tracer] = self._run(cfg, monkeypatch)
+        assert len(tracer.events) > 1000
+        assert traced.audit.violations == []
+        assert traced.records == plain.records
+        assert traced.counters == plain.counters
+        assert traced.events_run == plain.events_run
+        assert traced.audit.digest == plain.audit.digest
 
 
 class TestPathSymmetry:

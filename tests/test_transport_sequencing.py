@@ -9,8 +9,7 @@ from repro.transports.sequencing import (
     ReceiveScoreboard, RetransmitQueue, SenderScoreboard,
 )
 
-from tests.retransmit_oracle import ParentBookkeeping
-from tests.retransmit_oracle import SenderScoreboard as ParentScoreboard
+from tests.util import ScoreboardModel
 
 
 class TestReceiveScoreboard:
@@ -182,54 +181,48 @@ class TestSenderScoreboard:
 
     @given(n=st.integers(1, 14), sack_limit=st.sampled_from([1, 16]),
            dupthresh=st.sampled_from([1, 3]), ops=OPS)
-    @settings(max_examples=150, deadline=None)
-    def test_same_answers_as_the_parent_scoreboard(self, n, sack_limit,
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_acked_in_flight_lost_spec(self, n, sack_limit,
                                                    dupthresh, ops):
-        """The O(window) scoreboard against the one that kept every acked
-        seq of the flow (``tests/retransmit_oracle.py``), over random
-        send / ACK (cum, SACK, echo) / stale ACK / ``remove`` / timeout
-        sequences: the same ``(newly_acked, newly_lost)`` and the same
-        answer to every query at every step, with ``n_acked`` equal to the
-        size of the parent's full acked set."""
-        live = SenderScoreboard(dupthresh=dupthresh)
-        parent = ParentScoreboard(dupthresh=dupthresh)
+        """Random send / ACK (cum, SACK, echo) / stale ACK / ``remove`` /
+        timeout sequences over a reordering, lossy network: every ACK
+        reports exactly the seqs it newly acks and the losses the dupack
+        rule declares, and at every step the scoreboard answers as
+        :class:`ScoreboardModel` does (``n_acked`` is the acked count,
+        every sent seq is one of acked, in flight and lost)."""
+        sb = SenderScoreboard(dupthresh=dupthresh)
+        model = ScoreboardModel(dupthresh)
         receiver = ReceiveScoreboard(sack_limit)
-        network, acks, sent = [], [], set()
+        network, acks = [], []
         next_new = 0
 
-        def next_seq(sb):
-            # lowest seq sent, presumed lost and not acknowledged since;
-            # else new data
-            waiting = [s for s in sorted(sent) if not sb.is_acked(s)
-                       and sb.sent_at(s) is None]
-            return waiting[0] if waiting else (
-                next_new if next_new < n else None)
+        def on_ack(cum, sack, echo):
+            acked, lost = sb.on_ack(cum, sack, echo)
+            assert len(set(acked)) == len(acked)
+            assert (sorted(acked), lost) == model.ack(cum, sack, echo)
 
         for now, (op, which, bits) in enumerate(ops):
             if op == "send":
-                seq = next_seq(live)
-                assert seq == next_seq(parent)
+                # the lowest seq presumed lost, else new data
+                seq = min(model.lost, default=None)
+                if seq is None and next_new < n:
+                    seq = next_new
+                    next_new += 1
                 if seq is None:
                     continue
-                next_new = max(next_new, seq + 1)
-                sent.add(seq)
-                live.on_send(seq, now)
-                parent.on_send(seq, now)
+                sb.on_send(seq, now)
+                model.send(seq, now)
                 network.append(seq)
             elif op == "timeout":
-                assert live.declare_all_lost() == parent.declare_all_lost()
+                assert sb.declare_all_lost() == model.declare_all_lost()
             elif op == "remove":
                 # the same segment ACKed on FlexPass's other sub-flow
-                outstanding = sorted(s for s in sent
-                                     if live.sent_at(s) is not None)
-                if outstanding:
-                    seq = outstanding[which % len(outstanding)]
-                    assert live.remove(seq) == parent.remove(seq)
+                if next_new:
+                    seq = which % next_new
+                    assert sb.remove(seq) == model.remove(seq)
             elif op == "replay":
                 if acks:
-                    cum, sack, echo = acks[which % len(acks)]
-                    assert live.on_ack(cum, sack, echo) == \
-                        parent.on_ack(cum, sack, echo)
+                    on_ack(*acks[which % len(acks)])
             elif network:
                 seq = network.pop(which % len(network))
                 if op == "deliver":
@@ -239,20 +232,13 @@ class TestSenderScoreboard:
                            -1 if bits & 4 else seq)
                     acks.append(ack)
                     if bits & 3:  # a quarter of the ACKs are lost
-                        assert live.on_ack(*ack) == parent.on_ack(*ack)
-            for s in sent:
-                assert live.is_acked(s) == parent.is_acked(s)
-            assert live.in_flight == parent.in_flight
-            assert live.oldest_outstanding() == parent.oldest_outstanding()
-            assert live.n_acked == len(parent._acked)
-            assert (live.n_acked == n) == all(parent.is_acked(s)
-                                              for s in range(n))
-            assert all(s >= live._cum for s in live._acked)
+                        on_ack(*ack)
+            model.check(sb, range(n))
 
 
 class TestRetransmitQueue:
-    """Differential test against the three-field bookkeeping the senders
-    carried before the queue (``tests/retransmit_oracle.py``)."""
+    """The single-space senders' pick rule: the lowest detected loss, each
+    counted as a retransmission, before any new data; never an acked seq."""
 
     #: (op, which in-network packet, is the ACK it triggers lost)
     OPS = st.lists(
@@ -274,43 +260,49 @@ class TestRetransmitQueue:
     @example(n=6, credited=False, sack_limit=1,
              ops=[("send", 0, False)] * 4
              + [("deliver", 3, False), ("deliver", 2, False)])
-    @settings(max_examples=100, deadline=None)
-    def test_same_picks_as_the_parent_bookkeeping(self, n, credited,
-                                                  sack_limit, ops):
+    @settings(max_examples=80, deadline=None)
+    def test_picks_the_lowest_loss_before_new_data(self, n, credited,
+                                                   sack_limit, ops):
         """Random interleavings of send / ACK(cum, sack, seq) / timeout over
-        a modelled receiver and a reordering, lossy network: the queue
-        returns the parent's seq at every step, counts the same
-        retransmissions, agrees on ``all_acked`` and never picks an
-        acknowledged seq. ``credited`` selects the credit-clocked sender's
-        form (tail-loss shield, first-send-time kept); ``sack_limit=1``
-        makes the ACK's own seq news its SACK list does not carry."""
-        new_stats, old_stats = FlowStats(), FlowStats()
-        queue = RetransmitQueue(n, new_stats, dupthresh=3)
-        oracle = ParentBookkeeping(n, old_stats, dupthresh=3)
+        a modelled receiver and a reordering, lossy network. ``credited``
+        selects the credit-clocked sender's form: with nothing to pick, the
+        tail-loss shield resends the oldest seq in flight, counted as a
+        retransmission and keeping its first send time and dupack count.
+        ``sack_limit=1`` makes the ACK's own seq news its SACK list does
+        not carry."""
+        stats = FlowStats()
+        queue = RetransmitQueue(n, stats, dupthresh=3)
+        model = ScoreboardModel(3)
         receiver = ReceiveScoreboard(sack_limit)
+        waiting = set()  # detected losses not acked or resent since
         network = []  # seqs in flight towards the receiver
+        next_new = retransmissions = 0
         for now, (op, which, ack_lost) in enumerate(ops):
             if op == "send":
-                if credited:
-                    seq = queue.next_seq()
-                    if seq is None:
-                        seq = queue.resend_oldest()
-                    expected = oracle.pick_segment()
+                seq = queue.next_seq()
+                if waiting:
+                    assert seq == min(waiting)
+                    waiting.discard(seq)
+                    retransmissions += 1
+                elif next_new < n:
+                    assert seq == next_new
+                    next_new += 1
                 else:
-                    seq, expected = queue.next_seq(), oracle.next_to_send()
-                assert seq == expected
+                    assert seq is None
+                    if credited:
+                        seq = queue.resend_oldest()
+                        assert seq == min(model.flight, default=None)
+                        retransmissions += seq is not None
                 if seq is None:
                     continue
-                assert not queue.scoreboard.is_acked(seq)
+                assert seq not in model.acked
                 queue.on_send(seq, now)
-                if credited:
-                    oracle.transmit_credited(seq, now)
-                else:
-                    oracle.transmit_windowed(seq, now)
+                if seq not in model.flight:
+                    model.send(seq, now)
                 network.append(seq)
             elif op == "timeout":
+                waiting |= set(model.declare_all_lost())
                 queue.on_timeout()
-                oracle.on_timeout()
             elif network:
                 seq = network.pop(which % len(network))
                 if op == "deliver":
@@ -318,11 +310,14 @@ class TestRetransmitQueue:
                     if not ack_lost:
                         ack = SimpleNamespace(ack=receiver.cum,
                                               sack=receiver.sack(), seq=seq)
-                        assert queue.on_ack(ack) == oracle.on_ack(ack)
-            assert new_stats.retransmissions == old_stats.retransmissions
-            assert queue.all_acked == oracle.all_acked
-            assert queue.next_new == oracle._next_new
-            assert queue.scoreboard.in_flight == oracle.scoreboard.in_flight
+                        acked, lost = queue.on_ack(ack)
+                        assert (sorted(acked), lost) == model.ack(
+                            ack.ack, ack.sack, seq)
+                        waiting = (waiting - set(acked)) | set(lost)
+            assert stats.retransmissions == retransmissions
+            assert queue.next_new == next_new
+            assert queue.all_acked == (len(model.acked) == n)
+            model.check(queue.scoreboard, range(n))
 
     def test_timeout_requeues_everything_in_flight_lowest_first(self):
         stats = FlowStats()

@@ -60,3 +60,76 @@ class Completions:
     @property
     def flow_ids(self):
         return {spec.flow_id for spec, _ in self.records}
+
+
+class ScoreboardModel:
+    """What a sender's ACK/SACK scoreboard must answer, stated directly.
+
+    A seq is acked once an ACK covers it (below its cumulative point, in its
+    SACK list, or echoed as the ACKed packet's own seq), or once it is
+    removed while in flight. An in-flight seq is lost on the ``dupthresh``-th
+    ACK since its last send that brings news above it (a cumulative advance
+    to past it, or a newly acked seq above it), or at a timeout. Every sent
+    seq is exactly one of acked, in flight and lost.
+    """
+
+    def __init__(self, dupthresh: int) -> None:
+        self.dupthresh = dupthresh
+        self.cum = 0
+        self.acked = set()
+        self.flight = {}  # seq -> [send time, ACKs with news above it]
+        self.lost = set()
+
+    def send(self, seq: int, now: int) -> None:
+        self.flight[seq] = [now, 0]
+        self.lost.discard(seq)
+
+    def ack(self, cum: int, sack, echo: int = -1):
+        """(newly acked, newly lost), both sorted."""
+        covered = set(range(cum)) | set(sack) | ({echo} if echo >= 0 else set())
+        newly = covered - self.acked
+        news = newly | ({cum - 1} if cum > self.cum else set())
+        self.cum = max(self.cum, cum)
+        self.acked |= newly
+        self.lost -= newly
+        for seq in newly:
+            self.flight.pop(seq, None)
+        lost = []
+        if news:
+            top = max(news)
+            for seq, entry in self.flight.items():
+                if seq < top:
+                    entry[1] += 1
+                    if entry[1] >= self.dupthresh:
+                        lost.append(seq)
+        return sorted(newly), self._lose(lost)
+
+    def remove(self, seq: int) -> bool:
+        if seq not in self.flight:
+            return False
+        del self.flight[seq]
+        self.acked.add(seq)
+        return True
+
+    def declare_all_lost(self):
+        return self._lose(list(self.flight))
+
+    def _lose(self, seqs):
+        for seq in seqs:
+            del self.flight[seq]
+        self.lost |= set(seqs)
+        return sorted(seqs)
+
+    def check(self, scoreboard, seqs) -> None:
+        """``scoreboard`` answers every query as the model does."""
+        for seq in seqs:
+            acked = scoreboard.is_acked(seq)
+            assert acked == (seq in self.acked), seq
+            stamp = self.flight.get(seq)
+            assert scoreboard.sent_at(seq) == (None if stamp is None
+                                               else stamp[0]), seq
+            if seq in self.acked or seq in self.flight or seq in self.lost:
+                assert acked + (stamp is not None) + (seq in self.lost) == 1
+        assert scoreboard.n_acked == len(self.acked)
+        assert scoreboard.in_flight == len(self.flight)
+        assert scoreboard.oldest_outstanding() == min(self.flight, default=None)
