@@ -136,10 +136,9 @@ class DigestRecorder:
 class _DigestTap:
     """Transparent destination-node proxy: record the delivery, pass it on.
 
-    Installed as ``link.dst``, so both delivery paths — ``Link.carry``
-    (which posts ``dst.receive``) and the coalesced ``_deliver`` of
-    ``Link``/``FaultyLink`` — route through :meth:`receive` at delivery
-    time with no extra scheduled events.
+    Installed as ``link.dst``, so the ``_deliver`` of ``Link`` and of
+    ``FaultyLink`` routes through :meth:`receive` at delivery time with no
+    extra scheduled events.
     """
 
     __slots__ = ("_node", "_rec", "_sim", "_id")

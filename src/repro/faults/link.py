@@ -1,7 +1,7 @@
 """FaultyLink: attach loss/corruption models and up/down state to any Link.
 
-The wrapper mirrors :class:`repro.net.link.Link`'s interface (``carry``,
-``sim``, ``dst``, ``delay_ns``, delivery counters) so an
+The wrapper mirrors :class:`repro.net.link.Link`'s interface
+(``carry_after``, ``sim``, ``dst``, ``delay_ns``, delivery counters) so an
 :class:`repro.net.port.EgressPort` cannot tell the difference — splicing is
 one attribute assignment. Unlike the plain link, a FaultyLink schedules its
 own delivery events and remembers their handles, so a link failure can
