@@ -312,6 +312,11 @@ ARRIVALS = st.lists(st.tuples(GAPS, st.sampled_from(sorted(KINDS))),
        buffer_kind=st.sampled_from(sorted(BUFFERS)), arrivals=ARRIVALS)
 # the sixth MTU meets four queued ones exactly on the dynamic threshold
 @example(shape="single", buffer_kind="tight", arrivals=[(0, "green")] * 8)
+# behind a cut-through, the third queued red MTU lands exactly on the ECN
+# threshold and the fourth exactly on the selective-drop threshold
+@example(shape="single", buffer_kind="roomy", arrivals=[(0, "red")] * 6)
+# behind a cut-through, the tenth queued MTU lands exactly on the static cap
+@example(shape="single", buffer_kind="roomy", arrivals=[(0, "green")] * 12)
 def test_flat_port_matches_reference(shape, buffer_kind, arrivals):
     flat, ref = run_both(shape, buffer_kind, arrivals)
     assert flat == ref
