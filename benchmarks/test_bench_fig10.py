@@ -6,7 +6,8 @@ deployment, and keeps the overall average FCT low throughout.
 """
 
 from repro.experiments.config import SchemeName
-from repro.experiments.sweep import deployment_sweep, fig10_rows, print_grid
+from repro.experiments.sweep import deployment_sweep, fig10_rows
+from repro.metrics.summary import print_table
 
 from benchmarks.common import BENCH_DEPLOYMENTS, bench_config_large, run_once
 
@@ -19,10 +20,10 @@ def test_bench_fig10(benchmark):
          SchemeName.FLEXPASS),
         BENCH_DEPLOYMENTS,
     )
-    print_grid(
+    print_table(
         "Figure 10: 99p small-flow FCT and overall average FCT",
-        fig10_rows(grid),
         ("scheme", "deployed", "p99 small (ms)", "avg (ms)", "censored"),
+        fig10_rows(grid),
     )
     baseline = grid[("flexpass", 0.0)]
     # Shape 1: naïve deployment hurts tail FCT mid-transition far more than

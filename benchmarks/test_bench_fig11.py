@@ -6,7 +6,8 @@ the naïve rollout degrades both tail and average FCT.
 """
 
 from repro.experiments.config import SchemeName
-from repro.experiments.sweep import deployment_sweep, fig10_rows, print_grid
+from repro.experiments.sweep import deployment_sweep, fig10_rows
+from repro.metrics.summary import print_table
 from repro.workloads import TrafficConfig
 
 from benchmarks.common import BENCH_DEPLOYMENTS, bench_config_large, run_once
@@ -19,10 +20,10 @@ def test_bench_fig11(benchmark):
         benchmark, deployment_sweep, base,
         (SchemeName.NAIVE, SchemeName.FLEXPASS), BENCH_DEPLOYMENTS,
     )
-    print_grid(
+    print_table(
         "Figure 11: mixed traffic (10% foreground incast)",
-        fig10_rows(grid),
         ("scheme", "deployed", "p99 small (ms)", "avg (ms)", "censored"),
+        fig10_rows(grid),
     )
     # Shape: FlexPass's tail FCT stays well below naïve's both
     # mid-transition and at full deployment. (At this scaled-down incast

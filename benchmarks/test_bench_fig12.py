@@ -5,7 +5,8 @@ legacy harm is minimal while its upgraded traffic improves by up to 44%.
 """
 
 from repro.experiments.config import SchemeName
-from repro.experiments.sweep import deployment_sweep, fig12_rows, print_grid
+from repro.experiments.sweep import deployment_sweep, fig12_rows
+from repro.metrics.summary import print_table
 
 from benchmarks.common import BENCH_DEPLOYMENTS, bench_config_large, run_once
 
@@ -21,10 +22,10 @@ def test_bench_fig12(benchmark):
         benchmark, deployment_sweep, base,
         (SchemeName.NAIVE, SchemeName.FLEXPASS), BENCH_DEPLOYMENTS,
     )
-    print_grid(
+    print_table(
         "Figure 12: tail FCT by group (legacy vs upgraded)",
-        fig12_rows(grid),
         ("scheme", "deployed", "legacy p99 (ms)", "upgraded p99 (ms)"),
+        fig12_rows(grid),
     )
     baseline = grid[("flexpass", 0.0)].p99_small_ms
     # Shape 1: mid-transition, naïve deployment harms legacy traffic far

@@ -5,7 +5,8 @@ drastically reducing predictability; FlexPass keeps the increase to 19%.
 """
 
 from repro.experiments.config import SchemeName
-from repro.experiments.sweep import deployment_sweep, fig13_rows, print_grid
+from repro.experiments.sweep import deployment_sweep, fig13_rows
+from repro.metrics.summary import print_table
 
 from benchmarks.common import BENCH_DEPLOYMENTS, bench_config_large, run_once
 
@@ -15,10 +16,10 @@ def test_bench_fig13(benchmark):
         benchmark, deployment_sweep, bench_config_large(),
         (SchemeName.NAIVE, SchemeName.FLEXPASS), BENCH_DEPLOYMENTS,
     )
-    print_grid(
+    print_table(
         "Figure 13: FCT stddev by group (legacy vs upgraded)",
-        fig13_rows(grid),
         ("scheme", "deployed", "legacy stddev (ms)", "upgraded stddev (ms)"),
+        fig13_rows(grid),
     )
     # Shape: mid-transition, legacy-flow FCT variance under naïve deployment
     # exceeds that under FlexPass.

@@ -20,9 +20,9 @@ from repro.experiments.sweep import (
     deployment_sweep,
     fig10_rows,
     fig12_rows,
-    print_grid,
 )
-from repro.net.topology import ClosSpec
+from repro.experiments.scenarios import paper_scale_config
+from repro.metrics.summary import print_table
 from repro.sim.units import MILLIS
 
 
@@ -35,9 +35,8 @@ def main() -> None:
     args = parser.parse_args()
 
     overrides = dict(load=args.load, sim_time_ns=args.ms * MILLIS, seed=args.seed)
-    if args.paper_scale:
-        overrides.update(clos=ClosSpec.paper_scale(), size_scale=1.0)
-    base = default_sweep_config(**overrides)
+    base = (paper_scale_config(**overrides) if args.paper_scale
+            else default_sweep_config(**overrides))
 
     schemes = (SchemeName.NAIVE, SchemeName.FLEXPASS)
     deployments = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -45,15 +44,15 @@ def main() -> None:
           f"points on a {base.clos.n_hosts}-host Clos at load {base.load} ...")
     grid = deployment_sweep(base, schemes, deployments)
 
-    print_grid(
+    print_table(
         "Figure 10: FCT during the transition (lower is better)",
-        fig10_rows(grid),
         ("scheme", "deployed", "p99 small FCT (ms)", "avg FCT (ms)", "censored"),
+        fig10_rows(grid),
     )
-    print_grid(
+    print_table(
         "Figure 12: tail FCT by traffic group",
-        fig12_rows(grid),
         ("scheme", "deployed", "legacy p99 (ms)", "upgraded p99 (ms)"),
+        fig12_rows(grid),
     )
 
     base_cell = grid[("flexpass", 0.0)]

@@ -9,6 +9,7 @@ Examples::
     python -m repro.cli sweep resume --journal sweeps/demo   # after kill -9
     python -m repro.cli sweep status --journal sweeps/demo
     python -m repro.cli run --scheme flexpass --deployment 1.0 --load 0.6
+    python -m repro.cli run --paper-scale 48 --load 1.0 --ms 1   # §6.2 Clos
 
 The CLI is a thin wrapper over :mod:`repro.experiments.figures` and
 :mod:`repro.experiments.sweep`; everything it prints is available
@@ -48,6 +49,10 @@ from repro.experiments.fabric import (
 )
 from repro.experiments.parallel import FailedResult, run_many
 from repro.experiments.runner import run_experiment
+from repro.experiments.scenarios import (
+    paper_scale_config,
+    regional_fabric_config,
+)
 from repro.experiments.store import open_store
 from repro.experiments.sweep import (
     SweepCell,
@@ -60,7 +65,6 @@ from repro.experiments.sweep import (
     fig13_rows,
     fig17_seldrop_sweep,
     fig18_wq_sweep,
-    print_grid,
     queue_occupancy_study,
 )
 from repro.faults.plan import (
@@ -71,7 +75,6 @@ from repro.faults.plan import (
     SiteFailureSpec,
 )
 from repro.metrics.summary import degraded_title, print_table
-from repro.net.topology import ClosSpec
 from repro.sim.units import MILLIS
 
 
@@ -109,13 +112,15 @@ def _figure_fig09(base) -> None:
 
 def _figure_fig10(base) -> None:
     grid = deployment_sweep(base)
-    print_grid("Figure 10", fig10_rows(grid),
-               ("scheme", "deployed", "p99 small (ms)", "avg (ms)",
-                "censored"))
-    print_grid("Figure 12", fig12_rows(grid),
-               ("scheme", "deployed", "legacy p99", "upgraded p99"))
-    print_grid("Figure 13", fig13_rows(grid),
-               ("scheme", "deployed", "legacy stddev", "upgraded stddev"))
+    print_table("Figure 10",
+                ("scheme", "deployed", "p99 small (ms)", "avg (ms)",
+                 "censored"), fig10_rows(grid))
+    print_table("Figure 12",
+                ("scheme", "deployed", "legacy p99", "upgraded p99"),
+                fig12_rows(grid))
+    print_table("Figure 13",
+                ("scheme", "deployed", "legacy stddev", "upgraded stddev"),
+                fig13_rows(grid))
 
 
 def _figure_fig17(base) -> None:
@@ -155,24 +160,37 @@ FIGURES = {
     "failure-recovery": _figure_failure_recovery,
 }
 
+#: Figures that replay a fixed §6.1 testbed scenario: no config flag
+#: reaches them, so ``_dispatch`` refuses one.
+TESTBED_FIGURES = ("fig01", "fig07", "fig08", "fig09", "failure-recovery")
+
+#: Defaults of the flags every simulating subcommand shares.
+CONFIG_DEFAULTS = dict(load=0.5, ms=10, seed=1, workload="websearch",
+                       size_scale=8.0)
+
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--load", type=float, default=0.5)
-    parser.add_argument("--ms", type=int, default=10, help="simulated ms")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", default="websearch")
-    parser.add_argument("--size-scale", type=float, default=8.0)
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="192-host 40G Clos, unscaled sizes (slow)")
+    """The flags of ``figure``, ``sweep``, ``run`` and ``topo``; a
+    subcommand that wants other defaults calls ``set_defaults`` after."""
+    parser.add_argument("--load", type=float)
+    parser.add_argument("--ms", type=int, help="simulated ms")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--workload")
+    parser.add_argument("--size-scale", type=float)
+    parser.set_defaults(**CONFIG_DEFAULTS)
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of one simulated run: ``run`` and ``topo run``."""
+    parser.add_argument("--scheme", default="flexpass",
+                        choices=[s.value for s in SchemeName])
+    parser.add_argument("--deployment", type=float, default=1.0)
+    _add_config_args(parser)
 
 
 def _base_config(args):
-    overrides = dict(
-        load=args.load, sim_time_ns=args.ms * MILLIS, seed=args.seed,
-        workload=args.workload, size_scale=args.size_scale,
-    )
-    if args.paper_scale:
-        overrides.update(clos=ClosSpec.paper_scale(), size_scale=1.0)
+    overrides = dict(load=args.load, sim_time_ns=args.ms * MILLIS,
+                     seed=args.seed, workload=args.workload)
     plan = _fault_plan_from_args(args)
     if plan is not None:
         overrides["faults"] = plan
@@ -180,7 +198,9 @@ def _base_config(args):
         overrides["max_events"] = args.max_events
     if getattr(args, "max_wall_seconds", None) is not None:
         overrides["max_wall_seconds"] = args.max_wall_seconds
-    return default_sweep_config(**overrides)
+    if args.paper_scale is not None:
+        return paper_scale_config(args.paper_scale, **overrides)
+    return default_sweep_config(size_scale=args.size_scale, **overrides)
 
 
 def _add_fault_args(parser: argparse.ArgumentParser,
@@ -298,27 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fabric_args(p_sweep)
 
     p_run = sub.add_parser("run", help="single experiment")
-    p_run.add_argument("--scheme", default="flexpass",
-                       choices=[s.value for s in SchemeName])
-    p_run.add_argument("--deployment", type=float, default=1.0)
-    _add_config_args(p_run)
+    _add_run_args(p_run)
     _add_fault_args(p_run)
     _add_telemetry_args(p_run)
 
-    p_clos = sub.add_parser(
-        "clos",
-        help="paper-scale Clos deployment scenario (§6.2, Figs 10-11): "
-             "40G fabric in paper shape, unscaled flow sizes")
-    p_clos.add_argument("--hosts", type=int, default=192,
-                        help="fabric size; multiple of 24 (one paper pod)")
-    p_clos.add_argument("--full-load", action="store_true",
-                        help="run the generator at load 1.0 (paper's "
-                             "saturation operating point; default 0.5)")
-    p_clos.add_argument("--scheme", default="flexpass",
-                        choices=[s.value for s in SchemeName])
-    p_clos.add_argument("--deployment", type=float, default=1.0)
-    p_clos.add_argument("--ms", type=int, default=2, help="simulated ms")
-    p_clos.add_argument("--seed", type=int, default=1)
+    for p in (p_fig, p_sweep, p_run):
+        p.add_argument(
+            "--paper-scale", nargs="?", type=int, const=192, default=None,
+            metavar="HOSTS",
+            help="§6.2 40G Clos of HOSTS hosts (a multiple of 24; bare: "
+                 "192, the paper's fabric), unscaled flow sizes (slow)")
 
     p_topo = sub.add_parser(
         "topo",
@@ -330,14 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "over it")
     p_topo.add_argument("spec", help="spec path (.yaml/.yml/.json or a "
                                      "directory of CSV tables)")
-    p_topo.add_argument("--scheme", default="flexpass",
-                        choices=[s.value for s in SchemeName])
-    p_topo.add_argument("--deployment", type=float, default=1.0)
-    p_topo.add_argument("--load", type=float, default=0.5)
-    p_topo.add_argument("--ms", type=int, default=2, help="simulated ms")
-    p_topo.add_argument("--seed", type=int, default=1)
-    p_topo.add_argument("--workload", default="websearch")
-    p_topo.add_argument("--size-scale", type=float, default=8.0)
+    _add_run_args(p_topo)
+    p_topo.set_defaults(ms=2)
     p_topo.add_argument("--locality", type=float, default=0.8,
                         metavar="FRACTION",
                         help="fraction of traffic kept inside the sender's "
@@ -614,6 +617,14 @@ def _dispatch(args) -> int:
             print(name)
         return 0
     if args.command == "figure":
+        if args.name in TESTBED_FIGURES:
+            given = [f"--{k.replace('_', '-')}" for k, v
+                     in dict(CONFIG_DEFAULTS, paper_scale=None).items()
+                     if getattr(args, k) != v]
+            if given:
+                raise ConfigError(f"figure {args.name} replays a fixed "
+                                  f"testbed scenario; it takes no "
+                                  f"{', '.join(given)}")
         FIGURES[args.name](_base_config(args))
         return 0
     if args.command == "sweep":
@@ -623,52 +634,7 @@ def _dispatch(args) -> int:
         _print_sweep("Deployment sweep", results)
         return int(any(isinstance(r, FailedResult) for r in results))
     if args.command == "run":
-        base = _base_config(args)
-        # The Q1 rows need port series; --telemetry asks for (and exports)
-        # more than those.
-        cfg = base.with_(scheme=SchemeName(args.scheme),
-                         deployment=args.deployment,
-                         telemetry=_telemetry_config(args)
-                         or TelemetryConfig.ports_only(base.sim_time_ns))
-        res = run_experiment(cfg)
-        s_all, s_small = res.fct(), res.fct(small=True)
-        q1_avg_kb, q1_p90_kb, _, _ = res.q1_occupancy_kb()
-        rows = [
-            ("flows completed", f"{res.completed}/{len(res.records)}"),
-            ("flows censored (no FCT)", s_all.censored),
-            ("avg FCT (ms)", s_all.avg_ms),
-            ("p99 small FCT (ms)", s_small.p99_ms),
-            ("small flows censored", s_small.censored),
-            ("timeouts", res.total_timeouts),
-            ("Q1 avg (kB)", q1_avg_kb),
-            ("Q1 p90 (kB)", q1_p90_kb),
-            ("selective drops", res.counters.dropped_selective),
-            ("ECN marks", res.counters.ecn_marked),
-            ("events simulated", res.events_run),
-            ("wall time (s)", res.wall_seconds),
-        ]
-        fc = res.fault_counters
-        if fc.any_faults:
-            rows += [
-                ("faults injected", fc.injected_drops),
-                ("packets corrupted", fc.corrupted),
-                ("link-down losses",
-                 fc.discarded_in_flight + fc.dropped_link_down),
-                ("reroutes", fc.reroutes),
-            ]
-        if res.aborted:
-            rows.append(("aborted", res.abort_reason))
-        print_table(
-            degraded_title(
-                f"{cfg.scheme.value} @ {cfg.deployment:.0%} deployment", res),
-            ("metric", "value"),
-            rows,
-        )
-        if args.telemetry:
-            _report_telemetry(res.telemetry, args.telemetry_out)
-        return 0
-    if args.command == "clos":
-        return _run_clos(args)
+        return _run_single(args)
     if args.command == "topo":
         return _run_topo(args)
     if args.command == "workloads":
@@ -678,9 +644,64 @@ def _dispatch(args) -> int:
     return 1  # pragma: no cover
 
 
+def _report_run(title: str, res, own_rows=()) -> int:
+    """Print one run as a metric table: the rows every single run has,
+    then the subcommand's ``own_rows``, then cost, faults and any abort.
+    Returns the exit code: 1 if the run aborted, else 0."""
+    s_all, s_small = res.fct(), res.fct(small=True)
+    rows = [
+        ("flows completed", f"{res.completed}/{len(res.records)}"),
+        ("flows censored (no FCT)", s_all.censored),
+        ("avg FCT (ms)", s_all.avg_ms),
+        ("p99 small FCT (ms)", s_small.p99_ms),
+        ("small flows censored", s_small.censored),
+        ("timeouts", res.total_timeouts),
+        *own_rows,
+        ("events simulated", res.events_run),
+        ("events/sec", int(res.events_run / res.wall_seconds)
+         if res.wall_seconds else 0),
+        ("wall time (s)", res.wall_seconds),
+    ]
+    fc = res.fault_counters
+    if fc.any_faults:
+        rows += [
+            ("faults injected", fc.injected_drops),
+            ("packets corrupted", fc.corrupted),
+            ("link-down losses",
+             fc.discarded_in_flight + fc.dropped_link_down),
+            ("reroutes", fc.reroutes),
+        ]
+    if res.aborted:
+        rows.append(("aborted", res.abort_reason))
+    print_table(degraded_title(title, res), ("metric", "value"), rows)
+    return 1 if res.aborted else 0
+
+
+def _run_single(args) -> int:
+    """The ``repro run`` subcommand: one config, run in-process."""
+    base = _base_config(args)
+    # The Q1 rows need port series; --telemetry asks for (and exports)
+    # more than those.
+    cfg = base.with_(scheme=SchemeName(args.scheme),
+                     deployment=args.deployment,
+                     telemetry=_telemetry_config(args)
+                     or TelemetryConfig.ports_only(base.sim_time_ns))
+    res = run_experiment(cfg)
+    q1_avg_kb, q1_p90_kb, _, _ = res.q1_occupancy_kb()
+    code = _report_run(
+        f"{cfg.scheme.value} @ {cfg.deployment:.0%} deployment, "
+        f"{cfg.clos.n_hosts} hosts, load {cfg.load:.0%}", res,
+        [("Q1 avg (kB)", q1_avg_kb),
+         ("Q1 p90 (kB)", q1_p90_kb),
+         ("selective drops", res.counters.dropped_selective),
+         ("ECN marks", res.counters.ecn_marked)])
+    if args.telemetry:
+        _report_telemetry(res.telemetry, args.telemetry_out)
+    return code
+
+
 def _run_topo(args) -> int:
     """The ``repro topo`` subcommand: validate/show/run a declarative spec."""
-    from repro.experiments.scenarios import regional_fabric_config
     from repro.net.fabric import TopologySpecError, load_topology_spec
 
     try:
@@ -752,70 +773,10 @@ def _run_topo(args) -> int:
         print(f"served from experiment cache ({store.spec})")
     elif store is not None and store.stores:
         print(f"cached result in {store.spec}")
-    s_all, s_small = res.fct(), res.fct(small=True)
-    rows = [
-        ("fabric", f"{spec.name}: {len(spec.hosts())} hosts / "
-                   f"{len(spec.links)} links"),
-        ("flows completed", f"{res.completed}/{len(res.records)}"),
-        ("avg FCT (ms)", s_all.avg_ms),
-        ("p99 small FCT (ms)", s_small.p99_ms),
-        ("timeouts", res.total_timeouts),
-        ("events simulated", res.events_run),
-        ("wall time (s)", res.wall_seconds),
-    ]
-    fc = res.fault_counters
-    if fc.any_faults:
-        rows += [
-            ("link-down losses",
-             fc.discarded_in_flight + fc.dropped_link_down),
-            ("reroutes", fc.reroutes),
-        ]
-    if res.aborted:
-        rows.append(("aborted", res.abort_reason))
-    print_table(
-        degraded_title(
-            f"{spec.name}: {cfg.scheme.value} @ load {cfg.load:.0%}", res),
-        ("metric", "value"),
-        rows,
-    )
-    return 1 if res.aborted else 0
-
-
-def _run_clos(args) -> int:
-    """The ``repro clos`` subcommand: §6.2 paper-scale deployment run."""
-    from repro.experiments.scenarios import paper_scale_config
-
-    try:
-        cfg = paper_scale_config(
-            hosts=args.hosts, full_load=args.full_load,
-            scheme=SchemeName(args.scheme), sim_time_ns=args.ms * MILLIS,
-            seed=args.seed, deployment=args.deployment,
-        )
-    except ValueError as exc:  # --hosts is not a whole number of pods
-        raise ConfigError(exc) from None
-    res = run_experiment(cfg)
-    s_all, s_small = res.fct(), res.fct(small=True)
-    ev_rate = res.events_run / res.wall_seconds if res.wall_seconds else 0.0
-    rows = [
-        ("hosts", cfg.clos.n_hosts),
-        ("load", cfg.load),
-        ("flows completed", f"{res.completed}/{len(res.records)}"),
-        ("avg FCT (ms)", s_all.avg_ms),
-        ("p99 small FCT (ms)", s_small.p99_ms),
-        ("events simulated", res.events_run),
-        ("events/sec", int(ev_rate)),
-        ("wall time (s)", res.wall_seconds),
-    ]
-    if res.aborted:
-        rows.append(("aborted", res.abort_reason))
-    print_table(
-        degraded_title(
-            f"paper-scale Clos: {cfg.scheme.value} @ "
-            f"{cfg.deployment:.0%} deployment, load {cfg.load:.0%}", res),
-        ("metric", "value"),
-        rows,
-    )
-    return 1 if res.aborted else 0
+    return _report_run(
+        f"{spec.name}: {cfg.scheme.value} @ {cfg.deployment:.0%} "
+        f"deployment, load {cfg.load:.0%}", res,
+        [("fabric", f"{len(spec.hosts())} hosts / {len(spec.links)} links")])
 
 
 def _workloads_traffic(args):
@@ -986,9 +947,9 @@ def _run_workloads_sweep(args) -> int:
             rows.append(label + (f"{res.completed}/{len(res.records)}",
                                  res.fct(small=True).p99_ms,
                                  res.fct().avg_ms))
-    print_grid("workloads sweep", rows,
-               ("scheme", "load", "locality", "arrivals", "flows",
-                "p99 small (ms)", "avg (ms)"))
+    print_table("workloads sweep",
+                ("scheme", "load", "locality", "arrivals", "flows",
+                 "p99 small (ms)", "avg (ms)"), rows)
     return int(any(isinstance(r, FailedResult) for r in results))
 
 

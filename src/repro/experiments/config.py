@@ -4,7 +4,8 @@ One :class:`ExperimentConfig` fully determines a simulation run: topology,
 deployment scheme, switch queue parameters (§6 settings), workload, load
 level, deployment ratio, and seed. Defaults follow the paper's simulation
 section scaled down for pure-Python execution speed; the paper-scale values
-are documented inline and reachable via :meth:`ExperimentConfig.paper_scale`.
+are documented inline and built by
+:func:`repro.experiments.scenarios.paper_scale_config`.
 """
 
 from __future__ import annotations
@@ -125,12 +126,6 @@ class ExperimentConfig:
         if self.topology_spec is not None:
             return self.topology_spec.access_rate_bps()
         return self.clos.rate_bps
-
-    @classmethod
-    def paper_scale(cls, **overrides) -> "ExperimentConfig":
-        """The full §6.2 configuration (expensive in pure Python)."""
-        cfg = cls(clos=ClosSpec.paper_scale(), **overrides)
-        return cfg
 
     def with_(self, **overrides) -> "ExperimentConfig":
         return replace(self, **overrides)

@@ -24,7 +24,12 @@ from repro.core.variants import (
     Rc3SplitSender,
     alt_queue_params,
 )
-from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
+from repro.experiments.config import (
+    ConfigError,
+    ExperimentConfig,
+    QueueSettings,
+    SchemeName,
+)
 from repro.net.fabric import (
     FabricHandle,
     TopologySpec,
@@ -449,29 +454,21 @@ def run_regional_fabric(spec, **kwargs):
 PAPER_HOSTS_PER_POD = 24
 
 
-def paper_scale_config(hosts: int = 192, full_load: bool = False,
-                       scheme: SchemeName = SchemeName.FLEXPASS,
-                       sim_time_ns: Optional[int] = None, seed: int = 1,
-                       **overrides) -> ExperimentConfig:
+def paper_scale_config(hosts: int = 192, **overrides) -> ExperimentConfig:
     """The §6.2 Clos deployment scenario at (a fraction of) paper scale.
 
     ``hosts`` must be a multiple of 24 — the paper pod is 4 ToRs x 6 hosts
     with 2 aggs and 40 Gbps everywhere; ``hosts=192`` (8 pods) is the full
-    Figs 10-11 fabric. ``full_load`` runs the traffic generator at load 1.0
-    with unscaled flow sizes (the paper's saturation operating point);
-    otherwise load 0.5. Flow sizes are always unscaled (``size_scale=1``) —
-    this scenario exists to exercise the credit plane at real credit rates.
+    Figs 10-11 fabric. Flow sizes are unscaled (``size_scale=1``) — this
+    scenario exists to exercise the credit plane at real credit rates. The
+    horizon defaults to 2 ms; ``overrides`` set any other config field
+    (``load=1.0`` is the paper's saturation operating point).
     """
     if hosts <= 0 or hosts % PAPER_HOSTS_PER_POD:
-        raise ValueError(
+        raise ConfigError(
             f"hosts must be a positive multiple of {PAPER_HOSTS_PER_POD} "
             f"(one paper pod), got {hosts}")
     clos = replace(ClosSpec.paper_scale(), n_pods=hosts // PAPER_HOSTS_PER_POD)
-    params = dict(
-        scheme=scheme, clos=clos, size_scale=1.0,
-        load=1.0 if full_load else 0.5,
-        sim_time_ns=2 * MILLIS if sim_time_ns is None else sim_time_ns,
-        seed=seed,
-    )
+    params = dict(clos=clos, size_scale=1.0, sim_time_ns=2 * MILLIS)
     params.update(overrides)
     return ExperimentConfig(**params)

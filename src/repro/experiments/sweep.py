@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.parallel import FailedResult, run_many
 from repro.experiments.runner import ExperimentResult
-from repro.metrics.summary import format_table
 from repro.metrics.telemetry import TelemetryConfig
 from repro.net.topology import ClosSpec
 from repro.sim.units import MILLIS
@@ -30,9 +29,9 @@ SWEEP_SCHEMES = (SchemeName.NAIVE, SchemeName.OWF, SchemeName.LAYERING,
 
 
 def default_sweep_config(**overrides) -> ExperimentConfig:
-    """Scaled-down base config for Python-speed sweeps; pass paper-scale
-    overrides (``clos=ClosSpec.paper_scale(), size_scale=1, ...``) for
-    full-fidelity runs."""
+    """Scaled-down base config for Python-speed sweeps;
+    :func:`repro.experiments.scenarios.paper_scale_config` is the
+    full-fidelity base."""
     base = dict(
         workload="websearch",
         load=0.5,
@@ -188,11 +187,6 @@ def fig13_rows(grid: Dict[GridKey, SweepCell]):
         rows.append((scheme, f"{dep:.0%}", cell.stddev_small_legacy_ms,
                      cell.stddev_small_new_ms))
     return rows
-
-
-def print_grid(title: str, rows, headers) -> None:
-    print(f"\n== {title} ==")
-    print(format_table(headers, rows))
 
 
 # ---------------------------------------------------------------- Figure 14

@@ -5,6 +5,8 @@ import pathlib
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from repro.experiments.scenarios import paper_scale_config
+from repro.sim.units import MILLIS
 
 
 class TestParser:
@@ -27,6 +29,43 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "bogus"])
 
+    @pytest.mark.parametrize("flags,hosts", [
+        ([], None), (["--paper-scale"], 192), (["--paper-scale", "48"], 48),
+    ])
+    def test_run_paper_scale_hosts(self, flags, hosts):
+        assert build_parser().parse_args(["run"] + flags).paper_scale == hosts
+
+    def test_topo_run_keeps_its_own_horizon(self):
+        topo = build_parser().parse_args(["topo", "run", "spec.yaml"])
+        run = build_parser().parse_args(["run"])
+        assert (topo.ms, run.ms) == (2, 10)
+        assert (topo.scheme, topo.load) == (run.scheme, run.load)
+
+
+class TestPaperScale:
+    """``run --paper-scale HOSTS`` is ``paper_scale_config``: the one
+    spelling of the §6.2 Clos point."""
+
+    @pytest.mark.parametrize("hosts", [24, 48])
+    def test_run_builds_paper_scale_config(self, monkeypatch, hosts):
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def capture(cfg):
+            built.append(cfg)
+            raise Built
+
+        monkeypatch.setattr("repro.cli.run_experiment", capture)
+        with pytest.raises(Built):
+            main(["run", "--paper-scale", str(hosts), "--load", "1.0",
+                  "--ms", "1"])
+        want = paper_scale_config(hosts=hosts, load=1.0, sim_time_ns=MILLIS)
+        (cfg,) = built
+        assert cfg.telemetry is not None  # the Q1 rows' port series
+        assert cfg.with_(telemetry=want.telemetry) == want
+
 
 class TestExecution:
     def test_run_command_prints_metrics(self, capsys):
@@ -36,6 +75,15 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "p99 small FCT" in out
         assert "flexpass @ 100%" in out
+
+    def test_watchdog_abort_exits_1(self, capsys):
+        """An aborted run is not a result: ``run`` exits 1 like ``topo
+        run`` and still prints what it measured before the abort."""
+        rc = main(["run", "--ms", "1", "--size-scale", "32",
+                   "--max-events", "2000"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "aborted" in out and "max_events=2000" in out
 
     def test_sweep_command(self, capsys):
         rc = main(["sweep", "--schemes", "flexpass", "--deployments", "0", "1",
@@ -61,9 +109,12 @@ class TestExecution:
         assert endpoints in err and reason in err
 
     @pytest.mark.parametrize("argv,reason", [
-        pytest.param(["clos", "--hosts", "7", "--ms", "1"],
+        pytest.param(["run", "--paper-scale", "7", "--ms", "1"],
                      "hosts must be a positive multiple of 24",
-                     id="clos-hosts-7"),
+                     id="run-paper-scale-7"),
+        pytest.param(["figure", "fig08", "--ms", "3"],
+                     "figure fig08 replays a fixed testbed scenario; it "
+                     "takes no --ms", id="testbed-figure-ms"),
         pytest.param(["run", "--scheme", "flexpass", "--ms", "1",
                       "--load", "0"],
                      "load must be in (0,1], got 0.0", id="run-load-0"),

@@ -90,3 +90,16 @@ class TestArtifactGrid:
         assert gen.returncode == 0, gen.stderr
         assert (out / "fig10.csv").exists()
         assert "fig10" in gen.stdout
+
+        # The tool's metrics are the run's: same summarize, same cutoff.
+        from repro.experiments.runner import run_experiment
+        from repro.experiments.sweep import SweepCell
+
+        grid = dict(_load_tool("run_simulations").build_grid(
+            default_sweep_config(sim_time_ns=2 * MILLIS, size_scale=16.0)))
+        cell = SweepCell.from_result(run_experiment(grid["e1_flexpass_100"]))
+        with open(out / "fig10.csv") as f:
+            fig10 = list(csv.DictReader(f))
+        (row,) = [r for r in fig10 if r["scheme"] == "flexpass"]
+        assert float(row["p99_small_ms"]) == cell.p99_small_ms
+        assert int(row["censored"]) == cell.censored

@@ -4,8 +4,10 @@
 Mirrors the artifact's ``generate_figure.py``: parses the ``fct_*.csv``
 files written by ``run_simulations.py``, computes the paper's metrics
 (99th-percentile FCT of small flows, overall average FCT, per-group splits,
-standard deviations), and writes one ``figNN.csv`` per figure — the same
-series the paper plots — plus a printed summary.
+standard deviations, censored flows) with the same ``summarize`` every run
+uses and the small-flow cutoff each run recorded in ``index.csv``, and
+writes one ``figNN.csv`` per figure — the same series the paper plots —
+plus a printed summary.
 
     python tools/generate_figure.py --results results/
 """
@@ -14,16 +16,16 @@ import argparse
 import csv
 import os
 import sys
-from collections import defaultdict
 from typing import Dict, List
-
-import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.metrics.fct import FlowRecord, summarize  # noqa: E402
 from repro.metrics.summary import format_table  # noqa: E402
 
-SMALL_CUTOFF_DEFAULT = 100_000 / 8  # matches run_simulations' size_scale=8
+#: ``fct_*.csv`` columns that are FlowRecord integer fields
+_INT_COLUMNS = ("flow_id", "size_bytes", "start_ns", "fct_ns", "timeouts",
+                "retransmissions")
 
 
 def load_index(results_dir: str) -> List[dict]:
@@ -31,46 +33,36 @@ def load_index(results_dir: str) -> List[dict]:
         return list(csv.DictReader(f))
 
 
-def load_fcts(results_dir: str, experiment: str) -> List[dict]:
+def load_records(results_dir: str, experiment: str) -> List[FlowRecord]:
     with open(os.path.join(results_dir, f"fct_{experiment}.csv")) as f:
-        return list(csv.DictReader(f))
+        return [FlowRecord(**{k: int(v) if k in _INT_COLUMNS else v
+                              for k, v in row.items()})
+                for row in csv.DictReader(f)]
 
 
-def metrics(rows: List[dict], small_cutoff: float) -> Dict[str, float]:
-    done = [r for r in rows if int(r["fct_ns"]) >= 0]
-    out: Dict[str, float] = {}
-    if not done:
-        return {"avg_ms": float("nan")}
-    fcts = np.array([int(r["fct_ns"]) for r in done], dtype=float) / 1e6
-    out["avg_ms"] = float(np.mean(fcts))
-    small = [r for r in done if int(r["size_bytes"]) < small_cutoff]
-
-    def p99(sel):
-        if not sel:
-            return float("nan")
-        arr = np.array([int(r["fct_ns"]) for r in sel], dtype=float) / 1e6
-        return float(np.percentile(arr, 99))
-
-    def std(sel):
-        if not sel:
-            return float("nan")
-        arr = np.array([int(r["fct_ns"]) for r in sel], dtype=float) / 1e6
-        return float(np.std(arr))
-
-    out["p99_small_ms"] = p99(small)
-    out["p99_small_legacy_ms"] = p99([r for r in small if r["group"] == "legacy"])
-    out["p99_small_new_ms"] = p99([r for r in small if r["group"] == "new"])
-    out["std_small_legacy_ms"] = std([r for r in small if r["group"] == "legacy"])
-    out["std_small_new_ms"] = std([r for r in small if r["group"] == "new"])
-    out["timeouts"] = sum(int(r["timeouts"]) for r in done)
-    return out
+def metrics(records: List[FlowRecord], small_cutoff: int) -> Dict[str, float]:
+    """The paper's metrics, by the definition every run uses
+    (:func:`repro.metrics.fct.summarize`): unfinished flows are counted in
+    ``censored``, not in the statistics."""
+    every = summarize(records)
+    small = summarize(records, small_cutoff)
+    legacy = summarize(records, small_cutoff, group="legacy")
+    new = summarize(records, small_cutoff, group="new")
+    return {
+        "avg_ms": every.avg_ms,
+        "censored": every.censored,
+        "p99_small_ms": small.p99_ms,
+        "p99_small_legacy_ms": legacy.p99_ms,
+        "p99_small_new_ms": new.p99_ms,
+        "std_small_legacy_ms": legacy.stddev_ms,
+        "std_small_new_ms": new.stddev_ms,
+        "timeouts": every.timeouts,
+    }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--results", default="results")
-    parser.add_argument("--small-cutoff-bytes", type=float,
-                        default=SMALL_CUTOFF_DEFAULT)
     args = parser.parse_args()
 
     index = load_index(args.results)
@@ -78,18 +70,20 @@ def main() -> int:
     for row in index:
         eid = row["experiment"]
         cells[eid] = dict(row)
-        cells[eid].update(metrics(load_fcts(args.results, eid),
-                                  args.small_cutoff_bytes))
+        cells[eid].update(metrics(load_records(args.results, eid),
+                                  int(row["small_cutoff_bytes"])))
 
     figures = {
-        "fig10": ("e1_", ["scheme", "deployment", "p99_small_ms", "avg_ms"]),
-        "fig11": ("e2_", ["scheme", "deployment", "p99_small_ms", "avg_ms"]),
+        "fig10": ("e1_", ["scheme", "deployment", "p99_small_ms", "avg_ms",
+                          "censored"]),
+        "fig11": ("e2_", ["scheme", "deployment", "p99_small_ms", "avg_ms",
+                          "censored"]),
         "fig12": ("e1_", ["scheme", "deployment", "p99_small_legacy_ms",
                           "p99_small_new_ms"]),
         "fig13": ("e1_", ["scheme", "deployment", "std_small_legacy_ms",
                           "std_small_new_ms"]),
         "fig14": ("e3_", ["scheme", "load", "deployment", "p99_small_ms",
-                          "timeouts"]),
+                          "timeouts", "censored"]),
     }
     for fig, (prefix, columns) in figures.items():
         rows = []

@@ -34,12 +34,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.audit import AuditConfig  # noqa: E402
 from repro.experiments.config import ExperimentConfig, SchemeName  # noqa: E402
 from repro.experiments.parallel import FailedResult, run_many  # noqa: E402
+from repro.experiments.scenarios import paper_scale_config  # noqa: E402
 from repro.experiments.sweep import (  # noqa: E402
     default_sweep_config,
     deployment_grid,
 )
 from repro.metrics.telemetry import TelemetryConfig  # noqa: E402
-from repro.net import ClosSpec, load_topology_spec  # noqa: E402
+from repro.net import load_topology_spec  # noqa: E402
 from repro.sim.units import MILLIS  # noqa: E402
 from repro.workloads import TrafficConfig  # noqa: E402
 
@@ -112,16 +113,15 @@ def main() -> int:
     args = parser.parse_args()
 
     overrides = dict(load=args.load, sim_time_ns=args.ms * MILLIS,
-                     seed=args.seed, size_scale=args.size_scale)
-    if args.paper_scale:
-        overrides.update(clos=ClosSpec.paper_scale(), size_scale=1.0)
+                     seed=args.seed)
     if args.topo_spec:
         overrides["topology_spec"] = load_topology_spec(args.topo_spec)
     if args.telemetry:
         overrides["telemetry"] = TelemetryConfig()
     if args.audit:
         overrides["audit"] = AuditConfig()
-    base = default_sweep_config(**overrides)
+    base = (paper_scale_config(**overrides) if args.paper_scale
+            else default_sweep_config(size_scale=args.size_scale, **overrides))
 
     grid = build_grid(base)
     if args.only:
@@ -159,7 +159,8 @@ def main() -> int:
         if isinstance(res, FailedResult):
             # One broken experiment must not lose the other results.
             index_rows.append([eid, cfg.scheme.value, cfg.deployment,
-                               cfg.load, cfg.workload, 0, 0, "FAILED"])
+                               cfg.load, cfg.workload,
+                               cfg.scaled_cutoff_bytes(), 0, 0, "FAILED"])
             print(f"  {eid}: FAILED ({res.error})")
             continue
         path = os.path.join(args.out, f"fct_{eid}.csv")
@@ -177,7 +178,8 @@ def main() -> int:
             res.telemetry.write_json(
                 os.path.join(args.out, f"telemetry_{eid}.json"))
         index_rows.append([eid, cfg.scheme.value, cfg.deployment, cfg.load,
-                           cfg.workload, len(res.records), res.completed,
+                           cfg.workload, cfg.scaled_cutoff_bytes(),
+                           len(res.records), res.completed,
                            f"{res.wall_seconds:.1f}"])
         print(f"  {eid}: {res.completed}/{len(res.records)} flows, "
               f"{res.wall_seconds:.1f}s")
@@ -189,7 +191,8 @@ def main() -> int:
     with open(os.path.join(args.out, "index.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["experiment", "scheme", "deployment", "load",
-                    "workload", "flows", "completed", "wall_s"])
+                    "workload", "small_cutoff_bytes", "flows", "completed",
+                    "wall_s"])
         w.writerows(index_rows)
     print(f"wrote {len(grid)} result files + index.csv to {args.out}/")
     if audit_failures:
