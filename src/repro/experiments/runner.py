@@ -155,7 +155,9 @@ def flow_specs(cfg: ExperimentConfig, clos: FabricHandle,
     Top-level flows come in start order, each with its deployment group
     and scheme label set (a flow is "new" only when both endpoints sit in
     upgraded racks and it is not ``legacy``). Constant memory: nothing is
-    held but the merge heads.
+    held but the merge heads. ``clos`` is read before the stream starts
+    and not held by it, so a stream a raising cell leaves suspended keeps
+    no topology alive.
     """
     deployment = 0.0 if cfg.scheme == SchemeName.DCTCP else cfg.deployment
     plan = DeploymentPlan(clos.racks(), deployment, rng.stream("deployment"))
@@ -172,8 +174,8 @@ def flow_specs(cfg: ExperimentConfig, clos: FabricHandle,
                         scheme=new_scheme if group == "new" else "dctcp",
                         group=group, role=t.role)
 
-    for t in merge_sources(sources, rng):
-        yield label(t), tuple(map(label, t.children)) if t.children else ()
+    return ((label(t), tuple(map(label, t.children)) if t.children else ())
+            for t in merge_sources(sources, rng))
 
 
 def pump_flows(sim: Simulator, flows: Iterator[LabelledFlow],
@@ -215,46 +217,57 @@ def pump_flows(sim: Simulator, flows: Iterator[LabelledFlow],
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one full simulation and collect results. The result is a
     function of ``cfg`` alone, which is what lets a store key it by
-    ``config_key(cfg)``."""
+    ``config_key(cfg)``.
+
+    The cell's state dies with the call, returned or raised: once the
+    result has read what it needs, the simulator drops its calendar and
+    the topology unwires its nodes, so reference counting frees the
+    fabric and the packets in flight without waiting for a full
+    collection (DESIGN.md §6h)."""
     wall_start = time.monotonic()
     sim = Simulator()
     rng = RngRegistry(cfg.seed)
     setup = make_scheme_setup(cfg)
     clos = build_topology(sim, setup.queue_factory, cfg)
+    try:
+        fault_counters = FaultCounters()
+        if cfg.faults is not None and not cfg.faults.empty:
+            injector = cfg.faults.apply(sim, clos.topo, rng)
+            fault_counters = injector.counters
 
-    fault_counters = FaultCounters()
-    if cfg.faults is not None and not cfg.faults.empty:
-        injector = cfg.faults.apply(sim, clos.topo, rng)
-        fault_counters = injector.counters
+        # Records are built at the horizon from the stats objects in ``live``.
+        live: Dict[int, Tuple[FlowSpec, FlowStats]] = {}
+        pump_flows(sim, flow_specs(cfg, clos, rng), setup, live,
+                   cfg.sim_time_ns)
 
-    # Records are built at the horizon from the stats objects in ``live``.
-    live: Dict[int, Tuple[FlowSpec, FlowStats]] = {}
-    pump_flows(sim, flow_specs(cfg, clos, rng), setup, live, cfg.sim_time_ns)
+        sampler = _attach_telemetry(sim, cfg, clos, live)
+        auditor = _attach_audit(sim, cfg, clos, live)
 
-    sampler = _attach_telemetry(sim, cfg, clos, live)
-    auditor = _attach_audit(sim, cfg, clos, live)
+        sim.run(until=cfg.sim_time_ns, max_events=cfg.max_events,
+                wall_clock_s=cfg.max_wall_seconds)
 
-    sim.run(until=cfg.sim_time_ns, max_events=cfg.max_events,
-            wall_clock_s=cfg.max_wall_seconds)
-
-    records = [FlowRecord.from_flow(s, st) for s, st in live.values()]
-    counters = _collect_counters(clos)
-    result = ExperimentResult(
-        config=cfg,
-        records=records,
-        counters=counters,
-        events_run=sim.events_run,
-        wall_seconds=time.monotonic() - wall_start,
-        routing_failures=sum(sw.routing_failures for sw in clos.topo.switches),
-        fault_counters=fault_counters,
-        aborted=sim.aborted,
-        abort_reason=sim.abort_reason,
-    )
-    if auditor is not None:
-        result.audit = auditor.finalize()
-    if sampler is not None:
-        result.telemetry = sampler.freeze()
-    return result
+        records = [FlowRecord.from_flow(s, st) for s, st in live.values()]
+        counters = _collect_counters(clos)
+        result = ExperimentResult(
+            config=cfg,
+            records=records,
+            counters=counters,
+            events_run=sim.events_run,
+            wall_seconds=time.monotonic() - wall_start,
+            routing_failures=sum(sw.routing_failures
+                                 for sw in clos.topo.switches),
+            fault_counters=fault_counters,
+            aborted=sim.aborted,
+            abort_reason=sim.abort_reason,
+        )
+        if auditor is not None:
+            result.audit = auditor.finalize()
+        if sampler is not None:
+            result.telemetry = sampler.freeze()
+        return result
+    finally:
+        sim.release()
+        clos.topo.release()
 
 
 def _attach_audit(sim: Simulator, cfg: ExperimentConfig, clos: FabricHandle,

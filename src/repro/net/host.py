@@ -91,6 +91,12 @@ class Host(Node):
     def unregister_receiver(self, flow_id: int) -> None:
         self._receivers.pop(flow_id, None)
 
+    def release(self) -> None:
+        super().release()
+        self._senders = {}
+        self._receivers = {}
+        self._nic = None
+
     # ---------------------------------------------------------------- I/O
 
     def send(self, pkt: Packet) -> bool:

@@ -27,6 +27,10 @@ class Node:
             raise ValueError(f"{self.name} already has a port toward node {peer_id}")
         self.ports[peer_id] = port
 
+    def release(self) -> None:
+        """Drop the ports (see :meth:`Topology.release`)."""
+        self.ports = {}
+
     def receive(self, pkt: "Packet") -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 

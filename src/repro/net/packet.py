@@ -102,6 +102,7 @@ class Packet:
         "sent_at",
         "meta",
         "_pooled",
+        "__weakref__",  # tests watch a dead cell's packets being freed
     )
 
     def __init__(

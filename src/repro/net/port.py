@@ -54,7 +54,8 @@ class EgressPort:
     __slots__ = ("sim", "name", "rate_bps", "buffer", "scheduler", "_queues",
                  "classifier", "link", "_wake_handle",
                  "_serve_pending", "_free_at", "_tx_cache", "_sched_next",
-                 "_fifos", "_q_unpaced", "_ct_rr", "_rr_pos", "_batch_ok")
+                 "_fifos", "_q_unpaced", "_ct_rr", "_rr_pos", "_batch_ok",
+                 "__weakref__")  # tests watch a dead cell's ports being freed
 
     #: max packets committed to the wire per serve event (burst dequeue)
     BURST = 8

@@ -71,6 +71,12 @@ class Switch(Node):
         self._route_multi = multi
         self._ecmp_memo = {}
 
+    def release(self) -> None:
+        super().release()
+        self._route_single = {}
+        self._route_multi = {}
+        self._ecmp_memo = {}
+
     def receive(self, pkt: "Packet") -> None:
         dst = pkt.dst
         port = self._route_single.get(dst)

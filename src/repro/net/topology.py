@@ -120,6 +120,15 @@ class Topology:
         for switch in self.switches:
             switch.install_routes(next_hops.get(switch.id, {}))
 
+    def release(self) -> None:
+        """Unwire the fabric at the end of its run: every node drops its
+        ports and the per-node state it keeps (a switch's routes, a host's
+        endpoints). Wiring is cyclic (switch -> port -> link -> peer
+        switch), so without this a dead fabric waits for a full collection
+        instead of being freed when the last reference goes."""
+        for node in self.nodes.values():
+            node.release()
+
     # ------------------------------------------------------------- lookups
 
     def port(self, src: Node, dst: Node) -> EgressPort:

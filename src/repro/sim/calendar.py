@@ -115,6 +115,8 @@ class CalendarSimulator:
         self._bucket_ids: List[int] = []
         #: entries with bucket id <= _cur_b belong to the active batch
         self._cur_b: int = -1
+        #: the shared coarse-timer wheel (``TimerWheel.for_sim`` makes it)
+        self._timer_wheel = None
 
     # --------------------------------------------------------- properties
 
@@ -414,6 +416,22 @@ class CalendarSimulator:
         if until is not None and self._now < until and not self.aborted:
             self._now = until
         return executed
+
+    def release(self) -> None:
+        """Drop every pending entry and the timer wheel, ending the run's
+        calendar. Each handle's ``fn`` and ``args`` are cleared as dispatch
+        clears them: an armed handle and its owner (a port's wake) are a
+        reference cycle. The clock and ``events_run`` stay readable."""
+        for lst in (self._active, *self._buckets.values()):
+            for e in lst:
+                if e[2] is None:
+                    e[3].fn = None
+                    e[3].args = ()
+        self._active.clear()
+        self._buckets.clear()
+        self._bucket_ids.clear()
+        self._cancelled = 0
+        self._timer_wheel = None  # the wheel refers back to this simulator
 
     # ------------------------------------------------------------ queries
 

@@ -1,18 +1,28 @@
-"""Flow state ends with the flow (DESIGN.md §5, "State lifetime").
+"""Flow state ends with the flow (DESIGN.md §5, "State lifetime"), and a
+cell's state ends with the cell (DESIGN.md §6h).
 
 Runs whole cells and inspects what is still alive when ``sim.run``
 returns: a finished receiver holds no credit source, no sender scoreboard
 keeps an acked seq its cumulative point already implies, and re-arming a
-coarse timer to a later deadline files no new wheel timer.
+coarse timer to a later deadline files no new wheel timer. Then, with the
+collector off, what is still alive when ``run_experiment`` returns or
+raises: nothing of the fabric, and no packet that was in flight.
 """
 
 import gc
+import pickle
+import weakref
 
 import pytest
 
 from repro.core.flexpass import FlexPassReceiver, FlexPassSender
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig, SchemeName
+from repro.experiments.parallel import run_many
 from repro.experiments.runner import run_experiment
+from repro.experiments.store import ResultStore
+from repro.net.host import Host
+from repro.net.packet import Packet
 from repro.net.topology import ClosSpec
 from repro.sim.engine import CalendarSimulator
 from repro.sim.timerwheel import CoarseTimer, TimerWheel
@@ -87,3 +97,128 @@ def test_finished_flows_release_their_state(monkeypatch, scheme, deployment):
         assert all(seq >= board._cum for seq in board._acked)
 
     assert 0 < snap["armed_total"] <= snap["new_entries"]
+
+
+# ------------------------------------------------------- cell lifetime
+
+#: 12 hosts and a short horizon, with hundreds of packets in flight at its end
+CELL = ExperimentConfig(
+    scheme=SchemeName.FLEXPASS, deployment=0.5, load=0.8,
+    sim_time_ns=300_000, size_scale=8.0, seed=3,
+    clos=ClosSpec(n_pods=2, aggs_per_pod=2, tors_per_pod=2, hosts_per_tor=3))
+
+
+@pytest.fixture
+def no_collector():
+    """Only reference counting frees anything while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _in_flight(sim, ports):
+    """Packets the calendar or a port queue still holds."""
+    for _, _, event in sim.iter_pending():
+        args = event[1] if isinstance(event, tuple) else event.args
+        yield from (a for a in args if isinstance(a, Packet))
+    for port in ports:
+        for fifo in port.scheduler.fifos:
+            yield from fifo
+
+
+def _watch_cells(monkeypatch):
+    """Weak references to every cell's topology and ports, and to the
+    packets in flight when its ``sim.run`` returned or raised."""
+    cells = []
+    build = runner.build_topology
+
+    def watched_build(sim, make_queues, cfg):
+        clos = build(sim, make_queues, cfg)
+        ports = clos.topo.all_ports()
+        cells.append({"topo": weakref.ref(clos.topo),
+                      "ports": list(map(weakref.ref, ports))})
+        return clos
+
+    sim_run = CalendarSimulator.run
+
+    def watched_run(sim, *args, **kwargs):
+        try:
+            return sim_run(sim, *args, **kwargs)
+        finally:
+            ports = [ref() for ref in cells[-1]["ports"]]
+            cells[-1]["packets"] = list(map(weakref.ref,
+                                            _in_flight(sim, ports)))
+
+    monkeypatch.setattr(runner, "build_topology", watched_build)
+    monkeypatch.setattr(CalendarSimulator, "run", watched_run)
+    return cells
+
+
+def _assert_released(cell):
+    assert cell["topo"]() is None
+    assert len(cell["ports"]) == 48
+    assert not [ref for ref in cell["ports"] if ref() is not None]
+    assert len(cell["packets"]) > 100
+    assert not [ref for ref in cell["packets"] if ref() is not None]
+
+
+def test_a_finished_cell_releases_its_fabric(monkeypatch, no_collector):
+    cells = _watch_cells(monkeypatch)
+    res = run_experiment(CELL)
+    assert not res.aborted and res.completed > 0
+    _assert_released(cells[0])
+
+
+def test_an_aborted_cell_releases_its_fabric(monkeypatch, no_collector):
+    cells = _watch_cells(monkeypatch)
+    res = run_experiment(CELL.with_(max_events=2_000))
+    assert res.aborted
+    _assert_released(cells[0])
+
+
+def test_a_raising_cell_releases_its_fabric(monkeypatch, no_collector):
+    cells = _watch_cells(monkeypatch)
+    receive = Host.receive
+
+    def receive_until(host, pkt):
+        if host.sim.now > CELL.sim_time_ns // 2:
+            raise RuntimeError("endpoint failure")
+        receive(host, pkt)
+
+    monkeypatch.setattr(Host, "receive", receive_until)
+    try:
+        run_experiment(CELL)
+    except RuntimeError:
+        pass
+    else:
+        pytest.fail("the cell did not raise")
+    _assert_released(cells[0])
+
+
+def test_a_sweep_releases_every_cell(monkeypatch, no_collector):
+    cells = _watch_cells(monkeypatch)
+    results = run_many([CELL.with_(seed=s) for s in (1, 2, 3)], processes=1)
+    assert all(r.completed > 0 for r in results)
+    assert len(cells) == 3
+    for cell in cells:
+        _assert_released(cell)
+
+
+def test_the_result_holds_nothing_of_the_fabric(tmp_path):
+    res = run_experiment(CELL)
+    payload = pickle.dumps(res)
+    for name in (b"EgressPort", b"Topology", b"CalendarSimulator"):
+        assert name not in payload
+    store = ResultStore(tmp_path / "store.db")
+    assert store.put(res.config, res)
+    stored = store.get(res.config)
+    store.close()
+    for copy in (pickle.loads(payload), stored):
+        assert copy.records == res.records
+        assert copy.counters == res.counters
+        assert copy.events_run == res.events_run
+        assert copy.fct() == res.fct()
+        assert copy.fct(small=True) == res.fct(small=True)

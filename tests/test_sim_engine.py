@@ -127,6 +127,27 @@ def test_peek_time_skips_cancelled():
     assert sim.peek_time() == 9
 
 
+def test_release_drops_the_calendar_and_the_wheel():
+    """A released simulator holds no event: handles are emptied as
+    dispatch empties them, and the coarse-timer wheel is let go."""
+    from repro.sim.timerwheel import TimerWheel
+
+    sim = Simulator()
+    fired = []
+    sim.run(until=5)
+    handle = sim.at(10, fired.append, "at")
+    sim.post(2_000_000, fired.append, "post")
+    wheel = TimerWheel.for_sim(sim)
+    wheel.arm(5_000_000, fired.append, "wheel")
+    sim.release()
+    assert sim.pending() == 0 and sim.peek_time() is None
+    assert handle.fn is None and handle.args == ()
+    assert TimerWheel.for_sim(sim) is not wheel
+    assert (sim.now, sim.events_run) == (5, 0)
+    sim.run()
+    assert fired == []
+
+
 def test_events_can_schedule_more_events():
     sim = Simulator()
     ticks = []

@@ -103,3 +103,35 @@ class TestArtifactGrid:
         (row,) = [r for r in fig10 if r["scheme"] == "flexpass"]
         assert float(row["p99_small_ms"]) == cell.p99_small_ms
         assert int(row["censored"]) == cell.censored
+
+
+def test_generate_figure_reports_a_failed_cell(tmp_path, monkeypatch, capsys):
+    """A cell that raised has an ``index.csv`` row with ``wall_s=FAILED``
+    and no ``fct_<id>.csv``: its metrics print as FAILED and the other
+    cells are still summarised."""
+    with open(tmp_path / "index.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["experiment", "scheme", "deployment", "load", "workload",
+                    "small_cutoff_bytes", "flows", "completed", "wall_s"])
+        w.writerow(["e1_dctcp_000", "dctcp", 0.0, 0.5, "websearch", 100000,
+                    2, 2, "1.0"])
+        w.writerow(["e1_flexpass_050", "flexpass", 0.5, 0.5, "websearch",
+                    100000, 0, 0, "FAILED"])
+    with open(tmp_path / "fct_e1_dctcp_000.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["flow_id", "scheme", "group", "role", "size_bytes",
+                    "start_ns", "fct_ns", "timeouts", "retransmissions"])
+        w.writerow([0, "dctcp", "legacy", "bg", 5000, 0, 1_000_000, 0, 0])
+        w.writerow([1, "dctcp", "legacy", "bg", 9000, 10, 3_000_000, 0, 0])
+
+    monkeypatch.setattr(sys, "argv", ["generate_figure.py",
+                                      "--results", str(tmp_path)])
+    assert _load_tool("generate_figure").main() == 0
+
+    with open(tmp_path / "fig10.csv") as f:
+        fig10 = {r["scheme"]: r for r in csv.DictReader(f)}
+    assert float(fig10["dctcp"]["avg_ms"]) == 2.0
+    assert fig10["flexpass"]["p99_small_ms"] == "FAILED"
+    assert fig10["flexpass"]["avg_ms"] == "FAILED"
+    assert fig10["flexpass"]["censored"] == "FAILED"
+    assert "FAILED" in capsys.readouterr().out

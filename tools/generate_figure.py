@@ -27,6 +27,10 @@ from repro.metrics.summary import format_table  # noqa: E402
 _INT_COLUMNS = ("flow_id", "size_bytes", "start_ns", "fct_ns", "timeouts",
                 "retransmissions")
 
+#: the ``wall_s`` of an ``index.csv`` row whose cell raised: such a row has
+#: no ``fct_<id>.csv``, and its metric columns print as this
+FAILED = "FAILED"
+
 
 def load_index(results_dir: str) -> List[dict]:
     with open(os.path.join(results_dir, "index.csv")) as f:
@@ -70,6 +74,8 @@ def main() -> int:
     for row in index:
         eid = row["experiment"]
         cells[eid] = dict(row)
+        if row["wall_s"] == FAILED:
+            continue
         cells[eid].update(metrics(load_records(args.results, eid),
                                   int(row["small_cutoff_bytes"])))
 
@@ -91,7 +97,7 @@ def main() -> int:
             if not eid.startswith(prefix):
                 continue
             cell = cells[eid]
-            rows.append([cell.get(c, "") for c in columns])
+            rows.append([cell.get(c, FAILED) for c in columns])
         if not rows:
             continue
         path = os.path.join(args.results, f"{fig}.csv")
