@@ -35,6 +35,8 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MICROS, MILLIS
 
+from tests.util import cell
+
 
 def audit_cfg(scheme=SchemeName.FLEXPASS, **overrides):
     """A deliberately tiny audited config (fast enough per-test)."""
@@ -167,7 +169,7 @@ class TestCleanRuns:
         assert report.ok, report.violations
 
     def test_run_experiment_attaches_report(self):
-        res = run_experiment(audit_cfg())
+        res = cell(audit_cfg())
         assert res.audit is not None and res.audit.ok
         assert res.audit.digest is None  # digest off by default
 
@@ -175,8 +177,8 @@ class TestCleanRuns:
         """No config and a disabled one take the runner's real attach gate
         to the same run: no report, and not one event or record apart (a
         checkpoint timer would show in ``events_run``)."""
-        off = run_experiment(audit_cfg(audit=None))
-        disabled = run_experiment(audit_cfg(audit=AuditConfig(enabled=False)))
+        off = cell(audit_cfg(audit=None))
+        disabled = cell(audit_cfg(audit=AuditConfig(enabled=False)))
         assert off.audit is None and disabled.audit is None
         assert off.events_run == disabled.events_run > 0
         assert off.records == disabled.records
@@ -184,6 +186,7 @@ class TestCleanRuns:
     def test_digest_recorded_when_enabled(self):
         cfg = audit_cfg(audit=AuditConfig(digest=True,
                                           checkpoint_interval_ns=None))
+        # re-run: two simulations of one config must digest alike
         res = run_experiment(cfg)
         digest = res.audit.digest
         assert digest is not None and digest.total > 0
@@ -195,8 +198,8 @@ class TestCleanRuns:
         mk = lambda seed: audit_cfg(
             seed=seed, audit=AuditConfig(digest=True,
                                          checkpoint_interval_ns=None))
-        a = run_experiment(mk(2)).audit.digest
-        b = run_experiment(mk(3)).audit.digest
+        a = cell(mk(2)).audit.digest
+        b = cell(mk(3)).audit.digest
         assert a != b
 
 

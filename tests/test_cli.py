@@ -70,7 +70,7 @@ class TestPaperScale:
 class TestExecution:
     def test_run_command_prints_metrics(self, capsys):
         rc = main(["run", "--scheme", "flexpass", "--deployment", "1.0",
-                   "--ms", "2", "--size-scale", "16"])
+                   "--ms", "1", "--size-scale", "16"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "p99 small FCT" in out
@@ -87,7 +87,7 @@ class TestExecution:
 
     def test_sweep_command(self, capsys):
         rc = main(["sweep", "--schemes", "flexpass", "--deployments", "0", "1",
-                   "--ms", "2", "--size-scale", "16"])
+                   "--ms", "1", "--size-scale", "16"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Deployment sweep" in out

@@ -7,27 +7,28 @@ and identical summaries, in config order.
 """
 
 import dataclasses
+import pickle
 import random
 import sqlite3
 
 import pytest
 
+from repro.audit import AuditConfig
 from repro.experiments.cache import DEFAULT_CODE_SALT, config_key
-from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
+from repro.experiments.config import QueueSettings, SchemeName
 import repro.experiments.fabric as fabric_mod
 from repro.experiments.parallel import FailedResult, run_many
-from repro.experiments.runner import ExperimentResult, SwitchCounters
+from repro.experiments.runner import (
+    ExperimentResult,
+    SwitchCounters,
+    run_experiment,
+)
 from repro.experiments.store import open_store
 from repro.faults.plan import FaultPlan, LinkLossSpec
 from repro.metrics.fct import FlowRecord, PackedFlowRecords
-from repro.sim.units import MILLIS
+from repro.metrics.telemetry import TelemetryConfig
 
-
-def tiny_config(**overrides):
-    base = dict(scheme=SchemeName.DCTCP, sim_time_ns=1 * MILLIS, load=0.3,
-                seed=1)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+from tests.util import cell, tiny_cfg
 
 
 def make_records(n=100, seed=0):
@@ -62,8 +63,6 @@ class TestPackedRecords:
 
     def test_pickle_roundtrip(self):
         """The worker→parent hop: packed columns must survive pickling."""
-        import pickle
-
         records = make_records(2000)
         packed = PackedFlowRecords.pack(records)
         wired = pickle.loads(pickle.dumps(packed,
@@ -73,14 +72,14 @@ class TestPackedRecords:
 
 class TestConfigKey:
     def test_stable_across_equal_configs(self):
-        assert config_key(tiny_config()) == config_key(tiny_config())
+        assert config_key(tiny_cfg()) == config_key(tiny_cfg())
 
     def test_every_perturbation_changes_key(self):
-        base = tiny_config()
+        base = tiny_cfg()
         perturbed = [
             base.with_(seed=2),
             base.with_(load=0.31),
-            base.with_(scheme=SchemeName.FLEXPASS),
+            base.with_(scheme=SchemeName.DCTCP),
             base.with_(sim_time_ns=base.sim_time_ns + 1),
             base.with_(queues=QueueSettings(wq=0.25)),
             base.with_(faults=FaultPlan(losses=(LinkLossSpec(rate=0.01),))),
@@ -92,12 +91,12 @@ class TestConfigKey:
         assert len(keys) == len(perturbed)
 
     def test_salt_changes_key(self):
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         assert (config_key(cfg, salt="code-v1")
                 != config_key(cfg, salt="code-v2"))
 
     def test_env_salt_overrides_default(self, monkeypatch):
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         default_key = config_key(cfg)
         monkeypatch.setenv("REPRO_CACHE_SALT", DEFAULT_CODE_SALT + "-bumped")
         assert config_key(cfg) != default_key
@@ -124,7 +123,7 @@ class TestExperimentCache:
 
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = open_store(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         assert cache.get(cfg) is None
         result = self._result(cfg)
         assert cache.put(cfg, result)
@@ -137,12 +136,12 @@ class TestExperimentCache:
 
     def test_perturbed_config_misses(self, tmp_path):
         cache = open_store(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         cache.put(cfg, self._result(cfg))
         assert cache.get(cfg.with_(seed=99)) is None
 
     def test_salt_bump_invalidates(self, tmp_path):
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         old = open_store(tmp_path / "r.db", salt="code-v1")
         old.put(cfg, self._result(cfg))
         assert old.get(cfg) is not None
@@ -151,7 +150,7 @@ class TestExperimentCache:
 
     def test_failed_result_never_cached(self, tmp_path):
         cache = open_store(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         failed = FailedResult(config=cfg, error="boom", traceback="tb")
         assert not cache.put(cfg, failed)
         assert cache.get(cfg) is None
@@ -159,13 +158,13 @@ class TestExperimentCache:
 
     def test_aborted_result_never_cached(self, tmp_path):
         cache = open_store(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         assert not cache.put(cfg, self._result(cfg, aborted=True))
         assert cache.get(cfg) is None
 
     def test_torn_entry_reads_as_miss(self, tmp_path):
         cache = open_store(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         cache.put(cfg, self._result(cfg))
         with sqlite3.connect(tmp_path / "r.db") as conn:
             conn.execute("UPDATE results SET payload = ?", (b"\x80garbage",))
@@ -182,7 +181,7 @@ class TestExperimentCache:
             sqlite3, "connect",
             lambda *a, **kw: real_connect(*a, factory=_FullDisk, **kw))
         cache = open_store(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
             assert cache.put(cfg, self._result(cfg)) is False
         assert cache.write_errors == 1
@@ -190,14 +189,14 @@ class TestExperimentCache:
         assert "write failed" in caplog.text
         # The sweep-facing contract: run_many keeps going and still
         # returns the in-memory result.
-        results = run_many([tiny_config(seed=7)], processes=1,
+        results = run_many([tiny_cfg(seed=7)], processes=1,
                            cache=str(tmp_path / "doomed.db"))
         assert not isinstance(results[0], FailedResult)
 
 
 class TestRunManyStreaming:
     def test_order_contract_parallel(self):
-        configs = [tiny_config(seed=s) for s in (5, 3, 8, 1)]
+        configs = [tiny_cfg(seed=s) for s in (5, 3, 8, 1)]
         results = run_many(configs, processes=2)
         assert len(results) == len(configs)
         for cfg, result in zip(configs, results):
@@ -205,7 +204,7 @@ class TestRunManyStreaming:
             assert result.config.seed == cfg.seed
 
     def test_progress_called_for_every_config(self):
-        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        configs = [tiny_cfg(seed=s) for s in (1, 2, 3)]
         calls = []
         run_many(configs, processes=1,
                  progress=lambda done, total: calls.append((done, total)))
@@ -213,7 +212,7 @@ class TestRunManyStreaming:
 
     def test_cached_rerun_skips_simulation(self, tmp_path, monkeypatch):
         """Second run over the same configs must not simulate at all."""
-        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        configs = [tiny_cfg(seed=s) for s in (1, 2, 3)]
         cache = open_store(tmp_path / "r.db")
         first = run_many(configs, processes=1, cache=cache)
         assert cache.stores == len(configs)
@@ -229,7 +228,7 @@ class TestRunManyStreaming:
             assert a.fct().avg_ms == b.fct().avg_ms
 
     def test_cache_accepts_bare_file_path(self, tmp_path):
-        configs = [tiny_config(seed=1)]
+        configs = [tiny_cfg(seed=1)]
         run_many(configs, processes=1, cache=str(tmp_path / "cache.db"))
         assert len(open_store(f"sqlite:{tmp_path}/cache.db")) == 1
 
@@ -238,7 +237,7 @@ class TestRunManyStreaming:
         """The acceptance scenario: a 32-config Clos sweep, run twice with a
         cache; the second pass is all hits with byte-identical summaries."""
         configs = [
-            tiny_config(seed=seed, load=load)
+            tiny_cfg(seed=seed, load=load)
             for seed in range(1, 17) for load in (0.2, 0.4)
         ]
         assert len(configs) == 32
@@ -248,9 +247,32 @@ class TestRunManyStreaming:
         assert not any(isinstance(r, FailedResult) for r in first)
         second = run_many(configs, cache=cache)
         assert cache.hits == 32
-        import pickle
-
         for a, b in zip(first, second):
             assert pickle.dumps(a.fct()) == pickle.dumps(b.fct())
             assert pickle.dumps(a.fct(small=True)) == pickle.dumps(b.fct(small=True))
             assert a.records == b.records
+
+
+class TestCellPool:
+    def test_cell_is_a_private_copy_of_the_run(self):
+        """``tests.util.cell`` serves what ``run_experiment`` returns, through
+        the store's own encoding, as a fresh copy on every call."""
+        # pool=False: the packet-pool gauges read process-global state
+        cfg = tiny_cfg(
+            telemetry=TelemetryConfig(interval_ns=100_000, pool=False),
+            audit=AuditConfig(digest=True, checkpoint_interval_ns=None))
+        # re-run: the pool's copy is checked against a fresh simulation
+        fresh = run_experiment(cfg)
+        assert fresh.records and fresh.audit.digest is not None
+        a, b = cell(cfg), cell(cfg)
+        for got in (a, b):
+            assert pickle.dumps(got.records) == pickle.dumps(fresh.records)
+            assert pickle.dumps(got.fct()) == pickle.dumps(fresh.fct())
+            assert pickle.dumps(got.fct(small=True)) == \
+                pickle.dumps(fresh.fct(small=True))
+            assert got.events_run == fresh.events_run
+            assert got.telemetry == fresh.telemetry
+            assert got.audit.digest == fresh.audit.digest
+        assert a is not b and a.records is not b.records
+        a.records.clear()
+        assert cell(cfg).records == fresh.records

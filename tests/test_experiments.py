@@ -6,7 +6,7 @@ import pytest
 
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.cache import config_key
-from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
+from repro.experiments.config import QueueSettings, SchemeName
 from repro.experiments.runner import flow_specs, run_experiment
 from repro.experiments.scenarios import (
     flexpass_queue_factory,
@@ -25,7 +25,7 @@ from repro.experiments.sweep import (
 )
 from repro.metrics.telemetry import TelemetryConfig
 from repro.net.packet import Dscp
-from repro.net import ClosSpec, build_clos
+from repro.net import build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import GBPS, KB, MILLIS
@@ -37,20 +37,7 @@ from repro.workloads.gen import (
     UniformPairs,
 )
 
-
-def tiny_cfg(**overrides):
-    base = dict(
-        scheme=SchemeName.FLEXPASS,
-        deployment=0.5,
-        workload="websearch",
-        load=0.4,
-        sim_time_ns=3 * MILLIS,
-        size_scale=16.0,
-        seed=3,
-        clos=ClosSpec(n_pods=2, aggs_per_pod=1, tors_per_pod=2, hosts_per_tor=2),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+from tests.util import cell, tiny_cfg
 
 
 class TestQueueFactories:
@@ -156,13 +143,14 @@ class TestBuildFlowSpecs:
 
 class TestRunExperiment:
     def test_run_produces_records(self):
-        res = run_experiment(tiny_cfg())
+        res = cell(tiny_cfg())
         assert len(res.records) > 20
         assert res.completed > 0
         assert res.routing_failures == 0
         assert res.events_run > 0
 
     def test_deterministic_given_seed(self):
+        # re-run: two simulations of one config must agree
         r1 = run_experiment(tiny_cfg(seed=11))
         r2 = run_experiment(tiny_cfg(seed=11))
         f1 = [(r.flow_id, r.fct_ns) for r in r1.records]
@@ -170,19 +158,19 @@ class TestRunExperiment:
         assert f1 == f2
 
     def test_different_seed_different_traffic(self):
-        r1 = run_experiment(tiny_cfg(seed=1))
-        r2 = run_experiment(tiny_cfg(seed=2))
+        r1 = cell(tiny_cfg(seed=1))
+        r2 = cell(tiny_cfg(seed=2))
         assert [(r.flow_id, r.size_bytes) for r in r1.records] != \
                [(r.flow_id, r.size_bytes) for r in r2.records]
 
     def test_all_schemes_run(self):
         for scheme in SchemeName:
-            res = run_experiment(tiny_cfg(scheme=scheme))
+            res = cell(tiny_cfg(scheme=scheme))
             assert res.completed > 0, scheme
 
     def test_q1_sampling(self):
         cfg = tiny_cfg(scheme=SchemeName.FLEXPASS)
-        res = run_experiment(cfg.with_(
+        res = cell(cfg.with_(
             telemetry=TelemetryConfig.ports_only(cfg.sim_time_ns)))
         q1_avg_kb, q1_p90_kb, q1_avg_red_kb, _ = res.q1_occupancy_kb()
         # p90 can legitimately sit below the mean for heavy-tailed samples;
@@ -195,13 +183,13 @@ class TestRunExperiment:
         """A result is a function of its config: sampling Q1 costs extra
         events, so it must be asked for on the config, where the key sees
         it, and two runs of one config must agree to the event."""
-        plain = tiny_cfg(scheme=SchemeName.FLEXPASS, deployment=1.0,
-                         sim_time_ns=1 * MILLIS)
+        plain = tiny_cfg(scheme=SchemeName.FLEXPASS, deployment=1.0)
         sampled = plain.with_(
             telemetry=TelemetryConfig.ports_only(plain.sim_time_ns))
         assert config_key(plain) != config_key(sampled)
         q1 = {}
         for name, cfg in (("plain", plain), ("sampled", sampled)):
+            # re-run: a key must name one result, event for event
             a, b = run_experiment(cfg), run_experiment(cfg)
             assert a.events_run == b.events_run
             assert a.q1_occupancy_kb() == b.q1_occupancy_kb()
@@ -210,7 +198,7 @@ class TestRunExperiment:
         assert q1["sampled"][0] > 0.0
 
     def test_fct_filters(self):
-        res = run_experiment(tiny_cfg())
+        res = cell(tiny_cfg())
         s_all = res.fct()
         s_small = res.fct(small=True)
         assert s_small.count <= s_all.count
@@ -267,7 +255,7 @@ class TestSweep:
         assert cfg.seed == 9
 
     def test_sweepcell_from_result(self):
-        res = run_experiment(tiny_cfg())
-        cell = SweepCell.from_result(res)
-        assert cell.flows == len(res.records)
-        assert cell.scheme == "flexpass"
+        res = cell(tiny_cfg())
+        row = SweepCell.from_result(res)
+        assert row.flows == len(res.records)
+        assert row.scheme == "flexpass"

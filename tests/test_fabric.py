@@ -27,7 +27,6 @@ import pytest
 import repro.experiments.fabric as fabric_mod
 import repro.experiments.store as store_mod
 from repro.experiments.cache import config_key
-from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.fabric import (
     CompletionReport,
     FabricConfig,
@@ -37,11 +36,7 @@ from repro.experiments.fabric import (
     sweep_status,
 )
 from repro.experiments.parallel import FailedResult, run_many
-from repro.experiments.runner import (
-    ExperimentResult,
-    SwitchCounters,
-    run_experiment,
-)
+from repro.experiments.runner import ExperimentResult, SwitchCounters
 from repro.experiments.store import (
     DONE,
     EXHAUSTED,
@@ -52,21 +47,15 @@ from repro.experiments.store import (
     open_store,
 )
 from repro.metrics.fct import FlowRecord
-from repro.sim.units import MILLIS
+
+from tests.util import cell, tiny_cfg
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def tiny_config(**overrides):
-    base = dict(scheme=SchemeName.DCTCP, sim_time_ns=1 * MILLIS, load=0.3,
-                seed=1)
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
 def broken_config(**overrides):
     """A config that fails deterministically inside the worker."""
-    return tiny_config(workload="no-such-workload", **overrides)
+    return tiny_cfg(workload="no-such-workload", **overrides)
 
 
 def synthetic_result(cfg, n_records=5, aborted=False):
@@ -112,7 +101,7 @@ def sweep_table(journal_dir):
 class TestSqliteStore:
     def test_roundtrip_and_miss(self, tmp_path):
         store = ResultStore(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         assert store.get(cfg) is None
         assert store.put(cfg, synthetic_result(cfg))
         loaded = store.get(cfg)
@@ -124,7 +113,7 @@ class TestSqliteStore:
 
     def test_never_stores_failures_or_aborts(self, tmp_path):
         store = ResultStore(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         failed = FailedResult(config=cfg, error="boom", traceback="tb")
         assert not store.put(cfg, failed)
         assert not store.put(cfg, synthetic_result(cfg, aborted=True))
@@ -132,7 +121,7 @@ class TestSqliteStore:
         assert store.get(cfg) is None
 
     def test_salt_partitions_keys(self, tmp_path):
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         old = ResultStore(tmp_path / "r.db", salt="code-v1")
         old.put(cfg, synthetic_result(cfg))
         assert old.get(cfg) is not None
@@ -141,7 +130,7 @@ class TestSqliteStore:
 
     def test_torn_payload_reads_as_miss(self, tmp_path):
         store = ResultStore(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         store.put(cfg, synthetic_result(cfg))
         with sqlite3.connect(store.path) as conn:
             conn.execute("UPDATE results SET payload = ?",
@@ -152,7 +141,7 @@ class TestSqliteStore:
         """A payload pickled against a since-moved module is a stale-schema
         entry: it must read as a miss, not raise out of get()."""
         store = ResultStore(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         store.put(cfg, synthetic_result(cfg))
         # Protocol-0 GLOBAL opcode referencing a module that no longer
         # exists; unpickling raises ModuleNotFoundError.
@@ -164,7 +153,7 @@ class TestSqliteStore:
 
     def test_write_error_is_counted_not_raised(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
 
         def locked():
             raise sqlite3.OperationalError("database is locked")
@@ -195,7 +184,7 @@ class TestSqliteStore:
 
     def test_spec_reopens_equivalent_store(self, tmp_path):
         store = ResultStore(tmp_path / "r.db")
-        cfg = tiny_config()
+        cfg = tiny_cfg()
         store.put(cfg, synthetic_result(cfg))
         again = open_store(store.spec)
         assert again.get(cfg) is not None
@@ -206,7 +195,7 @@ def _hammer(path, start, count, barrier):
     store = ResultStore(path)
     barrier.wait()  # maximize write overlap across processes
     for i in range(start, start + count):
-        cfg = tiny_config(seed=i % 24 + 1)  # overlapping keys across procs
+        cfg = tiny_cfg(seed=i % 24 + 1)  # overlapping keys across procs
         ok = store.put(cfg, synthetic_result(cfg, n_records=20))
         assert ok, "concurrent write failed"
         got = store.get(cfg)
@@ -234,10 +223,10 @@ class TestSqliteConcurrentWriters:
         store = ResultStore(path)
         assert len(store) == 24  # seeds collapse onto 24 distinct configs
         for seed in range(1, 25):
-            got = store.get(tiny_config(seed=seed))
+            got = store.get(tiny_cfg(seed=seed))
             assert got is not None
             assert got.records == synthetic_result(
-                tiny_config(seed=seed), n_records=20).records
+                tiny_cfg(seed=seed), n_records=20).records
         integrity = sqlite3.connect(path).execute(
             "PRAGMA integrity_check").fetchone()[0]
         assert integrity == "ok"
@@ -248,7 +237,7 @@ class TestSqliteConcurrentWriters:
 
 def new_cells(tmp_path, n, sweep_id="s1"):
     store = ResultStore(tmp_path / "r.db")
-    configs = [tiny_config(seed=s) for s in range(1, n + 1)]
+    configs = [tiny_cfg(seed=s) for s in range(1, n + 1)]
     cells = SweepCells(store, sweep_id)
     cells.create([store.key(c) for c in configs], configs)
     return store, cells, configs
@@ -329,7 +318,7 @@ class TestJournal:
 
     def test_verify_grid_catches_keying_drift(self, tmp_path):
         SweepFabric(tmp_path / "j", store=tmp_path / "r.db",
-                    config=FabricConfig(processes=1)).run([tiny_config()])
+                    config=FabricConfig(processes=1)).run([tiny_cfg()])
         conn = sqlite3.connect(tmp_path / "r.db")
         with conn:
             conn.execute("UPDATE cells SET key = ?", ("0" * 64,))
@@ -356,7 +345,7 @@ class TestCellsStateMachine:
            + ("start", "heartbeat", "done", "fail", "release") * 2)
 
     def test_invariants_hold_in_every_interleaving(self, tmp_path):
-        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        configs = [tiny_cfg(seed=s) for s in (1, 2, 3)]
         for seed in range(self.SEEDS):
             self._interleave(ResultStore(tmp_path / f"{seed}.db"), configs,
                              random.Random(seed), f"seed {seed}")
@@ -444,7 +433,7 @@ class TestCellsStateMachine:
         it. If the resumed attempt then fails, its ``fail`` changes no
         row; the loop settles the cell with the survivor's stored result
         instead of re-queueing a done cell."""
-        journal, cfg = tmp_path / "j", tiny_config()
+        journal, cfg = tmp_path / "j", tiny_cfg()
         survivor_result = synthetic_result(cfg)
 
         def survivor_commits_then_raise(config):
@@ -534,8 +523,8 @@ class TestOneLoop:
                              ids=["no-journal", "journal"])
     def test_same_verdicts_in_every_mode(self, tmp_path, journaled,
                                          processes):
-        clean = tiny_config(seed=5)
-        configs = [clean, broken_config(seed=2), tiny_config(seed=5)]
+        clean = tiny_cfg(seed=5)
+        configs = [clean, broken_config(seed=2), tiny_cfg(seed=5)]
         store = open_store(tmp_path / "r.db")
         cells, grid = None, configs
         if journaled:
@@ -546,7 +535,7 @@ class TestOneLoop:
                               heartbeat_s=0.2)
         results, counts = fabric_mod.run_cells(grid, store, policy,
                                                cells=cells)
-        direct = run_experiment(clean)
+        direct = cell(clean)
         assert results[0].records == direct.records
         assert results[0].events_run == direct.events_run
         assert results[2] is results[0]  # the duplicate shares the verdict
@@ -575,8 +564,8 @@ class TestOneLoop:
 
         monkeypatch.setattr(fabric_mod, "config_key", counting_key)
         monkeypatch.setattr(store_mod, "config_key", counting_key)
-        configs = [tiny_config(seed=1), tiny_config(seed=2),
-                   tiny_config(seed=1)]
+        configs = [tiny_cfg(seed=1), tiny_cfg(seed=2),
+                   tiny_cfg(seed=1)]
         for _ in ("cold", "warm"):
             calls.clear()
             results = run_many(configs, processes=1,
@@ -603,7 +592,7 @@ class TestFabric:
                            config=FabricConfig(**kw))
 
     def test_start_complete_and_report(self, tmp_path):
-        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        configs = [tiny_cfg(seed=s) for s in (1, 2, 3)]
         fabric = self.fabric(tmp_path)
         results = fabric.run(configs)
         assert [r.config.seed for r in results] == [1, 2, 3]
@@ -621,12 +610,12 @@ class TestFabric:
     def test_progress_reaches_total(self, tmp_path):
         calls = []
         fabric = self.fabric(tmp_path)
-        fabric.run([tiny_config(seed=s) for s in (1, 2)],
+        fabric.run([tiny_cfg(seed=s) for s in (1, 2)],
                    progress=lambda d, t: calls.append((d, t)))
         assert calls[-1] == (2, 2)
 
     def test_resume_recomputes_nothing(self, tmp_path):
-        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        configs = [tiny_cfg(seed=s) for s in (1, 2, 3)]
         first = self.fabric(tmp_path)
         res1 = first.run(configs)
         resumed = SweepFabric(tmp_path / "journal",
@@ -639,15 +628,15 @@ class TestFabric:
             assert pickle.dumps(a.fct()) == pickle.dumps(b.fct())
 
     def test_duplicate_configs_simulate_once(self, tmp_path):
-        cfg = tiny_config(seed=5)
+        cfg = tiny_cfg(seed=5)
         fabric = self.fabric(tmp_path)
-        results = fabric.run([cfg, tiny_config(seed=6), cfg])
+        results = fabric.run([cfg, tiny_cfg(seed=6), cfg])
         assert fabric.last_report.executed == 2
         assert results[0].records == results[2].records
 
     def test_partial_completion_lists_failed_cells(self, tmp_path):
-        configs = [tiny_config(seed=1), broken_config(seed=2),
-                   tiny_config(seed=3)]
+        configs = [tiny_cfg(seed=1), broken_config(seed=2),
+                   tiny_cfg(seed=3)]
         fabric = self.fabric(tmp_path, max_retries=1)
         results = fabric.run(configs)
         report = fabric.last_report
@@ -669,9 +658,9 @@ class TestFabric:
 
     def test_mismatched_grid_raises(self, tmp_path):
         fabric = self.fabric(tmp_path)
-        fabric.run([tiny_config(seed=1)])
+        fabric.run([tiny_cfg(seed=1)])
         with pytest.raises(JournalError, match="do not match"):
-            SweepFabric(tmp_path / "journal").run([tiny_config(seed=99)])
+            SweepFabric(tmp_path / "journal").run([tiny_cfg(seed=99)])
 
     def test_resume_without_journal_raises(self, tmp_path):
         with pytest.raises(JournalError, match="no sweep to resume"):
@@ -680,7 +669,7 @@ class TestFabric:
     def test_default_store_is_one_file_in_the_journal(self, tmp_path):
         fabric = SweepFabric(tmp_path / "journal",
                              config=FabricConfig(processes=1))
-        fabric.run([tiny_config(seed=1)])
+        fabric.run([tiny_cfg(seed=1)])
         assert fabric.last_report.store == f"sqlite:{tmp_path}/journal/store.db"
         assert len(open_store(tmp_path / "journal" / "store.db")) == 1
         # Nothing that changes during a sweep lives outside the store.
@@ -709,7 +698,7 @@ class TestFabric:
     def test_deleted_store_is_a_precise_error(self, tmp_path):
         """The store holds the sweep's cells: a sweep whose store file is
         gone cannot resume, and says so instead of starting over."""
-        self.fabric(tmp_path).run([tiny_config(seed=1)])
+        self.fabric(tmp_path).run([tiny_cfg(seed=1)])
         os.unlink(tmp_path / "results.db")
         for call in (lambda: SweepFabric(tmp_path / "journal").run(),
                      lambda: sweep_status(tmp_path / "journal")):
@@ -718,7 +707,7 @@ class TestFabric:
         assert not (tmp_path / "results.db").exists()
 
     def test_mismatched_store_on_resume_is_a_precise_error(self, tmp_path):
-        configs = [tiny_config(seed=1)]
+        configs = [tiny_cfg(seed=1)]
         self.fabric(tmp_path).run(configs)
         elsewhere = SweepFabric(tmp_path / "journal",
                                 store=f"sqlite:{tmp_path}/other.db")
@@ -735,7 +724,7 @@ class TestFabric:
         """Two sweeps of one grid against one store: each has its own
         rows; the second is served from the first's results and leaves
         the first's rows as they were."""
-        configs = [tiny_config(seed=s) for s in (1, 2, 3)]
+        configs = [tiny_cfg(seed=s) for s in (1, 2, 3)]
         store = f"sqlite:{tmp_path}/results.db"
         first = SweepFabric(tmp_path / "a", store=store,
                             config=FabricConfig(processes=1))
@@ -754,7 +743,7 @@ class TestFabric:
         assert len(cell_table(tmp_path / "results.db")) == 6
 
     def test_sweep_status_reflects_journal(self, tmp_path):
-        configs = [tiny_config(seed=1), broken_config(seed=2)]
+        configs = [tiny_cfg(seed=1), broken_config(seed=2)]
         fabric = self.fabric(tmp_path, max_retries=0)
         fabric.run(configs)
         status = sweep_status(tmp_path / "journal")
@@ -764,7 +753,7 @@ class TestFabric:
         assert status["last_report"]["status"] == "partial"
 
     def test_pool_path_matches_serial(self, tmp_path):
-        configs = [tiny_config(seed=s) for s in (1, 2, 3, 4)]
+        configs = [tiny_cfg(seed=s) for s in (1, 2, 3, 4)]
         serial = self.fabric(tmp_path).run(configs)
         pooled_fabric = SweepFabric(
             tmp_path / "journal2", store=f"sqlite:{tmp_path}/r2.db",
@@ -790,7 +779,7 @@ class TestFabric:
             return ok
 
         monkeypatch.setattr(SweepCells, "lease", counted_lease)
-        configs = [tiny_config(seed=s) for s in range(1, 7)]
+        configs = [tiny_cfg(seed=s) for s in range(1, 7)]
         fabric = SweepFabric(
             tmp_path / "journal", store=f"sqlite:{tmp_path}/r.db",
             config=FabricConfig(processes=2, heartbeat_s=0.2))
@@ -808,7 +797,7 @@ class TestFabric:
         """A cell written off as exhausted whose zombie attempt later
         stored a valid result is served from the store on resume instead
         of re-reporting the self-healed failure."""
-        configs = [tiny_config(seed=1), broken_config(seed=2)]
+        configs = [tiny_cfg(seed=1), broken_config(seed=2)]
         fabric = self.fabric(tmp_path, max_retries=0)
         results = fabric.run(configs)
         assert isinstance(results[1], FailedResult)
@@ -836,7 +825,7 @@ class TestFabric:
         monkeypatch.setattr(fabric_mod, "_pool_cell", _stalled_cell)
         # Two cells: a single pending cell clamps the pool to one process
         # and takes the serial path, which has no leases to expire.
-        configs = [tiny_config(seed=1), tiny_config(seed=2)]
+        configs = [tiny_cfg(seed=1), tiny_cfg(seed=2)]
         fabric = SweepFabric(
             tmp_path / "journal", store=f"sqlite:{tmp_path}/r.db",
             config=FabricConfig(processes=2, max_retries=1, lease_s=0.2,
@@ -867,7 +856,7 @@ class TestFabric:
             return real(cfg)
 
         monkeypatch.setattr(fabric_mod, "run_experiment", slow_seed_2)
-        configs = [tiny_config(seed=1, max_events=1), tiny_config(seed=2)]
+        configs = [tiny_cfg(seed=1, max_events=1), tiny_cfg(seed=2)]
         fabric = SweepFabric(
             tmp_path / "journal", store=f"sqlite:{tmp_path}/r.db",
             config=FabricConfig(processes=2, max_retries=1, lease_s=0.3,
@@ -894,17 +883,12 @@ def _done_and_executions(journal_dir):
 
 
 DRIVER = """
-import sys
+import pickle, sys
 sys.path.insert(0, {src!r})
-from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.fabric import SweepFabric, FabricConfig
-from repro.sim.units import MILLIS
 
-configs = [
-    ExperimentConfig(scheme=SchemeName.DCTCP, sim_time_ns=2 * MILLIS,
-                     load=load, seed=seed)
-    for seed in range(1, 17) for load in (0.3, 0.5)
-]
+with open({grid!r}, "rb") as f:
+    configs = pickle.load(f)
 assert len(configs) == 32
 fabric = SweepFabric({journal!r}, store={store!r},
                      config=FabricConfig(processes=2, heartbeat_s=0.2))
@@ -917,17 +901,18 @@ class TestCrashResume:
     """The kill -9 acceptance scenario, end to end."""
 
     def _configs(self):
-        return [
-            ExperimentConfig(scheme=SchemeName.DCTCP, sim_time_ns=2 * MILLIS,
-                             load=load, seed=seed)
-            for seed in range(1, 17) for load in (0.3, 0.5)
-        ]
+        return [tiny_cfg(load=load, seed=seed)
+                for seed in range(1, 17) for load in (0.3, 0.5)]
 
     def test_kill9_resume_no_recompute_byte_identical(self, tmp_path):
+        """A 32-cell sweep killed mid-flight and resumed re-runs no
+        finished cell and merges byte-identical to an uninterrupted run."""
         journal_dir = str(tmp_path / "journal")
         store_spec = f"sqlite:{tmp_path}/results.db"
+        grid = tmp_path / "configs.pkl"
+        grid.write_bytes(pickle.dumps(self._configs()))
         driver = DRIVER.format(src=SRC, journal=journal_dir,
-                               store=store_spec)
+                               store=store_spec, grid=str(grid))
         # Run the sweep in its own process group so SIGKILL takes the
         # pool workers down with the coordinator — a true host death.
         proc = subprocess.Popen([sys.executable, "-c", driver],
@@ -970,9 +955,9 @@ class TestCrashResume:
         # the kill never gains another execution.
         dones_after, runs_after = _done_and_executions(journal_dir)
         assert dones_after == set(range(32))
-        for cell in dones_before:
-            assert runs_after[cell] == runs_before[cell], (
-                f"cell {cell} was re-executed after resume")
+        for idx in dones_before:
+            assert runs_after[idx] == runs_before[idx], (
+                f"cell {idx} was re-executed after resume")
         if interrupted_mid_flight:
             assert report.executed > 0  # the kill left real work behind
 

@@ -4,7 +4,7 @@ experiment execution (watchdog, run_many hardening)."""
 import numpy as np
 import pytest
 
-from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
+from repro.experiments.config import QueueSettings
 from repro.experiments.parallel import FailedResult, run_many
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import flexpass_queue_factory
@@ -33,7 +33,7 @@ from repro.transports.base import FlowSpec, FlowStats
 from repro.transports.credit_feedback import CREDIT_PER_DATA
 from repro.transports.dctcp import DctcpParams, DctcpReceiver, DctcpSender
 
-from tests.util import Completions
+from tests.util import Completions, cell, tiny_cfg
 
 
 def _pkt(kind=PacketKind.DATA, **kw):
@@ -273,14 +273,8 @@ class TestLinkFailureEvents:
 
 def _faulty_cfg(**overrides):
     base = dict(
-        scheme=SchemeName.FLEXPASS,
-        deployment=0.5,
-        load=0.4,
         sim_time_ns=2 * MILLIS,
-        size_scale=16.0,
         seed=5,
-        clos=ClosSpec(n_pods=2, aggs_per_pod=1, tors_per_pod=2,
-                      hosts_per_tor=2),
         faults=FaultPlan(
             losses=(LinkLossSpec(model="gilbert", rate=1.0,
                                  burst_start=0.002, burst_end=0.2,
@@ -290,7 +284,7 @@ def _faulty_cfg(**overrides):
         ),
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return tiny_cfg(**base)
 
 
 class TestFaultPlan:
@@ -301,7 +295,8 @@ class TestFaultPlan:
         assert pickle.loads(pickle.dumps(cfg)).faults == cfg.faults
 
     def test_seeded_run_is_bit_for_bit_reproducible(self):
-        r1 = run_experiment(_faulty_cfg())
+        r1 = cell(_faulty_cfg())
+        # re-run: a second simulation of the faulted config must agree
         r2 = run_experiment(_faulty_cfg())
         assert r1.fault_counters == r2.fault_counters
         assert r1.fault_counters.injected_drops > 0
@@ -310,13 +305,13 @@ class TestFaultPlan:
         assert f1 == f2
 
     def test_different_seed_different_faults(self):
-        r1 = run_experiment(_faulty_cfg(seed=5))
-        r2 = run_experiment(_faulty_cfg(seed=6))
+        r1 = cell(_faulty_cfg(seed=5))
+        r2 = cell(_faulty_cfg(seed=6))
         assert [(r.flow_id, r.fct_ns) for r in r1.records] != \
                [(r.flow_id, r.fct_ns) for r in r2.records]
 
     def test_failures_counted_in_result(self):
-        res = run_experiment(_faulty_cfg())
+        res = cell(_faulty_cfg())
         assert res.fault_counters.link_failures == 1
         assert res.fault_counters.link_restores == 1
         assert res.fault_counters.reroutes == 2
@@ -324,7 +319,7 @@ class TestFaultPlan:
     def test_corrupt_spec_counts_at_nic(self):
         cfg = _faulty_cfg(faults=FaultPlan(
             losses=(LinkLossSpec(rate=0.05, corrupt=True, kinds=("data",)),)))
-        res = run_experiment(cfg)
+        res = cell(cfg)
         assert res.fault_counters.corrupted > 0
         assert res.fault_counters.injected_drops == 0
 
@@ -337,11 +332,11 @@ class TestFaultPlan:
     def test_fault_annotation_marks_degraded_runs(self):
         from repro.metrics.summary import degraded_title, fault_annotation
 
-        res = run_experiment(_faulty_cfg())
+        res = cell(_faulty_cfg())
         note = fault_annotation(res)
         assert "faults" in note and "reroutes" in note
         assert degraded_title("t", res).startswith("t [")
-        clean = run_experiment(_faulty_cfg(faults=None))
+        clean = cell(_faulty_cfg(faults=None))
         assert fault_annotation(clean) == ""
 
 
@@ -380,7 +375,7 @@ class TestWatchdog:
 
     def test_runner_returns_partial_result_flagged_aborted(self):
         cfg = _faulty_cfg(faults=None, max_events=5000)
-        res = run_experiment(cfg)
+        res = cell(cfg)
         assert res.aborted
         assert "watchdog" in res.abort_reason
         assert res.events_run <= 5000
@@ -402,13 +397,12 @@ class TestWatchdog:
 def _poison_cfg():
     # workload_cdf() raises KeyError for an unknown workload inside the
     # worker -- a realistic "one config in the sweep is broken" case.
-    return _faulty_cfg(faults=None, workload="no-such-workload")
+    return tiny_cfg(workload="no-such-workload")
 
 
 class TestRunManyResilience:
     def test_serial_poisoned_config_yields_failed_result(self):
-        cfgs = [_faulty_cfg(faults=None), _poison_cfg(),
-                _faulty_cfg(faults=None, seed=7)]
+        cfgs = [tiny_cfg(), _poison_cfg(), tiny_cfg(seed=7)]
         results = run_many(cfgs, processes=1)
         assert len(results) == 3
         assert not isinstance(results[0], FailedResult)
@@ -419,7 +413,7 @@ class TestRunManyResilience:
         assert "no-such-workload" in failed.traceback
 
     def test_pool_poisoned_config_does_not_crash(self):
-        cfgs = [_faulty_cfg(faults=None), _poison_cfg()]
+        cfgs = [tiny_cfg(), _poison_cfg()]
         results = run_many(cfgs, processes=2)
         assert len(results) == 2
         assert isinstance(results[1], FailedResult)

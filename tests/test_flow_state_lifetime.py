@@ -208,6 +208,7 @@ def test_a_sweep_releases_every_cell(monkeypatch, no_collector):
 
 
 def test_the_result_holds_nothing_of_the_fabric(tmp_path):
+    # a fresh run: a pooled copy has already been through pickle
     res = run_experiment(CELL)
     payload = pickle.dumps(res)
     for name in (b"EgressPort", b"Topology", b"CalendarSimulator"):

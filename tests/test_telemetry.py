@@ -26,25 +26,10 @@ from repro.metrics.telemetry import (
     sparkline,
 )
 from repro.net import DumbbellSpec, build_dumbbell
-from repro.net.topology import ClosSpec
 from repro.sim.engine import Simulator
 from repro.sim.units import MILLIS
 from tests.test_net_port_topology import Recorder, mk_data, single_queue_factory
-
-
-def tiny_cfg(**overrides):
-    base = dict(
-        scheme=SchemeName.FLEXPASS,
-        deployment=0.5,
-        load=0.4,
-        sim_time_ns=2 * MILLIS,
-        size_scale=16.0,
-        seed=3,
-        clos=ClosSpec(n_pods=2, aggs_per_pod=1, tors_per_pod=2,
-                      hosts_per_tor=2),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+from tests.util import cell, tiny_cfg
 
 
 class TestRingBuffer:
@@ -336,7 +321,7 @@ class TestConfigValidation:
 class TestExperimentIntegration:
     def test_run_experiment_ships_series(self):
         cfg = tiny_cfg(telemetry=TelemetryConfig(interval_ns=100_000))
-        res = run_experiment(cfg)
+        res = cell(cfg)
         series = res.telemetry
         assert series is not None
         names = series.names()
@@ -350,12 +335,12 @@ class TestExperimentIntegration:
         assert any(sum(series.values(n)) > 0 for n in goodput)
 
     def test_no_telemetry_field_when_unconfigured(self):
-        res = run_experiment(tiny_cfg())
+        res = cell(tiny_cfg())
         assert res.telemetry is None
 
     def test_disabled_config_means_no_series(self):
         cfg = tiny_cfg(telemetry=TelemetryConfig(enabled=False))
-        assert run_experiment(cfg).telemetry is None
+        assert cell(cfg).telemetry is None
 
     def test_sampling_is_deterministic(self):
         # pool=False: the pool gauges read the process-global allocator,
@@ -363,6 +348,7 @@ class TestExperimentIntegration:
         # process; every sim-derived series must be bit-identical.
         cfg = tiny_cfg(telemetry=TelemetryConfig(interval_ns=100_000,
                                                  pool=False))
+        # re-run: two simulations of one config must sample alike
         a = run_experiment(cfg).telemetry
         b = run_experiment(cfg).telemetry
         assert a == b
@@ -370,8 +356,8 @@ class TestExperimentIntegration:
     def test_telemetry_does_not_perturb_results(self):
         """Sampling must be an observer: flow records are bit-identical
         with and without it."""
-        plain = run_experiment(tiny_cfg())
-        sampled = run_experiment(tiny_cfg(telemetry=TelemetryConfig()))
+        plain = cell(tiny_cfg())
+        sampled = cell(tiny_cfg(telemetry=TelemetryConfig()))
         assert plain.records == sampled.records
         assert plain.completed == sampled.completed
 
@@ -412,7 +398,7 @@ class TestExperimentIntegration:
                              legacy=True))),
             telemetry=TelemetryConfig(ports="none", links=False, pool=False,
                                       credit=False))
-        series = run_experiment(cfg).telemetry
+        series = cell(cfg).telemetry
         for scheme in ("flexpass", "dctcp"):
             total = series.values(f"scheme.{scheme}.goodput_bps")
             proactive = series.values(f"scheme.{scheme}.proactive_bps")

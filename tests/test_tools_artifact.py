@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from repro.experiments.config import SchemeName
 from repro.experiments.parallel import run_many
 from repro.experiments.sweep import default_sweep_config
-from repro.net.topology import ClosSpec
 from repro.sim.units import MILLIS
+
+from tests.util import cell, tiny_cfg
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -26,26 +26,15 @@ def _load_tool(name):
 
 
 class TestParallelRunner:
-    def _cfgs(self, n=2):
-        base = default_sweep_config(
-            sim_time_ns=2 * MILLIS, size_scale=16.0,
-            clos=ClosSpec(n_pods=2, aggs_per_pod=1, tors_per_pod=2,
-                          hosts_per_tor=2),
-        )
-        return [base.with_(scheme=SchemeName.FLEXPASS, deployment=d, seed=i)
-                for i, d in enumerate([0.5] * n)]
-
     def test_serial_path(self):
-        results = run_many(self._cfgs(2), processes=1)
+        results = run_many([tiny_cfg(seed=0), tiny_cfg(seed=1)], processes=1)
         assert len(results) == 2
         assert all(r.completed > 0 for r in results)
 
     def test_results_match_direct_execution(self):
-        from repro.experiments.runner import run_experiment
-
-        cfgs = self._cfgs(1)
-        direct = run_experiment(cfgs[0])
-        pooled = run_many(cfgs, processes=1)[0]
+        cfg = tiny_cfg(seed=0)
+        direct = cell(cfg)
+        pooled = run_many([cfg], processes=1)[0]
         assert [(r.flow_id, r.fct_ns) for r in direct.records] == \
                [(r.flow_id, r.fct_ns) for r in pooled.records]
 
@@ -65,13 +54,14 @@ class TestArtifactGrid:
         assert sum(1 for i in ids if i.startswith("e3_")) == 27
 
     def test_end_to_end_artifact_flow(self, tmp_path):
-        """run_simulations --only e1_flexpass_100 then generate_figure."""
+        """run_simulations writes a cell's FCT CSV and generate_figure
+        turns it into a fig10 row carrying the run's own metrics."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO, "src")
         out = tmp_path / "results"
         run = subprocess.run(
             [sys.executable, os.path.join(REPO, "tools", "run_simulations.py"),
-             "--out", str(out), "--ms", "2", "--size-scale", "16",
+             "--out", str(out), "--ms", "1", "--size-scale", "16",
              "--only", "e1_flexpass_100", "e1_dctcp_000"],
             capture_output=True, text=True, env=env, timeout=600,
         )
@@ -92,17 +82,16 @@ class TestArtifactGrid:
         assert "fig10" in gen.stdout
 
         # The tool's metrics are the run's: same summarize, same cutoff.
-        from repro.experiments.runner import run_experiment
         from repro.experiments.sweep import SweepCell
 
         grid = dict(_load_tool("run_simulations").build_grid(
-            default_sweep_config(sim_time_ns=2 * MILLIS, size_scale=16.0)))
-        cell = SweepCell.from_result(run_experiment(grid["e1_flexpass_100"]))
+            default_sweep_config(sim_time_ns=1 * MILLIS, size_scale=16.0)))
+        want = SweepCell.from_result(cell(grid["e1_flexpass_100"]))
         with open(out / "fig10.csv") as f:
             fig10 = list(csv.DictReader(f))
         (row,) = [r for r in fig10 if r["scheme"] == "flexpass"]
-        assert float(row["p99_small_ms"]) == cell.p99_small_ms
-        assert int(row["censored"]) == cell.censored
+        assert float(row["p99_small_ms"]) == want.p99_small_ms
+        assert int(row["censored"]) == want.censored
 
 
 def test_generate_figure_reports_a_failed_cell(tmp_path, monkeypatch, capsys):

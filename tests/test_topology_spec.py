@@ -39,6 +39,8 @@ from repro.net.fabric import (
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MILLIS
 
+from tests.util import cell
+
 
 def small_spec_dict(**overrides):
     """A tiny valid 2-site fabric as a plain dict."""
@@ -374,7 +376,7 @@ class TestFaultsByOntologyName:
     def test_named_backbone_link_kill_and_reconverge(self):
         plan = FaultPlan(failures=(LinkFailureSpec(
             a="SW-A", b="SW-B", down_ns=MILLIS // 2, up_ns=MILLIS),))
-        res = run_experiment(self.make_cfg(faults=plan))
+        res = cell(self.make_cfg(faults=plan))
         fc = res.fault_counters
         assert fc.link_failures == 1
         assert fc.link_restores == 1
@@ -395,7 +397,7 @@ class TestFaultsByOntologyName:
     def test_site_failure_runs_end_to_end(self):
         plan = FaultPlan(site_failures=(SiteFailureSpec(
             "DC-B", down_ns=MILLIS // 2, up_ns=MILLIS),))
-        res = run_experiment(self.make_cfg(faults=plan))
+        res = cell(self.make_cfg(faults=plan))
         assert res.fault_counters.link_failures == 3
         assert res.fault_counters.link_restores == 3
 
@@ -444,7 +446,7 @@ class TestRegionalScenario:
         assert len(spec.inter_region_links()) == 2
         cfg = regional_fabric_config(spec, load=0.3, sim_time_ns=MILLIS,
                                      size_scale=32.0, seed=9)
-        res = run_experiment(cfg)
+        res = cell(cfg)
         assert res.completed > 0
         assert not res.aborted
 

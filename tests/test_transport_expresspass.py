@@ -128,9 +128,9 @@ class TestTwoFlows:
 class TestStarvationPremise:
     """Figure 1(a) / Figure 9(a): naive coexistence starves DCTCP."""
 
-    def _run(self, ms=30):
+    def _run(self, ms=10):
         """Measure while both flows are still active (40 MB at ~10G needs
-        >32 ms, so a 30 ms horizon keeps the link contended throughout)."""
+        >32 ms, so a 10 ms horizon keeps the link contended throughout)."""
         sim = Simulator()
         db = build_dumbbell(sim, expresspass_queue_factory(), DumbbellSpec(n_pairs=2))
         done = Completions()

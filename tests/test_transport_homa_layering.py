@@ -211,6 +211,6 @@ class TestLayering:
                                      scheme="ly"), done)
         dc = launch_dctcp(sim, FlowSpec(2, db.senders[1], db.receivers[1], size,
                                         0, scheme="dctcp"), done)
-        sim.run(until=30 * MILLIS)
+        sim.run(until=10 * MILLIS)
         total = ly.delivered_bytes + dc.delivered_bytes
         assert dc.delivered_bytes / total > 0.25  # no starvation

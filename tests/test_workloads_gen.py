@@ -48,6 +48,8 @@ from repro.workloads.gen import (
     stub_hosts,
 )
 
+from tests.util import cell
+
 HORIZON = 1 << 62  # effectively unbounded; cap streams with islice
 
 
@@ -329,7 +331,7 @@ class TestCoflowSource:
                              fanout=3),
             )),
         )
-        result = run_experiment(cfg)
+        result = cell(cfg)
         roles = {}
         for r in result.records:
             roles[r.role] = roles.get(r.role, 0) + 1
@@ -357,7 +359,7 @@ class TestCoflowSource:
                 SourceConfig(name="jobs", kind="coflow", fanout=2,
                              think_ns=think_ns),)),
         )
-        records = run_experiment(cfg).records
+        records = cell(cfg).records
         replies = [r for r in records if r.role == "reply"]
         assert replies, "some requests finish early enough to be answered"
         assert all(think_ns <= r.start_ns < cfg.sim_time_ns for r in replies)

@@ -1,12 +1,69 @@
-"""Shared helpers for transport-level tests."""
+"""Shared test helpers: one tiny experiment config, one cell pool per
+pytest process, and the queue factories and models of the
+transport-level tests.
 
+The cell pool rule:
+
+* A test that only reads a result gets it from ``cell(cfg)``. The pool
+  simulates each config once per pytest process and hands every caller
+  its own copy, so a test may change what it gets without changing what
+  another test sees.
+* A test that must simulate again calls ``run_experiment`` and says why
+  in a one-line comment: determinism and seed stability, store and cache
+  skips, fabric and resume, release and lifetime, pool dispatch, or
+  "tracing changes nothing".
+* A test that monkeypatches anything ``run_experiment`` reaches never
+  calls ``cell``: the pool's key is the config, which cannot see a patch,
+  so a patched run would be served to (or from) unpatched tests.
+* A test that expects a run to raise calls ``run_experiment``: there is
+  no result to keep.
+"""
+
+from repro.experiments.cache import config_key
+from repro.experiments.config import ExperimentConfig, SchemeName
+from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.store import decode_result, encode_result
 from repro.net.packet import Dscp
 from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.ratelimit import TokenBucket
 from repro.net.scheduler import QueueSchedule
-from repro.sim.units import KB
+from repro.net.topology import ClosSpec
+from repro.sim.units import KB, MICROS
 
 ALL_DSCPS = [d.value for d in Dscp] + [Dscp.HOMA_BASE + p for p in range(8)]
+
+
+def tiny_cfg(**overrides) -> ExperimentConfig:
+    """The tests' one small experiment: FlexPass on half of an 8-host Clos
+    at load 0.4 for 0.5 ms (about 80 flows, ~0.07 s to simulate)."""
+    base = dict(
+        scheme=SchemeName.FLEXPASS,
+        deployment=0.5,
+        load=0.4,
+        sim_time_ns=500 * MICROS,
+        size_scale=16.0,
+        seed=3,
+        clos=ClosSpec(n_pods=2, aggs_per_pod=1, tors_per_pod=2,
+                      hosts_per_tor=2),
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+#: config key -> the result as the sweep store encodes it
+_CELLS = {}
+
+
+def cell(cfg: ExperimentConfig) -> ExperimentResult:
+    """``run_experiment(cfg)``, simulated at most once per pytest process.
+
+    Each call decodes a fresh copy of the stored bytes: the same round
+    trip the sweep store gives every result.
+    """
+    key = config_key(cfg)
+    if key not in _CELLS:
+        _CELLS[key] = encode_result(run_experiment(cfg))
+    return decode_result(_CELLS[key])
 
 
 def ecn_queue_factory(ecn_kb=65):
