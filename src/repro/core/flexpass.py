@@ -59,9 +59,10 @@ PROACTIVE = 0
 REACTIVE = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlexPassParams:
-    """Endpoint configuration for a FlexPass flow."""
+    """Endpoint configuration for a FlexPass flow (frozen: shared by every
+    flow one launcher starts)."""
 
     #: Credit rate cap at the receiver NIC: w_q * link_rate * 84/1584.
     max_credit_rate_bps: float = 0.5 * 10 * GBPS * CREDIT_PER_DATA
@@ -98,22 +99,26 @@ class SubFlow:
     scoreboard, its seq -> segment map, the implicit ack of a segment on
     the other sub-flow, and "only the latest copy's loss counts". The
     reactive instance is the queue its :class:`DctcpLoop` runs over.
+
+    A sub-flow reaches the other one only through that one's scoreboard,
+    which refers to nothing, so the two are no reference cycle.
     """
 
-    __slots__ = ("buffer", "stats", "scoreboard", "other", "next_new",
-                 "_segs", "_sent_state", "_last_seq")
+    __slots__ = ("buffer", "stats", "scoreboard", "other_board", "next_new",
+                 "_segs", "_sent_state", "_last_seq", "_other_last_seq")
 
     def __init__(self, buffer: SendBuffer, stats: FlowStats, dupthresh: int,
                  subflow: int) -> None:
         self.buffer = buffer
         self.stats = stats
         self.scoreboard = SenderScoreboard(dupthresh=dupthresh)
-        #: the other sub-flow of the same sender
-        self.other: Optional["SubFlow"] = None
+        #: the scoreboard of the other sub-flow of the same sender
+        self.other_board: Optional[SenderScoreboard] = None
         self.next_new = 0  # the seq the next transmission gets
         self._segs: List[int] = []  # seq -> segment idx
         self._sent_state = _SENT_STATE[subflow]
         self._last_seq = _LAST_SEQ[subflow]
+        self._other_last_seq = _LAST_SEQ[1 - subflow]
 
     def on_send(self, idx: int, now_ns: int) -> int:
         """Segment ``idx`` goes out on this sub-flow; returns its seq."""
@@ -131,16 +136,16 @@ class SubFlow:
             ack.ack, ack.sack, ack.seq)
         buffer = self.buffer
         segments = buffer.segments
-        other = self.other
+        other_last_seq = self._other_last_seq
         for seq in newly_acked:
             idx = self._segs[seq]
             if buffer.mark_acked(idx):
-                other_seq = other._last_seq(segments[idx])
+                other_seq = other_last_seq(segments[idx])
                 if other_seq >= 0:
                     # Implicit cross-sub-flow ack: the other copy no longer
                     # needs its own ACK (it may have been dropped) —
                     # without this, a spurious RTO would fire at the tail.
-                    other.scoreboard.remove(other_seq)
+                    self.other_board.remove(other_seq)
         if newly_lost:
             self._mark_lost(newly_lost)
         return newly_acked, newly_lost
@@ -172,15 +177,15 @@ class FlexPassSender:
         self.buffer = SendBuffer(SegmentPayloads(spec))
         self.proactive = SubFlow(self.buffer, stats, params.dupthresh, PROACTIVE)
         self.reactive = SubFlow(self.buffer, stats, params.dupthresh, REACTIVE)
-        self.proactive.other = self.reactive
-        self.reactive.other = self.proactive
+        self.proactive.other_board = self.reactive.scoreboard
+        self.reactive.other_board = self.proactive.scoreboard
         # reactive sub-flow: the DCTCP loop, whose RTO stays unarmed unless
         # the enable_reactive_rto ablation arms it
         self.loop = DctcpLoop(sim, self.reactive, params.reactive_window,
-                              params.min_rto_ns, resume=self._pump_reactive)
+                              params.min_rto_ns)
         # proactive sub-flow: the credit-clocked §4.3 recovery timer
         self.p_rtt = RttEstimator(min_rto_ns=params.min_rto_ns)
-        self.p_timer = RetransmitTimer(sim, self.p_rtt, self._on_proactive_timeout)
+        self.p_timer = RetransmitTimer(sim, self.p_rtt)
         self.request = CreditRequest(sim, spec, stats, params.ctrl_dscp,
                                      params.request_timeout_ns)
         self.done = False
@@ -213,7 +218,7 @@ class FlexPassSender:
         if pkt.subflow == PROACTIVE:
             self._on_proactive_ack(pkt)
         else:
-            self.loop.on_ack(pkt)
+            self.loop.on_ack(pkt, self._pump_reactive)
         if self.buffer.all_acked:
             self._finish()
             return
@@ -251,7 +256,7 @@ class FlexPassSender:
         )
         self.stats.packets_sent += 1
         self.spec.src.send(pkt)
-        self.p_timer.arm_if_idle()
+        self.p_timer.arm_if_idle(self._on_proactive_timeout)
 
     def _pick_for_proactive(self):
         """Transmission priority of §4.2: Lost > Pending > Sent-as-reactive."""
@@ -272,7 +277,7 @@ class FlexPassSender:
             self.p_rtt.update(self.sim.now - pkt.sent_at)
         newly_acked, _ = self.proactive.on_ack(pkt)
         if newly_acked:
-            self.p_timer.on_progress()
+            self.p_timer.on_progress(self._on_proactive_timeout)
 
     def _on_proactive_timeout(self) -> None:
         """§4.3 recovery timer: non-congestion proactive losses. Declare the
@@ -313,7 +318,7 @@ class FlexPassSender:
             self.spec.src.send(pkt)
         if (self.params.enable_reactive_rto
                 and self.reactive.scoreboard.in_flight > 0):
-            self.loop.timer.arm_if_idle()
+            self.loop.arm_if_idle(self._pump_reactive)
 
     # ------------------------------------------------------------- common
 

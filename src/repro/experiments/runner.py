@@ -189,29 +189,49 @@ def pump_flows(sim: Simulator, flows: Iterator[LabelledFlow],
     past ``horizon_ns`` is never launched, child or not: it could not
     start, and would only read as a censored record.
     """
-    pending_children: Dict[int, Tuple[FlowSpec, ...]] = {}
+    _FlowPump(sim, flows, setup, live, horizon_ns).pump()
 
-    def launch(spec: FlowSpec) -> None:
-        live[spec.flow_id] = (spec, setup.launch(sim, spec, on_complete))
 
-    def on_complete(spec: FlowSpec, stats: FlowStats) -> None:
-        for child in pending_children.pop(spec.flow_id, ()):
-            child.start_ns += sim.now
-            if child.start_ns < horizon_ns:
-                launch(child)
+class _FlowPump:
+    """:func:`pump_flows`' state. Its callbacks are bound methods of one
+    object that refers to none of them, so, unlike closures that call
+    each other, they form no reference cycle holding ``live``: the cell's
+    flows go when the calendar and the receivers let go of the pump."""
 
-    def on_arrival(spec: FlowSpec, children: Tuple[FlowSpec, ...]) -> None:
+    __slots__ = ("sim", "flows", "setup", "live", "horizon_ns",
+                 "pending_children")
+
+    def __init__(self, sim: Simulator, flows: Iterator[LabelledFlow],
+                 setup: SchemeSetup,
+                 live: Dict[int, Tuple[FlowSpec, FlowStats]],
+                 horizon_ns: int) -> None:
+        self.sim = sim
+        self.flows = flows
+        self.setup = setup
+        self.live = live
+        self.horizon_ns = horizon_ns
+        self.pending_children: Dict[int, Tuple[FlowSpec, ...]] = {}
+
+    def launch(self, spec: FlowSpec) -> None:
+        self.live[spec.flow_id] = (
+            spec, self.setup.launch(self.sim, spec, self.on_complete))
+
+    def on_complete(self, spec: FlowSpec, stats: FlowStats) -> None:
+        for child in self.pending_children.pop(spec.flow_id, ()):
+            child.start_ns += self.sim.now
+            if child.start_ns < self.horizon_ns:
+                self.launch(child)
+
+    def on_arrival(self, spec: FlowSpec, children: Tuple[FlowSpec, ...]) -> None:
         if children:
-            pending_children[spec.flow_id] = children
-        launch(spec)
-        pump()
+            self.pending_children[spec.flow_id] = children
+        self.launch(spec)
+        self.pump()
 
-    def pump() -> None:
-        spec, children = next(flows, (None, ()))
-        if spec is not None and spec.start_ns < horizon_ns:
-            sim.at(spec.start_ns, on_arrival, spec, children)
-
-    pump()
+    def pump(self) -> None:
+        spec, children = next(self.flows, (None, ()))
+        if spec is not None and spec.start_ns < self.horizon_ns:
+            self.sim.at(spec.start_ns, self.on_arrival, spec, children)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

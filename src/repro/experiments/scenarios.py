@@ -266,10 +266,11 @@ class SchemeSetup:
 
 
 def dctcp_launcher():
-    """Legacy-flow launcher: plain DCTCP endpoints."""
+    """Legacy-flow launcher: plain DCTCP endpoints. Each launcher builds
+    its (frozen) params once, and every flow it starts shares them."""
+    params = DctcpParams()
 
     def launch(sim, spec, stats, on_complete):
-        params = DctcpParams()
         DctcpReceiver(sim, spec, stats, params, on_complete=on_complete)
         return DctcpSender(sim, spec, stats, params)
 
@@ -281,13 +282,13 @@ def expresspass_launcher(cfg: ExperimentConfig, credit_fraction: float):
     line rate. Data goes out as PROACTIVE_DATA and control as
     FLEX_CONTROL; each queue factory's classifier decides which queue
     that is."""
-    rate = cfg.reference_rate_bps
+    params = ExpressPassParams(
+        max_credit_rate_bps=(cfg.reference_rate_bps * credit_fraction
+                             * CREDIT_PER_DATA),
+        update_period_ns=cfg.update_period_ns,
+    )
 
     def launch(sim, spec, stats, on_complete):
-        params = ExpressPassParams(
-            max_credit_rate_bps=rate * credit_fraction * CREDIT_PER_DATA,
-            update_period_ns=cfg.update_period_ns,
-        )
         ExpressPassReceiver(sim, spec, stats, params, on_complete=on_complete)
         return ExpressPassSender(sim, spec, stats, params)
 
@@ -296,13 +297,12 @@ def expresspass_launcher(cfg: ExperimentConfig, credit_fraction: float):
 
 def layering_launcher(cfg: ExperimentConfig):
     """ExpressPass+ window-overlay endpoints (the Layering scheme [45])."""
-    rate = cfg.reference_rate_bps
+    params = LayeringParams(
+        max_credit_rate_bps=cfg.reference_rate_bps * CREDIT_PER_DATA,
+        update_period_ns=cfg.update_period_ns,
+    )
 
     def launch(sim, spec, stats, on_complete):
-        params = LayeringParams(
-            max_credit_rate_bps=rate * CREDIT_PER_DATA,
-            update_period_ns=cfg.update_period_ns,
-        )
         LayeringReceiver(sim, spec, stats, params, on_complete=on_complete)
         return LayeringSender(sim, spec, stats, params)
 
@@ -319,17 +319,17 @@ def flexpass_params_for(cfg: ExperimentConfig) -> FlexPassParams:
 def flexpass_launcher(cfg: ExperimentConfig, variant: str = ""):
     """FlexPass endpoints; ``variant`` selects the §4.3 alternatives
     ("rc3" RC3-splitting, "altq" alternative queueing, "" = base)."""
+    params = flexpass_params_for(cfg)
+    sender, receiver = FlexPassSender, FlexPassReceiver
+    if variant == "altq":
+        params = alt_queue_params(params)
+    if variant == "rc3":
+        params = replace(params, enable_proactive_rtx=False)
+        sender, receiver = Rc3SplitSender, Rc3SplitReceiver
 
     def launch(sim, spec, stats, on_complete):
-        params = flexpass_params_for(cfg)
-        if variant == "altq":
-            params = alt_queue_params(params)
-        if variant == "rc3":
-            params = replace(params, enable_proactive_rtx=False)
-            Rc3SplitReceiver(sim, spec, stats, params, on_complete=on_complete)
-            return Rc3SplitSender(sim, spec, stats, params)
-        FlexPassReceiver(sim, spec, stats, params, on_complete=on_complete)
-        return FlexPassSender(sim, spec, stats, params)
+        receiver(sim, spec, stats, params, on_complete=on_complete)
+        return sender(sim, spec, stats, params)
 
     return launch
 
@@ -337,11 +337,10 @@ def flexpass_launcher(cfg: ExperimentConfig, variant: str = ""):
 def homa_launcher(cfg: ExperimentConfig):
     """Receiver-driven Homa endpoints granting at the full line rate
     (the Figure 1(b) baseline: no awareness of coexisting legacy traffic)."""
-    rate = cfg.reference_rate_bps
+    params = HomaParams(grant_rate_bps=cfg.reference_rate_bps, grant_prio=0,
+                        unscheduled_prio=1, scheduled_prio=1)
 
     def launch(sim, spec, stats, on_complete):
-        params = HomaParams(grant_rate_bps=rate, grant_prio=0,
-                            unscheduled_prio=1, scheduled_prio=1)
         HomaReceiver(sim, spec, stats, params, on_complete=on_complete)
         return HomaSender(sim, spec, stats, params)
 

@@ -424,11 +424,17 @@ class TelemetrySampler:
                          lambda link=link: link.bytes_delivered, scale=scale)
 
     def watch_pool(self) -> None:
-        """Global packet-pool occupancy (in-use and free object counts)."""
+        """Packets this run holds out of the global pool, as ``pool.in_use``.
+
+        It counts from the packets outstanding when this is called, as the
+        invariant auditor's pool check does: the pool is process-global,
+        and what earlier runs in the process left unreleased is not this
+        run's. The length of the pool's free list is not sampled: earlier
+        runs set it, so it says nothing about this one."""
         pool = packet_pool()
+        baseline = pool.acquired - pool.released
         self.add_gauge("pool.in_use",
-                       lambda pool=pool: pool.acquired - pool.released)
-        self.add_gauge("pool.free", lambda pool=pool: len(pool))
+                       lambda: pool.acquired - pool.released - baseline)
 
     def watch_flows(self, flows_fn: Callable[[], Iterable[tuple]],
                     mode: str = "scheme", max_series: int = 64,

@@ -137,6 +137,18 @@ class TimerWheel:
         self._file(timer, now)
         return timer
 
+    def release(self) -> None:
+        """Cancel every filed timer and drop the buckets, ending the run's
+        wheel. An armed timer's callback refers to its owner, which refers
+        back to the timer, so cancelling (which drops the callback) is
+        what lets reference counting free the owner."""
+        for level in self._buckets:
+            for lst in level.values():
+                for timer in lst:
+                    timer.cancel()
+            level.clear()
+        self._meta_at = None
+
     def pending(self) -> int:
         """Live (non-cancelled) timers still filed in the wheel."""
         return sum(
@@ -244,36 +256,43 @@ class CoarseTimer:
     """A single re-armable one-shot timer on the simulator's shared wheel.
 
     The pattern shared by retransmission, credit-request, announce and
-    regrant timers: ``arm(delay)`` (re)starts, ``cancel()`` stops, ``armed``
-    tells. No arm or cancel touches the engine; a later re-arm moves it.
+    regrant timers: ``arm(delay, fn, *args)`` (re)starts, ``cancel()``
+    stops, ``armed`` tells. No arm or cancel touches the engine; a later
+    re-arm moves it.
+
+    The callback comes with each arm and lives only in the armed
+    :class:`WheelTimer`, which drops it on firing or cancelling. So the
+    timer never refers to its owner: while idle, the owner and its timer
+    form no reference cycle, and a finished endpoint is freed by
+    reference counting (DESIGN.md §5, "State lifetime").
     """
 
-    __slots__ = ("_fn", "_wheel", "_timer")
+    __slots__ = ("_wheel", "_timer")
 
-    def __init__(self, sim, fn: Callable[[], Any]) -> None:
-        self._fn = fn
+    def __init__(self, sim) -> None:
         self._wheel = TimerWheel.for_sim(sim)
+        #: the last wheel timer filed; it holds a callback while armed
         self._timer: Optional[WheelTimer] = None
 
     @property
     def armed(self) -> bool:
-        return self._timer is not None
+        timer = self._timer
+        return timer is not None and timer.fn is not None
 
-    def arm(self, delay: int) -> None:
-        """(Re)start the timer ``delay`` ns from now."""
+    def arm(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
+        """(Re)start the timer: ``fn(*args)`` runs ``delay`` ns from now."""
         timer = self._timer
         deadline = self._wheel.sim._now + delay
-        if timer and not timer.posted and deadline >= timer.deadline:
+        if (timer is not None and timer.fn is not None and not timer.posted
+                and deadline >= timer.deadline):
             timer.deadline = deadline
+            timer.fn = fn
+            timer.args = args
             return
         self.cancel()
-        self._timer = self._wheel.arm(delay, self._fire)
+        self._timer = self._wheel.arm(delay, fn, *args)
 
     def cancel(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-
-    def _fire(self) -> None:
-        self._timer = None
-        self._fn()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DctcpWindowParams:
     init_cwnd: float = 10.0
     min_cwnd: float = 1.0

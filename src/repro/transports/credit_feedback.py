@@ -23,7 +23,7 @@ from dataclasses import dataclass
 CREDIT_PER_DATA = 84.0 / 1584.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeedbackParams:
     alpha: float = 2.0          # step growth factor per consecutive increase
     s_min_bps: float = 0.0      # minimum step; 0 -> one credit per period

@@ -46,7 +46,7 @@ class CreditRequest:
         self.dscp = dscp
         self.timeout_ns = timeout_ns
         self.pending = False
-        self._timer = CoarseTimer(sim, self._retry)
+        self._timer = CoarseTimer(sim)
 
     def send(self) -> None:
         spec = self.spec
@@ -55,7 +55,7 @@ class CreditRequest:
             CREDIT_WIRE_BYTES, dscp=self.dscp, meta=spec.size_bytes,
         )
         spec.src.send(req)
-        self._timer.arm(self.timeout_ns)
+        self._timer.arm(self.timeout_ns, self._retry)
         self.pending = True
 
     def cancel(self) -> None:

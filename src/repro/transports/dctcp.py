@@ -36,10 +36,14 @@ from repro.sim.units import MILLIS
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
+#: what sends again after an RTO fires (None: a credit clocks the sender)
+Resume = Optional[Callable[[], None]]
 
-@dataclass
+
+@dataclass(frozen=True)
 class DctcpParams:
-    """Endpoint configuration for a DCTCP flow."""
+    """Endpoint configuration for a DCTCP flow (frozen: a launcher builds
+    one and every flow it launches shares it)."""
 
     window: DctcpWindowParams = field(default_factory=DctcpWindowParams)
     min_rto_ns: int = 4 * MILLIS
@@ -51,27 +55,29 @@ class DctcpParams:
 
 
 class DctcpLoop:
-    """The DCTCP control loop over one :class:`RetransmitQueue`."""
+    """The DCTCP control loop over one :class:`RetransmitQueue`.
 
-    __slots__ = ("sim", "queue", "window", "rtt", "timer", "_resume")
+    ``resume`` is what sends again after a timeout, or None when something
+    else (a credit) clocks the sender. The owner passes it to each call
+    that may arm the RTO, and only the armed timer holds it: the loop keeps
+    no callback into its owner.
+    """
+
+    __slots__ = ("sim", "queue", "window", "rtt", "timer")
 
     def __init__(self, sim: "Simulator", queue: RetransmitQueue,
-                 window: DctcpWindowParams, min_rto_ns: int,
-                 resume: Optional[Callable[[], None]] = None) -> None:
+                 window: DctcpWindowParams, min_rto_ns: int) -> None:
         self.sim = sim
         self.queue = queue
         self.window = DctcpWindow(window)
         self.rtt = RttEstimator(min_rto_ns=min_rto_ns)
-        self.timer = RetransmitTimer(sim, self.rtt, self._on_timeout)
-        #: what sends again after a timeout; None when something else
-        #: (a credit) clocks the sender
-        self._resume = resume
+        self.timer = RetransmitTimer(sim, self.rtt)
 
     @property
     def window_open(self) -> bool:
         return self.queue.scoreboard.in_flight < self.window.allowed_in_flight()
 
-    def on_ack(self, ack: Packet) -> None:
+    def on_ack(self, ack: Packet, resume: Resume = None) -> None:
         """One ACK's feedback: RTT sample, per-seq window growth with the
         CE echo, one window cut per loss event, and an RTO restart on
         progress while the RTO runs (FlexPass's reactive RTO stays unarmed
@@ -85,15 +91,21 @@ class DctcpLoop:
         if newly_lost:
             self.window.on_loss()
         if newly_acked and self.timer.armed:
-            self.timer.on_progress()
+            self.timer.on_progress(self._on_timeout, resume)
 
-    def _on_timeout(self) -> None:
+    def arm_if_idle(self, resume: Resume = None) -> None:
+        """Start the RTO unless it runs already."""
+        timer = self.timer
+        if not timer.armed:
+            timer.arm(self._on_timeout, resume)
+
+    def _on_timeout(self, resume: Resume) -> None:
         self.queue.stats.timeouts += 1
         self.queue.on_timeout()
         self.window.on_timeout()
-        if self._resume is not None:
-            self._resume()
-        self.timer.arm()
+        if resume is not None:
+            resume()
+        self.timer.arm(self._on_timeout, resume)
 
 
 class DctcpSender:
@@ -107,7 +119,7 @@ class DctcpSender:
         self.params = params
         self.queue = RetransmitQueue(spec.n_segments, stats, params.dupthresh)
         self.loop = DctcpLoop(sim, self.queue, params.window,
-                              params.min_rto_ns, resume=self._pump)
+                              params.min_rto_ns)
         self.done = False
         spec.src.register_sender(spec.flow_id, self)
 
@@ -131,7 +143,7 @@ class DctcpSender:
                 break
             self._transmit(seq)
         if self.queue.scoreboard.in_flight > 0:
-            self.loop.timer.arm_if_idle()
+            self.loop.arm_if_idle(self._pump)
 
     def _transmit(self, seq: int) -> None:
         p = self.params
@@ -151,7 +163,7 @@ class DctcpSender:
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind != PacketKind.ACK or self.done:
             return
-        self.loop.on_ack(pkt)
+        self.loop.on_ack(pkt, self._pump)
         if self.queue.all_acked:
             self.done = True
             self.loop.timer.cancel()

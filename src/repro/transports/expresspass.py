@@ -44,9 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpressPassParams:
-    """Endpoint configuration for an ExpressPass flow."""
+    """Endpoint configuration for an ExpressPass flow (frozen: shared by
+    every flow one launcher starts)."""
 
     #: Peak credit rate at the receiver, in credit-bits/s on the wire. Must
     #: match the NIC credit-queue rate limit: wq * link_rate * 84/1584.

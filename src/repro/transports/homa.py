@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomaParams:
     rtt_bytes: int = 60_000  # unscheduled window (~BDP)
     grant_rate_bps: int = 10 * GBPS  # receiver grants at its line rate
@@ -62,7 +62,7 @@ class HomaSender:
         self.done = False
         self._heard_from_receiver = False
         # Coarse watchdog (4 ms) on the shared timer wheel.
-        self._announce_timer = CoarseTimer(sim, self._announce_retry)
+        self._announce_timer = CoarseTimer(sim)
         spec.src.register_sender(spec.flow_id, self)
 
     def start(self) -> None:
@@ -73,7 +73,8 @@ class HomaSender:
         for seq in range(unscheduled):
             self._transmit(seq, self.params.unscheduled_prio)
         self._heard_from_receiver = False
-        self._announce_timer.arm(self.params.regrant_timeout_ns)
+        self._announce_timer.arm(self.params.regrant_timeout_ns,
+                                 self._announce_retry)
 
     def _announce_retry(self) -> None:
         """If the whole unscheduled burst was lost, the receiver never learns
@@ -82,7 +83,8 @@ class HomaSender:
             return
         self.stats.request_retries += 1
         self._transmit(0, self.params.unscheduled_prio)
-        self._announce_timer.arm(self.params.regrant_timeout_ns)
+        self._announce_timer.arm(self.params.regrant_timeout_ns,
+                                 self._announce_retry)
 
     def on_packet(self, pkt: Packet) -> None:
         if self.done:
@@ -135,7 +137,7 @@ class HomaReceiver:
         # The grant gap is invariant (line rate fixed): derive it once.
         self._grant_interval = max(
             1, int(data_wire_size(MSS) * 8 * SECONDS / params.grant_rate_bps))
-        self._regrant_timer = CoarseTimer(sim, self._regrant)
+        self._regrant_timer = CoarseTimer(sim)
         self._complete = False
         self._started = False
         spec.dst.register_receiver(spec.flow_id, self)
@@ -188,7 +190,7 @@ class HomaReceiver:
     # ------------------------------------------------------ loss recovery
 
     def _arm_regrant(self) -> None:
-        self._regrant_timer.arm(self.params.regrant_timeout_ns)
+        self._regrant_timer.arm(self.params.regrant_timeout_ns, self._regrant)
 
     def _regrant(self) -> None:
         """No completion yet: re-request the lowest missing segment."""

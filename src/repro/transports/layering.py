@@ -31,19 +31,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayeringParams(ExpressPassParams):
     """ExpressPass credit loop + DCTCP window gate."""
 
     window: DctcpWindowParams = field(default_factory=DctcpWindowParams)
     min_rto_ns: int = 4 * MILLIS
-
-    def __post_init__(self) -> None:
-        # LY data lives with legacy traffic and reacts to its ECN signal.
-        self.data_dscp = Dscp.LEGACY
-        self.ack_dscp = Dscp.LEGACY
-        self.ctrl_dscp = Dscp.LEGACY
-        self.data_ecn_capable = True
+    # LY data lives with legacy traffic and reacts to its ECN signal.
+    data_dscp: int = Dscp.LEGACY
+    ack_dscp: int = Dscp.LEGACY
+    ctrl_dscp: int = Dscp.LEGACY
+    data_ecn_capable: bool = True
 
 
 class LayeringSender(ExpressPassSender):
@@ -64,7 +62,7 @@ class LayeringSender(ExpressPassSender):
 
     def _transmit(self, seq: int, credit_echo: int) -> None:
         super()._transmit(seq, credit_echo)
-        self.loop.timer.arm_if_idle()
+        self.loop.arm_if_idle()
 
     def _finish(self) -> None:
         self.loop.timer.cancel()

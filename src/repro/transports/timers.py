@@ -6,7 +6,7 @@ simulation; the reactive machinery here uses the same default.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.sim.timerwheel import CoarseTimer
 from repro.sim.units import MILLIS, SECONDS
@@ -49,36 +49,41 @@ class RetransmitTimer:
 
     Re-armed on every ACK and almost never fired, this is the archetypal
     cancel-heavy coarse timer, so arm and cancel stay off the event engine.
+    Like the coarse timer under it, it takes its timeout callback with
+    each arm and holds it only while armed.
     """
 
-    def __init__(self, sim: "Simulator", estimator: RttEstimator,
-                 on_timeout: Callable[[], None]) -> None:
+    __slots__ = ("_est", "_timer", "_backoff")
+
+    def __init__(self, sim: "Simulator", estimator: RttEstimator) -> None:
         self._est = estimator
-        self._on_timeout = on_timeout
-        self._timer = CoarseTimer(sim, self._fire)
+        self._timer = CoarseTimer(sim)
         self._backoff = 1
 
     @property
     def armed(self) -> bool:
         return self._timer.armed
 
-    def arm(self) -> None:
-        """(Re)start the timer at the current RTO."""
+    def arm(self, on_timeout: Callable[..., None], *args: Any) -> None:
+        """(Re)start the timer at the current RTO; on expiry it backs off
+        and calls ``on_timeout(*args)``."""
         self._timer.arm(
-            min(self._est.rto_ns() * self._backoff, self._est.max_rto_ns))
+            min(self._est.rto_ns() * self._backoff, self._est.max_rto_ns),
+            self._fire, on_timeout, args)
 
-    def arm_if_idle(self) -> None:
+    def arm_if_idle(self, on_timeout: Callable[..., None], *args: Any) -> None:
         if not self._timer.armed:
-            self.arm()
+            self.arm(on_timeout, *args)
 
     def cancel(self) -> None:
         self._timer.cancel()
 
-    def on_progress(self) -> None:
+    def on_progress(self, on_timeout: Callable[..., None], *args: Any) -> None:
         """Fresh ACK progress: reset backoff and restart."""
         self._backoff = 1
-        self.arm()
+        # the RTO unscaled: rto_ns() is already within max_rto_ns
+        self._timer.arm(self._est.rto_ns(), self._fire, on_timeout, args)
 
-    def _fire(self) -> None:
+    def _fire(self, on_timeout: Callable[..., None], args: tuple) -> None:
         self._backoff = min(self._backoff * 2, 64)
-        self._on_timeout()
+        on_timeout(*args)

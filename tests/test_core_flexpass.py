@@ -6,6 +6,7 @@ from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
 from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
 from repro.experiments.scenarios import flexpass_queue_factory
 from repro.net import DumbbellSpec, StarSpec, build_dumbbell, build_star
+from repro.net.packet import MSS, data_wire_size
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, KB, MB, MILLIS
 from repro.transports.base import FlowSpec, FlowStats
@@ -139,20 +140,24 @@ class TestCoexistence:
             assert s.proactive_bytes > 0.3 * s.delivered_bytes
 
     def test_selective_dropping_bounds_reactive_queue(self):
-        """Two FlexPass flows never hold more reactive (red) bytes in Q1
-        than the selective-drop threshold; the peak comes in the first
-        milliseconds."""
+        """Two FlexPass flows offer Q1 more reactive (red) bytes than its
+        selective-drop threshold of 30 full-size packets, within the first
+        millisecond: red packets are dropped, and the red backlog fills to
+        the threshold and never past it (a packet landing exactly on the
+        threshold is admitted)."""
+        threshold = 30 * data_wire_size(MSS)
         sim = Simulator()
-        qs = QueueSettings(wq=0.5, q1_seldrop_bytes=100 * KB)
+        qs = QueueSettings(wq=0.5, q1_seldrop_bytes=threshold)
         db = build_dumbbell(sim, flexpass_queue_factory(qs), DumbbellSpec(n_pairs=2))
         done = Completions()
         for i in range(2):
             launch_fp(sim, FlowSpec(i + 1, db.senders[i], db.receivers[i],
                                     20 * MB, 0, scheme="flexpass", group="new"),
                       done)
-        sim.run(until=10 * MILLIS)
+        sim.run(until=1 * MILLIS)
         q1 = db.bottleneck.queue(1)
-        assert q1.stats.max_red_bytes <= 100 * KB
+        assert q1.stats.dropped_selective > 0
+        assert q1.stats.max_red_bytes == threshold
 
 
 class TestIncastZeroTimeouts:

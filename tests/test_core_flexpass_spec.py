@@ -158,9 +158,10 @@ class Model:
 
 def _fire(rtx_timer) -> None:
     """What the wheel does when the timer's deadline passes."""
-    coarse = rtx_timer._timer
-    coarse._timer.cancel()
-    coarse._fire()
+    wheel_timer = rtx_timer._timer._timer
+    fn, args = wheel_timer.fn, wheel_timer.args
+    wheel_timer.cancel()
+    fn(*args)
 
 
 COUNTERS = ("credits_received", "credited_sends", "credits_wasted",

@@ -257,9 +257,8 @@ class TestCellPool:
     def test_cell_is_a_private_copy_of_the_run(self):
         """``tests.util.cell`` serves what ``run_experiment`` returns, through
         the store's own encoding, as a fresh copy on every call."""
-        # pool=False: the packet-pool gauges read process-global state
         cfg = tiny_cfg(
-            telemetry=TelemetryConfig(interval_ns=100_000, pool=False),
+            telemetry=TelemetryConfig(interval_ns=100_000),
             audit=AuditConfig(digest=True, checkpoint_interval_ns=None))
         # re-run: the pool's copy is checked against a fresh simulation
         fresh = run_experiment(cfg)

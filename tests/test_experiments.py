@@ -1,5 +1,6 @@
 """Integration tests for the experiment harness (config, runner, sweeps)."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -29,6 +30,7 @@ from repro.net import build_clos
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import GBPS, KB, MILLIS
+from repro.transports.base import FlowSpec, FlowStats
 from repro.workloads.distributions import workload_cdf
 from repro.workloads.gen import (
     OpenLoopSource,
@@ -83,6 +85,26 @@ class TestQueueFactories:
         object.__setattr__(cfg, "scheme", "bogus")
         with pytest.raises(ValueError):
             make_scheme_setup(cfg)
+
+
+class TestLaunchers:
+    @pytest.mark.parametrize("scheme", list(SchemeName), ids=lambda s: s.value)
+    def test_flows_share_one_frozen_params(self, scheme):
+        """A launcher builds its scheme's params once per cell: two flows
+        hold the same object, and it refuses writes, so sharing it is
+        checked rather than assumed."""
+        cfg = tiny_cfg(scheme=scheme, deployment=1.0)
+        setup = make_scheme_setup(cfg)
+        sim = Simulator()
+        hosts = build_clos(sim, setup.queue_factory, cfg.clos).hosts
+        first, second = (
+            setup.launch_new(sim, FlowSpec(i, hosts[0], hosts[i + 1], 10_000,
+                                           0, group="new"),
+                             FlowStats(), None).params
+            for i in range(2))
+        assert first is second
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, dataclasses.fields(first)[0].name, None)
 
 
 class TestBuildFlowSpecs:

@@ -5,19 +5,27 @@ Runs whole cells and inspects what is still alive when ``sim.run``
 returns: a finished receiver holds no credit source, no sender scoreboard
 keeps an acked seq its cumulative point already implies, and re-arming a
 coarse timer to a later deadline files no new wheel timer. Then, with the
-collector off, what is still alive when ``run_experiment`` returns or
-raises: nothing of the fabric, and no packet that was in flight.
+collector off: every scheme's sender is gone once the event that finished
+it returns, and once ``run_experiment`` returns or raises nothing of the
+fabric, no packet that was in flight, and no flow's state is left,
+neither alive nor as cyclic garbage.
 """
 
+import dataclasses
 import gc
 import pickle
 import weakref
+from collections import Counter
 
 import pytest
 
-from repro.core.flexpass import FlexPassReceiver, FlexPassSender
+from repro.audit import AuditConfig
+from repro.core.flexpass import FlexPassReceiver, FlexPassSender, SubFlow
+from repro.core.variants import Rc3SplitSender
 from repro.experiments import runner
-from repro.experiments.config import ExperimentConfig, SchemeName
+from repro.experiments.config import (
+    ExperimentConfig, SchemeName, TelemetryConfig,
+)
 from repro.experiments.parallel import run_many
 from repro.experiments.runner import run_experiment
 from repro.experiments.store import ResultStore
@@ -25,11 +33,16 @@ from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.topology import ClosSpec
 from repro.sim.engine import CalendarSimulator
-from repro.sim.timerwheel import CoarseTimer, TimerWheel
+from repro.sim.timerwheel import CoarseTimer, TimerWheel, WheelTimer
 from repro.sim.units import MILLIS
-from repro.transports.crediting import CreditPacer
-from repro.transports.dctcp import DctcpSender
-from repro.transports.expresspass import ExpressPassReceiver, ExpressPassSender
+from repro.transports import (
+    DctcpReceiver, ExpressPassReceiver, ExpressPassSender, FlowSpec,
+    FlowStats, HomaReceiver, HomaSender, LayeringSender,
+)
+from repro.transports.crediting import CreditPacer, CreditRequest
+from repro.transports.dctcp import DctcpLoop, DctcpSender
+from repro.transports.timers import RetransmitTimer
+from tests.util import tiny_cfg
 
 
 RECEIVERS = (ExpressPassReceiver, FlexPassReceiver)
@@ -49,11 +62,11 @@ def _snapshot(monkeypatch, cfg):
     rearms = {"new_entries": 0}
     arm = CoarseTimer.arm
 
-    def counting_arm(self, delay):
-        timer = self._timer
-        if timer is None or self._wheel.sim.now + delay < timer.deadline:
+    def counting_arm(self, delay, fn, *args):
+        if (not self.armed
+                or self._wheel.sim.now + delay < self._timer.deadline):
             rearms["new_entries"] += 1
-        arm(self, delay)
+        arm(self, delay, fn, *args)
 
     snap = {}
     run = CalendarSimulator.run
@@ -111,7 +124,6 @@ CELL = ExperimentConfig(
 @pytest.fixture
 def no_collector():
     """Only reference counting frees anything while the test runs."""
-    gc.collect()
     gc.disable()
     try:
         yield
@@ -223,3 +235,118 @@ def test_the_result_holds_nothing_of_the_fabric(tmp_path):
         assert copy.events_run == res.events_run
         assert copy.fct() == res.fct()
         assert copy.fct(small=True) == res.fct(small=True)
+
+
+# ------------------------------------------------------- flow lifetime
+
+#: each scheme's cell, and the sender class its new flows run
+SENDERS = {
+    SchemeName.DCTCP: DctcpSender,
+    SchemeName.EXPRESSPASS: ExpressPassSender,
+    SchemeName.LAYERING: LayeringSender,
+    SchemeName.HOMA: HomaSender,
+    SchemeName.FLEXPASS: FlexPassSender,
+    SchemeName.FLEXPASS_RC3: Rc3SplitSender,
+}
+
+
+def _watch_senders(monkeypatch):
+    """Weak references to every sender a cell launches, and the senders
+    that were still alive when the host event that finished them (the
+    arrival of their last ACK) returned."""
+    watch = {"launched": {}, "finishing": [], "freed": Counter(),
+             "alive": []}
+    make_setup = runner.make_scheme_setup
+
+    def watched_setup(cfg):
+        setup = make_setup(cfg)
+
+        def watched(launch):
+            def launch_and_watch(sim, spec, stats, on_complete):
+                sender = launch(sim, spec, stats, on_complete)
+                watch["launched"][spec.flow_id] = weakref.ref(sender)
+                return sender
+            return launch_and_watch
+
+        return dataclasses.replace(
+            setup, launch_new=watched(setup.launch_new),
+            launch_legacy=watched(setup.launch_legacy))
+
+    unregister = Host.unregister_sender
+
+    def watched_unregister(host, flow_id):
+        unregister(host, flow_id)
+        sender = watch["launched"][flow_id]()
+        watch["finishing"].append((flow_id, type(sender)))
+
+    receive = Host.receive
+
+    def watched_receive(host, pkt):
+        receive(host, pkt)
+        while watch["finishing"]:
+            flow_id, kind = watch["finishing"].pop()
+            if watch["launched"][flow_id]() is None:
+                watch["freed"][kind] += 1
+            else:
+                watch["alive"].append(flow_id)
+
+    monkeypatch.setattr(runner, "make_scheme_setup", watched_setup)
+    monkeypatch.setattr(Host, "unregister_sender", watched_unregister)
+    monkeypatch.setattr(Host, "receive", watched_receive)
+    return watch
+
+
+@pytest.mark.parametrize("scheme", list(SENDERS), ids=lambda s: s.value)
+def test_a_finished_sender_is_freed_at_completion(monkeypatch, no_collector,
+                                                  scheme):
+    """Only the host registration and an armed timer refer to a live
+    endpoint, and finishing drops both: reference counting frees the
+    sender, its loop, timers and scoreboards within the event that
+    finished it."""
+    watch = _watch_senders(monkeypatch)
+    res = run_experiment(tiny_cfg(scheme=scheme, deployment=1.0,
+                                  sim_time_ns=300_000))
+    assert watch["alive"] == []
+    assert watch["freed"][SENDERS[scheme]] > 20
+    assert sum(watch["freed"].values()) <= res.completed
+
+
+#: what a flow owns; none of it may outlive its cell as cyclic garbage
+FLOW_STATE = (
+    FlowSpec, FlowStats,
+    DctcpSender, ExpressPassSender, HomaSender, FlexPassSender,
+    DctcpReceiver, ExpressPassReceiver, HomaReceiver, FlexPassReceiver,
+    DctcpLoop, SubFlow, CreditRequest, CreditPacer, RetransmitTimer,
+    CoarseTimer, WheelTimer,
+)
+
+
+@pytest.mark.parametrize("cfg", [
+    # FlexPass beside DCTCP, with the auditor and every port sampled: the
+    # observers hold the cell's flow table while it runs
+    tiny_cfg(telemetry=TelemetryConfig(ports="all"),
+             audit=AuditConfig(enabled=True, digest=True)),
+    # ExpressPass credits under the window gate: a LayeringSender is on no
+    # cycle itself, so only a census would see one among its parts (its
+    # DctcpLoop, its CreditRequest)
+    tiny_cfg(scheme=SchemeName.LAYERING, deployment=1.0, sim_time_ns=300_000),
+    # Homa's two watchdogs, one on each endpoint
+    tiny_cfg(scheme=SchemeName.HOMA, deployment=1.0),
+], ids=["flexpass-observed", "ly", "homa"])
+def test_a_finished_cell_leaves_no_flow_garbage(no_collector, cfg):
+    """With the collector off, a cell's flows (specs, stats, endpoints,
+    loops and timers, finished or still running at the horizon) are
+    freed by reference counting when ``run_experiment`` returns: a
+    collection then finds none of them in cyclic garbage."""
+    gc.collect()  # what earlier tests left is not this cell's
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        res = run_experiment(cfg)
+        gc.collect()
+        leaked = Counter(type(o).__name__ for o in gc.garbage
+                         if isinstance(o, FLOW_STATE))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert res.completed > 20 and res.completed < len(res.records)
+    assert leaked == Counter()

@@ -129,7 +129,10 @@ def test_peek_time_skips_cancelled():
 
 def test_release_drops_the_calendar_and_the_wheel():
     """A released simulator holds no event: handles are emptied as
-    dispatch empties them, and the coarse-timer wheel is let go."""
+    dispatch empties them, every armed wheel timer drops its callback
+    (one still filed in a bucket, and one due within the current tick,
+    which the wheel has already handed to the calendar), and the
+    coarse-timer wheel is let go."""
     from repro.sim.timerwheel import TimerWheel
 
     sim = Simulator()
@@ -138,10 +141,14 @@ def test_release_drops_the_calendar_and_the_wheel():
     handle = sim.at(10, fired.append, "at")
     sim.post(2_000_000, fired.append, "post")
     wheel = TimerWheel.for_sim(sim)
-    wheel.arm(5_000_000, fired.append, "wheel")
+    filed = wheel.arm(5_000_000, fired.append, "wheel")
+    posted = wheel.arm(100, fired.append, "wheel, this tick")
+    assert posted.posted and not filed.posted
     sim.release()
     assert sim.pending() == 0 and sim.peek_time() is None
     assert handle.fn is None and handle.args == ()
+    for timer in (filed, posted):
+        assert timer.fn is None and timer.args == ()
     assert TimerWheel.for_sim(sim) is not wheel
     assert (sim.now, sim.events_run) == (5, 0)
     sim.run()

@@ -26,6 +26,7 @@ from repro.metrics.telemetry import (
     sparkline,
 )
 from repro.net import DumbbellSpec, build_dumbbell
+from repro.net.packet import PacketKind, alloc_packet, free_packet
 from repro.sim.engine import Simulator
 from repro.sim.units import MILLIS
 from tests.test_net_port_topology import Recorder, mk_data, single_queue_factory
@@ -343,15 +344,29 @@ class TestExperimentIntegration:
         assert cell(cfg).telemetry is None
 
     def test_sampling_is_deterministic(self):
-        # pool=False: the pool gauges read the process-global allocator,
-        # whose free-list length depends on what ran earlier in the
-        # process; every sim-derived series must be bit-identical.
-        cfg = tiny_cfg(telemetry=TelemetryConfig(interval_ns=100_000,
-                                                 pool=False))
+        cfg = tiny_cfg(telemetry=TelemetryConfig(interval_ns=100_000))
         # re-run: two simulations of one config must sample alike
         a = run_experiment(cfg).telemetry
         b = run_experiment(cfg).telemetry
+        assert "pool.in_use" in a
         assert a == b
+
+    def test_pool_gauge_ignores_what_ran_before(self):
+        """The packet pool is process-global, but a run's ``pool.in_use``
+        counts only its own packets: packets an earlier run left checked
+        out, or returned to the free list, change no series."""
+        cfg = tiny_cfg(telemetry=TelemetryConfig(interval_ns=100_000))
+        # re-run: the second simulation follows the pool churn below
+        first = run_experiment(cfg).telemetry
+        churn = [alloc_packet(PacketKind.DATA, 1, 0, 1, 100)
+                 for _ in range(500)]
+        for pkt in churn[:400]:
+            free_packet(pkt)
+        second = run_experiment(cfg).telemetry
+        assert max(first.values("pool.in_use")) > 0
+        assert second == first
+        for pkt in churn[400:]:
+            free_packet(pkt)
 
     def test_telemetry_does_not_perturb_results(self):
         """Sampling must be an observer: flow records are bit-identical

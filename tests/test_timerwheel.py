@@ -119,15 +119,16 @@ class TestCoarseTimer:
     def test_arm_fire_rearm_cancel(self):
         sim = Simulator()
         fired = []
-        timer = CoarseTimer(sim, lambda: fired.append(sim.now))
+        timer = CoarseTimer(sim)
         assert not timer.armed
-        timer.arm(100)
+        timer.arm(100, fired.append, "first")
         assert timer.armed
-        timer.arm(200)  # re-arm replaces the first deadline
+        # re-arm replaces the first deadline and the first callback
+        timer.arm(200, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [200]
         assert not timer.armed
-        timer.arm(300)
+        timer.arm(300, fired.append, "cancelled")
         timer.cancel()
         timer.cancel()  # idempotent
         sim.run()
@@ -135,8 +136,8 @@ class TestCoarseTimer:
 
     def test_wheel_plane_uses_shared_wheel(self):
         sim = Simulator()
-        timer = CoarseTimer(sim, lambda: None)
-        timer.arm(1_000_000)
+        timer = CoarseTimer(sim)
+        timer.arm(1_000_000, lambda: None)
         assert TimerWheel.for_sim(sim).pending() == 1
         assert sim.pending() == 1  # the tick meta-event, not the timer
 
@@ -147,11 +148,13 @@ class TestCoarseTimer:
         deadline."""
         sim = Simulator()
         fired = []
-        timer = CoarseTimer(sim, lambda: fired.append(sim.now))
+        timer = CoarseTimer(sim)
         for i in range(10_000):
-            sim.post_at(i * 100, timer.arm, 4_000_000)
+            sim.post_at(i * 100, timer.arm, 4_000_000, fired.append, i)
         sim.run()
-        assert fired == [9_999 * 100 + 4_000_000]
+        # the last arm's deadline and the last arm's callback
+        assert fired == [9_999]
+        assert sim.now == 9_999 * 100 + 4_000_000
         wheel = TimerWheel.for_sim(sim)
         assert wheel.armed_total == 1
         # its first (level-0) bucket drained before the deadline it holds
@@ -160,18 +163,19 @@ class TestCoarseTimer:
     def test_earlier_rearm_fires_at_the_earlier_deadline(self):
         sim = Simulator()
         fired = []
-        timer = CoarseTimer(sim, lambda: fired.append(sim.now))
-        timer.arm(4_000_000)
-        timer.arm(1_000_000)
+        timer = CoarseTimer(sim)
+        timer.arm(4_000_000, fired.append, "late")
+        timer.arm(1_000_000, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [1_000_000]
         assert TimerWheel.for_sim(sim).armed_total == 2
 
     def test_cancel_after_an_in_place_extension(self):
         sim = Simulator()
-        timer = CoarseTimer(sim, lambda: pytest.fail("cancelled timer fired"))
-        timer.arm(1_000_000)
-        sim.post_at(500_000, timer.arm, 1_000_000)
+        timer = CoarseTimer(sim)
+        timer.arm(1_000_000, pytest.fail, "cancelled timer fired")
+        sim.post_at(500_000, timer.arm, 1_000_000, pytest.fail,
+                    "cancelled timer fired")
         sim.post_at(900_000, timer.cancel)
         sim.run()
         assert not timer.armed
@@ -205,13 +209,13 @@ class TestCoarseTimer:
             if geometry:
                 sim._timer_wheel = TimerWheel(sim, *geometry)
             fired = []
-            timers = [timer_cls(sim, lambda i=i: fired.append((sim.now, i)))
-                      for i in range(8)]
+            timers = [timer_cls(sim) for _ in range(8)]
             for at, which, delay in script:
                 if delay is None:
                     sim.post_at(at, timers[which].cancel)
                 else:
-                    sim.post_at(at, timers[which].arm, delay)
+                    sim.post_at(at, timers[which].arm, delay,
+                                lambda i=which: fired.append((sim.now, i)))
             sim.run()
             return fired
 
@@ -226,9 +230,9 @@ class CancelAndFileTimer(CoarseTimer):
 
     __slots__ = ()
 
-    def arm(self, delay: int) -> None:
+    def arm(self, delay: int, fn, *args) -> None:
         self.cancel()
-        self._timer = self._wheel.arm(delay, self._fire)
+        self._timer = self._wheel.arm(delay, fn, *args)
 
 
 # ---------------------------------------------------------- credit plane

@@ -108,8 +108,8 @@ class TestRetransmitTimer:
         sim = Simulator()
         fired = []
         est = RttEstimator(min_rto_ns=4 * MILLIS)
-        timer = RetransmitTimer(sim, est, lambda: fired.append(sim.now))
-        timer.arm()
+        timer = RetransmitTimer(sim, est)
+        timer.arm(lambda: fired.append(sim.now))
         sim.run(until=10 * MILLIS)
         assert fired == [4 * MILLIS]
 
@@ -117,9 +117,9 @@ class TestRetransmitTimer:
         sim = Simulator()
         fired = []
         est = RttEstimator(min_rto_ns=4 * MILLIS)
-        timer = RetransmitTimer(sim, est, lambda: fired.append(sim.now))
-        timer.arm()
-        sim.at(3 * MILLIS, timer.on_progress)
+        timer = RetransmitTimer(sim, est)
+        timer.arm(fired.append, "first arm")
+        sim.at(3 * MILLIS, timer.on_progress, lambda: fired.append(sim.now))
         sim.run(until=6 * MILLIS)
         assert fired == []
         sim.run(until=8 * MILLIS)
@@ -129,14 +129,13 @@ class TestRetransmitTimer:
         sim = Simulator()
         fired = []
         est = RttEstimator(min_rto_ns=1 * MILLIS, max_rto_ns=100 * MILLIS)
-        timer = RetransmitTimer(sim, est, lambda: fired.append(sim.now))
+        timer = RetransmitTimer(sim, est)
 
         def refire():
             fired.append(sim.now)
-            timer.arm()
+            timer.arm(refire)
 
-        timer._on_timeout = refire
-        timer.arm()
+        timer.arm(refire)
         sim.run(until=16 * MILLIS)
         # fires at 1, then backoff 2 -> 3ms, then 4 -> 7ms, then 8 -> 15ms
         assert fired == [1 * MILLIS, 3 * MILLIS, 7 * MILLIS, 15 * MILLIS]
@@ -144,10 +143,10 @@ class TestRetransmitTimer:
     def test_progress_resets_backoff(self):
         sim = Simulator()
         est = RttEstimator(min_rto_ns=1 * MILLIS)
-        timer = RetransmitTimer(sim, est, lambda: None)
-        timer.arm()
+        timer = RetransmitTimer(sim, est)
+        timer.arm(lambda: None)
         sim.run(until=2 * MILLIS)  # fired once; backoff now 2
-        timer.on_progress()
+        timer.on_progress(lambda: None)
         assert timer.armed
         assert timer._backoff == 1
 
@@ -155,8 +154,8 @@ class TestRetransmitTimer:
         sim = Simulator()
         fired = []
         est = RttEstimator()
-        timer = RetransmitTimer(sim, est, lambda: fired.append(1))
-        timer.arm()
+        timer = RetransmitTimer(sim, est)
+        timer.arm(fired.append, 1)
         timer.cancel()
         sim.run(until=20 * MILLIS)
         assert fired == []
@@ -165,10 +164,10 @@ class TestRetransmitTimer:
         sim = Simulator()
         est = RttEstimator(min_rto_ns=4 * MILLIS)
         fired = []
-        timer = RetransmitTimer(sim, est, lambda: fired.append(sim.now))
-        timer.arm()
+        timer = RetransmitTimer(sim, est)
+        timer.arm(lambda: fired.append(sim.now))
         sim.run(until=1 * MILLIS)
         assert timer.armed
-        timer.arm_if_idle()
+        timer.arm_if_idle(fired.append, "re-armed while running")
         sim.run(until=10 * MILLIS)
         assert fired == [4 * MILLIS]  # the deadline set at t=0, not t=1 ms
