@@ -134,13 +134,6 @@ class PacketTracer:
 
     # ------------------------------------------------------------ queries
 
-    def for_flow(self, flow_id: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.flow_id == flow_id]
-
-    def of_kind(self, kind: PacketKind) -> List[TraceEvent]:
-        name = kind.name
-        return [e for e in self.events if e.kind == name]
-
     def path_of(self, flow_id: int, flow_seq: int,
                 subflow: Optional[int] = None) -> List[str]:
         """Ordered ports a given data segment traversed."""

@@ -88,9 +88,6 @@ class Host(Node):
     def unregister_sender(self, flow_id: int) -> None:
         self._senders.pop(flow_id, None)
 
-    def unregister_receiver(self, flow_id: int) -> None:
-        self._receivers.pop(flow_id, None)
-
     def release(self) -> None:
         super().release()
         self._senders = {}

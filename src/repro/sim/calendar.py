@@ -420,10 +420,10 @@ class CalendarSimulator:
     def release(self) -> None:
         """Drop every pending entry and the timer wheel, ending the run's
         calendar. Each handle's ``fn`` and ``args`` are cleared as dispatch
-        clears them, and every armed wheel timer, filed or already handed
-        to the calendar, is cancelled: an armed handle or timer and its
-        owner (a port's wake, a sender's RTO) are a reference cycle. The
-        clock and ``events_run`` stay readable."""
+        clears them, and every armed wheel timer (each is one posted
+        entry) is cancelled: an armed handle or timer and its owner (a
+        port's wake, a sender's RTO) are a reference cycle. The clock and
+        ``events_run`` stay readable."""
         wheel = self._timer_wheel
         fire_one = None if wheel is None else wheel._fire_one
         for lst in (self._active, *self._buckets.values()):
@@ -433,8 +433,6 @@ class CalendarSimulator:
                     e[3].args = ()
                 elif e[2] == fire_one:
                     e[3][0].cancel()
-        if wheel is not None:
-            wheel.release()
         self._active.clear()
         self._buckets.clear()
         self._bucket_ids.clear()

@@ -15,9 +15,9 @@ things keep each emission cheap:
 
 The pacer itself (:class:`repro.transports.crediting.CreditPacer`, the
 one credit emitter) and Homa's grant pump schedule each emission's
-successor with handle-free ``Simulator.post``; their coarse watchdog
-timers ride the simulator's shared
-:class:`~repro.sim.timerwheel.TimerWheel`.
+successor with handle-free ``Simulator.post``; each coarse watchdog is a
+:class:`~repro.sim.timerwheel.CoarseTimer`, one calendar entry that a
+later re-arm moves in place.
 """
 
 from __future__ import annotations

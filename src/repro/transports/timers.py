@@ -48,7 +48,8 @@ class RetransmitTimer:
     """Exponential backoff over one :class:`~repro.sim.timerwheel.CoarseTimer`.
 
     Re-armed on every ACK and almost never fired, this is the archetypal
-    cancel-heavy coarse timer, so arm and cancel stay off the event engine.
+    coarse timer: a re-arm moves its one calendar entry in place, and a
+    cancel is a flag flip.
     Like the coarse timer under it, it takes its timeout callback with
     each arm and holds it only while armed.
     """

@@ -466,10 +466,6 @@ class IncastSource(TrafficSource):
         self.role = role
         self.first_flow_id = int(first_flow_id)
 
-    def bytes_per_event(self) -> int:
-        return ((len(self.hosts) - 1) * self.flows_per_sender
-                * self.request_bytes)
-
     def flows(self, rng: np.random.Generator) -> Iterator[TrafficSpec]:
         t = 0.0
         fid = self.first_flow_id

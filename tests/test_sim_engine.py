@@ -130,9 +130,8 @@ def test_peek_time_skips_cancelled():
 def test_release_drops_the_calendar_and_the_wheel():
     """A released simulator holds no event: handles are emptied as
     dispatch empties them, every armed wheel timer drops its callback
-    (one still filed in a bucket, and one due within the current tick,
-    which the wheel has already handed to the calendar), and the
-    coarse-timer wheel is let go."""
+    (one posted a hop short of its deadline, and one posted at it), and
+    the coarse-timer wheel is let go."""
     from repro.sim.timerwheel import TimerWheel
 
     sim = Simulator()
@@ -141,13 +140,13 @@ def test_release_drops_the_calendar_and_the_wheel():
     handle = sim.at(10, fired.append, "at")
     sim.post(2_000_000, fired.append, "post")
     wheel = TimerWheel.for_sim(sim)
-    filed = wheel.arm(5_000_000, fired.append, "wheel")
-    posted = wheel.arm(100, fired.append, "wheel, this tick")
-    assert posted.posted and not filed.posted
+    far = wheel.arm(5_000_000, fired.append, "wheel")
+    near = wheel.arm(100, fired.append, "wheel, within a hop")
+    assert far.posted < far.deadline and near.posted == near.deadline
     sim.release()
     assert sim.pending() == 0 and sim.peek_time() is None
     assert handle.fn is None and handle.args == ()
-    for timer in (filed, posted):
+    for timer in (far, near):
         assert timer.fn is None and timer.args == ()
     assert TimerWheel.for_sim(sim) is not wheel
     assert (sim.now, sim.events_run) == (5, 0)

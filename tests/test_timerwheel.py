@@ -1,13 +1,14 @@
-"""Unit tests for the hierarchical timer wheel and the batched credit train
+"""Unit tests for the coarse timers and the batched credit train
 (repro.sim.timerwheel, repro.transports.credit_plane — DESIGN.md §6i)."""
 
+import math
 import random
 
 import pytest
 
 from repro.net.packet import CREDIT_WIRE_BYTES
 from repro.sim.engine import Simulator
-from repro.sim.timerwheel import CoarseTimer, TimerWheel
+from repro.sim.timerwheel import HOP_NS, CoarseTimer, TimerWheel
 from repro.sim.units import SECONDS
 from repro.transports.credit_plane import CreditTrain
 
@@ -17,16 +18,16 @@ from repro.transports.credit_plane import CreditTrain
 
 class TestTimerWheel:
     def test_fires_at_exact_deadline(self):
-        """Wheel granularity must never round a firing time — a deadline
-        mid-tick fires at that nanosecond, not at a tick boundary."""
+        """A hop never rounds a firing time: a deadline several hops out
+        fires at that nanosecond, not at a hop instant."""
         sim = Simulator()
         wheel = TimerWheel(sim)
         fired = []
-        for delay in (123, 70_000, 65_536 * 3 + 17):
+        for delay in (123, 70_000, HOP_NS * 3 + 17):
             wheel.arm(delay, lambda d=delay: fired.append((sim.now, d)))
         sim.run()
         assert fired == [(123, 123), (70_000, 70_000),
-                         (65_536 * 3 + 17, 65_536 * 3 + 17)]
+                         (HOP_NS * 3 + 17, HOP_NS * 3 + 17)]
 
     def test_cancel_prevents_firing_without_engine_traffic(self):
         sim = Simulator()
@@ -37,65 +38,45 @@ class TestTimerWheel:
         drop.cancel()
         drop.cancel()  # idempotent
         assert drop.cancelled and drop.fn is None and drop.args == ()
-        assert wheel.pending() == 1
+        assert sim.pending() == 2  # a flag flip: the calendar is untouched
         sim.run()
         assert fired == ["keep"]
         assert wheel.fired_total == 1
         assert wheel.cancelled_total == 1
         assert not keep.cancelled  # fired timers are not "cancelled"
 
-    def test_same_tick_deadline_bypasses_buckets(self):
-        """A deadline inside the current tick can't wait for a bucket
-        meta-event; it goes straight to the engine and still fires."""
-        sim = Simulator()
-        wheel = TimerWheel(sim)  # tick = 65_536 ns
-        fired = []
-        wheel.arm(5, fired.append, "now-ish")
-        assert wheel.pending() == 0  # not filed: handed to the engine
-        sim.run()
-        assert fired == ["now-ish"] and sim.now == 5
-
-    def test_hierarchical_cascade_preserves_exact_deadline(self):
-        """A far deadline files coarse, cascades down level by level, and
-        still fires at its exact instant."""
-        sim = Simulator()
-        wheel = TimerWheel(sim, tick_bits=4, level_bits=2, levels=3)
-        fired = []
-        # level spans: 16 ns, 64 ns, 256 ns — 1000 ns lands in level 2.
-        wheel.arm(1000, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [1000]
-        assert wheel.cascades >= 1
-
-    def test_firing_order_follows_deadlines(self):
-        sim = Simulator()
-        wheel = TimerWheel(sim, tick_bits=4, level_bits=2, levels=3)
-        rng = random.Random(7)
-        delays = [rng.randrange(1, 5000) for _ in range(200)]
-        fired = []
-        for d in delays:
-            wheel.arm(d, fired.append, d)
-        sim.run()
-        assert fired == sorted(fired)
-        assert wheel.fired_total == len(delays)
-        assert wheel.pending() == 0
-
-    def test_cancel_heavy_churn_costs_no_engine_events(self):
-        """The RTO pattern: arm/cancel per packet. 500 churn cycles must
-        add zero engine events beyond the tick meta-events."""
+    def test_a_cancelled_timer_is_gone_within_a_hop(self):
+        """A cancelled 4 ms RTO leaves one entry, which dies at the hop
+        instant rather than at the deadline."""
         sim = Simulator()
         wheel = TimerWheel(sim)
         for _ in range(500):
-            wheel.arm(4_000_000, lambda: pytest.fail("cancelled timer fired")
-                      ).cancel()
-        survivor = []
-        wheel.arm(4_000_123, survivor.append, True)
+            wheel.arm(4_000_000, pytest.fail, "cancelled timer fired").cancel()
+        assert sim.pending() == 500
+        sim.run(until=HOP_NS)
+        assert sim.pending() == 0 and sim.peek_time() is None
+        assert wheel.cancelled_total == 500 and wheel.fired_total == 0
+
+    def test_a_deadline_within_a_hop_posts_at_itself(self):
+        sim = Simulator()
+        wheel = TimerWheel(sim)
+        near = wheel.arm(5, lambda: None)
+        far = wheel.arm(2 * HOP_NS, lambda: None)
+        assert (near.posted, far.posted) == (5, HOP_NS)
+        sim.run(until=HOP_NS)
+        assert far.posted == 2 * HOP_NS and wheel.fired_total == 1
+
+    def test_firing_order_follows_deadlines(self):
+        sim = Simulator()
+        wheel = TimerWheel(sim)
+        rng = random.Random(7)
+        delays = [rng.randrange(1, 5 * HOP_NS) for _ in range(200)]
+        fired = []
+        for d in delays:
+            wheel.arm(d, lambda d=d: fired.append((sim.now, d)))
         sim.run()
-        assert survivor == [True]
-        assert sim.now == 4_000_123
-        assert wheel.cancelled_total == 500
-        # every cancelled timer was purged while draining its bucket
-        assert wheel.pending() == 0
+        assert fired == sorted((d, d) for d in delays)
+        assert wheel.fired_total == len(delays)
 
     def test_for_sim_returns_shared_instance(self):
         sim = Simulator()
@@ -103,13 +84,12 @@ class TestTimerWheel:
         assert TimerWheel.for_sim(Simulator()) is not TimerWheel.for_sim(sim)
 
     def test_rejects_negative_delay_and_bad_geometry(self):
+        """The wheel takes no geometry: any is refused."""
         sim = Simulator()
         with pytest.raises(ValueError):
             TimerWheel(sim).arm(-1, lambda: None)
-        with pytest.raises(ValueError):
-            TimerWheel(sim, tick_bits=-1)
-        with pytest.raises(ValueError):
-            TimerWheel(sim, levels=0)
+        with pytest.raises(TypeError):
+            TimerWheel(sim, tick_bits=4)
 
 
 # ----------------------------------------------------------- CoarseTimer
@@ -138,13 +118,12 @@ class TestCoarseTimer:
         sim = Simulator()
         timer = CoarseTimer(sim)
         timer.arm(1_000_000, lambda: None)
-        assert TimerWheel.for_sim(sim).pending() == 1
-        assert sim.pending() == 1  # the tick meta-event, not the timer
+        assert TimerWheel.for_sim(sim).armed_total == 1
+        assert sim.pending() == 1  # the timer's one entry, at the hop
 
     def test_later_rearms_reuse_one_wheel_entry(self):
         """The RTO pattern: every ACK pushes the deadline out. 10 000
-        re-arms file one wheel timer, which the wheel re-files each time a
-        bucket it sits in drains, and which fires once, at the last
+        re-arms arm one wheel timer, which fires once, at the last
         deadline."""
         sim = Simulator()
         fired = []
@@ -155,19 +134,52 @@ class TestCoarseTimer:
         # the last arm's deadline and the last arm's callback
         assert fired == [9_999]
         assert sim.now == 9_999 * 100 + 4_000_000
-        wheel = TimerWheel.for_sim(sim)
-        assert wheel.armed_total == 1
-        # its first (level-0) bucket drained before the deadline it holds
-        assert wheel.cascades >= 1
+        assert TimerWheel.for_sim(sim).armed_total == 1
+
+    def test_a_moved_timer_hops_to_its_deadline(self):
+        """Re-armed every 10 µs for 10 ms, a 4 ms timer posts one entry
+        per hop over its span, not one per re-arm, and fires once."""
+        sim = Simulator()
+        fired = []
+        timer = CoarseTimer(sim)
+        for i in range(1_000):
+            sim.post_at(i * 10_000, timer.arm, 4_000_000, fired.append, i)
+        sim.run()
+        span = 999 * 10_000 + 4_000_000
+        assert fired == [999] and sim.now == span
+        entries = sim.events_run - 1_000  # all but the scripted re-arms
+        assert entries <= math.ceil(span / HOP_NS) + 2
+        assert TimerWheel.for_sim(sim).armed_total == 1
 
     def test_earlier_rearm_fires_at_the_earlier_deadline(self):
+        """A re-arm before the posted instant posts a new entry; one
+        between it and the old deadline moves the entry in place."""
         sim = Simulator()
         fired = []
         timer = CoarseTimer(sim)
         timer.arm(4_000_000, fired.append, "late")
+        timer.arm(100_000, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [100_000]
+        assert TimerWheel.for_sim(sim).armed_total == 2
+        t0 = sim.now
+        timer.arm(4_000_000, fired.append, "late")
         timer.arm(1_000_000, lambda: fired.append(sim.now))
         sim.run()
-        assert fired == [1_000_000]
+        assert fired == [100_000, t0 + 1_000_000]
+        assert TimerWheel.for_sim(sim).armed_total == 3
+
+    def test_a_rearm_after_a_hop_compares_with_the_new_entry(self):
+        """After a hop the timer's entry sits one hop further out, so a
+        re-arm short of it posts a new entry instead of firing late."""
+        sim = Simulator()
+        fired = []
+        timer = CoarseTimer(sim)
+        timer.arm(4_000_000, fired.append, "late")
+        sim.post_at(HOP_NS + 1, timer.arm, 100_000,
+                    lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [HOP_NS + 100_001]
         assert TimerWheel.for_sim(sim).armed_total == 2
 
     def test_cancel_after_an_in_place_extension(self):
@@ -182,15 +194,15 @@ class TestCoarseTimer:
         assert TimerWheel.for_sim(sim).fired_total == 0
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("geometry", [None, (4, 2, 3)])
-    def test_same_firings_as_cancel_and_file(self, seed, geometry):
+    # ids from when this case varied the wheel's geometry, kept stable
+    @pytest.mark.parametrize("scale", [5_000, 1], ids=["None", "geometry1"])
+    def test_same_firings_as_cancel_and_file(self, seed, scale):
         """Seeded random arm / re-arm / cancel / advance scripts over eight
-        timers, against the parent's ``arm`` that cancels and files a new
-        wheel timer every time: with distinct deadlines, the same timers
-        fire at the same instants in the same order. The small geometry
-        (16 / 64 / 256 ns ticks) sends moved timers through every level."""
+        timers, against a reference that cancels its ``sim.after`` handle
+        and files a new one on every arm: with distinct deadlines, the same
+        timers fire at the same instants in the same order. At the 5 µs
+        scale moved timers hop; at 1 ns they re-post at old deadlines."""
         rng = random.Random(seed)
-        scale = 1 if geometry else 5_000
         script, deadlines, now = [], set(), 0
         for _ in range(400):
             now += rng.randrange(0, 60) * scale
@@ -206,8 +218,6 @@ class TestCoarseTimer:
 
         def run(timer_cls):
             sim = Simulator()
-            if geometry:
-                sim._timer_wheel = TimerWheel(sim, *geometry)
             fired = []
             timers = [timer_cls(sim) for _ in range(8)]
             for at, which, delay in script:
@@ -220,19 +230,26 @@ class TestCoarseTimer:
             return fired
 
         got = run(CoarseTimer)
-        assert got == run(CancelAndFileTimer)
+        assert got == run(HandleTimer)
         assert len(got) > 8
 
 
-class CancelAndFileTimer(CoarseTimer):
-    """``CoarseTimer.arm`` as it was before re-arms moved the filed
-    deadline in place: always cancel, then file a new wheel timer."""
+class HandleTimer:
+    """The reference coarse timer: one ``sim.after`` handle per arm,
+    cancelled by the next arm or by ``cancel``."""
 
-    __slots__ = ()
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.handle = None
 
     def arm(self, delay: int, fn, *args) -> None:
         self.cancel()
-        self._timer = self._wheel.arm(delay, fn, *args)
+        self.handle = self.sim.after(delay, fn, *args)
+
+    def cancel(self) -> None:
+        if self.handle is not None:
+            self.handle.cancel()
+            self.handle = None
 
 
 # ---------------------------------------------------------- credit plane

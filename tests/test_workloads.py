@@ -105,16 +105,15 @@ class TestEmpiricalCdf:
 
 def _quadrature_mean(cdf: EmpiricalCdf, steps: int) -> float:
     """Midpoint quadrature over the inverse CDF (the pre-closed-form
-    estimator, kept as the regression reference)."""
-    total = 0.0
-    for i in range(len(cdf._ys) - 1):
-        y0, y1 = cdf._ys[i], cdf._ys[i + 1]
-        if y1 == y0:
-            continue
-        for k in range(steps):
-            u = y0 + (y1 - y0) * (k + 0.5) / steps
-            total += cdf._inverse(u) * (y1 - y0) / steps
-    return total
+    estimator, kept as the regression reference): ``steps`` midpoints per
+    non-flat segment, each mapped through ``_inverse``'s log-linear rule."""
+    ys, lxs = cdf._ys, cdf._log_xs
+    seg = np.flatnonzero(ys[1:] != ys[:-1])
+    y0, dy = ys[seg, None], (ys[seg + 1] - ys[seg])[:, None]
+    u = y0 + dy * (np.arange(steps) + 0.5) / steps
+    lx0 = lxs[seg, None]
+    sizes = np.exp(lx0 + (u - y0) / dy * (lxs[seg + 1, None] - lx0))
+    return float(np.sum(sizes * dy / steps))
 
 
 class TestMeanBytesClosedForm:
