@@ -21,7 +21,8 @@ from repro.experiments.scenarios import (
     make_scheme_setup,
 )
 from repro.faults.counters import FaultCounters
-from repro.metrics.fct import FctSummary, FlowRecord, summarize
+from repro.metrics.fct import (FctSummary, FlowRecord, mean_std_percentiles,
+                               summarize)
 from repro.metrics.telemetry import TelemetrySampler, TelemetrySeries
 from repro.net.fabric import FabricHandle
 from repro.sim.engine import Simulator
@@ -83,8 +84,6 @@ class ExperimentResult:
         of Q1 depth in kB over every sampled ``port.*.q1`` series — or
         zeros when the run's telemetry sampled no port (see
         :meth:`TelemetryConfig.ports_only`)."""
-        import numpy as np
-
         depth: List[float] = []
         red: List[float] = []
         for name in (self.telemetry.names() if self.telemetry is not None
@@ -100,10 +99,9 @@ class ExperimentResult:
                            else [0.0] * len(vals))
         if not depth:
             return 0.0, 0.0, 0.0, 0.0
-        return (float(np.mean(depth)) / 1000,
-                float(np.percentile(depth, 90)) / 1000,
-                float(np.mean(red)) / 1000,
-                float(np.percentile(red, 90)) / 1000)
+        d_mean, _, (d_p90,) = mean_std_percentiles(depth, (90,))
+        r_mean, _, (r_p90,) = mean_std_percentiles(red, (90,))
+        return d_mean / 1000, d_p90 / 1000, r_mean / 1000, r_p90 / 1000
 
 
 @dataclass

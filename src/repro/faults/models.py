@@ -5,8 +5,8 @@ compose: :class:`KindSelectiveLoss` narrows any model to specific packet
 kinds (data-only, credit-only), which is how the §4.3 experiments separate
 proactive-data loss from credit loss.
 
-Models draw from a ``numpy.random.Generator`` handed in by the caller
-(normally a named :class:`repro.sim.rng.RngRegistry` stream), so a seeded
+Models draw from a random stream handed in by the caller (normally a
+named :class:`repro.sim.rng.RngRegistry` stream), so a seeded
 run replays the exact same drop pattern.
 """
 
@@ -17,9 +17,8 @@ from typing import Callable, FrozenSet, Iterable, TYPE_CHECKING
 from repro.net.packet import PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.net.packet import Packet
+    from repro.sim.rng import Stream
 
 
 class LossModel:
@@ -32,7 +31,7 @@ class LossModel:
 class BernoulliLoss(LossModel):
     """Independent loss: each packet dies with probability ``p``."""
 
-    def __init__(self, p: float, rng: "np.random.Generator") -> None:
+    def __init__(self, p: float, rng: "Stream") -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"loss probability must be in [0, 1], got {p}")
         self.p = p
@@ -57,7 +56,7 @@ class GilbertElliottLoss(LossModel):
         self,
         p_good_to_bad: float,
         p_bad_to_good: float,
-        rng: "np.random.Generator",
+        rng: "Stream",
         loss_good: float = 0.0,
         loss_bad: float = 1.0,
     ) -> None:

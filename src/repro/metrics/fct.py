@@ -8,11 +8,10 @@ coexistence figures (12, 13).
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
-
-import numpy as np
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.transports.base import FlowSpec, FlowStats
 
@@ -87,6 +86,32 @@ class FctSummary:
                    float("nan"), float("nan"), 0, censored)
 
 
+def mean_std_percentiles(values: Sequence[float],
+                         percentiles: Sequence[float],
+                         ) -> Tuple[float, float, List[float]]:
+    """Mean, population standard deviation and percentiles of ``values``.
+
+    The statistics of ``np.mean``, ``np.std`` and ``np.percentile`` at
+    their defaults: a percentile ``q`` interpolates linearly between the
+    sorted values around rank ``(n - 1) * q / 100``. Sums are exactly
+    rounded (``math.fsum``), so results agree with numpy's pairwise sums
+    to rounding. ``values`` must not be empty.
+    """
+    n = len(values)
+    mean = math.fsum(values) / n
+    std = math.sqrt(math.fsum([(v - mean) ** 2 for v in values]) / n)
+    ranked = sorted(values)
+    out = []
+    for q in percentiles:
+        pos = (n - 1) * (q / 100.0)
+        lo = int(pos)
+        a, b = ranked[lo], ranked[min(lo + 1, n - 1)]
+        t = pos - lo
+        # numpy's lerp works from the nearer end; so does its rounding
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return mean, std, out
+
+
 def summarize(records: Iterable[FlowRecord],
               small_cutoff_bytes: Optional[int] = None,
               group: Optional[str] = None,
@@ -111,14 +136,15 @@ def summarize(records: Iterable[FlowRecord],
         sel.append(r)
     if not sel:
         return FctSummary.empty(censored=censored)
-    fcts_ms = np.array([r.fct_ns for r in sel], dtype=float) / 1e6
+    mean, std, (p50, p99, top) = mean_std_percentiles(
+        [r.fct_ns / 1e6 for r in sel], (50, 99, 100))
     return FctSummary(
         count=len(sel),
-        avg_ms=float(np.mean(fcts_ms)),
-        p50_ms=float(np.percentile(fcts_ms, 50)),
-        p99_ms=float(np.percentile(fcts_ms, 99)),
-        stddev_ms=float(np.std(fcts_ms)),
-        max_ms=float(np.max(fcts_ms)),
+        avg_ms=mean,
+        p50_ms=p50,
+        p99_ms=p99,
+        stddev_ms=std,
+        max_ms=top,
         timeouts=sum(r.timeouts for r in sel),
         censored=censored,
     )

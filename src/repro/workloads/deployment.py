@@ -10,17 +10,16 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Set, TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
+    from repro.sim.rng import Stream
 
 
 class DeploymentPlan:
     """Which hosts run the new transport."""
 
     def __init__(self, racks: Sequence[Sequence["Host"]], fraction: float,
-                 rng: np.random.Generator) -> None:
+                 rng: "Stream") -> None:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"deployment fraction must be in [0,1], got {fraction}")
         self.fraction = fraction

@@ -30,62 +30,44 @@ must use the realized mean; see DESIGN.md §6k.
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.rng import Stream
 
-#: Cutoff for the exact term-by-term survival sum in :func:`realized_mean`;
-#: beyond it the tail closes in continuous form (error < tail_mass / 2
-#: sampled bytes — by Markov, relative error under 1/(2 * 2^16)).
+#: Cutoff for the exact term-by-term survival sum of
+#: :meth:`SizeModel.realized_mean_bytes`; beyond it the tail closes in
+#: continuous form (error < tail_mass / 2 sampled bytes — by Markov,
+#: relative error under 1/(2 * 2^16)).
 _REALIZED_SUM_TERMS = 1 << 16
-
-
-def realized_mean(survival_many: Callable[[np.ndarray], np.ndarray],
-                  partial_mean_above: Callable[[float], float],
-                  scale: float) -> float:
-    """``E[max(1, int(X / scale))]`` for a law given by its survival function.
-
-    Uses the layer-cake identity ``E[max(1, floor(v))] = 1 + sum_{k>=2}
-    P(v >= k)`` with ``v = X / scale``. The sum runs exactly (vectorized)
-    up to ``k = 2^16``; the remainder ``E[(floor(v) - K)^+]`` closes as
-    ``E[(v - K)^+] - P(v > K)/2`` (the equidistributed-fraction
-    correction), where ``E[(v - K)^+]`` comes from the model's closed-form
-    partial mean. The absolute error is bounded by ``P(v > K)/2 <=
-    E[v]/2K``, i.e. relative error below ``2^-17`` for any law.
-    """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    ks = np.arange(2.0, float(_REALIZED_SUM_TERMS) + 1.0) * scale
-    total = 1.0 + float(np.sum(survival_many(ks)))
-    edge = float(_REALIZED_SUM_TERMS) * scale
-    tail_mass = float(survival_many(np.asarray([edge]))[0])
-    if tail_mass > 0.0:
-        excess = (partial_mean_above(edge) / scale
-                  - _REALIZED_SUM_TERMS * tail_mass)
-        total += max(0.0, excess - 0.5 * tail_mass)
-    return total
 
 
 class SizeModel:
     """Protocol shared by the empirical CDFs and parametric size models.
 
     ``sample`` must return ``max(1, int(draw / scale))`` for one underlying
-    draw; ``survival_many``/``partial_mean_above`` describe the continuous
-    law in unscaled bytes and power the exact realized-mean computation.
+    draw; ``survival``/``survival_sum``/``partial_mean_above`` describe
+    the continuous law in unscaled bytes and power the exact realized-mean
+    computation.
     """
 
     name: str = "sizes"
 
-    def _draw(self, rng: np.random.Generator) -> float:
+    def _draw(self, rng: "Stream") -> float:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> int:
+    def sample(self, rng: "Stream", scale: float = 1.0) -> int:
         """Draw one flow size (bytes), optionally divided by ``scale``."""
         return max(1, int(self._draw(rng) / scale))
 
-    def survival_many(self, sizes: np.ndarray) -> np.ndarray:
-        """Vectorized ``P(X > s)`` in unscaled bytes."""
+    def survival(self, size: float) -> float:
+        """``P(X > size)`` in unscaled bytes."""
+        raise NotImplementedError
+
+    def survival_sum(self, scale: float, terms: int) -> float:
+        """``sum(survival(k * scale) for k in 2..terms)``."""
         raise NotImplementedError
 
     def partial_mean_above(self, size_bytes: float) -> float:
@@ -103,9 +85,26 @@ class SizeModel:
         This is the correct divisor for arrival-rate (offered load)
         computations; :meth:`mean_bytes` undershoots it whenever ``scale``
         pushes mass toward single-digit sizes.
+
+        Uses the layer-cake identity ``E[max(1, floor(v))] = 1 + sum_{k>=2}
+        P(v >= k)`` with ``v = X / scale``. The sum runs exactly up to
+        ``k = 2^16``; the remainder ``E[(floor(v) - K)^+]`` closes as
+        ``E[(v - K)^+] - P(v > K)/2`` (the equidistributed-fraction
+        correction), where ``E[(v - K)^+]`` comes from the model's
+        closed-form partial mean. The absolute error is bounded by
+        ``P(v > K)/2 <= E[v]/2K``, i.e. relative error below ``2^-17`` for
+        any law.
         """
-        return realized_mean(self.survival_many, self.partial_mean_above,
-                             scale)
+        if scale <= 0.0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        total = 1.0 + self.survival_sum(scale, _REALIZED_SUM_TERMS)
+        edge = float(_REALIZED_SUM_TERMS) * scale
+        tail_mass = self.survival(edge)
+        if tail_mass > 0.0:
+            excess = (self.partial_mean_above(edge) / scale
+                      - _REALIZED_SUM_TERMS * tail_mass)
+            total += max(0.0, excess - 0.5 * tail_mass)
+        return total
 
     def describe(self) -> str:
         return self.name
@@ -117,8 +116,8 @@ class EmpiricalCdf(SizeModel):
     def __init__(self, points: Sequence[Tuple[float, float]], name: str = "") -> None:
         if len(points) < 2:
             raise ValueError("need at least two CDF points")
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
+        xs = [float(p[0]) for p in points]
+        ys = [float(p[1]) for p in points]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError(f"{name}: sizes must be strictly increasing")
         if any(b < a for a, b in zip(ys, ys[1:])):
@@ -128,58 +127,26 @@ class EmpiricalCdf(SizeModel):
         if xs[0] < 1:
             raise ValueError(f"{name}: smallest size must be >= 1 byte")
         self.name = name
-        self._xs = np.asarray(xs, dtype=float)
-        self._ys = np.asarray(ys, dtype=float)
-        self._log_xs = np.log(self._xs)
+        self._xs: List[float] = xs
+        self._ys: List[float] = ys
+        self._log_xs: List[float] = [math.log(x) for x in xs]
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> int:
+    def sample(self, rng: "Stream", scale: float = 1.0) -> int:
         """Draw one flow size (bytes), optionally divided by ``scale``."""
         u = rng.random()
         size = self._inverse(u)
         return max(1, int(size / scale))
 
-    def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0):
-        """Draw ``n`` flow sizes (bytes) in one vectorized pass.
-
-        Consumes exactly ``n`` uniforms from ``rng`` — ``Generator.random(n)``
-        reads the same stream positions the scalar :meth:`sample` loop would —
-        so mixing batch and scalar sampling keeps runs deterministic. The
-        returned sizes themselves may differ from the scalar path by one unit
-        in the last place (``np.exp`` vs ``math.exp`` rounding; see DESIGN.md
-        §6h on the cache salt bump that accompanied this change).
-        """
-        if n <= 0:
-            return []
-        xs = self._xs
-        ys = self._ys
-        u = rng.random(n)
-        idx = np.searchsorted(ys, u, side="left")
-        idx = np.minimum(idx, len(ys) - 1)
-        low = idx <= 0
-        i = np.where(low, 1, idx)  # safe segment index for the interp math
-        y0 = ys[i - 1]
-        dy = ys[i] - y0
-        flat = dy == 0.0
-        frac = (u - y0) / np.where(flat, 1.0, dy)
-        lx0 = self._log_xs[i - 1]
-        size = np.exp(lx0 + frac * (self._log_xs[i] - lx0))
-        size = np.where(flat, xs[i], size)
-        size = np.where(low, xs[0], size)
-        if scale != 1.0:
-            size = size / scale
-        # int64 cast truncates toward zero, matching ``int()`` on positives.
-        return np.maximum(1, size.astype(np.int64)).tolist()
-
     def _inverse(self, u: float) -> float:
         ys = self._ys
-        idx = int(np.searchsorted(ys, u, side="left"))
+        idx = bisect.bisect_left(ys, u)
         if idx <= 0:
-            return float(self._xs[0])
+            return self._xs[0]
         if idx >= len(ys):
-            return float(self._xs[-1])
+            return self._xs[-1]
         y0, y1 = ys[idx - 1], ys[idx]
         if y1 == y0:
-            return float(self._xs[idx])
+            return self._xs[idx]
         frac = (u - y0) / (y1 - y0)
         lx0, lx1 = self._log_xs[idx - 1], self._log_xs[idx]
         return math.exp(lx0 + frac * (lx1 - lx0))
@@ -195,39 +162,54 @@ class EmpiricalCdf(SizeModel):
         which skewed the Poisson arrival rate high on heavy-tailed CDFs
         (datamining's 100–500 MB tail) for every offered-load sweep.
         """
-        dy = np.diff(self._ys)
-        seg_mean = np.diff(self._xs) / np.diff(self._log_xs)
+        xs, ys, lxs = self._xs, self._ys, self._log_xs
         # Zero-mass segments contribute nothing; xs strictly increasing
         # keeps every denominator positive.
-        return float(np.dot(seg_mean, dy)) / scale
+        return math.fsum((ys[i] - ys[i - 1]) * (xs[i] - xs[i - 1])
+                         / (lxs[i] - lxs[i - 1])
+                         for i in range(1, len(xs))) / scale
 
     def fraction_below(self, size_bytes: float) -> float:
         """CDF value at ``size_bytes`` (log-linear interpolation)."""
         if size_bytes <= self._xs[0]:
-            return float(self._ys[0])
+            return self._ys[0]
         if size_bytes >= self._xs[-1]:
             return 1.0
         lx = math.log(size_bytes)
-        idx = int(np.searchsorted(self._log_xs, lx, side="right"))
+        idx = bisect.bisect_right(self._log_xs, lx)
         lx0, lx1 = self._log_xs[idx - 1], self._log_xs[idx]
         y0, y1 = self._ys[idx - 1], self._ys[idx]
         if lx1 == lx0:
-            return float(y1)
-        return float(y0 + (y1 - y0) * (lx - lx0) / (lx1 - lx0))
+            return y1
+        return y0 + (y1 - y0) * (lx - lx0) / (lx1 - lx0)
 
-    def survival_many(self, sizes: np.ndarray) -> np.ndarray:
-        """Vectorized ``1 - fraction_below`` (same log-linear law)."""
-        sizes = np.asarray(sizes, dtype=float)
-        out = np.empty_like(sizes)
-        below = sizes <= self._xs[0]
-        above = sizes >= self._xs[-1]
-        mid = ~(below | above)
-        out[below] = 1.0
-        out[above] = 0.0
-        if np.any(mid):
-            out[mid] = 1.0 - np.interp(np.log(sizes[mid]), self._log_xs,
-                                       self._ys)
-        return out
+    def survival(self, size: float) -> float:
+        return 1.0 - self.fraction_below(size)
+
+    def survival_sum(self, scale: float, terms: int) -> float:
+        """The survival sum segment by segment, in closed form.
+
+        On segment ``i`` the survival is linear in ``ln k``: ``1 - y0 -
+        m * (ln k + ln scale - ln x0)`` with ``m = dy / dln x``, so the
+        ``k`` whose ``k * scale`` falls in it sum to a count times a
+        constant minus ``m * sum(ln k)``, and ``sum(ln k)`` over ``lo..hi``
+        is ``lgamma(hi + 1) - lgamma(lo)``. Sizes at or below the first
+        knot survive with probability one, sizes past the last with zero.
+        """
+        xs, ys, lxs = self._xs, self._ys, self._log_xs
+        ln_scale = math.log(scale)
+        # segment i holds the k with xs[i - 1] <= k * scale < xs[i]
+        total = float(max(0, min(terms, math.ceil(xs[0] / scale) - 1) - 1))
+        for i in range(1, len(xs)):
+            lo = max(2, math.ceil(xs[i - 1] / scale))
+            hi = min(terms, math.ceil(xs[i] / scale) - 1)
+            if hi < lo:
+                continue
+            m = (ys[i] - ys[i - 1]) / (lxs[i] - lxs[i - 1])
+            total += ((hi - lo + 1) * (1.0 - ys[i - 1]
+                                        - m * (ln_scale - lxs[i - 1]))
+                      - m * (math.lgamma(hi + 1) - math.lgamma(lo)))
+        return total
 
     def partial_mean_above(self, size_bytes: float) -> float:
         """``E[X * 1{X > a}]``: the log-mean mass of segments above ``a``.
@@ -242,23 +224,15 @@ class EmpiricalCdf(SizeModel):
             return 0.0
         total = 0.0
         for i in range(1, len(self._xs)):
-            x1 = float(self._xs[i])
+            x1 = self._xs[i]
             if x1 <= a:
                 continue
-            dy = float(self._ys[i] - self._ys[i - 1])
+            dy = self._ys[i] - self._ys[i - 1]
             if dy == 0.0:
                 continue
-            lo = max(a, float(self._xs[i - 1]))
-            total += dy * (x1 - lo) / float(self._log_xs[i]
-                                            - self._log_xs[i - 1])
+            lo = max(a, self._xs[i - 1])
+            total += dy * (x1 - lo) / (self._log_xs[i] - self._log_xs[i - 1])
         return total
-
-
-def _erfc_many(xs: np.ndarray) -> np.ndarray:
-    """Vectorized ``math.erfc`` (numpy has no erfc; scipy is not a dep)."""
-    flat = np.asarray(xs, dtype=float).ravel()
-    return np.fromiter((math.erfc(v) for v in flat), dtype=float,
-                       count=flat.size).reshape(np.shape(xs))
 
 
 class LognormalSizes(SizeModel):
@@ -275,15 +249,19 @@ class LognormalSizes(SizeModel):
         self._mu = math.log(self._mean) - 0.5 * self.sigma ** 2
         self.name = name or f"lognormal(mean={mean_bytes:g},sigma={sigma:g})"
 
-    def _draw(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(self._mu, self.sigma))
+    def _draw(self, rng: "Stream") -> float:
+        return rng.lognormal(self._mu, self.sigma)
 
-    def survival_many(self, sizes: np.ndarray) -> np.ndarray:
-        sizes = np.asarray(sizes, dtype=float)
-        z = (np.log(np.maximum(sizes, 1e-300)) - self._mu) \
-            / (self.sigma * math.sqrt(2.0))
-        out = 0.5 * _erfc_many(z)
-        return np.where(sizes <= 0.0, 1.0, out)
+    def survival(self, size: float) -> float:
+        if size <= 0.0:
+            return 1.0
+        return 0.5 * math.erfc((math.log(size) - self._mu)
+                               / (self.sigma * math.sqrt(2.0)))
+
+    def survival_sum(self, scale: float, terms: int) -> float:
+        log, mu, c = math.log, self._mu, self.sigma * math.sqrt(2.0)
+        return 0.5 * math.fsum(map(math.erfc, [(log(k * scale) - mu) / c
+                                               for k in range(2, terms + 1)]))
 
     def partial_mean_above(self, size_bytes: float) -> float:
         a = float(size_bytes)
@@ -322,17 +300,27 @@ class BoundedParetoSizes(SizeModel):
         self.name = name or (f"pareto(min={min_bytes:g},alpha={alpha:g},"
                              f"max={max_bytes:g})")
 
-    def _draw(self, rng: np.random.Generator) -> float:
+    def _draw(self, rng: "Stream") -> float:
         u = rng.random()
         return self.xm * (1.0 - u * self._z) ** (-1.0 / self.alpha)
 
-    def survival_many(self, sizes: np.ndarray) -> np.ndarray:
-        sizes = np.asarray(sizes, dtype=float)
-        s = np.clip(sizes, self.xm, self.cap)
-        surv = ((self.xm / s) ** self.alpha
+    def survival(self, size: float) -> float:
+        if size <= self.xm:
+            return 1.0
+        if size >= self.cap:
+            return 0.0
+        return ((self.xm / size) ** self.alpha
                 - (self.xm / self.cap) ** self.alpha) / self._z
-        surv = np.where(sizes <= self.xm, 1.0, surv)
-        return np.where(sizes >= self.cap, 0.0, surv)
+
+    def survival_sum(self, scale: float, terms: int) -> float:
+        # 1 up to xm, the power law up to cap, 0 past it
+        xm, al, z = self.xm, self.alpha, self._z
+        ones = max(0, min(terms, math.floor(xm / scale)) - 1)
+        lo = max(2, math.floor(xm / scale) + 1)
+        hi = min(terms, math.ceil(self.cap / scale) - 1)
+        tail = (xm / self.cap) ** al
+        return ones + math.fsum([((xm / (k * scale)) ** al - tail) / z
+                                 for k in range(lo, hi + 1)])
 
     def partial_mean_above(self, size_bytes: float) -> float:
         a = max(float(size_bytes), self.xm)
@@ -372,14 +360,19 @@ class BimodalSizes(SizeModel):
         self.name = name or (f"bimodal(small={small_bytes:g},"
                              f"large={large_bytes:g},frac={large_frac:g})")
 
-    def _draw(self, rng: np.random.Generator) -> float:
+    def _draw(self, rng: "Stream") -> float:
         mode = self.large if rng.random() < self.large_frac else self.small
         return mode._draw(rng)
 
-    def survival_many(self, sizes: np.ndarray) -> np.ndarray:
+    def survival(self, size: float) -> float:
         p = self.large_frac
-        return (1.0 - p) * self.small.survival_many(sizes) \
-            + p * self.large.survival_many(sizes)
+        return ((1.0 - p) * self.small.survival(size)
+                + p * self.large.survival(size))
+
+    def survival_sum(self, scale: float, terms: int) -> float:
+        p = self.large_frac
+        return ((1.0 - p) * self.small.survival_sum(scale, terms)
+                + p * self.large.survival_sum(scale, terms))
 
     def partial_mean_above(self, size_bytes: float) -> float:
         p = self.large_frac

@@ -31,13 +31,13 @@ merged stream lazily into the simulator. See DESIGN.md §6k.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
-
-import numpy as np
 
 from repro.workloads.distributions import (
     BimodalSizes,
@@ -51,7 +51,7 @@ from repro.workloads.distributions import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-    from repro.sim.rng import RngRegistry
+    from repro.sim.rng import RngRegistry, Stream
 
 #: Flow-id block per source in a composed suite: source ``i`` numbers its
 #: flows from ``i * SOURCE_ID_STRIDE + 1``, so ids stay disjoint and stable
@@ -114,7 +114,7 @@ class ArrivalProcess:
     def mean_gap_ns(self) -> float:
         return 1.0 / self.rate_per_ns
 
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
+    def gaps(self, rng: Stream) -> Iterator[float]:
         """Infinite stream of interarrival gaps (ns, float)."""
         raise NotImplementedError
 
@@ -128,7 +128,7 @@ class PoissonArrivals(ArrivalProcess):
     The gap is drawn as ``rng.exponential(1.0 / rate)``.
     """
 
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
+    def gaps(self, rng: Stream) -> Iterator[float]:
         mean = 1.0 / self.rate_per_ns
         while True:
             yield rng.exponential(mean)
@@ -154,7 +154,7 @@ class ParetoArrivals(ArrivalProcess):
                 f"got {alpha}")
         self.alpha = float(alpha)
 
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
+    def gaps(self, rng: Stream) -> Iterator[float]:
         unit = (self.alpha - 1.0) / self.rate_per_ns
         while True:
             yield unit * rng.pareto(self.alpha)
@@ -185,7 +185,7 @@ class OnOffArrivals(ArrivalProcess):
         duty = self.on_ns / (self.on_ns + self.off_ns)
         self.burst_rate_per_ns = self.rate_per_ns / duty
 
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
+    def gaps(self, rng: Stream) -> Iterator[float]:
         burst_mean = 1.0 / self.burst_rate_per_ns
         remaining_on = rng.exponential(self.on_ns)
         while True:
@@ -212,7 +212,7 @@ class PairPicker:
 
     hosts: List["Host"]
 
-    def pick(self, rng: np.random.Generator) -> Tuple["Host", "Host"]:
+    def pick(self, rng: Stream) -> Tuple["Host", "Host"]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -231,7 +231,7 @@ class UniformPairs(PairPicker):
             raise ValueError("need at least two hosts")
         self.hosts = list(hosts)
 
-    def pick(self, rng: np.random.Generator) -> Tuple["Host", "Host"]:
+    def pick(self, rng: Stream) -> Tuple["Host", "Host"]:
         n = len(self.hosts)
         a = int(rng.integers(0, n))
         b = int(rng.integers(0, n - 1))
@@ -271,11 +271,11 @@ class GroupedPairs(PairPicker):
             id(h): i for g in self.groups for i, h in enumerate(g)
         }
 
-    def pick(self, rng: np.random.Generator) -> Tuple["Host", "Host"]:
+    def pick(self, rng: Stream) -> Tuple["Host", "Host"]:
         src = self.hosts[int(rng.integers(0, len(self.hosts)))]
         return src, self.pick_dst(src, rng)
 
-    def pick_dst(self, src: "Host", rng: np.random.Generator) -> "Host":
+    def pick_dst(self, src: "Host", rng: Stream) -> "Host":
         gi = self._group_of[id(src)]
         local = self.groups[gi]
         want_intra = rng.random() < self.intra_fraction
@@ -334,7 +334,7 @@ class MatrixPairs(PairPicker):
                 raise ValueError(
                     f"matrix row {i} sums to {total:g}, expected 1")
         self.matrix = rows
-        self._cum = [np.cumsum(row) for row in rows]
+        self._cum = [list(itertools.accumulate(row)) for row in rows]
         self._group_of = {
             id(h): gi for gi, g in enumerate(self.groups) for h in g
         }
@@ -342,11 +342,11 @@ class MatrixPairs(PairPicker):
             id(h): i for g in self.groups for i, h in enumerate(g)
         }
 
-    def pick(self, rng: np.random.Generator) -> Tuple["Host", "Host"]:
+    def pick(self, rng: Stream) -> Tuple["Host", "Host"]:
         src = self.hosts[int(rng.integers(0, len(self.hosts)))]
         gi = self._group_of[id(src)]
         u = rng.random()
-        gj = min(int(np.searchsorted(self._cum[gi], u, side="right")),
+        gj = min(bisect.bisect_right(self._cum[gi], u),
                  len(self.groups) - 1)
         if gj == gi:
             local = self.groups[gi]
@@ -384,7 +384,7 @@ class TrafficSource:
 
     name: str = "source"
 
-    def flows(self, rng: np.random.Generator) -> Iterator[TrafficSpec]:
+    def flows(self, rng: Stream) -> Iterator[TrafficSpec]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -411,7 +411,7 @@ class OpenLoopSource(TrafficSource):
         self.role = role
         self.first_flow_id = int(first_flow_id)
 
-    def flows(self, rng: np.random.Generator) -> Iterator[TrafficSpec]:
+    def flows(self, rng: Stream) -> Iterator[TrafficSpec]:
         t = 0.0
         fid = self.first_flow_id
         horizon = self.sim_time_ns
@@ -466,7 +466,7 @@ class IncastSource(TrafficSource):
         self.role = role
         self.first_flow_id = int(first_flow_id)
 
-    def flows(self, rng: np.random.Generator) -> Iterator[TrafficSpec]:
+    def flows(self, rng: Stream) -> Iterator[TrafficSpec]:
         t = 0.0
         fid = self.first_flow_id
         n = len(self.hosts)
@@ -535,7 +535,7 @@ class CoflowSource(TrafficSource):
                               + self.sizes.realized_mean_bytes(
                                   self.size_scale))
 
-    def flows(self, rng: np.random.Generator) -> Iterator[TrafficSpec]:
+    def flows(self, rng: Stream) -> Iterator[TrafficSpec]:
         t = 0.0
         fid = self.first_flow_id
         n = len(self.hosts)
@@ -585,7 +585,7 @@ class BulkSource(TrafficSource):
         self.legacy = legacy
         self.first_flow_id = first_flow_id
 
-    def flows(self, rng: np.random.Generator) -> Iterator[TrafficSpec]:
+    def flows(self, rng: Stream) -> Iterator[TrafficSpec]:
         receiver, senders = self.hosts[0], self.hosts[1:]
         for i in range(self.flows_per_sender * len(senders)):
             yield TrafficSpec(self.first_flow_id + i, senders[i % len(senders)],

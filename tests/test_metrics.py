@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.metrics.fct import FctSummary, FlowRecord, completion_ratio, summarize
+from repro.metrics.fct import (FctSummary, FlowRecord, completion_ratio,
+                               mean_std_percentiles, summarize)
 from repro.metrics.summary import format_table
 from repro.metrics.throughput import starvation_fraction
 from repro.net import DumbbellSpec, build_dumbbell
@@ -101,6 +103,33 @@ class TestSummarize:
         assert r.completed
         censored = FlowRecord.from_flow(spec, FlowStats(start_ns=10))
         assert not censored.completed
+
+
+class TestMeanStdPercentiles:
+    """The pure-Python statistics behind ``summarize`` and the Q1 occupancy
+    numbers, held to numpy's defaults."""
+
+    QS = (0, 1, 10, 25, 50, 90, 99, 99.9, 100)
+
+    @pytest.mark.parametrize("values", [
+        [3.25],                                  # n = 1
+        [2.0, 2.0],                              # n = 2, tied
+        [1.0, 5.0, 5.0, 5.0, 9.0],               # ties across ranks
+        [0.0] * 7 + [1e-9, 4e6],                 # ties at zero, wide span
+        [0.123 * i ** 1.5 for i in range(1, 101)],
+        [(i * 7919 % 1013) / 97.0 for i in range(1000)],  # unsorted, ties
+    ])
+    def test_matches_numpy(self, values):
+        mean, std, ps = mean_std_percentiles(values, self.QS)
+        arr = np.asarray(values)
+        want = [np.mean(arr), np.std(arr)] + [np.percentile(arr, q)
+                                              for q in self.QS]
+        for got, ref in zip([mean, std] + ps, want):
+            assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-300)
+
+    def test_percentiles_are_in_request_order(self):
+        _, _, ps = mean_std_percentiles([4.0, 1.0, 3.0, 2.0], (100, 0, 50))
+        assert ps == [4.0, 1.0, 2.5]
 
 
 class TestStarvationFraction:

@@ -25,6 +25,7 @@ from repro.workloads.gen import (
     TrafficConfig,
     build_sources,
     merge_sources,
+    parse_sizes,
 )
 
 from tests.test_net_port_topology import single_queue_factory
@@ -66,7 +67,7 @@ class TestEmpiricalCdf:
     def test_median_matches_cdf(self):
         """Empirical median of many samples should sit where CDF=0.5."""
         rng = np.random.default_rng(3)
-        samples = WEBSEARCH.sample_many(rng, 4000)
+        samples = [WEBSEARCH.sample(rng) for _ in range(4000)]
         med = float(np.median(samples))
         assert 0.35 < WEBSEARCH.fraction_below(med) < 0.65
 
@@ -107,7 +108,7 @@ def _quadrature_mean(cdf: EmpiricalCdf, steps: int) -> float:
     """Midpoint quadrature over the inverse CDF (the pre-closed-form
     estimator, kept as the regression reference): ``steps`` midpoints per
     non-flat segment, each mapped through ``_inverse``'s log-linear rule."""
-    ys, lxs = cdf._ys, cdf._log_xs
+    ys, lxs = np.asarray(cdf._ys), np.asarray(cdf._log_xs)
     seg = np.flatnonzero(ys[1:] != ys[:-1])
     y0, dy = ys[seg, None], (ys[seg + 1] - ys[seg])[:, None]
     u = y0 + dy * (np.arange(steps) + 0.5) / steps
@@ -171,7 +172,7 @@ def _realized_grid_oracle(cdf: EmpiricalCdf, scale: float,
                           n: int = 1 << 22) -> float:
     """Midpoint quadrature of ``E[max(1, int(X / scale))]`` over the
     inverse CDF — independent of both the layer-cake sum in
-    ``realized_mean`` and the branchy ``sample_many`` path. For a monotone
+    ``realized_mean_bytes`` and the branchy ``sample`` path. For a monotone
     integrand the midpoint-sum error is bounded by ``(max - min) / n``,
     i.e. relative error well under 1e-4 for every pair tested below."""
     u = (np.arange(n) + 0.5) / n
@@ -198,9 +199,9 @@ class TestRealizedMean:
         contract rather than to another formula."""
         cdf = workload_cdf(name)
         scale = 4096.0
-        sizes = np.asarray(
-            cdf.sample_many(np.random.default_rng(42), 200_000, scale=scale),
-            dtype=float)
+        rng = np.random.default_rng(42)
+        sizes = np.asarray([cdf.sample(rng, scale) for _ in range(200_000)],
+                           dtype=float)
         se = float(sizes.std()) / math.sqrt(len(sizes))
         assert abs(cdf.realized_mean_bytes(scale) - float(sizes.mean())) \
             < 4.0 * se
@@ -215,6 +216,23 @@ class TestRealizedMean:
         r8 = WEBSEARCH.realized_mean_bytes(8.0)
         assert r8 < WEBSEARCH.mean_bytes(8.0)
         assert r8 == pytest.approx(WEBSEARCH.mean_bytes(8.0) - 0.5, abs=0.05)
+
+    @pytest.mark.parametrize("name", ["websearch", "datamining",
+                                      "cachefollower", "hadoop", "lognormal",
+                                      "pareto", "bimodal"])
+    @pytest.mark.parametrize("scale", [1.0, 8.0, 1000.0, 4096.0])
+    def test_closed_form_survival_sum_matches_term_by_term(self, name,
+                                                           scale):
+        """Each law's ``survival_sum`` must equal the plain sum of its
+        ``survival``: for a CDF segment by segment with ``lgamma``,
+        including a ``k`` whose ``k * scale`` lands exactly on a knot; for
+        Pareto with the sizes at or below its minimum counted as ones."""
+        model = parse_sizes(name)
+        terms = 1 << 12
+        want = math.fsum(model.survival(k * scale)
+                         for k in range(2, terms + 1))
+        assert model.survival_sum(scale, terms) == pytest.approx(want,
+                                                                 rel=1e-12)
 
     def test_invalid_scale_raises(self):
         with pytest.raises(ValueError):
@@ -239,35 +257,67 @@ class TestRealizedMean:
         assert overshoot > 0.6 * 1.01  # the bug was worth fixing
 
 
+def _vectorized_sample(cdf: EmpiricalCdf, rng, n: int,
+                       scale: float = 1.0):
+    """``n`` sizes through a numpy-vectorized inverse CDF: the same
+    log-linear rule as ``EmpiricalCdf._inverse``, branch-free, as an
+    independent reference for the scalar ``sample``. ``rng.random(n)``
+    reads the stream positions ``n`` scalar draws read. Sizes may differ
+    from ``sample`` by one unit in the last place (``np.exp`` vs
+    ``math.exp`` rounding)."""
+    xs = np.asarray(cdf._xs)
+    ys = np.asarray(cdf._ys)
+    log_xs = np.asarray(cdf._log_xs)
+    u = rng.random(n)
+    idx = np.minimum(np.searchsorted(ys, u, side="left"), len(ys) - 1)
+    low = idx <= 0
+    i = np.where(low, 1, idx)  # safe segment index for the interp math
+    y0 = ys[i - 1]
+    dy = ys[i] - y0
+    flat = dy == 0.0
+    frac = (u - y0) / np.where(flat, 1.0, dy)
+    lx0 = log_xs[i - 1]
+    size = np.exp(lx0 + frac * (log_xs[i] - lx0))
+    size = np.where(flat, xs[i], size)
+    size = np.where(low, xs[0], size) / scale
+    # int64 cast truncates toward zero, matching ``int()`` on positives.
+    return np.maximum(1, size.astype(np.int64)).tolist()
+
+
 class TestSampleManyVectorized:
+    """Many scalar ``sample`` draws against :func:`_vectorized_sample`."""
+
     @pytest.mark.parametrize("name", ["websearch", "datamining",
                                       "cachefollower", "hadoop"])
     @pytest.mark.parametrize("scale", [1.0, 4.0])
     def test_matches_scalar_path(self, name, scale):
-        """Batch sampling must consume the identical RNG stream as the
-        scalar loop and (over this horizon) return the identical sizes."""
+        """The scalar loop must consume the identical RNG stream as the
+        vectorized inverse and (over this horizon) return identical sizes."""
         cdf = workload_cdf(name)
         r_vec = np.random.default_rng(11)
         r_scalar = np.random.default_rng(11)
-        batch = cdf.sample_many(r_vec, 5_000, scale=scale)
+        batch = _vectorized_sample(cdf, r_vec, 5_000, scale=scale)
         loop = [cdf.sample(r_scalar, scale) for _ in range(5_000)]
         assert batch == loop
         # Both paths must leave the generator at the same stream position.
         assert r_vec.random() == r_scalar.random()
 
     def test_returns_python_ints(self):
-        sizes = WEBSEARCH.sample_many(np.random.default_rng(0), 10)
+        rng = np.random.default_rng(0)
+        sizes = [WEBSEARCH.sample(rng) for _ in range(10)]
         assert all(type(s) is int for s in sizes)
 
     def test_empty_batch(self):
+        """A draw consumes exactly one uniform of the stream."""
         rng = np.random.default_rng(0)
-        assert WEBSEARCH.sample_many(rng, 0) == []
-        # A zero-size batch must not consume any stream.
-        assert rng.random() == np.random.default_rng(0).random()
+        fresh = np.random.default_rng(0)
+        WEBSEARCH.sample(rng)
+        fresh.random()
+        assert rng.random() == fresh.random()
 
     def test_extreme_scale_clamps_to_one(self):
-        sizes = WEBSEARCH.sample_many(np.random.default_rng(2), 100,
-                                      scale=1e12)
+        rng = np.random.default_rng(2)
+        sizes = [WEBSEARCH.sample(rng, scale=1e12) for _ in range(100)]
         assert sizes == [1] * 100
 
 
@@ -295,7 +345,8 @@ def _cdf_points(draw):
 
 
 class TestSampleManyProperty:
-    """``sample_many`` vs the scalar ``sample`` loop on arbitrary CDFs."""
+    """:func:`_vectorized_sample` vs the scalar ``sample`` loop on
+    arbitrary CDFs."""
 
     @given(points=_cdf_points(), scale=st.floats(0.5, 1e6),
            seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
@@ -308,7 +359,7 @@ class TestSampleManyProperty:
         cdf = EmpiricalCdf(points, name="hyp")
         r_vec = np.random.default_rng(seed)
         r_scalar = np.random.default_rng(seed)
-        batch = cdf.sample_many(r_vec, n, scale=scale)
+        batch = _vectorized_sample(cdf, r_vec, n, scale=scale)
         loop = [cdf.sample(r_scalar, scale) for _ in range(n)]
         assert len(batch) == n
         assert all(abs(a - b) <= 1 for a, b in zip(batch, loop))

@@ -614,10 +614,10 @@ class TestBulkSource:
         from repro.workloads.gen import BulkSource
 
         rng = RngRegistry(3).stream("traffic.b")
-        before = rng.bit_generator.state
+        before = rng.state
         flows = list(BulkSource("b", stub_hosts(4), KB, 2).flows(rng))
         assert len(flows) == 6
-        assert rng.bit_generator.state == before
+        assert rng.state == before
 
     @pytest.mark.parametrize("hosts,match", [
         (("r0", "s9"), "source 'b': unknown host 's9'"),
