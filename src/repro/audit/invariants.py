@@ -29,8 +29,8 @@ rests on:
 
 Checkpoint checks are instantaneous-consistency checks (cheap, counter
 reads only); the heap scan and flow checks run once at the horizon.
-When auditing is disabled nothing is constructed — zero per-packet and
-zero per-event cost, like telemetry.
+When auditing is disabled nothing is imported or constructed — zero
+per-packet and zero per-event cost, like telemetry.
 """
 
 from __future__ import annotations

@@ -21,51 +21,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.audit.matrix import (
-    MATRIX_SCHEMES,
-    MATRIX_TOPOLOGIES,
-    golden_row,
-    matrix_config,
-    run_matrix,
-)
-from repro.audit.replay import format_replay_report, replay_config
+# What only ``audit``, ``sweep`` or ``figure`` runs is imported by its
+# handler, so ``--help`` and ``repro run`` load none of the figures, the
+# sweep fabric, the store or the replay cell (DESIGN.md §3).
+from repro.audit.matrix import MATRIX_SCHEMES, MATRIX_TOPOLOGIES
 from repro.experiments.config import ConfigError, SchemeName
-from repro.metrics.telemetry import TelemetryConfig, TelemetrySeries
-from repro.experiments.figures import (
-    failure_recovery,
-    fig01a_expresspass_vs_dctcp,
-    fig01b_homa_vs_dctcp,
-    fig07_subflow_throughput,
-    fig08_incast,
-    fig09_coexistence,
-)
-from repro.experiments.fabric import (
-    FabricConfig,
-    JournalError,
-    SweepFabric,
-    sweep_status,
-)
-from repro.experiments.parallel import FailedResult, run_many
-from repro.experiments.runner import run_experiment
+from repro.experiments.parallel import run_many
+from repro.experiments.runner import FailedResult, run_experiment
 from repro.experiments.scenarios import (
     paper_scale_config,
     regional_fabric_config,
-)
-from repro.experiments.store import open_store
-from repro.experiments.sweep import (
-    SweepCell,
-    default_sweep_config,
-    deployment_grid,
-    deployment_sweep,
-    fig05a_rc3_comparison,
-    fig10_rows,
-    fig12_rows,
-    fig13_rows,
-    fig17_seldrop_sweep,
-    fig18_wq_sweep,
-    queue_occupancy_study,
 )
 from repro.faults.plan import (
     FaultPlan,
@@ -75,15 +42,24 @@ from repro.faults.plan import (
     SiteFailureSpec,
 )
 from repro.metrics.summary import degraded_title, print_table
+from repro.metrics.telemetry_config import TelemetryConfig
 from repro.sim.units import MILLIS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.metrics.telemetry import TelemetrySeries
 
 
 def _figure_fig01(base) -> None:
+    from repro.experiments.figures import (fig01a_expresspass_vs_dctcp,
+                                           fig01b_homa_vs_dctcp)
+
     fig01a_expresspass_vs_dctcp().print_report()
     fig01b_homa_vs_dctcp().print_report()
 
 
 def _figure_fig05(base) -> None:
+    from repro.experiments.sweep import fig05a_rc3_comparison
+
     results = fig05a_rc3_comparison(base)
     print_table("Figure 5(a): FlexPass vs RC3 splitting",
                 ("scheme", "p99 small (ms)", "avg max reorder (kB)"),
@@ -92,15 +68,21 @@ def _figure_fig05(base) -> None:
 
 
 def _figure_fig07(base) -> None:
+    from repro.experiments.figures import fig07_subflow_throughput
+
     for scenario in ("one_flexpass", "two_flexpass", "dctcp_vs_flexpass"):
         fig07_subflow_throughput(scenario).print_report()
 
 
 def _figure_fig08(base) -> None:
+    from repro.experiments.figures import fig08_incast
+
     fig08_incast().print_report()
 
 
 def _figure_fig09(base) -> None:
+    from repro.experiments.figures import fig09_coexistence
+
     xp = fig09_coexistence("expresspass")
     fp = fig09_coexistence("flexpass")
     xp.print_report()
@@ -111,6 +93,9 @@ def _figure_fig09(base) -> None:
 
 
 def _figure_fig10(base) -> None:
+    from repro.experiments.sweep import (deployment_sweep, fig10_rows,
+                                         fig12_rows, fig13_rows)
+
     grid = deployment_sweep(base)
     print_table("Figure 10",
                 ("scheme", "deployed", "p99 small (ms)", "avg (ms)",
@@ -124,12 +109,16 @@ def _figure_fig10(base) -> None:
 
 
 def _figure_fig17(base) -> None:
+    from repro.experiments.sweep import fig17_seldrop_sweep
+
     points = fig17_seldrop_sweep(base)
     print_table("Figure 17: selective-dropping threshold",
                 ("threshold (kB)", "p99 small (ms)", "avg (ms)"), points)
 
 
 def _figure_fig18(base) -> None:
+    from repro.experiments.sweep import fig18_wq_sweep
+
     points = fig18_wq_sweep(base)
     print_table("Figure 18: w_q sweep",
                 ("w_q", "legacy degradation", "p99 at full (ms)"),
@@ -137,10 +126,14 @@ def _figure_fig18(base) -> None:
 
 
 def _figure_failure_recovery(base) -> None:
+    from repro.experiments.figures import failure_recovery
+
     failure_recovery().print_report()
 
 
 def _figure_queue(base) -> None:
+    from repro.experiments.sweep import queue_occupancy_study
+
     rows = queue_occupancy_study(base)
     print_table("Bounded queue (§6.2)",
                 ("deployed", "avg kB", "p90 kB", "avg red kB", "p90 red kB"),
@@ -189,6 +182,8 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _base_config(args):
+    from repro.experiments.sweep import default_sweep_config
+
     overrides = dict(load=args.load, sim_time_ns=args.ms * MILLIS,
                      seed=args.seed, workload=args.workload)
     plan = _fault_plan_from_args(args)
@@ -465,6 +460,8 @@ def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _fabric_from_args(args):
+    from repro.experiments.fabric import FabricConfig, SweepFabric
+
     return SweepFabric(
         args.journal,
         store=args.store,
@@ -485,6 +482,8 @@ def _fabric_from_args(args):
 def _sweep_grid(args) -> List:
     """The ``repro sweep`` grid, inline or durable: seeds x loads x
     :func:`repro.experiments.sweep.deployment_grid`."""
+    from repro.experiments.sweep import deployment_grid
+
     base = _base_config(args)
     schemes = [SchemeName(s) for s in args.schemes]
     return [cfg
@@ -496,6 +495,8 @@ def _sweep_grid(args) -> List:
 
 def _print_sweep(title: str, results) -> None:
     """One row per cell, failed cells included."""
+    from repro.experiments.sweep import SweepCell
+
     rows = []
     for res in results:
         cfg = res.config
@@ -516,6 +517,8 @@ def _print_sweep(title: str, results) -> None:
 
 
 def _run_sweep_fabric(args) -> int:
+    from repro.experiments.fabric import JournalError, sweep_status
+
     if not args.journal:
         raise SystemExit(f"repro sweep {args.action}: --journal DIR is "
                          f"required")
@@ -702,6 +705,7 @@ def _run_single(args) -> int:
 
 def _run_topo(args) -> int:
     """The ``repro topo`` subcommand: validate/show/run a declarative spec."""
+    from repro.experiments.store import open_store
     from repro.net.fabric import TopologySpecError, load_topology_spec
 
     try:
@@ -922,6 +926,8 @@ def _run_workloads(args) -> int:
 
 def _run_workloads_sweep(args) -> int:
     """load x locality x burstiness grid across schemes."""
+    from repro.experiments.sweep import default_sweep_config
+
     labels, grid = [], []
     for load in args.loads or [args.load]:
         for locality in args.localities or [args.locality]:
@@ -960,6 +966,9 @@ def _run_audit(args) -> int:
     divergence, or drift from the pinned golden digests, so CI can gate on
     it directly.
     """
+    from repro.audit.matrix import golden_row, matrix_config, run_matrix
+    from repro.audit.replay import format_replay_report, replay_config
+
     horizon_ns = args.ms * MILLIS
     if args.replay:
         scheme, topo = args.schemes[0], args.topos[0]

@@ -12,23 +12,16 @@ SQLite file, opened with :func:`open_store`, passed to ``run_many`` as
 imported from the submodules directly (``repro.experiments.runner`` etc.)
 is internal and may move without notice; see README for the documented
 surface.
+
+Importing the package loads the run path (config, runner, scenarios and
+``run_many``); the sweep loop, the store and telemetry resolve on first
+use (DESIGN.md §3).
 """
 
-import importlib
-
-from repro.experiments.config import (
-    ExperimentConfig,
-    QueueSettings,
-    SchemeName,
-)
-from repro.experiments.fabric import (
-    CompletionReport,
-    FabricConfig,
-    SweepFabric,
-    sweep_status,
-)
-from repro.experiments.parallel import FailedResult, run_many
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro import lazy_exports
+from repro.experiments.config import ExperimentConfig, QueueSettings, SchemeName
+from repro.experiments.parallel import run_many
+from repro.experiments.runner import ExperimentResult, FailedResult, run_experiment
 from repro.experiments.scenarios import (
     SchemeSetup,
     build_topology,
@@ -36,42 +29,17 @@ from repro.experiments.scenarios import (
     regional_fabric_config,
     run_regional_fabric,
 )
-from repro.experiments.store import ResultStore, open_store
-from repro.metrics.telemetry import TelemetryConfig, TelemetrySeries
 
-__all__ = [
-    "ExperimentConfig",
-    "QueueSettings",
-    "SchemeName",
-    "TelemetryConfig",
-    "TelemetrySeries",
-    "ExperimentResult",
-    "FailedResult",
-    "run_experiment",
-    "run_many",
-    "SchemeSetup",
-    "build_topology",
-    "make_scheme_setup",
-    "regional_fabric_config",
-    "run_regional_fabric",
-    "CompletionReport",
-    "FabricConfig",
-    "SweepFabric",
-    "sweep_status",
-    "ResultStore",
-    "open_store",
-]
-
-#: submodules reachable lazily as attributes (``repro.experiments.figures``)
-_SUBMODULES = ("cache", "config", "fabric", "figures", "parallel", "runner",
-               "scenarios", "store", "sweep")
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"repro.experiments.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_SUBMODULES) | set(globals()))
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("ExperimentConfig", "QueueSettings", "SchemeName"),
+    "repro.metrics.telemetry_config": ("TelemetryConfig",),
+    "repro.metrics.telemetry": ("TelemetrySeries",),
+    ".runner": ("ExperimentResult", "FailedResult", "run_experiment"),
+    ".parallel": ("run_many",),
+    ".scenarios": ("SchemeSetup", "build_topology", "make_scheme_setup",
+                   "regional_fabric_config", "run_regional_fabric"),
+    ".fabric": ("CompletionReport", "FabricConfig", "SweepFabric",
+                "sweep_status"),
+    ".store": ("ResultStore", "open_store"),
+}, submodules=("cache", "config", "fabric", "figures", "parallel", "runner",
+               "scenarios", "store", "sweep"))

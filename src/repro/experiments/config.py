@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.audit.config import AuditConfig
-from repro.faults.plan import FaultPlan
-from repro.metrics.telemetry import TelemetryConfig
-from repro.net.fabric import TopologySpec
 from repro.net.topology import ClosSpec
 from repro.sim.units import GBPS, KB, MICROS, MILLIS
 from repro.workloads.gen import TrafficConfig
+
+if TYPE_CHECKING:  # pragma: no cover - a feature's config loads with its use
+    from repro.audit.config import AuditConfig
+    from repro.faults.plan import FaultPlan
+    from repro.metrics.telemetry_config import TelemetryConfig
+    from repro.net.fabric import TopologySpec
 
 
 class SchemeName(str, enum.Enum):

@@ -28,7 +28,6 @@ import contextlib
 import heapq
 import json
 import logging
-import multiprocessing
 import os
 import queue
 import random
@@ -287,9 +286,12 @@ def run_cells(grid: Sequence[Union[ExperimentConfig, CellRow]],
 
     processes = policy.processes or os.cpu_count() or 1
     processes = max(1, min(processes, len(ready)))
-    pool = (multiprocessing.Pool(processes=processes,
-                                 maxtasksperchild=policy.max_tasks_per_child)
-            if processes > 1 else None)
+    pool = None
+    if processes > 1:
+        import multiprocessing
+
+        pool = multiprocessing.Pool(
+            processes=processes, maxtasksperchild=policy.max_tasks_per_child)
     store_spec = store.spec if store is not None else None
     outstanding: Dict[int, int] = {}  # cell -> attempt
     finished: queue.SimpleQueue = queue.SimpleQueue()  # (cell, attempt, outcome)

@@ -19,7 +19,7 @@ from repro.experiments.runner import ExperimentResult
 from repro.experiments.sweep import _run_grid
 from repro.faults import FaultCounters, FaultPlan, LinkFailureSpec
 from repro.metrics.summary import format_table
-from repro.metrics.telemetry import TelemetryConfig
+from repro.metrics.telemetry_config import TelemetryConfig
 from repro.metrics.throughput import starvation_fraction
 from repro.net import (
     DumbbellSpec,

@@ -26,12 +26,13 @@ cell's state in the store, for sweeps that must survive ``kill -9``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fabric import FabricConfig, FailedResult, run_cells
-from repro.experiments.runner import ExperimentResult
-from repro.experiments.store import StoreSpec, open_store
+from repro.experiments.runner import ExperimentResult, FailedResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.store import StoreSpec
 
 
 def run_many(
@@ -64,6 +65,11 @@ def run_many(
     ``progress(done, total)`` is called after every completed config, store
     hits included.
     """
+    # The loop and the store load with the first sweep, not with the run
+    # API (DESIGN.md §3).
+    from repro.experiments.fabric import FabricConfig, run_cells
+    from repro.experiments.store import open_store
+
     store = open_store(cache) if cache is not None else None
     policy = FabricConfig(processes=processes, max_retries=max_retries or 0,
                           retry_base_s=retry_base_s, retry_seed=retry_seed)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from repro.audit.invariants import AuditReport, InvariantAuditor
 from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.scenarios import (
     SchemeSetup,
@@ -23,13 +22,16 @@ from repro.experiments.scenarios import (
 from repro.faults.counters import FaultCounters
 from repro.metrics.fct import (FctSummary, FlowRecord, mean_std_percentiles,
                                summarize)
-from repro.metrics.telemetry import TelemetrySampler, TelemetrySeries
 from repro.net.fabric import FabricHandle
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.transports.base import FlowSpec, FlowStats
 from repro.workloads.deployment import DeploymentPlan
 from repro.workloads.gen import TrafficSpec, build_sources, merge_sources
+
+if TYPE_CHECKING:  # pragma: no cover - loaded when a config switches it on
+    from repro.audit.invariants import AuditReport, InvariantAuditor
+    from repro.metrics.telemetry import TelemetrySampler, TelemetrySeries
 
 
 @dataclass
@@ -295,11 +297,13 @@ def _attach_audit(sim: Simulator, cfg: ExperimentConfig, clos: FabricHandle,
     Runs after fault splicing (so digest taps wrap the spliced links) and
     before traffic starts (the packet-pool baseline is snapshotted at
     construction). When ``cfg.audit`` is None or disabled, nothing is
-    constructed at all — the same zero-cost discipline as telemetry.
+    imported or constructed — the same zero-cost discipline as telemetry.
     """
     acfg = cfg.audit
     if acfg is None or not acfg.enabled:
         return None
+    from repro.audit.invariants import InvariantAuditor
+
     auditor = InvariantAuditor(sim, clos.topo, live, config=acfg)
     auditor.install(cfg.sim_time_ns)
     return auditor
@@ -311,6 +315,8 @@ def _attach_telemetry(sim: Simulator, cfg: ExperimentConfig, clos: FabricHandle,
     tcfg = cfg.telemetry
     if tcfg is None or not tcfg.enabled:
         return None
+    from repro.metrics.telemetry import TelemetrySampler
+
     sampler = TelemetrySampler(sim, interval_ns=tcfg.interval_ns,
                                max_samples=tcfg.max_samples,
                                until_ns=cfg.sim_time_ns)

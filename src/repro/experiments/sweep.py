@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.parallel import FailedResult, run_many
 from repro.experiments.runner import ExperimentResult
-from repro.metrics.telemetry import TelemetryConfig
+from repro.metrics.telemetry_config import TelemetryConfig
 from repro.net.topology import ClosSpec
 from repro.sim.units import MILLIS
 

@@ -17,49 +17,20 @@ simulated fabric never exercises that path, so this package provides:
   of the above, carried on an ``ExperimentConfig`` so any scenario or
   figure can run under faults, seeded via ``RngRegistry`` for bit-for-bit
   reproducibility.
+
+Each name below resolves lazily from its submodule, so a config that
+carries no :class:`FaultPlan` loads none of the injector.
 """
 
-from repro.faults.counters import FaultCounters
-from repro.faults.events import LinkDownEvent, LinkUpEvent, schedule_failure_events
-from repro.faults.link import FaultyLink, LossyLink, splice, splice_lossy
-from repro.faults.models import (
-    KIND_ALIASES,
-    BernoulliLoss,
-    GilbertElliottLoss,
-    KindSelectiveLoss,
-    LossModel,
-    PredicateLoss,
-    kinds_from_names,
-)
-from repro.faults.plan import (
-    FaultInjector,
-    FaultPlan,
-    FaultPlanError,
-    LinkFailureSpec,
-    LinkLossSpec,
-    SiteFailureSpec,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BernoulliLoss",
-    "FaultCounters",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultyLink",
-    "GilbertElliottLoss",
-    "KIND_ALIASES",
-    "KindSelectiveLoss",
-    "LinkDownEvent",
-    "LinkFailureSpec",
-    "LinkLossSpec",
-    "LinkUpEvent",
-    "LossModel",
-    "LossyLink",
-    "PredicateLoss",
-    "SiteFailureSpec",
-    "kinds_from_names",
-    "schedule_failure_events",
-    "splice",
-    "splice_lossy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".counters": ("FaultCounters",),
+    ".events": ("LinkDownEvent", "LinkUpEvent", "schedule_failure_events"),
+    ".link": ("FaultyLink", "LossyLink", "splice", "splice_lossy"),
+    ".models": ("KIND_ALIASES", "BernoulliLoss", "GilbertElliottLoss",
+                "KindSelectiveLoss", "LossModel", "PredicateLoss",
+                "kinds_from_names"),
+    ".plan": ("FaultInjector", "FaultPlan", "FaultPlanError",
+              "LinkFailureSpec", "LinkLossSpec", "SiteFailureSpec"),
+})

@@ -1,24 +1,15 @@
-"""Measurement: FCT records, telemetry time series, starvation, packet traces."""
+"""Measurement: FCT records, telemetry time series, starvation, packet traces.
 
-from repro.metrics.fct import FctSummary, FlowRecord, summarize
-from repro.metrics.telemetry import (
-    RingBuffer,
-    TelemetryConfig,
-    TelemetrySampler,
-    TelemetrySeries,
-)
-from repro.metrics.throughput import starvation_fraction
-from repro.metrics.tracing import PacketTracer, TraceEvent
+Each name resolves lazily from its submodule: a run without telemetry
+or tracing loads neither the sampler nor the tracer.
+"""
 
-__all__ = [
-    "FctSummary",
-    "FlowRecord",
-    "summarize",
-    "RingBuffer",
-    "TelemetryConfig",
-    "TelemetrySampler",
-    "TelemetrySeries",
-    "starvation_fraction",
-    "PacketTracer",
-    "TraceEvent",
-]
+from repro import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fct": ("FctSummary", "FlowRecord", "summarize"),
+    ".telemetry": ("RingBuffer", "TelemetrySampler", "TelemetrySeries"),
+    ".telemetry_config": ("TelemetryConfig",),
+    ".throughput": ("starvation_fraction",),
+    ".tracing": ("PacketTracer", "TraceEvent"),
+})

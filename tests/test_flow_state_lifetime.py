@@ -23,12 +23,11 @@ from repro.audit import AuditConfig
 from repro.core.flexpass import FlexPassReceiver, FlexPassSender, SubFlow
 from repro.core.variants import Rc3SplitSender
 from repro.experiments import runner
-from repro.experiments.config import (
-    ExperimentConfig, SchemeName, TelemetryConfig,
-)
+from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.parallel import run_many
 from repro.experiments.runner import run_experiment
 from repro.experiments.store import ResultStore
+from repro.metrics.telemetry_config import TelemetryConfig
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.topology import ClosSpec

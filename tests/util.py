@@ -19,10 +19,8 @@ The cell pool rule:
   no result to keep.
 """
 
-from repro.experiments.cache import config_key
 from repro.experiments.config import ExperimentConfig, SchemeName
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.store import decode_result, encode_result
 from repro.net.packet import Dscp
 from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.ratelimit import TokenBucket
@@ -58,8 +56,13 @@ def cell(cfg: ExperimentConfig) -> ExperimentResult:
     """``run_experiment(cfg)``, simulated at most once per pytest process.
 
     Each call decodes a fresh copy of the stored bytes: the same round
-    trip the sweep store gives every result.
+    trip the sweep store gives every result. The store loads here, not
+    with this module, so ``tiny_cfg`` can drive a run that must not load
+    it (``tests/test_import_budget.py``).
     """
+    from repro.experiments.cache import config_key
+    from repro.experiments.store import decode_result, encode_result
+
     key = config_key(cfg)
     if key not in _CELLS:
         _CELLS[key] = encode_result(run_experiment(cfg))

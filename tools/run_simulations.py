@@ -39,7 +39,7 @@ from repro.experiments.sweep import (  # noqa: E402
     default_sweep_config,
     deployment_grid,
 )
-from repro.metrics.telemetry import TelemetryConfig  # noqa: E402
+from repro.metrics.telemetry_config import TelemetryConfig  # noqa: E402
 from repro.net import load_topology_spec  # noqa: E402
 from repro.sim.units import MILLIS  # noqa: E402
 from repro.workloads import TrafficConfig  # noqa: E402
