@@ -34,7 +34,7 @@ from repro.experiments.scenarios import (
     paper_scale_config,
     regional_fabric_config,
 )
-from repro.faults.plan import (
+from repro.faults.spec import (
     FaultPlan,
     FaultPlanError,
     LinkFailureSpec,
@@ -611,6 +611,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # up, a bad flag value when the subcommand builds its config —
         # before any sweep directory or store file exists.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader has gone (``repro list | head -1``): stop quietly.
+        # Python flushes stdout once more at exit, so point its descriptor
+        # at devnull first, or that flush fails too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -39,14 +39,15 @@ from repro.net.packet import (
     data_wire_size,
 )
 from repro.transports.base import (
-    CompletionCallback, FlowSpec, FlowStats, SegmentPayloads,
+    CompletionCallback, FlowSpec, FlowStats, SegmentPayloads, Tombstone,
 )
 from repro.transports.congestion import DctcpWindowParams
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
-from repro.transports.crediting import FINISHED, CreditPacer, CreditRequest
+from repro.transports.crediting import CreditPacer, CreditRequest
 from repro.transports.dctcp import DctcpLoop
 from repro.transports.sequencing import (
-    ReceiveScoreboard, SenderScoreboard, send_ack, track_reorder,
+    ReceiveScoreboard, SenderScoreboard, Settled, board_at, cum_and_sack,
+    send_ack, track_reorder,
 )
 from repro.transports.timers import RetransmitTimer, RttEstimator
 from repro.sim.units import GBPS, MICROS, MILLIS
@@ -331,7 +332,9 @@ class FlexPassSender:
 
 
 class FlexPassReceiver:
-    """Receiver endpoint: reassembly + per-sub-flow ACKs + credit pacing."""
+    """Receiver endpoint: reassembly + per-sub-flow ACKs + credit pacing.
+    Once reassembly completes, a :class:`FlexPassTombstone` takes its
+    place."""
 
     def __init__(self, sim: "Simulator", spec: FlowSpec, stats: FlowStats,
                  params: FlexPassParams = FlexPassParams(),
@@ -349,32 +352,29 @@ class FlexPassReceiver:
             params.max_credit_rate_bps, params.update_period_ns,
             params.feedback,
         )
-        self._complete = False
         spec.dst.register_receiver(spec.flow_id, self)
 
     # ------------------------------------------------------------ intake
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind == PacketKind.CREDIT_REQUEST:
-            if self._complete:
-                # The sender is stuck on a dropped ACK; refresh its view.
-                self._send_summary_acks()
-            else:
-                self.pacer.start()
+            self.pacer.start()
         elif pkt.kind == PacketKind.DATA:
             self._on_data(pkt)
 
     def _on_data(self, pkt: Packet) -> None:
         if pkt.subflow == PROACTIVE:
             self.pacer.note_data_received(pkt.meta if pkt.meta is not None else -1)
-            self.p_board.add(pkt.seq)
-            send_ack(self.spec, self.params.ack_dscp, self.p_board, pkt,
-                     PROACTIVE)
+            board = self.p_board
+            board.add(pkt.seq)
+            send_ack(self.spec, self.params.ack_dscp, board.cum, board.sack(),
+                     pkt, PROACTIVE)
         else:
-            self.r_board.add(pkt.seq)
+            board = self.r_board
+            board.add(pkt.seq)
             # its per-packet CE echo feeds the sender's DCTCP loop
-            send_ack(self.spec, self.params.ack_dscp, self.r_board, pkt,
-                     REACTIVE)
+            send_ack(self.spec, self.params.ack_dscp, board.cum, board.sack(),
+                     pkt, REACTIVE)
         fresh = self.flow_board.add(pkt.flow_seq)
         if fresh:
             self.stats.delivered_bytes += pkt.payload
@@ -390,20 +390,59 @@ class FlexPassReceiver:
             # reactive original): discard at reassembly (§4.2).
             self.stats.duplicate_bytes += pkt.payload
 
-    def _send_summary_acks(self) -> None:
-        for subflow, board in ((PROACTIVE, self.p_board), (REACTIVE, self.r_board)):
-            ack = alloc_packet(
-                PacketKind.ACK, self.spec.flow_id,
-                self.spec.dst.id, self.spec.src.id,
-                ACK_WIRE_BYTES, dscp=self.params.ack_dscp,
-                ack=board.cum, sack=board.sack(), subflow=subflow,
-            )
-            self.spec.dst.send(ack)
-
     def _finish(self) -> None:
-        self._complete = True
         self.stats.complete_ns = self.sim.now
         self.pacer.stop()
-        self.pacer = FINISHED
+        self.spec.dst.retire_receiver(self.spec.flow_id, FlexPassTombstone(
+            self.spec, self.stats, self.params.ack_dscp,
+            self.p_board.settled(), self.r_board.settled()))
         if self.on_complete is not None:
             self.on_complete(self.spec, self.stats)
+
+
+def send_summary_acks(spec: FlowSpec, dscp: int,
+                      boards: Tuple[Settled, Settled]) -> None:
+    """One ACK per sub-flow, in sub-flow order, carrying the cum and SACK
+    of its settled receive board (see ``ReceiveScoreboard.settled``)."""
+    for subflow, board in enumerate(boards):
+        cum, sack = cum_and_sack(board)
+        ack = alloc_packet(
+            PacketKind.ACK, spec.flow_id, spec.dst.id, spec.src.id,
+            ACK_WIRE_BYTES, dscp=dscp, ack=cum, sack=sack, subflow=subflow,
+        )
+        spec.dst.send(ack)
+
+
+class FlexPassTombstone(Tombstone):
+    """A finished FlexPass flow in its receiver's place. Its two sub-flow
+    boards outlive reassembly, settled (a board with nothing above its
+    cum is just that int), since a late copy can still be news in its
+    sub-flow's space:
+
+    * late data is ACKed in its sub-flow's space, as the receiver would,
+      and counted as a duplicate at reassembly;
+    * a late ``CREDIT_REQUEST`` means the sender is stuck on a dropped
+      ACK: one summary ACK per sub-flow refreshes its view (§4.3).
+    """
+
+    __slots__ = ("ack_dscp", "p_board", "r_board")
+
+    def __init__(self, spec: FlowSpec, stats: FlowStats, ack_dscp: int,
+                 p_board: Settled, r_board: Settled) -> None:
+        super().__init__(spec, stats)
+        self.ack_dscp = ack_dscp
+        self.p_board = p_board
+        self.r_board = r_board
+
+    def on_packet(self, pkt: Packet) -> None:
+        if pkt.kind == PacketKind.CREDIT_REQUEST:
+            send_summary_acks(self.spec, self.ack_dscp,
+                              (self.p_board, self.r_board))
+        elif pkt.kind == PacketKind.DATA:
+            if pkt.subflow == PROACTIVE:
+                self.p_board = board = board_at(self.p_board, pkt.seq)
+            else:
+                self.r_board = board = board_at(self.r_board, pkt.seq)
+            cum, sack = cum_and_sack(board)
+            send_ack(self.spec, self.ack_dscp, cum, sack, pkt, pkt.subflow)
+            self.stats.duplicate_bytes += pkt.payload

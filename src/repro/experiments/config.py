@@ -20,7 +20,7 @@ from repro.workloads.gen import TrafficConfig
 
 if TYPE_CHECKING:  # pragma: no cover - a feature's config loads with its use
     from repro.audit.config import AuditConfig
-    from repro.faults.plan import FaultPlan
+    from repro.faults.spec import FaultPlan
     from repro.metrics.telemetry_config import TelemetryConfig
     from repro.net.fabric import TopologySpec
 

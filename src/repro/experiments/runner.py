@@ -243,8 +243,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     result has read what it needs, the simulator drops its calendar and
     the topology unwires its nodes, so reference counting frees the
     fabric and the packets in flight without waiting for a full
-    collection (DESIGN.md §6h)."""
+    collection (DESIGN.md §6h). Only then are the flow records built
+    from the stats objects in ``live``, so they reuse the fabric's memory
+    instead of adding to the cell's peak."""
     wall_start = time.monotonic()
+    live: Dict[int, Tuple[FlowSpec, FlowStats]] = {}
+    result = _simulate(cfg, live)
+    result.records = [FlowRecord.from_flow(s, st) for s, st in live.values()]
+    result.wall_seconds = time.monotonic() - wall_start
+    return result
+
+
+def _simulate(cfg: ExperimentConfig,
+              live: Dict[int, Tuple[FlowSpec, FlowStats]]) -> ExperimentResult:
+    """Build and run the cell, recording its flows in ``live``; returns
+    the result without records, after releasing the cell."""
     sim = Simulator()
     rng = RngRegistry(cfg.seed)
     setup = make_scheme_setup(cfg)
@@ -255,8 +268,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             injector = cfg.faults.apply(sim, clos.topo, rng)
             fault_counters = injector.counters
 
-        # Records are built at the horizon from the stats objects in ``live``.
-        live: Dict[int, Tuple[FlowSpec, FlowStats]] = {}
         pump_flows(sim, flow_specs(cfg, clos, rng), setup, live,
                    cfg.sim_time_ns)
 
@@ -266,20 +277,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         sim.run(until=cfg.sim_time_ns, max_events=cfg.max_events,
                 wall_clock_s=cfg.max_wall_seconds)
 
-        records = [FlowRecord.from_flow(s, st) for s, st in live.values()]
-        counters = _collect_counters(clos)
         result = ExperimentResult(
             config=cfg,
-            records=records,
-            counters=counters,
+            records=[],
+            counters=_collect_counters(clos),
             events_run=sim.events_run,
-            wall_seconds=time.monotonic() - wall_start,
+            wall_seconds=0.0,
             routing_failures=sum(sw.routing_failures
                                  for sw in clos.topo.switches),
             fault_counters=fault_counters,
             aborted=sim.aborted,
             abort_reason=sim.abort_reason,
         )
+        # the auditor reads the hosts' endpoint tables: before the release
         if auditor is not None:
             result.audit = auditor.finalize()
         if sampler is not None:

@@ -86,6 +86,9 @@ def _q2_ecn_bytes(qs: QueueSettings, rate_bps: int) -> int:
 
 
 # ------------------------------------------------------------ queue factories
+#
+# A factory builds its DSCP classifier once: a port only reads its
+# classifier, so every port the factory configures shares the one dict.
 
 
 def flexpass_queue_factory(qs: QueueSettings):
@@ -99,6 +102,12 @@ def flexpass_queue_factory(qs: QueueSettings):
     proactive sub-flows together filling the link and starving reactive —
     requires the NIC not to clamp the *aggregate* to w_q.
     """
+
+    classifier = {d: 2 for d in ALL_DSCPS}
+    classifier[Dscp.CREDIT.value] = 0
+    classifier[Dscp.PROACTIVE_DATA.value] = 1
+    classifier[Dscp.REACTIVE_DATA.value] = 1
+    classifier[Dscp.FLEX_CONTROL.value] = 1
 
     def factory(name: str, rate_bps: int, is_host_nic: bool):
         credit_q = PacketQueue(
@@ -124,11 +133,6 @@ def flexpass_queue_factory(qs: QueueSettings):
             QueueSchedule(flex_q, priority=1, weight=qs.wq),
             QueueSchedule(legacy_q, priority=1, weight=1.0 - qs.wq),
         ]
-        classifier = {d: 2 for d in ALL_DSCPS}
-        classifier[Dscp.CREDIT.value] = 0
-        classifier[Dscp.PROACTIVE_DATA.value] = 1
-        classifier[Dscp.REACTIVE_DATA.value] = 1
-        classifier[Dscp.FLEX_CONTROL.value] = 1
         return schedules, classifier
 
     return factory
@@ -137,6 +141,8 @@ def flexpass_queue_factory(qs: QueueSettings):
 def naive_queue_factory(qs: QueueSettings):
     """Naïve deployment: full-rate credit queue + ONE shared data queue for
     ExpressPass data and legacy traffic (no isolation)."""
+    classifier = {d: 1 for d in ALL_DSCPS}
+    classifier[Dscp.CREDIT.value] = 0
 
     def factory(name: str, rate_bps: int, is_host_nic: bool):
         credit_q = PacketQueue(
@@ -150,8 +156,6 @@ def naive_queue_factory(qs: QueueSettings):
             QueueSchedule(credit_q, priority=0, weight=1.0, pacer=pacer),
             QueueSchedule(data_q, priority=1, weight=1.0),
         ]
-        classifier = {d: 1 for d in ALL_DSCPS}
-        classifier[Dscp.CREDIT.value] = 0
         return schedules, classifier
 
     return factory
@@ -161,6 +165,10 @@ def owf_queue_factory(qs: QueueSettings, fraction: float):
     """Oracle WFQ: two data queues weighted by the *known* traffic split
     (the impractical scheme the paper uses as the upper baseline)."""
     fraction = min(max(fraction, 0.02), 0.98)  # DWRR needs nonzero weights
+    classifier = {d: 2 for d in ALL_DSCPS}
+    classifier[Dscp.CREDIT.value] = 0
+    classifier[Dscp.PROACTIVE_DATA.value] = 1
+    classifier[Dscp.FLEX_CONTROL.value] = 1
 
     def factory(name: str, rate_bps: int, is_host_nic: bool):
         credit_q = PacketQueue(
@@ -180,10 +188,6 @@ def owf_queue_factory(qs: QueueSettings, fraction: float):
             QueueSchedule(xp_q, priority=1, weight=fraction),
             QueueSchedule(legacy_q, priority=1, weight=1.0 - fraction),
         ]
-        classifier = {d: 2 for d in ALL_DSCPS}
-        classifier[Dscp.CREDIT.value] = 0
-        classifier[Dscp.PROACTIVE_DATA.value] = 1
-        classifier[Dscp.FLEX_CONTROL.value] = 1
         return schedules, classifier
 
     return factory
@@ -199,6 +203,8 @@ def homa_shared_queue_factory():
     see tests. The published starvation therefore reproduces under the
     shared-queue premise the figure is actually making a point about.
     """
+    classifier = {d: 1 for d in ALL_DSCPS}
+    classifier[Dscp.HOMA_BASE + 0] = 0  # grants
 
     def factory(name: str, rate_bps: int, is_host_nic: bool):
         grant_q = PacketQueue(QueueConfig(name="grants", capacity_bytes=10 * KB))
@@ -209,8 +215,6 @@ def homa_shared_queue_factory():
             QueueSchedule(grant_q, priority=0, weight=1.0),
             QueueSchedule(data_q, priority=1, weight=1.0),
         ]
-        classifier = {d: 1 for d in ALL_DSCPS}
-        classifier[Dscp.HOMA_BASE + 0] = 0  # grants
         return schedules, classifier
 
     return factory
@@ -218,10 +222,13 @@ def homa_shared_queue_factory():
 
 def homa_queue_factory(n_prios: int = 8):
     """Eight strict priority queues; DCTCP mapped to the highest (footnote 3)."""
+    classifier: Dict[int, int] = {Dscp.HOMA_BASE + p: p for p in range(n_prios)}
+    for d in (Dscp.LEGACY, Dscp.CREDIT, Dscp.PROACTIVE_DATA,
+              Dscp.REACTIVE_DATA, Dscp.FLEX_CONTROL):
+        classifier[d.value] = 0
 
     def factory(name: str, rate_bps: int, is_host_nic: bool):
         schedules = []
-        classifier: Dict[int, int] = {}
         for p in range(n_prios):
             # prio 0 carries DCTCP and needs its ECN signal
             q = PacketQueue(QueueConfig(
@@ -229,10 +236,6 @@ def homa_queue_factory(n_prios: int = 8):
                 ecn_threshold_bytes=65 * KB if p == 0 else None,
             ))
             schedules.append(QueueSchedule(q, priority=p, weight=1.0))
-            classifier[Dscp.HOMA_BASE + p] = p
-        for d in (Dscp.LEGACY, Dscp.CREDIT, Dscp.PROACTIVE_DATA,
-                  Dscp.REACTIVE_DATA, Dscp.FLEX_CONTROL):
-            classifier[d.value] = 0
         return schedules, classifier
 
     return factory

@@ -13,10 +13,12 @@ simulated fabric never exercises that path, so this package provides:
 * **Scheduled failures** (:mod:`repro.faults.events`):
   :class:`LinkDownEvent`/:class:`LinkUpEvent` on the simulator clock with
   ECMP route recomputation and in-flight discard.
-* **FaultPlan** (:mod:`repro.faults.plan`): a picklable description of all
+* **FaultPlan** (:mod:`repro.faults.spec`): a picklable description of all
   of the above, carried on an ``ExperimentConfig`` so any scenario or
   figure can run under faults, seeded via ``RngRegistry`` for bit-for-bit
-  reproducibility.
+  reproducibility. Building one loads none of the injector;
+  ``FaultPlan.apply`` loads :mod:`repro.faults.plan`, which splices the
+  links and schedules the failures.
 
 Each name below resolves lazily from its submodule, so a config that
 carries no :class:`FaultPlan` loads none of the injector.
@@ -31,6 +33,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".models": ("KIND_ALIASES", "BernoulliLoss", "GilbertElliottLoss",
                 "KindSelectiveLoss", "LossModel", "PredicateLoss",
                 "kinds_from_names"),
-    ".plan": ("FaultInjector", "FaultPlan", "FaultPlanError",
-              "LinkFailureSpec", "LinkLossSpec", "SiteFailureSpec"),
+    ".plan": ("FaultInjector",),
+    ".spec": ("FaultPlan", "FaultPlanError", "LinkFailureSpec",
+              "LinkLossSpec", "SiteFailureSpec"),
 })

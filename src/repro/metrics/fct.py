@@ -16,7 +16,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.transports.base import FlowSpec, FlowStats
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """One completed (or censored) flow."""
 

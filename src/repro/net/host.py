@@ -6,6 +6,9 @@ dropping) applies to the host uplink as well, which the topology builders
 honor by constructing host NIC ports with the same queue stack as switch
 ports.
 
+A finished flow's receiver is replaced in the table by its tombstone
+(:meth:`Host.retire_receiver`), which answers the flow's late packets.
+
 The host is also the packet pool's sink: once an endpoint has consumed a
 delivered packet (endpoints copy what they need; none retain the object),
 the host releases it back to the pool — as it does for strays and for
@@ -87,6 +90,13 @@ class Host(Node):
 
     def unregister_sender(self, flow_id: int) -> None:
         self._senders.pop(flow_id, None)
+
+    def retire_receiver(self, flow_id: int, tombstone: Endpoint) -> None:
+        """Put a finished flow's tombstone in its receiver's place. The
+        tombstone answers the flow's late packets for the rest of the
+        cell; the receiver, no longer referenced, is freed once the event
+        that finished it returns."""
+        self._receivers[flow_id] = tombstone
 
     def release(self) -> None:
         super().release()

@@ -69,6 +69,7 @@ class EgressPort:
         schedules: List[QueueSchedule],
         classifier: Dict[int, int],
         link: Link,
+        tx_cache: Dict[int, int],
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("port rate must be positive")
@@ -87,8 +88,9 @@ class EgressPort:
         self._serve_pending = False
         #: the wire is serializing until this instant
         self._free_at = 0
-        #: serialization delay per wire size — few distinct sizes per run
-        self._tx_cache: Dict[int, int] = {}
+        #: serialization delay per wire size — few distinct sizes per run;
+        #: a fabric passes one table to all its ports of this rate
+        self._tx_cache = tx_cache
         #: the scheduler never changes after construction (link splicing
         #: swaps ``self.link``, never this)
         self._sched_next = self.scheduler.next

@@ -58,6 +58,9 @@ class Topology:
         #: "region:NSW", "rack:r0"); populated by the fabric builder so
         #: fault plans can address whole sites/regions by name.
         self.node_groups: Dict[str, Tuple[str, ...]] = {}
+        #: rate -> serialization delay per wire size, one table shared by
+        #: every port of that rate (owned here, so it ends with the fabric)
+        self._tx_caches: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------ building
 
@@ -177,7 +180,9 @@ class Topology:
         schedules, classifier = self.make_queues(name, rate_bps, is_host_nic)
         buffer = src.buffer if isinstance(src, Switch) else UnlimitedBuffer()
         link = Link(self.sim, dst, delay_ns)
-        port = EgressPort(self.sim, name, rate_bps, buffer, schedules, classifier, link)
+        tx_cache = self._tx_caches.setdefault(rate_bps, {})
+        port = EgressPort(self.sim, name, rate_bps, buffer, schedules,
+                          classifier, link, tx_cache)
         src.attach_port(dst.id, port)
 
 

@@ -8,16 +8,17 @@ and the flow completes when the receiver has every unique byte.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, TYPE_CHECKING
 
 from repro.net.packet import MSS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
+    from repro.net.packet import Packet
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSpec:
     """Immutable description of one flow."""
 
@@ -69,7 +70,7 @@ class SegmentPayloads(Sequence):
         return self._spec.segment_payload(idx)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     """Mutable per-flow counters, shared by the flow's two endpoints."""
 
@@ -109,3 +110,24 @@ class FlowStats:
 
 #: Invoked by the receiver endpoint the moment the last unique byte arrives.
 CompletionCallback = Callable[[FlowSpec, FlowStats], None]
+
+
+class Tombstone:
+    """What a finished receiver leaves in its host's receiver table, in its
+    own place (DESIGN.md §5, "State lifetime"): the flow's spec and stats,
+    and what it needs to answer a late packet exactly as the receiver
+    would have. The receiver itself is then freed by reference counting.
+
+    This base swallows every late packet, as a finished Homa receiver
+    does; :class:`~repro.transports.sequencing.AckingTombstone` and
+    :class:`~repro.core.flexpass.FlexPassTombstone` answer theirs.
+    """
+
+    __slots__ = ("spec", "stats")
+
+    def __init__(self, spec: FlowSpec, stats: FlowStats) -> None:
+        self.spec = spec
+        self.stats = stats
+
+    def on_packet(self, pkt: "Packet") -> None:
+        pass

@@ -1,6 +1,6 @@
 """The two ends of the credit loop, shared by ExpressPass, Layering and
 FlexPass: the sender's :class:`CreditRequest` handshake and the receiver's
-:class:`CreditPacer` (:data:`FINISHED` once its flow is complete).
+:class:`CreditPacer`.
 
 A :class:`CreditPacer` emits credit packets toward a flow's sender at the
 rate chosen by a :class:`~repro.transports.credit_feedback.CreditFeedback`
@@ -138,18 +138,3 @@ class CreditPacer:
             return
         self.stats.credit_rate_bps = self.feedback.on_period()
         self.sim.post(self.update_period_ns, self._on_period, gen)
-
-
-class _Finished:
-    """The credit source every finished receiver shares in place of its
-    own: late requests and late data reach it and change nothing."""
-
-    __slots__ = ()
-
-    def start(self, *_: object) -> None:
-        pass
-
-    note_data_received = start
-
-
-FINISHED = _Finished()

@@ -28,7 +28,8 @@ from repro.net.packet import (
 from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
 from repro.transports.congestion import DctcpWindow, DctcpWindowParams
 from repro.transports.sequencing import (
-    ReceiveScoreboard, RetransmitQueue, send_ack, track_reorder,
+    AckingTombstone, ReceiveScoreboard, RetransmitQueue, send_ack,
+    track_reorder,
 )
 from repro.transports.timers import RetransmitTimer, RttEstimator
 from repro.sim.units import MILLIS
@@ -173,7 +174,8 @@ class DctcpSender:
 
 
 class DctcpReceiver:
-    """Receiver endpoint: per-packet cumulative ACK + SACK, CE echo."""
+    """Receiver endpoint: per-packet cumulative ACK + SACK, CE echo. Once
+    every segment is in, an :class:`AckingTombstone` takes its place."""
 
     def __init__(self, sim: "Simulator", spec: FlowSpec, stats: FlowStats,
                  params: DctcpParams = DctcpParams(),
@@ -196,8 +198,11 @@ class DctcpReceiver:
             track_reorder(self.stats, self.scoreboard)
         else:
             self.stats.duplicate_bytes += pkt.payload
-        send_ack(self.spec, self.params.ack_dscp, self.scoreboard, pkt)
-        if fresh and self.scoreboard.received_count() == self.spec.n_segments:
+        board = self.scoreboard
+        send_ack(self.spec, self.params.ack_dscp, board.cum, board.sack(), pkt)
+        if fresh and board.received_count() == self.spec.n_segments:
             self.stats.complete_ns = self.sim.now
+            self.spec.dst.retire_receiver(self.spec.flow_id, AckingTombstone(
+                self.spec, self.stats, self.params.ack_dscp))
             if self.on_complete is not None:
                 self.on_complete(self.spec, self.stats)

@@ -34,9 +34,9 @@ from repro.net.packet import (
 )
 from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
 from repro.transports.credit_feedback import CREDIT_PER_DATA, FeedbackParams
-from repro.transports.crediting import FINISHED, CreditPacer, CreditRequest
+from repro.transports.crediting import CreditPacer, CreditRequest
 from repro.transports.sequencing import (
-    ReceiveScoreboard, RetransmitQueue, send_ack,
+    AckingTombstone, ReceiveScoreboard, RetransmitQueue, send_ack,
 )
 from repro.sim.units import GBPS, MICROS, MILLIS
 
@@ -159,7 +159,7 @@ class ExpressPassReceiver:
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind == PacketKind.CREDIT_REQUEST:
-            self.pacer.start()  # FINISHED once complete: a no-op
+            self.pacer.start()
         elif pkt.kind == PacketKind.DATA:
             self._on_data(pkt)
 
@@ -173,13 +173,18 @@ class ExpressPassReceiver:
             self.stats.proactive_bytes += pkt.payload
         else:
             self.stats.duplicate_bytes += pkt.payload
-        send_ack(self.spec, self.params.ack_dscp, self.scoreboard, pkt)
-        if fresh and self.scoreboard.received_count() == self.spec.n_segments:
+        board = self.scoreboard
+        send_ack(self.spec, self.params.ack_dscp, board.cum, board.sack(), pkt)
+        if fresh and board.received_count() == self.spec.n_segments:
             self._finish()
 
     def _finish(self) -> None:
+        """Stop crediting and leave an :class:`AckingTombstone` in place,
+        which ACKs late data and, as the stopped pacer did, ignores a late
+        request."""
         self.stats.complete_ns = self.sim.now
         self.pacer.stop()
-        self.pacer = FINISHED
+        self.spec.dst.retire_receiver(self.spec.flow_id, AckingTombstone(
+            self.spec, self.stats, self.params.ack_dscp))
         if self.on_complete is not None:
             self.on_complete(self.spec, self.stats)

@@ -27,7 +27,9 @@ from repro.net.packet import (
     alloc_packet,
     data_wire_size,
 )
-from repro.transports.base import CompletionCallback, FlowSpec, FlowStats
+from repro.transports.base import (
+    CompletionCallback, FlowSpec, FlowStats, Tombstone,
+)
 from repro.transports.sequencing import ReceiveScoreboard
 from repro.sim.timerwheel import CoarseTimer
 from repro.sim.units import GBPS, MICROS, MILLIS, SECONDS
@@ -143,7 +145,7 @@ class HomaReceiver:
         spec.dst.register_receiver(spec.flow_id, self)
 
     def on_packet(self, pkt: Packet) -> None:
-        if pkt.kind != PacketKind.DATA or self._complete:
+        if pkt.kind != PacketKind.DATA:
             return
         fresh = self.scoreboard.add(pkt.seq)
         if fresh:
@@ -212,5 +214,8 @@ class HomaReceiver:
             ack=self.spec.n_segments,
         )
         self.spec.dst.send(ack)
+        # a late packet of a finished Homa flow is swallowed
+        self.spec.dst.retire_receiver(self.spec.flow_id,
+                                      Tombstone(self.spec, self.stats))
         if self.on_complete is not None:
             self.on_complete(self.spec, self.stats)

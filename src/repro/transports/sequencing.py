@@ -7,9 +7,11 @@ split (§4.2). The classes here are space-agnostic.
 
 What is shared, and lives only here: the receiver's scoreboard, per-packet
 ACK (:func:`send_ack`) and reorder gauge (:func:`track_reorder`) for the
-DCTCP / ExpressPass / FlexPass receivers; the sender's ACK/SACK scoreboard
-(every sender) and the single-space :class:`RetransmitQueue` that DCTCP,
-ExpressPass and Layering pick their next seq from. FlexPass keeps its
+DCTCP / ExpressPass / FlexPass receivers, and the tombstone a finished
+DCTCP / ExpressPass receiver leaves (:class:`AckingTombstone`); the
+sender's ACK/SACK scoreboard (every sender) and the single-space
+:class:`RetransmitQueue` that DCTCP, ExpressPass and Layering pick their
+next seq from. FlexPass keeps its
 per-segment state in :class:`repro.core.segments.SendBuffer` instead, and
 one scoreboard per sub-flow in :class:`repro.core.flexpass.SubFlow`.
 """
@@ -17,9 +19,12 @@ one scoreboard per sub-flow in :class:`repro.core.flexpass.SubFlow`.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING, Union,
+)
 
 from repro.net.packet import ACK_WIRE_BYTES, MSS, Packet, PacketKind, alloc_packet
+from repro.transports.base import Tombstone
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.transports.base import FlowSpec, FlowStats
@@ -30,8 +35,8 @@ class ReceiveScoreboard:
 
     __slots__ = ("_cum", "_ooo", "duplicates", "_sack_limit")
 
-    def __init__(self, sack_limit: int = 16) -> None:
-        self._cum = 0  # next expected seq
+    def __init__(self, sack_limit: int = 16, cum: int = 0) -> None:
+        self._cum = cum  # next expected seq
         self._ooo: Set[int] = set()
         self.duplicates = 0
         self._sack_limit = sack_limit
@@ -70,20 +75,64 @@ class ReceiveScoreboard:
     def received_count(self) -> int:
         return self._cum + len(self._ooo)
 
+    def settled(self) -> Settled:
+        """What a finished flow keeps of this board: the board itself while
+        seqs sit above its cum, else just the cum (an int: a board with
+        nothing above it)."""
+        return self if self._ooo else self._cum
 
-def send_ack(spec: "FlowSpec", dscp: int, board: ReceiveScoreboard,
+
+#: a settled receive board (see :meth:`ReceiveScoreboard.settled`)
+Settled = Union[ReceiveScoreboard, int]
+
+
+def board_at(board: Settled, seq: int) -> Settled:
+    """A settled board after a late arrival of ``seq``, settled again."""
+    if type(board) is int:
+        board = ReceiveScoreboard(cum=board)
+    board.add(seq)
+    return board.settled()
+
+
+def cum_and_sack(board: Settled) -> Tuple[int, Tuple[int, ...]]:
+    """A settled board's cumulative point and SACK list."""
+    if type(board) is int:
+        return board, ()
+    return board.cum, board.sack()
+
+
+def send_ack(spec: "FlowSpec", dscp: int, cum: int, sack: Tuple[int, ...],
              data: Packet, subflow: int = 0) -> None:
-    """ACK one data packet in ``board``'s space: cum + SACK, plus the
-    packet's own seq, send timestamp (``meta=1``: RTT-sampleable) and CE
-    bit echoed. Only ECN-capable data is ever marked, so the echo is inert
-    on a credit-scheduled sub-flow."""
+    """ACK one data packet with a receive board's ``cum`` and ``sack``,
+    plus the packet's own seq, send timestamp (``meta=1``:
+    RTT-sampleable) and CE bit echoed. Only ECN-capable data is ever
+    marked, so the echo is inert on a credit-scheduled sub-flow."""
     ack = alloc_packet(
         PacketKind.ACK, spec.flow_id, spec.dst.id, spec.src.id,
-        ACK_WIRE_BYTES, dscp=dscp, ack=board.cum, sack=board.sack(),
+        ACK_WIRE_BYTES, dscp=dscp, ack=cum, sack=sack,
         seq=data.seq, subflow=subflow, sent_at=data.sent_at, meta=1,
     )
     ack.ce = data.ce
     spec.dst.send(ack)
+
+
+class AckingTombstone(Tombstone):
+    """A finished DCTCP, ExpressPass or Layering flow in its receiver's
+    place: late data is a duplicate, ACKed as the receiver would (cum =
+    every segment, no SACK, the packet's seq, timestamp and CE echoed);
+    anything else, a late ``CREDIT_REQUEST`` included, is ignored."""
+
+    __slots__ = ("ack_dscp",)
+
+    def __init__(self, spec: "FlowSpec", stats: "FlowStats",
+                 ack_dscp: int) -> None:
+        super().__init__(spec, stats)
+        self.ack_dscp = ack_dscp
+
+    def on_packet(self, pkt: Packet) -> None:
+        if pkt.kind == PacketKind.DATA:
+            self.stats.duplicate_bytes += pkt.payload
+            send_ack(self.spec, self.ack_dscp, self.spec.n_segments, (), pkt)
 
 
 def track_reorder(stats: "FlowStats", board: ReceiveScoreboard) -> None:

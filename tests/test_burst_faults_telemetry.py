@@ -54,7 +54,7 @@ def _mk_port(sim, delay_ns=1000, pacer=None):
     port = EgressPort(
         sim, "tx", RATE, UnlimitedBuffer(),
         [QueueSchedule(q, priority=0, weight=1.0, pacer=pacer)],
-        {Dscp.LEGACY.value: 0}, link,
+        {Dscp.LEGACY.value: 0}, link, {},
     )
     return port, sink
 

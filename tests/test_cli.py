@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import os
 import pathlib
+import sys
 
 import pytest
 
@@ -15,6 +17,21 @@ class TestParser:
         out = capsys.readouterr().out
         for name in FIGURES:
             assert name in out
+
+    def test_list_into_a_closed_pipe_ends_quietly(self, monkeypatch, capsys):
+        """``repro list | head -1``: once the reader has gone, writing to
+        stdout raises BrokenPipeError; ``main`` points stdout at devnull
+        and returns 1, printing no traceback."""
+        read, write = os.pipe()
+        os.close(read)
+        stdout = open(write, "w", buffering=1)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["list"]) == 1
+            print("nobody reads this")  # devnull takes it
+        finally:
+            stdout.close()
+        assert capsys.readouterr().err == ""
 
     def test_figure_requires_known_name(self):
         with pytest.raises(SystemExit):

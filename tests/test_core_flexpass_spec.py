@@ -23,11 +23,13 @@ states the rules of §4.2 directly:
 
 The real sender and receiver run over fake hosts. One random sequence of
 credits, data deliveries in any order (some CE-marked, some ACKs lost),
-summary ACKs, drops, clock ticks and recovery-timer fires drives them; after
-every step the sender's segment states, sub-flow scoreboards, timers and
-counters must be the model's, with ``credits_received == credited_sends +
-credits_wasted`` and ``duplicate_bytes`` the bytes of the copies the
-receiver already had.
+summary ACKs (once the flow is complete, the answer its host gives a late
+``CREDIT_REQUEST``), drops, clock ticks and recovery-timer fires drives
+them; after every step the sender's segment states, sub-flow scoreboards,
+timers and counters must be the model's, with ``credits_received ==
+credited_sends + credits_wasted`` and ``duplicate_bytes`` the bytes of the
+copies the receiver already had. Deliveries go through the receiving
+host's table, so a finished flow's are answered by its tombstone.
 """
 
 import pytest
@@ -35,6 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.flexpass import (
     PROACTIVE, REACTIVE, FlexPassParams, FlexPassReceiver, FlexPassSender,
+    send_summary_acks,
 )
 from repro.core.segments import SegmentState as S
 from repro.core.variants import Rc3SplitSender
@@ -48,11 +51,14 @@ from tests.util import ScoreboardModel
 
 
 class FakeHost:
-    """Records what an endpoint sends; no NIC, no network."""
+    """Records what an endpoint sends; no NIC, no network. Its receiver
+    table is a host's: a finished flow's tombstone replaces the receiver,
+    and :meth:`deliver` hands a packet to whatever the table holds."""
 
     def __init__(self, node_id: int) -> None:
         self.id = node_id
         self.sent = []
+        self.receivers = {}
 
     def register_sender(self, flow_id, endpoint) -> None:
         pass
@@ -61,7 +67,14 @@ class FakeHost:
         pass
 
     def register_receiver(self, flow_id, endpoint) -> None:
-        pass
+        self.receivers[flow_id] = endpoint
+
+    def retire_receiver(self, flow_id, tombstone) -> None:
+        assert isinstance(self.receivers[flow_id], FlexPassReceiver)
+        self.receivers[flow_id] = tombstone
+
+    def deliver(self, pkt) -> None:
+        self.receivers[pkt.flow_id].on_packet(pkt)
 
     def send(self, pkt) -> bool:
         self.sent.append(pkt)
@@ -179,7 +192,7 @@ def test_sender_follows_the_five_state_model(config, n, ops):
     spec = FlowSpec(1, src, dst, n * MSS, 0, scheme="flexpass")
     stats = FlowStats()
     sender = cls(sim, spec, stats, params)
-    receiver = FlexPassReceiver(sim, spec, stats, params)
+    FlexPassReceiver(sim, spec, stats, params)
     model = Model(n, params, rc3=cls is Rc3SplitSender)
     expected = model.stats
     network = []  # data packets on their way to the receiver
@@ -250,7 +263,17 @@ def test_sender_follows_the_five_state_model(config, n, ops):
             credit(credit_seq)
             credit_seq += 1
         elif op == "summary":
-            receiver._send_summary_acks()
+            entry = dst.receivers[1]
+            if isinstance(entry, FlexPassReceiver):
+                # what the flow will answer once finished, from live boards
+                send_summary_acks(spec, params.ack_dscp,
+                                  (entry.p_board, entry.r_board))
+            else:
+                # a late CREDIT_REQUEST: the finished flow's host entry
+                # answers it with one summary ACK per sub-flow
+                dst.deliver(alloc_packet(PacketKind.CREDIT_REQUEST, 1, 0, 1,
+                                         CREDIT_WIRE_BYTES))
+                assert [p.subflow for p in dst.sent] == [PROACTIVE, REACTIVE]
             for pkt in dst.take(PacketKind.ACK):
                 ack(pkt)
         elif op == "tick":
@@ -270,7 +293,7 @@ def test_sender_follows_the_five_state_model(config, n, ops):
                 if pkt.flow_seq in model.delivered:
                     expected.duplicate_bytes += pkt.payload
                 model.delivered.add(pkt.flow_seq)
-                receiver.on_packet(pkt)
+                dst.deliver(pkt)
                 [reply] = dst.take(PacketKind.ACK)
                 if not ack_lost:
                     ack(reply)

@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.store import open_store
-from repro.faults.plan import FaultPlan, LinkLossSpec
+from repro.faults.spec import FaultPlan, LinkLossSpec
 from repro.metrics.fct import FlowRecord, PackedFlowRecords
 from repro.metrics.telemetry import TelemetryConfig
 

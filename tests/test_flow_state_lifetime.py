@@ -2,13 +2,14 @@
 cell's state ends with the cell (DESIGN.md §6h).
 
 Runs whole cells and inspects what is still alive when ``sim.run``
-returns: a finished receiver holds no credit source, no sender scoreboard
-keeps an acked seq its cumulative point already implies, and re-arming a
-coarse timer to a later deadline files no new wheel timer. Then, with the
-collector off: every scheme's sender is gone once the event that finished
-it returns, and once ``run_experiment`` returns or raises nothing of the
-fabric, no packet that was in flight, and no flow's state is left,
-neither alive nor as cyclic garbage.
+returns: no finished receiver of any scheme (each completed flow has a
+tombstone in its host's table instead), no sender scoreboard keeping an
+acked seq its cumulative point already implies, and no new wheel timer
+filed by re-arming a coarse timer to a later deadline. With the
+collector off: every scheme's sender and receiver is gone once the event
+that finished it returns, and once ``run_experiment`` returns or raises
+nothing of the fabric, no packet that was in flight, and no flow's state
+is left, neither alive nor as cyclic garbage.
 """
 
 import dataclasses
@@ -20,7 +21,9 @@ from collections import Counter
 import pytest
 
 from repro.audit import AuditConfig
-from repro.core.flexpass import FlexPassReceiver, FlexPassSender, SubFlow
+from repro.core.flexpass import (
+    FlexPassReceiver, FlexPassSender, FlexPassTombstone, SubFlow,
+)
 from repro.core.variants import Rc3SplitSender
 from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig, SchemeName
@@ -36,15 +39,17 @@ from repro.sim.timerwheel import CoarseTimer, TimerWheel, WheelTimer
 from repro.sim.units import MILLIS
 from repro.transports import (
     DctcpReceiver, ExpressPassReceiver, ExpressPassSender, FlowSpec,
-    FlowStats, HomaReceiver, HomaSender, LayeringSender,
+    FlowStats, HomaReceiver, HomaSender, LayeringReceiver, LayeringSender,
 )
 from repro.transports.crediting import CreditPacer, CreditRequest
 from repro.transports.dctcp import DctcpLoop, DctcpSender
+from repro.transports.sequencing import AckingTombstone
 from repro.transports.timers import RetransmitTimer
 from tests.util import tiny_cfg
 
 
-RECEIVERS = (ExpressPassReceiver, FlexPassReceiver)
+RECEIVERS = (DctcpReceiver, ExpressPassReceiver, FlexPassReceiver,
+             HomaReceiver)
 ENDPOINTS = RECEIVERS + (DctcpSender, ExpressPassSender, FlexPassSender)
 
 
@@ -72,25 +77,37 @@ def _snapshot(monkeypatch, cfg):
 
     def snapshot_run(sim, *args, **kwargs):
         out = run(sim, *args, **kwargs)
-        alive = [o for o in gc.get_objects() if isinstance(o, ENDPOINTS)
+        objects = gc.get_objects()
+        alive = [o for o in objects if isinstance(o, ENDPOINTS)
                  and o.sim is sim]
         snap["receivers"] = [o for o in alive if isinstance(o, RECEIVERS)]
         snap["senders"] = [o for o in alive if not isinstance(o, RECEIVERS)]
+        snap["entries"] = [entry for o in objects
+                           if isinstance(o, Host) and o.sim is sim
+                           for entry in o._receivers.values()]
         snap["armed_total"] = TimerWheel.for_sim(sim).armed_total
         return out
 
     monkeypatch.setattr(CoarseTimer, "arm", counting_arm)
     monkeypatch.setattr(CalendarSimulator, "run", snapshot_run)
-    run_experiment(cfg)
+    snap["completed"] = run_experiment(cfg).completed
     snap["new_entries"] = rearms["new_entries"]
     return snap
+
+
+#: what a finished flow of each scheme's cell leaves in its host's table
+TOMBSTONES = {
+    SchemeName.FLEXPASS: {FlexPassTombstone, AckingTombstone},
+    SchemeName.NAIVE: {AckingTombstone},
+}
 
 
 @pytest.mark.parametrize("scheme,deployment", [
     (SchemeName.FLEXPASS, 0.5),   # FlexPass and DCTCP flows side by side
     (SchemeName.NAIVE, 1.0),      # ExpressPass on every host
 ])
-def test_finished_flows_release_their_state(monkeypatch, scheme, deployment):
+def test_finished_flows_release_their_state(monkeypatch, no_collector,
+                                            scheme, deployment):
     cfg = ExperimentConfig(
         scheme=scheme, deployment=deployment, load=0.5,
         sim_time_ns=1 * MILLIS, size_scale=16.0, seed=5,
@@ -98,10 +115,15 @@ def test_finished_flows_release_their_state(monkeypatch, scheme, deployment):
                       hosts_per_tor=3))
     snap = _snapshot(monkeypatch, cfg)
 
-    finished = [r for r in snap["receivers"] if r.stats.completed]
-    assert len(finished) > 20
-    for receiver in finished:
-        assert not isinstance(receiver.pacer, CreditPacer)
+    # the census sees the receivers still running at the horizon, and no
+    # finished one of any scheme: each left a tombstone in its place
+    assert snap["receivers"]
+    assert [r for r in snap["receivers"] if r.stats.completed] == []
+    completed = [e for e in snap["entries"] if e.stats.completed]
+    assert len(completed) > 20
+    assert all(type(e) in TOMBSTONES[scheme] for e in completed)
+    # every completed flow has its host entry
+    assert len(completed) == snap["completed"]
 
     boards = [b for s in snap["senders"] for b in _scoreboards(s)]
     assert boards and any(b._cum for b in boards)
@@ -308,6 +330,61 @@ def test_a_finished_sender_is_freed_at_completion(monkeypatch, no_collector,
     assert watch["alive"] == []
     assert watch["freed"][SENDERS[scheme]] > 20
     assert sum(watch["freed"].values()) <= res.completed
+
+
+#: each scheme's cell, and the receiver class its new flows run
+RECEIVERS_OF = {
+    SchemeName.DCTCP: DctcpReceiver,
+    SchemeName.EXPRESSPASS: ExpressPassReceiver,
+    SchemeName.LAYERING: LayeringReceiver,
+    SchemeName.HOMA: HomaReceiver,
+    SchemeName.FLEXPASS: FlexPassReceiver,
+    SchemeName.FLEXPASS_RC3: FlexPassReceiver,
+}
+
+
+def _watch_receivers(monkeypatch):
+    """Weak references to every receiver its tombstone replaces, counted
+    as freed or alive when the host event that finished it (the arrival
+    of its last new segment) returns."""
+    watch = {"retiring": [], "freed": Counter(), "alive": []}
+    retire = Host.retire_receiver
+
+    def watched_retire(host, flow_id, tombstone):
+        receiver = host._receivers[flow_id]
+        watch["retiring"].append((weakref.ref(receiver), type(receiver)))
+        retire(host, flow_id, tombstone)
+
+    receive = Host.receive
+
+    def watched_receive(host, pkt):
+        receive(host, pkt)
+        while watch["retiring"]:
+            ref, kind = watch["retiring"].pop()
+            if ref() is None:
+                watch["freed"][kind] += 1
+            else:
+                watch["alive"].append(kind)
+
+    monkeypatch.setattr(Host, "retire_receiver", watched_retire)
+    monkeypatch.setattr(Host, "receive", watched_receive)
+    return watch
+
+
+@pytest.mark.parametrize("scheme", list(RECEIVERS_OF), ids=lambda s: s.value)
+def test_a_finished_receiver_is_freed_at_completion(monkeypatch, no_collector,
+                                                    scheme):
+    """Only the host registration refers to a running receiver (its
+    pacer's posted events hold the pacer, not it), and completion puts a
+    tombstone in its place: reference counting frees the receiver and
+    its scoreboards within the event that finished it, for every flow
+    that completed."""
+    watch = _watch_receivers(monkeypatch)
+    res = run_experiment(tiny_cfg(scheme=scheme, deployment=1.0,
+                                  sim_time_ns=300_000))
+    assert watch["alive"] == []
+    assert watch["freed"][RECEIVERS_OF[scheme]] > 20
+    assert sum(watch["freed"].values()) == res.completed
 
 
 #: what a flow owns; none of it may outlive its cell as cyclic garbage

@@ -14,7 +14,8 @@ import pytest
 NOT_LOADED = (
     "numpy", "sqlite3", "multiprocessing",
     "repro.audit.invariants", "repro.audit.digest",
-    "repro.faults.plan", "repro.faults.link",
+    "repro.faults.plan", "repro.faults.link", "repro.faults.events",
+    "repro.faults.models",
     "repro.metrics.telemetry", "repro.metrics.tracing",
     "repro.experiments.store", "repro.experiments.fabric",
     "repro.experiments.sweep", "repro.experiments.figures",
@@ -58,6 +59,49 @@ def test_a_run_loads_only_what_it_runs():
     off, on = json.loads(out.stdout.splitlines()[-1])
     assert off == []
     assert set(SWITCHED_ON) <= set(on)
+
+
+#: the fault injector: loaded by ``FaultPlan.apply``, not by a plan
+INJECTOR = ("repro.faults.plan", "repro.faults.link", "repro.faults.events",
+            "repro.faults.models")
+
+_SPEC_DRIVER = """
+import contextlib, io, json, sys
+from repro.cli import main
+
+watched = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--help"])
+    except SystemExit:
+        pass
+at_help = [m for m in watched if m in sys.modules]
+
+from repro.faults import (FaultPlan, LinkFailureSpec, LinkLossSpec,
+                          SiteFailureSpec)
+
+plan = FaultPlan(
+    losses=(LinkLossSpec(links="h*->tor*", model="gilbert", kinds=("data",)),),
+    failures=(LinkFailureSpec("tor0.0", "agg0.0", 100, 200),),
+    site_failures=(SiteFailureSpec("region:NSW", 100),))
+assert not plan.empty
+print(json.dumps([at_help, [m for m in watched if m in sys.modules]]))
+"""
+
+
+def test_help_and_a_fault_plan_load_no_injector():
+    """``repro --help`` parses every fault flag, and a ``FaultPlan`` with
+    every kind of spec is built, in a fresh interpreter, without loading
+    the injector: its models, links and events load with ``apply``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPEC_DRIVER, *INJECTOR],
+        cwd=root, env=env, capture_output=True, text=True, check=True)
+    at_help, with_plan = json.loads(out.stdout.splitlines()[-1])
+    assert at_help == []
+    assert with_plan == []
 
 
 @pytest.mark.parametrize("package", ["repro.audit", "repro.faults",

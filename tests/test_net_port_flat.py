@@ -282,7 +282,7 @@ def port_maker(flat, shape, buffer_kind):
         buffer = BUFFERS[buffer_kind]()
         if flat:
             port = EgressPort(sim, "flat", RATE, buffer, schedules, classifier,
-                              RecordingLink(sim, departures))
+                              RecordingLink(sim, departures), {})
         else:
             port = ReferencePort(sim, buffer, schedules, classifier, departures)
 

@@ -13,7 +13,7 @@ from repro.experiments.scenarios import (
     make_scheme_setup,
     regional_fabric_config,
 )
-from repro.faults.plan import FaultPlan, LinkFailureSpec, SiteFailureSpec
+from repro.faults.spec import FaultPlan, LinkFailureSpec, SiteFailureSpec
 from repro.net import (
     ClosSpec,
     DumbbellSpec,
