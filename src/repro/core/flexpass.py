@@ -140,13 +140,16 @@ class SubFlow:
         other_last_seq = self._other_last_seq
         for seq in newly_acked:
             idx = self._segs[seq]
-            if buffer.mark_acked(idx):
-                other_seq = other_last_seq(segments[idx])
-                if other_seq >= 0:
-                    # Implicit cross-sub-flow ack: the other copy no longer
-                    # needs its own ACK (it may have been dropped) —
-                    # without this, a spurious RTO would fire at the tail.
-                    self.other_board.remove(other_seq)
+            seg = segments.get(idx)
+            if seg is None:
+                continue  # already acked: the buffer keeps no object for it
+            # read before the ACK drops the segment's object
+            other_seq = other_last_seq(seg)
+            if buffer.mark_acked(idx) and other_seq >= 0:
+                # Implicit cross-sub-flow ack: the other copy no longer
+                # needs its own ACK (it may have been dropped) — without
+                # this, a spurious RTO would fire at the tail.
+                self.other_board.remove(other_seq)
         if newly_lost:
             self._mark_lost(newly_lost)
         return newly_acked, newly_lost
@@ -157,12 +160,14 @@ class SubFlow:
 
     def _mark_lost(self, seqs: List[int]) -> None:
         """Only the *latest* copy's fate matters: a segment re-sent since
-        (on either sub-flow), acked, or already lost stays as it is."""
+        (on either sub-flow), acked (it has no object left), or already
+        lost stays as it is."""
         buffer = self.buffer
         segments = buffer.segments
         for seq in seqs:
-            seg = segments[self._segs[seq]]
-            if seg.state == self._sent_state and self._last_seq(seg) == seq:
+            seg = segments.get(self._segs[seq])
+            if (seg is not None and seg.state == self._sent_state
+                    and self._last_seq(seg) == seq):
                 buffer.mark_lost(seg.idx)
 
 

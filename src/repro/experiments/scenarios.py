@@ -16,6 +16,7 @@ generators stay scheme-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.flexpass import FlexPassParams, FlexPassReceiver, FlexPassSender
@@ -89,6 +90,8 @@ def _q2_ecn_bytes(qs: QueueSettings, rate_bps: int) -> int:
 #
 # A factory builds its DSCP classifier once: a port only reads its
 # classifier, so every port the factory configures shares the one dict.
+# Its queue configs are frozen and depend on nothing but the link rate, so
+# it builds them once per rate and every port of that rate shares them.
 
 
 def flexpass_queue_factory(qs: QueueSettings):
@@ -109,20 +112,21 @@ def flexpass_queue_factory(qs: QueueSettings):
     classifier[Dscp.REACTIVE_DATA.value] = 1
     classifier[Dscp.FLEX_CONTROL.value] = 1
 
-    def factory(name: str, rate_bps: int, is_host_nic: bool):
-        credit_q = PacketQueue(
-            QueueConfig(name="q0-credit", capacity_bytes=qs.credit_buffer_bytes)
-        )
-        flex_q = PacketQueue(
+    @cache
+    def configs(rate_bps: int) -> Tuple[QueueConfig, ...]:
+        return (
+            QueueConfig(name="q0-credit", capacity_bytes=qs.credit_buffer_bytes),
             QueueConfig(
                 name="q1-flexpass",
                 ecn_threshold_bytes=_q1_ecn_bytes(qs, rate_bps),
                 selective_drop_bytes=_q1_seldrop_bytes(qs, rate_bps),
-            )
+            ),
+            QueueConfig(name="q2-legacy",
+                        ecn_threshold_bytes=_q2_ecn_bytes(qs, rate_bps)),
         )
-        legacy_q = PacketQueue(
-            QueueConfig(name="q2-legacy", ecn_threshold_bytes=_q2_ecn_bytes(qs, rate_bps))
-        )
+
+    def factory(name: str, rate_bps: int, is_host_nic: bool):
+        credit_q, flex_q, legacy_q = map(PacketQueue, configs(rate_bps))
         credit_fraction = 1.0 if is_host_nic else qs.wq
         pacer = TokenBucket(
             max(1, int(rate_bps * credit_fraction * CREDIT_PER_DATA)),
@@ -144,13 +148,16 @@ def naive_queue_factory(qs: QueueSettings):
     classifier = {d: 1 for d in ALL_DSCPS}
     classifier[Dscp.CREDIT.value] = 0
 
+    @cache
+    def configs(rate_bps: int) -> Tuple[QueueConfig, ...]:
+        return (
+            QueueConfig(name="q0-credit", capacity_bytes=qs.credit_buffer_bytes),
+            QueueConfig(name="q1-shared",
+                        ecn_threshold_bytes=_q2_ecn_bytes(qs, rate_bps)),
+        )
+
     def factory(name: str, rate_bps: int, is_host_nic: bool):
-        credit_q = PacketQueue(
-            QueueConfig(name="q0-credit", capacity_bytes=qs.credit_buffer_bytes)
-        )
-        data_q = PacketQueue(
-            QueueConfig(name="q1-shared", ecn_threshold_bytes=_q2_ecn_bytes(qs, rate_bps))
-        )
+        credit_q, data_q = map(PacketQueue, configs(rate_bps))
         pacer = TokenBucket(max(1, int(rate_bps * CREDIT_PER_DATA)), bucket_bytes=2 * 84)
         schedules = [
             QueueSchedule(credit_q, priority=0, weight=1.0, pacer=pacer),
@@ -170,14 +177,17 @@ def owf_queue_factory(qs: QueueSettings, fraction: float):
     classifier[Dscp.PROACTIVE_DATA.value] = 1
     classifier[Dscp.FLEX_CONTROL.value] = 1
 
+    @cache
+    def configs(rate_bps: int) -> Tuple[QueueConfig, ...]:
+        return (
+            QueueConfig(name="q0-credit", capacity_bytes=qs.credit_buffer_bytes),
+            QueueConfig(name="q1-xp"),
+            QueueConfig(name="q2-legacy",
+                        ecn_threshold_bytes=_q2_ecn_bytes(qs, rate_bps)),
+        )
+
     def factory(name: str, rate_bps: int, is_host_nic: bool):
-        credit_q = PacketQueue(
-            QueueConfig(name="q0-credit", capacity_bytes=qs.credit_buffer_bytes)
-        )
-        xp_q = PacketQueue(QueueConfig(name="q1-xp"))
-        legacy_q = PacketQueue(
-            QueueConfig(name="q2-legacy", ecn_threshold_bytes=_q2_ecn_bytes(qs, rate_bps))
-        )
+        credit_q, xp_q, legacy_q = map(PacketQueue, configs(rate_bps))
         credit_fraction = 1.0 if is_host_nic else fraction
         pacer = TokenBucket(
             max(1, int(rate_bps * credit_fraction * CREDIT_PER_DATA)),
@@ -205,12 +215,12 @@ def homa_shared_queue_factory():
     """
     classifier = {d: 1 for d in ALL_DSCPS}
     classifier[Dscp.HOMA_BASE + 0] = 0  # grants
+    grant_cfg = QueueConfig(name="grants", capacity_bytes=10 * KB)
+    data_cfg = QueueConfig(name="shared", ecn_threshold_bytes=100 * KB)
 
     def factory(name: str, rate_bps: int, is_host_nic: bool):
-        grant_q = PacketQueue(QueueConfig(name="grants", capacity_bytes=10 * KB))
-        data_q = PacketQueue(
-            QueueConfig(name="shared", ecn_threshold_bytes=100 * KB)
-        )
+        grant_q = PacketQueue(grant_cfg)
+        data_q = PacketQueue(data_cfg)
         schedules = [
             QueueSchedule(grant_q, priority=0, weight=1.0),
             QueueSchedule(data_q, priority=1, weight=1.0),
@@ -226,16 +236,14 @@ def homa_queue_factory(n_prios: int = 8):
     for d in (Dscp.LEGACY, Dscp.CREDIT, Dscp.PROACTIVE_DATA,
               Dscp.REACTIVE_DATA, Dscp.FLEX_CONTROL):
         classifier[d.value] = 0
+    # prio 0 carries DCTCP and needs its ECN signal
+    configs = [QueueConfig(name=f"prio{p}",
+                           ecn_threshold_bytes=65 * KB if p == 0 else None)
+               for p in range(n_prios)]
 
     def factory(name: str, rate_bps: int, is_host_nic: bool):
-        schedules = []
-        for p in range(n_prios):
-            # prio 0 carries DCTCP and needs its ECN signal
-            q = PacketQueue(QueueConfig(
-                name=f"prio{p}",
-                ecn_threshold_bytes=65 * KB if p == 0 else None,
-            ))
-            schedules.append(QueueSchedule(q, priority=p, weight=1.0))
+        schedules = [QueueSchedule(PacketQueue(cfg), priority=p, weight=1.0)
+                     for p, cfg in enumerate(configs)]
         return schedules, classifier
 
     return factory

@@ -129,6 +129,10 @@ class FaultyLink:
 
     # -------------------------------------------------------------- helpers
 
+    def release(self) -> None:
+        """Release the wrapped link (see :meth:`repro.net.link.Link.release`)."""
+        self.inner.release()
+
     def in_flight(self) -> int:
         """Packets currently propagating (for tests/diagnostics)."""
         return len(self._in_flight)

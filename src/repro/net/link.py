@@ -11,9 +11,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Link:
-    """One direction of a cable: delivers packets to ``dst`` after ``delay``."""
+    """One direction of a cable: delivers packets to ``dst`` after ``delay``.
 
-    __slots__ = ("sim", "dst", "delay_ns", "packets_delivered", "bytes_delivered")
+    Every delivery it posts carries the same callable, ``_deliver`` bound
+    once here rather than once per packet; :meth:`release` drops it, since
+    the link refers to itself through it.
+    """
+
+    __slots__ = ("sim", "dst", "delay_ns", "packets_delivered",
+                 "bytes_delivered", "_deliver_cb",
+                 "__weakref__")  # tests watch a dead cell's links being freed
 
     def __init__(self, sim: "Simulator", dst: "Node", delay_ns: int) -> None:
         if delay_ns < 0:
@@ -23,6 +30,7 @@ class Link:
         self.delay_ns = delay_ns
         self.packets_delivered = 0
         self.bytes_delivered = 0
+        self._deliver_cb = self._deliver
 
     def carry_after(self, extra_ns: int, pkt: "Packet") -> None:
         """Propagate ``pkt``, which finishes serializing ``extra_ns`` from now.
@@ -32,7 +40,11 @@ class Link:
         extra_ns + delay_ns``). :class:`repro.faults.link.FaultyLink`
         overrides it to keep making its loss decisions at serialization end.
         """
-        self.sim.post(extra_ns + self.delay_ns, self._deliver, pkt)
+        self.sim.post(extra_ns + self.delay_ns, self._deliver_cb, pkt)
+
+    def release(self) -> None:
+        """Drop the bound delivery callback (see :meth:`Node.release`)."""
+        self._deliver_cb = None
 
     def _deliver(self, pkt: "Packet") -> None:
         self.packets_delivered += 1

@@ -28,7 +28,11 @@ class Node:
         self.ports[peer_id] = port
 
     def release(self) -> None:
-        """Drop the ports (see :meth:`Topology.release`)."""
+        """Drop the ports, each released first: a port and its link hold
+        themselves through their bound event callbacks, a cycle only the
+        collector would otherwise break (see :meth:`Topology.release`)."""
+        for port in self.ports.values():
+            port.release()
         self.ports = {}
 
     def receive(self, pkt: "Packet") -> None:  # pragma: no cover - abstract

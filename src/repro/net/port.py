@@ -54,6 +54,7 @@ class EgressPort:
     __slots__ = ("sim", "name", "rate_bps", "buffer", "scheduler", "_queues",
                  "classifier", "link", "_wake_handle",
                  "_serve_pending", "_free_at", "_tx_cache", "_sched_next",
+                 "_serve_cb",
                  "_fifos", "_q_unpaced", "_ct_rr", "_rr_pos", "_batch_ok",
                  "__weakref__")  # tests watch a dead cell's ports being freed
 
@@ -94,6 +95,8 @@ class EgressPort:
         #: the scheduler never changes after construction (link splicing
         #: swaps ``self.link``, never this)
         self._sched_next = self.scheduler.next
+        #: ``_serve`` bound once: every wire-free event posts this object
+        self._serve_cb = self._serve
         #: every queue's deque: "is the port drained" is read off these
         self._fifos = self.scheduler.fifos
         #: per-queue-index flag: eligible for cut-through (no pacer)
@@ -204,7 +207,7 @@ class EgressPort:
                 # in-flight packet left an empty backlog behind): arm the
                 # serve event this packet now needs.
                 self._serve_pending = True
-                self.sim.post_at(self._free_at, self._serve)
+                self.sim.post_at(self._free_at, self._serve_cb)
         return True
 
     # ------------------------------------------------------------------ TX
@@ -265,12 +268,18 @@ class EgressPort:
         for fifo in self._fifos:
             if fifo:
                 self._serve_pending = True
-                sim.post(txt, self._serve)
+                sim.post(txt, self._serve_cb)
                 break
         # else: coalesced fast path — no tx-done event; the next enqueue
         # (or nothing) decides what happens when the wire frees.
 
     # ------------------------------------------------------------- helpers
+
+    def release(self) -> None:
+        """Drop the bound callbacks by which this port and its link refer
+        to themselves (see :meth:`Node.release`)."""
+        self._serve_cb = None
+        self.link.release()
 
     def backlog_bytes(self) -> int:
         return sum(q.byte_count for q in self._queues)

@@ -18,20 +18,23 @@ if TYPE_CHECKING:  # pragma: no cover
 class Switch(Node):
     """A shared-buffer switch.
 
-    Routing state (``next_hops``) is installed by the topology after all
-    links exist. All egress ports of the switch draw from one shared buffer,
-    which is what makes the dynamic-threshold scheme meaningful.
+    Routing state is installed by the topology after all links exist. All
+    egress ports of the switch draw from one shared buffer, which is what
+    makes the dynamic-threshold scheme meaningful.
 
-    ``install_routes`` precomputes two per-destination fast tables so the
-    per-packet path never recomputes ECMP for single-path destinations and
-    never chases ``ports[peer]`` dict lookups: destinations with one next
-    hop map straight to their egress port, multi-hop destinations to a tuple
-    of ports indexed by the symmetric ECMP hash. The hash is a pure function
-    of the packet's ``(flow_id, src, dst)`` for a given table, so the member
-    it picks is memoized under that key until the next ``install_routes``.
+    ``install_routes`` turns the next-hop table into the switch's one route
+    table, split in two so the per-packet path never recomputes ECMP for
+    single-path destinations and never chases ``ports[peer]`` dict lookups:
+    destinations with one next hop map straight to their egress port,
+    multi-hop destinations to a tuple of ports indexed by the symmetric
+    ECMP hash. Destinations with the same next-hop set share one tuple (a
+    ToR reaches every host outside its rack through the same uplinks). The
+    hash is a pure function of the packet's ``(flow_id, src, dst)`` for a
+    given table, so the member it picks is memoized under that key until
+    the next ``install_routes``.
     """
 
-    __slots__ = ("buffer", "next_hops", "ecmp_salt", "routing_failures",
+    __slots__ = ("buffer", "ecmp_salt", "routing_failures",
                  "_route_single", "_route_multi", "_ecmp_memo")
 
     #: the memo is emptied when it reaches this many flow directions
@@ -42,8 +45,6 @@ class Switch(Node):
     ) -> None:
         super().__init__(sim, node_id, name)
         self.buffer = buffer
-        #: destination host id -> sorted tuple of next-hop peer node ids
-        self.next_hops: Dict[int, Tuple[int, ...]] = {}
         #: fabric tier (ToR=1, agg=2, core=3): decorrelates ECMP decisions
         #: across tiers while keeping forward/reverse paths mirrored. Set
         #: by the builders before routes are installed.
@@ -57,19 +58,36 @@ class Switch(Node):
         self._ecmp_memo: Dict[Tuple[int, int, int], "EgressPort"] = {}
 
     def install_routes(self, next_hops: Dict[int, Tuple[int, ...]]) -> None:
-        """Set the next-hop table and rebuild the per-packet fast tables."""
-        self.next_hops = next_hops
+        """Rebuild the route table from ``next_hops`` (destination host id
+        -> sorted tuple of next-hop peer node ids); the table itself is not
+        kept."""
         single: Dict[int, "EgressPort"] = {}
         multi: Dict[int, Tuple["EgressPort", ...]] = {}
+        # next-hop set -> its member tuple, one per distinct set
+        members: Dict[Tuple[int, ...], Tuple["EgressPort", ...]] = {}
         ports = self.ports
         for dst, hops in next_hops.items():
             if len(hops) == 1:
                 single[dst] = ports[hops[0]]
             else:
-                multi[dst] = tuple(ports[peer] for peer in hops)
+                choices = members.get(hops)
+                if choices is None:
+                    choices = members[hops] = tuple(ports[peer] for peer in hops)
+                multi[dst] = choices
         self._route_single = single
         self._route_multi = multi
         self._ecmp_memo = {}
+
+    @property
+    def next_hops(self) -> Dict[int, Tuple[int, ...]]:
+        """Destination host id -> sorted tuple of next-hop peer node ids,
+        read back from the route table."""
+        peer_of = {port: peer for peer, port in self.ports.items()}
+        hops = {dst: (peer_of[port],)
+                for dst, port in self._route_single.items()}
+        for dst, choices in self._route_multi.items():
+            hops[dst] = tuple(peer_of[port] for port in choices)
+        return hops
 
     def release(self) -> None:
         super().release()

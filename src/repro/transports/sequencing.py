@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import heapq
 from typing import (
-    Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING, Union,
+    AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    TYPE_CHECKING, Union,
 )
 
 from repro.net.packet import ACK_WIRE_BYTES, MSS, Packet, PacketKind, alloc_packet
@@ -28,6 +29,11 @@ from repro.transports.base import Tombstone
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.transports.base import FlowSpec, FlowStats
+
+#: What every scoreboard's set of seqs above its cum starts as: one shared,
+#: immutable empty set. Most boards never see a seq out of order; a board
+#: that does gets its own set then.
+NO_SEQS: FrozenSet[int] = frozenset()
 
 
 class ReceiveScoreboard:
@@ -37,7 +43,7 @@ class ReceiveScoreboard:
 
     def __init__(self, sack_limit: int = 16, cum: int = 0) -> None:
         self._cum = cum  # next expected seq
-        self._ooo: Set[int] = set()
+        self._ooo: AbstractSet[int] = NO_SEQS
         self.duplicates = 0
         self._sack_limit = sack_limit
 
@@ -56,6 +62,8 @@ class ReceiveScoreboard:
             while self._cum in self._ooo:
                 self._ooo.discard(self._cum)
                 self._cum += 1
+        elif self._ooo is NO_SEQS:
+            self._ooo = {seq}
         else:
             self._ooo.add(seq)
         return True
@@ -150,7 +158,12 @@ class SenderScoreboard:
     been acknowledged after its transmission (RFC 6675-style), or when the
     retransmission timer fires. Callers learn about transitions through the
     return values of :meth:`on_ack`. ``_acked`` holds only the acked seqs
-    at or above ``cum`` (the rest it implies): O(window), not O(flow).
+    at or above ``cum`` (the rest it implies). That is O(window) only while
+    the holes below them fill. FlexPass recovers a lost reactive copy on
+    the proactive sub-flow, never in the reactive space, so that space keeps
+    its hole for good: from then on the reactive ``_acked`` (and the
+    receiver's reactive ``ReceiveScoreboard._ooo``) grows with every
+    reactive seq sent, O(flow).
     """
 
     __slots__ = ("dupthresh", "_outstanding", "_acked", "_cum", "_dup_counts")
@@ -158,7 +171,7 @@ class SenderScoreboard:
     def __init__(self, dupthresh: int = 3) -> None:
         self.dupthresh = dupthresh
         self._outstanding: Dict[int, int] = {}  # seq -> sent_at (ns)
-        self._acked: Set[int] = set()
+        self._acked: AbstractSet[int] = NO_SEQS
         self._cum = 0  # everything below is acked
         self._dup_counts: Dict[int, int] = {}
 
@@ -211,9 +224,12 @@ class SenderScoreboard:
                     newly_acked.append(seq)
             self._cum = cum
             news_above.append(cum - 1)
+        acked = self._acked
         for seq in sack:
-            if seq >= self._cum and seq not in self._acked:
-                self._acked.add(seq)
+            if seq >= self._cum and seq not in acked:
+                if acked is NO_SEQS:
+                    acked = self._acked = set()
+                acked.add(seq)
                 news_above.append(seq)
                 if seq in self._outstanding:
                     del self._outstanding[seq]
@@ -243,7 +259,10 @@ class SenderScoreboard:
         if seq in self._outstanding:
             del self._outstanding[seq]
             self._dup_counts.pop(seq, None)
-            self._acked.add(seq)
+            if self._acked is NO_SEQS:
+                self._acked = {seq}
+            else:
+                self._acked.add(seq)
             return True
         return False
 

@@ -241,6 +241,8 @@ def test_sender_follows_the_five_state_model(config, n, ops):
 
     def check():
         assert [sender.buffer.state_of(i) for i in range(n)] == model.state
+        # the buffer keeps an object only for a touched, unacked segment
+        assert all(model.state[i] != S.ACKED for i in sender.buffer.segments)
         for sub, flow in ((PROACTIVE, sender.proactive),
                           (REACTIVE, sender.reactive)):
             board = model.boards[sub]

@@ -119,6 +119,53 @@ class TestTransitions:
         assert b.all_acked
 
 
+class TestAckedRecord:
+    """ACKED is terminal: the buffer drops the segment's object and keeps
+    the index in its acked record."""
+
+    def test_acked_segments_keep_no_object(self):
+        b = buf(8)
+        for i in range(6):
+            b.mark_sent_reactive(i, i)
+        for i in (0, 2, 3, 5):
+            assert b.mark_acked(i)
+        assert sorted(b.segments) == [1, 4]
+        want = [SegmentState.ACKED, SegmentState.SENT_REACTIVE,
+                SegmentState.ACKED, SegmentState.ACKED,
+                SegmentState.SENT_REACTIVE, SegmentState.ACKED,
+                SegmentState.PENDING, SegmentState.PENDING]
+        assert [b.state_of(i) for i in range(8)] == want
+        b.mark_acked(1)  # the frontier passes 2 and 3
+        assert b.state_counts() == {
+            SegmentState.PENDING: 2, SegmentState.SENT_REACTIVE: 1,
+            SegmentState.SENT_PROACTIVE: 0, SegmentState.LOST: 0,
+            SegmentState.ACKED: 5}
+        assert b.n_acked == 5
+        assert not b.mark_acked(3)
+        assert not b.mark_lost(5)
+        for mark in (b.mark_sent_reactive, b.mark_sent_proactive):
+            with pytest.raises(ValueError):
+                mark(2, 9)
+        assert sorted(b.segments) == [4]
+
+    def test_picks_pass_acked_indices(self):
+        """RC3: the back pick sends and the ACK drops the last segments;
+        the front pick must not take them for untouched ones."""
+        b = buf(4)
+        for rseq in range(2):
+            seg = b.peek_pending_back()
+            b.mark_sent_reactive(seg.idx, rseq)
+            b.mark_acked(seg.idx)
+        b.mark_sent_proactive(b.peek_pending().idx, 0)
+        b.mark_sent_proactive(b.peek_pending().idx, 1)
+        assert b.peek_pending() is None
+        assert b.peek_pending_back() is None
+        b.mark_lost(0)
+        b.mark_acked(0)  # a stale LOST heap entry
+        assert b.peek_lost() is None
+        assert sorted(b.segments) == [1]
+
+
 @st.composite
 def _op_sequences(draw):
     n = draw(st.integers(1, 12))
@@ -165,6 +212,9 @@ def test_property_state_machine_never_corrupts(case):
         counts = b.state_counts()
         assert sum(counts.values()) == n
         assert counts[SegmentState.ACKED] == b.n_acked
+        # an acked segment keeps no object
+        assert SegmentState.ACKED not in {
+            seg.state for seg in b.segments.values()}
         # picks never return a segment in the wrong state
         for peek, want in (
             (b.peek_pending, SegmentState.PENDING),

@@ -163,8 +163,8 @@ def _in_flight(sim, ports):
 
 
 def _watch_cells(monkeypatch):
-    """Weak references to every cell's topology and ports, and to the
-    packets in flight when its ``sim.run`` returned or raised."""
+    """Weak references to every cell's topology, ports and links, and to
+    the packets in flight when its ``sim.run`` returned or raised."""
     cells = []
     build = runner.build_topology
 
@@ -172,7 +172,8 @@ def _watch_cells(monkeypatch):
         clos = build(sim, make_queues, cfg)
         ports = clos.topo.all_ports()
         cells.append({"topo": weakref.ref(clos.topo),
-                      "ports": list(map(weakref.ref, ports))})
+                      "ports": list(map(weakref.ref, ports)),
+                      "links": [weakref.ref(p.link) for p in ports]})
         return clos
 
     sim_run = CalendarSimulator.run
@@ -194,6 +195,9 @@ def _assert_released(cell):
     assert cell["topo"]() is None
     assert len(cell["ports"]) == 48
     assert not [ref for ref in cell["ports"] if ref() is not None]
+    # each link refers to itself through its bound delivery callback
+    assert len(cell["links"]) == 48
+    assert not [ref for ref in cell["links"] if ref() is not None]
     assert len(cell["packets"]) > 100
     assert not [ref for ref in cell["packets"] if ref() is not None]
 

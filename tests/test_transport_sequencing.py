@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.transports.base import FlowStats
 from repro.transports.sequencing import (
-    ReceiveScoreboard, RetransmitQueue, SenderScoreboard,
+    NO_SEQS, ReceiveScoreboard, RetransmitQueue, SenderScoreboard,
 )
 
 from tests.util import ScoreboardModel
@@ -58,6 +58,35 @@ class TestReceiveScoreboard:
             expected_cum += 1
         assert rb.cum == expected_cum
         assert rb.received_count() == len(seen)
+
+
+class TestSharedEmptySet:
+    """A board's set of seqs above its cum starts as the one shared,
+    immutable ``NO_SEQS`` and is its own set from the first such seq."""
+
+    def test_fresh_boards_hold_the_shared_empty_set(self):
+        assert ReceiveScoreboard()._ooo is NO_SEQS
+        assert SenderScoreboard()._acked is NO_SEQS
+        assert isinstance(NO_SEQS, frozenset) and not NO_SEQS
+
+    def test_receive_boards_never_share_a_mutable_set(self):
+        a, b, c = ReceiveScoreboard(), ReceiveScoreboard(), ReceiveScoreboard()
+        a.add(3)
+        b.add(5)
+        assert a._ooo == {3} and b._ooo == {5} and a._ooo is not b._ooo
+        assert c._ooo is NO_SEQS and not NO_SEQS
+        assert c.add(3) and c.sack() == (3,)
+
+    def test_sender_boards_never_share_a_mutable_set(self):
+        a, b, c = SenderScoreboard(), SenderScoreboard(), SenderScoreboard()
+        for board in (a, b, c):
+            for seq in range(4):
+                board.on_send(seq, 0)
+        a.on_ack(0, (2,))
+        assert b.remove(3)
+        assert a._acked == {2} and b._acked == {3} and a._acked is not b._acked
+        assert c._acked is NO_SEQS and not NO_SEQS
+        assert not c.is_acked(2) and c.n_acked == 0
 
 
 class TestSenderScoreboard:
