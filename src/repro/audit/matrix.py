@@ -53,17 +53,17 @@ GOLDEN_POINT = (2 * MILLIS, 1, 0.5)
 GOLDEN_DIGESTS: Dict[Tuple[str, str], Tuple[int, int]] = {
     ("dumbbell", "dctcp"): (17407, 0xd426b4ba8c324ffe),
     ("dumbbell", "naive"): (34868, 0x6314ab41aa5793eb),
-    ("dumbbell", "homa"): (16091, 0x530af3926979db12),
+    ("dumbbell", "homa"): (16166, 0x55123be7cb4e487b),
     ("dumbbell", "ly"): (32374, 0x746a9010a292b391),
     ("dumbbell", "flexpass"): (24646, 0x2f49f55f99f23598),
     ("incast", "dctcp"): (18395, 0x52db23345cdad285),
     ("incast", "naive"): (35726, 0xf5228e285366910e),
-    ("incast", "homa"): (15742, 0x66afeec0c37418f2),
+    ("incast", "homa"): (15786, 0xfa5929748377f494),
     ("incast", "ly"): (35466, 0xfe204d8eb98b3d45),
     ("incast", "flexpass"): (29972, 0xc7f4d430a3795495),
     ("clos", "dctcp"): (75243, 0x350317dcd7711ac7),
     ("clos", "naive"): (142317, 0xc8fb5d8f87692ba1),
-    ("clos", "homa"): (74849, 0xa1e0563952eb9c2b),
+    ("clos", "homa"): (75310, 0x5fc7da5b66757f77),
     ("clos", "ly"): (135682, 0x6c5dac6cdd511f1f),
     ("clos", "flexpass"): (115622, 0x64718ee31b57b85b),
 }

@@ -28,7 +28,7 @@ from typing import Optional
 
 #: Bump whenever simulation semantics change, so stale results cannot leak
 #: across PRs. ``REPRO_CACHE_SALT`` overrides (emergency invalidation).
-DEFAULT_CODE_SALT = "sim-v10"  # PR 14: every run streams cfg.traffic; default sources draw from traffic.bg / traffic.fg
+DEFAULT_CODE_SALT = "sim-v11"  # a serve event starts one packet: unpaced (Homa) ports no longer burst
 
 
 def canonicalize(value) -> object:

@@ -14,17 +14,20 @@ charge, ECN marking, the FIFO append and the ``QueueStats`` updates inline
 against the queue's own fields; the rules are those of
 ``PacketQueue.admit/push`` and ``SharedBuffer.try_admit``, which stay as the
 readable form ``tests/test_net_port_flat.py`` compares against. "Is anything
-queued" is read off the queues' deques.
+queued" is read off the queues' FIFO lists.
 
 Transmissions are *coalesced*: at transmit start the port schedules the
 packet's arrival at the far end as one event (``link.carry_after``) and posts
-a wire-free event — ``_serve`` itself — only when backlog remains to need
-the wire at that instant. Wire occupancy is a timestamp, ``_free_at``. Two
-shortcuts sit on that path, each explained where it is taken:
-*cut-through* in ``enqueue`` (idle wire, drained port, unpaced queue) and
-*burst dequeue* in ``_serve`` (no pacer on any queue). A wake armed for a
-token-starved paced queue is cancelled by every enqueue and armed afresh,
-never kept (see ``enqueue``). ``carry_after`` is the port's only call into
+a wire-free event — ``_serve`` itself, with no argument — only when backlog
+remains to need the wire at that instant. Wire occupancy is a timestamp,
+``_free_at``. One shortcut sits on that path, *cut-through* in ``enqueue``
+(idle wire, drained port, unpaced queue), explained where it is taken.
+Every serve event starts exactly one packet: a packet committed to the wire
+ahead of its serialization slot would be served before a higher-priority
+arrival that a per-packet serve would pick, and would leave the shared
+buffer early (DESIGN.md §6h). A wake armed for a token-starved paced queue
+is cancelled by every enqueue and armed afresh, never kept (see
+``enqueue``). ``carry_after`` is the port's only call into
 its link, so whatever observes or perturbs the wire (a fault splice, a
 packet tracer) wraps ``port.link`` and leaves this path alone.
 
@@ -55,11 +58,8 @@ class EgressPort:
                  "classifier", "link", "_wake_handle",
                  "_serve_pending", "_free_at", "_tx_cache", "_sched_next",
                  "_serve_cb",
-                 "_fifos", "_q_unpaced", "_ct_rr", "_rr_pos", "_batch_ok",
+                 "_fifos", "_q_unpaced", "_ct_rr", "_rr_pos",
                  "__weakref__")  # tests watch a dead cell's ports being freed
-
-    #: max packets committed to the wire per serve event (burst dequeue)
-    BURST = 8
 
     def __init__(
         self,
@@ -79,8 +79,8 @@ class EgressPort:
         self.rate_bps = rate_bps
         self.buffer = buffer
         self.scheduler = PortScheduler(schedules)
-        # The scheduler's ``queues`` property builds a fresh list per call;
-        # enqueue runs per packet, so index a cached copy instead.
+        #: the scheduler's queues in queue-index order (enqueue indexes
+        #: this per packet, so it is read once)
         self._queues = self.scheduler.queues
         self.classifier = classifier
         self.link = link
@@ -97,16 +97,13 @@ class EgressPort:
         self._sched_next = self.scheduler.next
         #: ``_serve`` bound once: every wire-free event posts this object
         self._serve_cb = self._serve
-        #: every queue's deque: "is the port drained" is read off these
+        #: every queue's FIFO: "is the port drained" is read off these
         self._fifos = self.scheduler.fifos
         #: per-queue-index flag: eligible for cut-through (no pacer)
         self._q_unpaced = [s.pacer is None for s in schedules]
         #: what a cut-through stores into the scheduler's DWRR positions
         self._ct_rr = self.scheduler.cut_through_rr
         self._rr_pos = self.scheduler.rr_pos
-        #: burst dequeue is valid only on a fully pacer-free port, where
-        #: ``next(now)`` does not depend on ``now``
-        self._batch_ok = all(self._q_unpaced)
 
     @property
     def busy(self) -> bool:
@@ -217,53 +214,29 @@ class EgressPort:
         if not self._serve_pending and self.sim._now >= self._free_at:
             self._serve()
 
-    def _serve(self) -> None:
-        """Start the next transmission(s). Runs only when the wire is idle:
-        called directly, or as the posted wire-free event."""
+    def _serve(self, _=None) -> None:
+        """Start the next transmission. Runs only when the wire is idle:
+        called directly, or as the posted wire-free event (whose one
+        calendar argument is ``None``)."""
         self._serve_pending = False
         sim = self.sim
         now = sim._now
-        sched_next = self._sched_next
-        pkt, wake = sched_next(now)
+        pkt, wake = self._sched_next(now)
         if pkt is None:
             if wake is not None:
                 self._wake_handle = sim.at(wake, self._on_wake)
             return
         size = pkt.size
-        tx_cache = self._tx_cache
-        txt = tx_cache.get(size)
+        txt = self._tx_cache.get(size)
         if txt is None:
-            txt = tx_cache[size] = tx_time_ns(size, self.rate_bps)
+            txt = self._tx_cache[size] = tx_time_ns(size, self.rate_bps)
         # The packet left its queue: its bytes stop counting against the
         # shared buffer now (the buffer limits *queued* bytes).
         buf = self.buffer
         buf.used -= size
         if buf.used < 0:
             raise RuntimeError("shared buffer accounting went negative")
-        link = self.link
-        link.carry_after(txt, pkt)
-        if self._batch_ok:
-            # Burst dequeue: commit up to BURST packets back-to-back onto
-            # the wire in ONE serve event instead of one event per packet.
-            # Each packet's arrival is scheduled at its own serialization
-            # end (cumulative offset), so wire timing — and therefore every
-            # downstream arrival instant — is identical to serving them one
-            # at a time; only the dequeue bookkeeping moves earlier, to the
-            # burst start. Valid only because this port has no pacers (the
-            # scheduler's pick sequence is time-independent).
-            for _ in range(self.BURST - 1):
-                pkt, _ = sched_next(now)
-                if pkt is None:
-                    break
-                size = pkt.size
-                ptxt = tx_cache.get(size)
-                if ptxt is None:
-                    ptxt = tx_cache[size] = tx_time_ns(size, self.rate_bps)
-                buf.used -= size
-                if buf.used < 0:
-                    raise RuntimeError("shared buffer accounting went negative")
-                txt += ptxt
-                link.carry_after(txt, pkt)
+        self.link.carry_after(txt, pkt)
         self._free_at = now + txt
         for fifo in self._fifos:
             if fifo:

@@ -22,9 +22,8 @@ two forms equal.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import List, Optional
 
 from repro.net.packet import Color, Packet
 
@@ -46,7 +45,7 @@ class QueueConfig:
     selective_drop_bytes: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueStats:
     """Drop/mark counters, exposed to experiments."""
 
@@ -62,17 +61,27 @@ class QueueStats:
 
 
 class PacketQueue:
-    """A FIFO byte queue with ECN marking and selective dropping."""
+    """A FIFO byte queue with ECN marking and selective dropping.
+
+    It also carries how its port's scheduler serves it (``priority``,
+    ``weight``, ``quantum``, ``pacer`` and the DWRR ``deficit``), so a
+    queue is one object on the per-packet path; the
+    :class:`~repro.net.scheduler.PortScheduler` that adopts it sets them.
+    """
 
     __slots__ = ("config", "stats", "_fifo", "byte_count", "red_bytes",
                  "_mark_rng", "_marking", "_mark_k", "_cap", "_sel_drop",
-                 "trivial_admit", "_starved_until")
+                 "trivial_admit", "_starved_until",
+                 "priority", "weight", "quantum", "pacer", "deficit")
 
     def __init__(self, config: QueueConfig, mark_rng=None) -> None:
         self.config = config
         self.stats = QueueStats()
-        #: never rebound: the port and scheduler hold aliases of this deque
-        self._fifo: Deque[Packet] = deque()
+        #: never rebound: the port and scheduler hold aliases of this list.
+        #: A list, not a ``collections`` double-ended queue: an empty one of
+        #: those costs ~600 B, and no FIFO gets deep enough (a few hundred
+        #: packets) for ``pop(0)``'s memmove to matter
+        self._fifo: List[Packet] = []
         self.byte_count = 0
         self.red_bytes = 0
         self._mark_rng = mark_rng  # only needed when red_max_bytes is set
@@ -90,6 +99,13 @@ class PacketQueue:
         #: head packet lacks tokens until this instant (0 = nothing known).
         #: Every pop clears it, since a pop changes the head and spends tokens.
         self._starved_until = 0
+        # Scheduling, as QueueSchedule's defaults until a scheduler adopts
+        # the queue (it also sets the quantum, weight x one MTU frame).
+        self.priority = 1
+        self.weight = 1.0
+        self.quantum = 0.0
+        self.pacer = None
+        self.deficit = 0.0
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -135,7 +151,7 @@ class PacketQueue:
 
     def pop(self) -> Packet:
         """Dequeue the head packet."""
-        pkt = self._fifo.popleft()
+        pkt = self._fifo.pop(0)
         self._starved_until = 0
         self.byte_count -= pkt.size
         if pkt.color == Color.RED:

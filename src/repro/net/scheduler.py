@@ -11,12 +11,19 @@ earliest future time at which one *could* become eligible (a paced queue
 waiting for tokens), or neither (everything empty).
 
 ``next`` runs once per transmitted packet and is one flat function on every
-common port shape: it reads backlog straight off the member queues' deques,
+common port shape: it reads backlog straight off the queues' FIFO lists,
 dequeues inline (the same field updates as :meth:`PacketQueue.pop`), and
 pays one fused :meth:`TokenBucket.take` per paced serve. Only a DWRR class
 whose members are all backlogged (or that has more than two members) leaves
 it, for the round loop of :meth:`_serve_dwrr`, which catches a starved
 small-weight queue up in O(1) bulk steps instead of one quantum per pass.
+
+**A queue is one object.** The scheduler keeps no per-queue row: the
+:class:`QueueSchedule` rows a port is built from hand their priority,
+weight and pacer to their :class:`PacketQueue`, which also carries its DWRR
+quantum and deficit, and the scheduler holds only the queues grouped by
+priority class. :attr:`PortScheduler.schedules` rebuilds the rows for
+instrumentation. (A queue therefore belongs to one scheduler.)
 
 **Pacer memo.** When a paced queue's head lacks tokens, ``take`` reports the
 instant ``T`` at which the bucket will cover it, and the scheduler records
@@ -60,28 +67,15 @@ class QueueSchedule:
     pacer: Optional[TokenBucket] = None
 
 
-class _Member:
-    """One queue as ``next`` sees it: the schedule row, flattened, plus the
-    queue's DWRR deficit."""
-
-    __slots__ = ("queue", "fifo", "stats", "pacer", "weight", "quantum",
-                 "deficit")
-
-    def __init__(self, sched: QueueSchedule) -> None:
-        self.queue = sched.queue
-        self.fifo = sched.queue._fifo
-        self.stats = sched.queue.stats
-        self.pacer = sched.pacer
-        self.weight = sched.weight
-        self.quantum = _BASE_QUANTUM * sched.weight
-        self.deficit = 0.0
-
-
 class PortScheduler:
-    """Strict-priority + DWRR scheduler over a fixed set of queues."""
+    """Strict-priority + DWRR scheduler over a fixed set of queues.
 
-    __slots__ = ("_schedules", "_classes", "fifos", "rr_pos",
-                 "cut_through_rr")
+    The ``QueueSchedule`` rows it is built from are not kept: each row's
+    priority, weight and pacer move onto its queue, which also holds the
+    queue's DWRR quantum and deficit.
+    """
+
+    __slots__ = ("_queues", "_classes", "fifos", "rr_pos", "cut_through_rr")
 
     def __init__(self, schedules: List[QueueSchedule]) -> None:
         if not schedules:
@@ -92,12 +86,18 @@ class PortScheduler:
                     f"queue weight must be positive, got {s.weight} "
                     f"(a zero-weight queue would never accumulate deficit)"
                 )
-        self._schedules = schedules
-        members = [_Member(s) for s in schedules]
-        #: every queue's deque, for the backlog test (the port reads it too)
-        self.fifos = tuple(m.fifo for m in members)
-        #: per priority class, best first: (class index, its sole member or
-        #: None, all members)
+            q = s.queue
+            q.priority = s.priority
+            q.weight = s.weight
+            q.quantum = _BASE_QUANTUM * s.weight
+            q.pacer = s.pacer
+            q.deficit = 0.0
+        queues = tuple(s.queue for s in schedules)
+        self._queues = queues
+        #: every queue's FIFO, for the backlog test (the port reads it too)
+        self.fifos = tuple(q._fifo for q in queues)
+        #: per priority class, best first: (class index, its sole queue or
+        #: None, all its queues)
         self._classes = []
         #: per class: the member position the next DWRR round starts at
         self.rr_pos = []
@@ -108,25 +108,28 @@ class PortScheduler:
         #: of one. (Deficits need no touch-up: every queue was empty, so
         #: every deficit was already forfeited to zero, and a serve that
         #: immediately drains its queue resets its own deficit as well.)
-        self.cut_through_rr: List[Optional[Tuple[int, int]]] = [None] * len(schedules)
-        for ci, prio in enumerate(sorted({s.priority for s in schedules})):
-            idxs = [i for i, s in enumerate(schedules) if s.priority == prio]
-            rows = tuple(members[i] for i in idxs)
-            self._classes.append((ci, rows[0] if len(rows) == 1 else None, rows))
+        self.cut_through_rr: List[Optional[Tuple[int, int]]] = [None] * len(queues)
+        for ci, prio in enumerate(sorted({q.priority for q in queues})):
+            idxs = [i for i, q in enumerate(queues) if q.priority == prio]
+            members = tuple(queues[i] for i in idxs)
+            self._classes.append(
+                (ci, members[0] if len(members) == 1 else None, members))
             self.rr_pos.append(0)
             if len(idxs) > 1:
                 for pos, i in enumerate(idxs):
                     self.cut_through_rr[i] = (ci, (pos + 1) % len(idxs))
 
     @property
-    def queues(self) -> List[PacketQueue]:
-        return [s.queue for s in self._schedules]
+    def queues(self) -> Tuple[PacketQueue, ...]:
+        return self._queues
 
     @property
     def schedules(self) -> Tuple[QueueSchedule, ...]:
-        """The queue/priority/weight/pacer rows, in queue-index order
-        (read-only view for instrumentation such as telemetry)."""
-        return tuple(self._schedules)
+        """The queue/priority/weight/pacer rows, in queue-index order,
+        rebuilt from the queues (read-only view for instrumentation such
+        as telemetry)."""
+        return tuple(QueueSchedule(q, q.priority, q.weight, q.pacer)
+                     for q in self._queues)
 
     def has_backlog(self) -> bool:
         """True when any queue holds at least one packet."""
@@ -144,14 +147,13 @@ class PortScheduler:
         are empty.
         """
         wake: Optional[int] = None
-        for ci, m, members in self._classes:
-            if m is not None:
+        for ci, q, members in self._classes:
+            if q is not None:
                 # ---- a class of one: strict priority, optionally paced
-                fifo = m.fifo
+                fifo = q._fifo
                 if not fifo:
                     continue
-                q = m.queue
-                pacer = m.pacer
+                pacer = q.pacer
                 if pacer is not None:
                     t = q._starved_until
                     if now_ns >= t:
@@ -170,16 +172,16 @@ class PortScheduler:
             else:
                 # ---- a DWRR class
                 if len(members) == 2:
-                    m, idle = members
+                    q, idle = members
                     pos = 0
-                    if not m.fifo:
-                        if not idle.fifo:
+                    if not q._fifo:
+                        if not idle._fifo:
                             continue
-                        m, idle = idle, m
+                        q, idle = idle, q
                         pos = 1
-                    elif idle.fifo:
-                        m = None  # both backlogged
-                if m is None or m.pacer is not None:
+                    elif idle._fifo:
+                        q = None  # both backlogged
+                if q is None or q.pacer is not None:
                     pkt, t = self._serve_dwrr(ci, members, now_ns)
                     if pkt is not None:
                         return pkt, None
@@ -193,31 +195,30 @@ class PortScheduler:
                 # deficits and rr position are bit-identical to running the
                 # rounds one by one.
                 idle.deficit = 0.0
-                fifo = m.fifo
-                q = m.queue
+                fifo = q._fifo
                 size = fifo[0].size
-                d = m.deficit
+                d = q.deficit
                 if d < size:
-                    quantum = m.quantum
+                    quantum = q.quantum
                     d += math.ceil((size - d) / quantum) * quantum
                 if len(fifo) == 1:
-                    m.deficit = 0.0
+                    q.deficit = 0.0
                     self.rr_pos[ci] = 1 - pos
                 else:
-                    m.deficit = d - size
+                    q.deficit = d - size
                     self.rr_pos[ci] = pos
             # ---- dequeue: the field updates of ``PacketQueue.pop``
-            pkt = fifo.popleft()
+            pkt = fifo.pop(0)
             size = pkt.size
             q.byte_count -= size
             if pkt.color == _RED:
                 q.red_bytes -= size
-            m.stats.dequeued += 1
+            q.stats.dequeued += 1
             return pkt, None
         return None, wake
 
     def _serve_dwrr(
-        self, class_idx: int, members: Tuple[_Member, ...], now_ns: int
+        self, class_idx: int, members: Tuple[PacketQueue, ...], now_ns: int
     ) -> Tuple[Optional[Packet], Optional[int]]:
         """One-packet-at-a-time Deficit Round Robin, the general case.
 
@@ -241,21 +242,20 @@ class PortScheduler:
         while True:
             progressed = False  # any deficit grew this round
             for _ in range(n):
-                m = members[pos % n]
-                fifo = m.fifo
+                q = members[pos % n]
+                fifo = q._fifo
                 if not fifo:
-                    m.deficit = 0.0
+                    q.deficit = 0.0
                     pos += 1
                     continue
                 size = fifo[0].size
-                if m.deficit < size:
-                    m.deficit += m.quantum
+                if q.deficit < size:
+                    q.deficit += q.quantum
                     progressed = True
                     pos += 1
                     continue
-                pacer = m.pacer
+                pacer = q.pacer
                 if pacer is not None:
-                    q = m.queue
                     t = q._starved_until
                     if now_ns >= t:
                         t = pacer.take(now_ns, size)
@@ -266,10 +266,10 @@ class PortScheduler:
                             wake = t
                         pos += 1
                         continue
-                m.deficit -= size
-                pkt = m.queue.pop()
+                q.deficit -= size
+                pkt = q.pop()
                 if not fifo:
-                    m.deficit = 0.0
+                    q.deficit = 0.0
                     pos += 1
                 self.rr_pos[class_idx] = pos % n
                 return pkt, None
@@ -281,12 +281,12 @@ class PortScheduler:
             # Bulk catch-up: the smallest number of further whole rounds any
             # backlogged queue needs before its deficit covers its head.
             rounds: Optional[int] = None
-            for m in members:
-                if not m.fifo:
+            for q in members:
+                if not q._fifo:
                     continue
-                need = m.fifo[0].size - m.deficit
+                need = q._fifo[0].size - q.deficit
                 if need <= 0:
-                    if m.pacer is None:
+                    if q.pacer is None:
                         # An unpaced queue that crossed its head size after
                         # its visit this round serves on the very next one:
                         # there are no empty rounds to skip.
@@ -296,7 +296,7 @@ class PortScheduler:
                     # instant no matter how many rounds pass — it does not
                     # bound the jump.
                     continue
-                r = math.ceil(need / m.quantum)
+                r = math.ceil(need / q.quantum)
                 if rounds is None or r < rounds:
                     rounds = r
             if rounds is not None and rounds > 1:
@@ -306,6 +306,6 @@ class PortScheduler:
                 # ``rounds`` none of them crosses its head size early, so the
                 # jump is exactly equivalent to running the rounds one by one.
                 extra = rounds - 1
-                for m in members:
-                    if m.fifo and m.deficit < m.fifo[0].size:
-                        m.deficit += extra * _BASE_QUANTUM * m.weight
+                for q in members:
+                    if q._fifo and q.deficit < q._fifo[0].size:
+                        q.deficit += extra * _BASE_QUANTUM * q.weight

@@ -18,9 +18,11 @@ loop. This engine is a one-tier calendar:
   scheduled into the region already being drained are placed by
   ``bisect.insort`` — C code, and an append when they land at the batch tail.
 
-Every entry is one flat tuple, ``(-t, -seq, fn, args)`` for a fire-and-forget
+Every entry is one flat tuple, ``(-t, -seq, fn, arg)`` for a fire-and-forget
 event or ``(-t, -seq, None, handle)`` for a cancellable one, so ``post``
-allocates a single tuple and dispatch is ``pop`` then ``fn(*args)``. There is
+allocates a single tuple and dispatch is ``pop`` then ``fn(arg)``: a posted
+event carries one argument (the packet of a delivery) or ``None``, never an
+argument tuple, which cancellable events keep in their handle. There is
 no next-event slot in front of the batch: with thousands of entries stored
 the next event is already the batch's tail, and a slot costs three attribute
 writes per dispatch and a compare per schedule to keep up (DESIGN.md §6h has
@@ -70,7 +72,7 @@ RUN_GC_GEN0 = 50_000
 #: negated horizon of a run without ``until``: no entry's ``-t`` is below it
 _NO_HORIZON = float("-inf")
 
-#: ``(-t, -seq, fn, args)``, or ``(-t, -seq, None, EventHandle)``
+#: ``(-t, -seq, fn, arg)``, or ``(-t, -seq, None, EventHandle)``
 _Entry = Tuple[int, int, Optional[Callable[..., Any]], Any]
 
 
@@ -192,15 +194,17 @@ class CalendarSimulator:
             lst.append((-t, -seq, None, handle))
         return handle
 
-    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule a *fire-and-forget* event after ``delay`` nanoseconds.
+    def post(self, delay: int, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """Schedule a *fire-and-forget* ``fn(arg)`` after ``delay`` ns.
 
-        Like :meth:`after` but returns no handle and cannot be cancelled:
-        the calendar entry carries ``fn`` and ``args`` itself instead of an
-        :class:`EventHandle`, which skips one object allocation per event.
-        Packet deliveries and port serve events — the bulk of all events in
-        a packet-forwarding run — are never cancelled, so they take this
-        path. Use :meth:`after` for anything a timer might cancel.
+        Like :meth:`after` but returns no handle, cannot be cancelled and
+        carries exactly one argument: the calendar entry holds ``fn`` and
+        ``arg`` themselves instead of an :class:`EventHandle` or an
+        argument tuple. Packet deliveries and port serve events — the bulk
+        of all events in a packet-forwarding run — are never cancelled and
+        take one argument (the packet) or none (``arg`` stays ``None`` and
+        the callback ignores it), so they take this path. Use :meth:`after`
+        for anything a timer might cancel or that needs more arguments.
         """
         if delay < 0:
             raise ValueError(f"delay must be nonnegative, got {delay}")
@@ -209,16 +213,16 @@ class CalendarSimulator:
         self._seq = seq + 1
         b = t >> self._bits
         if b <= self._cur_b:
-            insort(self._active, (-t, -seq, fn, args))
+            insort(self._active, (-t, -seq, fn, arg))
             return
         lst = self._buckets.get(b)
         if lst is None:
-            self._buckets[b] = [(-t, -seq, fn, args)]
+            self._buckets[b] = [(-t, -seq, fn, arg)]
             heappush(self._bucket_ids, b)
         else:
-            lst.append((-t, -seq, fn, args))
+            lst.append((-t, -seq, fn, arg))
 
-    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
+    def post_at(self, time: int, fn: Callable[[Any], Any], arg: Any = None) -> None:
         """Absolute-time variant of :meth:`post` (see :meth:`at`)."""
         if time < self._now:
             raise ValueError(
@@ -229,14 +233,14 @@ class CalendarSimulator:
         self._seq = seq + 1
         b = time >> self._bits
         if b <= self._cur_b:
-            insort(self._active, (-time, -seq, fn, args))
+            insort(self._active, (-time, -seq, fn, arg))
             return
         lst = self._buckets.get(b)
         if lst is None:
-            self._buckets[b] = [(-time, -seq, fn, args)]
+            self._buckets[b] = [(-time, -seq, fn, arg)]
             heappush(self._bucket_ids, b)
         else:
-            lst.append((-time, -seq, fn, args))
+            lst.append((-time, -seq, fn, arg))
 
     def every(self, period: int, fn: Callable[[], Any],
               until: Optional[int] = None) -> RepeatingEvent:
@@ -340,7 +344,7 @@ class CalendarSimulator:
                 fn = e[2]
                 if fn is not None:  # handle-free event (``post``)
                     self._now = -e[0]
-                    fn(*e[3])
+                    fn(e[3])
                     executed += 1
                     continue
                 ev = e[3]
@@ -407,9 +411,9 @@ class CalendarSimulator:
                     fn, args = ev.fn, ev.args
                     ev.fn = None
                     ev.args = ()
+                    fn(*args)
                 else:
-                    args = e[3]
-                fn(*args)
+                    fn(e[3])
                 executed += 1
         finally:
             self._events_run += executed
@@ -432,7 +436,7 @@ class CalendarSimulator:
                     e[3].fn = None
                     e[3].args = ()
                 elif e[2] == fire_one:
-                    e[3][0].cancel()
+                    e[3].cancel()
         self._active.clear()
         self._buckets.clear()
         self._bucket_ids.clear()
@@ -459,9 +463,10 @@ class CalendarSimulator:
 
     def iter_pending(self) -> Iterator[Tuple[int, int, Any]]:
         """Iterate stored ``(time, seq, event)`` entries, ``event`` being an
-        :class:`EventHandle` or a ``(fn, args)`` tuple; lazily-cancelled ones
-        are included (callers skip them, exactly as they skipped cancelled
-        heap entries). Dispatch order is NOT implied."""
+        :class:`EventHandle` or a ``(fn, args)`` tuple (a posted entry's one
+        argument as a 1-tuple); lazily-cancelled ones are included (callers
+        skip them, exactly as they skipped cancelled heap entries).
+        Dispatch order is NOT implied."""
         for lst in (self._active, *self._buckets.values()):
             for nt, nseq, fn, arg in lst:
-                yield (-nt, -nseq, arg if fn is None else (fn, arg))
+                yield (-nt, -nseq, arg if fn is None else (fn, (arg,)))

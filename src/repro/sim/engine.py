@@ -6,7 +6,8 @@ construct ``Simulator()`` directly.
 
 It accepts cancellable events (``at``/``after``, which return an
 :class:`EventHandle`), fire-and-forget ones (``post``/``post_at``, which
-skip the handle allocation on the packet hot path) and periodic ones
+skip the handle allocation on the packet hot path and carry one argument,
+``fn(arg)``) and periodic ones
 (``every``, a :class:`RepeatingEvent`), refuses to schedule into the past,
 and lists what it holds through ``iter_pending``. Cancellation is lazy: a
 cancelled handle stays stored and is skipped when popped, ``pending()``

@@ -166,9 +166,9 @@ class HomaReceiver:
 
     # ------------------------------------------------------------ grants
 
-    def _send_grant(self) -> None:
+    def _send_grant(self, _=None) -> None:
         """Grant the next segment and pace the one after; also the paced
-        event's callback."""
+        event's callback (whose one calendar argument is ``None``)."""
         self._grant_pending = False
         if self._complete or self._next_grant >= self.spec.n_segments:
             return

@@ -179,7 +179,8 @@ class SenderScoreboard:
 
     def on_send(self, seq: int, now_ns: int) -> None:
         self._outstanding[seq] = now_ns
-        self._dup_counts[seq] = 0
+        # A fresh send restarts the seq's dupack count: absent reads as 0.
+        self._dup_counts.pop(seq, None)
 
     @property
     def in_flight(self) -> int:

@@ -1,29 +1,32 @@
-"""Burst dequeue (PR 7) x link failure x telemetry interaction tests.
+"""Arrival bursts x one-packet serving x link failure x telemetry.
 
-The burst fast path commits up to ``EgressPort.BURST`` packets onto the
-wire in one serve event, with each packet's arrival scheduled at its own
-cumulative serialization end. These tests pin down the three properties
-that make that safe to compose with the rest of the system:
+An egress port starts exactly one packet per serve event, paced or not:
+the packet's arrival is scheduled at its serialization end, and the next
+serve event is posted for that instant only while backlog remains. A
+"burst" here is a back-to-back run of arrivals that builds a backlog.
+These tests pin down the properties that serving one packet per event
+gives the rest of the system:
 
-* wire timing is bit-identical to serving packets one at a time (a port
-  whose queue has a pacer that never binds serves one packet per event),
-  just with fewer events;
-* a :class:`~repro.faults.link.FaultyLink` spliced under a bursting port
-  still makes its fault decision at each packet's serialization end, so a
-  mid-burst ``fail()`` destroys exactly the frames a real cable cut would
-  — committed-but-unserialized frames included;
+* wire timing is back-to-back and FIFO, and an unpaced port spends the
+  same events as a port whose pacer never binds;
+* a strict-priority arrival leaves at the first serialization end after
+  it, ahead of the lower class's backlog, and the shared buffer counts a
+  packet's bytes until the serve that starts it;
+* a :class:`~repro.faults.link.FaultyLink` spliced under the port makes
+  its fault decision at each packet's serialization end, so a mid-drain
+  ``fail()`` destroys exactly the frames a real cable cut would;
 * a :class:`~repro.metrics.telemetry.TelemetrySampler` watching the port
-  leaves the port and its link as they were, so telemetry-on runs keep
-  the burst path (and observe the same timeline).
+  leaves the port and its link as they were, and observes the same
+  timeline.
 """
 
 import pytest
 
 from repro.faults.link import splice
 from repro.metrics.telemetry import TelemetrySampler
-from repro.net.buffering import UnlimitedBuffer
+from repro.net.buffering import SharedBuffer, UnlimitedBuffer
 from repro.net.link import Link
-from repro.net.packet import Dscp, Packet, PacketKind
+from repro.net.packet import CREDIT_WIRE_BYTES, Dscp, Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.queues import PacketQueue, QueueConfig
 from repro.net.ratelimit import TokenBucket
@@ -47,14 +50,28 @@ class _Sink:
         self.arrivals.append((self.sim.now, pkt))
 
 
-def _mk_port(sim, delay_ns=1000, pacer=None):
+def _mk_port(sim, delay_ns=1000, pacer=None, buffer=None):
     sink = _Sink(sim)
     link = Link(sim, sink, delay_ns)
     q = PacketQueue(QueueConfig(name="data"))
     port = EgressPort(
-        sim, "tx", RATE, UnlimitedBuffer(),
+        sim, "tx", RATE, buffer or UnlimitedBuffer(),
         [QueueSchedule(q, priority=0, weight=1.0, pacer=pacer)],
         {Dscp.LEGACY.value: 0}, link, {},
+    )
+    return port, sink
+
+
+def _mk_two_class_port(sim, delay_ns=1000, buffer=None):
+    """Strict Q0 (credits) over Q1 (data), no pacer: the shape of Homa's
+    shared-queue port, the one shape whose serves never depend on time."""
+    sink = _Sink(sim)
+    port = EgressPort(
+        sim, "tx", RATE, buffer or UnlimitedBuffer(),
+        [QueueSchedule(PacketQueue(QueueConfig(name="q0")), priority=0),
+         QueueSchedule(PacketQueue(QueueConfig(name="q1")), priority=1)],
+        {Dscp.CREDIT.value: 0, Dscp.LEGACY.value: 1},
+        Link(sim, sink, delay_ns), {},
     )
     return port, sink
 
@@ -64,16 +81,20 @@ def _pkts(n):
             for i in range(n)]
 
 
-# -------------------------------------------------------- burst vs oracle
+def _credit():
+    return Packet(PacketKind.CREDIT, 99, 0, 1, CREDIT_WIRE_BYTES,
+                  dscp=Dscp.CREDIT)
+
+
+# ------------------------------------------------- one packet per serve
 
 
 class TestBurstDequeue:
     def test_backlog_exceeding_burst_drains_with_exact_wire_timing(self):
-        """12 packets (> BURST=8) enqueued at once: every arrival lands at
-        its own serialization end plus propagation, as if served singly."""
+        """12 packets enqueued at once: every arrival lands at its own
+        serialization end plus propagation, in FIFO order."""
         sim = Simulator()
         port, sink = _mk_port(sim, delay_ns=1000)
-        assert port._batch_ok
         pkts = _pkts(12)
         for p in pkts:
             assert port.enqueue(p)
@@ -84,15 +105,15 @@ class TestBurstDequeue:
         ]
 
     def test_burst_path_matches_one_packet_serving(self):
-        """A pacer a hundred times the line rate never holds a packet back
-        but turns burst dequeue off, so that port serves one packet per
-        event; timings must match the burst run exactly, while the burst
-        run spends fewer scheduled events."""
+        """A pacer a hundred times the line rate never holds a packet back.
+        The unpaced port drains a burst on the same timeline and with the
+        same number of events: one delivery per packet, and one serve event
+        per packet after the first (cut through when unpaced, served on
+        enqueue when paced)."""
         def drain(paced):
             sim = Simulator()
             pacer = TokenBucket(100 * RATE, 12 * SIZE) if paced else None
             port, sink = _mk_port(sim, pacer=pacer)
-            assert port._batch_ok != paced
             for p in _pkts(12):
                 port.enqueue(p)
             sim.run()
@@ -101,17 +122,53 @@ class TestBurstDequeue:
         slow_times, slow_events = drain(paced=True)
         fast_times, fast_events = drain(paced=False)
         assert fast_times == slow_times
-        assert fast_events < slow_events
+        assert fast_events == slow_events == 12 + 11
+
+    def test_priority_arrival_overtakes_the_backlog(self):
+        """Twelve data packets queue on an unpaced two-class port; a credit
+        that arrives while the second one serializes leaves right after it,
+        at 2 000 + 68 ns, and lands 1 000 ns later. The data behind it each
+        shift by the credit's serialization time."""
+        sim = Simulator()
+        port, sink = _mk_two_class_port(sim, delay_ns=1000)
+        credit = _credit()
+        for p in _pkts(12):
+            port.enqueue(p)
+        sim.at(1500, port.enqueue, credit)
+        sim.run()
+        cred_ser = tx_time_ns(CREDIT_WIRE_BYTES, RATE)
+        assert cred_ser == 68
+        assert [p for _, p in sink.arrivals].index(credit) == 2
+        assert sink.arrivals[2][0] == 2 * SER + cred_ser + 1000 == 3068
+        assert [t for t, p in sink.arrivals if p is not credit][2:] == [
+            (i + 1) * SER + cred_ser + 1000 for i in range(2, 12)
+        ]
+
+    def test_buffer_counts_each_packet_until_its_serve(self):
+        """The shared buffer holds exactly the bytes still queued at every
+        instant of a drain: a packet leaves it when its own serve starts
+        it, not before."""
+        sim = Simulator()
+        buf = SharedBuffer(1_000_000, alpha=1.0)
+        port, _ = _mk_port(sim, buffer=buf)
+        for p in _pkts(12):
+            port.enqueue(p)  # the first cuts through, 11 queue
+        seen = []
+        for i in range(12):
+            sim.at(i * SER + SER // 2, lambda: seen.append(
+                (buf.used, port.backlog_bytes())))
+        sim.run()
+        assert seen == [((11 - i) * SIZE,) * 2 for i in range(12)]
 
 
-# ------------------------------------------------- mid-burst link failure
+# ------------------------------------------------- mid-drain link failure
 
 
 class TestMidBurstLinkFailure:
     def test_fail_mid_burst_destroys_committed_and_in_flight_frames(self):
-        """All 12 packets are committed to the wire within the first two
-        serve events; a fail() at 4.5 serialization times must drop every
-        one of them — 4 mid-propagation, 8 still serializing or queued."""
+        """A fail() at 4.5 serialization times drops every one of 12
+        back-to-back packets: 4 mid-propagation, the one serializing and
+        the 7 still queued at their own serialization ends."""
         sim = Simulator()
         port, sink = _mk_port(sim, delay_ns=5000)
         faulty = splice(port)
@@ -154,19 +211,18 @@ class TestMidBurstLinkFailure:
         assert sink.arrivals[6][0] == 21_000 + SER + 1500
 
     def test_spliced_link_keeps_serialization_end_fault_semantics(self):
-        """splice() must not re-enable arrival coalescing: the FaultyLink
-        defers carry() to serialization end even for burst-committed
-        packets, so a failure between two commits of ONE burst separates
-        their fates."""
+        """The FaultyLink defers carry() to serialization end: a packet
+        that starts serializing before a cut and ends after it dies, as
+        does the one queued behind it, while the six before arrived."""
         sim = Simulator()
         port, sink = _mk_port(sim, delay_ns=100)
         faulty = splice(port)
-        for p in _pkts(8):  # one cut-through + one 7-packet burst
+        for p in _pkts(8):  # one cut-through + 7 queued
             port.enqueue(p)
         sim.at(int(6.5 * SER), faulty.fail)
         sim.run()
         # Packets 0-5 serialized and (with 100 ns delay) arrived before the
-        # cut; 6 and 7 were committed in the same burst as 5 but die.
+        # cut; 6 was on the wire at the cut and 7 queued behind it.
         assert len(sink.arrivals) == 6
         assert faulty.counters.dropped_link_down == 2
 
@@ -176,19 +232,20 @@ class TestMidBurstLinkFailure:
 
 class TestTelemetryOnBurstPort:
     def test_watchers_install_no_monitors_and_keep_burst_path(self):
+        """Watching a port rebinds neither its link nor its serve event."""
         sim = Simulator()
         port, _ = _mk_port(sim)
-        link = port.link
+        link, serve = port.link, port._serve_cb
         sampler = TelemetrySampler(sim, interval_ns=500, until_ns=20_000)
         sampler.watch_port(port)
         sampler.watch_link(port)
         assert port.link is link
-        assert port._batch_ok
+        assert port._serve_cb is serve
 
     def test_sampler_accounts_burst_drained_bytes_without_timing_skew(self):
         """With the sampler ticking through the drain, arrivals stay on the
-        exact burst timeline and the link-utilization counter integrates
-        back to the delivered byte total."""
+        exact back-to-back timeline and the link-utilization counter
+        integrates back to the delivered byte total."""
         sim = Simulator()
         port, sink = _mk_port(sim, delay_ns=1000)
         sampler = TelemetrySampler(sim, interval_ns=500, until_ns=20_000)

@@ -45,8 +45,8 @@ class TestFigureScenarios:
     def test_fig01b_runs(self):
         fig = fig01b_homa_vs_dctcp(duration_ms=5, n_each=4, flow_mb=2)
         assert set(fig.series) == {"dctcp", "homa"}
-        assert fig.rows() == [("dctcp", "32.4%", "20.0%"),
-                              ("homa", "67.6%", "0.0%")]
+        assert fig.rows() == [("dctcp", "32.2%", "20.0%"),
+                              ("homa", "67.8%", "0.0%")]
 
     FIG07_ROWS = {
         "one_flexpass": [("proactive", "49.7%", "0.0%"),

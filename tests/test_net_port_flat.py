@@ -71,7 +71,7 @@ def naive_shape():
 
 
 def single_shape():
-    """One capped, marking FIFO: the unpaced port, where bursts apply."""
+    """One capped, marking FIFO: the simplest unpaced port."""
     schedules = [QueueSchedule(PacketQueue(QueueConfig(
         "all", capacity_bytes=10 * 1584, ecn_threshold_bytes=3 * 1584,
         selective_drop_bytes=4 * 1584)), priority=0)]
@@ -80,7 +80,25 @@ def single_shape():
     return schedules, classifier
 
 
-SHAPES = {"paper": paper_shape, "naive": naive_shape, "single": single_shape}
+def unpaced_shape():
+    """Strict Q0 over Q1 with no pacer, as Homa's shared-queue port: the
+    scheduler's pick does not depend on the time, yet a Q0 arrival must
+    still leave at the first serialization end after it, ahead of Q1's
+    backlog."""
+    schedules = [
+        QueueSchedule(PacketQueue(QueueConfig("q0", capacity_bytes=8 * 84)),
+                      priority=0),
+        QueueSchedule(PacketQueue(QueueConfig(
+            "q1", ecn_threshold_bytes=3 * 1584, selective_drop_bytes=4 * 1584)),
+            priority=1),
+    ]
+    classifier = {Dscp.CREDIT: 0, Dscp.PROACTIVE_DATA: 1,
+                  Dscp.REACTIVE_DATA: 1, Dscp.LEGACY: 1}
+    return schedules, classifier
+
+
+SHAPES = {"paper": paper_shape, "naive": naive_shape, "single": single_shape,
+          "unpaced": unpaced_shape}
 BUFFERS = {
     # 4 MTUs queued + 1 arriving = alpha x the 10 MTUs then free: on the line
     "tight": lambda: SharedBuffer(14 * 1584, alpha=0.5),
@@ -133,7 +151,6 @@ class ReferencePort:
                         for p in prios]
         self.deficit = [0.0] * len(schedules)
         self.rr_pos = [0] * len(self.classes)
-        self.unpaced = all(s.pacer is None for s in schedules)
         self.wake_handle = None
         self.serve_pending = False
         self.free_at = 0
@@ -191,7 +208,7 @@ class ReferencePort:
                 self.rr_pos[class_idx] = pos % n
                 return None, wake
 
-    # -- the port: admit, queue, serialize one packet (or burst) at a time
+    # -- the port: admit, queue, serialize one packet per serve event
 
     def enqueue(self, pkt):
         q = self.queues[self.classifier[pkt.dscp]]
@@ -212,7 +229,7 @@ class ReferencePort:
                 self.sim.post_at(self.free_at, self.serve_event)
         return True
 
-    def serve_event(self):
+    def serve_event(self, _):
         self.serve_pending = False
         self.serve()
 
@@ -228,19 +245,12 @@ class ReferencePort:
             if wake is not None:
                 self.wake_handle = self.sim.at(wake, self.on_wake)
             return
-        # An unpaced port commits a burst back-to-back in one serve event.
-        room = EgressPort.BURST if self.unpaced else 1
-        done = now
-        while pkt is not None:
-            self.buffer.release(pkt.size)
-            done += tx_time_ns(pkt.size, RATE)
-            self.departures.append((done, pkt.seq))
-            room -= 1
-            pkt = self.pick(now)[0] if room else None
-        self.free_at = done
+        self.buffer.release(pkt.size)
+        self.free_at = now + tx_time_ns(pkt.size, RATE)
+        self.departures.append((self.free_at, pkt.seq))
         if any(not q.empty for q in self.queues):
             self.serve_pending = True
-            self.sim.post_at(done, self.serve_event)
+            self.sim.post_at(self.free_at, self.serve_event)
 
 
 # --------------------------------------------------------------- the drive
@@ -317,6 +327,11 @@ ARRIVALS = st.lists(st.tuples(GAPS, st.sampled_from(sorted(KINDS))),
 @example(shape="single", buffer_kind="roomy", arrivals=[(0, "red")] * 6)
 # behind a cut-through, the tenth queued MTU lands exactly on the static cap
 @example(shape="single", buffer_kind="roomy", arrivals=[(0, "green")] * 12)
+# a credit arriving mid-serialization behind eleven queued MTUs leaves at the
+# next serialization end, ahead of them all (a serve that committed more
+# than one packet would make it wait behind those too)
+@example(shape="unpaced", buffer_kind="roomy",
+         arrivals=[(0, "green")] * 12 + [(1500, "credit")])
 def test_flat_port_matches_reference(shape, buffer_kind, arrivals):
     """On random arrival runs over every port shape and buffer, the flat
     port admits, marks, drops and serves packet for packet as the

@@ -99,7 +99,7 @@ def test_post_negative_delay_raises(make_sim):
     sim = make_sim()
     seen = []
 
-    def a():
+    def a(_):
         seen.append(("a", sim.now))
         with pytest.raises(ValueError):
             sim.post(-50, seen.append, "b")

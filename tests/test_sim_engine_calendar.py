@@ -66,7 +66,11 @@ class ReferenceEngine:
             raise ValueError("negative delay")
         return self.at(self.now + delay, fn, *args)
 
-    post, post_at = after, at
+    def post(self, delay, fn, arg=None):
+        return self.after(delay, fn, arg)
+
+    def post_at(self, time, fn, arg=None):
+        return self.at(time, fn, arg)
 
     def every(self, period, fn, until=None):
         return RepeatingEvent(self, period, fn, until)
@@ -309,7 +313,7 @@ class TestOrderingEdgeCases:
         sim = CalendarSimulator(bucket_bits=4)
         fn = lambda *a: None  # noqa: E731
         h1 = sim.at(1, fn)                  # first bucket
-        sim.post(5, fn, "x", 2)             # same bucket
+        sim.post(5, fn, ("x", 2))           # same bucket
         sim.at(10_000, fn)                  # future bucket
         h2 = sim.after(90_000, fn)          # far-future bucket
         h2.cancel()                         # cancelled entries included
@@ -322,9 +326,10 @@ class TestOrderingEdgeCases:
             return entries
 
         entries = check([1, 5, 10_000, 90_000], 0)
-        # The public shape: a handle for at/after, (fn, args) for post.
+        # The public shape: a handle for at/after, (fn, args) for post,
+        # whose one argument comes back as a 1-tuple.
         assert entries[0][2] is h1 and entries[3][2] is h2
-        assert entries[1][2] == (fn, ("x", 2))
+        assert entries[1][2] == (fn, (("x", 2),))
         assert sim.pending() == 3
         assert h1.time == 1
         # Stop inside the first bucket: what it still holds sits in the
@@ -381,7 +386,7 @@ class TestWatchdogStalledPurge:
         (max_events alone arms no deadline)."""
         sim = make_sim()
         for i in range(10):
-            sim.post(i, lambda: None)
+            sim.post(i, lambda _: None)
         def boom():  # pragma: no cover - the assertion is that it never runs
             raise AssertionError("monotonic called without a wall budget")
         import importlib
@@ -405,7 +410,7 @@ class TestRunRestoresCollector:
     def test_raised_inside_restored_after(self):
         sim = CalendarSimulator()
         seen = []
-        sim.post(5, lambda: seen.append(gc.get_threshold()))
+        sim.post(5, lambda _: seen.append(gc.get_threshold()))
         sim.run()
         assert seen == [(RUN_GC_GEN0, 11, 13)]
         assert gc.get_threshold() == (701, 11, 13)
@@ -413,11 +418,11 @@ class TestRunRestoresCollector:
     def test_restored_when_a_callback_raises(self):
         sim = CalendarSimulator()
 
-        def boom():
+        def boom(_):
             raise KeyError("boom")
 
         sim.post(5, boom)
-        sim.post(9, lambda: None)
+        sim.post(9, lambda _: None)
         with pytest.raises(KeyError):
             sim.run(until=100)
         assert gc.get_threshold() == (701, 11, 13)
@@ -427,7 +432,7 @@ class TestRunRestoresCollector:
     def test_restored_when_the_watchdog_aborts(self):
         sim = CalendarSimulator()
 
-        def forever():
+        def forever(_=None):
             sim.post(1, forever)
 
         sim.post(1, forever)
@@ -440,6 +445,6 @@ class TestRunRestoresCollector:
         for mine in ((0, 11, 13), (10**7, 11, 13)):
             gc.set_threshold(*mine)
             seen = []
-            sim.post(1, lambda: seen.append(gc.get_threshold()))
+            sim.post(1, lambda _: seen.append(gc.get_threshold()))
             sim.run()
             assert seen == [mine] and gc.get_threshold() == mine

@@ -129,7 +129,7 @@ class TestCoarseTimer:
         fired = []
         timer = CoarseTimer(sim)
         for i in range(10_000):
-            sim.post_at(i * 100, timer.arm, 4_000_000, fired.append, i)
+            sim.at(i * 100, timer.arm, 4_000_000, fired.append, i)
         sim.run()
         # the last arm's deadline and the last arm's callback
         assert fired == [9_999]
@@ -143,7 +143,7 @@ class TestCoarseTimer:
         fired = []
         timer = CoarseTimer(sim)
         for i in range(1_000):
-            sim.post_at(i * 10_000, timer.arm, 4_000_000, fired.append, i)
+            sim.at(i * 10_000, timer.arm, 4_000_000, fired.append, i)
         sim.run()
         span = 999 * 10_000 + 4_000_000
         assert fired == [999] and sim.now == span
@@ -176,8 +176,8 @@ class TestCoarseTimer:
         fired = []
         timer = CoarseTimer(sim)
         timer.arm(4_000_000, fired.append, "late")
-        sim.post_at(HOP_NS + 1, timer.arm, 100_000,
-                    lambda: fired.append(sim.now))
+        sim.at(HOP_NS + 1, timer.arm, 100_000,
+               lambda: fired.append(sim.now))
         sim.run()
         assert fired == [HOP_NS + 100_001]
         assert TimerWheel.for_sim(sim).armed_total == 2
@@ -186,9 +186,9 @@ class TestCoarseTimer:
         sim = Simulator()
         timer = CoarseTimer(sim)
         timer.arm(1_000_000, pytest.fail, "cancelled timer fired")
-        sim.post_at(500_000, timer.arm, 1_000_000, pytest.fail,
-                    "cancelled timer fired")
-        sim.post_at(900_000, timer.cancel)
+        sim.at(500_000, timer.arm, 1_000_000, pytest.fail,
+               "cancelled timer fired")
+        sim.at(900_000, timer.cancel)
         sim.run()
         assert not timer.armed
         assert TimerWheel.for_sim(sim).fired_total == 0
@@ -222,10 +222,10 @@ class TestCoarseTimer:
             timers = [timer_cls(sim) for _ in range(8)]
             for at, which, delay in script:
                 if delay is None:
-                    sim.post_at(at, timers[which].cancel)
+                    sim.at(at, timers[which].cancel)
                 else:
-                    sim.post_at(at, timers[which].arm, delay,
-                                lambda i=which: fired.append((sim.now, i)))
+                    sim.at(at, timers[which].arm, delay,
+                           lambda i=which: fired.append((sim.now, i)))
             sim.run()
             return fired
 
